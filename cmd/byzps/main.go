@@ -50,8 +50,7 @@
 // the in-process engine on the same tier bit for bit) but differs from
 // the lossless trajectory. Workers advertise the tiers they support at
 // Hello; the server downgrades to the best mutually supported lossless
-// tier rather than substituting a different lossy one.
-// -no-uplink-delta is a deprecated alias for -uplink raw. -v logs
+// tier rather than substituting a different lossy one. -v logs
 // per-round participation and wire-volume stats, and the lifecycle
 // counters (joins, rejoins, evictions, stale frames retired) print at
 // shutdown.
@@ -131,8 +130,6 @@ func main() {
 			"worker→PS report codec tier: raw, delta (bit-exact XOR compression), sign or int8 (lossy quantization)")
 		precision = flag.String("precision", "f64",
 			"numeric precision tier: f64 (full protocol) or f32 (reduced-precision kernels and frames; softmax only, no faults/detection/pipeline)")
-		noUplinkDelta = flag.Bool("no-uplink-delta", false,
-			"deprecated alias for -uplink raw")
 		shardCount = flag.Int("shards", 0,
 			"aggregation shards: split the parameter vector into N coordinate ranges that vote/aggregate independently (0 or 1 = single loop; bit-identical either way)")
 		pipeline = flag.Bool("pipeline", false,
@@ -166,13 +163,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "byzps:", err)
 		os.Exit(2)
-	}
-	if *noUplinkDelta {
-		if *uplink != "delta" {
-			fmt.Fprintln(os.Stderr, "byzps: -no-uplink-delta (deprecated) conflicts with -uplink; drop the deprecated flag")
-			os.Exit(2)
-		}
-		tier = wire.TierRaw
 	}
 
 	workers, err := parseWorkerList(*faultWorkers)

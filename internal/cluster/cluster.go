@@ -34,7 +34,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -46,6 +45,7 @@ import (
 	"byzshield/internal/data"
 	"byzshield/internal/detect"
 	"byzshield/internal/fault"
+	"byzshield/internal/linalg"
 	"byzshield/internal/model"
 	"byzshield/internal/obs"
 	"byzshield/internal/trainer"
@@ -984,7 +984,7 @@ func (e *Engine) voteFile(w, v int) {
 	// true gradients, so it is meaningless (every file would differ)
 	// when a lossy uplink tier quantized the collected replicas.
 	if !e.cfg.SignMessages && !e.cfg.UplinkTier.Lossy() &&
-		ar.trueGrads[v] != nil && !equalBits(res.Winner, ar.trueGrads[v]) {
+		ar.trueGrads[v] != nil && !linalg.EqualBits(res.Winner, ar.trueGrads[v]) {
 		ar.distorted[w]++
 	}
 }
@@ -1038,7 +1038,7 @@ func (e *Engine) resolveDegradedTie(repl [][]float64, workers []int) ([]float64,
 	for i := range repl {
 		dup := false
 		for j := 0; j < i; j++ {
-			if equalBits(repl[j], repl[i]) {
+			if linalg.EqualBits(repl[j], repl[i]) {
 				dup = true
 				break
 			}
@@ -1048,7 +1048,7 @@ func (e *Engine) resolveDegradedTie(repl [][]float64, workers []int) ([]float64,
 		}
 		sum := 0.0
 		for j := i; j < len(repl); j++ {
-			if equalBits(repl[i], repl[j]) {
+			if linalg.EqualBits(repl[i], repl[j]) {
 				sum += e.detSt.Reputation(workers[j])
 			}
 		}
@@ -1256,18 +1256,4 @@ func signInPlace(g []float64) {
 			g[i] = 0
 		}
 	}
-}
-
-// equalBits compares vectors by IEEE-754 bit patterns, matching the
-// exact-vote equality semantics.
-func equalBits(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return true
 }

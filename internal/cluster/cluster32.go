@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"time"
@@ -638,18 +637,4 @@ func (s localSource32) Collect(_ context.Context, rd *Round32) (CollectStats, er
 		})
 	}
 	return CollectStats{Compute: time.Since(computeStart)}, nil
-}
-
-// equalBits32 compares float32 vectors by bit patterns (the f32
-// counterpart of equalBits, used by the bit-identity tests).
-func equalBits32(a, b []float32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
-			return false
-		}
-	}
-	return true
 }

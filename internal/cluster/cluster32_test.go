@@ -8,10 +8,14 @@ import (
 	"byzshield/internal/aggregate"
 	"byzshield/internal/assign"
 	"byzshield/internal/data"
+	"byzshield/internal/linalg"
 	"byzshield/internal/model"
 	"byzshield/internal/trainer"
 	"byzshield/internal/wire"
 )
+
+// equalBits32 is the protocol's one bit-equality at float32.
+var equalBits32 = linalg.EqualBits[float32]
 
 // testSetup32 builds the f32 counterpart of testSetup: MOLS(5,3),
 // softmax on the same separable synthetic dataset.

@@ -4,6 +4,7 @@ import (
 	"math/bits"
 	"slices"
 
+	"byzshield/internal/linalg"
 	"byzshield/internal/wire"
 )
 
@@ -148,7 +149,7 @@ func (pl *shardPlane) voteShard(e *Engine, s int) {
 				c := i
 				gi := rng(i)
 				for j := 0; j < i; j++ {
-					if canon[j] == j && equalBits(rng(j), gi) {
+					if canon[j] == j && linalg.EqualBits(rng(j), gi) {
 						c = j
 						break
 					}
@@ -177,7 +178,7 @@ func (pl *shardPlane) voteShard(e *Engine, s int) {
 			mask[v] = m
 		}
 		if ar.trueGrads[v] != nil {
-			dist[v] = !equalBits(rng(best), ar.trueGrads[v][lo:hi])
+			dist[v] = !linalg.EqualBits(rng(best), ar.trueGrads[v][lo:hi])
 		}
 	}
 }

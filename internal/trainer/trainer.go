@@ -7,6 +7,8 @@ package trainer
 import (
 	"fmt"
 	"math"
+
+	"byzshield/internal/linalg"
 )
 
 // Schedule is the paper's (x, y, z) learning-rate schedule notation:
@@ -41,16 +43,19 @@ func (s Schedule) String() string {
 	return fmt.Sprintf("(%g, %g, %d)", s.Base, s.Decay, s.Every)
 }
 
-// SGD is stochastic gradient descent with classical momentum:
-// v ← µ·v + g;  w ← w − η_t·v.
-type SGD struct {
+// SGDOf is stochastic gradient descent with classical momentum:
+// v ← µ·v + g;  w ← w − η_t·v. The velocity buffer and every arithmetic
+// operation run at T's width; the momentum is narrowed once at
+// construction and the learning rate once per call from the shared
+// float64 Schedule. names.go binds SGD/SGD32 to the two instantiations.
+type SGDOf[T linalg.Float] struct {
 	Schedule Schedule
-	Momentum float64
-	velocity []float64
+	Momentum T
+	velocity []T
 }
 
-// NewSGD constructs the optimizer for a d-dimensional parameter vector.
-func NewSGD(schedule Schedule, momentum float64, dim int) (*SGD, error) {
+// NewSGDOf constructs the optimizer for a d-dimensional parameter vector.
+func NewSGDOf[T linalg.Float](schedule Schedule, momentum float64, dim int) (*SGDOf[T], error) {
 	if err := schedule.Validate(); err != nil {
 		return nil, err
 	}
@@ -60,12 +65,12 @@ func NewSGD(schedule Schedule, momentum float64, dim int) (*SGD, error) {
 	if dim < 1 {
 		return nil, fmt.Errorf("trainer: dim %d < 1", dim)
 	}
-	return &SGD{Schedule: schedule, Momentum: momentum, velocity: make([]float64, dim)}, nil
+	return &SGDOf[T]{Schedule: schedule, Momentum: T(momentum), velocity: make([]T, dim)}, nil
 }
 
 // Step applies one update in place using the gradient estimate grad at
 // iteration t.
-func (o *SGD) Step(params, grad []float64, t int) {
+func (o *SGDOf[T]) Step(params, grad []T, t int) {
 	if len(params) != len(o.velocity) || len(grad) != len(o.velocity) {
 		panic(fmt.Sprintf("trainer: dim mismatch params=%d grad=%d velocity=%d",
 			len(params), len(grad), len(o.velocity)))
@@ -79,7 +84,7 @@ func (o *SGD) Step(params, grad []float64, t int) {
 // floating-point operations per coordinate — the sharded aggregation
 // plane steps each shard's range independently and stays bit-identical
 // to the serial optimizer. Chunks must not overlap within an iteration.
-func (o *SGD) StepChunk(params, grad []float64, t, lo, hi int) {
+func (o *SGDOf[T]) StepChunk(params, grad []T, t, lo, hi int) {
 	if len(params) != len(o.velocity) || len(grad) != len(o.velocity) {
 		panic(fmt.Sprintf("trainer: dim mismatch params=%d grad=%d velocity=%d",
 			len(params), len(grad), len(o.velocity)))
@@ -87,7 +92,7 @@ func (o *SGD) StepChunk(params, grad []float64, t, lo, hi int) {
 	if lo < 0 || hi > len(params) || lo > hi {
 		panic(fmt.Sprintf("trainer: chunk [%d,%d) outside [0,%d)", lo, hi, len(params)))
 	}
-	lr := o.Schedule.At(t)
+	lr := T(o.Schedule.At(t))
 	for i := lo; i < hi; i++ {
 		o.velocity[i] = o.Momentum*o.velocity[i] + grad[i]
 		params[i] -= lr * o.velocity[i]
@@ -95,22 +100,20 @@ func (o *SGD) StepChunk(params, grad []float64, t, lo, hi int) {
 }
 
 // Reset zeroes the momentum buffer.
-func (o *SGD) Reset() {
-	for i := range o.velocity {
-		o.velocity[i] = 0
-	}
+func (o *SGDOf[T]) Reset() {
+	clear(o.velocity)
 }
 
 // Velocity returns a copy of the momentum buffer (for checkpointing).
-func (o *SGD) Velocity() []float64 {
-	out := make([]float64, len(o.velocity))
+func (o *SGDOf[T]) Velocity() []T {
+	out := make([]T, len(o.velocity))
 	copy(out, o.velocity)
 	return out
 }
 
 // SetVelocity restores the momentum buffer from a checkpoint. The
 // length must match the optimizer's dimension.
-func (o *SGD) SetVelocity(v []float64) error {
+func (o *SGDOf[T]) SetVelocity(v []T) error {
 	if len(v) != len(o.velocity) {
 		return fmt.Errorf("trainer: velocity length %d, want %d", len(v), len(o.velocity))
 	}

@@ -8,13 +8,13 @@ package transport
 import (
 	"context"
 	"errors"
-	"math"
 	"net"
 	"sync"
 	"testing"
 	"time"
 
 	"byzshield/internal/cluster"
+	"byzshield/internal/linalg"
 	"byzshield/internal/wire"
 )
 
@@ -59,17 +59,8 @@ func engineParamsTier(t *testing.T, spec Spec, shards int, tier wire.UplinkTier)
 	return out
 }
 
-func sameBits(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return true
-}
+// sameBits is the protocol's one bit-equality (NaN == NaN, +0 ≠ −0).
+var sameBits = linalg.EqualBits[float64]
 
 // TestUplinkTierLoopbackMatchesEngine pins every tier's wire trajectory
 // to the in-process engine, unsharded and sharded: the lossless tiers

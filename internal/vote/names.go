@@ -1,0 +1,16 @@
+package vote
+
+// The historical per-width names: aliases and instantiations of the one
+// generic exact vote, with no bodies of their own (see wire/names.go
+// for the convention). MajorityWithTolerance stays float64-only — the
+// f32 engine has no tolerance mode.
+
+type (
+	Result   = ResultOf[float64]
+	Result32 = ResultOf[float32]
+)
+
+var (
+	Majority   = MajorityOf[float64]
+	Majority32 = MajorityOf[float32]
+)

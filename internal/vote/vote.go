@@ -5,11 +5,15 @@
 //
 // Two modes are provided. Exact mode matches the paper's implementation
 // note — honest workers return bit-identical gradients for the same
-// file, so votes can be counted by hashing the raw float64 bytes
+// file, so votes can be counted by hashing the raw IEEE-754 bytes
 // (using the linear-time Boyer–Moore MJRTY pass first, then a counting
 // verification). Tolerance mode handles the "potential precision
 // issues" the paper mentions by clustering returned gradients whose
 // pairwise L∞ distance is within Tol and voting over clusters.
+//
+// The exact vote is written once over linalg.Float — honest replicas of
+// one file are bit-identical at either training width — and names.go
+// binds the historical Majority/Majority32 names to its instantiations.
 package vote
 
 import (
@@ -17,13 +21,15 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+
+	"byzshield/internal/linalg"
 )
 
-// Result reports the outcome of a single file's vote.
-type Result struct {
+// ResultOf reports the outcome of a single file's vote.
+type ResultOf[T linalg.Float] struct {
 	// Winner is the elected gradient (a reference to one of the inputs;
 	// callers must copy before mutating).
-	Winner []float64
+	Winner []T
 	// Count is the number of votes the winner received.
 	Count int
 	// Unanimous is true when every replica agreed.
@@ -40,23 +46,24 @@ type Result struct {
 // vote takes it.
 const smallN = 16
 
-// Majority elects the most frequent gradient among the replicas using
-// exact byte equality. It is the implementation of Eq. (3): m_i =
+// MajorityOf elects the most frequent gradient among the replicas using
+// exact byte equality (linalg.EqualBits: NaN == NaN, +0 ≠ −0). It is
+// the implementation of Eq. (3): m_i =
 // majority{ĝ_i^(j)}. Inputs must be non-empty and of equal dimension.
 //
 // For n ≤ 16 replicas the election runs allocation-free on direct
 // pairwise bit comparison; larger replica sets fall back to hashing.
 // Both paths elect identically: the candidate with the most votes,
 // breaking ties toward the lowest first-holder index.
-func Majority(replicas [][]float64) (Result, error) {
+func MajorityOf[T linalg.Float](replicas [][]T) (ResultOf[T], error) {
 	n := len(replicas)
 	if n == 0 {
-		return Result{}, fmt.Errorf("vote: no replicas")
+		return ResultOf[T]{}, fmt.Errorf("vote: no replicas")
 	}
 	d := len(replicas[0])
 	for i, r := range replicas {
 		if len(r) != d {
-			return Result{}, fmt.Errorf("vote: replica %d has dim %d, want %d", i, len(r), d)
+			return ResultOf[T]{}, fmt.Errorf("vote: replica %d has dim %d, want %d", i, len(r), d)
 		}
 	}
 	if n <= smallN {
@@ -91,7 +98,7 @@ func Majority(replicas [][]float64) (Result, error) {
 	winner := replicas[first[bestHash]]
 	exact := 0
 	for _, r := range replicas {
-		if equalVec(r, winner) {
+		if linalg.EqualBits(r, winner) {
 			exact++
 		}
 	}
@@ -101,7 +108,7 @@ func Majority(replicas [][]float64) (Result, error) {
 			tied = true
 		}
 	}
-	return Result{
+	return ResultOf[T]{
 		Winner:    winner,
 		Count:     exact,
 		Unanimous: exact == n,
@@ -113,13 +120,13 @@ func Majority(replicas [][]float64) (Result, error) {
 // state: each replica is mapped to the index of its first bit-identical
 // predecessor (its canonical candidate), and the canonical candidate
 // with the highest count — lowest first index on ties — wins.
-func majoritySmall(replicas [][]float64) Result {
+func majoritySmall[T linalg.Float](replicas [][]T) ResultOf[T] {
 	n := len(replicas)
 	var canon, counts [smallN]int
 	for i := 0; i < n; i++ {
 		c := i
 		for j := 0; j < i; j++ {
-			if canon[j] == j && equalVec(replicas[j], replicas[i]) {
+			if canon[j] == j && linalg.EqualBits(replicas[j], replicas[i]) {
 				c = j
 				break
 			}
@@ -139,7 +146,7 @@ func majoritySmall(replicas [][]float64) Result {
 			tied = true
 		}
 	}
-	return Result{
+	return ResultOf[T]{
 		Winner:    replicas[best],
 		Count:     counts[best],
 		Unanimous: counts[best] == n,
@@ -214,29 +221,17 @@ func MajorityWithTolerance(replicas [][]float64, tol float64) (Result, error) {
 	}, nil
 }
 
-// hashVec hashes the raw IEEE-754 bytes of v with FNV-1a.
-func hashVec(v []float64) uint64 {
+// hashVec hashes the raw IEEE-754 bytes of v (sizeof(T) per value,
+// little-endian) with FNV-1a.
+func hashVec[T linalg.Float](v []T) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
+	w := linalg.Width[T]()
 	for _, x := range v {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(x))
-		h.Write(buf[:])
+		binary.LittleEndian.PutUint64(buf[:], linalg.Bits(x))
+		h.Write(buf[:w])
 	}
 	return h.Sum64()
-}
-
-// equalVec compares by float bit patterns (so NaN == NaN holds and
-// +0/−0 are distinct, matching hash semantics).
-func equalVec(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // maxAbsDiff returns the L∞ distance between a and b.

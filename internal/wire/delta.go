@@ -11,9 +11,9 @@
 // bits of most coordinates, so the XOR against the previous round's
 // vector concentrates its nonzero bytes at the low end; unchanged
 // coordinates cost half a byte. Byte lengths are nibble-packed (two
-// coordinates per byte) ahead of the payload, so the worst case is
-// ⌈d/2⌉ + 8d bytes against 8d for a full frame, and typical training
-// rounds are far below it. Applying a delta is a pure bit-level XOR, so
+// coordinates per byte) ahead of the payload, so with w = sizeof(T) the
+// worst case is ⌈d/2⌉ + w·d bytes against w·d for a full frame, and
+// typical training rounds are far below it. Applying a delta is a pure bit-level XOR, so
 // a worker that folds deltas onto a full base reconstructs the PS
 // vector bit-for-bit — NaN payloads and signed zeros included — which
 // is what keeps the wire path's trajectory identical to the in-process
@@ -23,9 +23,10 @@
 //
 //	u8   mode (1 = full, 2 = delta)
 //	u32  coordinate count d
-//	full:  d × f64 bit patterns
-//	delta: ⌈d/2⌉ nibble-packed byte lengths (low nibble = even index),
-//	       then per coordinate its significant low-order XOR bytes
+//	full:  d × value bit patterns, sizeof(T) bytes each
+//	delta: ⌈d/2⌉ nibble-packed byte lengths 0–sizeof(T) (low nibble =
+//	       even index), then per coordinate its significant low-order
+//	       XOR bytes
 //
 // The encoding is canonical: each delta length is minimal (the highest
 // included byte is nonzero), and the decoder rejects padded lengths, so
@@ -35,6 +36,8 @@ package wire
 import (
 	"fmt"
 	"math"
+
+	"byzshield/internal/linalg"
 )
 
 // Params frame modes.
@@ -48,22 +51,23 @@ const (
 // paramsHeader is the mode byte plus the coordinate count.
 const paramsHeader = 5
 
-// ParamsFullSize returns the encoded size of a full params frame.
-func ParamsFullSize(d int) int { return paramsHeader + 8*d }
+// ParamsFullSizeOf returns the encoded size of a full params frame at
+// T's width.
+func ParamsFullSizeOf[T linalg.Float](d int) int { return paramsHeader + linalg.Width[T]()*d }
 
-// AppendParamsFull appends a full-vector frame to dst.
-func AppendParamsFull(dst []byte, params []float64) ([]byte, error) {
+// AppendParamsFullOf appends a full-vector frame to dst.
+func AppendParamsFullOf[T linalg.Float](dst []byte, params []T) ([]byte, error) {
 	if int64(len(params)) > math.MaxUint32 {
 		return nil, fmt.Errorf("wire: %d params exceed u32 count", len(params))
 	}
 	dst = append(dst, ParamsFull)
 	dst = AppendU32(dst, uint32(len(params)))
-	return AppendF64s(dst, params), nil
+	return AppendFloats(dst, params), nil
 }
 
-// AppendParamsDelta appends a delta frame encoding cur against base.
+// AppendParamsDeltaOf appends a delta frame encoding cur against base.
 // The receiver must hold exactly base to apply it.
-func AppendParamsDelta(dst []byte, base, cur []float64) ([]byte, error) {
+func AppendParamsDeltaOf[T linalg.Float](dst []byte, base, cur []T) ([]byte, error) {
 	if len(base) != len(cur) {
 		return nil, fmt.Errorf("wire: delta base has %d params, cur %d", len(base), len(cur))
 	}
@@ -75,13 +79,7 @@ func AppendParamsDelta(dst []byte, base, cur []float64) ([]byte, error) {
 	dst = AppendU32(dst, uint32(d))
 	nibbleAt := len(dst)
 	dst = append(dst, make([]byte, (d+1)/2)...)
-	for i := 0; i < d; i++ {
-		x := math.Float64bits(base[i]) ^ math.Float64bits(cur[i])
-		n := xorLen(x)
-		orNibbleLen(dst[nibbleAt:], i, n)
-		dst = appendXORBytes(dst, x, n)
-	}
-	return dst, nil
+	return appendXORs(dst, nibbleAt, 0, base, cur), nil
 }
 
 // --- Shared nibble-packed XOR primitives ----------------------------
@@ -91,7 +89,25 @@ func AppendParamsDelta(dst []byte, base, cur []float64) ([]byte, error) {
 // new and base bit patterns with high-order zero bytes stripped, byte
 // lengths nibble-packed two-per-byte ahead of the payload. These
 // helpers are the single implementation of that bit layout — a
-// canonicality or bounds fix lands in both codecs at once.
+// canonicality or bounds fix lands in both codecs at once. Bit patterns
+// travel through them zero-extended to uint64 (linalg.Bits), so a T
+// pattern has at most sizeof(T) significant bytes and encoded lengths
+// stay within 0–sizeof(T) by construction; decoders enforce the same
+// bound.
+
+// appendXORs appends the XOR payload of cur against base (equal
+// lengths), recording each value's byte length in the nibble block at
+// dst[nibbleAt:] from slot idx onward. An uplink report is n rows
+// sharing one block, hence idx.
+func appendXORs[T linalg.Float](dst []byte, nibbleAt, idx int, base, cur []T) []byte {
+	for i, v := range cur {
+		x := linalg.Bits(base[i]) ^ linalg.Bits(v)
+		n := xorLen(x)
+		orNibbleLen(dst[nibbleAt:], idx+i, n)
+		dst = appendXORBytes(dst, x, n)
+	}
+	return dst
+}
 
 // xorLen returns the minimal number of low-order bytes needed to
 // represent x (0 for x == 0).
@@ -136,23 +152,24 @@ func appendXORBytes(dst []byte, x uint64, n int) []byte {
 // caller's to check.
 func xorFromBytes(payload []byte, n int) uint64 {
 	var x uint64
-	for b := 0; b < n; b++ {
-		x |= uint64(payload[b]) << (8 * b)
+	for b := n - 1; b >= 0; b-- {
+		x = x<<8 | uint64(payload[b])
 	}
 	return x
 }
 
-// DecodeParams parses one params frame from the front of src and
+// DecodeParamsOf parses one params frame from the front of src and
 // applies it to params in place: a full frame overwrites every
 // coordinate, a delta frame XORs each coordinate's bit pattern (the
 // caller must hold the exact base vector the delta was encoded
 // against). Returns the frame mode and the bytes consumed. The frame's
 // coordinate count must match len(params), and delta lengths must be
-// canonical (highest included byte nonzero), so arbitrary input either
-// fails or round-trips exactly. On error params may have been partially
-// updated and must be treated as garbage (receivers recover by
-// requesting or awaiting a full frame).
-func DecodeParams(src []byte, params []float64) (mode, consumed int, err error) {
+// at most sizeof(T) (a length only the wider instantiation could emit
+// is rejected) and canonical (highest included byte nonzero), so
+// arbitrary input either fails or round-trips exactly. On error params
+// may have been partially updated and must be treated as garbage
+// (receivers recover by requesting or awaiting a full frame).
+func DecodeParamsOf[T linalg.Float](src []byte, params []T) (mode, consumed int, err error) {
 	if len(src) < paramsHeader {
 		return 0, 0, fmt.Errorf("wire: params frame truncated at %d bytes", len(src))
 	}
@@ -162,14 +179,15 @@ func DecodeParams(src []byte, params []float64) (mode, consumed int, err error) 
 		return 0, 0, fmt.Errorf("wire: params frame has %d coordinates, want %d", d64, len(params))
 	}
 	d := len(params)
+	w := linalg.Width[T]()
 	body := src[paramsHeader:]
 	switch mode {
 	case ParamsFull:
-		if len(body) < 8*d {
-			return 0, 0, fmt.Errorf("wire: full params frame needs %d bytes, have %d", 8*d, len(body))
+		if len(body) < w*d {
+			return 0, 0, fmt.Errorf("wire: full params frame needs %d bytes, have %d", w*d, len(body))
 		}
-		DecodeF64s(params, body)
-		return ParamsFull, paramsHeader + 8*d, nil
+		DecodeFloats(params, body)
+		return ParamsFull, paramsHeader + w*d, nil
 	case ParamsDelta:
 		nb := (d + 1) / 2
 		if len(body) < nb {
@@ -179,8 +197,8 @@ func DecodeParams(src []byte, params []float64) (mode, consumed int, err error) 
 		off := 0
 		for i := 0; i < d; i++ {
 			n := nibbleLen(nibbles, i)
-			if n > 8 {
-				return 0, 0, fmt.Errorf("wire: delta length %d > 8 at coordinate %d", n, i)
+			if n > w {
+				return 0, 0, fmt.Errorf("wire: delta length %d > %d at coordinate %d", n, w, i)
 			}
 			if len(payload)-off < n {
 				return 0, 0, fmt.Errorf("wire: delta payload truncated at coordinate %d", i)
@@ -190,7 +208,7 @@ func DecodeParams(src []byte, params []float64) (mode, consumed int, err error) 
 			}
 			x := xorFromBytes(payload[off:], n)
 			off += n
-			params[i] = math.Float64frombits(math.Float64bits(params[i]) ^ x)
+			params[i] = linalg.FromBits[T](linalg.Bits(params[i]) ^ x)
 		}
 		if d%2 == 1 && nibbles[nb-1]>>4 != 0 {
 			return 0, 0, fmt.Errorf("wire: delta frame has a set padding nibble")

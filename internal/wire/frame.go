@@ -27,6 +27,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+
+	"byzshield/internal/linalg"
 )
 
 // ErrVersionMismatch marks a frame header carrying a protocol version
@@ -44,10 +46,11 @@ const (
 	// header repeats it so a version skew fails fast on any message.
 	// v7 added the negotiated precision tier: the Hello advertises a
 	// supported-precisions bitmask, the Welcome pins the connection's
-	// Precision (f64 stays the default), and a full float32 codec set
-	// (f32.go: gradient frames, params full/delta, all four uplink
-	// tiers) carries the reduced-precision connections. Pre-v7 peers
-	// are rejected at the first frame with the typed version Reject.
+	// Precision (f64 stays the default), and the float32 instantiation
+	// of every value codec (gradient frames, params full/delta, all
+	// four uplink tiers) carries the reduced-precision connections.
+	// Pre-v7 peers are rejected at the first frame with the typed
+	// version Reject.
 	// v6 made the uplink codec a negotiated tier: the Hello advertises
 	// a supported-tiers bitmask, the Welcome's uplink-delta flag byte
 	// became the negotiated UplinkTier, and two lossy quantized frame
@@ -171,32 +174,66 @@ func AppendI64(dst []byte, v int64) []byte { return AppendU64(dst, uint64(v)) }
 // AppendF64 appends v's IEEE-754 bit pattern (bit-exact round-trip).
 func AppendF64(dst []byte, v float64) []byte { return AppendU64(dst, math.Float64bits(v)) }
 
-// AppendF64s appends every value's bit pattern: the destination grows
-// once and a fixed-stride loop fills it, instead of paying append's
-// length/capacity bookkeeping per element. Parameter broadcasts and
-// gradient reports move whole vectors through this path every round,
-// so the per-element overhead is the dominant encode cost at scale.
-func AppendF64s(dst []byte, src []float64) []byte {
+// AppendFloats appends every value's bit pattern at T's width: the
+// destination grows once and a fixed-stride loop fills it, instead of
+// paying append's length/capacity bookkeeping per element. Parameter
+// broadcasts and gradient reports move whole vectors through this path
+// every round, so the per-element overhead is the dominant encode cost
+// at scale.
+func AppendFloats[T linalg.Float](dst []byte, src []T) []byte {
+	w := linalg.Width[T]()
 	off := len(dst)
-	dst = append(dst, make([]byte, 8*len(src))...)
+	dst = append(dst, make([]byte, w*len(src))...)
 	buf := dst[off:]
 	for i, v := range src {
-		binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(v))
+		putBits[T](buf[i*w:], linalg.Bits(v))
 	}
 	return dst
 }
 
-// DecodeF64s fills dst from the first 8*len(dst) bytes of src, which
-// the caller must already have bounds-checked against the frame
-// header. The bulk counterpart of Dec.F64 for vector payloads.
-func DecodeF64s(dst []float64, src []byte) {
+// DecodeFloats fills dst from the first sizeof(T)*len(dst) bytes of
+// src, which the caller must already have bounds-checked against the
+// frame header. The bulk counterpart of Dec.F64 for vector payloads.
+func DecodeFloats[T linalg.Float](dst []T, src []byte) {
 	if len(dst) == 0 {
 		return
 	}
-	src = src[: 8*len(dst) : 8*len(dst)]
+	w := linalg.Width[T]()
+	src = src[: w*len(dst) : w*len(dst)]
 	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[i*8:]))
+		dst[i] = linalg.FromBits[T](getBits[T](src[i*w:]))
 	}
+}
+
+// putBits stores T's bit pattern x little-endian at the front of b
+// (sizeof(T) bytes). Like linalg.Bits, the width test is a constant in
+// each instantiation. putBits and getBits move raw patterns rather than
+// T values on purpose: folding Bits/FromBits into them pushes them past
+// the inliner's budget, and they would become a call per element in the
+// bulk loops above.
+func putBits[T linalg.Float](b []byte, x uint64) {
+	if linalg.Width[T]() == 4 {
+		binary.LittleEndian.PutUint32(b, uint32(x))
+	} else {
+		binary.LittleEndian.PutUint64(b, x)
+	}
+}
+
+// getBits loads a T bit pattern (sizeof(T) little-endian bytes) from
+// the front of b.
+func getBits[T linalg.Float](b []byte) uint64 {
+	if linalg.Width[T]() == 4 {
+		return uint64(binary.LittleEndian.Uint32(b))
+	}
+	return binary.LittleEndian.Uint64(b)
+}
+
+// appendFloat appends one value's bit pattern at T's width.
+func appendFloat[T linalg.Float](dst []byte, v T) []byte {
+	if linalg.Width[T]() == 4 {
+		return AppendU32(dst, uint32(linalg.Bits(v)))
+	}
+	return AppendU64(dst, linalg.Bits(v))
 }
 
 // AppendString appends a u32 length prefix followed by the raw bytes.

@@ -3,7 +3,7 @@
 // consecutive gradient reports decorrelate; the two lossy tiers in this
 // file cut the dominant worker→PS direction by construction instead:
 //
-//   - sign: one bit per coordinate plus one f64 scale per row — the
+//   - sign: one bit per coordinate plus one scale per row — the
 //     1-bit SGD shape. The scale is the row's mean absolute value, so
 //     the dequantized row ±scale preserves the row's L1 mass.
 //   - int8: one byte per coordinate plus per-row (min, scale) — linear
@@ -26,13 +26,15 @@
 // file's shard coordinate range independently, and the engine mirrors
 // that by quantizing per (file, shard range).
 //
-// Frame layouts, little-endian (header fields as the delta frame's):
+// Frame layouts, little-endian (header fields as the delta frame's;
+// scale fields are T bit patterns, sizeof(T) bytes each, and all
+// quantization arithmetic runs at T's width):
 //
 //	u8  mode (3 = sign, 4 = int8)
 //	u32 worker, u32 n, u32 d, n × u32 file id
-//	sign: n × f64 row scale, then n × ⌈d/8⌉ sign bytes (bit j of byte
+//	sign: n × row scale, then n × ⌈d/8⌉ sign bytes (bit j of byte
 //	      j/8, LSB first; set = non-negative)
-//	int8: n × (f64 row min, f64 row scale), then n × d quantized bytes
+//	int8: n × (row min, row scale), then n × d quantized bytes
 //
 // A sign frame is canonical: scales must carry a clear sign bit and no
 // NaN payload (the encoder refuses NaN scales), padding bits in the
@@ -49,6 +51,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+
+	"byzshield/internal/linalg"
 )
 
 // UplinkTier selects the uplink gradient codec a connection (or the
@@ -120,37 +124,47 @@ const AllTiersMask = uint8(1<<TierDelta | 1<<TierRaw | 1<<TierSign | 1<<TierInt8
 // signBytesPerRow returns the packed sign-bit bytes of one d-wide row.
 func signBytesPerRow(d int) int { return (d + 7) / 8 }
 
-// UplinkSignSize returns the encoded size of a sign uplink frame with
-// n files of dimension d.
-func UplinkSignSize(n, d int) int {
-	return uplinkDeltaHeader + n*4 + n*8 + n*signBytesPerRow(d)
+// UplinkSignSizeOf returns the encoded size of a sign uplink frame with
+// n files of dimension d: the sign bits are width-independent, only the
+// row scale follows sizeof(T).
+func UplinkSignSizeOf[T linalg.Float](n, d int) int {
+	return uplinkDeltaHeader + n*4 + n*linalg.Width[T]() + n*signBytesPerRow(d)
 }
 
-// UplinkInt8Size returns the encoded size of an int8 uplink frame with
-// n files of dimension d.
-func UplinkInt8Size(n, d int) int {
-	return uplinkDeltaHeader + n*4 + n*16 + n*d
+// UplinkInt8SizeOf returns the encoded size of an int8 uplink frame
+// with n files of dimension d (per-row min and scale at T's width).
+func UplinkInt8SizeOf[T linalg.Float](n, d int) int {
+	return uplinkDeltaHeader + n*4 + n*2*linalg.Width[T]() + n*d
+}
+
+// signBit reports whether v's sign bit is set (−0 and negative NaNs
+// included), at T's own width.
+func signBit[T linalg.Float](v T) bool {
+	return linalg.Bits(v)>>(8*linalg.Width[T]()-1) != 0
 }
 
 // signScale returns the sign tier's row scale: the mean absolute
-// value (0 for an empty row). SignQuantizeInPlace must perform the
-// identical operations.
-func signScale(g []float64) float64 {
+// value, accumulated in T (0 for an empty row). The absolute value is
+// taken by clearing the sign bit at T's own width — math.Abs without a
+// round trip through float64, exact for −0 and NaN payloads.
+// SignQuantizeInPlaceOf must perform the identical operations.
+func signScale[T linalg.Float](g []T) T {
 	if len(g) == 0 {
 		return 0
 	}
-	sum := 0.0
+	magnitude := ^(uint64(1) << (8*linalg.Width[T]() - 1))
+	var sum T
 	for _, v := range g {
-		sum += math.Abs(v)
+		sum += linalg.FromBits[T](linalg.Bits(v) & magnitude)
 	}
-	return sum / float64(len(g))
+	return sum / T(len(g))
 }
 
 // int8Params returns the int8 tier's row (min, scale): the row's value
 // range mapped onto 255 steps (both 0 for an empty row). A row
 // containing NaN propagates it into min/max exactly as the comparison
-// loop below does, which Int8QuantizeInPlace mirrors.
-func int8Params(g []float64) (min, scale float64) {
+// loop below does, which Int8QuantizeInPlaceOf mirrors.
+func int8Params[T linalg.Float](g []T) (min, scale T) {
 	if len(g) == 0 {
 		return 0, 0
 	}
@@ -166,14 +180,16 @@ func int8Params(g []float64) (min, scale float64) {
 	return min, (max - min) / 255
 }
 
-// int8Quantize maps one value onto the row's grid. NaN and -Inf
-// arguments clamp to 0, +Inf to 255, so the conversion to byte is
-// always defined behavior.
-func int8Quantize(v, min, scale float64) uint8 {
+// int8Quantize maps one value onto the row's grid. The offset and step
+// are computed in T and only the final rounding widens (math.Round is
+// float64-only; widening a float32 is exact). NaN and -Inf arguments
+// clamp to 0, +Inf to 255, so the conversion to byte is always defined
+// behavior.
+func int8Quantize[T linalg.Float](v, min, scale T) uint8 {
 	if scale == 0 {
 		return 0
 	}
-	t := math.Round((v - min) / scale)
+	t := math.Round(float64((v - min) / scale))
 	if !(t > 0) {
 		return 0
 	}
@@ -183,14 +199,14 @@ func int8Quantize(v, min, scale float64) uint8 {
 	return uint8(t)
 }
 
-// SignQuantizeInPlace replaces g with the values a sign-tier
+// SignQuantizeInPlaceOf replaces g with the values a sign-tier
 // encode→decode round trip would deliver, using the identical float
 // operations, so the in-process engine reproduces the wire path
 // bit-for-bit.
-func SignQuantizeInPlace(g []float64) {
+func SignQuantizeInPlaceOf[T linalg.Float](g []T) {
 	s := signScale(g)
 	for j, v := range g {
-		if math.Signbit(v) {
+		if signBit(v) {
 			g[j] = -s
 		} else {
 			g[j] = s
@@ -198,44 +214,20 @@ func SignQuantizeInPlace(g []float64) {
 	}
 }
 
-// Int8QuantizeInPlace replaces g with the values an int8-tier
+// Int8QuantizeInPlaceOf replaces g with the values an int8-tier
 // encode→decode round trip would deliver, using the identical float
 // operations.
-func Int8QuantizeInPlace(g []float64) {
+func Int8QuantizeInPlaceOf[T linalg.Float](g []T) {
 	min, scale := int8Params(g)
 	for j, v := range g {
-		g[j] = min + scale*float64(int8Quantize(v, min, scale))
+		g[j] = min + scale*T(int8Quantize(v, min, scale))
 	}
 }
 
-// appendQuantHeader appends the shared quantized-frame prefix: mode,
-// worker, n, d, file ids.
-func appendQuantHeader(dst []byte, mode byte, worker int, files []int, d int) ([]byte, error) {
-	if worker < 0 || int64(worker) > math.MaxUint32 {
-		return nil, fmt.Errorf("wire: worker id %d outside u32 range", worker)
-	}
-	dst = append(dst, mode)
-	dst = append32(dst, uint32(worker))
-	dst = append32(dst, uint32(len(files)))
-	dst = append32(dst, uint32(d))
-	for _, v := range files {
-		if v < 0 || int64(v) > math.MaxUint32 {
-			return nil, fmt.Errorf("wire: file id %d outside u32 range", v)
-		}
-		dst = append32(dst, uint32(v))
-	}
-	return dst, nil
-}
-
-// appendUplinkSign appends one sign-tier frame. Callers validated the
-// files/grads shape (the Encode front door).
-func appendUplinkSign(dst []byte, worker int, files []int, grads [][]float64) ([]byte, error) {
-	n := len(files)
-	d := 0
-	if n > 0 {
-		d = len(grads[0])
-	}
-	dst, err := appendQuantHeader(dst, UplinkSign, worker, files, d)
+// appendUplinkSign appends one sign-tier frame of d-wide rows. Callers
+// validated the files/grads shape (the Encode front door).
+func appendUplinkSign[T linalg.Float](dst []byte, worker int, files []int, grads [][]T, d int) ([]byte, error) {
+	dst, err := appendReportHeader(append(dst, UplinkSign), worker, files, d)
 	if err != nil {
 		return nil, err
 	}
@@ -244,7 +236,7 @@ func appendUplinkSign(dst []byte, worker int, files []int, grads [][]float64) ([
 		if s != s {
 			return nil, fmt.Errorf("wire: sign frame row %d has NaN scale (non-finite gradient)", i)
 		}
-		dst = AppendF64(dst, s)
+		dst = appendFloat(dst, s)
 	}
 	bpr := signBytesPerRow(d)
 	for _, g := range grads {
@@ -252,7 +244,7 @@ func appendUplinkSign(dst []byte, worker int, files []int, grads [][]float64) ([
 		dst = append(dst, make([]byte, bpr)...)
 		bits := dst[at:]
 		for j, v := range g {
-			if !math.Signbit(v) {
+			if !signBit(v) {
 				bits[j/8] |= 1 << (j % 8)
 			}
 		}
@@ -260,21 +252,16 @@ func appendUplinkSign(dst []byte, worker int, files []int, grads [][]float64) ([
 	return dst, nil
 }
 
-// appendUplinkInt8 appends one int8-tier frame.
-func appendUplinkInt8(dst []byte, worker int, files []int, grads [][]float64) ([]byte, error) {
-	n := len(files)
-	d := 0
-	if n > 0 {
-		d = len(grads[0])
-	}
-	dst, err := appendQuantHeader(dst, UplinkInt8, worker, files, d)
+// appendUplinkInt8 appends one int8-tier frame of d-wide rows.
+func appendUplinkInt8[T linalg.Float](dst []byte, worker int, files []int, grads [][]T, d int) ([]byte, error) {
+	dst, err := appendReportHeader(append(dst, UplinkInt8), worker, files, d)
 	if err != nil {
 		return nil, err
 	}
 	for _, g := range grads {
 		min, scale := int8Params(g)
-		dst = AppendF64(dst, min)
-		dst = AppendF64(dst, scale)
+		dst = appendFloat(dst, min)
+		dst = appendFloat(dst, scale)
 	}
 	for _, g := range grads {
 		at := len(dst)
@@ -295,7 +282,7 @@ func appendUplinkInt8(dst []byte, worker int, files []int, grads [][]float64) ([
 // value bytes), precomputed in uint64 space so hostile counts cannot
 // overflow or trigger oversized allocations — everything is bounded by
 // len(src) before n and d are trusted.
-func decodeQuantHeader(src []byte, f *GradFrame, scaleBytes int, valueBytes func(d uint64) uint64) (n, d int, body []byte, err error) {
+func decodeQuantHeader[T linalg.Float](src []byte, f *GradFrameOf[T], scaleBytes int, valueBytes func(d uint64) uint64) (n, d int, body []byte, err error) {
 	if len(src) < uplinkDeltaHeader {
 		return 0, 0, nil, fmt.Errorf("wire: quantized uplink frame truncated at %d bytes", len(src))
 	}
@@ -315,55 +302,33 @@ func decodeQuantHeader(src []byte, f *GradFrame, scaleBytes int, valueBytes func
 	}
 	n, d = int(n64), int(d64)
 	f.Worker = worker
-	if cap(f.Files) < n {
-		f.Files = make([]int, n)
-	}
-	f.Files = f.Files[:n]
-	for i := range f.Files {
-		f.Files[i] = int(binary.LittleEndian.Uint32(src[uplinkDeltaHeader+i*4:]))
-	}
+	f.setFiles(src[uplinkDeltaHeader:], n)
 	return n, d, src[uplinkDeltaHeader+n*4:], nil
-}
-
-// growGrads sizes f.Grads to n rows of d values under the
-// DecodeGradFrame buffer-reuse contract.
-func growGrads(f *GradFrame, n, d int) {
-	if cap(f.Grads) < n {
-		grads := make([][]float64, n)
-		copy(grads, f.Grads)
-		f.Grads = grads
-	}
-	f.Grads = f.Grads[:n]
-	for i := 0; i < n; i++ {
-		if cap(f.Grads[i]) < d {
-			f.Grads[i] = make([]float64, d)
-		}
-		f.Grads[i] = f.Grads[i][:d]
-	}
 }
 
 // decodeUplinkSign parses one sign frame into f, returning the bytes
 // consumed. Scales with a set sign bit or NaN payload, set padding
 // bits, and a nonzero empty-row scale are rejected, so any accepted
 // frame re-encodes to exactly the consumed bytes.
-func decodeUplinkSign(src []byte, f *GradFrame) (int, error) {
+func decodeUplinkSign[T linalg.Float](src []byte, f *GradFrameOf[T]) (int, error) {
+	w := linalg.Width[T]()
 	bpr := uint64(0)
-	n, d, body, err := decodeQuantHeader(src, f, 8, func(d uint64) uint64 {
+	n, d, body, err := decodeQuantHeader(src, f, w, func(d uint64) uint64 {
 		bpr = (d + 7) / 8
 		return bpr
 	})
 	if err != nil {
 		return 0, err
 	}
-	if uint64(len(body)) < uint64(n)*(8+bpr) {
-		return 0, fmt.Errorf("wire: sign frame truncated: %d rows need %d bytes, have %d", n, uint64(n)*(8+bpr), len(body))
+	if need := uint64(n) * (uint64(w) + bpr); uint64(len(body)) < need {
+		return 0, fmt.Errorf("wire: sign frame truncated: %d rows need %d bytes, have %d", n, need, len(body))
 	}
-	growGrads(f, n, d)
-	bits := body[n*8:]
+	f.growGrads(n, d)
+	bits := body[n*w:]
 	for i := 0; i < n; i++ {
-		sb := binary.LittleEndian.Uint64(body[i*8:])
-		s := math.Float64frombits(sb)
-		if math.Signbit(s) || s != s {
+		sb := getBits[T](body[i*w:])
+		s := linalg.FromBits[T](sb)
+		if signBit(s) || s != s {
 			return 0, fmt.Errorf("wire: sign frame row %d has non-canonical scale", i)
 		}
 		if d == 0 && sb != 0 {
@@ -382,31 +347,32 @@ func decodeUplinkSign(src []byte, f *GradFrame) (int, error) {
 			return 0, fmt.Errorf("wire: sign frame row %d has set padding bits", i)
 		}
 	}
-	return uplinkDeltaHeader + n*4 + n*8 + n*int(bpr), nil
+	return uplinkDeltaHeader + n*4 + n*w + n*int(bpr), nil
 }
 
 // decodeUplinkInt8 parses one int8 frame into f, returning the bytes
 // consumed. Validation is structural only (see the package comment):
 // dequantization of any accepted frame is deterministic, which is the
 // property the vote needs.
-func decodeUplinkInt8(src []byte, f *GradFrame) (int, error) {
-	n, d, body, err := decodeQuantHeader(src, f, 16, func(d uint64) uint64 { return d })
+func decodeUplinkInt8[T linalg.Float](src []byte, f *GradFrameOf[T]) (int, error) {
+	w := linalg.Width[T]()
+	n, d, body, err := decodeQuantHeader(src, f, 2*w, func(d uint64) uint64 { return d })
 	if err != nil {
 		return 0, err
 	}
-	if uint64(len(body)) < uint64(n)*(16+uint64(d)) {
-		return 0, fmt.Errorf("wire: int8 frame truncated: %d rows need %d bytes, have %d", n, uint64(n)*(16+uint64(d)), len(body))
+	if need := uint64(n) * uint64(2*w+d); uint64(len(body)) < need {
+		return 0, fmt.Errorf("wire: int8 frame truncated: %d rows need %d bytes, have %d", n, need, len(body))
 	}
-	growGrads(f, n, d)
-	vals := body[n*16:]
+	f.growGrads(n, d)
+	vals := body[n*2*w:]
 	for i := 0; i < n; i++ {
-		min := math.Float64frombits(binary.LittleEndian.Uint64(body[i*16:]))
-		scale := math.Float64frombits(binary.LittleEndian.Uint64(body[i*16+8:]))
+		min := linalg.FromBits[T](getBits[T](body[i*2*w:]))
+		scale := linalg.FromBits[T](getBits[T](body[i*2*w+w:]))
 		q := vals[i*d:]
 		g := f.Grads[i]
 		for j := 0; j < d; j++ {
-			g[j] = min + scale*float64(q[j])
+			g[j] = min + scale*T(q[j])
 		}
 	}
-	return uplinkDeltaHeader + n*4 + n*16 + n*d, nil
+	return uplinkDeltaHeader + n*4 + n*2*w + n*d, nil
 }

@@ -31,11 +31,13 @@
 //	u8  mode (1 = raw, 2 = delta, 3 = sign, 4 = int8; see quant.go
 //	    for the quantized layouts)
 //	raw:   one gradient frame (codec.go: u32 payload length, u32
-//	       worker, u32 n, u32 d, n×u32 file ids, n×d×f64 bit patterns)
+//	       worker, u32 n, u32 d, n×u32 file ids, n×d value bit patterns
+//	       of sizeof(T) bytes)
 //	delta: u32 worker, u32 n, u32 d, n×u32 file ids,
-//	       ⌈n·d/2⌉ nibble-packed XOR byte lengths (low nibble = even
-//	       value index), then per value its significant low-order XOR
-//	       bytes against the base value at the same (file, coordinate)
+//	       ⌈n·d/2⌉ nibble-packed XOR byte lengths 0–sizeof(T) (low
+//	       nibble = even value index), then per value its significant
+//	       low-order XOR bytes against the base value at the same
+//	       (file, coordinate)
 //
 // A delta frame is only valid against a base with the identical file
 // list and dimension; the decoder rejects anything else, and rejects
@@ -47,8 +49,9 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"slices"
+
+	"byzshield/internal/linalg"
 )
 
 // Uplink frame modes.
@@ -66,15 +69,15 @@ const (
 // uplinkDeltaHeader is the mode byte plus worker, n, and d.
 const uplinkDeltaHeader = 13
 
-// UplinkRawSize returns the encoded size of a raw uplink frame with n
-// files of dimension d.
-func UplinkRawSize(n, d int) int { return 1 + GradFrameSize(n, d) }
+// UplinkRawSizeOf returns the encoded size of a raw uplink frame with n
+// files of dimension d at T's width.
+func UplinkRawSizeOf[T linalg.Float](n, d int) int { return 1 + GradFrameSizeOf[T](n, d) }
 
-// UplinkEncoder is the worker-side streaming state of the uplink
+// UplinkEncoderOf is the worker-side streaming state of the uplink
 // codec: the previous report (the delta base) plus encode scratch. One
 // encoder serves one ordered frame stream; a reconnect must Reset it
 // (the new connection's receiver holds no base).
-type UplinkEncoder struct {
+type UplinkEncoderOf[T linalg.Float] struct {
 	// Tier selects the codec this stream runs (the connection's
 	// negotiated tier, announced by the PS in its Welcome). TierRaw
 	// emits only self-contained raw frames and drops the delta base
@@ -86,13 +89,13 @@ type UplinkEncoder struct {
 	// falls back to raw exactly like a fresh connection.
 	Tier UplinkTier
 
-	prev      []float64 // previous report's values, flat n×d
-	prevFiles []int     // previous report's file ids
-	scratch   []byte    // delta build buffer
+	prev      []T    // previous report's values, flat n×d
+	prevFiles []int  // previous report's file ids
+	scratch   []byte // delta build buffer
 }
 
 // Reset drops the delta base, as if no frame had been sent yet.
-func (e *UplinkEncoder) Reset() {
+func (e *UplinkEncoderOf[T]) Reset() {
 	e.prev = e.prev[:0]
 	e.prevFiles = e.prevFiles[:0]
 }
@@ -102,40 +105,31 @@ func (e *UplinkEncoder) Reset() {
 // and rolls the base forward. It returns the extended buffer, the mode
 // chosen, and the size a raw frame would have had (the uncompressed
 // cost, for accounting the realized ratio). files and grads follow the
-// AppendGradFrame contract.
-func (e *UplinkEncoder) Encode(dst []byte, worker int, files []int, grads [][]float64) (out []byte, mode, rawSize int, err error) {
-	if len(files) != len(grads) {
-		return nil, 0, 0, fmt.Errorf("wire: %d files but %d gradients", len(files), len(grads))
+// AppendGradFrameOf contract.
+func (e *UplinkEncoderOf[T]) Encode(dst []byte, worker int, files []int, grads [][]T) (out []byte, mode, rawSize int, err error) {
+	n, d, err := shapeOf(files, grads)
+	if err != nil {
+		return nil, 0, 0, err
 	}
-	n := len(files)
-	d := 0
-	if n > 0 {
-		d = len(grads[0])
-	}
-	for i, g := range grads {
-		if len(g) != d {
-			return nil, 0, 0, fmt.Errorf("wire: gradient %d has dim %d, want %d", i, len(g), d)
-		}
-	}
-	rawSize = UplinkRawSize(n, d)
+	rawSize = UplinkRawSizeOf[T](n, d)
 	switch e.Tier {
 	case TierRaw:
 		e.Reset()
 		out = append(dst, UplinkRaw)
-		out, err = AppendGradFrame(out, worker, files, grads)
+		out, err = AppendGradFrameOf(out, worker, files, grads)
 		if err != nil {
 			return nil, 0, 0, err
 		}
 		return out, UplinkRaw, rawSize, nil
 	case TierSign:
 		e.Reset()
-		if out, err = appendUplinkSign(dst, worker, files, grads); err != nil {
+		if out, err = appendUplinkSign(dst, worker, files, grads, d); err != nil {
 			return nil, 0, 0, err
 		}
 		return out, UplinkSign, rawSize, nil
 	case TierInt8:
 		e.Reset()
-		if out, err = appendUplinkInt8(dst, worker, files, grads); err != nil {
+		if out, err = appendUplinkInt8(dst, worker, files, grads, d); err != nil {
 			return nil, 0, 0, err
 		}
 		return out, UplinkInt8, rawSize, nil
@@ -154,7 +148,7 @@ func (e *UplinkEncoder) Encode(dst []byte, worker int, files []int, grads [][]fl
 		}
 	}
 	out = append(dst, UplinkRaw)
-	out, err = AppendGradFrame(out, worker, files, grads)
+	out, err = AppendGradFrameOf(out, worker, files, grads)
 	if err != nil {
 		return nil, 0, 0, err
 	}
@@ -163,62 +157,47 @@ func (e *UplinkEncoder) Encode(dst []byte, worker int, files []int, grads [][]fl
 }
 
 // appendDelta builds the delta frame for the report against e.prev.
-func (e *UplinkEncoder) appendDelta(dst []byte, worker int, files []int, grads [][]float64) ([]byte, error) {
-	if worker < 0 || int64(worker) > math.MaxUint32 {
-		return nil, fmt.Errorf("wire: worker id %d outside u32 range", worker)
-	}
+func (e *UplinkEncoderOf[T]) appendDelta(dst []byte, worker int, files []int, grads [][]T) ([]byte, error) {
 	n, d := len(files), len(grads[0])
-	dst = append(dst, UplinkDelta)
-	dst = append32(dst, uint32(worker))
-	dst = append32(dst, uint32(n))
-	dst = append32(dst, uint32(d))
-	for _, v := range files {
-		if v < 0 || int64(v) > math.MaxUint32 {
-			return nil, fmt.Errorf("wire: file id %d outside u32 range", v)
-		}
-		dst = append32(dst, uint32(v))
+	dst, err := appendReportHeader(append(dst, UplinkDelta), worker, files, d)
+	if err != nil {
+		return nil, err
 	}
 	nibbleAt := len(dst)
 	dst = append(dst, make([]byte, (n*d+1)/2)...)
-	idx := 0
 	for i, g := range grads {
-		base := e.prev[i*d : (i+1)*d]
-		for j, v := range g {
-			x := math.Float64bits(base[j]) ^ math.Float64bits(v)
-			nb := xorLen(x)
-			orNibbleLen(dst[nibbleAt:], idx, nb)
-			dst = appendXORBytes(dst, x, nb)
-			idx++
-		}
+		dst = appendXORs(dst, nibbleAt, i*d, e.prev[i*d:(i+1)*d], g)
 	}
 	return dst, nil
 }
 
 // rollBase records the report as the next frame's delta base.
-func (e *UplinkEncoder) rollBase(files []int, grads [][]float64) {
-	n := len(files)
-	d := 0
-	if n > 0 {
-		d = len(grads[0])
-	}
-	if cap(e.prev) < n*d {
-		e.prev = make([]float64, n*d)
-	}
-	e.prev = e.prev[:n*d]
-	for i, g := range grads {
-		copy(e.prev[i*d:(i+1)*d], g)
-	}
+func (e *UplinkEncoderOf[T]) rollBase(files []int, grads [][]T) {
+	e.prev = flattenInto(e.prev, grads)
 	e.prevFiles = append(e.prevFiles[:0], files...)
 }
 
-// UplinkDecoder is the PS-side streaming state of the uplink codec for
+// flattenInto copies the equal-width rows into dst as one flat n×d
+// vector, reusing dst's capacity.
+func flattenInto[T linalg.Float](dst []T, rows [][]T) []T {
+	if n := len(rows); n > 0 && cap(dst) < n*len(rows[0]) {
+		dst = make([]T, 0, n*len(rows[0]))
+	}
+	dst = dst[:0]
+	for _, g := range rows {
+		dst = append(dst, g...)
+	}
+	return dst
+}
+
+// UplinkDecoderOf is the PS-side streaming state of the uplink codec for
 // one worker connection: the previous accepted report, against which
 // delta frames are applied. Decode must see every frame of the stream
 // in order — including reports that arrive too late to count for their
 // round — or the base diverges from the encoder's; that is exactly why
 // the transport's reader pumps decode stale frames before retiring
 // them.
-type UplinkDecoder struct {
+type UplinkDecoderOf[T linalg.Float] struct {
 	// Tier mirrors the connection's negotiated tier on the PS side and
 	// bounds what the decoder accepts: TierRaw takes raw frames only
 	// (and skips the n×d float base copy per report), TierDelta takes
@@ -228,26 +207,26 @@ type UplinkDecoder struct {
 	// codecs.
 	Tier UplinkTier
 
-	prev       []float64
+	prev       []T
 	prevFiles  []int
 	prevWorker int
 }
 
 // Reset drops the delta base (a fresh connection's state).
-func (dec *UplinkDecoder) Reset() {
+func (dec *UplinkDecoderOf[T]) Reset() {
 	dec.prev = dec.prev[:0]
 	dec.prevFiles = dec.prevFiles[:0]
 	dec.prevWorker = 0
 }
 
 // Decode parses one uplink frame from the front of src into f (the
-// DecodeGradFrame buffer-reuse contract) and rolls the base forward,
+// GradFrameOf buffer-reuse contract) and rolls the base forward,
 // returning the mode and bytes consumed. A delta frame is rejected
 // unless its worker/file-list/dimension exactly match the held base;
 // lengths must be canonical, so any accepted frame re-encodes to the
 // consumed bytes. On error the base is unchanged and the stream must
 // be considered poisoned (the caller evicts the connection).
-func (dec *UplinkDecoder) Decode(src []byte, f *GradFrame) (mode, consumed int, err error) {
+func (dec *UplinkDecoderOf[T]) Decode(src []byte, f *GradFrameOf[T]) (mode, consumed int, err error) {
 	if len(src) < 1 {
 		return 0, 0, fmt.Errorf("wire: empty uplink frame")
 	}
@@ -257,7 +236,7 @@ func (dec *UplinkDecoder) Decode(src []byte, f *GradFrame) (mode, consumed int, 
 	}
 	switch mode {
 	case UplinkRaw:
-		n, err := DecodeGradFrame(src[1:], f)
+		n, err := DecodeGradFrameOf(src[1:], f)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -291,7 +270,7 @@ func (dec *UplinkDecoder) Decode(src []byte, f *GradFrame) (mode, consumed int, 
 }
 
 // accepts reports whether the decoder's tier takes frames of mode m.
-func (dec *UplinkDecoder) accepts(m int) bool {
+func (dec *UplinkDecoderOf[T]) accepts(m int) bool {
 	switch dec.Tier {
 	case TierRaw:
 		return m == UplinkRaw
@@ -308,7 +287,7 @@ func (dec *UplinkDecoder) accepts(m int) bool {
 
 // decodeDelta parses a delta frame and applies it to the base,
 // leaving the reconstructed values in both f.Grads and the base.
-func (dec *UplinkDecoder) decodeDelta(src []byte, f *GradFrame) (int, error) {
+func (dec *UplinkDecoderOf[T]) decodeDelta(src []byte, f *GradFrameOf[T]) (int, error) {
 	if len(src) < uplinkDeltaHeader {
 		return 0, fmt.Errorf("wire: uplink delta frame truncated at %d bytes", len(src))
 	}
@@ -346,11 +325,12 @@ func (dec *UplinkDecoder) decodeDelta(src []byte, f *GradFrame) (int, error) {
 	nibbles, payload := body[:nb], body[nb:]
 	// First pass: validate every length and the total payload size so
 	// the base is never partially updated by a malformed frame.
+	w := linalg.Width[T]()
 	off := 0
 	for i := 0; i < n*d; i++ {
 		ln := nibbleLen(nibbles, i)
-		if ln > 8 {
-			return 0, fmt.Errorf("wire: uplink delta length %d > 8 at value %d", ln, i)
+		if ln > w {
+			return 0, fmt.Errorf("wire: uplink delta length %d > %d at value %d", ln, w, i)
 		}
 		if len(payload)-off < ln {
 			return 0, fmt.Errorf("wire: uplink delta payload truncated at value %d", i)
@@ -363,54 +343,29 @@ func (dec *UplinkDecoder) decodeDelta(src []byte, f *GradFrame) (int, error) {
 	if (n*d)%2 == 1 && nibbles[nb-1]>>4 != 0 {
 		return 0, fmt.Errorf("wire: uplink delta frame has a set padding nibble")
 	}
-	// Second pass: apply. Outputs follow the DecodeGradFrame reuse
+	// Second pass: apply. Outputs follow the GradFrameOf reuse
 	// contract so callers can decode straight into arena buffers.
 	f.Worker = worker
-	if cap(f.Files) < n {
-		f.Files = make([]int, n)
-	}
-	f.Files = f.Files[:n]
-	copy(f.Files, dec.prevFiles)
-	if cap(f.Grads) < n {
-		grads := make([][]float64, n)
-		copy(grads, f.Grads)
-		f.Grads = grads
-	}
-	f.Grads = f.Grads[:n]
+	f.setFiles(src[uplinkDeltaHeader:], n)
+	f.growGrads(n, d)
 	off = 0
-	for i := 0; i < n; i++ {
-		if cap(f.Grads[i]) < d {
-			f.Grads[i] = make([]float64, d)
-		}
-		g := f.Grads[i][:d]
+	for i, g := range f.Grads {
 		base := dec.prev[i*d : (i+1)*d]
 		for j := 0; j < d; j++ {
 			ln := nibbleLen(nibbles, i*d+j)
 			x := xorFromBytes(payload[off:], ln)
 			off += ln
-			v := math.Float64frombits(math.Float64bits(base[j]) ^ x)
+			v := linalg.FromBits[T](linalg.Bits(base[j]) ^ x)
 			base[j] = v
 			g[j] = v
 		}
-		f.Grads[i] = g
 	}
 	return uplinkDeltaHeader + n*4 + nb + off, nil
 }
 
 // rollBase records a raw frame's contents as the next delta base.
-func (dec *UplinkDecoder) rollBase(f *GradFrame) {
+func (dec *UplinkDecoderOf[T]) rollBase(f *GradFrameOf[T]) {
 	dec.prevWorker = f.Worker
-	n := len(f.Files)
-	d := 0
-	if n > 0 {
-		d = len(f.Grads[0])
-	}
-	if cap(dec.prev) < n*d {
-		dec.prev = make([]float64, n*d)
-	}
-	dec.prev = dec.prev[:n*d]
-	for i, g := range f.Grads {
-		copy(dec.prev[i*d:(i+1)*d], g)
-	}
+	dec.prev = flattenInto(dec.prev, f.Grads)
 	dec.prevFiles = append(dec.prevFiles[:0], f.Files...)
 }
