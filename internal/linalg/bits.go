@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"bytes"
 	"math"
 	"unsafe"
 )
@@ -37,18 +38,23 @@ func FromBits[T Float](x uint64) T {
 	return T(math.Float64frombits(x))
 }
 
+// Bytes returns the memory of x viewed as bytes: Width[T]()*len(x) of
+// them, in host byte order, aliasing x. It is the one place the float
+// slices are reinterpreted; callers that put the view on the wire must
+// first check the host is little-endian (wire.AppendFloats does).
+func Bytes[T Float](x []T) []byte {
+	if len(x) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(&x[0])), Width[T]()*len(x))
+}
+
 // EqualBits reports whether a and b hold identical bit patterns: the
 // protocol's notion of "equal" gradients (Eq. 3 votes replicas by it,
 // and every bit-identity pin compares trajectories by it). Unlike ==,
-// NaN equals NaN and +0 differs from −0.
+// NaN equals NaN and +0 differs from −0 — which is exactly equality of
+// the two memory images, on any byte order, so the comparison is one
+// memequal rather than a Bits call per element.
 func EqualBits[T Float](a, b []T) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if Bits(a[i]) != Bits(b[i]) {
-			return false
-		}
-	}
-	return true
+	return len(a) == len(b) && bytes.Equal(Bytes(a), Bytes(b))
 }

@@ -14,7 +14,11 @@
 package transport
 
 import (
+	"bytes"
 	"context"
+	"net"
+	"os"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -130,4 +134,80 @@ func BenchmarkLoopbackRoundStraggler(b *testing.B) {
 	spec.Fault = "straggler"
 	spec.FaultParams = registry.FaultParams{Workers: []int{3}, Delay: 60 * time.Millisecond}
 	benchLoopback(b, spec, ServerConfig{RoundTimeout: 25 * time.Millisecond})
+}
+
+// readSyscalls returns the process's read-class syscall count from
+// /proc/self/io (syscr), or -1 where that file does not exist.
+func readSyscalls() int64 {
+	data, err := os.ReadFile("/proc/self/io")
+	if err != nil {
+		return -1
+	}
+	for _, line := range bytes.Split(data, []byte("\n")) {
+		if rest, ok := bytes.CutPrefix(line, []byte("syscr: ")); ok {
+			n, _ := strconv.ParseInt(string(rest), 10, 64)
+			return n
+		}
+	}
+	return -1
+}
+
+// BenchmarkConnRecv receives report frames the size fleet-k240-raw
+// sends (one file of 2056 float64 gradients) over loopback TCP, one at a
+// time — each Recv finds the socket empty and parks, as a reader pump
+// does — and reports frames/s and read syscalls per frame. Two reads
+// per frame is the floor on an idle socket (the EAGAIN that parks the
+// goroutine, then the read that drains the frame); the header/body
+// state machine this replaced paid three.
+func BenchmarkConnRecv(b *testing.B) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ln.Close()
+	dialed, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	accepted, err := ln.Accept()
+	if err != nil {
+		b.Fatal(err)
+	}
+	tx, rx := NewConn(dialed), NewConn(accepted)
+	defer tx.Close()
+	defer rx.Close()
+	msg := GradientReport{Frame: make([]byte, wire.UplinkRawSize(1, 2056))}
+	rx.setPayloadLimit(reportPayloadLimit[float64](1, 2056))
+
+	next := make(chan struct{})
+	sent := make(chan error, 1)
+	go func() {
+		for range next {
+			if _, err := tx.Send(msg); err != nil {
+				sent <- err
+				return
+			}
+		}
+		sent <- nil
+	}()
+	b.SetBytes(int64(len(msg.Frame)))
+	b.ResetTimer()
+	reads := readSyscalls()
+	start := time.Now()
+	for i := 0; i < b.N; i++ {
+		next <- struct{}{}
+		if _, err := rx.Recv(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	elapsed := time.Since(start)
+	b.StopTimer()
+	close(next)
+	if err := <-sent; err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(b.N)/elapsed.Seconds(), "frames/s")
+	if reads >= 0 {
+		b.ReportMetric(float64(readSyscalls()-reads)/float64(b.N), "read_syscalls/frame")
+	}
 }

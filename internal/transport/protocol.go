@@ -89,6 +89,7 @@ package transport
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"slices"
@@ -99,6 +100,7 @@ import (
 	"byzshield/internal/data"
 	"byzshield/internal/detect"
 	"byzshield/internal/fault"
+	"byzshield/internal/linalg"
 	"byzshield/internal/model"
 	"byzshield/internal/registry"
 	"byzshield/internal/trainer"
@@ -551,24 +553,45 @@ type RoundStart struct {
 func (RoundStart) wireType() byte { return msgRoundStart }
 
 func (m RoundStart) appendPayload(dst []byte) ([]byte, error) {
-	dst = wire.AppendU32(dst, uint32(m.Iteration))
-	dst = wire.AppendU32(dst, uint32(m.BaseIteration))
-	dst = wire.AppendU32(dst, uint32(len(m.ParamsFrame)))
-	dst = append(dst, m.ParamsFrame...)
 	ids := make([]int, 0, len(m.Files))
 	for v := range m.Files {
 		ids = append(ids, v)
 	}
 	slices.Sort(ids) // canonical order
-	dst = wire.AppendU32(dst, uint32(len(ids)))
+	dst = appendRoundStartHead(dst, m.Iteration, m.BaseIteration, len(m.ParamsFrame))
+	return appendFileSection(append(dst, m.ParamsFrame...), ids, fileMap(m.Files))
+}
+
+// fileSampler yields a file's training-sample indices for the round
+// being broadcast (cluster.Round and cluster.Round32 both do).
+type fileSampler interface{ FileSamples(v int) []int }
+
+// fileMap serves a decoded RoundStart.Files map as a fileSampler.
+type fileMap map[int][]int
+
+func (m fileMap) FileSamples(v int) []int { return m[v] }
+
+// appendRoundStartHead appends the RoundStart payload up to where the
+// params frame's bytes begin.
+func appendRoundStartHead(dst []byte, iter, base, paramsLen int) []byte {
+	dst = wire.AppendU32(dst, uint32(iter))
+	dst = wire.AppendU32(dst, uint32(base))
+	return wire.AppendU32(dst, uint32(paramsLen))
+}
+
+// appendFileSection appends the RoundStart payload after the params
+// frame: the file count, then each file id (files must be ascending —
+// the canonical order) with its sample list.
+func appendFileSection(dst []byte, files []int, rd fileSampler) ([]byte, error) {
+	dst = wire.AppendU32(dst, uint32(len(files)))
 	var err error
-	for _, v := range ids {
+	for _, v := range files {
 		if v < 0 {
-			return nil, fmt.Errorf("transport: negative file id %d", v)
+			return dst, fmt.Errorf("transport: negative file id %d", v)
 		}
 		dst = wire.AppendU32(dst, uint32(v))
-		if dst, err = wire.AppendInts(dst, m.Files[v]); err != nil {
-			return nil, err
+		if dst, err = wire.AppendInts(dst, rd.FileSamples(v)); err != nil {
+			return dst, err
 		}
 	}
 	return dst, nil
@@ -632,10 +655,14 @@ type GradientReport struct {
 func (GradientReport) wireType() byte { return msgGradientReport }
 
 func (m GradientReport) appendPayload(dst []byte) ([]byte, error) {
+	return append(m.appendHead(dst), m.Frame...), nil
+}
+
+// appendHead appends the payload up to where Frame's bytes begin.
+func (m GradientReport) appendHead(dst []byte) []byte {
 	dst = wire.AppendU32(dst, uint32(m.WorkerID))
 	dst = wire.AppendU32(dst, uint32(m.Iteration))
-	dst = wire.AppendU32(dst, uint32(m.Shard))
-	return append(dst, m.Frame...), nil
+	return wire.AppendU32(dst, uint32(m.Shard))
 }
 
 func (m *GradientReport) decodePayload(src []byte) error {
@@ -764,109 +791,181 @@ func ctxErr(ctx context.Context, err error) error {
 	return err
 }
 
-// Conn is a framed v2 message stream over a network connection.
-//
-// Reads are resumable: Recv tracks how much of the current frame header
-// and body has arrived, so a Recv aborted by a read deadline leaves the
-// stream position intact and a later Recv continues the same frame
-// where it stopped. This is what lets the server keep a slow worker's
-// connection across a missed round instead of evicting it — the v1 gob
-// stream had no frame boundaries to come back to.
-type Conn struct {
-	raw net.Conn
-	// Write scratch (header + in-place payload), reused across Sends.
-	wbuf []byte
-	// Resumable read state for the in-flight frame.
-	hdr    [wire.FrameHeaderSize]byte
-	hdrN   int
-	typ    byte
-	body   []byte
-	bodyN  int
-	inBody bool
+// preHandshakePayload bounds a frame's declared payload until the
+// handshake has told this end what the run's frames look like: a Hello,
+// a Welcome (the Spec) and a Reject all fit with room to spare, and a
+// peer that has proved nothing yet cannot make Recv allocate more.
+const preHandshakePayload = 64 << 10
+
+// payloadSlack is added to the Spec-derived payload bounds for what they
+// do not itemise: a Shutdown, or a Reject with its reason string.
+const payloadSlack = 4 << 10
+
+// ErrFrameTooLarge marks a frame header declaring more payload than the
+// connection's current state admits. It is fatal for the stream.
+var ErrFrameTooLarge = errors.New("transport: frame exceeds the connection's payload limit")
+
+// reportPayloadLimit is the largest GradientReport payload a worker
+// holding `files` files of a dim-coordinate model may legally send, in
+// any uplink tier (a shard's frame is narrower still), plus slack.
+func reportPayloadLimit[T linalg.Float](files, dim int) int {
+	return 12 + max(wire.UplinkRawSizeOf[T](files, dim), wire.UplinkSignSizeOf[T](files, dim),
+		wire.UplinkInt8SizeOf[T](files, dim)) + payloadSlack
 }
 
-// NewConn wraps a net.Conn.
-func NewConn(raw net.Conn) *Conn { return &Conn{raw: raw} }
+// roundPayloadLimit is the largest PS→worker payload of a run: a
+// RoundStart carrying a worst-case delta params frame and the sample
+// lists of `files` files — at most one whole batch between them — which
+// also covers that worker's RoundPrep, plus slack.
+func roundPayloadLimit[T linalg.Float](files, dim, batch int) int {
+	return 16 + wire.ParamsFullSizeOf[T](dim) + (dim+1)/2 + 8*files + 4*batch + payloadSlack
+}
+
+// welcomeFits rejects a Spec whose Welcome no worker could read: the
+// Welcome arrives before the worker's handshake completes, so it is
+// read under preHandshakePayload (20 bytes of it are not the Spec).
+func welcomeFits(s *Spec) error {
+	b, err := appendSpec(nil, s)
+	if err == nil && len(b)+20 > preHandshakePayload {
+		err = fmt.Errorf("transport: spec encodes to %d bytes, a Welcome carries at most %d", len(b), preHandshakePayload-20)
+	}
+	return err
+}
+
+// Conn is a framed message stream over a network connection.
+//
+// Reads go through one receive buffer: Recv reads whatever the socket
+// has into it and parses complete frames out of it, so a frame costs one
+// read however its header and body arrived, and frames coalesced by the
+// sender cost one read between them. Reads are resumable — a Recv
+// aborted by a read deadline leaves the partial frame buffered and a
+// later Recv continues it — which is what lets the server keep a slow
+// worker's connection across a missed round instead of evicting it. The
+// buffer grows to the largest frame the connection has carried and no
+// further, and a header declaring more than the connection's state
+// admits (setPayloadLimit) fails the stream before anything is
+// allocated for it.
+type Conn struct {
+	raw net.Conn
+	// wbuf is the encode scratch of every send; iov and vec are the
+	// vectored-write scratch (vec is consumed by each write, iov keeps
+	// the backing array).
+	wbuf []byte
+	iov  [][]byte
+	vec  net.Buffers
+	// rbuf[rpos:rlen] holds the bytes read but not yet returned as a
+	// frame; rbuf[:rpos] still backs the frame the last Recv returned.
+	rbuf       []byte
+	rpos, rlen int
+	limit      int
+}
+
+// NewConn wraps a net.Conn. The stream admits any frame the wire format
+// does (wire.MaxFramePayload) until setPayloadLimit narrows it.
+func NewConn(raw net.Conn) *Conn { return &Conn{raw: raw, limit: wire.MaxFramePayload} }
+
+// newHandshakeConn wraps a connection whose peer has yet to prove
+// anything — just accepted, or just dialed: it admits
+// preHandshakePayload until the handshake replaces that with the bound
+// derived from the run's Spec.
+func newHandshakeConn(raw net.Conn) *Conn {
+	c := NewConn(raw)
+	c.setPayloadLimit(preHandshakePayload)
+	return c
+}
+
+// setPayloadLimit sets the largest payload a frame may declare from here
+// on. The caller must be the connection's only reader at that moment.
+func (c *Conn) setPayloadLimit(n int) { c.limit = min(n, wire.MaxFramePayload) }
 
 // Send transmits one message as a single frame and reports the frame's
 // size in bytes (the exact wire cost of the message).
-func (c *Conn) Send(msg Message) (int, error) {
-	frame, err := appendMessageFrame(c.wbuf[:0], msg)
-	c.wbuf = frame
-	if err != nil {
-		return 0, err
-	}
-	if _, err := c.raw.Write(frame); err != nil {
-		return 0, err
-	}
-	return len(frame), nil
-}
+func (c *Conn) Send(msg Message) (int, error) { return c.SendMany(msg) }
 
-// SendMany transmits several messages in one Write call — one frame
-// each, coalesced into a single buffer — and reports the total byte
-// count. Sharded workers use this to ship a round's per-shard report
-// frames as one socket write, so sharding adds frame headers but no
-// extra syscalls or partial-write interleaving hazards.
+// SendMany transmits several messages in one write — one frame each —
+// and reports the total byte count. Sharded workers use this to ship a
+// round's per-shard report frames as one syscall. A GradientReport's
+// Frame is already encoded, so it is not copied behind its header: the
+// write is vectored over {headers, frame, headers, frame, …}.
 func (c *Conn) SendMany(msgs ...Message) (int, error) {
-	frames := c.wbuf[:0]
-	var err error
+	b := c.wbuf[:0]
+	c.iov = c.iov[:0]
 	for _, msg := range msgs {
-		if frames, err = appendMessageFrame(frames, msg); err != nil {
-			c.wbuf = frames
+		start := len(b)
+		var at int
+		b, at = wire.BeginFrame(b, msg.wireType())
+		var tail []byte
+		var err error
+		if rep, ok := msg.(GradientReport); ok {
+			b, tail = rep.appendHead(b), rep.Frame
+		} else {
+			b, err = msg.appendPayload(b)
+		}
+		if err == nil {
+			b, err = wire.EndFrameWith(b, at, len(tail))
+		}
+		if err != nil {
+			c.wbuf = b
 			return 0, err
 		}
+		c.iov = append(c.iov, b[start:], tail)
 	}
-	c.wbuf = frames
-	if _, err := c.raw.Write(frames); err != nil {
-		return 0, err
+	c.wbuf = b
+	// b may have moved while it grew: re-point every head at its final
+	// place (their lengths are right, and they are contiguous in b).
+	for i, off := 0, 0; i < len(c.iov); i += 2 {
+		n := len(c.iov[i])
+		c.iov[i] = b[off : off+n]
+		off += n
 	}
-	return len(frames), nil
+	return c.writev()
 }
 
-// WriteRaw writes a pre-encoded frame (appendMessageFrame) verbatim,
-// bypassing the Conn's encode buffers. The caller must own the outbound
-// stream at that moment, exactly as for Send; the payoff is that a
-// frame shared by many workers — a pipelined RoundStart with no Files
-// map, a replication group's RoundPrep — is encoded once and written N
-// times instead of encoded N times.
-func (c *Conn) WriteRaw(frame []byte) (int, error) {
-	if _, err := c.raw.Write(frame); err != nil {
-		return 0, err
+// writeRoundStart transmits one worker's RoundStart — and, when prep is
+// non-empty, that pre-encoded RoundPrep frame behind it — in a single
+// vectored write. Only the few bytes around the params frame are encoded
+// per worker; the frame itself, shared by the whole fleet for the round,
+// goes from where it is. files must be ascending; nil files send the
+// pipelined RoundStart that carries no file section.
+func (c *Conn) writeRoundStart(iter, base int, params []byte, files []int, rd fileSampler, prep []byte) (int, error) {
+	b, at := wire.BeginFrame(c.wbuf[:0], msgRoundStart)
+	b = appendRoundStartHead(b, iter, base, len(params))
+	split := len(b)
+	b, err := appendFileSection(b, files, rd)
+	if err == nil {
+		b, err = wire.EndFrameWith(b, at, len(params))
 	}
-	return len(frame), nil
-}
-
-// WriteRaw2 writes two pre-encoded frames back-to-back in a single
-// vectored write (writev on TCP), so piggybacking one frame on another
-// costs no extra syscall. An empty second frame degrades to WriteRaw.
-func (c *Conn) WriteRaw2(a, b []byte) (int, error) {
-	if len(b) == 0 {
-		return c.WriteRaw(a)
-	}
-	bufs := net.Buffers{a, b}
-	if _, err := bufs.WriteTo(c.raw); err != nil {
-		return 0, err
-	}
-	return len(a) + len(b), nil
-}
-
-// SendWithRaw transmits msg as one frame immediately followed by a
-// pre-encoded raw frame, both in a single vectored write. A nil raw
-// frame degrades to Send.
-func (c *Conn) SendWithRaw(msg Message, raw []byte) (int, error) {
-	frame, err := appendMessageFrame(c.wbuf[:0], msg)
-	c.wbuf = frame
+	c.wbuf = b
 	if err != nil {
 		return 0, err
 	}
-	return c.WriteRaw2(frame, raw)
+	c.iov = append(c.iov[:0], b[:split], params, b[split:], prep)
+	return c.writev()
+}
+
+// writev writes the non-empty buffers of c.iov as one vectored write
+// (writev on TCP) and reports the bytes written.
+func (c *Conn) writev() (int, error) {
+	n, k := 0, 0
+	for _, b := range c.iov {
+		if len(b) > 0 {
+			c.iov[k] = b
+			k++
+			n += len(b)
+		}
+	}
+	c.vec = c.iov[:k]
+	if _, err := c.vec.WriteTo(c.raw); err != nil {
+		return 0, err
+	}
+	return n, nil
 }
 
 // appendMessageFrame encodes msg as one complete frame appended to
 // dst: the payload is built in place right after the header and the
 // length patched afterwards (wire.BeginFrame/EndFrame), so assembling
-// a frame costs no payload copy. Also used to pre-encode a frame once
-// and write it to many connections with Conn.WriteRaw. The buffer is
+// a frame costs no payload copy. It pre-encodes a frame shared by many
+// workers (a replication group's RoundPrep) once. The buffer is
 // returned even on error so callers keep reusing its capacity.
 func appendMessageFrame(dst []byte, msg Message) ([]byte, error) {
 	dst, at := wire.BeginFrame(dst, msg.wireType())
@@ -880,40 +979,52 @@ func appendMessageFrame(dst []byte, msg Message) ([]byte, error) {
 // Recv receives the next message. Decoded messages own their fields,
 // with two documented exceptions — RoundStart.ParamsFrame and
 // GradientReport.Frame alias the Conn's receive buffer and must be
-// consumed before the next Recv. On a timeout error the partial frame
+// consumed before the next Recv (a frame already buffered behind the
+// returned one does not disturb it: the buffer is only compacted by a
+// later Recv that has to read). On a timeout error the partial frame
 // remains buffered and the next Recv resumes it; any other error (or a
-// malformed frame) is fatal for the stream.
+// malformed or over-limit frame) is fatal for the stream.
 func (c *Conn) Recv() (any, error) {
-	if !c.inBody {
-		for c.hdrN < len(c.hdr) {
-			n, err := c.raw.Read(c.hdr[c.hdrN:])
-			c.hdrN += n
+	for {
+		need := wire.FrameHeaderSize
+		if c.rlen-c.rpos >= need {
+			typ, length, err := wire.ParseFrameHeader(c.rbuf[c.rpos:c.rlen])
 			if err != nil {
 				return nil, err
 			}
+			if length > c.limit {
+				return nil, fmt.Errorf("transport: frame declares %d payload bytes, connection admits %d: %w",
+					length, c.limit, ErrFrameTooLarge)
+			}
+			need += length
+			if end := c.rpos + need; end <= c.rlen {
+				body := c.rbuf[c.rpos+wire.FrameHeaderSize : end : end]
+				c.rpos = end
+				return decodeMessage(typ, body)
+			}
 		}
-		typ, length, err := wire.ParseFrameHeader(c.hdr[:])
-		if err != nil {
-			return nil, err
-		}
-		c.typ = typ
-		if cap(c.body) < length {
-			c.body = make([]byte, length)
-		}
-		c.body = c.body[:length]
-		c.bodyN = 0
-		c.inBody = true
-	}
-	for c.bodyN < len(c.body) {
-		n, err := c.raw.Read(c.body[c.bodyN:])
-		c.bodyN += n
+		c.makeRoom(need)
+		n, err := c.raw.Read(c.rbuf[c.rlen:])
+		c.rlen += n
 		if err != nil {
 			return nil, err
 		}
 	}
-	c.inBody = false
-	c.hdrN = 0
-	return decodeMessage(c.typ, c.body)
+}
+
+// makeRoom moves the unreturned bytes to the front of the receive
+// buffer — dropping the frame the previous Recv returned — and grows the
+// buffer when the frame in progress needs more than it holds.
+func (c *Conn) makeRoom(need int) {
+	if c.rpos == 0 && len(c.rbuf) >= need {
+		return
+	}
+	live := c.rbuf[c.rpos:c.rlen]
+	if len(c.rbuf) < need {
+		c.rbuf = make([]byte, max(need, 512))
+	}
+	c.rlen = copy(c.rbuf, live)
+	c.rpos = 0
 }
 
 // decodeMessage decodes one frame body into its message value.

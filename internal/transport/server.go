@@ -202,6 +202,9 @@ func NewServer(addr string, cfg ServerConfig) (*Server, error) {
 		return nil, err
 	}
 	cfg.Spec.K = asn.K
+	if err := welcomeFits(&cfg.Spec); err != nil {
+		return nil, err
+	}
 	mdl, err := cfg.Spec.BuildModel()
 	if err != nil {
 		return nil, err
@@ -378,7 +381,7 @@ func (s *Server) acceptLoop(ctx context.Context, done chan<- error) {
 			done <- ctxErr(ctx, err)
 			return
 		}
-		conn := NewConn(raw)
+		conn := newHandshakeConn(raw)
 		s.track(conn)
 		go s.handshake(ctx, conn)
 	}
@@ -403,7 +406,7 @@ func (s *Server) handshake(ctx context.Context, conn *Conn) {
 			// with a typed Reject instead of a silent close (an old peer
 			// may not parse the v6 Reject frame, but the bytes on its
 			// socket are deterministic and diagnosable either way).
-			s.rejectVersion(conn, fmt.Sprintf("%v", err))
+			sendReject(conn, s.cfg.Logf, RejectVersion, err.Error())
 			return
 		}
 		reject("hello: %v", ctxErr(ctx, err))
@@ -415,13 +418,15 @@ func (s *Server) handshake(ctx context.Context, conn *Conn) {
 		return
 	}
 	if hello.Version != wire.ProtocolVersion {
-		s.rejectVersion(conn, fmt.Sprintf("protocol version %d, want %d", hello.Version, wire.ProtocolVersion))
+		sendReject(conn, s.cfg.Logf, RejectVersion,
+			fmt.Sprintf("protocol version %d, want %d", hello.Version, wire.ProtocolVersion))
 		return
 	}
 	if !precisionOffered(hello.Precisions, wire.PrecisionF64) {
 		// This server aggregates at float64; a worker that only speaks
 		// the f32 codec set cannot parse its frames.
-		s.rejectPrecision(conn, hello.WorkerID, wire.PrecisionF64, hello.Precisions)
+		sendReject(conn, s.cfg.Logf, RejectPrecision, fmt.Sprintf("worker %d offers precision mask %#x, server runs %s",
+			hello.WorkerID, hello.Precisions, wire.PrecisionF64))
 		return
 	}
 	tier := negotiateTier(s.src.uplink, hello.Tiers)
@@ -436,6 +441,9 @@ func (s *Server) handshake(ctx context.Context, conn *Conn) {
 		return
 	}
 	ws := s.src
+	// The peer is a worker of this run: from here it may send report
+	// frames, and nothing larger.
+	conn.setPayloadLimit(reportPayloadLimit[float64](len(ws.files[hello.WorkerID]), ws.dim))
 	ws.mu.Lock()
 	w := &ws.workers[hello.WorkerID]
 	switch {
@@ -509,6 +517,12 @@ func (s *Server) handshake(ctx context.Context, conn *Conn) {
 	w.token = token
 	w.tier = tier
 	var stale []*Conn
+	// A rejoin that finds the old connection still live tears it down
+	// here, before its pump has seen the stream break: that is the
+	// eviction, counted now — the pump will find the slot already cleared
+	// and stay silent, so the count is one whichever of the two notices
+	// first.
+	displaced := hello.Resume && w.conn != nil
 	if hello.Resume {
 		stale = append(stale, w.conn, w.pending)
 		w.conn = nil
@@ -526,6 +540,9 @@ func (s *Server) handshake(ctx context.Context, conn *Conn) {
 		if c != nil {
 			c.Close()
 		}
+	}
+	if displaced {
+		ws.evicted(hello.WorkerID, errors.New("displaced by the worker's rejoin"))
 	}
 	if tier != s.src.uplink {
 		s.cfg.Logf("worker %d: uplink tier %s unsupported by peer, downgraded to %s", hello.WorkerID, s.src.uplink, tier)
@@ -568,14 +585,14 @@ func negotiateTier(want wire.UplinkTier, mask uint8) wire.UplinkTier {
 	return wire.TierRaw
 }
 
-// rejectVersion refuses a handshake whose peer announced (or framed)
-// another protocol version, with a typed Reject so a diagnosable record
-// of the mismatch reaches the peer's socket before the close.
-func (s *Server) rejectVersion(conn *Conn, reason string) {
-	s.cfg.Logf("rejecting %s: %s", conn.RemoteAddr(), reason)
+// sendReject refuses a handshake with a typed Reject before closing, so
+// the peer learns why it cannot enter the run (and whether retrying can
+// ever help) instead of seeing a silent close. Both servers use it.
+func sendReject(conn *Conn, logf func(string, ...any), code uint8, reason string) {
+	logf("rejecting %s: %s", conn.RemoteAddr(), reason)
 	conn.SetWriteDeadline(time.Now().Add(helloTimeout))
-	if _, err := conn.Send(Reject{Code: RejectVersion, Reason: reason}); err != nil {
-		s.cfg.Logf("reject send to %s: %v", conn.RemoteAddr(), err)
+	if _, err := conn.Send(Reject{Code: code, Reason: reason}); err != nil {
+		logf("reject send to %s: %v", conn.RemoteAddr(), err)
 	}
 	conn.Close()
 }
@@ -590,32 +607,11 @@ func precisionOffered(mask uint8, p wire.Precision) bool {
 	return mask&p.Mask() != 0
 }
 
-// rejectPrecision refuses a worker whose precision mask excludes the
-// width this server runs at, with a typed Reject so the worker learns
-// the mismatch is a configuration error rather than a transient fault.
-func (s *Server) rejectPrecision(conn *Conn, u int, want wire.Precision, mask uint8) {
-	reason := fmt.Sprintf("worker %d offers precision mask %#x, server runs %s", u, mask, want)
-	s.cfg.Logf("rejecting %s: %s", conn.RemoteAddr(), reason)
-	conn.SetWriteDeadline(time.Now().Add(helloTimeout))
-	if _, err := conn.Send(Reject{Code: RejectPrecision, Reason: reason}); err != nil {
-		s.cfg.Logf("reject send to %s: %v", conn.RemoteAddr(), err)
-	}
-	conn.Close()
-}
-
 // rejectBlacklisted refuses a blacklisted worker's handshake with a
 // typed Reject frame and counts the refusal.
 func (s *Server) rejectBlacklisted(conn *Conn, u int) {
 	s.src.blacklistRejections.Add(1)
-	s.cfg.Logf("rejecting %s: worker %d is blacklisted", conn.RemoteAddr(), u)
-	conn.SetWriteDeadline(time.Now().Add(helloTimeout))
-	if _, err := conn.Send(Reject{
-		Code:   RejectBlacklisted,
-		Reason: fmt.Sprintf("worker %d blacklisted by the detection layer", u),
-	}); err != nil {
-		s.cfg.Logf("reject send to %s: %v", conn.RemoteAddr(), err)
-	}
-	conn.Close()
+	sendReject(conn, s.cfg.Logf, RejectBlacklisted, fmt.Sprintf("worker %d blacklisted by the detection layer", u))
 }
 
 // evalJob is one background evaluation request: the round it belongs to
@@ -653,6 +649,7 @@ func (s *Server) Serve(ctx context.Context) (float64, error) {
 		s.mu.Unlock()
 		s.eng.Close()
 	}()
+	s.src.serveDone = ctx.Done()
 	stop := context.AfterFunc(ctx, s.teardown)
 	defer stop()
 
@@ -746,18 +743,7 @@ func (s *Server) Serve(ctx context.Context) (float64, error) {
 	}
 	drainEval()
 	final := s.eng.Evaluate()
-	for _, c := range s.src.shutdownConns() {
-		c.SetWriteDeadline(time.Now().Add(helloTimeout))
-		if _, err := c.Send(Shutdown{FinalAccuracy: final}); err != nil {
-			s.cfg.Logf("shutdown send: %v", err)
-			c.Close()
-			continue
-		}
-		// The pump keeps draining until the worker reads the Shutdown
-		// and hangs up (EOF); the deadline bounds the drain so the pump
-		// join below is deterministic.
-		c.SetReadDeadline(time.Now().Add(shutdownDrainTimeout))
-	}
+	sendShutdown(s.src.shutdownConns(), final, s.cfg.Logf)
 	// Join the pumps without force-closing connections: closing a socket
 	// with unread data resets it, which would destroy the buffered
 	// Shutdown before a lagging worker reads it. The deferred
@@ -765,6 +751,22 @@ func (s *Server) Serve(ctx context.Context) (float64, error) {
 	// already closed by its own pump exit.
 	s.src.drain()
 	return final, nil
+}
+
+// sendShutdown tells every connected worker the run is over. Each pump
+// keeps draining its connection until the worker has read the Shutdown
+// and hung up (EOF); the read deadline bounds that drain, so joining the
+// pumps afterwards is deterministic.
+func sendShutdown(conns []*Conn, final float64, logf func(string, ...any)) {
+	for _, c := range conns {
+		c.SetWriteDeadline(time.Now().Add(helloTimeout))
+		if _, err := c.Send(Shutdown{FinalAccuracy: final}); err != nil {
+			logf("shutdown send: %v", err)
+			c.Close()
+			continue
+		}
+		c.SetReadDeadline(time.Now().Add(shutdownDrainTimeout))
+	}
 }
 
 // workerEntry is one worker's connection-lifecycle state, guarded by
@@ -1087,6 +1089,9 @@ type wireSource struct {
 	// closing marks shutdown: no new pumps may start, and pump exits
 	// stop counting as evictions. Guarded by mu (set exactly once).
 	closing bool
+	// serveDone is the Serve context's Done channel, set before Serve
+	// starts the first goroutine that can evict (see isClosed).
+	serveDone <-chan struct{}
 
 	// inbox is the bounded fan-in of every reader pump. Capacity covers
 	// the worst case of one report per worker per round (the pumps'
@@ -1141,11 +1146,6 @@ type wireSource struct {
 	// fullFrame/deltaFrame are the per-round broadcast encode buffers,
 	// shared read-only by every send goroutine of the round.
 	fullFrame, deltaFrame []byte
-	// rsFullFrame/rsDeltaFrame are the round's shared pre-encoded
-	// RoundStart frames for prepped workers (pipelined rounds carry no
-	// Files map, so the bytes are identical across workers and are
-	// written verbatim per connection).
-	rsFullFrame, rsDeltaFrame []byte
 
 	// Pipelined prep state. PrepareNext encodes round t+1's sample
 	// lists once per replication group (prepGroups clusters workers
@@ -1426,9 +1426,9 @@ func (ws *wireSource) Collect(ctx context.Context, rd *cluster.Round) (cluster.C
 	// Parallel broadcast: one send goroutine per live worker, so one
 	// slow socket costs the round a write deadline, not a serial sum.
 	// A prepped worker (round t's RoundPrep reached this connection on
-	// the previous broadcast) gets the shared pre-encoded frame with no
-	// Files map; when round t+1's prep is staged, its group frame rides
-	// the same vectored write as this round's RoundStart.
+	// the previous broadcast) gets a RoundStart with no file section;
+	// when round t+1's prep is staged, its group frame rides the same
+	// vectored write as this round's RoundStart.
 	prepNext := ws.pipeline && ws.prepReady == t+1
 	bcastStart := time.Now()
 	var bcastBytes atomic.Int64
@@ -1438,15 +1438,18 @@ func (ws *wireSource) Collect(ctx context.Context, rd *cluster.Round) (cluster.C
 		if conn == nil {
 			continue
 		}
-		prepped := ws.pipeline && ws.prepIter[u] == t && ws.prepConn[u] == conn
+		files := ws.files[u]
+		if ws.pipeline && ws.prepIter[u] == t && ws.prepConn[u] == conn {
+			files = nil
+		}
 		var prepFrame []byte
 		if prepNext {
 			prepFrame = ws.prepFrames[ws.groupOf[u]]
 		}
 		sends.Add(1)
-		go func(u int, conn *Conn, lastAck int, prepped bool, prepFrame []byte) {
+		go func(u int, conn *Conn, lastAck int, files []int, prepFrame []byte) {
 			defer sends.Done()
-			n, err := ws.sendRoundStart(t, u, conn, lastAck, rd, prepped, prepFrame)
+			n, err := sendRoundStart(conn, ws.timeout, t, lastAck, ws.fullFrame, ws.deltaFrame, files, rd, prepFrame)
 			if err != nil {
 				// A failed or partial send poisons the outbound stream —
 				// unlike reads it cannot be resumed, so the worker is
@@ -1462,7 +1465,7 @@ func (ws *wireSource) Collect(ctx context.Context, rd *cluster.Round) (cluster.C
 				ws.prepConn[u] = conn
 			}
 			bcastBytes.Add(int64(n))
-		}(u, conn, ws.roundAcks[u], prepped, prepFrame)
+		}(u, conn, ws.roundAcks[u], files, prepFrame)
 	}
 	sends.Wait()
 	bcastDur := time.Since(bcastStart)
@@ -1550,26 +1553,7 @@ func (ws *wireSource) Collect(ctx context.Context, rd *cluster.Round) (cluster.C
 		ws.done[u] = true
 		outstanding--
 	}
-	var timerC <-chan time.Time
-	if ws.timeout > 0 {
-		if ws.collectTimer == nil {
-			ws.collectTimer = time.NewTimer(ws.timeout)
-		} else {
-			// Reuse hygiene: the previous round may have left the timer
-			// running (collection finished early) or its tick pending
-			// (it fired after the deadline path stopped selecting).
-			// Stop and drain before Reset so a stale tick cannot end
-			// this round's collection prematurely.
-			if !ws.collectTimer.Stop() {
-				select {
-				case <-ws.collectTimer.C:
-				default:
-				}
-			}
-			ws.collectTimer.Reset(ws.timeout)
-		}
-		timerC = ws.collectTimer.C
-	}
+	timerC := armTimer(&ws.collectTimer, ws.timeout)
 	for outstanding > 0 {
 		select {
 		case item := <-ws.inbox:
@@ -1629,6 +1613,32 @@ func (ws *wireSource) Collect(ctx context.Context, rd *cluster.Round) (cluster.C
 	return stats, nil
 }
 
+// armTimer (re)arms a reused timer for d and returns its channel; nil —
+// never ready — when d is not positive (a collection with no deadline).
+// Whoever used the timer last may have left it running (it stopped
+// waiting early) or its tick pending (it fired after they stopped
+// selecting): stop and drain before Reset, so a stale tick cannot end
+// this wait prematurely.
+func armTimer(timer **time.Timer, d time.Duration) <-chan time.Time {
+	if d <= 0 {
+		return nil
+	}
+	t := *timer
+	if t == nil {
+		t = time.NewTimer(d)
+		*timer = t
+		return t.C
+	}
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
+		}
+	}
+	t.Reset(d)
+	return t.C
+}
+
 // prepareBroadcast encodes this round's shared params frames: the full
 // frame (always needed for unacknowledged or refresh rounds) and the
 // delta frame against the previous round's vector when any worker can
@@ -1640,68 +1650,39 @@ func (ws *wireSource) prepareBroadcast(t int, params []float64) error {
 		return fmt.Errorf("transport: broadcast: %w", err)
 	}
 	ws.deltaFrame = ws.deltaFrame[:0]
-	if !ws.refreshRound(t) && ws.prevIter == t-1 {
+	if !refreshRound(t, ws.fullEvery) && ws.prevIter == t-1 {
 		ws.deltaFrame, err = wire.AppendParamsDelta(ws.deltaFrame[:0], ws.prevParams, params)
 		if err != nil {
 			return fmt.Errorf("transport: broadcast: %w", err)
 		}
 	}
-	if ws.pipeline {
-		// Shared RoundStart frames for prepped workers: without a Files
-		// map the message is identical across the fleet, so each
-		// variant is encoded once and written verbatim per connection —
-		// two encodes per round instead of K.
-		if ws.rsFullFrame, err = appendMessageFrame(ws.rsFullFrame[:0],
-			RoundStart{Iteration: t, ParamsFrame: ws.fullFrame}); err != nil {
-			return fmt.Errorf("transport: broadcast: %w", err)
-		}
-		ws.rsDeltaFrame = ws.rsDeltaFrame[:0]
-		if len(ws.deltaFrame) > 0 {
-			if ws.rsDeltaFrame, err = appendMessageFrame(ws.rsDeltaFrame[:0],
-				RoundStart{Iteration: t, BaseIteration: t - 1, ParamsFrame: ws.deltaFrame}); err != nil {
-				return fmt.Errorf("transport: broadcast: %w", err)
-			}
-		}
-	}
 	return nil
 }
 
-// refreshRound reports whether round t is a full-broadcast refresh.
-func (ws *wireSource) refreshRound(t int) bool {
-	return t == 0 || ws.fullEvery <= 1 || t%ws.fullEvery == 0
+// refreshRound reports whether round t is a full-broadcast refresh under
+// the cadence fullEvery.
+func refreshRound(t, fullEvery int) bool {
+	return t == 0 || fullEvery <= 1 || t%fullEvery == 0
 }
 
-// sendRoundStart sends one worker's RoundStart (full or delta
-// parameters by acknowledgement state) and returns the bytes written.
-// A prepped worker — round t's RoundPrep reached this connection — gets
-// the shared pre-encoded frame with no Files map; an unprepped one
-// (fresh join, rejoin, or a lost prep) falls back to the self-contained
-// per-worker encode. A non-nil prepFrame (round t+1's sample lists for
-// this worker's replication group) rides the same vectored write.
-func (ws *wireSource) sendRoundStart(t, u int, conn *Conn, lastAck int, rd *cluster.Round, prepped bool, prepFrame []byte) (int, error) {
-	if ws.timeout > 0 {
-		conn.SetWriteDeadline(time.Now().Add(ws.timeout))
+// sendRoundStart sends one worker's RoundStart for round t and returns
+// the bytes written: the round's shared delta params frame when there is
+// one and the worker acknowledged round t-1, the full frame otherwise,
+// under the round timeout as the write deadline. files is the worker's
+// ascending file list, whose sample lists rd supplies; nil for a worker
+// already prepped for t, whose RoundStart carries no file section. A
+// non-empty prep (a pre-encoded RoundPrep frame for round t+1) rides the
+// same vectored write. Params frames are bytes by now, so the f64 and
+// f32 servers both broadcast through here.
+func sendRoundStart(conn *Conn, timeout time.Duration, t, lastAck int, full, delta []byte, files []int, rd fileSampler, prep []byte) (int, error) {
+	if timeout > 0 {
+		conn.SetWriteDeadline(time.Now().Add(timeout))
 		defer conn.SetWriteDeadline(time.Time{})
 	}
-	if prepped {
-		frame := ws.rsFullFrame
-		if len(ws.rsDeltaFrame) > 0 && lastAck == t-1 {
-			frame = ws.rsDeltaFrame
-		}
-		return conn.WriteRaw2(frame, prepFrame)
+	if len(delta) > 0 && lastAck == t-1 {
+		return conn.writeRoundStart(t, t-1, delta, files, rd, prep)
 	}
-	assigned := make(map[int][]int, len(ws.files[u]))
-	for _, v := range ws.files[u] {
-		assigned[v] = rd.FileSamples(v)
-	}
-	rs := RoundStart{Iteration: t, Files: assigned}
-	if len(ws.deltaFrame) > 0 && lastAck == t-1 {
-		rs.ParamsFrame = ws.deltaFrame
-		rs.BaseIteration = t - 1
-	} else {
-		rs.ParamsFrame = ws.fullFrame
-	}
-	return conn.SendWithRaw(rs, prepFrame)
+	return conn.writeRoundStart(t, 0, full, files, rd, prep)
 }
 
 // PrepareNext implements cluster.RoundPreparer: the engine calls it
@@ -1765,6 +1746,20 @@ func (ws *wireSource) blacklist(u int) {
 	ws.logf("worker %d blacklisted: connection closed, rejoin token revoked", u)
 }
 
+// isClosed reports whether done is closed. evict asks it of the Serve
+// context's Done channel: workers sharing that context hang up on their
+// own the moment it is cancelled, so their EOFs can reach the pumps
+// before teardown has marked the source closing — and a connection that
+// breaks after the cancel is shutdown, not an eviction.
+func isClosed(done <-chan struct{}) bool {
+	select {
+	case <-done:
+		return true
+	default:
+		return false
+	}
+}
+
 // evict tears down a connection whose stream broke or misbehaved: it
 // is closed, and if it was still the worker's live connection the slot
 // is cleared and the eviction counted, so later rounds mark the worker
@@ -1778,13 +1773,18 @@ func (ws *wireSource) evict(u int, conn *Conn, err error) {
 	if live {
 		ws.workers[u].conn = nil
 	}
-	closing := ws.closing
+	closing := ws.closing || isClosed(ws.serveDone)
 	ws.mu.Unlock()
 	if live && !closing {
-		ws.evictions.Add(1)
-		if ws.fleet.State(u) != obs.WorkerBlacklisted {
-			ws.fleet.SetState(u, obs.WorkerDown)
-		}
-		ws.logf("round %d: evicting worker %d: %v", ws.curRound.Load(), u, err)
+		ws.evicted(u, err)
 	}
+}
+
+// evicted records that worker u's live connection was torn down mid-run.
+func (ws *wireSource) evicted(u int, err error) {
+	ws.evictions.Add(1)
+	if ws.fleet.State(u) != obs.WorkerBlacklisted {
+		ws.fleet.SetState(u, obs.WorkerDown)
+	}
+	ws.logf("round %d: evicting worker %d: %v", ws.curRound.Load(), u, err)
 }

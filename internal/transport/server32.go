@@ -91,6 +91,9 @@ func NewServer32(addr string, cfg ServerConfig32) (*Server32, error) {
 		return nil, err
 	}
 	cfg.Spec.K = asn.K
+	if err := welcomeFits(&cfg.Spec); err != nil {
+		return nil, err
+	}
 	mdl, err := cfg.Spec.BuildModel32()
 	if err != nil {
 		return nil, err
@@ -224,20 +227,10 @@ func (s *Server32) acceptLoop(ctx context.Context, done chan<- error) {
 			}
 			return
 		}
-		conn := NewConn(raw)
+		conn := newHandshakeConn(raw)
 		s.track(conn)
 		go s.handshake(ctx, conn)
 	}
-}
-
-// sendReject refuses a handshake with a typed Reject before closing.
-func (s *Server32) sendReject(conn *Conn, code uint8, reason string) {
-	s.cfg.Logf("rejecting %s: %s", conn.RemoteAddr(), reason)
-	conn.SetWriteDeadline(time.Now().Add(helloTimeout))
-	if _, err := conn.Send(Reject{Code: code, Reason: reason}); err != nil {
-		s.cfg.Logf("reject send to %s: %v", conn.RemoteAddr(), err)
-	}
-	conn.Close()
 }
 
 // handshake runs one connection's Hello/Welcome exchange under the same
@@ -255,7 +248,7 @@ func (s *Server32) handshake(ctx context.Context, conn *Conn) {
 	conn.SetReadDeadline(time.Time{})
 	if err != nil {
 		if errors.Is(err, wire.ErrVersionMismatch) {
-			s.sendReject(conn, RejectVersion, fmt.Sprintf("%v", err))
+			sendReject(conn, s.cfg.Logf, RejectVersion, err.Error())
 			return
 		}
 		reject("hello: %v", ctxErr(ctx, err))
@@ -267,12 +260,12 @@ func (s *Server32) handshake(ctx context.Context, conn *Conn) {
 		return
 	}
 	if hello.Version != wire.ProtocolVersion {
-		s.sendReject(conn, RejectVersion,
+		sendReject(conn, s.cfg.Logf, RejectVersion,
 			fmt.Sprintf("protocol version %d, want %d", hello.Version, wire.ProtocolVersion))
 		return
 	}
 	if !precisionOffered(hello.Precisions, wire.PrecisionF32) {
-		s.sendReject(conn, RejectPrecision,
+		sendReject(conn, s.cfg.Logf, RejectPrecision,
 			fmt.Sprintf("worker %d offers precision mask %#x, server runs %s",
 				hello.WorkerID, hello.Precisions, wire.PrecisionF32))
 		return
@@ -289,6 +282,7 @@ func (s *Server32) handshake(ctx context.Context, conn *Conn) {
 		return
 	}
 	ws := s.src
+	conn.setPayloadLimit(reportPayloadLimit[float32](len(ws.files[hello.WorkerID]), ws.dim))
 	ws.mu.Lock()
 	w := &ws.workers[hello.WorkerID]
 	switch {
@@ -338,6 +332,9 @@ func (s *Server32) handshake(ctx context.Context, conn *Conn) {
 	w.token = token
 	w.tier = tier
 	var stale []*Conn
+	// See Server.handshake: displacing a still-live connection is the
+	// eviction, counted here exactly once.
+	displaced := hello.Resume && w.conn != nil
 	if hello.Resume {
 		// Rejoins park for round-boundary admission; the valid token
 		// proves the old stream is dead.
@@ -357,6 +354,9 @@ func (s *Server32) handshake(ctx context.Context, conn *Conn) {
 		if c != nil {
 			c.Close()
 		}
+	}
+	if displaced {
+		ws.evicted(hello.WorkerID, errors.New("displaced by the worker's rejoin"))
 	}
 	if tier != s.src.uplink {
 		s.cfg.Logf("worker %d: uplink tier %s unsupported by peer, downgraded to %s",
@@ -388,6 +388,7 @@ func (s *Server32) Serve(ctx context.Context) (float64, error) {
 		s.mu.Unlock()
 		s.eng.Close()
 	}()
+	s.src.serveDone = ctx.Done()
 	stop := context.AfterFunc(ctx, s.teardown)
 	defer stop()
 
@@ -434,15 +435,7 @@ func (s *Server32) Serve(ctx context.Context) (float64, error) {
 		}
 	}
 	final := s.eng.Evaluate()
-	for _, c := range s.src.shutdownConns() {
-		c.SetWriteDeadline(time.Now().Add(helloTimeout))
-		if _, err := c.Send(Shutdown{FinalAccuracy: final}); err != nil {
-			s.cfg.Logf("shutdown send: %v", err)
-			c.Close()
-			continue
-		}
-		c.SetReadDeadline(time.Now().Add(shutdownDrainTimeout))
-	}
+	sendShutdown(s.src.shutdownConns(), final, s.cfg.Logf)
 	s.src.drain()
 	return final, nil
 }
@@ -477,6 +470,7 @@ type wireSource32 struct {
 	workers     []workerEntry32
 	joinedCount int
 	closing     bool
+	serveDone   <-chan struct{} // see wireSource.serveDone
 
 	joinedCh chan struct{}
 	inbox    chan pumpItem
@@ -668,17 +662,17 @@ func (ws *wireSource32) evict(u int, conn *Conn, err error) {
 	if live {
 		ws.workers[u].conn = nil
 	}
-	closing := ws.closing
+	closing := ws.closing || isClosed(ws.serveDone)
 	ws.mu.Unlock()
 	if live && !closing {
-		ws.evictions.Add(1)
-		ws.logf("round %d: evicting worker %d: %v", ws.curRound.Load(), u, err)
+		ws.evicted(u, err)
 	}
 }
 
-// refreshRound reports whether round t is a full-broadcast refresh.
-func (ws *wireSource32) refreshRound(t int) bool {
-	return t == 0 || ws.fullEvery <= 1 || t%ws.fullEvery == 0
+// evicted records that worker u's live connection was torn down mid-run.
+func (ws *wireSource32) evicted(u int, err error) {
+	ws.evictions.Add(1)
+	ws.logf("round %d: evicting worker %d: %v", ws.curRound.Load(), u, err)
 }
 
 // prepareBroadcast encodes this round's shared f32 params frames: the
@@ -691,34 +685,13 @@ func (ws *wireSource32) prepareBroadcast(t int, params []float32) error {
 		return fmt.Errorf("transport: broadcast: %w", err)
 	}
 	ws.deltaFrame = ws.deltaFrame[:0]
-	if !ws.refreshRound(t) && ws.prevIter == t-1 {
+	if !refreshRound(t, ws.fullEvery) && ws.prevIter == t-1 {
 		ws.deltaFrame, err = wire.AppendParamsDelta32(ws.deltaFrame[:0], ws.prevParams, params)
 		if err != nil {
 			return fmt.Errorf("transport: broadcast: %w", err)
 		}
 	}
 	return nil
-}
-
-// sendRoundStart sends one worker's RoundStart (full or delta f32
-// parameters by acknowledgement state) and returns the bytes written.
-func (ws *wireSource32) sendRoundStart(t, u int, conn *Conn, lastAck int, rd *cluster.Round32) (int, error) {
-	if ws.timeout > 0 {
-		conn.SetWriteDeadline(time.Now().Add(ws.timeout))
-		defer conn.SetWriteDeadline(time.Time{})
-	}
-	assigned := make(map[int][]int, len(ws.files[u]))
-	for _, v := range ws.files[u] {
-		assigned[v] = rd.FileSamples(v)
-	}
-	rs := RoundStart{Iteration: t, Files: assigned}
-	if len(ws.deltaFrame) > 0 && lastAck == t-1 {
-		rs.ParamsFrame = ws.deltaFrame
-		rs.BaseIteration = t - 1
-	} else {
-		rs.ParamsFrame = ws.fullFrame
-	}
-	return conn.Send(rs)
 }
 
 // Collect implements cluster.GradientSource32 over TCP under the exact
@@ -761,7 +734,7 @@ func (ws *wireSource32) Collect(ctx context.Context, rd *cluster.Round32) (clust
 		sends.Add(1)
 		go func(u int, conn *Conn, lastAck int) {
 			defer sends.Done()
-			n, err := ws.sendRoundStart(t, u, conn, lastAck, rd)
+			n, err := sendRoundStart(conn, ws.timeout, t, lastAck, ws.fullFrame, ws.deltaFrame, ws.files[u], rd, nil)
 			if err != nil {
 				ws.evict(u, conn, fmt.Errorf("send: %w", err))
 				return
@@ -813,21 +786,7 @@ func (ws *wireSource32) Collect(ctx context.Context, rd *cluster.Round32) (clust
 		ws.done[u] = true
 		outstanding--
 	}
-	var timerC <-chan time.Time
-	if ws.timeout > 0 {
-		if ws.collectTimer == nil {
-			ws.collectTimer = time.NewTimer(ws.timeout)
-		} else {
-			if !ws.collectTimer.Stop() {
-				select {
-				case <-ws.collectTimer.C:
-				default:
-				}
-			}
-			ws.collectTimer.Reset(ws.timeout)
-		}
-		timerC = ws.collectTimer.C
-	}
+	timerC := armTimer(&ws.collectTimer, ws.timeout)
 	for outstanding > 0 {
 		select {
 		case item := <-ws.inbox:

@@ -168,7 +168,8 @@ type workerState struct {
 	// the last RoundPrep received on this connection (-1 before any);
 	// prepSamples are its per-slot sample lists, valid for the matching
 	// RoundStart. filesStatic is this worker's assignment in static slot
-	// order — prep rounds carry no file ids, only samples in this order.
+	// order — prep rounds carry no file ids, only samples in this order —
+	// set, with asn, by the first handshake.
 	pipeline    bool
 	prepIter    int
 	prepSamples [][]int
@@ -215,10 +216,6 @@ func RunWorker(ctx context.Context, addr string, cfg WorkerConfig) (float64, err
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	attempts := cfg.ReconnectAttempts
-	if attempts == 0 {
-		attempts = DefaultReconnectAttempts
-	}
 	st := &workerState{cfg: cfg, token: cfg.ResumeToken, lastApplied: -1, sampledIter: -1}
 	if cfg.Metrics != nil {
 		st.ins = newWorkerInstruments(cfg.Metrics)
@@ -235,10 +232,23 @@ func RunWorker(ctx context.Context, addr string, cfg WorkerConfig) (float64, err
 		st.adv = adv
 		cfg.Logf("worker %d: adversary coalition %v, leader %d", cfg.ID, adv.MemberIDs(), adv.Leader())
 	}
+	return reconnectLoop(ctx, cfg.ID, cfg.ReconnectAttempts, cfg.Logf, st.ins.reconnecting,
+		func() (float64, error) { return runWorkerConn(ctx, addr, st) })
+}
+
+// reconnectLoop runs one connection's lifetime after another (run) until
+// a session ends cleanly, fails with an error reconnecting cannot fix, ctx
+// is cancelled, or `attempts` consecutive retryable failures are spent (0
+// selects DefaultReconnectAttempts, negative never gives up). Backoff
+// doubles per consecutive failure; retrying is called once per retry. The
+// f64 and f32 workers share it.
+func reconnectLoop(ctx context.Context, id, attempts int, logf func(string, ...any), retrying func(), run func() (float64, error)) (float64, error) {
+	if attempts == 0 {
+		attempts = DefaultReconnectAttempts
+	}
 	failures := 0
-	// One reused backoff timer for the whole reconnect loop: a bare
-	// time.After here would leak a live timer per attempt whenever ctx
-	// wins the select.
+	// One reused backoff timer for the whole loop: a bare time.After here
+	// would leak a live timer per attempt whenever ctx wins the select.
 	var backoff *time.Timer
 	defer func() {
 		if backoff != nil {
@@ -246,7 +256,7 @@ func RunWorker(ctx context.Context, addr string, cfg WorkerConfig) (float64, err
 		}
 	}()
 	for {
-		final, err := runWorkerConn(ctx, addr, st)
+		final, err := run()
 		var re retryableErr
 		switch {
 		case err == nil:
@@ -257,29 +267,14 @@ func RunWorker(ctx context.Context, addr string, cfg WorkerConfig) (float64, err
 			return 0, ctx.Err()
 		case attempts >= 0 && failures >= attempts:
 			return 0, fmt.Errorf("transport: worker %d: gave up after %d reconnect attempts: %w",
-				cfg.ID, failures, re.err)
+				id, failures, re.err)
 		}
 		failures++
-		st.ins.reconnecting()
+		retrying()
 		delay := defaultReconnectDelay << min(failures-1, 5)
-		cfg.Logf("worker %d: connection lost (%v); reconnecting in %v (attempt %d)",
-			cfg.ID, re.err, delay, failures)
-		if backoff == nil {
-			backoff = time.NewTimer(delay)
-		} else {
-			// Reset is only safe on a stopped or drained timer; the
-			// ctx-cancel path below returns without draining, so stop
-			// and drain defensively before rearming.
-			if !backoff.Stop() {
-				select {
-				case <-backoff.C:
-				default:
-				}
-			}
-			backoff.Reset(delay)
-		}
+		logf("worker %d: connection lost (%v); reconnecting in %v (attempt %d)", id, re.err, delay, failures)
 		select {
-		case <-backoff.C:
+		case <-armTimer(&backoff, delay):
 		case <-ctx.Done():
 			return 0, ctx.Err()
 		}
@@ -308,7 +303,7 @@ func runWorkerConn(ctx context.Context, addr string, st *workerState) (float64, 
 	if err != nil {
 		return 0, retryable(fmt.Errorf("transport: dial %s: %w", addr, ctxErr(ctx, err)))
 	}
-	conn := NewConn(raw)
+	conn := newHandshakeConn(raw)
 	defer conn.Close()
 	stop := closeOnCancel(ctx, conn)
 	defer stop()
@@ -388,9 +383,16 @@ func runWorkerConn(ctx context.Context, addr string, st *workerState) (float64, 
 			if st.flt, err = st.spec.BuildFault(); err != nil {
 				return 0, err
 			}
+			if st.asn, err = st.spec.BuildAssignment(); err != nil {
+				return 0, err
+			}
 		}
+		st.filesStatic = st.asn.WorkerFiles(cfg.ID)
 		st.params = make([]float64, st.mdl.NumParams())
 	}
+	// The handshake is over: from here the PS sends this worker nothing
+	// larger than a RoundStart of this Spec.
+	conn.setPayloadLimit(roundPayloadLimit[float64](len(st.filesStatic), len(st.params), st.spec.BatchSize))
 	if st.shards == 0 {
 		st.shards = shards
 		st.ranges = make([][2]int, shards)
@@ -417,14 +419,6 @@ func runWorkerConn(ctx context.Context, addr string, st *workerState) (float64, 
 	// server forgets prep state on eviction and serves this connection
 	// the self-contained Files path until its next prep lands.
 	st.prepIter = -1
-	if st.pipeline && st.asn == nil {
-		if st.asn, err = st.spec.BuildAssignment(); err != nil {
-			return 0, err
-		}
-	}
-	if st.pipeline && st.filesStatic == nil {
-		st.filesStatic = st.asn.WorkerFiles(cfg.ID)
-	}
 	// A (re)connected worker holds no acknowledged vector: the server
 	// sends a full broadcast first, so stale params are never patched.
 	st.lastApplied = -1
@@ -481,19 +475,8 @@ func runWorkerConn(ctx context.Context, addr string, st *workerState) (float64, 
 				return 0, fmt.Errorf("worker %d round %d: %w", cfg.ID, m.Iteration, ErrInjectedCrash)
 			}
 			if d.Delay > 0 {
-				if delayTimer == nil {
-					delayTimer = time.NewTimer(d.Delay)
-				} else {
-					if !delayTimer.Stop() {
-						select {
-						case <-delayTimer.C:
-						default:
-						}
-					}
-					delayTimer.Reset(d.Delay)
-				}
 				select {
-				case <-delayTimer.C:
+				case <-armTimer(&delayTimer, d.Delay):
 				case <-ctx.Done():
 					return 0, ctx.Err()
 				}
@@ -533,20 +516,27 @@ func runWorkerConn(ctx context.Context, addr string, st *workerState) (float64, 
 }
 
 // applyParams patches the worker's parameter vector with the round's
-// broadcast frame: a full frame overwrites it, a delta frame XORs onto
-// the base iteration it names — which must be exactly what this worker
-// holds.
+// broadcast frame (see applyParamsFrame).
 func (st *workerState) applyParams(m *RoundStart) error {
+	return applyParamsFrame(m, st.params, &st.lastApplied)
+}
+
+// applyParamsFrame patches params — the worker's copy of the model
+// vector, reflecting iteration *lastApplied — with a round's broadcast
+// frame, at either width: a full frame overwrites it, a delta frame XORs
+// onto the base iteration it names, which must be exactly what the worker
+// holds.
+func applyParamsFrame[T linalg.Float](m *RoundStart, params []T, lastApplied *int) error {
 	if len(m.ParamsFrame) == 0 {
 		return fmt.Errorf("transport: round %d carried no parameter frame", m.Iteration)
 	}
 	// Validate the delta base before any bits are patched: a delta
 	// against a vector this worker does not hold must not touch params.
-	if int(m.ParamsFrame[0]) == wire.ParamsDelta && m.BaseIteration != st.lastApplied {
+	if int(m.ParamsFrame[0]) == wire.ParamsDelta && m.BaseIteration != *lastApplied {
 		return fmt.Errorf("transport: round %d delta against iteration %d, but worker holds %d",
-			m.Iteration, m.BaseIteration, st.lastApplied)
+			m.Iteration, m.BaseIteration, *lastApplied)
 	}
-	_, consumed, err := wire.DecodeParams(m.ParamsFrame, st.params)
+	_, consumed, err := wire.DecodeParamsOf(m.ParamsFrame, params)
 	if err != nil {
 		return fmt.Errorf("transport: round %d params: %w", m.Iteration, err)
 	}
@@ -554,7 +544,7 @@ func (st *workerState) applyParams(m *RoundStart) error {
 		return fmt.Errorf("transport: round %d params frame has %d trailing bytes",
 			m.Iteration, len(m.ParamsFrame)-consumed)
 	}
-	st.lastApplied = m.Iteration
+	*lastApplied = m.Iteration
 	return nil
 }
 
@@ -566,21 +556,8 @@ func (st *workerState) applyParams(m *RoundStart) error {
 // reconnected worker the self-contained path.
 func (st *workerState) roundWork(m *RoundStart) (files []int, samples [][]int, err error) {
 	if len(m.Files) > 0 {
-		files = st.files[:0]
-		for v := range m.Files {
-			files = append(files, v)
-		}
-		slices.Sort(files)
-		st.files = files
-		if cap(st.sampleLists) < len(files) {
-			st.sampleLists = make([][]int, len(files))
-		}
-		samples = st.sampleLists[:len(files)]
-		st.sampleLists = samples
-		for i, v := range files {
-			samples[i] = m.Files[v]
-		}
-		return files, samples, nil
+		st.files, st.sampleLists = filesInSlotOrder(m.Files, st.files, st.sampleLists)
+		return st.files, st.sampleLists, nil
 	}
 	if !st.pipeline {
 		return nil, nil, fmt.Errorf("transport: worker %d: round %d carried no files outside pipeline mode",
@@ -595,6 +572,21 @@ func (st *workerState) roundWork(m *RoundStart) (files []int, samples [][]int, e
 			st.cfg.ID, m.Iteration, len(st.prepSamples), len(st.filesStatic))
 	}
 	return st.filesStatic, st.prepSamples, nil
+}
+
+// filesInSlotOrder flattens a RoundStart's Files map into the worker's
+// file list in static slot order (ascending ids) and the matching sample
+// lists, reusing the capacity of files and lists.
+func filesInSlotOrder(m map[int][]int, files []int, lists [][]int) ([]int, [][]int) {
+	files, lists = files[:0], lists[:0]
+	for v := range m {
+		files = append(files, v)
+	}
+	slices.Sort(files)
+	for _, v := range files {
+		lists = append(lists, m[v])
+	}
+	return files, lists
 }
 
 // computeReport produces the worker's (honest or Byzantine) gradients
@@ -735,13 +727,6 @@ func (c advCoordinator) RoundMoments(ctx *attack.Context) (attack.Moments, error
 // broadcast, which the computeReport call order guarantees.
 func (st *workerState) reconstructMoments(round int) (mu, sigma []float64, err error) {
 	if st.sampler == nil {
-		// st.asn may already exist — shared state or the pipeline path
-		// builds it at handshake time.
-		if st.asn == nil {
-			if st.asn, err = st.spec.BuildAssignment(); err != nil {
-				return nil, nil, err
-			}
-		}
 		if st.sampler, err = data.NewBatchSampler(st.train.Len(), st.spec.BatchSize, st.spec.Seed); err != nil {
 			return nil, nil, err
 		}

@@ -2,11 +2,8 @@ package transport
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net"
-	"slices"
-	"time"
 
 	"byzshield/internal/data"
 	"byzshield/internal/model"
@@ -45,6 +42,7 @@ type workerState32 struct {
 	token       uint64
 	params      []float32
 	lastApplied int
+	nfiles      int // files this worker is assigned (sizes the frame bound)
 
 	files       []int
 	sampleLists [][]int
@@ -63,55 +61,9 @@ func RunWorker32(ctx context.Context, addr string, cfg WorkerConfig32) (float64,
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	attempts := cfg.ReconnectAttempts
-	if attempts == 0 {
-		attempts = DefaultReconnectAttempts
-	}
 	st := &workerState32{cfg: cfg, token: cfg.ResumeToken, lastApplied: -1}
-	failures := 0
-	// One reused backoff timer for the whole reconnect loop (see
-	// RunWorker).
-	var backoff *time.Timer
-	defer func() {
-		if backoff != nil {
-			backoff.Stop()
-		}
-	}()
-	for {
-		final, err := runWorkerConn32(ctx, addr, st)
-		var re retryableErr
-		switch {
-		case err == nil:
-			return final, nil
-		case !errors.As(err, &re):
-			return 0, err
-		case ctx.Err() != nil:
-			return 0, ctx.Err()
-		case attempts >= 0 && failures >= attempts:
-			return 0, fmt.Errorf("transport: worker %d: gave up after %d reconnect attempts: %w",
-				cfg.ID, failures, re.err)
-		}
-		failures++
-		delay := defaultReconnectDelay << min(failures-1, 5)
-		cfg.Logf("worker %d: connection lost (%v); reconnecting in %v (attempt %d)",
-			cfg.ID, re.err, delay, failures)
-		if backoff == nil {
-			backoff = time.NewTimer(delay)
-		} else {
-			if !backoff.Stop() {
-				select {
-				case <-backoff.C:
-				default:
-				}
-			}
-			backoff.Reset(delay)
-		}
-		select {
-		case <-backoff.C:
-		case <-ctx.Done():
-			return 0, ctx.Err()
-		}
-	}
+	return reconnectLoop(ctx, cfg.ID, cfg.ReconnectAttempts, cfg.Logf, func() {},
+		func() (float64, error) { return runWorkerConn32(ctx, addr, st) })
 }
 
 // runWorkerConn32 runs one connection's lifetime: dial, Hello/Welcome
@@ -124,7 +76,7 @@ func runWorkerConn32(ctx context.Context, addr string, st *workerState32) (float
 	if err != nil {
 		return 0, retryable(fmt.Errorf("transport: dial %s: %w", addr, ctxErr(ctx, err)))
 	}
-	conn := NewConn(raw)
+	conn := newHandshakeConn(raw)
 	defer conn.Close()
 	stop := closeOnCancel(ctx, conn)
 	defer stop()
@@ -192,7 +144,15 @@ func runWorkerConn32(ctx context.Context, addr string, st *workerState32) (float
 		}
 		st.train32 = train.To32()
 		st.params = make([]float32, st.mdl.NumParams())
+		asn, err := st.spec.BuildAssignment()
+		if err != nil {
+			return 0, err
+		}
+		st.nfiles = len(asn.WorkerFiles(cfg.ID))
 	}
+	// The handshake is over: from here the PS sends this worker nothing
+	// larger than a RoundStart of this Spec.
+	conn.setPayloadLimit(roundPayloadLimit[float32](st.nfiles, len(st.params), st.spec.BatchSize))
 	// A fresh connection means a fresh uplink stream: the server's
 	// decoder holds no codec state, so the encoder must not either, and
 	// the tier is per connection — a rejoin may renegotiate.
@@ -219,7 +179,7 @@ func runWorkerConn32(ctx context.Context, addr string, st *workerState32) (float
 			if err != nil {
 				return 0, err
 			}
-			if err := st.applyParams32(&m); err != nil {
+			if err := applyParamsFrame(&m, st.params, &st.lastApplied); err != nil {
 				// A delta against a base this worker does not hold means
 				// the broadcast state diverged; reconnecting fetches a
 				// full vector.
@@ -244,29 +204,6 @@ func runWorkerConn32(ctx context.Context, addr string, st *workerState32) (float
 	}
 }
 
-// applyParams32 patches the worker's f32 parameter vector with the
-// round's broadcast frame under the exact discipline of
-// workerState.applyParams: delta-base validation before any bits move.
-func (st *workerState32) applyParams32(m *RoundStart) error {
-	if len(m.ParamsFrame) == 0 {
-		return fmt.Errorf("transport: round %d carried no parameter frame", m.Iteration)
-	}
-	if int(m.ParamsFrame[0]) == wire.ParamsDelta && m.BaseIteration != st.lastApplied {
-		return fmt.Errorf("transport: round %d delta against iteration %d, but worker holds %d",
-			m.Iteration, m.BaseIteration, st.lastApplied)
-	}
-	_, consumed, err := wire.DecodeParams32(m.ParamsFrame, st.params)
-	if err != nil {
-		return fmt.Errorf("transport: round %d params: %w", m.Iteration, err)
-	}
-	if consumed != len(m.ParamsFrame) {
-		return fmt.Errorf("transport: round %d params frame has %d trailing bytes",
-			m.Iteration, len(m.ParamsFrame)-consumed)
-	}
-	st.lastApplied = m.Iteration
-	return nil
-}
-
 // roundWork32 resolves a RoundStart into the worker's file list (static
 // slot order) and per-file sample lists. Every f32 round is
 // self-contained: the Files map is required.
@@ -274,21 +211,8 @@ func (st *workerState32) roundWork32(m *RoundStart) (files []int, samples [][]in
 	if len(m.Files) == 0 {
 		return nil, nil, fmt.Errorf("transport: worker %d: round %d carried no files", st.cfg.ID, m.Iteration)
 	}
-	files = st.files[:0]
-	for v := range m.Files {
-		files = append(files, v)
-	}
-	slices.Sort(files)
-	st.files = files
-	if cap(st.sampleLists) < len(files) {
-		st.sampleLists = make([][]int, len(files))
-	}
-	samples = st.sampleLists[:len(files)]
-	st.sampleLists = samples
-	for i, v := range files {
-		samples[i] = m.Files[v]
-	}
-	return files, samples, nil
+	st.files, st.sampleLists = filesInSlotOrder(m.Files, st.files, st.sampleLists)
+	return st.files, st.sampleLists, nil
 }
 
 // computeReport32 produces the worker's honest f32 file gradients for

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"byzshield/internal/linalg"
 )
@@ -102,8 +103,14 @@ func BeginFrame(dst []byte, typ byte) ([]byte, int) {
 // offset BeginFrame returned): the payload is everything appended to
 // dst since. The buffer is returned unchanged on error, so callers can
 // keep reusing it.
-func EndFrame(dst []byte, at int) ([]byte, error) {
-	n := len(dst) - at - 4
+func EndFrame(dst []byte, at int) ([]byte, error) { return EndFrameWith(dst, at, 0) }
+
+// EndFrameWith is EndFrame for a frame whose payload has `extra` more
+// bytes than were appended to dst: bytes the sender already holds
+// encoded and puts into the same vectored write rather than copying
+// them behind the header.
+func EndFrameWith(dst []byte, at, extra int) ([]byte, error) {
+	n := len(dst) - at - 4 + extra
 	if n > MaxFramePayload {
 		return dst, fmt.Errorf("wire: frame payload %d bytes exceeds limit %d", n, MaxFramePayload)
 	}
@@ -174,16 +181,39 @@ func AppendI64(dst []byte, v int64) []byte { return AppendU64(dst, uint64(v)) }
 // AppendF64 appends v's IEEE-754 bit pattern (bit-exact round-trip).
 func AppendF64(dst []byte, v float64) []byte { return AppendU64(dst, math.Float64bits(v)) }
 
-// AppendFloats appends every value's bit pattern at T's width: the
-// destination grows once and a fixed-stride loop fills it, instead of
-// paying append's length/capacity bookkeeping per element. Parameter
-// broadcasts and gradient reports move whole vectors through this path
-// every round, so the per-element overhead is the dominant encode cost
-// at scale.
+// AppendFloats appends every value's bit pattern at T's width,
+// little-endian. Parameter broadcasts and gradient reports move whole
+// vectors through this path every round, r copies of each file, so it
+// has to cost what a copy costs: on a little-endian host the slice's
+// memory already is the wire image and one append moves it; elsewhere
+// appendFloatsPortable swaps per element.
 func AppendFloats[T linalg.Float](dst []byte, src []T) []byte {
+	if hostLittleEndian {
+		return append(dst, linalg.Bytes(src)...)
+	}
+	return appendFloatsPortable(dst, src)
+}
+
+// DecodeFloats fills dst from the first sizeof(T)*len(dst) bytes of
+// src, which the caller must already have bounds-checked against the
+// frame header. It copies out of src — a receive buffer carries no
+// alignment guarantee, so the bytes are never reinterpreted in place.
+func DecodeFloats[T linalg.Float](dst []T, src []byte) {
+	if hostLittleEndian {
+		b := linalg.Bytes(dst)
+		copy(b, src[:len(b)])
+		return
+	}
+	decodeFloatsPortable(dst, src)
+}
+
+// appendFloatsPortable is AppendFloats by explicit little-endian
+// stores: the body big-endian hosts run, and the reference the tests
+// hold the copying body to.
+func appendFloatsPortable[T linalg.Float](dst []byte, src []T) []byte {
 	w := linalg.Width[T]()
 	off := len(dst)
-	dst = append(dst, make([]byte, w*len(src))...)
+	dst = slices.Grow(dst, w*len(src))[:off+w*len(src)]
 	buf := dst[off:]
 	for i, v := range src {
 		putBits[T](buf[i*w:], linalg.Bits(v))
@@ -191,13 +221,8 @@ func AppendFloats[T linalg.Float](dst []byte, src []T) []byte {
 	return dst
 }
 
-// DecodeFloats fills dst from the first sizeof(T)*len(dst) bytes of
-// src, which the caller must already have bounds-checked against the
-// frame header. The bulk counterpart of Dec.F64 for vector payloads.
-func DecodeFloats[T linalg.Float](dst []T, src []byte) {
-	if len(dst) == 0 {
-		return
-	}
+// decodeFloatsPortable is DecodeFloats by explicit little-endian loads.
+func decodeFloatsPortable[T linalg.Float](dst []T, src []byte) {
 	w := linalg.Width[T]()
 	src = src[: w*len(dst) : w*len(dst)]
 	for i := range dst {
@@ -210,7 +235,7 @@ func DecodeFloats[T linalg.Float](dst []T, src []byte) {
 // each instantiation. putBits and getBits move raw patterns rather than
 // T values on purpose: folding Bits/FromBits into them pushes them past
 // the inliner's budget, and they would become a call per element in the
-// bulk loops above.
+// portable bulk loops above.
 func putBits[T linalg.Float](b []byte, x uint64) {
 	if linalg.Width[T]() == 4 {
 		binary.LittleEndian.PutUint32(b, uint32(x))
