@@ -50,7 +50,7 @@ func main() {
 		shards    = flag.Int("shards", 2, "shard count")
 		modes     = flag.String("modes", "", "comma-separated mode filter (default all)")
 		precision = flag.String("precision", "f64",
-			"numeric precision tier: f64 (single-loop/serial/sharded/pipelined/quantized planes) or f32 (serial-f32/sharded-f32/quantized-f32 over the reduced-precision server)")
+			"numeric precision tier the whole sweep runs at: f64 or f32 (the same five planes; f32 rows are reported with an -f32 suffix)")
 		jsonOut  = flag.Bool("json", false, "emit the points as JSON on stdout")
 		prof     = flag.String("cpuprofile", "", "write cpu profile")
 		memProf  = flag.String("memprofile", "", "write heap profile at sweep end (live servers: prefer byzps /debug/pprof/heap)")
@@ -60,10 +60,6 @@ func main() {
 	prec, err := wire.ParsePrecision(*precision)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if prec == wire.PrecisionF32 && *traceOut != "" {
-		fmt.Fprintln(os.Stderr, "byzfleet: -trace-out is f64-only")
 		os.Exit(2)
 	}
 	var counts []int

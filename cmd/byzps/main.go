@@ -89,6 +89,7 @@ import (
 
 	"byzshield"
 	"byzshield/internal/cluster"
+	"byzshield/internal/linalg"
 	"byzshield/internal/obs"
 	"byzshield/internal/trainer"
 	"byzshield/internal/transport"
@@ -129,7 +130,7 @@ func main() {
 		uplink = flag.String("uplink", "delta",
 			"worker→PS report codec tier: raw, delta (bit-exact XOR compression), sign or int8 (lossy quantization)")
 		precision = flag.String("precision", "f64",
-			"numeric precision tier: f64 (full protocol) or f32 (reduced-precision kernels and frames; softmax only, no faults/detection/pipeline)")
+			"numeric precision tier: f64 or f32 (float32 kernels and frames; the same protocol, for the models and coordinate-wise aggregators that have float32 kernels)")
 		shardCount = flag.Int("shards", 0,
 			"aggregation shards: split the parameter vector into N coordinate ranges that vote/aggregate independently (0 or 1 = single loop; bit-identical either way)")
 		pipeline = flag.Bool("pipeline", false,
@@ -201,26 +202,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "byzps:", err)
 		os.Exit(2)
 	}
-	if prec == wire.PrecisionF32 {
-		switch {
-		case *pipeline:
-			fmt.Fprintln(os.Stderr, "byzps: -pipeline is f64-only (the f32 tier is self-contained per round)")
-			os.Exit(2)
-		case *metricsAddr != "" || *traceOut != "":
-			fmt.Fprintln(os.Stderr, "byzps: -metrics-addr/-trace-out are f64-only")
-			os.Exit(2)
-		}
-		runF32(spec, transport.ServerConfig32{
-			Spec:               spec,
-			Logf:               log.Printf,
-			RoundTimeout:       *roundTimeout,
-			FullBroadcastEvery: *fullEvery,
-			Uplink:             tier,
-			Shards:             *shardCount,
-			Quorum:             *quorum,
-		}, *listen, *verbose)
-		return
-	}
 	srvCfg := transport.ServerConfig{
 		Spec:               spec,
 		Logf:               log.Printf,
@@ -281,18 +262,40 @@ func main() {
 			}
 		}
 	}
-	srv, err := transport.NewServer(*listen, srvCfg)
+	opts := serveOptions{
+		listen: *listen, metricsAddr: *metricsAddr,
+		registry: registry, tracer: tracer, traceFlush: traceFlush,
+	}
+	if prec == wire.PrecisionF32 {
+		serve[float32](srvCfg, opts)
+	} else {
+		serve[float64](srvCfg, opts)
+	}
+}
+
+// serveOptions is what serve needs beyond the server config.
+type serveOptions struct {
+	listen, metricsAddr string
+	registry            *obs.Registry
+	tracer              *obs.Tracer
+	traceFlush          func() error
+}
+
+// serve binds the width-T parameter server, runs it until the rounds
+// are done or a signal cancels it, and prints the lifecycle summary.
+func serve[T linalg.Float](srvCfg transport.ServerConfig, o serveOptions) {
+	srv, err := transport.NewServerOf[T](o.listen, srvCfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "byzps:", err)
 		os.Exit(1)
 	}
 	defer srv.Close()
 
-	if *metricsAddr != "" {
-		diag, err := obs.ListenAndServe(*metricsAddr, obs.ServerOptions{
-			Registry: registry,
+	if o.metricsAddr != "" {
+		diag, err := obs.ListenAndServe(o.metricsAddr, obs.ServerOptions{
+			Registry: o.registry,
 			Fleet:    srv.Fleet(),
-			Tracer:   tracer,
+			Tracer:   o.tracer,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "byzps:", err)
@@ -305,8 +308,8 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	log.Printf("parameter server listening on %s (scheme=%s, aggregator=%s, waiting for workers)",
-		srv.Addr(), *scheme, *agg)
+	log.Printf("%s parameter server listening on %s (scheme=%s, aggregator=%s, waiting for workers)",
+		wire.PrecisionOf[T](), srv.Addr(), srvCfg.Spec.Scheme, srvCfg.Spec.Aggregator)
 	final, err := srv.Serve(ctx)
 	// The shutdown summary is a formatted view of the same atomics the
 	// /metrics lifecycle counters read live — one source, two views.
@@ -316,10 +319,10 @@ func main() {
 			c.Joins, c.Rejoins, c.Evictions, c.StaleFrames, c.BlacklistRejections)
 	}
 	closeTrace := func() {
-		if traceFlush == nil {
+		if o.traceFlush == nil {
 			return
 		}
-		if err := traceFlush(); err != nil {
+		if err := o.traceFlush(); err != nil {
 			log.Printf("trace flush: %v", err)
 		}
 	}
@@ -337,44 +340,6 @@ func main() {
 	}
 	logCounters()
 	closeTrace()
-	fmt.Printf("final top-1 test accuracy: %.4f\n", final)
-}
-
-// runF32 drives the float32-precision server: the same listen/serve
-// lifecycle as the f64 path over the reduced-precision engine and
-// frames (this is where -precision f32 lands).
-func runF32(spec transport.Spec, cfg transport.ServerConfig32, listen string, verbose bool) {
-	if verbose {
-		cfg.OnRound = func(rs cluster.RoundStats) {
-			log.Printf("round %d: missing=%v rejoins=%d evictions=%d stale=%d upB=%d (raw %d) downB=%d",
-				rs.Iteration, rs.MissingWorkers, rs.Rejoins, rs.Evictions, rs.StaleFrames,
-				rs.Times.ReportBytes, rs.Times.ReportRawBytes, rs.Times.BroadcastBytes)
-		}
-	}
-	srv, err := transport.NewServer32(listen, cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "byzps:", err)
-		os.Exit(1)
-	}
-	defer srv.Close()
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	log.Printf("f32 parameter server listening on %s (scheme=%s, aggregator=%s, waiting for workers)",
-		srv.Addr(), spec.Scheme, spec.Aggregator)
-	final, err := srv.Serve(ctx)
-	c := srv.Counters()
-	log.Printf("lifecycle: joins=%d rejoins=%d evictions=%d stale-frames=%d",
-		c.Joins, c.Rejoins, c.Evictions, c.StaleFrames)
-	if err != nil {
-		if errors.Is(err, context.Canceled) {
-			log.Printf("interrupted; %d evaluations recorded", len(srv.History().Points))
-			os.Exit(130)
-		}
-		fmt.Fprintln(os.Stderr, "byzps:", err)
-		os.Exit(1)
-	}
 	fmt.Printf("final top-1 test accuracy: %.4f\n", final)
 }
 

@@ -61,7 +61,7 @@ func main() {
 		uplinkTiers = flag.String("uplink-tiers", "",
 			"comma-separated report codec tiers to offer the server (raw, delta, sign, int8; empty = all) — restricting the list forces the server to downgrade this connection to a mutually supported lossless tier")
 		precision = flag.String("precision", "f64",
-			"numeric precision tier: f64 (full protocol) or f32 (pair with a byzps -precision f32 server; honest behavior only)")
+			"numeric precision tier: f64 or f32 — must match the byzps -precision it connects to")
 		quiet       = flag.Bool("quiet", false, "suppress progress logging")
 		metricsAddr = flag.String("metrics-addr", "",
 			"diagnostics listen address serving /metrics, /healthz and /debug/pprof (empty = disabled)")
@@ -96,19 +96,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "byzworker:", err)
 		os.Exit(2)
 	}
-	if prec == wire.PrecisionF32 {
-		switch {
-		case *behavior != "honest":
-			fmt.Fprintln(os.Stderr, "byzworker: -behavior is f64-only (the f32 tier has no Byzantine plane)")
-			os.Exit(2)
-		case *advAddr != "":
-			fmt.Fprintln(os.Stderr, "byzworker: -adv-addr is f64-only")
-			os.Exit(2)
-		case *metricsAddr != "":
-			fmt.Fprintln(os.Stderr, "byzworker: -metrics-addr is f64-only")
-			os.Exit(2)
-		}
-	}
 	logf := log.Printf
 	if *quiet {
 		logf = func(string, ...any) {}
@@ -129,27 +116,11 @@ func main() {
 		logf("worker %d: diagnostics on http://%s (/metrics /healthz /debug/pprof)", *id, diag.Addr())
 	}
 
+	run := transport.RunWorker
 	if prec == wire.PrecisionF32 {
-		final, err := transport.RunWorker32(ctx, *connect, transport.WorkerConfig32{
-			ID:                *id,
-			ReconnectAttempts: *reconnects,
-			ResumeToken:       token,
-			Tiers:             tiers,
-			Logf:              logf,
-		})
-		if err != nil {
-			if errors.Is(err, context.Canceled) {
-				log.Printf("worker %d interrupted", *id)
-				os.Exit(130)
-			}
-			fmt.Fprintln(os.Stderr, "byzworker:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("worker %d done; final accuracy %.4f\n", *id, final)
-		return
+		run = transport.RunWorker32
 	}
-
-	final, err := transport.RunWorker(ctx, *connect, transport.WorkerConfig{
+	final, err := run(ctx, *connect, transport.WorkerConfig{
 		ID:                *id,
 		Behavior:          transport.WorkerBehavior(*behavior),
 		ConstantValue:     *value,

@@ -36,6 +36,30 @@ type ChunkAggregator32 interface {
 	AggregateChunk32(grads [][]float32, out []float32, lo, hi int) error
 }
 
+// Bound is an aggregation rule at width T: Chunk for the coordinate-wise
+// rules (nil otherwise), Whole for the rest.
+type Bound[T linalg.Float] struct {
+	Chunk func(grads [][]T, out []T, lo, hi int) error
+	Whole func(grads [][]T) ([]T, error)
+}
+
+// BindOf binds agg at width T. At float32 only the coordinate-wise
+// rules qualify; any other wraps linalg.ErrNoFloat32Kernels.
+func BindOf[T linalg.Float](agg Aggregator) (Bound[T], error) {
+	if linalg.Width[T]() == 8 {
+		b := Bound[float64]{Whole: agg.Aggregate}
+		if ca, ok := agg.(ChunkAggregator); ok {
+			b.Chunk = ca.AggregateChunk
+		}
+		return any(b).(Bound[T]), nil
+	}
+	ca, ok := agg.(ChunkAggregator32)
+	if !ok {
+		return Bound[T]{}, fmt.Errorf("aggregator %s: %w", agg.Name(), linalg.ErrNoFloat32Kernels)
+	}
+	return any(Bound[float32]{Chunk: ca.AggregateChunk32}).(Bound[T]), nil
+}
+
 // chunkScratch is the pooled per-call working memory of the chunked
 // rules, so steady-state aggregation performs no per-round allocation.
 // One pool exists per element width (see getScratch).

@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"byzshield/internal/assign"
+	"byzshield/internal/linalg"
 	"byzshield/internal/wire"
 )
 
@@ -15,31 +16,31 @@ type slotRef struct{ worker, slot int }
 // at engine construction and reused across rounds so the steady-state
 // hot path performs no gradient-sized allocation. All gradient buffers
 // are views into flat backing arrays, which also keeps them cache-dense.
-type roundArena struct {
+type roundArena[T linalg.Float] struct {
 	dim int
 	// workerFiles[u] caches assignment.WorkerFiles(u).
 	workerFiles [][]int
 	// grads[u][j] is worker u's compute buffer for its j-th assigned
 	// file (views into one flat backing array).
-	grads [][][]float64
+	grads [][][]T
 	// cur[u][j] is the gradient the PS sees for (u, j) this round:
 	// worker u's own compute buffer for honest workers, the crafted
 	// payload for Byzantine workers, or the decoded receive buffer when
 	// communication measurement is on.
-	cur [][][]float64
+	cur [][][]T
 	// rx[u][j] is the decode-side buffer of the measured communication
 	// round-trip (allocated only when MeasureComm is set).
-	rx [][][]float64
+	rx [][][]T
 	// fileReplicas[v] lists the (worker, slot) pairs holding file v, in
 	// assignment FileWorkers order.
 	fileReplicas [][]slotRef
 	// trueGrads[v] points at the true (honest) gradient of file v this
 	// round — the attack oracle's view.
-	trueGrads [][]float64
+	trueGrads [][]T
 	// oracle[v] is a compute buffer for the files all of whose replicas
 	// are Byzantine (nil elsewhere); static per run because the
 	// Byzantine set is.
-	oracle [][]float64
+	oracle [][]T
 	// byzWorkers is the sorted Byzantine worker list; byzFiles the
 	// sorted union of their files. Both fix the payload-crafting order,
 	// making rounds deterministic regardless of map iteration.
@@ -47,22 +48,30 @@ type roundArena struct {
 	byzFiles   []int
 	// crafted[v] is the Byzantine payload elected for file v this round
 	// (only indices in byzFiles are written).
-	crafted [][]float64
+	crafted [][]T
+	// wideGrads and narrowed are the float32 engine's side of the
+	// adversary view (linalg.WidenRows, linalg.Narrow): the attack oracle
+	// reads float64, so the true gradients are widened into wideGrads
+	// and each crafted payload is narrowed into narrowed[v]. The rows
+	// exist only at float32 with a Byzantine set; at float64 the view is
+	// the gradients themselves.
+	wideGrads [][]float64
+	narrowed  [][]T
 	// winners[v] is file v's vote winner this round (nil when the file
 	// was dropped for lack of quorum).
-	winners [][]float64
+	winners [][]T
 	// live is the compacted winner list handed to the aggregator —
 	// identical to winners on full-participation rounds.
-	live [][]float64
+	live [][]T
 	// missing[u] marks worker u as not participating this round
 	// (crashed, skipped, or past deadline); reset at every round start.
 	missing []bool
 	// update is the aggregated model update.
-	update []float64
+	update []T
 	// replicas[w] is pool-goroutine w's replica gather scratch (cap R);
 	// replWorkers[w] the matching replica-owner worker ids (consumed by
 	// the reputation-weighted tie-break).
-	replicas    [][][]float64
+	replicas    [][][]T
 	replWorkers [][]int
 	// distorted[w], degraded[w], dropped[w], and voteErrs[w] accumulate
 	// pool-goroutine w's distorted-vote / degraded-vote / dropped-file
@@ -82,18 +91,18 @@ type roundArena struct {
 	// communication exercises the same raw-vs-delta self-selection
 	// (allocated only when MeasureComm is set).
 	encBuf  []byte
-	rxFrame wire.GradFrame
-	upEnc   []wire.UplinkEncoder
-	upDec   []wire.UplinkDecoder
+	rxFrame wire.GradFrameOf[T]
+	upEnc   []wire.UplinkEncoderOf[T]
+	upDec   []wire.UplinkDecoderOf[T]
 	// txRows/rxRows are the per-shard row-view scratch of the measured
 	// lossy-uplink round-trip (sized to the widest worker's slot count,
 	// allocated only when MeasureComm is set).
-	txRows [][]float64
-	rxRows [][]float64
+	txRows [][]T
+	rxRows [][]T
 	// quantSeen dedupes shared Byzantine payload buffers inside the
 	// lossy quantize-in-place pass (quantization is not idempotent, so
 	// each distinct buffer must pass exactly once). Grows on first use.
-	quantSeen []*float64
+	quantSeen []*T
 	// Broadcast-measurement state (allocated only under MeasureComm):
 	// prevParams is the parameter vector broadcast last round (the delta
 	// base), prevAck[u] whether worker u acknowledged it (participated
@@ -101,11 +110,11 @@ type roundArena struct {
 	// the fault model removed u permanently this round, bcastBuf the
 	// frame encode scratch, and bcastScratch the decode-side vector that
 	// makes the broadcast round-trip physically executed.
-	prevParams   []float64
+	prevParams   []T
 	prevAck      []bool
 	crashed      []bool
 	bcastBuf     []byte
-	bcastScratch []float64
+	bcastScratch []T
 }
 
 // newRoundArena preallocates every per-round buffer for the given
@@ -114,26 +123,26 @@ type roundArena struct {
 // when worker faults are injected, because any file's live honest
 // replicas can then vanish mid-run, leaving the attack oracle (and the
 // distorted-vote count) without a borrowed honest buffer to point at.
-func newRoundArena(a *assign.Assignment, dim int, byzSet map[int]bool, measureComm, fullOracle bool, poolWidth int) *roundArena {
-	ar := &roundArena{dim: dim}
+func newRoundArena[T linalg.Float](a *assign.Assignment, dim int, byzSet map[int]bool, measureComm, fullOracle bool, poolWidth int) *roundArena[T] {
+	ar := &roundArena[T]{dim: dim}
 	ar.workerFiles = make([][]int, a.K)
 	totalSlots := 0
 	for u := 0; u < a.K; u++ {
 		ar.workerFiles[u] = a.WorkerFiles(u)
 		totalSlots += len(ar.workerFiles[u])
 	}
-	backing := make([]float64, totalSlots*dim)
-	carve := func() []float64 {
+	backing := make([]T, totalSlots*dim)
+	carve := func() []T {
 		b := backing[:dim:dim]
 		backing = backing[dim:]
 		return b
 	}
-	ar.grads = make([][][]float64, a.K)
-	ar.cur = make([][][]float64, a.K)
+	ar.grads = make([][][]T, a.K)
+	ar.cur = make([][][]T, a.K)
 	for u := 0; u < a.K; u++ {
 		n := len(ar.workerFiles[u])
-		ar.grads[u] = make([][]float64, n)
-		ar.cur[u] = make([][]float64, n)
+		ar.grads[u] = make([][]T, n)
+		ar.cur[u] = make([][]T, n)
 		for j := 0; j < n; j++ {
 			ar.grads[u][j] = carve()
 			if !byzSet[u] {
@@ -144,30 +153,30 @@ func newRoundArena(a *assign.Assignment, dim int, byzSet map[int]bool, measureCo
 		}
 	}
 	if measureComm {
-		rxBacking := make([]float64, totalSlots*dim)
-		ar.rx = make([][][]float64, a.K)
+		rxBacking := make([]T, totalSlots*dim)
+		ar.rx = make([][][]T, a.K)
 		for u := 0; u < a.K; u++ {
 			n := len(ar.workerFiles[u])
-			ar.rx[u] = make([][]float64, n)
+			ar.rx[u] = make([][]T, n)
 			for j := 0; j < n; j++ {
 				ar.rx[u][j] = rxBacking[:dim:dim]
 				rxBacking = rxBacking[dim:]
 			}
 		}
-		ar.prevParams = make([]float64, dim)
+		ar.prevParams = make([]T, dim)
 		ar.prevAck = make([]bool, a.K)
 		ar.crashed = make([]bool, a.K)
-		ar.bcastScratch = make([]float64, dim)
-		ar.upEnc = make([]wire.UplinkEncoder, a.K)
-		ar.upDec = make([]wire.UplinkDecoder, a.K)
+		ar.bcastScratch = make([]T, dim)
+		ar.upEnc = make([]wire.UplinkEncoderOf[T], a.K)
+		ar.upDec = make([]wire.UplinkDecoderOf[T], a.K)
 		maxSlots := 0
 		for u := 0; u < a.K; u++ {
 			if n := len(ar.workerFiles[u]); n > maxSlots {
 				maxSlots = n
 			}
 		}
-		ar.txRows = make([][]float64, maxSlots)
-		ar.rxRows = make([][]float64, maxSlots)
+		ar.txRows = make([][]T, maxSlots)
+		ar.rxRows = make([][]T, maxSlots)
 	}
 	ar.files = make([][]int, a.F)
 
@@ -205,7 +214,7 @@ func newRoundArena(a *assign.Assignment, dim int, byzSet map[int]bool, measureCo
 	}
 	slices.Sort(ar.byzFiles)
 
-	ar.oracle = make([][]float64, a.F)
+	ar.oracle = make([][]T, a.F)
 	needsOracle := func(v int) bool {
 		return fullOracle || allByz(ar.fileReplicas[v], byzSet)
 	}
@@ -216,7 +225,7 @@ func newRoundArena(a *assign.Assignment, dim int, byzSet map[int]bool, measureCo
 		}
 	}
 	if needOracle > 0 {
-		oracleBacking := make([]float64, needOracle*dim)
+		oracleBacking := make([]T, needOracle*dim)
 		for v := 0; v < a.F; v++ {
 			if needsOracle(v) {
 				ar.oracle[v] = oracleBacking[:dim:dim]
@@ -225,16 +234,26 @@ func newRoundArena(a *assign.Assignment, dim int, byzSet map[int]bool, measureCo
 		}
 	}
 
-	ar.trueGrads = make([][]float64, a.F)
-	ar.crafted = make([][]float64, a.F)
-	ar.winners = make([][]float64, a.F)
-	ar.live = make([][]float64, 0, a.F)
+	ar.trueGrads = make([][]T, a.F)
+	ar.crafted = make([][]T, a.F)
+	ar.narrowed = make([][]T, a.F)
+	if len(byzSet) > 0 {
+		ar.wideGrads = linalg.NewWideRows[T](a.F, dim)
+	}
+	if ar.wideGrads != nil {
+		narrow := make([]T, len(ar.byzFiles)*dim)
+		for i, v := range ar.byzFiles {
+			ar.narrowed[v] = narrow[i*dim : (i+1)*dim : (i+1)*dim]
+		}
+	}
+	ar.winners = make([][]T, a.F)
+	ar.live = make([][]T, 0, a.F)
 	ar.missing = make([]bool, a.K)
-	ar.update = make([]float64, dim)
-	ar.replicas = make([][][]float64, poolWidth)
+	ar.update = make([]T, dim)
+	ar.replicas = make([][][]T, poolWidth)
 	ar.replWorkers = make([][]int, poolWidth)
 	for w := range ar.replicas {
-		ar.replicas[w] = make([][]float64, 0, maxR)
+		ar.replicas[w] = make([][]T, 0, maxR)
 		ar.replWorkers[w] = make([]int, 0, maxR)
 	}
 	ar.distorted = make([]int, poolWidth)

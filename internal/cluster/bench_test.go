@@ -21,6 +21,7 @@ import (
 	"byzshield/internal/data"
 	"byzshield/internal/detect"
 	"byzshield/internal/distort"
+	"byzshield/internal/linalg"
 	"byzshield/internal/model"
 	"byzshield/internal/obs"
 	"byzshield/internal/trainer"
@@ -175,14 +176,28 @@ func BenchmarkRoundMLP(b *testing.B) {
 // The instrumented subtest re-pins the same budget with the metrics
 // registry and round tracer enabled: every hot-path instrument is an
 // atomic store into preallocated state, so observability must be free
-// of allocation too.
+// of allocation too. The -f32 rows hold the float32 engine — the same
+// round core, with the attack oracle behind its widened view — to the
+// same budget.
 func TestSteadyStateAllocsPerRound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; alloc budget is pinned in the non-race run")
 	}
-	gate := func(t *testing.T, cfgT Config) {
-		t.Helper()
-		e, err := New(cfgT)
+	t.Run("bare", steadyStateAllocs[float64](false))
+	t.Run("instrumented", steadyStateAllocs[float64](true))
+	t.Run("bare-f32", steadyStateAllocs[float32](false))
+	t.Run("instrumented-f32", steadyStateAllocs[float32](true))
+}
+
+func steadyStateAllocs[T linalg.Float](instrumented bool) func(*testing.T) {
+	return func(t *testing.T) {
+		cfgT := quickstartConfig(t)
+		cfgT.Parallelism = 1
+		if instrumented {
+			cfgT.Metrics = obs.NewRegistry()
+			cfgT.Tracer = obs.NewTracer(64)
+		}
+		e, err := NewOf[T](cfgT)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,18 +219,6 @@ func TestSteadyStateAllocsPerRound(t *testing.T) {
 			t.Errorf("steady-state round allocates %.1f times, want ≤ 4 (attacker scratch + sampler prealloc regressed)", allocs)
 		}
 	}
-	t.Run("bare", func(t *testing.T) {
-		cfgT := quickstartConfig(t)
-		cfgT.Parallelism = 1
-		gate(t, cfgT)
-	})
-	t.Run("instrumented", func(t *testing.T) {
-		cfgT := quickstartConfig(t)
-		cfgT.Parallelism = 1
-		cfgT.Metrics = obs.NewRegistry()
-		cfgT.Tracer = obs.NewTracer(64)
-		gate(t, cfgT)
-	})
 }
 
 // BenchmarkVoteMajority isolates the allocation-free small-n vote on a

@@ -1,11 +1,11 @@
 package cluster
 
 import (
-	"math"
 	"testing"
 
 	"byzshield/internal/aggregate"
 	"byzshield/internal/attack"
+	"byzshield/internal/linalg"
 )
 
 // TestSnapshotRestoreResumesIdentically: running 10 rounds straight must
@@ -15,9 +15,14 @@ import (
 // sampler from the seed and fast-forwards it to the snapshot iteration,
 // so the fresh engine needs no round replay before restoring.
 func TestSnapshotRestoreResumesIdentically(t *testing.T) {
-	build := func() *Engine {
+	t.Run("f64", snapshotRestoreResumesIdentically[float64])
+	t.Run("f32", snapshotRestoreResumesIdentically[float32])
+}
+
+func snapshotRestoreResumesIdentically[T linalg.Float](t *testing.T) {
+	build := func() *EngineOf[T] {
 		cfg := testSetup(t, []int{1, 6}, attack.ALIE{}, aggregate.Median{})
-		e, err := New(cfg)
+		e, err := NewOf[T](cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,11 +60,8 @@ func TestSnapshotRestoreResumesIdentically(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got := second.Params()
-	for i := range want {
-		if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
-			t.Fatalf("resumed run diverged at param %d: %v vs %v", i, want[i], got[i])
-		}
+	if got := second.Params(); !linalg.EqualBits(want, got) {
+		t.Fatal("resumed run diverged from the uninterrupted one")
 	}
 	if second.Iteration() != 10 {
 		t.Errorf("iteration = %d, want 10", second.Iteration())

@@ -56,7 +56,13 @@ import (
 // ErrClosed is returned by StepOnce after Close.
 var ErrClosed = errors.New("cluster: engine closed")
 
-// Config assembles one training experiment.
+// Config assembles one training experiment, at either element width:
+// New runs it on the float64 engine, New32 on the float32 one. Nothing
+// in it names a width — the float32 engine takes the float32 kernels of
+// Model and Aggregator (model.Model32, aggregate.ChunkAggregator32, which
+// embed the interfaces named here) and narrows Train and Test once at
+// construction, so both tiers of one experiment load data a single time
+// and draw the identical batch stream.
 type Config struct {
 	Assignment *assign.Assignment
 	Model      model.Model
@@ -160,8 +166,10 @@ type Config struct {
 	// Source is set, the in-process-only knobs (Attack, Byzantines,
 	// SignMessages, VoteTolerance, MeasureComm, Fault) must be unset —
 	// in a real deployment those behaviors belong to the workers, not
-	// the PS.
-	Source GradientSource
+	// the PS. The value must be a GradientSourceOf[T] at the width of
+	// the engine being built (one Config serves both, so the field is
+	// untyped); anything else is a construction error.
+	Source any
 	// Metrics, when non-nil, registers the engine's instruments (round
 	// counter, per-phase latency histograms, file-outcome counters,
 	// arena occupancy, a per-round heap-allocation guard) at
@@ -258,12 +266,21 @@ type RoundStats struct {
 	Times       PhaseTimes
 }
 
-// Engine executes the protocol.
-type Engine struct {
-	cfg         Config
-	src         GradientSource
-	params      []float64
-	opt         *trainer.SGD
+// EngineOf executes the protocol at element width T.
+type EngineOf[T linalg.Float] struct {
+	cfg Config
+	// train, test, agg and median are the per-width binding between the
+	// round core and the components whose method sets name an element
+	// type: the model over the (at float32, narrowed) training and test
+	// sets, the configured aggregation rule, and the coordinate-wise
+	// median a feasibility-degraded round falls back to. Bound once at
+	// construction (model.BindOf, aggregate.BindOf) and called per file
+	// and per chunk, never per coordinate.
+	train, test model.Bound[T]
+	agg, median aggregate.Bound[T]
+	src         GradientSourceOf[T]
+	params      []T
+	opt         *trainer.SGDOf[T]
 	sampler     batchSource
 	byzSet      map[int]bool
 	honest      []int // sorted non-Byzantine worker ids
@@ -273,10 +290,10 @@ type Engine struct {
 	times       PhaseTimes
 	pool        *pool // nil when Parallelism == 1
 	width       int   // pool width (1 when serial)
-	arena       *roundArena
+	arena       *roundArena[T]
 	// rd is the persistent Round view handed to the source each
 	// iteration (only its files table changes per round).
-	rd Round
+	rd RoundOf[T]
 	// atkRng and atkCtx are the reusable attack-oracle state: the rng
 	// is reseeded per round (identical stream to a freshly constructed
 	// one) and the context struct is updated in place, so the Byzantine
@@ -314,17 +331,27 @@ type Engine struct {
 	// Config.Metrics is unset); tracer and trace are the round tracer
 	// and its engine-owned scratch record (trace's worker-set slices are
 	// preallocated at cap K so filling them never allocates).
-	ins       *engineInstruments
-	tracer    *obs.Tracer
-	trace     obs.RoundTrace
-	closeOnce sync.Once
-	closed    bool
+	ins    *engineInstruments
+	tracer *obs.Tracer
+	trace  obs.RoundTrace
+	// phase holds the pool task bodies; scale and the agg* fields are
+	// the per-round inputs the scale and aggregate bodies read (the
+	// per-sample factor; the rule, its operands, the chunk length and
+	// the per-chunk error slots).
+	phase      phases
+	scale      T
+	aggRule    *aggregate.Bound[T]
+	aggWinners [][]T
+	aggPer     int
+	aggErrs    []error
+	closeOnce  sync.Once
+	closed     bool
 }
 
-// New validates the configuration and initializes the engine, including
-// its gradient arena and worker pool. Callers that create many engines
-// should Close each one to release the pool goroutines.
-func New(cfg Config) (*Engine, error) {
+// NewOf validates the configuration and initializes the engine of width
+// T, including its gradient arena and worker pool. Callers that create
+// many engines should Close each one to release the pool goroutines.
+func NewOf[T linalg.Float](cfg Config) (*EngineOf[T], error) {
 	if cfg.Assignment == nil || cfg.Model == nil || cfg.Train == nil || cfg.Test == nil {
 		return nil, fmt.Errorf("cluster: assignment, model, train and test are required")
 	}
@@ -334,7 +361,12 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Aggregator == nil {
 		return nil, fmt.Errorf("cluster: aggregator is required")
 	}
+	var src GradientSourceOf[T]
 	if cfg.Source != nil {
+		var ok bool
+		if src, ok = cfg.Source.(GradientSourceOf[T]); !ok {
+			return nil, fmt.Errorf("cluster: Source is a %T, not a gradient source of this engine's width", cfg.Source)
+		}
 		if cfg.Attack != nil || len(cfg.Byzantines) > 0 || cfg.SignMessages ||
 			cfg.VoteTolerance != 0 || cfg.MeasureComm || cfg.Fault != nil ||
 			cfg.UplinkTier != wire.TierDelta {
@@ -395,11 +427,28 @@ func New(cfg Config) (*Engine, error) {
 		}
 		byzSet[u] = true
 	}
+	train, err := model.BindOf[T](cfg.Model, cfg.Train)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
+	}
+	test, err := model.BindOf[T](cfg.Model, cfg.Test)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
+	}
+	agg, err := aggregate.BindOf[T](cfg.Aggregator)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
+	}
+	median, err := aggregate.BindOf[T](aggregate.Median{})
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
+	}
 	sampler, err := newBatchSource(&cfg)
 	if err != nil {
 		return nil, err
 	}
-	opt, err := trainer.NewSGD(cfg.Schedule, cfg.Momentum, cfg.Model.NumParams())
+	dim := cfg.Model.NumParams()
+	opt, err := trainer.NewSGDOf[T](cfg.Schedule, cfg.Momentum, dim)
 	if err != nil {
 		return nil, err
 	}
@@ -407,9 +456,13 @@ func New(cfg Config) (*Engine, error) {
 	if width == 0 {
 		width = runtime.GOMAXPROCS(0)
 	}
-	e := &Engine{
+	e := &EngineOf[T]{
 		cfg:          cfg,
-		params:       model.InitParams(cfg.Model, cfg.Seed),
+		train:        train,
+		test:         test,
+		agg:          agg,
+		median:       median,
+		params:       model.InitParamsOf[T](cfg.Model, cfg.Seed),
 		opt:          opt,
 		sampler:      sampler,
 		byzSet:       byzSet,
@@ -425,20 +478,22 @@ func New(cfg Config) (*Engine, error) {
 	e.corruptible = e.computeCorruptible()
 	if !detect.IsNone(cfg.Detector) {
 		e.det = cfg.Detector
-		e.detSt = detect.NewState(cfg.Assignment.K, cfg.Model.NumParams(), cfg.Detection)
+		e.detSt = detect.NewState(cfg.Assignment.K, dim, cfg.Detection)
 	}
 	// A fault model or a live detector can both remove workers mid-run
 	// (faults by plan, detection by blacklist), so either forces the
 	// full-oracle arena: any file's live honest replicas may vanish.
-	e.arena = newRoundArena(cfg.Assignment, cfg.Model.NumParams(), byzSet, cfg.MeasureComm, cfg.Fault != nil || e.det != nil, width)
+	e.arena = newRoundArena[T](cfg.Assignment, dim, byzSet, cfg.MeasureComm, cfg.Fault != nil || e.det != nil, width)
 	for u := range e.arena.upEnc {
 		e.arena.upEnc[u].Tier = cfg.UplinkTier
 		e.arena.upDec[u].Tier = cfg.UplinkTier
 	}
-	if n := wire.ShardCount(cfg.Shards, cfg.Model.NumParams()); n > 1 {
-		e.plane = newShardPlane(n, cfg.Model.NumParams(), cfg.Assignment.F, cfg.Assignment.K)
+	e.aggErrs = make([]error, width)
+	if n := wire.ShardCount(cfg.Shards, dim); n > 1 {
+		e.plane = newShardPlane(n, dim, cfg.Assignment.F, cfg.Assignment.K)
+		e.aggErrs = make([]error, n)
 	}
-	e.rd = Round{eng: e}
+	e.rd = RoundOf[T]{eng: e}
 	if len(byzSet) > 0 {
 		e.atkRng = rand.New(rand.NewSource(cfg.Seed))
 	}
@@ -449,12 +504,13 @@ func New(cfg Config) (*Engine, error) {
 	if width > 1 {
 		e.pool = newPool(width)
 	}
-	e.src = cfg.Source
+	e.src = src
 	if e.src == nil {
-		e.src = localSource{e: e}
+		e.src = localSource[T]{e: e}
 	}
+	e.bindPhases()
 	if cfg.Metrics != nil {
-		e.ins = newEngineInstruments(cfg.Metrics, e)
+		e.ins = newEngineInstruments(cfg.Metrics, e.arena.workerFiles)
 		if e.detSt != nil {
 			e.detSt.SetInstruments(detect.NewInstruments(cfg.Metrics))
 		}
@@ -471,7 +527,7 @@ func New(cfg Config) (*Engine, error) {
 // Close releases the engine's worker pool goroutines. The engine must
 // not be stepped concurrently with Close; StepOnce afterwards returns
 // ErrClosed. Close is idempotent.
-func (e *Engine) Close() error {
+func (e *EngineOf[T]) Close() error {
 	e.closeOnce.Do(func() {
 		e.closed = true
 		if e.pool != nil {
@@ -508,7 +564,7 @@ func newBatchSource(cfg *Config) (batchSource, error) {
 // calling goroutine for the serial engine, across the persistent pool
 // otherwise. Tasks must be independent, which is also what makes the two
 // execution modes bit-identical.
-func (e *Engine) runPhase(n int, fn func(worker, task int)) {
+func (e *EngineOf[T]) runPhase(n int, fn func(worker, task int)) {
 	if e.pool == nil {
 		for t := 0; t < n; t++ {
 			fn(0, t)
@@ -520,7 +576,7 @@ func (e *Engine) runPhase(n int, fn func(worker, task int)) {
 
 // computeCorruptible returns the files with at least r' Byzantine
 // replicas under the configured Byzantine set.
-func (e *Engine) computeCorruptible() []int {
+func (e *EngineOf[T]) computeCorruptible() []int {
 	a := e.cfg.Assignment
 	rp := a.R/2 + 1
 	var out []int
@@ -539,31 +595,31 @@ func (e *Engine) computeCorruptible() []int {
 }
 
 // CorruptibleFiles returns the files whose votes the Byzantines control.
-func (e *Engine) CorruptibleFiles() []int {
+func (e *EngineOf[T]) CorruptibleFiles() []int {
 	return append([]int(nil), e.corruptible...)
 }
 
 // DistortionFraction returns ε̂ = |corruptible| / f for this run.
-func (e *Engine) DistortionFraction() float64 {
+func (e *EngineOf[T]) DistortionFraction() float64 {
 	return float64(len(e.corruptible)) / float64(e.cfg.Assignment.F)
 }
 
 // Params returns the current model parameters (a copy).
-func (e *Engine) Params() []float64 {
-	out := make([]float64, len(e.params))
+func (e *EngineOf[T]) Params() []T {
+	out := make([]T, len(e.params))
 	copy(out, e.params)
 	return out
 }
 
 // Times returns accumulated per-phase wall-clock times.
-func (e *Engine) Times() PhaseTimes { return e.times }
+func (e *EngineOf[T]) Times() PhaseTimes { return e.times }
 
 // Iteration returns the next iteration index to execute.
-func (e *Engine) Iteration() int { return e.iter }
+func (e *EngineOf[T]) Iteration() int { return e.iter }
 
 // Snapshot captures the restartable training state (parameters,
 // momentum, iteration) for checkpointing.
-func (e *Engine) Snapshot() (params, velocity []float64, iteration int) {
+func (e *EngineOf[T]) Snapshot() (params, velocity []T, iteration int) {
 	return e.Params(), e.opt.Velocity(), e.iter
 }
 
@@ -572,7 +628,7 @@ func (e *Engine) Snapshot() (params, velocity []float64, iteration int) {
 // engine's seed and fast-forwarded to the snapshot iteration, so a
 // restore into a freshly constructed engine continues the exact sample
 // stream of the interrupted run — no round replay is needed.
-func (e *Engine) Restore(params, velocity []float64, iteration int) error {
+func (e *EngineOf[T]) Restore(params, velocity []T, iteration int) error {
 	if len(params) != len(e.params) {
 		return fmt.Errorf("cluster: restore params length %d, want %d", len(params), len(e.params))
 	}
@@ -609,7 +665,7 @@ func (e *Engine) Restore(params, velocity []float64, iteration int) error {
 // preconditions hold for this run's operand count and worst-case
 // corruption — the applicability constraints the paper runs into
 // ("Bulyan cannot be paired with DETOX for q ≥ 1 ...").
-func (e *Engine) CheckFeasible() error {
+func (e *EngineOf[T]) CheckFeasible() error {
 	ba, ok := e.cfg.Aggregator.(aggregate.ByzAware)
 	if !ok {
 		return nil
@@ -620,7 +676,7 @@ func (e *Engine) CheckFeasible() error {
 }
 
 // RunRound executes one protocol round and returns its statistics.
-func (e *Engine) RunRound() (RoundStats, error) {
+func (e *EngineOf[T]) RunRound() (RoundStats, error) {
 	return e.StepOnce(context.Background())
 }
 
@@ -632,7 +688,7 @@ func (e *Engine) RunRound() (RoundStats, error) {
 // additionally fail mid-collection, e.g. on cancellation while blocked
 // on sockets; such a round is aborted without an optimizer step and the
 // error is surfaced.)
-func (e *Engine) StepOnce(ctx context.Context) (RoundStats, error) {
+func (e *EngineOf[T]) StepOnce(ctx context.Context) (RoundStats, error) {
 	if err := ctx.Err(); err != nil {
 		return RoundStats{}, err
 	}
@@ -728,17 +784,7 @@ func (e *Engine) StepOnce(ctx context.Context) (RoundStats, error) {
 	if e.detSt != nil {
 		detStart := time.Now()
 		e.detSt.BeginRound()
-		e.runPhase(a.K, func(_, u int) {
-			if ar.missing[u] {
-				return
-			}
-			r := e.detSt.Report(u)
-			for _, g := range ar.cur[u] {
-				for i, x := range g {
-					r[i] += x
-				}
-			}
-		})
+		e.runPhase(a.K, e.phase.report)
 		e.detSt.Observe(e.det)
 		for _, u := range e.detSt.NewlyBlacklisted() {
 			ar.missing[u] = true
@@ -761,7 +807,7 @@ func (e *Engine) StepOnce(ctx context.Context) (RoundStats, error) {
 	if e.plane != nil {
 		e.shardedVotePhase()
 	} else {
-		e.runPhase(a.F, e.voteFile)
+		e.runPhase(a.F, e.phase.vote)
 	}
 	// voteDur splits the aggregation span for the tracer/metrics; the
 	// accumulated Times.Aggregation keeps its historical meaning
@@ -794,12 +840,12 @@ func (e *Engine) StepOnce(ctx context.Context) (RoundStats, error) {
 	// degrade this round to coordinate-wise median instead of erroring —
 	// a long-degraded run keeps training. A configuration that is
 	// infeasible even at full strength still fails loudly.
-	agg := e.cfg.Aggregator
+	agg := &e.agg
 	aggDegraded := false
-	if ba, ok := agg.(aggregate.ByzAware); ok && len(live) < a.F {
+	if ba, ok := e.cfg.Aggregator.(aggregate.ByzAware); ok && len(live) < a.F {
 		c := len(e.corruptible)
 		if ba.Feasible(len(live), c) != nil && ba.Feasible(a.F, c) == nil {
-			agg = aggregate.Median{}
+			agg = &e.median
 			aggDegraded = true
 		}
 	}
@@ -808,14 +854,13 @@ func (e *Engine) StepOnce(ctx context.Context) (RoundStats, error) {
 	}
 	if !e.cfg.SignMessages {
 		// Winners are gradient sums over ~batch/f samples; normalize to
-		// per-sample scale for the update (Algorithm 1, line 17).
-		scale := data.PerSampleScale(a.F, e.cfg.BatchSize)
+		// per-sample scale for the update (Algorithm 1, line 17). The
+		// factor is narrowed to T once, so every coordinate sees the same
+		// multiplier.
+		scale := T(data.PerSampleScale(a.F, e.cfg.BatchSize))
 		if pl := e.plane; pl != nil {
-			e.runPhase(pl.n, func(_, s int) {
-				for i := pl.ranges[s][0]; i < pl.ranges[s][1]; i++ {
-					ar.update[i] *= scale
-				}
-			})
+			e.scale = scale
+			e.runPhase(pl.n, e.phase.scale)
 		} else {
 			for i := range ar.update {
 				ar.update[i] *= scale
@@ -829,9 +874,7 @@ func (e *Engine) StepOnce(ctx context.Context) (RoundStats, error) {
 		// Each shard steps its own coordinate range; momentum SGD is
 		// coordinate-wise, so any shard partition performs the identical
 		// per-coordinate floating-point operations as the serial step.
-		e.runPhase(pl.n, func(_, s int) {
-			e.opt.StepChunk(e.params, ar.update, e.iter, pl.ranges[s][0], pl.ranges[s][1])
-		})
+		e.runPhase(pl.n, e.phase.step)
 	} else {
 		e.opt.Step(e.params, ar.update, e.iter)
 	}
@@ -874,7 +917,7 @@ func (e *Engine) StepOnce(ctx context.Context) (RoundStats, error) {
 	}
 	e.times.Add(stats.Times)
 	if e.ins != nil {
-		e.ins.observeRound(e, &stats, prepDur, collectDur, voteDur, aggTime, cs.Broadcast)
+		e.ins.observeRound(&stats, prepDur, collectDur, voteDur, aggTime, cs.Broadcast)
 	}
 	if e.tracer != nil {
 		e.recordTrace(&stats, prepDur, collectDur, voteDur, aggTime, cs.Broadcast)
@@ -886,7 +929,7 @@ func (e *Engine) StepOnce(ctx context.Context) (RoundStats, error) {
 // recordTrace fills the engine-owned trace scratch from the round's
 // stats and hands it to the tracer. The worker-set slices were
 // preallocated at cap K, so this is alloc-free in steady state.
-func (e *Engine) recordTrace(stats *RoundStats, prep, collect, vote, aggTotal time.Duration, broadcast time.Duration) {
+func (e *EngineOf[T]) recordTrace(stats *RoundStats, prep, collect, vote, aggTotal time.Duration, broadcast time.Duration) {
 	rt := &e.trace
 	rt.Round = stats.Iteration
 	rt.Shards = e.rd.Shards()
@@ -920,7 +963,7 @@ func (e *Engine) recordTrace(stats *RoundStats, prep, collect, vote, aggTotal ti
 // width-w scratch rows, writing the winner and the per-slot
 // degraded/dropped/distorted counters. It is both the pooled vote-phase
 // task body and the sharded plane's per-file fallback (slot 0).
-func (e *Engine) voteFile(w, v int) {
+func (e *EngineOf[T]) voteFile(w, v int) {
 	ar := e.arena
 	repl := ar.replicas[w][:0]
 	workers := ar.replWorkers[w][:0]
@@ -937,15 +980,15 @@ func (e *Engine) voteFile(w, v int) {
 		return
 	}
 	degradedVote := len(repl) < len(ar.fileReplicas[v])
-	var res vote.Result
+	var res vote.ResultOf[T]
 	var vErr error
 	switch {
 	case len(repl) == 1:
-		res = vote.Result{Winner: repl[0], Count: 1, Unanimous: true}
+		res = vote.ResultOf[T]{Winner: repl[0], Count: 1, Unanimous: true}
 	case e.cfg.VoteTolerance > 0:
-		res, vErr = vote.MajorityWithTolerance(repl, e.cfg.VoteTolerance)
+		res, vErr = vote.MajorityWithToleranceOf(repl, e.cfg.VoteTolerance)
 	default:
-		res, vErr = vote.Majority(repl)
+		res, vErr = vote.MajorityOf(repl)
 	}
 	if vErr != nil {
 		if ar.voteErrs[w] == nil {
@@ -994,7 +1037,7 @@ func (e *Engine) voteFile(w, v int) {
 // hands it over for an early broadcast. A preparation failure is
 // deferred to the next StepOnce boundary (the current round is already
 // collected and completes normally). No-op unless PrepareAhead is set.
-func (e *Engine) prepareNext() {
+func (e *EngineOf[T]) prepareNext() {
 	if !e.cfg.PrepareAhead || e.prepErr != nil || e.pendingFiles != nil {
 		return
 	}
@@ -1018,7 +1061,7 @@ func (e *Engine) prepareNext() {
 // copyBatch copies a freshly drawn batch into one of two alternating
 // engine-owned buffers, so a file table partitioned from it survives
 // the sampler's next draw (see the prepBatch field).
-func (e *Engine) copyBatch(batch []int) []int {
+func (e *EngineOf[T]) copyBatch(batch []int) []int {
 	b := &e.prepBatch[e.prepFlip]
 	e.prepFlip ^= 1
 	*b = append((*b)[:0], batch...)
@@ -1031,7 +1074,7 @@ func (e *Engine) copyBatch(batch []int) []int {
 // the strictly best group wins. A reputation tie keeps the vote tied
 // (the caller drops the file). Replica counts are at most R, so the
 // quadratic grouping is trivial.
-func (e *Engine) resolveDegradedTie(repl [][]float64, workers []int) ([]float64, bool) {
+func (e *EngineOf[T]) resolveDegradedTie(repl [][]T, workers []int) ([]T, bool) {
 	best := -1
 	bestRep := 0.0
 	unique := false
@@ -1068,13 +1111,13 @@ func (e *Engine) resolveDegradedTie(repl [][]float64, workers []int) ([]float64,
 // BlacklistedWorker reports whether the detection layer has blacklisted
 // worker u; always false when detection is off. The TCP server consults
 // this to refuse rejoin tokens of evicted outliers.
-func (e *Engine) BlacklistedWorker(u int) bool {
+func (e *EngineOf[T]) BlacklistedWorker(u int) bool {
 	return e.detSt != nil && e.detSt.Blacklisted(u)
 }
 
 // MeanReputation returns the fleet-wide mean reputation (1 when
 // detection is off).
-func (e *Engine) MeanReputation() float64 {
+func (e *EngineOf[T]) MeanReputation() float64 {
 	if e.detSt == nil {
 		return 1
 	}
@@ -1084,7 +1127,7 @@ func (e *Engine) MeanReputation() float64 {
 // Reputation returns worker u's current reputation score (1 when
 // detection is off). The TCP server mirrors it into the fleet table
 // after every round.
-func (e *Engine) Reputation(u int) float64 {
+func (e *EngineOf[T]) Reputation(u int) float64 {
 	if e.detSt == nil {
 		return 1
 	}
@@ -1095,7 +1138,7 @@ func (e *Engine) Reputation(u int) float64 {
 // metric instruments and is safe to call with metrics disabled (no-op).
 // The TCP server uses it for spans the engine cannot see itself — the
 // asynchronous held-out evaluation.
-func (e *Engine) ObservePhase(p obs.Phase, d time.Duration) {
+func (e *EngineOf[T]) ObservePhase(p obs.Phase, d time.Duration) {
 	if e.ins != nil {
 		e.ins.phase[p].Observe(d.Seconds())
 	}
@@ -1104,73 +1147,97 @@ func (e *Engine) ObservePhase(p obs.Phase, d time.Duration) {
 // aggregate reduces the vote winners into the arena's update vector
 // with the given rule (the configured aggregator, or the median
 // fallback on feasibility-degraded rounds). Coordinate-wise rules
-// (aggregate.ChunkAggregator) reduce in parallel chunks across the
-// pool — bit-identical to a serial pass because every coordinate is
-// reduced independently; other rules run their ordinary Aggregate.
-func (e *Engine) aggregate(agg aggregate.Aggregator, winners [][]float64) error {
-	ca, ok := agg.(aggregate.ChunkAggregator)
-	// The sharded plane aggregates along its own coordinate ranges so a
-	// shard's reduce can later move out of process; errors are collected
-	// per shard and surfaced lowest-shard-first.
-	if ok && e.plane != nil {
-		pl := e.plane
-		for s := 0; s < pl.n; s++ {
-			pl.aggErr[s] = nil
-		}
-		e.runPhase(pl.n, func(_, s int) {
-			pl.aggErr[s] = ca.AggregateChunk(winners, e.arena.update, pl.ranges[s][0], pl.ranges[s][1])
-		})
-		for s := 0; s < pl.n; s++ {
-			if pl.aggErr[s] != nil {
-				return pl.aggErr[s]
-			}
-		}
-		return nil
-	}
-	if !ok || e.pool == nil {
-		if ok {
-			return ca.AggregateChunk(winners, e.arena.update, 0, e.arena.dim)
-		}
-		update, err := agg.Aggregate(winners)
+// reduce in parallel chunks across the pool — bit-identical to a serial
+// pass because every coordinate is reduced independently; other rules
+// run their ordinary whole-vector reduction.
+func (e *EngineOf[T]) aggregate(agg *aggregate.Bound[T], winners [][]T) error {
+	ar := e.arena
+	if agg.Chunk == nil {
+		update, err := agg.Whole(winners)
 		if err != nil {
 			return err
 		}
-		copy(e.arena.update, update)
+		copy(ar.update, update)
 		return nil
 	}
-	dim := e.arena.dim
-	chunks := e.width
-	if chunks > dim {
-		chunks = dim
+	if e.plane == nil && e.pool == nil {
+		return agg.Chunk(winners, ar.update, 0, ar.dim)
 	}
-	per := (dim + chunks - 1) / chunks
-	// Errors are recorded per chunk index, not per pool worker: the
-	// pool's worker→chunk mapping is scheduling-dependent, so keying by
-	// worker slot would surface a different error run to run. Keying by
-	// chunk and scanning ascending makes serial and pooled failing runs
-	// report the same (lowest-range) error. chunks <= width, so the
-	// voteErrs scratch is wide enough.
-	errs := e.arena.voteErrs
-	for c := 0; c < chunks; c++ {
-		errs[c] = nil
+	// The sharded plane aggregates along its own coordinate ranges so a
+	// shard's reduce can later move out of process; the pooled engine
+	// otherwise cuts [0, dim) into one chunk per pool goroutine. Errors
+	// are recorded per chunk index, not per pool worker: the pool's
+	// worker→chunk mapping is scheduling-dependent, so keying by worker
+	// slot would surface a different error run to run. Keying by chunk
+	// and scanning ascending makes serial and pooled failing runs report
+	// the same (lowest-range) error.
+	chunks := min(e.width, ar.dim)
+	if e.plane != nil {
+		chunks = e.plane.n
 	}
-	e.runPhase(chunks, func(_, c int) {
-		lo := c * per
-		hi := lo + per
-		if hi > dim {
-			hi = dim
-		}
-		if lo >= hi {
-			return
-		}
-		errs[c] = ca.AggregateChunk(winners, e.arena.update, lo, hi)
-	})
-	for c := 0; c < chunks; c++ {
-		if errs[c] != nil {
-			return errs[c]
+	e.aggRule, e.aggWinners = agg, winners
+	e.aggPer = (ar.dim + chunks - 1) / chunks
+	errs := e.aggErrs[:chunks]
+	clear(errs)
+	e.runPhase(chunks, e.phase.aggregate)
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// phases are the pool task bodies of a round, bound once at
+// construction so a steady-state round allocates no closure (a method
+// value or a capturing literal handed to the pool escapes to the heap).
+// Each reads its per-round inputs from engine fields.
+type phases struct {
+	compute, report, vote, voteShard, aggregate, scale, step func(worker, task int)
+}
+
+// bindPhases builds the phase bodies the configuration can reach.
+func (e *EngineOf[T]) bindPhases() {
+	ar := e.arena
+	e.phase.vote = e.voteFile
+	e.phase.aggregate = func(_, c int) {
+		lo, hi := c*e.aggPer, min((c+1)*e.aggPer, ar.dim)
+		if pl := e.plane; pl != nil {
+			lo, hi = pl.ranges[c][0], pl.ranges[c][1]
+		}
+		if lo < hi {
+			e.aggErrs[c] = e.aggRule.Chunk(e.aggWinners, ar.update, lo, hi)
+		}
+	}
+	if pl := e.plane; pl != nil {
+		e.phase.voteShard = e.finishShardVote
+		e.phase.scale = func(_, s int) {
+			scale := e.scale
+			for i := pl.ranges[s][0]; i < pl.ranges[s][1]; i++ {
+				ar.update[i] *= scale
+			}
+		}
+		e.phase.step = func(_, s int) {
+			e.opt.StepChunk(e.params, ar.update, e.iter, pl.ranges[s][0], pl.ranges[s][1])
+		}
+	}
+	if e.detSt != nil {
+		// One task per worker, each owning one report row, so any pool
+		// width observes identical features. Reports accumulate in
+		// float64 at either engine width.
+		e.phase.report = func(_, u int) {
+			if ar.missing[u] {
+				return
+			}
+			r := e.detSt.Report(u)
+			for _, g := range ar.cur[u] {
+				for i, x := range g {
+					r[i] += float64(x)
+				}
+			}
+		}
+	}
+	e.phase.compute = e.computeWorker
 }
 
 // Run executes iterations rounds under ctx, evaluating test accuracy
@@ -1178,7 +1245,7 @@ func (e *Engine) aggregate(agg aggregate.Aggregator, winners [][]float64) error 
 // the end. The returned history contains one point per evaluation; on
 // cancellation the partial history recorded so far is returned together
 // with the context error.
-func (e *Engine) Run(ctx context.Context, iterations, evalEvery int) (*trainer.History, error) {
+func (e *EngineOf[T]) Run(ctx context.Context, iterations, evalEvery int) (*trainer.History, error) {
 	var h trainer.History
 	if iterations < 1 {
 		return &h, fmt.Errorf("cluster: iterations %d < 1", iterations)
@@ -1198,13 +1265,13 @@ func (e *Engine) Run(ctx context.Context, iterations, evalEvery int) (*trainer.H
 }
 
 // Evaluate returns the current test accuracy.
-func (e *Engine) Evaluate() float64 {
+func (e *EngineOf[T]) Evaluate() float64 {
 	return e.EvaluateParams(e.params)
 }
 
 // EvalLoss returns the current training loss on the deterministic probe
 // subset used for history reporting.
-func (e *Engine) EvalLoss() float64 {
+func (e *EngineOf[T]) EvalLoss() float64 {
 	return e.EvalLossParams(e.params)
 }
 
@@ -1212,14 +1279,14 @@ func (e *Engine) EvalLoss() float64 {
 // vector. Safe to call from a goroutine concurrent with StepOnce when
 // params is a caller-owned snapshot (the TCP server evaluates off the
 // serve loop this way so workers don't idle between rounds).
-func (e *Engine) EvaluateParams(params []float64) float64 {
-	return model.Accuracy(e.cfg.Model, params, e.cfg.Test)
+func (e *EngineOf[T]) EvaluateParams(params []T) float64 {
+	return e.test.Accuracy(params)
 }
 
 // EvalLossParams returns the probe-subset training loss of an arbitrary
 // parameter vector; the same concurrency contract as EvaluateParams.
-func (e *Engine) EvalLossParams(params []float64) float64 {
-	return e.cfg.Model.Loss(params, e.cfg.Train, e.arena.probe)
+func (e *EngineOf[T]) EvalLossParams(params []T) float64 {
+	return e.train.Loss(params, e.arena.probe)
 }
 
 // quantizeUplink applies the configured lossy uplink tier's exact
@@ -1230,10 +1297,10 @@ func (e *Engine) EvalLossParams(params []float64) float64 {
 // the wire's framing for the engine to reproduce a TCP run bit for
 // bit. Not idempotent in floating point: callers apply it exactly once
 // per distinct buffer.
-func (e *Engine) quantizeUplink(g []float64) {
-	quant := wire.SignQuantizeInPlace
+func (e *EngineOf[T]) quantizeUplink(g []T) {
+	quant := wire.SignQuantizeInPlaceOf[T]
 	if e.cfg.UplinkTier == wire.TierInt8 {
-		quant = wire.Int8QuantizeInPlace
+		quant = wire.Int8QuantizeInPlaceOf[T]
 	}
 	if pl := e.plane; pl != nil {
 		for s := 0; s < pl.n; s++ {
@@ -1245,7 +1312,7 @@ func (e *Engine) quantizeUplink(g []float64) {
 }
 
 // signInPlace maps a vector to coordinate signs in {−1, 0, 1}.
-func signInPlace(g []float64) {
+func signInPlace[T linalg.Float](g []T) {
 	for i, v := range g {
 		switch {
 		case v > 0:

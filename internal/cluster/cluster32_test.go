@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -64,25 +65,25 @@ func run32(t *testing.T, cfg Config32, rounds int) []float32 {
 	return e.Params()
 }
 
-// TestEngine32SerialPooledShardedIdentical pins the tentpole bit-identity
-// discipline: the f32 serial engine, the pooled engine, the sharded
-// engine, and prepare-ahead all produce the same parameter bits.
+// TestEngine32SerialPooledShardedIdentical pins the bit-identity
+// discipline at float32: every pool width × shard count — the pooled
+// engine cuts the aggregate into one chunk per pool goroutine when the
+// plane is off and along the shard ranges when it is on — and
+// prepare-ahead all produce the serial engine's parameter bits.
 func TestEngine32SerialPooledShardedIdentical(t *testing.T) {
 	base := testSetup32(t)
 	base.Parallelism = 1
 	serial := run32(t, base, 8)
 
-	variants := map[string]func(*Config32){
-		"pooled":       func(c *Config32) { c.Parallelism = 4 },
-		"sharded":      func(c *Config32) { c.Parallelism = 4; c.Shards = 5 },
-		"prepareAhead": func(c *Config32) { c.Parallelism = 2; c.PrepareAhead = true },
-	}
-	for name, mutate := range variants {
-		cfg := testSetup32(t)
-		mutate(&cfg)
-		got := run32(t, cfg, 8)
-		if !equalBits32(serial, got) {
-			t.Errorf("%s engine diverged from serial at f32", name)
+	for _, par := range []int{1, 2, 4} {
+		for _, shards := range []int{0, 1, 3} {
+			for _, ahead := range []bool{false, true} {
+				cfg := testSetup32(t)
+				cfg.Parallelism, cfg.Shards, cfg.PrepareAhead = par, shards, ahead
+				if got := run32(t, cfg, 8); !equalBits32(serial, got) {
+					t.Errorf("parallelism %d, %d shards, prepare-ahead %v: diverged from serial at f32", par, shards, ahead)
+				}
+			}
 		}
 	}
 }
@@ -198,9 +199,30 @@ func TestEngine32Validation(t *testing.T) {
 	}
 	bad = testSetup32(t)
 	bad.UplinkTier = wire.TierSign
-	bad.Source = localSource32{}
+	bad.Source = localSource[float32]{}
 	if _, err := New32(bad); err == nil {
 		t.Error("lossy tier with external source accepted")
+	}
+	bad = testSetup32(t)
+	bad.Source = localSource[float64]{}
+	if _, err := New32(bad); err == nil {
+		t.Error("float64 gradient source accepted by the float32 engine")
+	}
+	// The one refusal the width makes: components with float64 methods
+	// only, each by the same typed error.
+	mlp, err := model.NewMLP(12, 8, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad = testSetup32(t)
+	bad.Model = mlp
+	if _, err := New32(bad); !errors.Is(err, linalg.ErrNoFloat32Kernels) {
+		t.Errorf("MLP at f32: %v, want ErrNoFloat32Kernels", err)
+	}
+	bad = testSetup32(t)
+	bad.Aggregator = aggregate.Krum{C: 1}
+	if _, err := New32(bad); !errors.Is(err, linalg.ErrNoFloat32Kernels) {
+		t.Errorf("Krum at f32: %v, want ErrNoFloat32Kernels", err)
 	}
 }
 

@@ -1,0 +1,21 @@
+package cluster
+
+// The historical per-width names: aliases of the one generic round
+// core, with no bodies of their own (see wire/names.go for the
+// convention). The seam types have no per-width names: sources are
+// written against GradientSourceOf[T] and RoundOf[T].
+
+type (
+	Engine   = EngineOf[float64]
+	Engine32 = EngineOf[float32]
+
+	// Config32 is Config: one experiment description serves both widths.
+	Config32 = Config
+)
+
+// New builds the float64 engine, New32 the float32 one, from the same
+// Config.
+var (
+	New   = NewOf[float64]
+	New32 = NewOf[float32]
+)

@@ -46,14 +46,14 @@ type engineInstruments struct {
 	allocSamples [1]metrics.Sample
 	prevAllocs   uint64
 
-	// slotCount[u] caches len(arena.cur[u]) so the occupancy pass does
-	// not chase slice headers per round.
+	// slotCount[u] is worker u's replica slot count (its file count), so
+	// the occupancy pass does not chase slice headers per round.
 	slotCount  []int
 	totalSlots int
 }
 
 // newEngineInstruments registers the engine's metric families on r.
-func newEngineInstruments(r *obs.Registry, e *Engine) *engineInstruments {
+func newEngineInstruments(r *obs.Registry, workerFiles [][]int) *engineInstruments {
 	ins := &engineInstruments{
 		rounds:         r.Counter("byzshield_rounds_total", "", "protocol rounds completed"),
 		distorted:      r.Counter("byzshield_files_distorted_total", "", "files whose vote the Byzantines won"),
@@ -76,10 +76,10 @@ func newEngineInstruments(r *obs.Registry, e *Engine) *engineInstruments {
 		ins.phase[p] = r.Histogram("byzshield_phase_seconds", `phase="`+p.Name()+`"`,
 			"wall-clock time per round phase", phaseBuckets)
 	}
-	ins.slotCount = make([]int, len(e.arena.cur))
-	for u, slots := range e.arena.cur {
-		ins.slotCount[u] = len(slots)
-		ins.totalSlots += len(slots)
+	ins.slotCount = make([]int, len(workerFiles))
+	for u, files := range workerFiles {
+		ins.slotCount[u] = len(files)
+		ins.totalSlots += len(files)
 	}
 	ins.arenaSlots.Set(float64(ins.totalSlots))
 	ins.allocSamples[0].Name = "/gc/heap/allocs:objects"
@@ -89,7 +89,7 @@ func newEngineInstruments(r *obs.Registry, e *Engine) *engineInstruments {
 }
 
 // observeRound feeds one completed round into the instruments.
-func (ins *engineInstruments) observeRound(e *Engine, stats *RoundStats, prep, collect, vote, aggTotal, broadcast time.Duration) {
+func (ins *engineInstruments) observeRound(stats *RoundStats, prep, collect, vote, aggTotal, broadcast time.Duration) {
 	ins.rounds.Inc()
 	ins.distorted.Add(int64(stats.DistortedFiles))
 	ins.degraded.Add(int64(stats.DegradedFiles))

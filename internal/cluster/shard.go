@@ -51,9 +51,6 @@ type shardPlane struct {
 	earlyValid []bool
 	early      [][]uint64
 	final      []uint64
-	// aggErr[s] is shard s's aggregation error (lowest shard index
-	// wins, matching the serial error order).
-	aggErr []error
 }
 
 // maskWidth bounds the replica-position bitmask. Replication factors
@@ -72,7 +69,6 @@ func newShardPlane(n, dim, files, workers int) *shardPlane {
 		voted:      make([]bool, n),
 		earlyValid: make([]bool, n),
 		early:      make([][]uint64, n),
-		aggErr:     make([]error, n),
 	}
 	words := (workers + 63) / 64
 	for s := 0; s < n; s++ {
@@ -111,8 +107,8 @@ func missingBits(dst []uint64, missing []bool) {
 // the collecting goroutine mid-round once every live worker's shard-s
 // frame has been delivered (the inbox handoff ordered those decodes
 // before this read).
-func (pl *shardPlane) voteShard(e *Engine, s int) {
-	ar := e.arena
+func (e *EngineOf[T]) voteShard(s int) {
+	pl, ar := e.plane, e.arena
 	lo, hi := pl.ranges[s][0], pl.ranges[s][1]
 	mask, tied, dist := pl.mask[s], pl.tied[s], pl.dist[s]
 	var pos [maskWidth]int
@@ -134,7 +130,7 @@ func (pl *shardPlane) voteShard(e *Engine, s int) {
 		if n == 0 {
 			continue
 		}
-		rng := func(i int) []float64 {
+		rng := func(i int) []T {
 			ref := refs[pos[i]]
 			return ar.cur[ref.worker][ref.slot][lo:hi]
 		}
@@ -189,13 +185,13 @@ func (pl *shardPlane) voteShard(e *Engine, s int) {
 // shard-s frame has arrived; shardedVotePhase revalidates the snapshot
 // once collection closes and recomputes the shard if participation
 // changed after the early vote.
-func (e *Engine) voteShardEarly(s int) {
+func (e *EngineOf[T]) voteShardEarly(s int) {
 	pl := e.plane
 	if pl == nil || s < 0 || s >= pl.n || pl.voted[s] {
 		return
 	}
 	missingBits(pl.early[s], e.arena.missing)
-	pl.voteShard(e, s)
+	e.voteShard(s)
 	pl.voted[s] = true
 	pl.earlyValid[s] = true
 }
@@ -206,18 +202,11 @@ func (e *Engine) voteShardEarly(s int) {
 // agreed-mask fast path and falling back to the exact serial vote for
 // every file a shard tied or disagreed on. Counters land in the slot-0
 // arena scratch, which the caller's existing summing loop picks up.
-func (e *Engine) shardedVotePhase() {
+func (e *EngineOf[T]) shardedVotePhase() {
 	pl := e.plane
 	ar := e.arena
 	missingBits(pl.final, ar.missing)
-	e.runPhase(pl.n, func(_, s int) {
-		if pl.voted[s] && pl.earlyValid[s] && slices.Equal(pl.early[s], pl.final) {
-			return
-		}
-		pl.voteShard(e, s)
-		pl.voted[s] = true
-		pl.earlyValid[s] = false
-	})
+	e.runPhase(pl.n, e.phase.voteShard)
 	for v := range ar.fileReplicas {
 		refs := ar.fileReplicas[v]
 		n := 0
@@ -258,4 +247,17 @@ func (e *Engine) shardedVotePhase() {
 			}
 		}
 	}
+}
+
+// finishShardVote is shardedVotePhase's pool task: shard s keeps its
+// early vote when that was taken against the final missing set, and
+// votes (again) otherwise.
+func (e *EngineOf[T]) finishShardVote(_, s int) {
+	pl := e.plane
+	if pl.voted[s] && pl.earlyValid[s] && slices.Equal(pl.early[s], pl.final) {
+		return
+	}
+	e.voteShard(s)
+	pl.voted[s] = true
+	pl.earlyValid[s] = false
 }

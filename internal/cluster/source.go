@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"byzshield/internal/attack"
+	"byzshield/internal/linalg"
 	"byzshield/internal/wire"
 )
 
@@ -36,7 +37,7 @@ type CollectStats struct {
 	StaleFrames int
 }
 
-// GradientSource supplies one round's per-worker gradient replicas to
+// GradientSourceOf supplies one round's per-worker gradient replicas to
 // the engine — the single seam between the shared round core (vote,
 // quorum, robust aggregation, momentum step) and the two ways gradients
 // come into existence: computed in process by the engine's own worker
@@ -50,8 +51,8 @@ type CollectStats struct {
 // buffers from an earlier round. Collect owns the round's compute and
 // communication phases; the engine times everything after it (vote +
 // aggregation) itself.
-type GradientSource interface {
-	Collect(ctx context.Context, rd *Round) (CollectStats, error)
+type GradientSourceOf[T linalg.Float] interface {
+	Collect(ctx context.Context, rd *RoundOf[T]) (CollectStats, error)
 }
 
 // RoundPreparer is the optional pipelining seam a GradientSource may
@@ -67,51 +68,51 @@ type RoundPreparer interface {
 	PrepareNext(iteration int, fileSamples [][]int)
 }
 
-// Round is the engine's view of one in-flight protocol round, handed to
-// the GradientSource: the iteration number, the current parameters, the
+// RoundOf is the engine's view of one in-flight protocol round, handed to
+// the GradientSourceOf: the iteration number, the current parameters, the
 // file→sample partition, and the preallocated arena buffers gradients
 // land in. Methods that address per-worker state (Buffer, Deliver,
 // MarkMissing) are safe to call concurrently for distinct workers,
 // which is how network sources collect from all workers in parallel.
-type Round struct {
-	eng   *Engine
+type RoundOf[T linalg.Float] struct {
+	eng   *EngineOf[T]
 	files [][]int
 }
 
 // Iteration returns the 0-based round index.
-func (rd *Round) Iteration() int { return rd.eng.iter }
+func (rd *RoundOf[T]) Iteration() int { return rd.eng.iter }
 
 // Params returns the current model parameters. The slice is the
 // engine's live parameter vector: read (or serialize) it, never write.
-func (rd *Round) Params() []float64 { return rd.eng.params }
+func (rd *RoundOf[T]) Params() []T { return rd.eng.params }
 
 // Workers returns the cluster size K.
-func (rd *Round) Workers() int { return rd.eng.cfg.Assignment.K }
+func (rd *RoundOf[T]) Workers() int { return rd.eng.cfg.Assignment.K }
 
 // WorkerFiles returns worker u's assigned file ids in slot order
 // (ascending). The slice is shared: do not modify.
-func (rd *Round) WorkerFiles(u int) []int { return rd.eng.arena.workerFiles[u] }
+func (rd *RoundOf[T]) WorkerFiles(u int) []int { return rd.eng.arena.workerFiles[u] }
 
 // FileSamples returns the training-sample indices of file v this round.
-func (rd *Round) FileSamples(v int) []int { return rd.files[v] }
+func (rd *RoundOf[T]) FileSamples(v int) []int { return rd.files[v] }
 
 // Buffer returns the engine-owned gradient buffer for worker u's slot-th
 // assigned file. Sources may decode or compute directly into it; doing
 // so counts as delivering the slot.
-func (rd *Round) Buffer(u, slot int) []float64 { return rd.eng.arena.grads[u][slot] }
+func (rd *RoundOf[T]) Buffer(u, slot int) []T { return rd.eng.arena.grads[u][slot] }
 
 // GradBuffer is Round.Buffer addressed from the engine: the buffers
 // are stable for the engine's lifetime, so a network source's
 // long-lived reader goroutines may cache and decode into them between
 // Collect calls — under the same contract as Buffer (only the worker's
 // current-round deliverer may write a buffer the round might read).
-func (e *Engine) GradBuffer(u, slot int) []float64 { return e.arena.grads[u][slot] }
+func (e *EngineOf[T]) GradBuffer(u, slot int) []T { return e.arena.grads[u][slot] }
 
 // Deliver points the engine at g as worker u's gradient for its slot-th
 // assigned file this round. g must have the model dimension and stay
 // untouched until the round completes; sources that reuse receive
 // buffers per (worker, slot) satisfy this automatically.
-func (rd *Round) Deliver(u, slot int, g []float64) error {
+func (rd *RoundOf[T]) Deliver(u, slot int, g []T) error {
 	ar := rd.eng.arena
 	if len(g) != ar.dim {
 		return fmt.Errorf("cluster: deliver worker %d slot %d: dim %d, want %d", u, slot, len(g), ar.dim)
@@ -123,13 +124,13 @@ func (rd *Round) Deliver(u, slot int, g []float64) error {
 // MarkMissing declares worker u absent this round: its replicas are
 // excluded from every file vote, and the quorum rule decides whether
 // affected files degrade or drop.
-func (rd *Round) MarkMissing(u int) { rd.eng.arena.missing[u] = true }
+func (rd *RoundOf[T]) MarkMissing(u int) { rd.eng.arena.missing[u] = true }
 
 // Shards returns the number of aggregation shards the engine's plane
 // splits the parameter vector into (1 when sharding is off). Sources
 // that stream per-shard report frames derive the coordinate split from
 // wire.ShardRange with this count.
-func (rd *Round) Shards() int {
+func (rd *RoundOf[T]) Shards() int {
 	if rd.eng.plane == nil {
 		return 1
 	}
@@ -144,23 +145,22 @@ func (rd *Round) Shards() int {
 // collection closes and silently recomputes the shard if workers went
 // missing after the early vote, so a mistimed call costs only the
 // wasted early work. No-op without a sharded plane.
-func (rd *Round) VoteShardEarly(s int) { rd.eng.voteShardEarly(s) }
+func (rd *RoundOf[T]) VoteShardEarly(s int) { rd.eng.voteShardEarly(s) }
 
-// localSource is the default GradientSource: the in-process cluster of
+// localSource is the default GradientSourceOf: the in-process cluster of
 // Algorithm 1. Honest workers compute their file gradient sums across
 // the engine's persistent pool, Byzantine workers substitute crafted
 // payloads from the attack oracle, the optional fault model removes
 // workers from the round, and measured-communication mode pushes every
 // surviving message through the binary gradient-frame codec.
-type localSource struct {
-	e *Engine
+type localSource[T linalg.Float] struct {
+	e *EngineOf[T]
 }
 
-// Collect implements GradientSource.
-func (s localSource) Collect(_ context.Context, rd *Round) (CollectStats, error) {
+// Collect implements GradientSourceOf.
+func (s localSource[T]) Collect(_ context.Context, rd *RoundOf[T]) (CollectStats, error) {
 	e := s.e
 	a := e.cfg.Assignment
-	m := e.cfg.Model
 	ar := e.arena
 	files := rd.files
 
@@ -186,20 +186,7 @@ func (s localSource) Collect(_ context.Context, rd *Round) (CollectStats, error)
 	// executed: every worker computes every file it is assigned, into
 	// its arena buffers.
 	computeStart := time.Now()
-	e.runPhase(len(e.honest), func(_, t int) {
-		u := e.honest[t]
-		if ar.missing[u] {
-			return
-		}
-		for j, v := range ar.workerFiles[u] {
-			g := ar.grads[u][j]
-			clear(g)
-			m.SumGradient(e.params, e.cfg.Train, files[v], g)
-			// Repoint the PS's view at the fresh compute buffer (a
-			// measured-communication round leaves it on the rx side).
-			ar.cur[u][j] = g
-		}
-	})
+	e.runPhase(len(e.honest), e.phase.compute)
 	computeTime := time.Since(computeStart)
 
 	// --- Attack oracle: true gradients for every file (reusing live
@@ -217,7 +204,7 @@ func (s localSource) Collect(_ context.Context, rd *Round) (CollectStats, error)
 		if ar.trueGrads[v] == nil {
 			g := ar.oracle[v]
 			clear(g)
-			m.SumGradient(e.params, e.cfg.Train, files[v], g)
+			e.train.SumGradient(e.params, files[v], g)
 			ar.trueGrads[v] = g
 		}
 	}
@@ -234,10 +221,17 @@ func (s localSource) Collect(_ context.Context, rd *Round) (CollectStats, error)
 		// source and the normal-draw cache, so the stream is identical
 		// to a freshly constructed rand.New per round.
 		e.atkRng.Seed(e.cfg.Seed + int64(e.iter)*7919)
+		// The attack oracle is float64 at either engine width: it reads
+		// the true gradients through a float64 view and its payloads
+		// come back narrowed to T, one buffer per file. Colluding
+		// replicas of a file all report that buffer, and a payload the
+		// attack shares across files narrows to identical bits in each,
+		// so the bit-exact vote still sees the coalition agree.
+		trueGrads := linalg.WidenRows(ar.wideGrads, ar.trueGrads)
 		e.atkCtx = attack.Context{
 			Round:             e.iter,
 			Dim:               ar.dim,
-			FileGradients:     ar.trueGrads,
+			FileGradients:     trueGrads,
 			CorruptibleFiles:  e.corruptible,
 			Participants:      a.K,
 			ExpectedCorrupted: len(e.byzSet),
@@ -249,7 +243,7 @@ func (s localSource) Collect(_ context.Context, rd *Round) (CollectStats, error)
 			return CollectStats{}, fmt.Errorf("cluster: attack coordinator: %w", err)
 		}
 		for _, v := range ar.byzFiles {
-			ar.crafted[v] = craft(v, ar.trueGrads[v])
+			ar.crafted[v] = linalg.Narrow(ar.narrowed[v], craft(v, trueGrads[v]))
 		}
 		for _, u := range ar.byzWorkers {
 			if ar.missing[u] {
@@ -387,6 +381,25 @@ func (s localSource) Collect(_ context.Context, rd *Round) (CollectStats, error)
 	}, nil
 }
 
+// computeWorker is the compute phase's pool task: honest worker
+// e.honest[t] computes the gradient sum of every file it is assigned
+// into its own arena buffers.
+func (e *EngineOf[T]) computeWorker(_, t int) {
+	ar := e.arena
+	u := e.honest[t]
+	if ar.missing[u] {
+		return
+	}
+	for j, v := range ar.workerFiles[u] {
+		g := ar.grads[u][j]
+		clear(g)
+		e.train.SumGradient(e.params, e.rd.files[v], g)
+		// Repoint the PS's view at the fresh compute buffer (a
+		// measured-communication round leaves it on the rx side).
+		ar.cur[u][j] = g
+	}
+}
+
 // measureBroadcast physically serializes this round's PS→worker
 // parameter broadcast and returns its total byte count, applying the
 // same bandwidth policy as the TCP server: a full frame on round 0, on
@@ -396,7 +409,7 @@ func (s localSource) Collect(_ context.Context, rd *Round) (CollectStats, error)
 // once into the arena's scratch vector, so the broadcast round-trip is
 // executed, not modelled. It also rolls the per-worker acknowledgement
 // state forward for the next round.
-func (s localSource) measureBroadcast() (int64, error) {
+func (s localSource[T]) measureBroadcast() (int64, error) {
 	e := s.e
 	a := e.cfg.Assignment
 	ar := e.arena
@@ -415,21 +428,21 @@ func (s localSource) measureBroadcast() (int64, error) {
 		switch {
 		case full && fullFrame == nil:
 			mark := len(buf)
-			if buf, err = wire.AppendParamsFull(buf, e.params); err != nil {
+			if buf, err = wire.AppendParamsFullOf(buf, e.params); err != nil {
 				return 0, fmt.Errorf("cluster: broadcast: %w", err)
 			}
 			fullFrame = buf[mark:]
-			if _, _, err := wire.DecodeParams(fullFrame, ar.bcastScratch); err != nil {
+			if _, _, err := wire.DecodeParamsOf(fullFrame, ar.bcastScratch); err != nil {
 				return 0, fmt.Errorf("cluster: broadcast decode: %w", err)
 			}
 		case !full && deltaFrame == nil:
 			mark := len(buf)
-			if buf, err = wire.AppendParamsDelta(buf, ar.prevParams, e.params); err != nil {
+			if buf, err = wire.AppendParamsDeltaOf(buf, ar.prevParams, e.params); err != nil {
 				return 0, fmt.Errorf("cluster: broadcast: %w", err)
 			}
 			deltaFrame = buf[mark:]
 			copy(ar.bcastScratch, ar.prevParams)
-			if _, _, err := wire.DecodeParams(deltaFrame, ar.bcastScratch); err != nil {
+			if _, _, err := wire.DecodeParamsOf(deltaFrame, ar.bcastScratch); err != nil {
 				return 0, fmt.Errorf("cluster: broadcast decode: %w", err)
 			}
 		}

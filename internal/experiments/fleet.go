@@ -2,15 +2,16 @@ package experiments
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"math"
 	"runtime"
 	"slices"
 	"sync"
 	"time"
 
 	"byzshield/internal/cluster"
+	"byzshield/internal/linalg"
 	"byzshield/internal/obs"
 	"byzshield/internal/trainer"
 	"byzshield/internal/transport"
@@ -55,19 +56,6 @@ func FleetModes(shards int) []FleetMode {
 		{Name: "sharded", Shards: shards, Uplink: wire.TierRaw},
 		{Name: "pipelined", Shards: shards, Pipeline: true, Uplink: wire.TierRaw},
 		{Name: "quantized", Shards: shards, Pipeline: true, Uplink: wire.TierInt8},
-	}
-}
-
-// FleetModes32 are the planes of the float32 sweep (FleetConfig's
-// Precision = f32): the f32 tier has no pipeline, so the curve runs the
-// serial plane (baseline), the engine-sharded plane, and the lossy int8
-// uplink — each a Server32 fleet checked bit-for-bit against the
-// in-process Engine32.
-func FleetModes32(shards int) []FleetMode {
-	return []FleetMode{
-		{Name: "serial-f32", Uplink: wire.TierRaw},
-		{Name: "sharded-f32", Shards: shards, Uplink: wire.TierRaw},
-		{Name: "quantized-f32", Shards: shards, Uplink: wire.TierInt8},
 	}
 }
 
@@ -117,15 +105,18 @@ type FleetConfig struct {
 	// Shards is the shard count for the sharded/pipelined modes
 	// (default 2).
 	Shards int
-	// Modes restricts the sweep to the named planes (default all).
+	// Modes restricts the sweep to the named planes (default all), by
+	// FleetMode.Name or by the name the point is reported under
+	// ("sharded" and "sharded-f32" both select the f32 sharded plane);
+	// a filter that selects no plane is an error.
 	// Without "single-loop" in the set there is no baseline, so the
 	// speedup column stays zero — useful when profiling one plane in
 	// isolation.
 	Modes []string
-	// Precision selects the sweep's numeric tier: the default f64
-	// protocol planes (FleetModes) or, at wire.PrecisionF32, the f32
-	// planes (FleetModes32) driven over Server32/RunWorker32 and
-	// bit-checked against the in-process Engine32.
+	// Precision selects the width the whole sweep runs at — servers,
+	// workers and the reference engines; the planes are the same
+	// (FleetModes). At wire.PrecisionF32 every point's Mode carries an
+	// "-f32" suffix so curves of the two widths can share a file.
 	Precision wire.Precision
 	// Seed fixes the data/batch stream.
 	Seed int64
@@ -142,6 +133,14 @@ type FleetConfig struct {
 // the per-round cost is wire- and plane-dominated rather than
 // compute-dominated, which is the regime the sharded/pipelined plane
 // targets.
+//
+// The data seed is deliberately not the model seed. data.Synthetic draws
+// the class means from the head of the very random stream
+// model.InitParams draws the softmax weights from, so with equal seeds
+// the initial weight matrix is the class-mean matrix rescaled — a matched
+// filter that classifies every sample at once with gradients below half
+// an ulp of any weight, and the sweep would compare parameter vectors
+// that never moved (engineFinalParams refuses such a run).
 func (c FleetConfig) fleetSpec(k int) transport.Spec {
 	f := k / 3
 	train := 4 * f
@@ -153,20 +152,22 @@ func (c FleetConfig) fleetSpec(k int) transport.Spec {
 		Aggregator: "mean",
 		TrainN:     train, TestN: 64,
 		Dim: c.InputDim, Classes: c.Classes,
-		DataSeed: c.Seed, ClassSep: 2.0,
+		DataSeed: c.Seed + 1, ClassSep: 2.0,
 		BatchSize: f,
 		Schedule:  trainer.Schedule{Base: 0.05, Decay: 0.98, Every: 50},
 		Momentum:  0.9, Seed: c.Seed, Rounds: c.Rounds + c.Warmup,
 	}
 }
 
-// engineFinalParams runs the in-process engine over spec and returns
-// its final parameters — the reference trajectory a wire mode must
-// reproduce bit-for-bit. Lossless modes all share one reference
+// engineFinalParams runs the in-process engine of width T over spec and
+// returns its final parameters — the reference trajectory a wire mode
+// must reproduce bit-for-bit. Lossless modes all share one reference
 // (shards and codec choice cannot move a bit); a lossy mode needs the
 // engine pinned to its own tier AND shard count, because lossy
-// quantization happens per shard range.
-func engineFinalParams(spec transport.Spec, shards int, tier wire.UplinkTier) ([]float64, error) {
+// quantization happens per shard range. A run that leaves the parameters
+// where they started is an error: bit-identity between vectors that
+// never moved checks nothing.
+func engineFinalParams[T linalg.Float](spec transport.Spec, shards int, tier wire.UplinkTier) ([]T, error) {
 	asn, err := spec.BuildAssignment()
 	if err != nil {
 		return nil, err
@@ -183,7 +184,7 @@ func engineFinalParams(spec transport.Spec, shards int, tier wire.UplinkTier) ([
 	if err != nil {
 		return nil, err
 	}
-	eng, err := cluster.New(cluster.Config{
+	eng, err := cluster.NewOf[T](cluster.Config{
 		Assignment: asn, Model: mdl, Train: train, Test: test,
 		BatchSize: spec.BatchSize, Aggregator: agg,
 		Schedule: spec.Schedule, Momentum: spec.Momentum, Seed: spec.Seed,
@@ -193,64 +194,28 @@ func engineFinalParams(spec transport.Spec, shards int, tier wire.UplinkTier) ([
 		return nil, err
 	}
 	defer eng.Close()
+	initial := eng.Params()
 	for i := 0; i < spec.Rounds; i++ {
 		if _, err := eng.RunRound(); err != nil {
 			return nil, fmt.Errorf("engine round %d: %v", i, err)
 		}
 	}
-	out := make([]float64, len(eng.Params()))
-	copy(out, eng.Params())
-	return out, nil
+	final := eng.Params()
+	if linalg.EqualBits(initial, final) {
+		return nil, fmt.Errorf("%d rounds left all %d parameters at their initial bits: the spec does not train", spec.Rounds, len(final))
+	}
+	return final, nil
 }
 
-// engineFinalParams32 is engineFinalParams at float32 width: the
-// reference trajectory an f32 wire mode must reproduce bit-for-bit.
-func engineFinalParams32(spec transport.Spec, shards int, tier wire.UplinkTier) ([]float32, error) {
-	asn, err := spec.BuildAssignment()
-	if err != nil {
-		return nil, err
-	}
-	mdl, err := spec.BuildModel32()
-	if err != nil {
-		return nil, err
-	}
-	train, test, err := spec.BuildData()
-	if err != nil {
-		return nil, err
-	}
-	agg, err := spec.BuildAggregator32()
-	if err != nil {
-		return nil, err
-	}
-	eng, err := cluster.New32(cluster.Config32{
-		Assignment: asn, Model: mdl, Train: train, Test: test,
-		BatchSize: spec.BatchSize, Aggregator: agg,
-		Schedule: spec.Schedule, Momentum: spec.Momentum, Seed: spec.Seed,
-		Shards: shards, UplinkTier: tier,
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer eng.Close()
-	ctx := context.Background()
-	for i := 0; i < spec.Rounds; i++ {
-		if _, err := eng.StepOnce(ctx); err != nil {
-			return nil, fmt.Errorf("engine round %d: %v", i, err)
-		}
-	}
-	return eng.Params(), nil
-}
-
-// hashParams fingerprints a parameter vector's exact bits.
-func hashParams(p []float64) uint64 {
+// hashParams fingerprints a parameter vector's exact bits (FNV-1a over
+// each value's little-endian IEEE-754 bytes).
+func hashParams[T linalg.Float](p []T) uint64 {
 	h := fnv.New64a()
 	var b [8]byte
+	w := linalg.Width[T]()
 	for _, v := range p {
-		bits := math.Float64bits(v)
-		for i := range b {
-			b[i] = byte(bits >> (8 * i))
-		}
-		h.Write(b[:])
+		binary.LittleEndian.PutUint64(b[:], linalg.Bits(v))
+		h.Write(b[:w])
 	}
 	return h.Sum64()
 }
@@ -258,7 +223,7 @@ func hashParams(p []float64) uint64 {
 // runFleetPoint drives one loopback fleet — K RunWorker goroutines
 // sharing one SharedWorkerState against one server — and times the
 // post-warmup rounds.
-func (c FleetConfig) runFleetPoint(ctx context.Context, spec transport.Spec, mode FleetMode) (FleetPoint, []float64, error) {
+func runFleetPoint[T linalg.Float](ctx context.Context, c FleetConfig, spec transport.Spec, mode FleetMode) (FleetPoint, []T, error) {
 	pt := FleetPoint{Workers: spec.K, Files: spec.K / 3, Mode: mode.Name, Rounds: c.Rounds}
 	var windowStart, windowEnd time.Time
 	srvCfg := transport.ServerConfig{
@@ -286,7 +251,7 @@ func (c FleetConfig) runFleetPoint(ctx context.Context, spec transport.Spec, mod
 			}
 		},
 	}
-	srv, err := transport.NewServer("127.0.0.1:0", srvCfg)
+	srv, err := transport.NewServerOf[T]("127.0.0.1:0", srvCfg)
 	if err != nil {
 		return pt, nil, err
 	}
@@ -301,7 +266,7 @@ func (c FleetConfig) runFleetPoint(ctx context.Context, spec transport.Spec, mod
 		wg.Add(1)
 		go func(u int) {
 			defer wg.Done()
-			_, err := transport.RunWorker(ctx, srv.Addr(), transport.WorkerConfig{
+			_, err := transport.RunWorkerOf[T](ctx, srv.Addr(), transport.WorkerConfig{
 				ID: u, Shared: shared, ReconnectAttempts: -1,
 			})
 			if err != nil {
@@ -327,141 +292,9 @@ func (c FleetConfig) runFleetPoint(ctx context.Context, spec transport.Spec, mod
 	if pt.Elapsed > 0 {
 		pt.RoundsPerSec = float64(c.Rounds) / pt.Elapsed.Seconds()
 	}
-	params := make([]float64, len(srv.Params()))
-	copy(params, srv.Params())
+	params := srv.Params()
 	pt.ParamsHash = hashParams(params)
 	return pt, params, nil
-}
-
-// hashParams32 fingerprints an f32 parameter vector's exact bits.
-func hashParams32(p []float32) uint64 {
-	h := fnv.New64a()
-	var b [4]byte
-	for _, v := range p {
-		bits := math.Float32bits(v)
-		for i := range b {
-			b[i] = byte(bits >> (8 * i))
-		}
-		h.Write(b[:])
-	}
-	return h.Sum64()
-}
-
-// runFleetPoint32 drives one f32 loopback fleet — K RunWorker32
-// goroutines against one Server32 — and times the post-warmup rounds.
-func (c FleetConfig) runFleetPoint32(ctx context.Context, spec transport.Spec, mode FleetMode) (FleetPoint, []float32, error) {
-	pt := FleetPoint{Workers: spec.K, Files: spec.K / 3, Mode: mode.Name, Rounds: c.Rounds}
-	var windowStart, windowEnd time.Time
-	srv, err := transport.NewServer32("127.0.0.1:0", transport.ServerConfig32{
-		Spec:               spec,
-		Shards:             mode.Shards,
-		EvalEvery:          spec.Rounds + 1,
-		RoundTimeout:       5 * time.Minute,
-		Uplink:             mode.Uplink,
-		FullBroadcastEvery: 1,
-		OnRound: func(rs cluster.RoundStats) {
-			if rs.Iteration == c.Warmup-1 {
-				windowStart = time.Now()
-			}
-			if rs.Iteration == spec.Rounds-1 {
-				windowEnd = time.Now()
-			}
-		},
-	})
-	if err != nil {
-		return pt, nil, err
-	}
-	defer srv.Close()
-	var wg sync.WaitGroup
-	workerErr := make(chan error, spec.K)
-	for u := 0; u < spec.K; u++ {
-		wg.Add(1)
-		go func(u int) {
-			defer wg.Done()
-			_, err := transport.RunWorker32(ctx, srv.Addr(), transport.WorkerConfig32{
-				ID: u, ReconnectAttempts: -1,
-			})
-			if err != nil {
-				workerErr <- fmt.Errorf("worker %d: %w", u, err)
-			}
-		}(u)
-	}
-	if _, err := srv.Serve(ctx); err != nil {
-		srv.Close()
-		wg.Wait()
-		return pt, nil, err
-	}
-	wg.Wait()
-	select {
-	case err := <-workerErr:
-		return pt, nil, err
-	default:
-	}
-	if windowStart.IsZero() || windowEnd.IsZero() {
-		return pt, nil, fmt.Errorf("fleet %s K=%d: timing window never closed", mode.Name, spec.K)
-	}
-	pt.Elapsed = windowEnd.Sub(windowStart)
-	if pt.Elapsed > 0 {
-		pt.RoundsPerSec = float64(c.Rounds) / pt.Elapsed.Seconds()
-	}
-	params := srv.Params()
-	pt.ParamsHash = hashParams32(params)
-	return pt, params, nil
-}
-
-// fleetScaling32 is the f32 branch of FleetScaling: the FleetModes32
-// planes over Server32 fleets, each rep bit-checked against the
-// in-process Engine32 pinned to the mode's shard count and uplink tier
-// (f32 quantization, like f64's, happens per shard range).
-func fleetScaling32(ctx context.Context, cfg FleetConfig) ([]FleetPoint, error) {
-	var out []FleetPoint
-	for _, k := range cfg.WorkerCounts {
-		if k < 3 || k%3 != 0 {
-			return nil, fmt.Errorf("fleet: worker count %d is not a positive multiple of 3 (FRC r=3)", k)
-		}
-		spec := cfg.fleetSpec(k)
-		var baseline float64
-		for _, mode := range FleetModes32(cfg.Shards) {
-			if len(cfg.Modes) > 0 && !slices.Contains(cfg.Modes, mode.Name) {
-				continue
-			}
-			ref, err := engineFinalParams32(spec, mode.Shards, mode.Uplink)
-			if err != nil {
-				return nil, fmt.Errorf("fleet %s K=%d reference: %w", mode.Name, k, err)
-			}
-			var pt FleetPoint
-			allIdentical := true
-			for rep := 0; rep < cfg.Reps; rep++ {
-				runtime.GC()
-				rp, params, err := cfg.runFleetPoint32(ctx, spec, mode)
-				if err != nil {
-					return nil, fmt.Errorf("fleet %s K=%d: %w", mode.Name, k, err)
-				}
-				identical := len(params) == len(ref)
-				for i := range ref {
-					if math.Float32bits(params[i]) != math.Float32bits(ref[i]) {
-						identical = false
-						break
-					}
-				}
-				allIdentical = allIdentical && identical
-				if rep == 0 || rp.RoundsPerSec > pt.RoundsPerSec {
-					pt = rp
-				}
-			}
-			pt.BitIdentical = allIdentical
-			if mode.Name == "serial-f32" {
-				baseline = pt.RoundsPerSec
-			}
-			if baseline > 0 {
-				pt.Speedup = pt.RoundsPerSec / baseline
-			}
-			cfg.Logf("fleet K=%d mode=%-13s %6.2f rounds/s (%.2fx) bit-identical=%v",
-				k, mode.Name, pt.RoundsPerSec, pt.Speedup, pt.BitIdentical)
-			out = append(out, pt)
-		}
-	}
-	return out, nil
 }
 
 // FleetScaling runs the rounds/sec-vs-worker-count scaling sweep: for
@@ -500,7 +333,22 @@ func FleetScaling(ctx context.Context, cfg FleetConfig) ([]FleetPoint, error) {
 		cfg.WorkerCounts = []int{15, 60, 240}
 	}
 	if cfg.Precision == wire.PrecisionF32 {
-		return fleetScaling32(ctx, cfg)
+		return fleetScaling[float32](ctx, cfg, "-f32")
+	}
+	return fleetScaling[float64](ctx, cfg, "")
+}
+
+// fleetScaling is FleetScaling at width T, over a config whose defaults
+// are filled; suffix marks the width in every point's Mode.
+func fleetScaling[T linalg.Float](ctx context.Context, cfg FleetConfig, suffix string) ([]FleetPoint, error) {
+	var modes []FleetMode
+	for _, mode := range FleetModes(cfg.Shards) {
+		if len(cfg.Modes) == 0 || slices.Contains(cfg.Modes, mode.Name) || slices.Contains(cfg.Modes, mode.Name+suffix) {
+			modes = append(modes, mode)
+		}
+	}
+	if len(modes) == 0 {
+		return nil, fmt.Errorf("fleet: mode filter %q selects no plane", cfg.Modes)
 	}
 	var out []FleetPoint
 	for _, k := range cfg.WorkerCounts {
@@ -508,24 +356,22 @@ func FleetScaling(ctx context.Context, cfg FleetConfig) ([]FleetPoint, error) {
 			return nil, fmt.Errorf("fleet: worker count %d is not a positive multiple of 3 (FRC r=3)", k)
 		}
 		spec := cfg.fleetSpec(k)
-		losslessRef, err := engineFinalParams(spec, 0, wire.TierDelta)
+		losslessRef, err := engineFinalParams[T](spec, 0, wire.TierDelta)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("fleet K=%d reference: %w", k, err)
 		}
 		var baseline float64
-		for _, mode := range FleetModes(cfg.Shards) {
-			if len(cfg.Modes) > 0 && !slices.Contains(cfg.Modes, mode.Name) {
-				continue
-			}
+		for _, mode := range modes {
+			name := mode.Name + suffix
 			if cfg.Tracer != nil {
-				cfg.Tracer.SetLabel(fmt.Sprintf("%s/K=%d", mode.Name, k))
+				cfg.Tracer.SetLabel(fmt.Sprintf("%s/K=%d", name, k))
 			}
 			ref := losslessRef
 			if mode.Uplink.Lossy() {
 				// A lossy mode's reference engine must quantize at the
 				// same granularity the wire does: same tier, same shards.
-				if ref, err = engineFinalParams(spec, mode.Shards, mode.Uplink); err != nil {
-					return nil, fmt.Errorf("fleet %s K=%d reference: %w", mode.Name, k, err)
+				if ref, err = engineFinalParams[T](spec, mode.Shards, mode.Uplink); err != nil {
+					return nil, fmt.Errorf("fleet %s K=%d reference: %w", name, k, err)
 				}
 			}
 			var pt FleetPoint
@@ -535,22 +381,16 @@ func FleetScaling(ctx context.Context, cfg FleetConfig) ([]FleetPoint, error) {
 				// (thousands of conn buffers) is not collected inside the
 				// next point's timing window.
 				runtime.GC()
-				rp, params, err := cfg.runFleetPoint(ctx, spec, mode)
+				rp, params, err := runFleetPoint[T](ctx, cfg, spec, mode)
 				if err != nil {
-					return nil, fmt.Errorf("fleet %s K=%d: %w", mode.Name, k, err)
+					return nil, fmt.Errorf("fleet %s K=%d: %w", name, k, err)
 				}
-				identical := len(params) == len(ref)
-				for i := range ref {
-					if math.Float64bits(params[i]) != math.Float64bits(ref[i]) {
-						identical = false
-						break
-					}
-				}
-				allIdentical = allIdentical && identical
+				allIdentical = allIdentical && linalg.EqualBits(params, ref)
 				if rep == 0 || rp.RoundsPerSec > pt.RoundsPerSec {
 					pt = rp
 				}
 			}
+			pt.Mode = name
 			pt.BitIdentical = allIdentical
 			if mode.Name == "single-loop" {
 				baseline = pt.RoundsPerSec
@@ -558,8 +398,8 @@ func FleetScaling(ctx context.Context, cfg FleetConfig) ([]FleetPoint, error) {
 			if baseline > 0 {
 				pt.Speedup = pt.RoundsPerSec / baseline
 			}
-			cfg.Logf("fleet K=%d mode=%-9s %6.2f rounds/s (%.2fx) bit-identical=%v",
-				k, mode.Name, pt.RoundsPerSec, pt.Speedup, pt.BitIdentical)
+			cfg.Logf("fleet K=%d mode=%-13s %6.2f rounds/s (%.2fx) bit-identical=%v",
+				k, name, pt.RoundsPerSec, pt.Speedup, pt.BitIdentical)
 			out = append(out, pt)
 		}
 	}

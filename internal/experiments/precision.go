@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"byzshield/internal/cluster"
+	"byzshield/internal/linalg"
 	"byzshield/internal/trainer"
 	"byzshield/internal/transport"
 )
@@ -61,15 +62,18 @@ func (c PrecisionConfig) precisionSpec(inputDim int) transport.Spec {
 		Aggregator: "median",
 		TrainN:     256, TestN: 64,
 		Dim: inputDim, Classes: c.Classes,
-		DataSeed: c.Seed, ClassSep: 2.0,
+		// Not the model seed: see FleetConfig.fleetSpec.
+		DataSeed: c.Seed + 1, ClassSep: 2.0,
 		BatchSize: 50,
 		Schedule:  trainer.Schedule{Base: 0.05, Decay: 0.98, Every: 50},
 		Momentum:  0.9, Seed: c.Seed, Rounds: c.Rounds + c.Warmup,
 	}
 }
 
-// timeRounds64 times the post-warmup rounds of the f64 engine.
-func (c PrecisionConfig) timeRounds64(ctx context.Context, spec transport.Spec) (int64, error) {
+// timeRounds times the post-warmup rounds of the width-T engine. A run
+// whose parameters never leave their initial bits is an error: it would
+// time a round that computes gradients of zero.
+func timeRounds[T linalg.Float](ctx context.Context, c PrecisionConfig, spec transport.Spec) (int64, error) {
 	asn, err := spec.BuildAssignment()
 	if err != nil {
 		return 0, err
@@ -86,7 +90,7 @@ func (c PrecisionConfig) timeRounds64(ctx context.Context, spec transport.Spec) 
 	if err != nil {
 		return 0, err
 	}
-	eng, err := cluster.New(cluster.Config{
+	eng, err := cluster.NewOf[T](cluster.Config{
 		Assignment: asn, Model: mdl, Train: train, Test: test,
 		BatchSize: spec.BatchSize, Aggregator: agg,
 		Schedule: spec.Schedule, Momentum: spec.Momentum, Seed: spec.Seed,
@@ -96,52 +100,7 @@ func (c PrecisionConfig) timeRounds64(ctx context.Context, spec transport.Spec) 
 		return 0, err
 	}
 	defer eng.Close()
-	for i := 0; i < c.Warmup; i++ {
-		if _, err := eng.RunRound(); err != nil {
-			return 0, err
-		}
-	}
-	start := time.Now()
-	for i := 0; i < c.Rounds; i++ {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		if _, err := eng.RunRound(); err != nil {
-			return 0, err
-		}
-	}
-	return time.Since(start).Nanoseconds() / int64(c.Rounds), nil
-}
-
-// timeRounds32 times the post-warmup rounds of the f32 engine over the
-// identical spec.
-func (c PrecisionConfig) timeRounds32(ctx context.Context, spec transport.Spec) (int64, error) {
-	asn, err := spec.BuildAssignment()
-	if err != nil {
-		return 0, err
-	}
-	mdl, err := spec.BuildModel32()
-	if err != nil {
-		return 0, err
-	}
-	train, test, err := spec.BuildData()
-	if err != nil {
-		return 0, err
-	}
-	agg, err := spec.BuildAggregator32()
-	if err != nil {
-		return 0, err
-	}
-	eng, err := cluster.New32(cluster.Config32{
-		Assignment: asn, Model: mdl, Train: train, Test: test,
-		BatchSize: spec.BatchSize, Aggregator: agg,
-		Schedule: spec.Schedule, Momentum: spec.Momentum, Seed: spec.Seed,
-		Parallelism: 1,
-	})
-	if err != nil {
-		return 0, err
-	}
-	defer eng.Close()
+	initial := eng.Params()
 	for i := 0; i < c.Warmup; i++ {
 		if _, err := eng.StepOnce(ctx); err != nil {
 			return 0, err
@@ -149,14 +108,15 @@ func (c PrecisionConfig) timeRounds32(ctx context.Context, spec transport.Spec) 
 	}
 	start := time.Now()
 	for i := 0; i < c.Rounds; i++ {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
 		if _, err := eng.StepOnce(ctx); err != nil {
 			return 0, err
 		}
 	}
-	return time.Since(start).Nanoseconds() / int64(c.Rounds), nil
+	ns := time.Since(start).Nanoseconds() / int64(c.Rounds)
+	if linalg.EqualBits(initial, eng.Params()) {
+		return 0, fmt.Errorf("%d rounds left the parameters at their initial bits: the spec does not train", c.Warmup+c.Rounds)
+	}
+	return ns, nil
 }
 
 // PrecisionScaling runs the f64-vs-f32 round-time scaling curve: for
@@ -185,10 +145,10 @@ func PrecisionScaling(ctx context.Context, cfg PrecisionConfig) ([]PrecisionPoin
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	best := func(f func(context.Context, transport.Spec) (int64, error), spec transport.Spec) (int64, error) {
+	best := func(f func(context.Context, PrecisionConfig, transport.Spec) (int64, error), spec transport.Spec) (int64, error) {
 		var min int64 = math.MaxInt64
 		for rep := 0; rep < cfg.Reps; rep++ {
-			ns, err := f(ctx, spec)
+			ns, err := f(ctx, cfg, spec)
 			if err != nil {
 				return 0, err
 			}
@@ -207,10 +167,10 @@ func PrecisionScaling(ctx context.Context, cfg PrecisionConfig) ([]PrecisionPoin
 			Rounds:   cfg.Rounds,
 		}
 		var err error
-		if pt.F64RoundNs, err = best(cfg.timeRounds64, spec); err != nil {
+		if pt.F64RoundNs, err = best(timeRounds[float64], spec); err != nil {
 			return nil, fmt.Errorf("precision dim %d f64: %w", dim, err)
 		}
-		if pt.F32RoundNs, err = best(cfg.timeRounds32, spec); err != nil {
+		if pt.F32RoundNs, err = best(timeRounds[float32], spec); err != nil {
 			return nil, fmt.Errorf("precision dim %d f32: %w", dim, err)
 		}
 		if pt.F32RoundNs > 0 {

@@ -2,9 +2,17 @@ package linalg
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"unsafe"
 )
+
+// ErrNoFloat32Kernels is wrapped by model.BindOf[float32] and
+// aggregate.BindOf[float32] when a component implements only the
+// float64 methods — the MLP, and every aggregation rule that is not
+// coordinate-wise (the Krum family, Bulyan, geometric median). It is the
+// one refusal the float32 tier makes.
+var ErrNoFloat32Kernels = errors.New("no float32 kernels")
 
 // Bit-pattern access for Float. The majority vote, the XOR-delta
 // codecs and the bit-identity pins all reason about IEEE-754 patterns
@@ -57,4 +65,54 @@ func Bytes[T Float](x []T) []byte {
 // memequal rather than a Bits call per element.
 func EqualBits[T Float](a, b []T) bool {
 	return len(a) == len(b) && bytes.Equal(Bytes(a), Bytes(b))
+}
+
+// NewWideRows allocates the scratch WidenRows widens n rows of dim values
+// into: nil at T = float64, where there is nothing to widen.
+func NewWideRows[T Float](n, dim int) [][]float64 {
+	if Width[T]() == 8 {
+		return nil
+	}
+	flat := make([]float64, n*dim)
+	rows := make([][]float64, n)
+	for v := range rows {
+		rows[v] = flat[v*dim : (v+1)*dim : (v+1)*dim]
+	}
+	return rows
+}
+
+// WidenRows returns rows as float64 rows — the view the adversary plane
+// (attack, detect, advnet) reads at either engine width: rows itself at
+// T = float64, no copy; at float32 each row widened into the matching
+// row of dst (NewWideRows).
+func WidenRows[T Float](dst [][]float64, rows [][]T) [][]float64 {
+	if w, ok := any(rows).([][]float64); ok {
+		return w
+	}
+	for v, r := range rows {
+		d := dst[v]
+		for i, x := range r {
+			d[i] = float64(x)
+		}
+	}
+	return dst[:len(rows)]
+}
+
+// Narrow is WidenRows' mirror for one vector coming back: p itself at
+// T = float64; at float32 its element-wise narrowing into dst, grown if
+// it is too short. Narrowing is a function of the bits alone, so copies
+// of one float64 payload narrow to identical float32 bits wherever they
+// are narrowed.
+func Narrow[T Float](dst []T, p []float64) []T {
+	if t, ok := any(p).([]T); ok {
+		return t
+	}
+	if cap(dst) < len(p) {
+		dst = make([]T, len(p))
+	}
+	dst = dst[:len(p)]
+	for i, x := range p {
+		dst[i] = T(x)
+	}
+	return dst
 }

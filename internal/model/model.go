@@ -21,6 +21,7 @@ import (
 	"math/rand"
 
 	"byzshield/internal/data"
+	"byzshield/internal/linalg"
 )
 
 // Model is a differentiable classifier over flat parameter vectors.
@@ -44,17 +45,26 @@ type Model interface {
 	Name() string
 }
 
-// InitParams returns a deterministic random initialization for m using
-// scaled Gaussian entries (He-style scaling by the input dimension).
-func InitParams(m Model, seed int64) []float64 {
+// InitParamsOf returns a deterministic random initialization for m
+// using scaled Gaussian entries (He-style scaling by the input
+// dimension). Every width narrows the same float64 draw element-wise, so
+// an f32 run starts from the rounded image of the vector an f64 run with
+// the same seed starts from.
+func InitParamsOf[T linalg.Float](m Model, seed int64) []T {
 	rng := rand.New(rand.NewSource(seed))
-	params := make([]float64, m.NumParams())
+	params := make([]T, m.NumParams())
 	scale := math.Sqrt(2.0 / float64(m.InputDim()+1))
 	for i := range params {
-		params[i] = rng.NormFloat64() * scale
+		params[i] = T(rng.NormFloat64() * scale)
 	}
 	return params
 }
+
+// InitParams and InitParams32 are InitParamsOf at the two widths.
+var (
+	InitParams   = InitParamsOf[float64]
+	InitParams32 = InitParamsOf[float32]
+)
 
 // Accuracy returns the top-1 accuracy of m with params over ds — the
 // paper's principal evaluation metric.

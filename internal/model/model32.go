@@ -31,17 +31,39 @@ type Model32 interface {
 	Predict32(params []float32, x []float32) int
 }
 
-// InitParams32 returns the float32 initialization for m: the f64
-// InitParams vector narrowed element-wise, so an f32 run starts from
-// the rounded image of the exact same deterministic draw an f64 run
-// with the same seed starts from.
-func InitParams32(m Model, seed int64) []float32 {
-	p64 := InitParams(m, seed)
-	p32 := make([]float32, len(p64))
-	for i, v := range p64 {
-		p32[i] = float32(v)
+// Bound is a model's kernels at width T over one dataset: what the
+// round core and the wire worker call without naming a width.
+type Bound[T linalg.Float] struct {
+	// SumGradient adds the summed per-sample gradients of samples idx
+	// into out; Loss is their mean cross-entropy loss.
+	SumGradient func(params []T, idx []int, out []T)
+	Loss        func(params []T, idx []int) float64
+	// Accuracy is the top-1 accuracy over the whole dataset.
+	Accuracy func(params []T) float64
+}
+
+// BindOf binds m to ds at width T. At float32 it takes m's Model32
+// methods — wrapping linalg.ErrNoFloat32Kernels for a model without
+// them — and narrows ds once (Dataset.To32); at float64 it costs three
+// closures.
+func BindOf[T linalg.Float](m Model, ds *data.Dataset) (Bound[T], error) {
+	if linalg.Width[T]() == 8 {
+		return any(Bound[float64]{
+			SumGradient: func(params []float64, idx []int, out []float64) { m.SumGradient(params, ds, idx, out) },
+			Loss:        func(params []float64, idx []int) float64 { return m.Loss(params, ds, idx) },
+			Accuracy:    func(params []float64) float64 { return Accuracy(m, params, ds) },
+		}).(Bound[T]), nil
 	}
-	return p32
+	m32, ok := m.(Model32)
+	if !ok {
+		return Bound[T]{}, fmt.Errorf("model %s: %w", m.Name(), linalg.ErrNoFloat32Kernels)
+	}
+	ds32 := ds.To32()
+	return any(Bound[float32]{
+		SumGradient: func(params []float32, idx []int, out []float32) { m32.SumGradient32(params, ds32, idx, out) },
+		Loss:        func(params []float32, idx []int) float64 { return m32.Loss32(params, ds32, idx) },
+		Accuracy:    func(params []float32) float64 { return Accuracy32(m32, params, ds32) },
+	}).(Bound[T]), nil
 }
 
 // Accuracy32 returns the top-1 accuracy of m with float32 params over

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"byzshield/internal/cluster"
+	"byzshield/internal/linalg"
 	"byzshield/internal/wire"
 )
 
@@ -566,19 +567,22 @@ func TestLoopbackSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
+	t.Run("f64", loopbackSteadyStateAllocs[float64])
+	t.Run("f32", loopbackSteadyStateAllocs[float32])
+}
+
+func loopbackSteadyStateAllocs[T linalg.Float](t *testing.T) {
 	const warm, timed, limit = 5, 20, 12.0
 	spec := testSpec(warm + timed)
 	spec.L, spec.R = 4, 3 // MOLS(4,3): K = 12
-	asn, err := spec.BuildAssignment()
+	const k = 12
+	shared, err := NewSharedWorkerState(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if asn.K != 12 {
-		t.Fatalf("K = %d, want 12", asn.K)
-	}
 	var begin, end runtime.MemStats
-	srv, err := NewServer("127.0.0.1:0", ServerConfig{
-		Spec: spec, Uplink: wire.TierRaw, FullBroadcastEvery: 1, EvalEvery: 1 << 20,
+	f := runFleetOf[T](t, spec, ServerConfig{
+		Uplink: wire.TierRaw, FullBroadcastEvery: 1, EvalEvery: 1 << 20,
 		OnRound: func(rs cluster.RoundStats) {
 			switch rs.Iteration {
 			case warm - 1:
@@ -587,30 +591,11 @@ func TestLoopbackSteadyStateAllocs(t *testing.T) {
 				runtime.ReadMemStats(&end)
 			}
 		},
-	})
-	if err != nil {
-		t.Fatal(err)
+	}, func(int) WorkerConfig { return WorkerConfig{Shared: shared} }, nil).healthy(t)
+	if len(f.errs) != k {
+		t.Fatalf("K = %d, want %d", len(f.errs), k)
 	}
-	defer srv.Close()
-	shared, err := NewSharedWorkerState(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for u := 0; u < asn.K; u++ {
-		wg.Add(1)
-		go func(u int) {
-			defer wg.Done()
-			if _, err := RunWorker(context.Background(), srv.Addr(), WorkerConfig{ID: u, Shared: shared}); err != nil {
-				t.Errorf("worker %d: %v", u, err)
-			}
-		}(u)
-	}
-	if _, err := srv.Serve(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	per := float64(end.Mallocs-begin.Mallocs) / float64(timed*asn.K)
+	per := float64(end.Mallocs-begin.Mallocs) / float64(timed*k)
 	t.Logf("%.2f mallocs per worker-round", per)
 	if per > limit {
 		t.Errorf("%.2f mallocs per worker-round, pinned at %.1f", per, limit)

@@ -43,38 +43,7 @@ func TestDetectorLoopbackBitIdentical(t *testing.T) {
 // and Byzantine set and returns the final parameters.
 func attackEngineParams(t *testing.T, spec Spec, atk attack.Attack, byz []int) []float64 {
 	t.Helper()
-	asn, err := spec.BuildAssignment()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mdl, err := spec.BuildModel()
-	if err != nil {
-		t.Fatal(err)
-	}
-	train, test, err := spec.BuildData()
-	if err != nil {
-		t.Fatal(err)
-	}
-	agg, err := spec.BuildAggregator()
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := cluster.New(cluster.Config{
-		Assignment: asn, Model: mdl, Train: train, Test: test,
-		BatchSize: spec.BatchSize, Aggregator: agg,
-		Schedule: spec.Schedule, Momentum: spec.Momentum, Seed: spec.Seed,
-		Attack: atk, Byzantines: byz,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	for i := 0; i < spec.Rounds; i++ {
-		if _, err := eng.RunRound(); err != nil {
-			t.Fatalf("round %d: %v", i, err)
-		}
-	}
-	return eng.Params()
+	return engineParamsOf[float64](t, spec, enginePlane{attack: atk, byz: byz})
 }
 
 // TestSidecarALIEBitIdenticalToEngine: the cross-process ALIE coalition

@@ -3,13 +3,18 @@ package transport
 import (
 	"context"
 	"errors"
-	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"byzshield/internal/advnet"
+	"byzshield/internal/attack"
 	"byzshield/internal/cluster"
+	"byzshield/internal/linalg"
+	"byzshield/internal/obs"
+	byzregistry "byzshield/internal/registry"
 	"byzshield/internal/wire"
 )
 
@@ -17,82 +22,21 @@ import (
 // described by spec and returns the final parameters.
 func engineParams32(t *testing.T, spec Spec, parallelism, shards int, tier wire.UplinkTier) []float32 {
 	t.Helper()
-	asn, err := spec.BuildAssignment()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mdl, err := spec.BuildModel32()
-	if err != nil {
-		t.Fatal(err)
-	}
-	train, test, err := spec.BuildData()
-	if err != nil {
-		t.Fatal(err)
-	}
-	agg, err := spec.BuildAggregator32()
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := cluster.New32(cluster.Config32{
-		Assignment: asn, Model: mdl, Train: train, Test: test,
-		BatchSize: spec.BatchSize, Aggregator: agg,
-		Schedule: spec.Schedule, Momentum: spec.Momentum, Seed: spec.Seed,
-		Parallelism: parallelism, Shards: shards, UplinkTier: tier,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	ctx := context.Background()
-	for i := 0; i < spec.Rounds; i++ {
-		if _, err := eng.StepOnce(ctx); err != nil {
-			t.Fatalf("round %d: %v", i, err)
-		}
-	}
-	return eng.Params()
+	return engineParamsOf[float32](t, spec, enginePlane{parallelism: parallelism, shards: shards, tier: tier})
 }
 
 // wireParams32 runs the same experiment over loopback TCP at f32
 // precision and returns the server's final parameters.
 func wireParams32(t *testing.T, spec Spec, cfg ServerConfig32) []float32 {
 	t.Helper()
-	cfg.Spec = spec
-	srv, err := NewServer32("127.0.0.1:0", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	asn, err := spec.BuildAssignment()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for u := 0; u < asn.K; u++ {
-		wg.Add(1)
-		go func(u int) {
-			defer wg.Done()
-			if _, err := RunWorker32(context.Background(), srv.Addr(), WorkerConfig32{ID: u}); err != nil {
-				t.Errorf("worker %d: %v", u, err)
-			}
-		}(u)
-	}
-	if _, err := srv.Serve(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	return srv.Params()
+	return runFleetOf[float32](t, spec, cfg, nil, nil).healthy(t).params
 }
 
 // expectBits32 asserts two f32 parameter vectors are bit-identical.
 func expectBits32(t *testing.T, got, want []float32, label string) {
 	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: param lengths diverge: %d vs %d", label, len(got), len(want))
-	}
-	for i := range want {
-		if gb, wb := math.Float32bits(got[i]), math.Float32bits(want[i]); gb != wb {
-			t.Fatalf("%s: param %d diverged (%x vs %x)", label, i, gb, wb)
-		}
+	if !linalg.EqualBits(got, want) {
+		t.Fatalf("%s: parameters diverged", label)
 	}
 }
 
@@ -141,21 +85,10 @@ func TestServer32RejectsF64Worker(t *testing.T) {
 	<-serveDone
 }
 
-// waitRejoinPending32 polls until worker u has a validated rejoin
-// connection parked for round-boundary admission.
+// waitRejoinPending32 is waitRejoinPending on the f32 server.
 func waitRejoinPending32(t *testing.T, srv *Server32, u int) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		srv.src.mu.Lock()
-		pending := srv.src.workers[u].pending != nil
-		srv.src.mu.Unlock()
-		if pending {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	t.Fatalf("worker %d rejoin never became pending", u)
+	waitRejoinPending(t, srv, u)
 }
 
 // TestWorker32RejoinRenegotiation kills a worker between rounds on an
@@ -261,5 +194,162 @@ func TestWorker32RejoinRenegotiation(t *testing.T) {
 	}
 	if c := srv.Counters(); c.Rejoins < 1 {
 		t.Errorf("counters recorded %d rejoins, want >= 1", c.Rejoins)
+	}
+}
+
+// TestLoopback32Planes runs, at float32, every plane the f32 tier could
+// not reach while it was a second stack — a crash fault, the z-score
+// detector blacklisting a Byzantine worker, sharded report frames with
+// pipelined prep, the ALIE coalition coordinating through the adversary
+// sidecar, and the metrics/tracer plane — each against the in-process
+// float32 engine of the same experiment: final parameters bit for bit,
+// lifecycle counters counted once.
+func TestLoopback32Planes(t *testing.T) {
+	type plane struct {
+		name   string
+		rounds int
+		spec   func(*Spec)
+		cfg    ServerConfig
+		engine enginePlane
+		// byzantine maps the Byzantine workers to their wire behaviour;
+		// sidecar runs a byzadv hub for them.
+		byzantine map[int]WorkerBehavior
+		sidecar   bool
+		// workerErr is what the named worker's RunWorker32 must return.
+		workerErr map[int]error
+		want      Counters
+		// blacklists is the worker the detector must evict; onward from
+		// that round the server blocks until its rejoin was refused.
+		blacklists int
+	}
+	byzALIE := []int{1, 7}
+	registry, tracer := obs.NewRegistry(), obs.NewTracer(16)
+	planes := []plane{
+		{
+			name: "crash", rounds: 10, blacklists: -1,
+			spec: func(s *Spec) {
+				s.Fault = "crash"
+				s.FaultParams = byzregistry.FaultParams{Workers: []int{2}, Round: 4}
+			},
+			workerErr: map[int]error{2: ErrInjectedCrash},
+			want:      Counters{Joins: 15, Evictions: 1},
+		},
+		{
+			name: "zscore-blacklist", rounds: 14, blacklists: 6,
+			spec:      func(s *Spec) { s.Detector = "zscore" },
+			engine:    enginePlane{attack: attack.SignFlip{}, byz: []int{6}},
+			byzantine: map[int]WorkerBehavior{6: BehaviorReversed},
+			workerErr: map[int]error{6: ErrBlacklisted},
+			want:      Counters{Joins: 15, BlacklistRejections: 1},
+		},
+		{
+			name: "sharded-pipelined", rounds: 8, blacklists: -1,
+			cfg:  ServerConfig{Shards: 2, Pipeline: true},
+			want: Counters{Joins: 15},
+		},
+		{
+			name: "alie-sidecar", rounds: 8, blacklists: -1,
+			engine:    enginePlane{attack: attack.ALIE{}, byz: byzALIE},
+			byzantine: map[int]WorkerBehavior{1: BehaviorALIE, 7: BehaviorALIE},
+			sidecar:   true,
+			want:      Counters{Joins: 15},
+		},
+		{
+			name: "obs", rounds: 8, blacklists: -1,
+			cfg:  ServerConfig{Metrics: registry, Tracer: tracer},
+			want: Counters{Joins: 15},
+		},
+	}
+	for _, pl := range planes {
+		t.Run(pl.name, func(t *testing.T) {
+			spec := testSpec(pl.rounds)
+			if pl.spec != nil {
+				pl.spec(&spec)
+			}
+			want := engineParamsOf[float32](t, spec, pl.engine)
+
+			var hubAddr string
+			if pl.sidecar {
+				hub, err := advnet.NewHub("127.0.0.1:0", len(pl.byzantine), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer hub.Close()
+				hubDone := make(chan error, 1)
+				go func() { hubDone <- hub.Serve(context.Background()) }()
+				defer func() {
+					if err := <-hubDone; err != nil {
+						t.Errorf("hub: %v", err)
+					}
+				}()
+				hubAddr = hub.Addr()
+			}
+			pl.cfg.RoundTimeout = 30 * time.Second
+			f := runFleetOf[float32](t, spec, pl.cfg,
+				func(u int) WorkerConfig {
+					cfg := WorkerConfig{Behavior: pl.byzantine[u]}
+					if cfg.Behavior == BehaviorALIE {
+						cfg.AdvAddr = hubAddr
+					}
+					return cfg
+				},
+				func(srv *Server32, rs cluster.RoundStats) {
+					if !slices.Contains(rs.BlacklistedWorkers, pl.blacklists) {
+						return
+					}
+					// The evicted worker's automatic token rejoin must reach
+					// the still-live listener and be refused; OnRound blocks
+					// the serve loop, so waiting here makes that deterministic.
+					for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(2 * time.Millisecond) {
+						if srv.Counters().BlacklistRejections > 0 {
+							return
+						}
+					}
+					t.Error("blacklisted worker's rejoin was never refused while the server was live")
+				})
+
+			expectBits32(t, f.params, want, "wire path")
+			for u, err := range f.errs {
+				if !errors.Is(err, pl.workerErr[u]) {
+					t.Errorf("worker %d returned %v, want %v", u, err, pl.workerErr[u])
+				}
+			}
+			got := f.srv.Counters()
+			// A refused rejoin may be retried before the run ends.
+			if got.BlacklistRejections > 1 && pl.want.BlacklistRejections == 1 {
+				got.BlacklistRejections = 1
+			}
+			if got != pl.want {
+				t.Errorf("lifecycle counters %+v, want %+v", got, pl.want)
+			}
+			if pl.cfg.Metrics == nil {
+				return
+			}
+			// The scrape, the tracer ring and the summed RoundStats are
+			// three views of the same rounds.
+			var reportBytes int64
+			for _, rs := range f.stats {
+				reportBytes += rs.Times.ReportBytes
+			}
+			diag, err := obs.ListenAndServe("127.0.0.1:0", obs.ServerOptions{Registry: registry, Fleet: f.srv.Fleet(), Tracer: tracer})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer diag.Close()
+			vals := scrapeMetrics(t, diag.Addr())
+			for series, want := range map[string]float64{
+				"byzshield_rounds_total":       float64(spec.Rounds),
+				"byzshield_joins_total":        float64(pl.want.Joins),
+				"byzshield_evictions_total":    0,
+				"byzshield_report_bytes_total": float64(reportBytes),
+			} {
+				if vals[series] != want {
+					t.Errorf("scrape: %s = %v, want %v", series, vals[series], want)
+				}
+			}
+			if traces := tracer.Snapshot(nil); len(traces) != spec.Rounds {
+				t.Errorf("tracer holds %d rounds, want %d", len(traces), spec.Rounds)
+			}
+		})
 	}
 }

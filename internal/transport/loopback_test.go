@@ -10,14 +10,30 @@ import (
 	"testing"
 	"time"
 
+	"byzshield/internal/attack"
 	"byzshield/internal/cluster"
+	"byzshield/internal/linalg"
 	"byzshield/internal/registry"
 	"byzshield/internal/wire"
 )
 
-// engineParams runs the in-process engine over the experiment described
-// by spec at the given pool width and returns the final parameters.
-func engineParams(t *testing.T, spec Spec, parallelism int) []float64 {
+// workerState is the float64 worker state the hand-rolled test workers
+// build field by field.
+type workerState = workerStateOf[float64]
+
+// enginePlane configures the in-process reference of a loopback
+// comparison: everything about the engine a Spec does not say.
+type enginePlane struct {
+	parallelism, shards int
+	tier                wire.UplinkTier
+	attack              attack.Attack
+	byz                 []int
+}
+
+// engineParamsOf runs the in-process engine of width T over the
+// experiment described by spec — its detector and fault model included —
+// and returns the final parameters.
+func engineParamsOf[T linalg.Float](t *testing.T, spec Spec, ep enginePlane) []T {
 	t.Helper()
 	asn, err := spec.BuildAssignment()
 	if err != nil {
@@ -39,12 +55,17 @@ func engineParams(t *testing.T, spec Spec, parallelism int) []float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := cluster.New(cluster.Config{
+	flt, err := spec.BuildFault()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := cluster.NewOf[T](cluster.Config{
 		Assignment: asn, Model: mdl, Train: train, Test: test,
 		BatchSize: spec.BatchSize, Aggregator: agg,
 		Schedule: spec.Schedule, Momentum: spec.Momentum, Seed: spec.Seed,
-		Parallelism: parallelism,
-		Detector:    det, Detection: spec.DetectorParams.Policy(),
+		Parallelism: ep.parallelism, Shards: ep.shards, UplinkTier: ep.tier,
+		Attack: ep.attack, Byzantines: ep.byz, Fault: flt,
+		Detector: det, Detection: spec.DetectorParams.Policy(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -58,34 +79,91 @@ func engineParams(t *testing.T, spec Spec, parallelism int) []float64 {
 	return eng.Params()
 }
 
-// wireParams runs the same experiment over loopback TCP and returns the
-// server's final parameters.
-func wireParams(t *testing.T, spec Spec) []float64 {
+// engineParams is the float64 engine at the given pool width.
+func engineParams(t *testing.T, spec Spec, parallelism int) []float64 {
 	t.Helper()
-	srv, err := NewServer("127.0.0.1:0", ServerConfig{Spec: spec})
-	if err != nil {
+	return engineParamsOf[float64](t, spec, enginePlane{parallelism: parallelism})
+}
+
+// fleetOf is one loopback run: the server (closed when the test ends),
+// its final parameters, every round's stats, and what each worker's
+// RunWorkerOf returned.
+type fleetOf[T linalg.Float] struct {
+	srv    *ServerOf[T]
+	params []T
+	stats  []cluster.RoundStats
+	errs   []error
+}
+
+// runFleetOf runs spec over loopback TCP at width T with the given
+// server config; worker, when non-nil, configures worker u (its ID is
+// filled in). onRound runs after the stats are recorded, on the serve
+// loop, with the server in hand.
+func runFleetOf[T linalg.Float](t *testing.T, spec Spec, cfg ServerConfig, worker func(u int) WorkerConfig,
+	onRound func(*ServerOf[T], cluster.RoundStats)) fleetOf[T] {
+	t.Helper()
+	var f fleetOf[T]
+	var mu sync.Mutex
+	userOnRound := cfg.OnRound
+	cfg.Spec = spec
+	cfg.OnRound = func(rs cluster.RoundStats) {
+		mu.Lock()
+		f.stats = append(f.stats, rs)
+		mu.Unlock()
+		if userOnRound != nil {
+			userOnRound(rs)
+		}
+		if onRound != nil {
+			onRound(f.srv, rs)
+		}
+	}
+	var err error
+	if f.srv, err = NewServerOf[T]("127.0.0.1:0", cfg); err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
+	t.Cleanup(func() { f.srv.Close() })
 	asn, err := spec.BuildAssignment()
 	if err != nil {
 		t.Fatal(err)
 	}
+	f.errs = make([]error, asn.K)
 	var wg sync.WaitGroup
 	for u := 0; u < asn.K; u++ {
+		var wcfg WorkerConfig
+		if worker != nil {
+			wcfg = worker(u)
+		}
+		wcfg.ID = u
 		wg.Add(1)
-		go func(u int) {
+		go func() {
 			defer wg.Done()
-			if _, err := RunWorker(context.Background(), srv.Addr(), WorkerConfig{ID: u}); err != nil {
-				t.Errorf("worker %d: %v", u, err)
-			}
-		}(u)
+			_, f.errs[wcfg.ID] = RunWorkerOf[T](context.Background(), f.srv.Addr(), wcfg)
+		}()
 	}
-	if _, err := srv.Serve(context.Background()); err != nil {
+	if _, err := f.srv.Serve(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()
-	return srv.Params()
+	f.params = f.srv.Params()
+	return f
+}
+
+// healthy fails the test for every worker that returned an error.
+func (f fleetOf[T]) healthy(t *testing.T) fleetOf[T] {
+	t.Helper()
+	for u, err := range f.errs {
+		if err != nil {
+			t.Errorf("worker %d: %v", u, err)
+		}
+	}
+	return f
+}
+
+// wireParams runs the same experiment over loopback TCP and returns the
+// server's final parameters.
+func wireParams(t *testing.T, spec Spec) []float64 {
+	t.Helper()
+	return runFleetOf[float64](t, spec, ServerConfig{}, nil, nil).healthy(t).params
 }
 
 // TestLoopbackBitIdenticalToEngine: for a fixed seed with no faults,
@@ -114,7 +192,7 @@ func TestLoopbackBitIdenticalToEngine(t *testing.T) {
 
 // waitRejoinPending polls until worker u has a validated rejoin
 // connection parked for round-boundary admission.
-func waitRejoinPending(t *testing.T, srv *Server, u int) {
+func waitRejoinPending[T linalg.Float](t *testing.T, srv *ServerOf[T], u int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
@@ -130,7 +208,7 @@ func waitRejoinPending(t *testing.T, srv *Server, u int) {
 }
 
 // workerToken reads worker u's current session token.
-func workerToken(srv *Server, u int) uint64 {
+func workerToken[T linalg.Float](srv *ServerOf[T], u int) uint64 {
 	srv.src.mu.Lock()
 	defer srv.src.mu.Unlock()
 	return srv.src.workers[u].token
@@ -312,7 +390,7 @@ func TestEvictedWorkerRejoinsAfterMissedRounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	victimConn := NewConn(raw)
-	if _, err := victimConn.Send(Hello{WorkerID: victim, Version: wire.ProtocolVersion}); err != nil {
+	if _, err := victimConn.Send(Hello{WorkerID: victim, Version: wire.ProtocolVersion, Precisions: wire.PrecisionF64.Mask()}); err != nil {
 		t.Fatal(err)
 	}
 	msg, err := victimConn.Recv()

@@ -8,7 +8,7 @@ import "byzshield/internal/obs"
 // summary can never disagree — there is one source of truth and three
 // views of it. Nothing here touches the round hot path: every function
 // is evaluated only when a scrape walks the registry.
-func (s *Server) registerInstruments(r *obs.Registry) {
+func (s *ServerOf[T]) registerInstruments(r *obs.Registry) {
 	src := s.src
 	r.CounterFunc("byzshield_joins_total", "", "first-time worker admissions",
 		func() float64 { return float64(src.joins.Load()) })

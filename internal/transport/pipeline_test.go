@@ -15,12 +15,18 @@ import (
 	"time"
 
 	"byzshield/internal/cluster"
+	"byzshield/internal/model"
 	"byzshield/internal/wire"
 )
 
-// initManualWorkerShards gives a hand-rolled test worker the shard
-// state RunWorker's handshake would build from the Welcome.
+// initManualWorkerShards gives a hand-rolled test worker the kernel
+// binding and shard state RunWorker's handshake would build from the
+// Welcome.
 func initManualWorkerShards(st *workerState, w Welcome) {
+	var err error
+	if st.kern, err = model.BindOf[float64](st.mdl, st.train); err != nil {
+		panic(err)
+	}
 	shards := w.Shards
 	if shards == 0 {
 		shards = 1
@@ -44,42 +50,8 @@ func initManualWorkerShards(st *workerState, w Welcome) {
 // and returns the final params plus the accumulated round stats.
 func runLoopback(t *testing.T, spec Spec, cfg ServerConfig) (*Server, []float64, []cluster.RoundStats) {
 	t.Helper()
-	var mu sync.Mutex
-	var stats []cluster.RoundStats
-	userOnRound := cfg.OnRound
-	cfg.Spec = spec
-	cfg.OnRound = func(rs cluster.RoundStats) {
-		mu.Lock()
-		stats = append(stats, rs)
-		mu.Unlock()
-		if userOnRound != nil {
-			userOnRound(rs)
-		}
-	}
-	srv, err := NewServer("127.0.0.1:0", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	asn, err := spec.BuildAssignment()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for u := 0; u < asn.K; u++ {
-		wg.Add(1)
-		go func(u int) {
-			defer wg.Done()
-			if _, err := RunWorker(context.Background(), srv.Addr(), WorkerConfig{ID: u}); err != nil {
-				t.Errorf("worker %d: %v", u, err)
-			}
-		}(u)
-	}
-	if _, err := srv.Serve(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	return srv, srv.Params(), stats
+	f := runFleetOf[float64](t, spec, cfg, nil, nil).healthy(t)
+	return f.srv, f.params, f.stats
 }
 
 // TestUplinkDeltaTrajectoryIdentity: compressed uplink (the default)
@@ -207,7 +179,7 @@ func TestStaleReportRetiredEagerly(t *testing.T) {
 		t.Fatal(err)
 	}
 	conn := NewConn(raw)
-	if _, err := conn.Send(Hello{WorkerID: victim, Version: wire.ProtocolVersion}); err != nil {
+	if _, err := conn.Send(Hello{WorkerID: victim, Version: wire.ProtocolVersion, Precisions: wire.PrecisionF64.Mask()}); err != nil {
 		t.Fatal(err)
 	}
 	msg, err := conn.Recv()
@@ -353,7 +325,7 @@ func TestLifecycleCountersOnEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	conn := NewConn(raw)
-	if _, err := conn.Send(Hello{WorkerID: victim, Version: wire.ProtocolVersion}); err != nil {
+	if _, err := conn.Send(Hello{WorkerID: victim, Version: wire.ProtocolVersion, Precisions: wire.PrecisionF64.Mask()}); err != nil {
 		t.Fatal(err)
 	}
 	msg, err := conn.Recv()

@@ -211,37 +211,6 @@ func (s *Spec) BuildModel() (model.Model, error) {
 	return model.NewSoftmax(s.Dim, s.Classes)
 }
 
-// BuildModel32 constructs the float32 model described by the spec. The
-// f32 precision tier supports the models that implement model.Model32;
-// an MLP spec (Hidden > 0) is rejected rather than silently widened.
-func (s *Spec) BuildModel32() (model.Model32, error) {
-	m, err := s.BuildModel()
-	if err != nil {
-		return nil, err
-	}
-	m32, ok := m.(model.Model32)
-	if !ok {
-		return nil, fmt.Errorf("transport: model %T has no float32 kernel set (the f32 tier supports softmax and convnet)", m)
-	}
-	return m32, nil
-}
-
-// BuildAggregator32 constructs the aggregation rule named by the spec
-// at float32 width. Every registry rule that implements
-// aggregate.ChunkAggregator32 qualifies; one that aggregates at f64
-// only is rejected by name.
-func (s *Spec) BuildAggregator32() (aggregate.ChunkAggregator32, error) {
-	agg, err := s.BuildAggregator()
-	if err != nil {
-		return nil, err
-	}
-	agg32, ok := agg.(aggregate.ChunkAggregator32)
-	if !ok {
-		return nil, fmt.Errorf("transport: aggregator %q has no float32 kernel set", s.Aggregator)
-	}
-	return agg32, nil
-}
-
 // BuildData constructs the train/test datasets described by the spec.
 func (s *Spec) BuildData() (train, test *data.Dataset, err error) {
 	return data.Synthetic(data.SyntheticConfig{
@@ -426,11 +395,12 @@ type Hello struct {
 	// treated as raw-only, the tier every peer must implement.
 	Tiers uint8
 	// Precisions is the bitmask of numeric precision tiers the worker
-	// implements (wire.Precision.Mask per bit). A zero mask is treated
-	// as f64-only, the pre-v7 behavior. The server picks the
-	// connection's precision from this mask — the f64 server selects
-	// f64 and refuses f32-only workers, the f32 server requires f32 —
-	// and pins it in Welcome.Precision.
+	// implements (wire.Precision.Mask per bit). The server runs at one
+	// width: it refuses a Hello whose mask lacks that width's bit with
+	// Reject{RejectPrecision} — a zero mask included, which no shipped
+	// worker sends (pre-v7 peers, which had no such field, are refused on
+	// the version before the mask is read) — and pins the width in
+	// Welcome.Precision.
 	Precisions uint8
 }
 
@@ -563,7 +533,7 @@ func (m RoundStart) appendPayload(dst []byte) ([]byte, error) {
 }
 
 // fileSampler yields a file's training-sample indices for the round
-// being broadcast (cluster.Round and cluster.Round32 both do).
+// being broadcast (cluster.RoundOf does).
 type fileSampler interface{ FileSamples(v int) []int }
 
 // fileMap serves a decoded RoundStart.Files map as a fileSampler.

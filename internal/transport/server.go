@@ -15,6 +15,7 @@ import (
 	"byzshield/internal/aggregate"
 	"byzshield/internal/assign"
 	"byzshield/internal/cluster"
+	"byzshield/internal/linalg"
 	"byzshield/internal/obs"
 	"byzshield/internal/trainer"
 	"byzshield/internal/wire"
@@ -45,7 +46,9 @@ const helloTimeout = 30 * time.Second
 // guarantees the pump goroutines join even if a worker never hangs up.
 const shutdownDrainTimeout = 10 * time.Second
 
-// ServerConfig configures the TCP parameter server.
+// ServerConfig configures the TCP parameter server, at either value
+// width: NewServer runs it over float64 frames and kernels, NewServer32
+// over float32 ones. Nothing in it names a width.
 type ServerConfig struct {
 	Spec Spec
 	// Aggregator overrides the rule named by Spec.Aggregator; leave nil
@@ -145,7 +148,10 @@ type Counters struct {
 	BlacklistRejections int64
 }
 
-// Server is the TCP parameter server: it accepts K workers and drives
+// ServerOf is the TCP parameter server at value width T — the width of
+// every parameter broadcast, gradient report and kernel of the run, which
+// its Welcome pins (wire.PrecisionOf[T]) and which a worker must have
+// offered in its Hello. It accepts K workers and drives
 // the synchronous rounds of Algorithm 1 over the network. The per-round
 // protocol itself — majority vote with quorum, robust aggregation,
 // momentum step — executes in the shared cluster round core; the server
@@ -165,12 +171,12 @@ type Counters struct {
 // session token) and are re-admitted at the next round boundary, where
 // they receive a full parameter broadcast and resume contributing their
 // file gradients.
-type Server struct {
+type ServerOf[T linalg.Float] struct {
 	cfg        ServerConfig
 	listener   net.Listener
 	assignment *assign.Assignment
-	eng        *cluster.Engine
-	src        *wireSource
+	eng        *cluster.EngineOf[T]
+	src        *wireSource[T]
 	fleet      *obs.FleetTable
 
 	histMu  sync.Mutex
@@ -181,9 +187,9 @@ type Server struct {
 	serving bool
 }
 
-// NewServer validates the config and binds the listener on addr
-// (e.g. "127.0.0.1:0" to pick a free port).
-func NewServer(addr string, cfg ServerConfig) (*Server, error) {
+// NewServerOf validates the config, builds the width-T round engine and
+// binds the listener on addr (e.g. "127.0.0.1:0" to pick a free port).
+func NewServerOf[T linalg.Float](addr string, cfg ServerConfig) (*ServerOf[T], error) {
 	if cfg.Aggregator == nil {
 		agg, err := cfg.Spec.BuildAggregator()
 		if err != nil {
@@ -242,9 +248,9 @@ func NewServer(addr string, cfg ServerConfig) (*Server, error) {
 		return nil, fmt.Errorf("transport: unknown uplink tier %d", cfg.Uplink)
 	}
 	shards := wire.ShardCount(cfg.Shards, mdl.NumParams())
-	src := newWireSource(asn, cfg.RoundTimeout, cfg.FullBroadcastEvery, shards, cfg.Pipeline, cfg.Spec.Rounds, cfg.Logf)
+	src := newWireSource[T](asn, cfg.RoundTimeout, cfg.FullBroadcastEvery, shards, cfg.Pipeline, cfg.Spec.Rounds, cfg.Logf)
 	src.uplink = cfg.Uplink
-	eng, err := cluster.New(cluster.Config{
+	eng, err := cluster.NewOf[T](cluster.Config{
 		Assignment:   asn,
 		Model:        mdl,
 		Train:        train,
@@ -281,7 +287,7 @@ func NewServer(addr string, cfg ServerConfig) (*Server, error) {
 		eng.Close()
 		return nil, err
 	}
-	s := &Server{
+	s := &ServerOf[T]{
 		cfg:        cfg,
 		listener:   ln,
 		assignment: asn,
@@ -297,16 +303,16 @@ func NewServer(addr string, cfg ServerConfig) (*Server, error) {
 
 // Fleet returns the server's per-worker status table — the backing
 // store of /statusz and the worker-labeled /metrics series.
-func (s *Server) Fleet() *obs.FleetTable { return s.fleet }
+func (s *ServerOf[T]) Fleet() *obs.FleetTable { return s.fleet }
 
 // Addr returns the bound listen address.
-func (s *Server) Addr() string { return s.listener.Addr().String() }
+func (s *ServerOf[T]) Addr() string { return s.listener.Addr().String() }
 
 // Close releases the listener and, when no Serve is in flight, the
 // engine's worker-pool goroutines. Close is safe to call concurrently
 // with a running Serve: the engine must not be torn down under a
 // mid-flight round, so in that case Serve's own exit path releases it.
-func (s *Server) Close() error {
+func (s *ServerOf[T]) Close() error {
 	err := s.listener.Close()
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -318,7 +324,7 @@ func (s *Server) Close() error {
 
 // History returns the recorded evaluation series. Valid once Serve has
 // returned (evaluation runs on a background goroutine during a run).
-func (s *Server) History() *trainer.History {
+func (s *ServerOf[T]) History() *trainer.History {
 	s.histMu.Lock()
 	defer s.histMu.Unlock()
 	return &s.history
@@ -327,10 +333,10 @@ func (s *Server) History() *trainer.History {
 // Params returns a copy of the current model parameter vector — the
 // wire-path counterpart of cluster.Engine.Params, used to verify
 // trajectory identity between the two paths.
-func (s *Server) Params() []float64 { return s.eng.Params() }
+func (s *ServerOf[T]) Params() []T { return s.eng.Params() }
 
 // Counters returns the cumulative connection-lifecycle totals.
-func (s *Server) Counters() Counters {
+func (s *ServerOf[T]) Counters() Counters {
 	return Counters{
 		Joins:               s.src.joins.Load(),
 		Rejoins:             s.src.rejoins.Load(),
@@ -341,7 +347,7 @@ func (s *Server) Counters() Counters {
 }
 
 // track registers a connection for cancellation teardown.
-func (s *Server) track(c *Conn) {
+func (s *ServerOf[T]) track(c *Conn) {
 	s.mu.Lock()
 	s.conns = append(s.conns, c)
 	s.mu.Unlock()
@@ -351,7 +357,7 @@ func (s *Server) track(c *Conn) {
 // any in-flight Accept/Send/Recv. It marks the source closing first so
 // the pump exits the teardown provokes are not miscounted as
 // evictions — cancellation is a deliberate shutdown.
-func (s *Server) teardown() {
+func (s *ServerOf[T]) teardown() {
 	s.src.markClosing()
 	s.listener.Close()
 	s.mu.Lock()
@@ -374,7 +380,7 @@ func newToken() (uint64, error) {
 // acceptLoop accepts connections for the whole run, handshaking each on
 // its own goroutine: initial joins before round 1, rejoins any time
 // after. It exits when the listener closes (teardown or end of Serve).
-func (s *Server) acceptLoop(ctx context.Context, done chan<- error) {
+func (s *ServerOf[T]) acceptLoop(ctx context.Context, done chan<- error) {
 	for {
 		raw, err := s.listener.Accept()
 		if err != nil {
@@ -391,7 +397,7 @@ func (s *Server) acceptLoop(ctx context.Context, done chan<- error) {
 // handshake rejects this connection only: the listener keeps accepting,
 // so one malformed, duplicate, or stale-token Hello cannot tear down
 // the cluster.
-func (s *Server) handshake(ctx context.Context, conn *Conn) {
+func (s *ServerOf[T]) handshake(ctx context.Context, conn *Conn) {
 	reject := func(format string, args ...any) {
 		s.cfg.Logf("rejecting %s: %s", conn.RemoteAddr(), fmt.Sprintf(format, args...))
 		conn.Close()
@@ -422,11 +428,11 @@ func (s *Server) handshake(ctx context.Context, conn *Conn) {
 			fmt.Sprintf("protocol version %d, want %d", hello.Version, wire.ProtocolVersion))
 		return
 	}
-	if !precisionOffered(hello.Precisions, wire.PrecisionF64) {
-		// This server aggregates at float64; a worker that only speaks
-		// the f32 codec set cannot parse its frames.
+	if prec := wire.PrecisionOf[T](); hello.Precisions&prec.Mask() == 0 {
+		// Every frame of this run carries values of width T; a worker
+		// that does not speak that codec set cannot parse them.
 		sendReject(conn, s.cfg.Logf, RejectPrecision, fmt.Sprintf("worker %d offers precision mask %#x, server runs %s",
-			hello.WorkerID, hello.Precisions, wire.PrecisionF64))
+			hello.WorkerID, hello.Precisions, prec))
 		return
 	}
 	tier := negotiateTier(s.src.uplink, hello.Tiers)
@@ -443,7 +449,7 @@ func (s *Server) handshake(ctx context.Context, conn *Conn) {
 	ws := s.src
 	// The peer is a worker of this run: from here it may send report
 	// frames, and nothing larger.
-	conn.setPayloadLimit(reportPayloadLimit[float64](len(ws.files[hello.WorkerID]), ws.dim))
+	conn.setPayloadLimit(reportPayloadLimit[T](len(ws.files[hello.WorkerID]), ws.dim))
 	ws.mu.Lock()
 	w := &ws.workers[hello.WorkerID]
 	switch {
@@ -482,7 +488,7 @@ func (s *Server) handshake(ctx context.Context, conn *Conn) {
 		Spec:      s.cfg.Spec,
 		Shards:    ws.shards,
 		Pipeline:  ws.pipeline,
-		Precision: wire.PrecisionF64,
+		Precision: wire.PrecisionOf[T](),
 	}); err != nil {
 		if !hello.Resume {
 			// Release the reserved slot so the worker id can join again.
@@ -587,7 +593,7 @@ func negotiateTier(want wire.UplinkTier, mask uint8) wire.UplinkTier {
 
 // sendReject refuses a handshake with a typed Reject before closing, so
 // the peer learns why it cannot enter the run (and whether retrying can
-// ever help) instead of seeing a silent close. Both servers use it.
+// ever help) instead of seeing a silent close.
 func sendReject(conn *Conn, logf func(string, ...any), code uint8, reason string) {
 	logf("rejecting %s: %s", conn.RemoteAddr(), reason)
 	conn.SetWriteDeadline(time.Now().Add(helloTimeout))
@@ -597,28 +603,18 @@ func sendReject(conn *Conn, logf func(string, ...any), code uint8, reason string
 	conn.Close()
 }
 
-// precisionOffered reports whether a Hello precision mask includes p. A
-// zero mask is read as f64-only — the pre-v7 default every peer speaks
-// unless its Hello explicitly narrows the set.
-func precisionOffered(mask uint8, p wire.Precision) bool {
-	if mask == 0 {
-		mask = wire.PrecisionF64.Mask()
-	}
-	return mask&p.Mask() != 0
-}
-
 // rejectBlacklisted refuses a blacklisted worker's handshake with a
 // typed Reject frame and counts the refusal.
-func (s *Server) rejectBlacklisted(conn *Conn, u int) {
+func (s *ServerOf[T]) rejectBlacklisted(conn *Conn, u int) {
 	s.src.blacklistRejections.Add(1)
 	sendReject(conn, s.cfg.Logf, RejectBlacklisted, fmt.Sprintf("worker %d blacklisted by the detection layer", u))
 }
 
 // evalJob is one background evaluation request: the round it belongs to
 // and a snapshot of the parameters after that round.
-type evalJob struct {
+type evalJob[T linalg.Float] struct {
 	round  int
-	params []float64
+	params []T
 }
 
 // Serve accepts the K workers, runs the configured number of rounds
@@ -636,7 +632,7 @@ type evalJob struct {
 // evaluation history recorded up to that point remains available via
 // History. On every exit path the reader pumps are joined before Serve
 // returns — no goroutine outlives the call.
-func (s *Server) Serve(ctx context.Context) (float64, error) {
+func (s *ServerOf[T]) Serve(ctx context.Context) (float64, error) {
 	s.mu.Lock()
 	s.serving = true
 	s.mu.Unlock()
@@ -680,7 +676,7 @@ func (s *Server) Serve(ctx context.Context) (float64, error) {
 	// Background evaluation: snapshots stream through evalCh in round
 	// order; the goroutine appends to the history, so the serve loop
 	// never blocks on model evaluation.
-	evalCh := make(chan evalJob, 4)
+	evalCh := make(chan evalJob[T], 4)
 	evalDone := make(chan struct{})
 	go func() {
 		defer close(evalDone)
@@ -738,7 +734,7 @@ func (s *Server) Serve(ctx context.Context) (float64, error) {
 			s.cfg.OnRound(stats)
 		}
 		if (t+1)%s.cfg.EvalEvery == 0 || t == s.cfg.Spec.Rounds-1 {
-			evalCh <- evalJob{round: t + 1, params: s.eng.Params()}
+			evalCh <- evalJob[T]{round: t + 1, params: s.eng.Params()}
 		}
 	}
 	drainEval()
@@ -836,19 +832,19 @@ type pumpItem struct {
 // is the only reader of its connection, so it owns the per-connection
 // uplink decoder state, and it never sets read deadlines: the round
 // loop's single collection timer is the only clock on the hot path.
-type pump struct {
-	ws   *wireSource
+type pump[T linalg.Float] struct {
+	ws   *wireSource[T]
 	u    int
 	conn *Conn
 	// decs holds one uplink decoder per aggregation shard: a sharded
 	// worker runs one independent delta stream per shard (each with its
 	// own base), mirroring the per-shard encoders on the worker side.
-	decs []wire.UplinkDecoder
+	decs []wire.UplinkDecoderOf[T]
 	// frame is the decode target; its Grads are pointed at the engine's
 	// arena buffers for deliverable reports and at private scratch for
 	// stale ones (the arena slot may be under read by a vote).
-	frame      wire.GradFrame
-	staleGrads [][]float64
+	frame      wire.GradFrameOf[T]
+	staleGrads [][]T
 	// deliveredIter/deliveredMask bound the inbox: at most one report
 	// frame enters it per (connection, round, shard), which keeps a
 	// duplicate frame from being decoded into an arena buffer the
@@ -860,7 +856,7 @@ type pump struct {
 }
 
 // run pumps frames until the connection dies or misbehaves.
-func (p *pump) run() {
+func (p *pump[T]) run() {
 	defer p.ws.pumps.Done()
 	for {
 		msg, err := p.conn.Recv()
@@ -885,7 +881,7 @@ func (p *pump) run() {
 }
 
 // handle processes one gradient report frame in stream order.
-func (p *pump) handle(rep GradientReport) error {
+func (p *pump[T]) handle(rep GradientReport) error {
 	ws := p.ws
 	if rep.WorkerID != p.u {
 		return fmt.Errorf("report claims worker %d", rep.WorkerID)
@@ -951,7 +947,7 @@ func (p *pump) handle(rep GradientReport) error {
 	p.push(pumpItem{
 		kind: pumpReport, u: p.u, conn: p.conn, iter: it, shard: rep.Shard,
 		wireBytes: len(rep.Frame),
-		rawBytes:  wire.UplinkRawSize(len(wf), hi-lo),
+		rawBytes:  wire.UplinkRawSizeOf[T](len(wf), hi-lo),
 	})
 	return nil
 }
@@ -960,7 +956,7 @@ func (p *pump) handle(rep GradientReport) error {
 // uplink decoder into the given target buffers and validates its
 // structure against the worker's static file assignment and the
 // shard's coordinate width.
-func (p *pump) decode(frameBytes []byte, bufs [][]float64, shard int) error {
+func (p *pump[T]) decode(frameBytes []byte, bufs [][]T, shard int) error {
 	ws := p.ws
 	wf := ws.files[p.u]
 	want := ws.shardRanges[shard][1] - ws.shardRanges[shard][0]
@@ -989,12 +985,12 @@ func (p *pump) decode(frameBytes []byte, bufs [][]float64, shard int) error {
 // frame is decoding it in place. Distinct shards write disjoint ranges
 // of the same rows, so a shard that already landed can be under read
 // by an early vote while later shards still decode.
-func (p *pump) arenaBufs(shard int) [][]float64 {
+func (p *pump[T]) arenaBufs(shard int) [][]T {
 	ws := p.ws
 	wf := ws.files[p.u]
 	lo, hi := ws.shardRanges[shard][0], ws.shardRanges[shard][1]
 	if cap(p.frame.Grads) < len(wf) {
-		p.frame.Grads = make([][]float64, len(wf))
+		p.frame.Grads = make([][]T, len(wf))
 	}
 	bufs := p.frame.Grads[:len(wf)]
 	for j := range wf {
@@ -1010,18 +1006,18 @@ func (p *pump) arenaBufs(shard int) [][]float64 {
 // scratchBufs are the pump-private decode targets for stale frames:
 // the arena slot may be under concurrent read by the round that just
 // missed this worker, so late frames must not touch it.
-func (p *pump) scratchBufs(shard int) [][]float64 {
+func (p *pump[T]) scratchBufs(shard int) [][]T {
 	ws := p.ws
 	wf := ws.files[p.u]
 	if p.staleGrads == nil {
-		p.staleGrads = make([][]float64, len(wf))
+		p.staleGrads = make([][]T, len(wf))
 		for j := range p.staleGrads {
-			p.staleGrads[j] = make([]float64, ws.dim)
+			p.staleGrads[j] = make([]T, ws.dim)
 		}
 	}
 	lo, hi := ws.shardRanges[shard][0], ws.shardRanges[shard][1]
 	if cap(p.frame.Grads) < len(wf) {
-		p.frame.Grads = make([][]float64, len(wf))
+		p.frame.Grads = make([][]T, len(wf))
 	}
 	bufs := p.frame.Grads[:len(wf)]
 	for j := range wf {
@@ -1032,7 +1028,7 @@ func (p *pump) scratchBufs(shard int) [][]float64 {
 
 // push forwards an item to the collection inbox, giving up when the
 // source shuts down (the only state in which the inbox can stay full).
-func (p *pump) push(item pumpItem) {
+func (p *pump[T]) push(item pumpItem) {
 	select {
 	case p.ws.inbox <- item:
 	case <-p.ws.stopCh:
@@ -1042,7 +1038,7 @@ func (p *pump) push(item pumpItem) {
 // notifyDeath posts a death notice so an in-flight collection stops
 // waiting for this worker immediately instead of running out the
 // deadline.
-func (p *pump) notifyDeath(err error) {
+func (p *pump[T]) notifyDeath(err error) {
 	p.push(pumpItem{kind: pumpDeath, u: p.u, conn: p.conn, err: err})
 }
 
@@ -1054,12 +1050,12 @@ func (p *pump) notifyDeath(err error) {
 // reach the collection loop; absent or misbehaving workers are marked
 // missing so the round core's quorum rule decides the fate of their
 // files.
-type wireSource struct {
+type wireSource[T linalg.Float] struct {
 	timeout   time.Duration
 	fullEvery int
 	logf      func(format string, args ...any)
 
-	eng *cluster.Engine
+	eng *cluster.EngineOf[T]
 	dim int
 
 	// fleet is the per-worker status table (set by NewServer, never
@@ -1141,7 +1137,7 @@ type wireSource struct {
 	shardLeft []int
 	// prevParams is the parameter vector broadcast last round (the
 	// delta base); prevIter the iteration it belongs to (-1 = none).
-	prevParams []float64
+	prevParams []T
 	prevIter   int
 	// fullFrame/deltaFrame are the per-round broadcast encode buffers,
 	// shared read-only by every send goroutine of the round.
@@ -1173,10 +1169,18 @@ type wireSource struct {
 	collectTimer *time.Timer
 }
 
+// cluster.Config.Source is untyped (one Config serves both widths), so
+// the source's side of that contract is pinned here.
+var (
+	_ cluster.GradientSourceOf[float64] = (*wireSource[float64])(nil)
+	_ cluster.GradientSourceOf[float32] = (*wireSource[float32])(nil)
+	_ cluster.RoundPreparer             = (*wireSource[float64])(nil)
+)
+
 // newWireSource prepares the per-worker state tables. shards must
 // already be clamped to [1, dim] (wire.ShardCount).
-func newWireSource(asn *assign.Assignment, timeout time.Duration, fullEvery, shards int, pipeline bool, rounds int, logf func(string, ...any)) *wireSource {
-	ws := &wireSource{
+func newWireSource[T linalg.Float](asn *assign.Assignment, timeout time.Duration, fullEvery, shards int, pipeline bool, rounds int, logf func(string, ...any)) *wireSource[T] {
+	ws := &wireSource[T]{
 		timeout:   timeout,
 		fullEvery: fullEvery,
 		logf:      logf,
@@ -1238,7 +1242,7 @@ func newWireSource(asn *assign.Assignment, timeout time.Duration, fullEvery, sha
 
 // bind attaches the engine whose arena the pumps decode into and
 // derives the shard coordinate ranges from the model dimension.
-func (ws *wireSource) bind(eng *cluster.Engine, dim int) {
+func (ws *wireSource[T]) bind(eng *cluster.EngineOf[T], dim int) {
 	ws.eng = eng
 	ws.dim = dim
 	ws.shardRanges = make([][2]int, ws.shards)
@@ -1251,12 +1255,12 @@ func (ws *wireSource) bind(eng *cluster.Engine, dim int) {
 // startPump launches worker u's reader goroutine for conn. Callers
 // must hold ws.mu (which is what orders the pumps.Add against
 // shutdown's closing check).
-func (ws *wireSource) startPump(u int, conn *Conn) {
+func (ws *wireSource[T]) startPump(u int, conn *Conn) {
 	if ws.closing {
 		return
 	}
 	ws.pumps.Add(1)
-	p := &pump{ws: ws, u: u, conn: conn, deliveredIter: -1, decs: make([]wire.UplinkDecoder, ws.shards)}
+	p := &pump[T]{ws: ws, u: u, conn: conn, deliveredIter: -1, decs: make([]wire.UplinkDecoderOf[T], ws.shards)}
 	for s := range p.decs {
 		p.decs[s].Tier = ws.workers[u].tier
 	}
@@ -1264,14 +1268,14 @@ func (ws *wireSource) startPump(u int, conn *Conn) {
 }
 
 // liveConn returns worker u's current live connection (nil when down).
-func (ws *wireSource) liveConn(u int) *Conn {
+func (ws *wireSource[T]) liveConn(u int) *Conn {
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
 	return ws.workers[u].conn
 }
 
 // joinedWorkers reports how many workers have completed a first join.
-func (ws *wireSource) joinedWorkers() int {
+func (ws *wireSource[T]) joinedWorkers() int {
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
 	return ws.joinedCount
@@ -1284,7 +1288,7 @@ func (ws *wireSource) joinedWorkers() int {
 // source into closing mode before returning, so workers hanging up
 // after reading the Shutdown are not miscounted as evictions (the flip
 // must precede the Shutdown sends, or a fast worker's EOF races it).
-func (ws *wireSource) shutdownConns() []*Conn {
+func (ws *wireSource[T]) shutdownConns() []*Conn {
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
 	var out []*Conn
@@ -1308,14 +1312,14 @@ func (ws *wireSource) shutdownConns() []*Conn {
 // markClosing flips the source into closing mode exactly once: no new
 // pumps start, pump exits stop counting as evictions, and blocked
 // inbox pushes release.
-func (ws *wireSource) markClosing() {
+func (ws *wireSource[T]) markClosing() {
 	ws.mu.Lock()
 	ws.markClosingLocked()
 	ws.mu.Unlock()
 }
 
 // markClosingLocked is markClosing with ws.mu already held.
-func (ws *wireSource) markClosingLocked() {
+func (ws *wireSource[T]) markClosingLocked() {
 	if !ws.closing {
 		ws.closing = true
 		close(ws.stopCh)
@@ -1325,7 +1329,7 @@ func (ws *wireSource) markClosingLocked() {
 // drain marks shutdown and joins the pumps without force-closing
 // connections — each exits on its worker's EOF or its read deadline,
 // so workers get to read the final Shutdown.
-func (ws *wireSource) drain() {
+func (ws *wireSource[T]) drain() {
 	ws.markClosing()
 	ws.pumps.Wait()
 }
@@ -1333,7 +1337,7 @@ func (ws *wireSource) drain() {
 // shutdown closes every worker connection and joins every reader pump.
 // It runs on every Serve exit path, making teardown deterministic: no
 // pump goroutine outlives Serve.
-func (ws *wireSource) shutdown() {
+func (ws *wireSource[T]) shutdown() {
 	ws.mu.Lock()
 	ws.markClosingLocked()
 	for u := range ws.workers {
@@ -1355,7 +1359,7 @@ func (ws *wireSource) shutdown() {
 // the "next round boundary" of the rejoin handshake — and starts their
 // reader pumps. Re-admitted workers have lastAck reset so this round
 // sends them the full vector. Returns how many workers were admitted.
-func (ws *wireSource) admitPending(t int) int {
+func (ws *wireSource[T]) admitPending(t int) int {
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
 	admitted := 0
@@ -1385,13 +1389,13 @@ func (ws *wireSource) admitPending(t int) int {
 	return admitted
 }
 
-// Collect implements cluster.GradientSource over TCP: broadcast
+// Collect implements cluster.GradientSourceOf over TCP: broadcast
 // RoundStart to every live worker (parallel sends), then drain the
 // pumps' inbox under one deadline timer until every live worker is
 // accounted for — delivered, explicitly skipping, or dead. The pumps
 // have already decoded deliverable reports into the engine's arena, so
 // this loop only attributes results; it never touches a socket.
-func (ws *wireSource) Collect(ctx context.Context, rd *cluster.Round) (cluster.CollectStats, error) {
+func (ws *wireSource[T]) Collect(ctx context.Context, rd *cluster.RoundOf[T]) (cluster.CollectStats, error) {
 	t := rd.Iteration()
 	rejoins := ws.admitPending(t)
 	// Open the round for the pumps: reports for t are deliverable,
@@ -1591,7 +1595,7 @@ func (ws *wireSource) Collect(ctx context.Context, rd *cluster.Round) (cluster.C
 	// Roll the delta base forward: next round's deltas patch this
 	// round's vector.
 	if ws.prevParams == nil {
-		ws.prevParams = make([]float64, len(rd.Params()))
+		ws.prevParams = make([]T, len(rd.Params()))
 	}
 	copy(ws.prevParams, rd.Params())
 	ws.prevIter = t
@@ -1643,15 +1647,15 @@ func armTimer(timer **time.Timer, d time.Duration) <-chan time.Time {
 // frame (always needed for unacknowledged or refresh rounds) and the
 // delta frame against the previous round's vector when any worker can
 // use it. Both buffers are read-only for the round.
-func (ws *wireSource) prepareBroadcast(t int, params []float64) error {
+func (ws *wireSource[T]) prepareBroadcast(t int, params []T) error {
 	var err error
-	ws.fullFrame, err = wire.AppendParamsFull(ws.fullFrame[:0], params)
+	ws.fullFrame, err = wire.AppendParamsFullOf(ws.fullFrame[:0], params)
 	if err != nil {
 		return fmt.Errorf("transport: broadcast: %w", err)
 	}
 	ws.deltaFrame = ws.deltaFrame[:0]
 	if !refreshRound(t, ws.fullEvery) && ws.prevIter == t-1 {
-		ws.deltaFrame, err = wire.AppendParamsDelta(ws.deltaFrame[:0], ws.prevParams, params)
+		ws.deltaFrame, err = wire.AppendParamsDeltaOf(ws.deltaFrame[:0], ws.prevParams, params)
 		if err != nil {
 			return fmt.Errorf("transport: broadcast: %w", err)
 		}
@@ -1672,8 +1676,7 @@ func refreshRound(t, fullEvery int) bool {
 // ascending file list, whose sample lists rd supplies; nil for a worker
 // already prepped for t, whose RoundStart carries no file section. A
 // non-empty prep (a pre-encoded RoundPrep frame for round t+1) rides the
-// same vectored write. Params frames are bytes by now, so the f64 and
-// f32 servers both broadcast through here.
+// same vectored write.
 func sendRoundStart(conn *Conn, timeout time.Duration, t, lastAck int, full, delta []byte, files []int, rd fileSampler, prep []byte) (int, error) {
 	if timeout > 0 {
 		conn.SetWriteDeadline(time.Now().Add(timeout))
@@ -1695,7 +1698,7 @@ func sendRoundStart(conn *Conn, timeout time.Duration, t, lastAck int, full, del
 // iter-1's RoundStart, so pipelining the prep costs no extra syscalls,
 // send goroutines, or barriers. A failed combined write evicts exactly
 // like a failed RoundStart send; the worker rejoins unprepped.
-func (ws *wireSource) PrepareNext(iter int, files [][]int) {
+func (ws *wireSource[T]) PrepareNext(iter int, files [][]int) {
 	ws.prepReady = -1
 	if !ws.pipeline || iter >= ws.rounds {
 		return
@@ -1718,7 +1721,7 @@ func (ws *wireSource) PrepareNext(iter int, files [][]int) {
 }
 
 // ack records that worker u applied round t's parameter broadcast.
-func (ws *wireSource) ack(u, t int) {
+func (ws *wireSource[T]) ack(u, t int) {
 	ws.mu.Lock()
 	ws.workers[u].lastAck = t
 	ws.mu.Unlock()
@@ -1729,7 +1732,7 @@ func (ws *wireSource) ack(u, t int) {
 // handshake — even with the valid session token — is refused with a
 // typed Reject. The closed connection's pump exit is not double-counted
 // as an eviction (the slot is already cleared).
-func (ws *wireSource) blacklist(u int) {
+func (ws *wireSource[T]) blacklist(u int) {
 	ws.mu.Lock()
 	w := &ws.workers[u]
 	w.blacklisted = true
@@ -1766,7 +1769,7 @@ func isClosed(done <-chan struct{}) bool {
 // missing up front — until it rejoins with its session token. During
 // shutdown the same path runs silently (pump exits are expected).
 // Safe for concurrent calls on distinct or identical workers.
-func (ws *wireSource) evict(u int, conn *Conn, err error) {
+func (ws *wireSource[T]) evict(u int, conn *Conn, err error) {
 	conn.Close()
 	ws.mu.Lock()
 	live := ws.workers[u].conn == conn
@@ -1781,7 +1784,7 @@ func (ws *wireSource) evict(u int, conn *Conn, err error) {
 }
 
 // evicted records that worker u's live connection was torn down mid-run.
-func (ws *wireSource) evicted(u int, err error) {
+func (ws *wireSource[T]) evicted(u int, err error) {
 	ws.evictions.Add(1)
 	if ws.fleet.State(u) != obs.WorkerBlacklisted {
 		ws.fleet.SetState(u, obs.WorkerDown)

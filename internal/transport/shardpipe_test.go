@@ -143,7 +143,7 @@ func TestPipelinedRejoinCountersSingleCount(t *testing.T) {
 			return nil, Welcome{}, err
 		}
 		conn := NewConn(raw)
-		if _, err := conn.Send(Hello{WorkerID: victim, Version: wire.ProtocolVersion, Token: token, Resume: resume}); err != nil {
+		if _, err := conn.Send(Hello{WorkerID: victim, Version: wire.ProtocolVersion, Token: token, Resume: resume, Precisions: wire.PrecisionF64.Mask()}); err != nil {
 			conn.Close()
 			return nil, Welcome{}, err
 		}

@@ -23,40 +23,7 @@ import (
 // quantization granularity is the aggregation shard range.
 func engineParamsTier(t *testing.T, spec Spec, shards int, tier wire.UplinkTier) []float64 {
 	t.Helper()
-	asn, err := spec.BuildAssignment()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mdl, err := spec.BuildModel()
-	if err != nil {
-		t.Fatal(err)
-	}
-	train, test, err := spec.BuildData()
-	if err != nil {
-		t.Fatal(err)
-	}
-	agg, err := spec.BuildAggregator()
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := cluster.New(cluster.Config{
-		Assignment: asn, Model: mdl, Train: train, Test: test,
-		BatchSize: spec.BatchSize, Aggregator: agg,
-		Schedule: spec.Schedule, Momentum: spec.Momentum, Seed: spec.Seed,
-		Shards: shards, UplinkTier: tier,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	for i := 0; i < spec.Rounds; i++ {
-		if _, err := eng.RunRound(); err != nil {
-			t.Fatalf("round %d: %v", i, err)
-		}
-	}
-	out := make([]float64, len(eng.Params()))
-	copy(out, eng.Params())
-	return out
+	return engineParamsOf[float64](t, spec, enginePlane{shards: shards, tier: tier})
 }
 
 // sameBits is the protocol's one bit-equality (NaN == NaN, +0 ≠ −0).
@@ -140,7 +107,7 @@ func TestUplinkTierNegotiation(t *testing.T) {
 			t.Fatal(err)
 		}
 		c := NewConn(raw)
-		if _, err := c.Send(Hello{WorkerID: id, Version: wire.ProtocolVersion, Tiers: tc.tiers}); err != nil {
+		if _, err := c.Send(Hello{WorkerID: id, Version: wire.ProtocolVersion, Tiers: tc.tiers, Precisions: wire.PrecisionF64.Mask()}); err != nil {
 			t.Fatal(err)
 		}
 		msg, err := c.Recv()

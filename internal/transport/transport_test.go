@@ -329,7 +329,7 @@ func TestServerSurvivesBadHellos(t *testing.T) {
 			t.Fatal(err)
 		}
 		c := NewConn(raw)
-		if _, err := c.Send(Hello{WorkerID: id, Version: wire.ProtocolVersion}); err != nil {
+		if _, err := c.Send(Hello{WorkerID: id, Version: wire.ProtocolVersion, Precisions: wire.PrecisionF64.Mask()}); err != nil {
 			t.Fatal(err)
 		}
 		return c
@@ -342,9 +342,12 @@ func TestServerSurvivesBadHellos(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A duplicate of worker 0, an out-of-range id, a wrong protocol
-	// version, a bogus rejoin token, and a non-Hello first message must
-	// each be rejected (their conn closed) without tearing the server
-	// down.
+	// version, a v7 Hello offering no precision at all (a zero mask is
+	// not read as "f64, the old default": peers that old are refused on
+	// the version), a bogus rejoin token, and a non-Hello first message
+	// must each be rejected (their conn closed) without tearing the
+	// server down.
+	typedReject := map[string]uint8{"bad version": RejectVersion, "zero precision mask": RejectPrecision}
 	for name, mk := range map[string]func() *Conn{
 		"duplicate id": func() *Conn { return dial(0) },
 		"id oob":       func() *Conn { return dial(9999) },
@@ -359,13 +362,24 @@ func TestServerSurvivesBadHellos(t *testing.T) {
 			}
 			return c
 		},
+		"zero precision mask": func() *Conn {
+			raw, err := net.Dial("tcp", srv.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := NewConn(raw)
+			if _, err := c.Send(Hello{WorkerID: 1, Version: wire.ProtocolVersion}); err != nil {
+				t.Fatal(err)
+			}
+			return c
+		},
 		"bad rejoin token": func() *Conn {
 			raw, err := net.Dial("tcp", srv.Addr())
 			if err != nil {
 				t.Fatal(err)
 			}
 			c := NewConn(raw)
-			if _, err := c.Send(Hello{WorkerID: 0, Version: wire.ProtocolVersion, Token: 12345, Resume: true}); err != nil {
+			if _, err := c.Send(Hello{WorkerID: 0, Version: wire.ProtocolVersion, Token: 12345, Resume: true, Precisions: wire.PrecisionF64.Mask()}); err != nil {
 				t.Fatal(err)
 			}
 			return c
@@ -384,11 +398,11 @@ func TestServerSurvivesBadHellos(t *testing.T) {
 	} {
 		c := mk()
 		msg, err := c.Recv()
-		if name == "bad version" {
-			// Version mismatches get a typed Reject before the close, so
-			// old peers have diagnosable bytes on their socket.
-			if rej, ok := msg.(Reject); err != nil || !ok || rej.Code != RejectVersion {
-				t.Errorf("%s: got (%T, %v), want Reject{RejectVersion}", name, msg, err)
+		if code, typed := typedReject[name]; typed {
+			// Version and precision mismatches get a typed Reject before
+			// the close, so the peer has diagnosable bytes on its socket.
+			if rej, ok := msg.(Reject); err != nil || !ok || rej.Code != code {
+				t.Errorf("%s: got (%T, %v), want Reject{code %d}", name, msg, err, code)
 			}
 			if _, err := c.Recv(); err == nil {
 				t.Errorf("%s: connection left open after the reject", name)

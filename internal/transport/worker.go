@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"slices"
+	"sync"
 	"time"
 
 	"byzshield/internal/advnet"
@@ -59,7 +60,8 @@ const (
 	BehaviorALIE     WorkerBehavior = "alie"      // coordinated µ − z·σ via the sidecar
 )
 
-// WorkerConfig configures a worker process.
+// WorkerConfig configures a worker process, at either value width
+// (RunWorker, RunWorker32).
 type WorkerConfig struct {
 	ID       int
 	Behavior WorkerBehavior
@@ -114,6 +116,10 @@ type SharedWorkerState struct {
 	train *data.Dataset
 	flt   fault.Fault
 	asn   *assign.Assignment
+	// bind32 is the float32 binding of mdl over train — the narrowed copy
+	// of the training set — built by the first float32 worker to ask and
+	// shared by the rest; a float64 fleet never pays for it.
+	bind32 func() (model.Bound[float32], error)
 }
 
 // NewSharedWorkerState builds the shareable worker state for spec.
@@ -132,23 +138,45 @@ func NewSharedWorkerState(spec Spec) (*SharedWorkerState, error) {
 	if s.asn, err = spec.BuildAssignment(); err != nil {
 		return nil, err
 	}
+	s.bind32 = sync.OnceValues(func() (model.Bound[float32], error) {
+		return model.BindOf[float32](s.mdl, s.train)
+	})
 	return s, nil
 }
 
-// workerState is the durable cross-connection state of one worker
+// sharedBound is model.BindOf over the shared training set, reusing the
+// one narrowed copy at float32.
+func sharedBound[T linalg.Float](sh *SharedWorkerState) (model.Bound[T], error) {
+	if linalg.Width[T]() == 8 {
+		return model.BindOf[T](sh.mdl, sh.train)
+	}
+	b, err := sh.bind32()
+	if err != nil {
+		return model.Bound[T]{}, err
+	}
+	return any(b).(model.Bound[T]), nil
+}
+
+// workerStateOf is the durable cross-connection state of one worker
 // process: everything a rejoin must not lose.
-type workerState struct {
-	cfg   WorkerConfig
-	spec  Spec
-	mdl   model.Model
-	train *data.Dataset
-	flt   fault.Fault
+type workerStateOf[T linalg.Float] struct {
+	cfg  WorkerConfig
+	spec Spec
+	// mdl and train are the Spec's model and training set, kern their
+	// kernels at width T (model.BindOf) and trainN the set's size. The
+	// float64 kernels read train in place; a float32 worker lets go of it
+	// once kern holds the narrowed copy.
+	mdl    model.Model
+	train  *data.Dataset
+	kern   model.Bound[T]
+	trainN int
+	flt    fault.Fault
 	// token is the session token the last Welcome assigned.
 	token uint64
 	// params is the worker's copy of the model vector, patched in place
 	// by delta broadcasts; lastApplied is the iteration whose broadcast
 	// it reflects (-1 before any).
-	params      []float64
+	params      []T
 	lastApplied int
 	// shards/ranges mirror the Welcome's shard plane: the worker ships
 	// one report frame per shard, each covering its contiguous
@@ -160,7 +188,7 @@ type workerState struct {
 	// ships raw.
 	shards int
 	ranges [][2]int
-	encs   []wire.UplinkEncoder
+	encs   []wire.UplinkEncoderOf[T]
 	frames [][]byte
 	reps   []GradientReport
 	msgs   []Message
@@ -178,8 +206,8 @@ type workerState struct {
 	// scratch, reused across rounds; shardGrads holds per-shard subslice
 	// headers over grads' full-dimension rows.
 	files       []int
-	grads       [][]float64
-	shardGrads  [][]float64
+	grads       [][]T
+	shardGrads  [][]T
 	sampleLists [][]int
 	// adv is the sidecar coalition connection (nil outside coalitions);
 	// the fields below are the leader's deterministic reconstruction of
@@ -190,7 +218,9 @@ type workerState struct {
 	sampler     *data.BatchSampler
 	sampledIter int
 	fileParts   [][]int
-	trueGrads   [][]float64
+	trueGrads   [][]T
+	wideGrads   [][]float64
+	alie        []T
 	muBuf       []float64
 	sigmaBuf    []float64
 	moments     wire.MomentFrame
@@ -201,22 +231,24 @@ type workerState struct {
 	ins *workerInstruments
 }
 
-// RunWorker connects to the PS at addr and participates in training
-// until Shutdown, returning the final accuracy reported by the PS. If
+// RunWorkerOf connects to the PS at addr and participates in training at
+// value width T — it offers only T's precision bit, so a server of the
+// other width refuses it with a typed Reject instead of a codec mismatch
+// mid-run — until Shutdown, returning the final accuracy reported by the PS. If
 // the connection breaks mid-run the worker automatically reconnects
 // with its session token (bounded by ReconnectAttempts) and resumes at
 // the next round boundary; an injected crash fault is terminal and
 // returns ErrInjectedCrash. Canceling ctx aborts the dial or any
 // blocked send/receive promptly (by closing the connection) and returns
 // ctx.Err().
-func RunWorker(ctx context.Context, addr string, cfg WorkerConfig) (float64, error) {
+func RunWorkerOf[T linalg.Float](ctx context.Context, addr string, cfg WorkerConfig) (float64, error) {
 	if cfg.Behavior == "" {
 		cfg.Behavior = BehaviorHonest
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	st := &workerState{cfg: cfg, token: cfg.ResumeToken, lastApplied: -1, sampledIter: -1}
+	st := &workerStateOf[T]{cfg: cfg, token: cfg.ResumeToken, lastApplied: -1, sampledIter: -1}
 	if cfg.Metrics != nil {
 		st.ins = newWorkerInstruments(cfg.Metrics)
 	}
@@ -240,8 +272,7 @@ func RunWorker(ctx context.Context, addr string, cfg WorkerConfig) (float64, err
 // a session ends cleanly, fails with an error reconnecting cannot fix, ctx
 // is cancelled, or `attempts` consecutive retryable failures are spent (0
 // selects DefaultReconnectAttempts, negative never gives up). Backoff
-// doubles per consecutive failure; retrying is called once per retry. The
-// f64 and f32 workers share it.
+// doubles per consecutive failure; retrying is called once per retry.
 func reconnectLoop(ctx context.Context, id, attempts int, logf func(string, ...any), retrying func(), run func() (float64, error)) (float64, error) {
 	if attempts == 0 {
 		attempts = DefaultReconnectAttempts
@@ -296,7 +327,7 @@ func retryable(err error) error { return retryableErr{err: err} }
 // (resuming with the session token when st already has one), then
 // rounds until Shutdown or a connection failure. On a successful
 // session (Shutdown received) it returns the final accuracy.
-func runWorkerConn(ctx context.Context, addr string, st *workerState) (float64, error) {
+func runWorkerConn[T linalg.Float](ctx context.Context, addr string, st *workerStateOf[T]) (float64, error) {
 	cfg := st.cfg
 	var dialer net.Dialer
 	raw, err := dialer.DialContext(ctx, "tcp", addr)
@@ -314,14 +345,12 @@ func runWorkerConn(ctx context.Context, addr string, st *workerState) (float64, 
 		tiers = wire.AllTiersMask
 	}
 	if _, err := conn.Send(Hello{
-		WorkerID: cfg.ID,
-		Version:  wire.ProtocolVersion,
-		Token:    st.token,
-		Resume:   resume,
-		Tiers:    tiers,
-		// This worker computes at float64 only; the f32 tier has its own
-		// worker type (Worker32).
-		Precisions: wire.PrecisionF64.Mask(),
+		WorkerID:   cfg.ID,
+		Version:    wire.ProtocolVersion,
+		Token:      st.token,
+		Resume:     resume,
+		Tiers:      tiers,
+		Precisions: wire.PrecisionOf[T]().Mask(),
 	}); err != nil {
 		return 0, retryable(ctxErr(ctx, err))
 	}
@@ -350,9 +379,9 @@ func runWorkerConn(ctx context.Context, addr string, st *workerState) (float64, 
 		return 0, fmt.Errorf("transport: server negotiated uplink tier %s outside the offered mask %#x",
 			welcome.Uplink, tiers)
 	}
-	if welcome.Precision != wire.PrecisionF64 {
-		return 0, fmt.Errorf("transport: server negotiated precision %s outside the offered f64-only mask",
-			welcome.Precision)
+	if prec := wire.PrecisionOf[T](); welcome.Precision != prec {
+		return 0, fmt.Errorf("transport: server negotiated precision %s, this worker offered only %s",
+			welcome.Precision, prec)
 	}
 	st.token = welcome.Token
 	st.ins.tierNegotiated(int32(welcome.Uplink))
@@ -373,11 +402,17 @@ func runWorkerConn(ctx context.Context, addr string, st *workerState) (float64, 
 		st.spec = welcome.Spec
 		if sh := cfg.Shared; sh != nil {
 			st.mdl, st.train, st.flt, st.asn = sh.mdl, sh.train, sh.flt, sh.asn
+			if st.kern, err = sharedBound[T](sh); err != nil {
+				return 0, err
+			}
 		} else {
 			if st.mdl, err = st.spec.BuildModel(); err != nil {
 				return 0, err
 			}
 			if st.train, _, err = st.spec.BuildData(); err != nil {
+				return 0, err
+			}
+			if st.kern, err = model.BindOf[T](st.mdl, st.train); err != nil {
 				return 0, err
 			}
 			if st.flt, err = st.spec.BuildFault(); err != nil {
@@ -387,12 +422,16 @@ func runWorkerConn(ctx context.Context, addr string, st *workerState) (float64, 
 				return 0, err
 			}
 		}
+		st.trainN = st.train.Len()
+		if linalg.Width[T]() != 8 {
+			st.train = nil
+		}
 		st.filesStatic = st.asn.WorkerFiles(cfg.ID)
-		st.params = make([]float64, st.mdl.NumParams())
+		st.params = make([]T, st.mdl.NumParams())
 	}
 	// The handshake is over: from here the PS sends this worker nothing
 	// larger than a RoundStart of this Spec.
-	conn.setPayloadLimit(roundPayloadLimit[float64](len(st.filesStatic), len(st.params), st.spec.BatchSize))
+	conn.setPayloadLimit(roundPayloadLimit[T](len(st.filesStatic), len(st.params), st.spec.BatchSize))
 	if st.shards == 0 {
 		st.shards = shards
 		st.ranges = make([][2]int, shards)
@@ -400,7 +439,7 @@ func runWorkerConn(ctx context.Context, addr string, st *workerState) (float64, 
 		for s := range st.ranges {
 			st.ranges[s][0], st.ranges[s][1] = wire.ShardRange(dim, shards, s)
 		}
-		st.encs = make([]wire.UplinkEncoder, shards)
+		st.encs = make([]wire.UplinkEncoderOf[T], shards)
 		st.frames = make([][]byte, shards)
 		st.reps = make([]GradientReport, shards)
 		st.msgs = make([]Message, shards)
@@ -515,28 +554,21 @@ func runWorkerConn(ctx context.Context, addr string, st *workerState) (float64, 
 	}
 }
 
-// applyParams patches the worker's parameter vector with the round's
-// broadcast frame (see applyParamsFrame).
-func (st *workerState) applyParams(m *RoundStart) error {
-	return applyParamsFrame(m, st.params, &st.lastApplied)
-}
-
-// applyParamsFrame patches params — the worker's copy of the model
-// vector, reflecting iteration *lastApplied — with a round's broadcast
-// frame, at either width: a full frame overwrites it, a delta frame XORs
-// onto the base iteration it names, which must be exactly what the worker
-// holds.
-func applyParamsFrame[T linalg.Float](m *RoundStart, params []T, lastApplied *int) error {
+// applyParams patches the worker's copy of the model vector — reflecting
+// iteration lastApplied — with the round's broadcast frame: a full frame
+// overwrites it, a delta frame XORs onto the base iteration it names,
+// which must be exactly what the worker holds.
+func (st *workerStateOf[T]) applyParams(m *RoundStart) error {
 	if len(m.ParamsFrame) == 0 {
 		return fmt.Errorf("transport: round %d carried no parameter frame", m.Iteration)
 	}
 	// Validate the delta base before any bits are patched: a delta
 	// against a vector this worker does not hold must not touch params.
-	if int(m.ParamsFrame[0]) == wire.ParamsDelta && m.BaseIteration != *lastApplied {
+	if int(m.ParamsFrame[0]) == wire.ParamsDelta && m.BaseIteration != st.lastApplied {
 		return fmt.Errorf("transport: round %d delta against iteration %d, but worker holds %d",
-			m.Iteration, m.BaseIteration, *lastApplied)
+			m.Iteration, m.BaseIteration, st.lastApplied)
 	}
-	_, consumed, err := wire.DecodeParamsOf(m.ParamsFrame, params)
+	_, consumed, err := wire.DecodeParamsOf(m.ParamsFrame, st.params)
 	if err != nil {
 		return fmt.Errorf("transport: round %d params: %w", m.Iteration, err)
 	}
@@ -544,7 +576,7 @@ func applyParamsFrame[T linalg.Float](m *RoundStart, params []T, lastApplied *in
 		return fmt.Errorf("transport: round %d params frame has %d trailing bytes",
 			m.Iteration, len(m.ParamsFrame)-consumed)
 	}
-	*lastApplied = m.Iteration
+	st.lastApplied = m.Iteration
 	return nil
 }
 
@@ -554,7 +586,7 @@ func applyParamsFrame[T linalg.Float](m *RoundStart, params []T, lastApplied *in
 // must be preceded by its RoundPrep on this same connection — if that
 // prep was lost the error is retryable, because the server serves a
 // reconnected worker the self-contained path.
-func (st *workerState) roundWork(m *RoundStart) (files []int, samples [][]int, err error) {
+func (st *workerStateOf[T]) roundWork(m *RoundStart) (files []int, samples [][]int, err error) {
 	if len(m.Files) > 0 {
 		st.files, st.sampleLists = filesInSlotOrder(m.Files, st.files, st.sampleLists)
 		return st.files, st.sampleLists, nil
@@ -594,43 +626,47 @@ func filesInSlotOrder(m map[int][]int, files []int, lists [][]int) ([]int, [][]i
 // its shard's uplink codec (raw or XOR-delta against the previous
 // report, whichever is smaller). The returned messages alias the
 // state's scratch and are valid until the next computeReport call.
-func (st *workerState) computeReport(iter int, files []int, samples [][]int) ([]Message, error) {
+func (st *workerStateOf[T]) computeReport(iter int, files []int, samples [][]int) ([]Message, error) {
 	cfg := st.cfg
 	dim := st.mdl.NumParams()
 	if cap(st.grads) < len(files) {
-		st.grads = make([][]float64, len(files))
+		st.grads = make([][]T, len(files))
 	}
 	grads := st.grads[:len(files)]
 	st.grads = grads
 	// The ALIE payload is one vector per round shared by every file, so
 	// it is crafted once — through the sidecar coalition — before the
 	// per-file loop.
-	var alie []float64
+	var alie []T
 	if cfg.Behavior == BehaviorALIE {
-		var err error
-		if alie, err = st.aliePayload(iter); err != nil {
+		payload, err := st.aliePayload(iter)
+		if err != nil {
 			return nil, err
 		}
+		// The attack crafts in float64 at either width; what goes on
+		// the wire is its narrowing to T (the payload itself at float64).
+		st.alie = linalg.Narrow(st.alie, payload)
+		alie = st.alie
 	}
 	for i := range files {
 		if cap(grads[i]) < dim {
-			grads[i] = make([]float64, dim)
+			grads[i] = make([]T, dim)
 		}
 		g := grads[i][:dim]
 		grads[i] = g
 		clear(g)
 		switch cfg.Behavior {
 		case BehaviorHonest:
-			st.mdl.SumGradient(st.params, st.train, samples[i], g)
+			st.kern.SumGradient(st.params, samples[i], g)
 		case BehaviorReversed, BehaviorSignFlip:
-			st.mdl.SumGradient(st.params, st.train, samples[i], g)
+			st.kern.SumGradient(st.params, samples[i], g)
 			for i := range g {
 				g[i] = -g[i]
 			}
 		case BehaviorConstant:
-			val := cfg.ConstantValue
-			if val == 0 {
-				val = -1
+			val := T(-1)
+			if cfg.ConstantValue != 0 {
+				val = T(cfg.ConstantValue)
 			}
 			for i := range g {
 				g[i] = val
@@ -644,7 +680,7 @@ func (st *workerState) computeReport(iter int, files []int, samples [][]int) ([]
 		}
 	}
 	if cap(st.shardGrads) < len(files) {
-		st.shardGrads = make([][]float64, len(files))
+		st.shardGrads = make([][]T, len(files))
 	}
 	sg := st.shardGrads[:len(files)]
 	st.shardGrads = sg
@@ -668,14 +704,14 @@ func (st *workerState) computeReport(iter int, files []int, samples [][]int) ([]
 // coalition. The z factor matches the in-process attack: ZMax over the
 // cluster size (Spec.K, which the server pins to the assignment's K
 // before Welcome) and the coalition size the share reports.
-func (st *workerState) aliePayload(round int) ([]float64, error) {
+func (st *workerStateOf[T]) aliePayload(round int) ([]float64, error) {
 	st.atkCtx = attack.Context{
 		Round:             round,
 		Dim:               st.mdl.NumParams(),
 		Participants:      st.spec.K,
 		ExpectedCorrupted: st.adv.Members(),
 	}
-	craft, err := attack.BeginWith(attack.ALIE{ZOverride: st.cfg.ALIEZ}, &st.atkCtx, &st.atkScr, advCoordinator{st})
+	craft, err := attack.BeginWith(attack.ALIE{ZOverride: st.cfg.ALIEZ}, &st.atkCtx, &st.atkScr, advCoordinator[T]{st})
 	if err != nil {
 		return nil, fmt.Errorf("transport: worker %d round %d: %w", st.cfg.ID, round, err)
 	}
@@ -688,10 +724,10 @@ func (st *workerState) aliePayload(round int) ([]float64, error) {
 // hub's broadcast, so the whole coalition (and, by the bit-exact codec,
 // the in-process omniscient attacker) agrees on the payload
 // bit-for-bit.
-type advCoordinator struct{ st *workerState }
+type advCoordinator[T linalg.Float] struct{ st *workerStateOf[T] }
 
 // RoundMoments implements attack.Coordinator.
-func (c advCoordinator) RoundMoments(ctx *attack.Context) (attack.Moments, error) {
+func (c advCoordinator[T]) RoundMoments(ctx *attack.Context) (attack.Moments, error) {
 	st := c.st
 	if st.adv.IsLeader() {
 		mu, sigma, err := st.reconstructMoments(ctx.Round)
@@ -725,17 +761,18 @@ func (c advCoordinator) RoundMoments(ctx *attack.Context) (attack.Moments, error
 // and takes the population moments with the same accumulation order as
 // attack.Loopback. st.params must already reflect the round's
 // broadcast, which the computeReport call order guarantees.
-func (st *workerState) reconstructMoments(round int) (mu, sigma []float64, err error) {
+func (st *workerStateOf[T]) reconstructMoments(round int) (mu, sigma []float64, err error) {
 	if st.sampler == nil {
-		if st.sampler, err = data.NewBatchSampler(st.train.Len(), st.spec.BatchSize, st.spec.Seed); err != nil {
+		if st.sampler, err = data.NewBatchSampler(st.trainN, st.spec.BatchSize, st.spec.Seed); err != nil {
 			return nil, nil, err
 		}
 		dim := st.mdl.NumParams()
-		flat := make([]float64, st.asn.F*dim)
-		st.trueGrads = make([][]float64, st.asn.F)
+		flat := make([]T, st.asn.F*dim)
+		st.trueGrads = make([][]T, st.asn.F)
 		for v := range st.trueGrads {
 			st.trueGrads[v] = flat[v*dim : (v+1)*dim]
 		}
+		st.wideGrads = linalg.NewWideRows[T](st.asn.F, dim)
 		st.muBuf = make([]float64, dim)
 		st.sigmaBuf = make([]float64, dim)
 	}
@@ -756,9 +793,13 @@ func (st *workerState) reconstructMoments(round int) (mu, sigma []float64, err e
 	}
 	for v, g := range st.trueGrads {
 		clear(g)
-		st.mdl.SumGradient(st.params, st.train, st.fileParts[v], g)
+		st.kern.SumGradient(st.params, st.fileParts[v], g)
 	}
-	mu = linalg.MeanVecInto(st.muBuf, st.trueGrads)
-	sigma = linalg.StdVecInto(st.sigmaBuf, mu, st.trueGrads)
+	// The moments are taken in float64 over the same float64 view of
+	// the true gradients the in-process oracle reads (the rows
+	// themselves at T = float64, widened at float32).
+	wide := linalg.WidenRows(st.wideGrads, st.trueGrads)
+	mu = linalg.MeanVecInto(st.muBuf, wide)
+	sigma = linalg.StdVecInto(st.sigmaBuf, mu, wide)
 	return mu, sigma, nil
 }

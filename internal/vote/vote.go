@@ -154,23 +154,23 @@ func majoritySmall[T linalg.Float](replicas [][]T) ResultOf[T] {
 	}
 }
 
-// MajorityWithTolerance clusters replicas by L∞ proximity (two replicas
+// MajorityWithToleranceOf clusters replicas by L∞ proximity (two replicas
 // belong to one cluster when within tol of the cluster's representative)
 // and elects the largest cluster, returning its representative. This is
 // the paper's suggested handling for floating-point jitter between
 // honest replicas.
-func MajorityWithTolerance(replicas [][]float64, tol float64) (Result, error) {
+func MajorityWithToleranceOf[T linalg.Float](replicas [][]T, tol float64) (ResultOf[T], error) {
 	n := len(replicas)
 	if n == 0 {
-		return Result{}, fmt.Errorf("vote: no replicas")
+		return ResultOf[T]{}, fmt.Errorf("vote: no replicas")
 	}
 	if tol < 0 {
-		return Result{}, fmt.Errorf("vote: negative tolerance %v", tol)
+		return ResultOf[T]{}, fmt.Errorf("vote: negative tolerance %v", tol)
 	}
 	d := len(replicas[0])
 	for i, r := range replicas {
 		if len(r) != d {
-			return Result{}, fmt.Errorf("vote: replica %d has dim %d, want %d", i, len(r), d)
+			return ResultOf[T]{}, fmt.Errorf("vote: replica %d has dim %d, want %d", i, len(r), d)
 		}
 	}
 	// Clusters are (representative index, count) pairs; the
@@ -213,7 +213,7 @@ func MajorityWithTolerance(replicas [][]float64, tol float64) (Result, error) {
 			tied = true
 		}
 	}
-	return Result{
+	return ResultOf[T]{
 		Winner:    replicas[clusters[best].rep],
 		Count:     clusters[best].count,
 		Unanimous: clusters[best].count == n,
@@ -235,10 +235,10 @@ func hashVec[T linalg.Float](v []T) uint64 {
 }
 
 // maxAbsDiff returns the L∞ distance between a and b.
-func maxAbsDiff(a, b []float64) float64 {
+func maxAbsDiff[T linalg.Float](a, b []T) float64 {
 	var m float64
 	for i := range a {
-		d := math.Abs(a[i] - b[i])
+		d := math.Abs(float64(a[i] - b[i]))
 		if d > m {
 			m = d
 		}

@@ -1,6 +1,10 @@
 package wire
 
-import "fmt"
+import (
+	"fmt"
+
+	"byzshield/internal/linalg"
+)
 
 // Precision selects the numeric width of a connection's gradient and
 // parameter frames (protocol v7). It is connection state, not frame
@@ -17,6 +21,14 @@ const (
 	// the connection carries float32 bit patterns.
 	PrecisionF32 Precision = 1
 )
+
+// PrecisionOf returns the tier whose frames carry values of type T.
+func PrecisionOf[T linalg.Float]() Precision {
+	if linalg.Width[T]() == 4 {
+		return PrecisionF32
+	}
+	return PrecisionF64
+}
 
 // Valid reports whether p names a defined precision tier.
 func (p Precision) Valid() bool { return p <= PrecisionF32 }
