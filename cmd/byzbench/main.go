@@ -1,16 +1,15 @@
 // Command byzbench measures the per-iteration wall-clock split of the
-// training pipeline into computation, communication (real binary
-// serialization through the uplink gradient codec and the delta
-// parameter broadcast), and aggregation, regenerating Figure 12 of the
-// paper for baseline median, ByzShield, and DETOX-MoM under the ALIE
-// attack. The upB/upRawB columns report the worker→PS volume as moved
-// vs its raw-frame equivalent (the realized uplink compression ratio);
-// downB the PS→worker broadcast volume. The rep/blk columns show the
-// detection layer's view (mean reputation, blacklist size) when a
-// -detector is timed. -uplink selects the report codec tier the
-// communication phase times: delta (the bit-exact default), raw, or the
-// lossy sign/int8 quantized tiers, whose upRatio shows the realized
-// lossy saving.
+// training pipeline into computation, communication (every worker
+// message encoded and decoded through the uplink gradient codec), and
+// aggregation, regenerating Figure 12 of the paper for baseline median,
+// ByzShield, and DETOX-MoM under the ALIE attack. The upB/upRawB columns
+// report the worker→PS volume as moved vs its raw-frame equivalent (the
+// realized uplink compression ratio); the PS→worker broadcast exists on
+// real sockets only (byzps -v). The rep/blk columns show the detection
+// layer's view (mean reputation, blacklist size) when a -detector is
+// timed. -uplink selects the report codec tier the communication phase
+// times: delta (the bit-exact default), raw, or the lossy sign/int8
+// quantized tiers, whose upRatio shows the realized lossy saving.
 //
 // Usage:
 //
@@ -22,8 +21,7 @@
 // f64-vs-f32 precision-scaling curve: the identical fault-free round
 // timed through both precision engines across a parameter-dimension
 // sweep (-dims lists the softmax input dims; the defaults span param
-// dim ~330 to 100k+). -json emits the points in the shape appended to
-// BENCH_round.json:
+// dim ~330 to 100k+). -json emits the points as a JSON array:
 //
 //	byzbench -precision f32 -json
 //	byzbench -precision f32 -dims 41,12500 -sweep-rounds 12

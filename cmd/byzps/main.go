@@ -60,7 +60,7 @@
 // aggregate independently as their report frames land, and -pipeline
 // piggybacks round t+1's sample assignments on round t's parameter
 // broadcast so steady-state rounds reuse one pre-encoded RoundStart
-// frame. Both are bit-identical to the single-loop plane:
+// frame. Both are bit-identical to the unsharded, unpipelined plane:
 //
 //	byzps ... -shards 4 -pipeline
 //

@@ -156,7 +156,8 @@ func (s *chunkScratch[T]) gatherCol(grads [][]T, i int) []T {
 // per-coordinate full sorts: selection is expected O(n) per coordinate
 // against O(n log n), and the selected values are exactly the sorted
 // order statistics, so results stay bit-identical to the sort-based
-// kernels (see BENCH_round.json for the before/after).
+// kernels (linalg's BenchmarkMedian against BenchmarkMedianSortBaseline
+// is the before/after).
 
 func meanChunk[T linalg.Float](grads [][]T, out []T, lo, hi int) {
 	inv := 1 / T(len(grads))

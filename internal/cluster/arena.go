@@ -94,27 +94,15 @@ type roundArena[T linalg.Float] struct {
 	rxFrame wire.GradFrameOf[T]
 	upEnc   []wire.UplinkEncoderOf[T]
 	upDec   []wire.UplinkDecoderOf[T]
-	// txRows/rxRows are the per-shard row-view scratch of the measured
-	// lossy-uplink round-trip (sized to the widest worker's slot count,
-	// allocated only when MeasureComm is set).
+	// txRows/rxRows are the row-view scratch of the measured round trip,
+	// one view per slot of the range being framed (sized to the widest
+	// worker's slot count, allocated only when MeasureComm is set).
 	txRows [][]T
 	rxRows [][]T
 	// quantSeen dedupes shared Byzantine payload buffers inside the
 	// lossy quantize-in-place pass (quantization is not idempotent, so
 	// each distinct buffer must pass exactly once). Grows on first use.
 	quantSeen []*T
-	// Broadcast-measurement state (allocated only under MeasureComm):
-	// prevParams is the parameter vector broadcast last round (the delta
-	// base), prevAck[u] whether worker u acknowledged it (participated
-	// or explicitly skipped — anything but a crash), crashed[u] whether
-	// the fault model removed u permanently this round, bcastBuf the
-	// frame encode scratch, and bcastScratch the decode-side vector that
-	// makes the broadcast round-trip physically executed.
-	prevParams   []T
-	prevAck      []bool
-	crashed      []bool
-	bcastBuf     []byte
-	bcastScratch []T
 }
 
 // newRoundArena preallocates every per-round buffer for the given
@@ -163,10 +151,6 @@ func newRoundArena[T linalg.Float](a *assign.Assignment, dim int, byzSet map[int
 				rxBacking = rxBacking[dim:]
 			}
 		}
-		ar.prevParams = make([]T, dim)
-		ar.prevAck = make([]bool, a.K)
-		ar.crashed = make([]bool, a.K)
-		ar.bcastScratch = make([]T, dim)
 		ar.upEnc = make([]wire.UplinkEncoderOf[T], a.K)
 		ar.upDec = make([]wire.UplinkDecoderOf[T], a.K)
 		maxSlots := 0

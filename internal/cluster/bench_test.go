@@ -7,8 +7,9 @@
 //
 //	go test ./internal/cluster -bench BenchmarkRound -benchmem -run '^$'
 //
-// Results seed BENCH_round.json at the repository root; see the README
-// for how to interpret the trajectory.
+// These are layer checks for working on the engine; the repository's
+// recorded numbers come from bench/ (bash bench/run.sh, README
+// "Benchmarks").
 package cluster
 
 import (
@@ -32,6 +33,12 @@ import (
 // quickstartConfig mirrors examples/quickstart at full scale.
 func quickstartConfig(tb testing.TB) Config {
 	tb.Helper()
+	return quickstartConfigOf[float64](tb)
+}
+
+// quickstartConfigOf is quickstartConfig for the engine of width T.
+func quickstartConfigOf[T linalg.Float](tb testing.TB) ConfigOf[T] {
+	tb.Helper()
 	a, err := assign.MOLS(5, 3)
 	if err != nil {
 		tb.Fatal(err)
@@ -47,7 +54,7 @@ func quickstartConfig(tb testing.TB) Config {
 		tb.Fatal(err)
 	}
 	byz := distort.NewAnalyzer(a).WorstCaseByzantines(context.Background(), 3)
-	return Config{
+	return ConfigOf[T]{
 		Assignment: a, Model: m, Train: train, Test: test,
 		BatchSize: 500, Attack: attack.ALIE{}, Byzantines: byz,
 		Aggregator: aggregate.Median{},
@@ -64,7 +71,7 @@ func benchRounds(b *testing.B, cfg Config) {
 		b.Fatal(err)
 	}
 	defer e.Close()
-	var upBytes, upRawBytes, bcastBytes int64
+	var upBytes, upRawBytes int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -74,7 +81,6 @@ func benchRounds(b *testing.B, cfg Config) {
 		}
 		upBytes = stats.Times.ReportBytes
 		upRawBytes = stats.Times.ReportRawBytes
-		bcastBytes = stats.Times.BroadcastBytes
 	}
 	b.StopTimer()
 	if upBytes > 0 {
@@ -82,9 +88,6 @@ func benchRounds(b *testing.B, cfg Config) {
 	}
 	if upRawBytes > 0 {
 		b.ReportMetric(float64(upRawBytes), "upRawB/round")
-	}
-	if bcastBytes > 0 {
-		b.ReportMetric(float64(bcastBytes), "bcastB/round")
 	}
 }
 
@@ -111,31 +114,20 @@ func BenchmarkRound(b *testing.B) {
 		cfg.MeasureComm = true
 		benchRounds(b, cfg)
 	})
-	// Delta parameter broadcasts (full refresh every 16 rounds): the
-	// bcastB/round metric against measure-comm's full-vector broadcast
-	// is the steady-state PS→worker saving of the v2 wire protocol.
-	b.Run("measure-comm-delta", func(b *testing.B) {
-		cfg := quickstartConfig(b)
-		cfg.MeasureComm = true
-		cfg.BroadcastFullEvery = 16
-		benchRounds(b, cfg)
-	})
 	// Lossy uplink tiers through the physically measured codec path:
 	// upB/round against the raw-equivalent upRawB/round is the realized
 	// lossy saving on the quickstart config — the acceptance gate for
 	// the quantized tiers is ≥4x under int8 or sign with round_ns no
-	// worse than the delta row above.
+	// worse than the measure-comm row above (the delta tier).
 	b.Run("measure-comm-int8", func(b *testing.B) {
 		cfg := quickstartConfig(b)
 		cfg.MeasureComm = true
-		cfg.BroadcastFullEvery = 16
 		cfg.UplinkTier = wire.TierInt8
 		benchRounds(b, cfg)
 	})
 	b.Run("measure-comm-sign", func(b *testing.B) {
 		cfg := quickstartConfig(b)
 		cfg.MeasureComm = true
-		cfg.BroadcastFullEvery = 16
 		cfg.UplinkTier = wire.TierSign
 		benchRounds(b, cfg)
 	})
@@ -191,7 +183,7 @@ func TestSteadyStateAllocsPerRound(t *testing.T) {
 
 func steadyStateAllocs[T linalg.Float](instrumented bool) func(*testing.T) {
 	return func(t *testing.T) {
-		cfgT := quickstartConfig(t)
+		cfgT := quickstartConfigOf[T](t)
 		cfgT.Parallelism = 1
 		if instrumented {
 			cfgT.Metrics = obs.NewRegistry()

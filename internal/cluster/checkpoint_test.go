@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"errors"
 	"testing"
 
 	"byzshield/internal/aggregate"
 	"byzshield/internal/attack"
+	"byzshield/internal/detect"
 	"byzshield/internal/linalg"
 )
 
@@ -21,7 +23,7 @@ func TestSnapshotRestoreResumesIdentically(t *testing.T) {
 
 func snapshotRestoreResumesIdentically[T linalg.Float](t *testing.T) {
 	build := func() *EngineOf[T] {
-		cfg := testSetup(t, []int{1, 6}, attack.ALIE{}, aggregate.Median{})
+		cfg := testSetupOf[T](t, []int{1, 6}, attack.ALIE{}, aggregate.Median{})
 		e, err := NewOf[T](cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -89,5 +91,43 @@ func TestRestoreValidation(t *testing.T) {
 	}
 	if e.Iteration() != 3 {
 		t.Errorf("iteration = %d", e.Iteration())
+	}
+}
+
+// TestRestoreRefusesLiveDetector: a snapshot carries no detection state,
+// so restoring one into an engine that runs a detector would resume with
+// an empty blacklist — the evicted Byzantines vote again and the run
+// leaves the interrupted trajectory. The engine refuses with a typed
+// error instead; the explicit no-detector control still restores.
+func TestRestoreRefusesLiveDetector(t *testing.T) {
+	build := func(det detect.Detector) *Engine {
+		cfg := testSetup(t, []int{1, 6}, attack.Reversed{C: 3}, aggregate.Median{})
+		cfg.Detector = det
+		cfg.Detection = detect.Params{MinRounds: 3}
+		e, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { e.Close() })
+		return e
+	}
+	first := build(detect.ZScore{})
+	blacklisted := 0
+	for i := 0; i < 20; i++ {
+		stats, err := first.RunRound()
+		if err != nil {
+			t.Fatal(err)
+		}
+		blacklisted = stats.Blacklisted
+	}
+	if blacklisted == 0 {
+		t.Fatal("no worker blacklisted in 20 rounds: the snapshot would lose no detection state")
+	}
+	params, velocity, iter := first.Snapshot()
+	if err := build(detect.ZScore{}).Restore(params, velocity, iter); !errors.Is(err, ErrRestoreDetector) {
+		t.Fatalf("restore into an engine with a live detector: %v, want ErrRestoreDetector", err)
+	}
+	if err := build(detect.None{}).Restore(params, velocity, iter); err != nil {
+		t.Fatalf("restore with detect.None: %v", err)
 	}
 }

@@ -56,14 +56,19 @@ import (
 // ErrClosed is returned by StepOnce after Close.
 var ErrClosed = errors.New("cluster: engine closed")
 
-// Config assembles one training experiment, at either element width:
-// New runs it on the float64 engine, New32 on the float32 one. Nothing
-// in it names a width — the float32 engine takes the float32 kernels of
+// ErrRestoreDetector is returned by Restore on an engine with a live
+// detector: a snapshot carries no detection state (reputations, feature
+// windows, the blacklist), so evicted workers would vote again.
+var ErrRestoreDetector = errors.New("cluster: restore with a live detector: snapshots do not carry detection state")
+
+// ConfigOf assembles one training experiment for the engine of element
+// width T (Config and Config32 are its two instantiations). Only Source
+// names the width — the float32 engine takes the float32 kernels of
 // Model and Aggregator (model.Model32, aggregate.ChunkAggregator32, which
 // embed the interfaces named here) and narrows Train and Test once at
 // construction, so both tiers of one experiment load data a single time
 // and draw the identical batch stream.
-type Config struct {
+type ConfigOf[T linalg.Float] struct {
 	Assignment *assign.Assignment
 	Model      model.Model
 	Train      *data.Dataset
@@ -106,16 +111,12 @@ type Config struct {
 	UplinkTier wire.UplinkTier
 	// VoteTolerance > 0 switches the vote to L∞ clustering mode.
 	VoteTolerance float64
-	// MeasureComm enables real binary serialization of worker messages
-	// so the communication phase is physically measured.
+	// MeasureComm pushes every surviving worker's message through the
+	// uplink gradient codec (encode, then decode into the PS's receive
+	// buffers), so Figure 12's communication phase is physically
+	// executed and its bytes counted. The PS→worker broadcast is not
+	// simulated: internal/transport owns its policy and accounting.
 	MeasureComm bool
-	// BroadcastFullEvery controls the measured PS→worker parameter
-	// broadcast under MeasureComm: 0 ships the full vector every round
-	// (protocol v1 behavior), N > 0 ships the full vector on every N-th
-	// round (and to workers that missed the previous round) and a
-	// bit-exact XOR delta frame otherwise — the same policy the TCP
-	// server applies on the real wire. Ignored without MeasureComm.
-	BroadcastFullEvery int
 	// Parallelism is the width of the engine's persistent goroutine
 	// pool: 0 selects GOMAXPROCS, 1 runs every phase serially on the
 	// calling goroutine. Any width produces bit-identical parameter
@@ -166,10 +167,8 @@ type Config struct {
 	// Source is set, the in-process-only knobs (Attack, Byzantines,
 	// SignMessages, VoteTolerance, MeasureComm, Fault) must be unset —
 	// in a real deployment those behaviors belong to the workers, not
-	// the PS. The value must be a GradientSourceOf[T] at the width of
-	// the engine being built (one Config serves both, so the field is
-	// untyped); anything else is a construction error.
-	Source any
+	// the PS.
+	Source GradientSourceOf[T]
 	// Metrics, when non-nil, registers the engine's instruments (round
 	// counter, per-phase latency histograms, file-outcome counters,
 	// arena occupancy, a per-round heap-allocation guard) at
@@ -207,7 +206,8 @@ type PhaseTimes struct {
 	// compression ratio (1.0 when every frame fell back to raw).
 	ReportRawBytes int64
 	// BroadcastBytes counts the serialized PS→worker parameter
-	// broadcast (full or delta frames) when the source measures it.
+	// broadcast (full or delta frames) a network source sent; zero for
+	// the in-process source.
 	BroadcastBytes int64
 }
 
@@ -268,7 +268,7 @@ type RoundStats struct {
 
 // EngineOf executes the protocol at element width T.
 type EngineOf[T linalg.Float] struct {
-	cfg Config
+	cfg ConfigOf[T]
 	// train, test, agg and median are the per-width binding between the
 	// round core and the components whose method sets name an element
 	// type: the model over the (at float32, narrowed) training and test
@@ -351,7 +351,7 @@ type EngineOf[T linalg.Float] struct {
 // NewOf validates the configuration and initializes the engine of width
 // T, including its gradient arena and worker pool. Callers that create
 // many engines should Close each one to release the pool goroutines.
-func NewOf[T linalg.Float](cfg Config) (*EngineOf[T], error) {
+func NewOf[T linalg.Float](cfg ConfigOf[T]) (*EngineOf[T], error) {
 	if cfg.Assignment == nil || cfg.Model == nil || cfg.Train == nil || cfg.Test == nil {
 		return nil, fmt.Errorf("cluster: assignment, model, train and test are required")
 	}
@@ -361,12 +361,7 @@ func NewOf[T linalg.Float](cfg Config) (*EngineOf[T], error) {
 	if cfg.Aggregator == nil {
 		return nil, fmt.Errorf("cluster: aggregator is required")
 	}
-	var src GradientSourceOf[T]
 	if cfg.Source != nil {
-		var ok bool
-		if src, ok = cfg.Source.(GradientSourceOf[T]); !ok {
-			return nil, fmt.Errorf("cluster: Source is a %T, not a gradient source of this engine's width", cfg.Source)
-		}
 		if cfg.Attack != nil || len(cfg.Byzantines) > 0 || cfg.SignMessages ||
 			cfg.VoteTolerance != 0 || cfg.MeasureComm || cfg.Fault != nil ||
 			cfg.UplinkTier != wire.TierDelta {
@@ -406,9 +401,6 @@ func NewOf[T linalg.Float](cfg Config) (*EngineOf[T], error) {
 	}
 	if cfg.Shards > 1 && cfg.VoteTolerance != 0 {
 		return nil, fmt.Errorf("cluster: sharded voting requires exact bit-equality votes; VoteTolerance must be 0")
-	}
-	if cfg.BroadcastFullEvery < 0 {
-		return nil, fmt.Errorf("cluster: broadcast full-every %d < 0", cfg.BroadcastFullEvery)
 	}
 	quorum := cfg.Quorum
 	if quorum == 0 {
@@ -504,7 +496,7 @@ func NewOf[T linalg.Float](cfg Config) (*EngineOf[T], error) {
 	if width > 1 {
 		e.pool = newPool(width)
 	}
-	e.src = src
+	e.src = cfg.Source
 	if e.src == nil {
 		e.src = localSource[T]{e: e}
 	}
@@ -549,7 +541,7 @@ type batchSource interface {
 // newBatchSource builds the config's batch stream; called identically
 // at construction and on every Restore so a restored engine replays the
 // exact stream of the interrupted run.
-func newBatchSource(cfg *Config) (batchSource, error) {
+func newBatchSource[T linalg.Float](cfg *ConfigOf[T]) (batchSource, error) {
 	if cfg.Distribution == nil {
 		return data.NewBatchSampler(cfg.Train.Len(), cfg.BatchSize, cfg.Seed)
 	}
@@ -627,8 +619,12 @@ func (e *EngineOf[T]) Snapshot() (params, velocity []T, iteration int) {
 // match the engine's model. The batch sampler is rebuilt from the
 // engine's seed and fast-forwarded to the snapshot iteration, so a
 // restore into a freshly constructed engine continues the exact sample
-// stream of the interrupted run — no round replay is needed.
+// stream of the interrupted run — no round replay is needed. An engine
+// with a live detector refuses with ErrRestoreDetector.
 func (e *EngineOf[T]) Restore(params, velocity []T, iteration int) error {
+	if e.detSt != nil {
+		return ErrRestoreDetector
+	}
 	if len(params) != len(e.params) {
 		return fmt.Errorf("cluster: restore params length %d, want %d", len(params), len(e.params))
 	}

@@ -203,11 +203,6 @@ func TestEngine32Validation(t *testing.T) {
 	if _, err := New32(bad); err == nil {
 		t.Error("lossy tier with external source accepted")
 	}
-	bad = testSetup32(t)
-	bad.Source = localSource[float64]{}
-	if _, err := New32(bad); err == nil {
-		t.Error("float64 gradient source accepted by the float32 engine")
-	}
 	// The one refusal the width makes: components with float64 methods
 	// only, each by the same typed error.
 	mlp, err := model.NewMLP(12, 8, 10)

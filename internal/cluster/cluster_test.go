@@ -19,6 +19,12 @@ import (
 // workers, 25 files; softmax model on a separable synthetic dataset.
 func testSetup(t testing.TB, byz []int, atk attack.Attack, agg aggregate.Aggregator) Config {
 	t.Helper()
+	return testSetupOf[float64](t, byz, atk, agg)
+}
+
+// testSetupOf is testSetup for the engine of width T.
+func testSetupOf[T linalg.Float](t testing.TB, byz []int, atk attack.Attack, agg aggregate.Aggregator) ConfigOf[T] {
+	t.Helper()
 	a, err := assign.MOLS(5, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -33,7 +39,7 @@ func testSetup(t testing.TB, byz []int, atk attack.Attack, agg aggregate.Aggrega
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Config{
+	return ConfigOf[T]{
 		Assignment: a,
 		Model:      m,
 		Train:      train,
@@ -256,7 +262,7 @@ func testVoteTolerance[T linalg.Float](t *testing.T) {
 	run := func(tol float64) ([]T, int) {
 		// Workers 0 and 5 sit in different parallel classes of MOLS(5,3),
 		// so they share exactly one file and hold its majority.
-		cfg := testSetup(t, []int{0, 5}, attack.Constant{Value: 3}, aggregate.Median{})
+		cfg := testSetupOf[T](t, []int{0, 5}, attack.Constant{Value: 3}, aggregate.Median{})
 		cfg.VoteTolerance = tol
 		e, err := NewOf[T](cfg)
 		if err != nil {

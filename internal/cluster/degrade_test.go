@@ -114,41 +114,3 @@ func TestInfeasibleConfigStillErrors(t *testing.T) {
 		t.Fatal("never-feasible Krum config trained without error")
 	}
 }
-
-// TestMeasuredBroadcastDeltaReducesBytes: with MeasureComm on, delta
-// parameter broadcasts (periodic full refresh) must move strictly fewer
-// PS→worker bytes than full-vector broadcasts while leaving the
-// parameter trajectory bit-identical.
-func TestMeasuredBroadcastDeltaReducesBytes(t *testing.T) {
-	run := func(fullEvery int) (int64, []float64) {
-		t.Helper()
-		cfg := degradeConfig(t, aggregate.Median{}, nil)
-		cfg.MeasureComm = true
-		cfg.BroadcastFullEvery = fullEvery
-		e, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer e.Close()
-		for round := 0; round < 12; round++ {
-			stats, err := e.RunRound()
-			if err != nil {
-				t.Fatalf("round %d: %v", round, err)
-			}
-			if stats.Times.BroadcastBytes <= 0 {
-				t.Fatalf("round %d: no broadcast bytes measured", round)
-			}
-		}
-		return e.Times().BroadcastBytes, e.Params()
-	}
-	fullBytes, fullParams := run(0)
-	deltaBytes, deltaParams := run(4)
-	if deltaBytes >= fullBytes {
-		t.Errorf("delta broadcasts moved %d bytes, full %d — no saving", deltaBytes, fullBytes)
-	}
-	for i := range fullParams {
-		if math.Float64bits(fullParams[i]) != math.Float64bits(deltaParams[i]) {
-			t.Fatalf("param %d: broadcast policy changed the trajectory", i)
-		}
-	}
-}

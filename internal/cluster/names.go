@@ -9,12 +9,11 @@ type (
 	Engine   = EngineOf[float64]
 	Engine32 = EngineOf[float32]
 
-	// Config32 is Config: one experiment description serves both widths.
-	Config32 = Config
+	Config   = ConfigOf[float64]
+	Config32 = ConfigOf[float32]
 )
 
-// New builds the float64 engine, New32 the float32 one, from the same
-// Config.
+// New builds the float64 engine, New32 the float32 one.
 var (
 	New   = NewOf[float64]
 	New32 = NewOf[float32]

@@ -8,7 +8,6 @@ import (
 
 	"byzshield/internal/attack"
 	"byzshield/internal/linalg"
-	"byzshield/internal/wire"
 )
 
 // CollectStats reports the measurable cost of one gradient collection:
@@ -24,7 +23,8 @@ type CollectStats struct {
 	ReportBytes    int64
 	ReportRawBytes int64
 	// BroadcastBytes counts serialized PS→worker parameter-broadcast
-	// bytes for sources that physically move (or measure) them.
+	// bytes (network sources only: the broadcast policy lives in
+	// internal/transport, and the in-process source sends nothing).
 	BroadcastBytes int64
 	// Broadcast is the wall-clock time of the PS→worker parameter
 	// broadcast sends (network sources only; a subset of
@@ -45,12 +45,12 @@ type CollectStats struct {
 // parameter server (internal/transport).
 //
 // Collect must, for every worker u, either fill all of u's slot buffers
-// for this round (Round.Deliver for each assigned file slot, or by
-// writing into Round.Buffer) or declare the worker absent with
-// Round.MarkMissing. Partially delivered workers would vote stale
-// buffers from an earlier round. Collect owns the round's compute and
-// communication phases; the engine times everything after it (vote +
-// aggregation) itself.
+// for this round (Round.Deliver for each assigned file slot, typically
+// of a report decoded into Engine.GradBuffer) or declare the worker
+// absent with Round.MarkMissing. Partially delivered workers would vote
+// stale buffers from an earlier round. Collect owns the round's compute
+// and communication phases; the engine times everything after it (vote
+// + aggregation) itself.
 type GradientSourceOf[T linalg.Float] interface {
 	Collect(ctx context.Context, rd *RoundOf[T]) (CollectStats, error)
 }
@@ -86,26 +86,14 @@ func (rd *RoundOf[T]) Iteration() int { return rd.eng.iter }
 // engine's live parameter vector: read (or serialize) it, never write.
 func (rd *RoundOf[T]) Params() []T { return rd.eng.params }
 
-// Workers returns the cluster size K.
-func (rd *RoundOf[T]) Workers() int { return rd.eng.cfg.Assignment.K }
-
-// WorkerFiles returns worker u's assigned file ids in slot order
-// (ascending). The slice is shared: do not modify.
-func (rd *RoundOf[T]) WorkerFiles(u int) []int { return rd.eng.arena.workerFiles[u] }
-
 // FileSamples returns the training-sample indices of file v this round.
 func (rd *RoundOf[T]) FileSamples(v int) []int { return rd.files[v] }
 
-// Buffer returns the engine-owned gradient buffer for worker u's slot-th
-// assigned file. Sources may decode or compute directly into it; doing
-// so counts as delivering the slot.
-func (rd *RoundOf[T]) Buffer(u, slot int) []T { return rd.eng.arena.grads[u][slot] }
-
-// GradBuffer is Round.Buffer addressed from the engine: the buffers
-// are stable for the engine's lifetime, so a network source's
-// long-lived reader goroutines may cache and decode into them between
-// Collect calls — under the same contract as Buffer (only the worker's
-// current-round deliverer may write a buffer the round might read).
+// GradBuffer returns the engine-owned gradient buffer for worker u's
+// slot-th assigned file. The buffers are stable for the engine's
+// lifetime, so a network source's long-lived reader goroutines may cache
+// and decode into them between Collect calls — only the worker's
+// current-round deliverer may write a buffer the round might read.
 func (e *EngineOf[T]) GradBuffer(u, slot int) []T { return e.arena.grads[u][slot] }
 
 // Deliver points the engine at g as worker u's gradient for its slot-th
@@ -166,17 +154,12 @@ func (s localSource[T]) Collect(_ context.Context, rd *RoundOf[T]) (CollectStats
 
 	// Fault plan: remove skipped and crashed workers before any compute
 	// happens. Pure delays are a wire-transport phenomenon; in process
-	// they are full participation. Crashes are remembered separately
-	// under measured communication: a crashed worker receives no
-	// parameter broadcast, a merely skipping one still does.
+	// they are full participation.
 	if e.cfg.Fault != nil {
 		for u := 0; u < a.K; u++ {
 			d := e.cfg.Fault.Plan(e.iter, u)
 			if d.Skip || d.Crash {
 				ar.missing[u] = true
-			}
-			if ar.crashed != nil {
-				ar.crashed[u] = d.Crash
 			}
 		}
 	}
@@ -314,11 +297,18 @@ func (s localSource[T]) Collect(_ context.Context, rd *RoundOf[T]) (CollectStats
 	// receive buffers become the PS's working set, as bytes off a wire
 	// would.
 	commStart := time.Now()
-	var commBytes, rawBytes, bcastBytes int64
+	var commBytes, rawBytes int64
 	if e.cfg.MeasureComm {
-		var err error
-		if bcastBytes, err = s.measureBroadcast(); err != nil {
-			return CollectStats{}, err
+		// One frame carries a worker's whole rows — except that a sharded
+		// wire worker frames each shard range as its own report, and lossy
+		// rows carry per-(file, shard) scale parameters, so under a lossy
+		// tier the round trip must quantize at that granularity for the
+		// trajectory to stay bit-identical to the unmeasured engine and
+		// the wire.
+		whole := [1][2]int{{0, ar.dim}}
+		ranges := whole[:]
+		if pl := e.plane; pl != nil && e.cfg.UplinkTier.Lossy() {
+			ranges = pl.ranges
 		}
 		for u := 0; u < a.K; u++ {
 			if ar.missing[u] {
@@ -326,48 +316,28 @@ func (s localSource[T]) Collect(_ context.Context, rd *RoundOf[T]) (CollectStats
 				// the pair stays in lockstep across the gap.
 				continue
 			}
-			if pl := e.plane; pl != nil && e.cfg.UplinkTier.Lossy() {
-				// A sharded wire worker frames each shard range as its own
-				// report — lossy rows carry per-(file, shard) scale
-				// parameters — so the measured round-trip must quantize at
-				// the same granularity for the trajectory to stay
-				// bit-identical to the unmeasured engine and the wire.
-				rows := ar.cur[u]
-				for sh := 0; sh < pl.n; sh++ {
-					lo, hi := pl.ranges[sh][0], pl.ranges[sh][1]
-					for j := range rows {
-						ar.txRows[j] = rows[j][lo:hi]
-						ar.rxRows[j] = ar.rx[u][j][lo:hi:hi]
-					}
-					buf, _, rawSize, err := ar.upEnc[u].Encode(ar.encBuf[:0], u, ar.workerFiles[u], ar.txRows[:len(rows)])
-					if err != nil {
-						return CollectStats{}, fmt.Errorf("cluster: worker %d message: %w", u, err)
-					}
-					ar.encBuf = buf
-					ar.rxFrame.Grads = ar.rxRows[:len(rows)]
-					if _, _, err := ar.upDec[u].Decode(buf, &ar.rxFrame); err != nil {
-						return CollectStats{}, fmt.Errorf("cluster: worker %d message: %w", u, err)
-					}
-					commBytes += int64(len(buf))
-					rawBytes += int64(rawSize)
+			rows := ar.cur[u]
+			for _, r := range ranges {
+				lo, hi := r[0], r[1]
+				for j := range rows {
+					ar.txRows[j] = rows[j][lo:hi]
+					ar.rxRows[j] = ar.rx[u][j][lo:hi:hi]
 				}
-				copy(ar.cur[u], ar.rx[u])
-				continue
+				buf, _, rawSize, err := ar.upEnc[u].Encode(ar.encBuf[:0], u, ar.workerFiles[u], ar.txRows[:len(rows)])
+				if err != nil {
+					return CollectStats{}, fmt.Errorf("cluster: worker %d message: %w", u, err)
+				}
+				ar.encBuf = buf
+				ar.rxFrame.Grads = ar.rxRows[:len(rows)]
+				if _, _, err := ar.upDec[u].Decode(buf, &ar.rxFrame); err != nil {
+					return CollectStats{}, fmt.Errorf("cluster: worker %d message: %w", u, err)
+				}
+				commBytes += int64(len(buf))
+				rawBytes += int64(rawSize)
 			}
-			buf, _, rawSize, err := ar.upEnc[u].Encode(ar.encBuf[:0], u, ar.workerFiles[u], ar.cur[u])
-			if err != nil {
-				return CollectStats{}, fmt.Errorf("cluster: worker %d message: %w", u, err)
-			}
-			ar.encBuf = buf
-			ar.rxFrame.Grads = ar.rx[u]
-			if _, _, err := ar.upDec[u].Decode(buf, &ar.rxFrame); err != nil {
-				return CollectStats{}, fmt.Errorf("cluster: worker %d message: %w", u, err)
-			}
-			// Decode fills the rx buffers in place (capacities always
+			// Decode filled the rx buffers in place (capacities always
 			// suffice); repoint the PS's view at them.
 			copy(ar.cur[u], ar.rx[u])
-			commBytes += int64(len(buf))
-			rawBytes += int64(rawSize)
 		}
 	}
 	commTime := time.Since(commStart)
@@ -377,7 +347,6 @@ func (s localSource[T]) Collect(_ context.Context, rd *RoundOf[T]) (CollectStats
 		Communication:  commTime,
 		ReportBytes:    commBytes,
 		ReportRawBytes: rawBytes,
-		BroadcastBytes: bcastBytes,
 	}, nil
 }
 
@@ -398,64 +367,4 @@ func (e *EngineOf[T]) computeWorker(_, t int) {
 		// measured-communication round leaves it on the rx side).
 		ar.cur[u][j] = g
 	}
-}
-
-// measureBroadcast physically serializes this round's PS→worker
-// parameter broadcast and returns its total byte count, applying the
-// same bandwidth policy as the TCP server: a full frame on round 0, on
-// every BroadcastFullEvery-th round, and to any worker that did not
-// acknowledge the previous broadcast; an XOR delta frame against the
-// previous round's vector otherwise. Each distinct frame is decoded
-// once into the arena's scratch vector, so the broadcast round-trip is
-// executed, not modelled. It also rolls the per-worker acknowledgement
-// state forward for the next round.
-func (s localSource[T]) measureBroadcast() (int64, error) {
-	e := s.e
-	a := e.cfg.Assignment
-	ar := e.arena
-	every := e.cfg.BroadcastFullEvery
-	refresh := e.iter == 0 || every <= 0 || e.iter%every == 0
-
-	var fullFrame, deltaFrame []byte
-	var total int64
-	buf := ar.bcastBuf[:0]
-	for u := 0; u < a.K; u++ {
-		if ar.crashed[u] {
-			continue // evicted: the PS no longer sends to it
-		}
-		full := refresh || !ar.prevAck[u]
-		var err error
-		switch {
-		case full && fullFrame == nil:
-			mark := len(buf)
-			if buf, err = wire.AppendParamsFullOf(buf, e.params); err != nil {
-				return 0, fmt.Errorf("cluster: broadcast: %w", err)
-			}
-			fullFrame = buf[mark:]
-			if _, _, err := wire.DecodeParamsOf(fullFrame, ar.bcastScratch); err != nil {
-				return 0, fmt.Errorf("cluster: broadcast decode: %w", err)
-			}
-		case !full && deltaFrame == nil:
-			mark := len(buf)
-			if buf, err = wire.AppendParamsDeltaOf(buf, ar.prevParams, e.params); err != nil {
-				return 0, fmt.Errorf("cluster: broadcast: %w", err)
-			}
-			deltaFrame = buf[mark:]
-			copy(ar.bcastScratch, ar.prevParams)
-			if _, _, err := wire.DecodeParamsOf(deltaFrame, ar.bcastScratch); err != nil {
-				return 0, fmt.Errorf("cluster: broadcast decode: %w", err)
-			}
-		}
-		if full {
-			total += int64(len(fullFrame))
-		} else {
-			total += int64(len(deltaFrame))
-		}
-	}
-	ar.bcastBuf = buf
-	copy(ar.prevParams, e.params)
-	for u := 0; u < a.K; u++ {
-		ar.prevAck[u] = !ar.crashed[u]
-	}
-	return total, nil
 }

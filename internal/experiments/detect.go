@@ -7,8 +7,6 @@ import (
 
 	"byzshield/internal/aggregate"
 	"byzshield/internal/cluster"
-	"byzshield/internal/data"
-	"byzshield/internal/model"
 	"byzshield/internal/registry"
 )
 
@@ -78,44 +76,17 @@ func runDetectCell(ctx context.Context, atkName, detName string, opts TrainOpts)
 		row.Err = err.Error()
 		return row
 	}
-	train, test, err := data.Synthetic(data.SyntheticConfig{
-		Train: opts.TrainN, Test: opts.TestN, Dim: opts.Dim,
-		Classes: opts.Classes, ClassSep: opts.ClassSep, Seed: opts.Seed,
-	})
+	cfg, err := opts.engineConfig()
 	if err != nil {
 		row.Err = err.Error()
 		return row
 	}
-	var mdl model.Model
-	if opts.Hidden > 0 {
-		mdl, err = model.NewMLP(opts.Dim, opts.Hidden, opts.Classes)
-	} else {
-		mdl, err = model.NewSoftmax(opts.Dim, opts.Classes)
-	}
-	if err != nil {
-		row.Err = err.Error()
-		return row
-	}
-	dist, err := opts.distribution()
-	if err != nil {
-		row.Err = err.Error()
-		return row
-	}
-	eng, err := cluster.New(cluster.Config{
-		Assignment:   asn,
-		Model:        mdl,
-		Train:        train,
-		Test:         test,
-		BatchSize:    opts.BatchSize,
-		Attack:       atk,
-		Byzantines:   byz,
-		Aggregator:   aggregate.Median{},
-		Schedule:     defaultSchedule,
-		Momentum:     0.9,
-		Seed:         opts.Seed,
-		Detector:     det,
-		Distribution: dist,
-	})
+	cfg.Assignment = asn
+	cfg.Attack = atk
+	cfg.Byzantines = byz
+	cfg.Aggregator = aggregate.Median{}
+	cfg.Detector = det
+	eng, err := cluster.New(cfg)
 	if err != nil {
 		row.Err = err.Error()
 		return row

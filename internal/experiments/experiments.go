@@ -60,15 +60,33 @@ type TrainOpts struct {
 	DistParam    float64
 }
 
-// distribution resolves the named data distribution ("", "iid" → nil:
-// the default reshuffling sampler).
-func (o TrainOpts) distribution() (data.Distributor, error) {
-	if o.Distribution == "" || o.Distribution == "iid" {
-		return nil, nil
-	}
-	return components.Distribution(o.Distribution, registry.DistributionParams{
-		Alpha: o.DistParam, Shards: int(o.DistParam), Seed: o.Seed,
+// engineConfig builds what the options describe — dataset, model and
+// batch stream — as the engine configuration every training cell starts
+// from; the cell adds its assignment, adversary and aggregation rule.
+func (o TrainOpts) engineConfig() (cluster.Config, error) {
+	cfg := cluster.Config{BatchSize: o.BatchSize, Schedule: defaultSchedule, Momentum: 0.9, Seed: o.Seed}
+	var err error
+	cfg.Train, cfg.Test, err = data.Synthetic(data.SyntheticConfig{
+		Train: o.TrainN, Test: o.TestN, Dim: o.Dim,
+		Classes: o.Classes, ClassSep: o.ClassSep, Seed: o.Seed,
 	})
+	if err != nil {
+		return cfg, err
+	}
+	if o.Hidden > 0 {
+		cfg.Model, err = model.NewMLP(o.Dim, o.Hidden, o.Classes)
+	} else {
+		cfg.Model, err = model.NewSoftmax(o.Dim, o.Classes)
+	}
+	if err != nil {
+		return cfg, err
+	}
+	if o.Distribution != "" && o.Distribution != "iid" {
+		cfg.Distribution, err = components.Distribution(o.Distribution, registry.DistributionParams{
+			Alpha: o.DistParam, Shards: int(o.DistParam), Seed: o.Seed,
+		})
+	}
+	return cfg, err
 }
 
 // DefaultTrainOpts returns laptop-scale defaults: a 10-class synthetic
@@ -202,64 +220,33 @@ func RunOne(ctx context.Context, spec RunSpec, opts TrainOpts) Curve {
 	byz, cmax := selectByzantines(ctx, asn, spec.Q, opts.SearchBudget)
 	curve.Epsilon = float64(cmax) / float64(asn.F)
 
-	train, test, err := data.Synthetic(data.SyntheticConfig{
-		Train: opts.TrainN, Test: opts.TestN, Dim: opts.Dim,
-		Classes: opts.Classes, ClassSep: opts.ClassSep, Seed: opts.Seed,
-	})
+	cfg, err := opts.engineConfig()
 	if err != nil {
 		curve.Err = err.Error()
 		return curve
 	}
-	var mdl model.Model
-	if opts.Hidden > 0 {
-		mdl, err = model.NewMLP(opts.Dim, opts.Hidden, opts.Classes)
-	} else {
-		mdl, err = model.NewSoftmax(opts.Dim, opts.Classes)
+	cfg.Assignment = asn
+	cfg.Attack = spec.Attack
+	cfg.Byzantines = byz
+	cfg.SignMessages = spec.SignMessages
+	cfg.Aggregator = spec.Aggregator
+	if cfg.Aggregator == nil && spec.AggregatorFor != nil {
+		cfg.Aggregator = spec.AggregatorFor(cmax)
 	}
-	if err != nil {
-		curve.Err = err.Error()
-		return curve
+	if cfg.Aggregator == nil {
+		cfg.Aggregator = aggregate.Median{}
 	}
-
-	agg := spec.Aggregator
-	if agg == nil && spec.AggregatorFor != nil {
-		agg = spec.AggregatorFor(cmax)
-	}
-	if agg == nil {
-		agg = aggregate.Median{}
-	}
-	schedule := defaultSchedule
 	if spec.SignMessages {
-		schedule = signSGDSchedule
+		cfg.Schedule = signSGDSchedule
 	}
 	if spec.Schedule != nil {
-		schedule = *spec.Schedule
+		cfg.Schedule = *spec.Schedule
 	}
-	curve.Schedule = schedule
-	momentum := 0.9
+	curve.Schedule = cfg.Schedule
 	if spec.Momentum != nil {
-		momentum = *spec.Momentum
+		cfg.Momentum = *spec.Momentum
 	}
-
-	atk := spec.Attack
-	if atk == nil {
-		atk = attack.Benign{}
-	}
-
-	eng, err := cluster.New(cluster.Config{
-		Assignment:   asn,
-		Model:        mdl,
-		Train:        train,
-		Test:         test,
-		BatchSize:    opts.BatchSize,
-		Attack:       atk,
-		Byzantines:   byz,
-		Aggregator:   agg,
-		Schedule:     schedule,
-		Momentum:     momentum,
-		Seed:         opts.Seed,
-		SignMessages: spec.SignMessages,
-	})
+	eng, err := cluster.New(cfg)
 	if err != nil {
 		curve.Err = err.Error()
 		return curve

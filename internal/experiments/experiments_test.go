@@ -240,13 +240,27 @@ func TestFigure12Timing(t *testing.T) {
 	if bs.Compute <= base.Compute {
 		t.Logf("note: ByzShield compute %v did not exceed baseline %v (timing noise)", bs.Compute, base.Compute)
 	}
+	// The rendering is Figure 12's split plus the measured uplink volume,
+	// one line per scheme; the PS→worker broadcast is not simulated in
+	// process, so it has no column.
 	var buf bytes.Buffer
 	RenderTiming(&buf, rows)
-	if !strings.Contains(buf.String(), "ByzShield") {
-		t.Error("timing rendering missing scheme")
+	out := buf.String()
+	for _, want := range []string{
+		"compute/iter", "comm/iter", "agg/iter", "detect/iter", "upB/iter", "upRawB/iter",
+		"\nMedian ", "\nByzShield ", "\nDETOX-MoM ",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("timing rendering missing %q:\n%s", want, out)
+		}
 	}
-	if !strings.Contains(buf.String(), "detect/iter") {
-		t.Error("timing rendering missing detect column")
+	if strings.Contains(out, "downB") {
+		t.Errorf("timing rendering still has a broadcast column:\n%s", out)
+	}
+	for _, r := range rows {
+		if r.ReportBytes <= 0 || r.ReportBytes > r.ReportRawBytes {
+			t.Errorf("%s: uplink moved %d bytes, raw-equivalent %d", r.Scheme, r.ReportBytes, r.ReportRawBytes)
+		}
 	}
 	// With a detector the detect column is populated — and it is carried
 	// separately from Aggregation, so enabling detection must not inflate

@@ -7,9 +7,7 @@ import (
 
 	"byzshield/internal/aggregate"
 	"byzshield/internal/cluster"
-	"byzshield/internal/data"
 	"byzshield/internal/fault"
-	"byzshield/internal/model"
 	"byzshield/internal/registry"
 )
 
@@ -98,38 +96,13 @@ func faultSweepConfig(opts TrainOpts, scheme string, params registry.SchemeParam
 	if err != nil {
 		return nil, err
 	}
-	train, test, err := data.Synthetic(data.SyntheticConfig{
-		Train: opts.TrainN, Test: opts.TestN, Dim: opts.Dim,
-		Classes: opts.Classes, ClassSep: opts.ClassSep, Seed: opts.Seed,
-	})
+	cfg, err := opts.engineConfig()
 	if err != nil {
 		return nil, err
 	}
-	var mdl model.Model
-	if opts.Hidden > 0 {
-		mdl, err = model.NewMLP(opts.Dim, opts.Hidden, opts.Classes)
-	} else {
-		mdl, err = model.NewSoftmax(opts.Dim, opts.Classes)
-	}
-	if err != nil {
-		return nil, err
-	}
-	dist, err := opts.distribution()
-	if err != nil {
-		return nil, err
-	}
-	return &cluster.Config{
-		Assignment:   asn,
-		Model:        mdl,
-		Train:        train,
-		Test:         test,
-		BatchSize:    opts.BatchSize,
-		Aggregator:   aggregate.Median{},
-		Schedule:     defaultSchedule,
-		Momentum:     0.9,
-		Seed:         opts.Seed,
-		Distribution: dist,
-	}, nil
+	cfg.Assignment = asn
+	cfg.Aggregator = aggregate.Median{}
+	return &cfg, nil
 }
 
 // runFaultCell executes one (scheme, fault) cell for the given horizon,

@@ -25,25 +25,20 @@ type FleetMode struct {
 	Shards   int
 	Pipeline bool
 	// Uplink is the report codec tier the server negotiates for this
-	// mode (the pre-shard plane hard-wired the XOR delta codec).
+	// mode.
 	Uplink wire.UplinkTier
 }
 
 // FleetModes are the planes every sweep point runs, in order:
 //
-//   - single-loop: the plane as it shipped before sharding — one
-//     aggregation pass over the whole vector after every report lands,
-//     no round prep, and the XOR-compressed uplink (which had no
-//     opt-out). This is the baseline the speedup column is relative
-//     to.
-//   - serial: the same single-loop plane with the raw uplink, so the
-//     curve separates what the uplink codec choice buys from what the
-//     sharded/pipelined plane buys.
-//   - sharded / pipelined: the new plane (per-shard report streams and
-//     early shard votes; plus prep pipelining), raw uplink — the
-//     configuration shipped for CPU-bound loopback fleets, where the
-//     delta codec's two extra passes per gradient cost more than the
-//     ~2% of bytes they save.
+//   - serial: one aggregation pass over the whole vector after every
+//     report lands, no round prep, raw uplink.
+//   - sharded / pipelined: per-shard report streams and early shard
+//     votes; plus prep pipelining. Raw uplink — the configuration
+//     shipped for CPU-bound loopback fleets, where the delta codec's
+//     two extra passes per gradient cost more than the ~2% of bytes
+//     they save (its bit-identity is pinned by the transport tests,
+//     not swept here).
 //   - quantized: the pipelined plane on the lossy int8 uplink tier —
 //     every report row ships 8-bit linear-quantized with per-(file,
 //     shard) scale parameters. Its trajectory is checked bit-for-bit
@@ -51,7 +46,6 @@ type FleetMode struct {
 //     count, not against the lossless reference.
 func FleetModes(shards int) []FleetMode {
 	return []FleetMode{
-		{Name: "single-loop", Uplink: wire.TierDelta},
 		{Name: "serial", Uplink: wire.TierRaw},
 		{Name: "sharded", Shards: shards, Uplink: wire.TierRaw},
 		{Name: "pipelined", Shards: shards, Pipeline: true, Uplink: wire.TierRaw},
@@ -70,10 +64,6 @@ type FleetPoint struct {
 	// fleet join, first broadcasts — are excluded).
 	Elapsed      time.Duration
 	RoundsPerSec float64
-	// Speedup is RoundsPerSec over the single-loop baseline (the plane
-	// as configured before sharding) at the same worker count (1 for
-	// the baseline itself).
-	Speedup float64
 	// ParamsHash fingerprints the final parameter bits (FNV-1a over
 	// the IEEE-754 words); every mode at a worker count must agree,
 	// and all must agree with the in-process engine.
@@ -109,9 +99,6 @@ type FleetConfig struct {
 	// FleetMode.Name or by the name the point is reported under
 	// ("sharded" and "sharded-f32" both select the f32 sharded plane);
 	// a filter that selects no plane is an error.
-	// Without "single-loop" in the set there is no baseline, so the
-	// speedup column stays zero — useful when profiling one plane in
-	// isolation.
 	Modes []string
 	// Precision selects the width the whole sweep runs at — servers,
 	// workers and the reference engines; the planes are the same
@@ -159,6 +146,25 @@ func (c FleetConfig) fleetSpec(k int) transport.Spec {
 	}
 }
 
+// specEngineConfig is the in-process engine configuration of the
+// fault-free, attack-free experiment spec describes — what a wire run of
+// the same Spec must reproduce and what the precision sweep times.
+func specEngineConfig[T linalg.Float](spec transport.Spec) (cluster.ConfigOf[T], error) {
+	b, err := spec.Build()
+	if err != nil {
+		return cluster.ConfigOf[T]{}, err
+	}
+	agg, err := spec.BuildAggregator()
+	if err != nil {
+		return cluster.ConfigOf[T]{}, err
+	}
+	return cluster.ConfigOf[T]{
+		Assignment: b.Assignment, Model: b.Model, Train: b.Train, Test: b.Test,
+		BatchSize: spec.BatchSize, Aggregator: agg,
+		Schedule: spec.Schedule, Momentum: spec.Momentum, Seed: spec.Seed,
+	}, nil
+}
+
 // engineFinalParams runs the in-process engine of width T over spec and
 // returns its final parameters — the reference trajectory a wire mode
 // must reproduce bit-for-bit. Lossless modes all share one reference
@@ -168,28 +174,13 @@ func (c FleetConfig) fleetSpec(k int) transport.Spec {
 // where they started is an error: bit-identity between vectors that
 // never moved checks nothing.
 func engineFinalParams[T linalg.Float](spec transport.Spec, shards int, tier wire.UplinkTier) ([]T, error) {
-	asn, err := spec.BuildAssignment()
+	cfg, err := specEngineConfig[T](spec)
 	if err != nil {
 		return nil, err
 	}
-	mdl, err := spec.BuildModel()
-	if err != nil {
-		return nil, err
-	}
-	train, test, err := spec.BuildData()
-	if err != nil {
-		return nil, err
-	}
-	agg, err := spec.BuildAggregator()
-	if err != nil {
-		return nil, err
-	}
-	eng, err := cluster.NewOf[T](cluster.Config{
-		Assignment: asn, Model: mdl, Train: train, Test: test,
-		BatchSize: spec.BatchSize, Aggregator: agg,
-		Schedule: spec.Schedule, Momentum: spec.Momentum, Seed: spec.Seed,
-		Shards: shards, UplinkTier: tier,
-	})
+	cfg.Shards = shards
+	cfg.UplinkTier = tier
+	eng, err := cluster.NewOf(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -227,18 +218,11 @@ func runFleetPoint[T linalg.Float](ctx context.Context, c FleetConfig, spec tran
 	pt := FleetPoint{Workers: spec.K, Files: spec.K / 3, Mode: mode.Name, Rounds: c.Rounds}
 	var windowStart, windowEnd time.Time
 	srvCfg := transport.ServerConfig{
-		Spec:         spec,
-		Shards:       mode.Shards,
-		Pipeline:     mode.Pipeline,
-		EvalEvery:    spec.Rounds + 1,
-		RoundTimeout: 5 * time.Minute,
-		// Lossless modes other than single-loop run the raw uplink:
-		// XOR-delta costs two full passes over every gradient per round
-		// to save ~2% of bytes on decorrelated gradient data — on a
-		// CPU-bound loopback fleet that codec tax dominates the profile.
-		// The single-loop baseline keeps the delta codec because the
-		// pre-shard plane had no opt-out; the serial mode isolates that
-		// difference. The quantized mode runs the lossy int8 tier.
+		Spec:               spec,
+		Shards:             mode.Shards,
+		Pipeline:           mode.Pipeline,
+		EvalEvery:          spec.Rounds + 1,
+		RoundTimeout:       5 * time.Minute,
 		Uplink:             mode.Uplink,
 		FullBroadcastEvery: 1,
 		Tracer:             c.Tracer,
@@ -298,15 +282,14 @@ func runFleetPoint[T linalg.Float](ctx context.Context, c FleetConfig, spec tran
 }
 
 // FleetScaling runs the rounds/sec-vs-worker-count scaling sweep: for
-// each worker count, the single-loop (pre-shard config), serial,
-// sharded, sharded+pipelined, and quantized planes drive the same
-// loopback fleet over the identical Spec, and every mode's final
-// parameters are checked bit-for-bit against an in-process engine —
-// the lossless modes against one shared reference (raw and delta
-// codecs are bit-exact, so all four must land on the same bits), the
-// quantized mode against an engine pinned to its own uplink tier and
-// shard count. The returned points are grouped by worker count in mode
-// order (single-loop first).
+// each worker count, the serial, sharded, sharded+pipelined, and
+// quantized planes drive the same loopback fleet over the identical
+// Spec, and every mode's final parameters are checked bit-for-bit
+// against an in-process engine — the lossless modes against one shared
+// reference (the plane cannot move a bit, so all three must land on the
+// same bits), the quantized mode against an engine pinned to its own
+// uplink tier and shard count. The returned points are grouped by
+// worker count in mode order (serial first).
 func FleetScaling(ctx context.Context, cfg FleetConfig) ([]FleetPoint, error) {
 	if cfg.Rounds < 1 {
 		cfg.Rounds = 20
@@ -360,7 +343,6 @@ func fleetScaling[T linalg.Float](ctx context.Context, cfg FleetConfig, suffix s
 		if err != nil {
 			return nil, fmt.Errorf("fleet K=%d reference: %w", k, err)
 		}
-		var baseline float64
 		for _, mode := range modes {
 			name := mode.Name + suffix
 			if cfg.Tracer != nil {
@@ -392,14 +374,8 @@ func fleetScaling[T linalg.Float](ctx context.Context, cfg FleetConfig, suffix s
 			}
 			pt.Mode = name
 			pt.BitIdentical = allIdentical
-			if mode.Name == "single-loop" {
-				baseline = pt.RoundsPerSec
-			}
-			if baseline > 0 {
-				pt.Speedup = pt.RoundsPerSec / baseline
-			}
-			cfg.Logf("fleet K=%d mode=%-13s %6.2f rounds/s (%.2fx) bit-identical=%v",
-				k, name, pt.RoundsPerSec, pt.Speedup, pt.BitIdentical)
+			cfg.Logf("fleet K=%d mode=%-13s %6.2f rounds/s bit-identical=%v",
+				k, name, pt.RoundsPerSec, pt.BitIdentical)
 			out = append(out, pt)
 		}
 	}

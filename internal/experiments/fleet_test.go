@@ -10,12 +10,11 @@ import (
 )
 
 // TestFleetScalingSmoke drives the scaling sweep end to end at the
-// smallest fleet, at both precisions: all five planes over one worker
-// count, asserting every mode reproduces its in-process engine reference
-// bit-for-bit (the lossless modes sharing one trajectory, the quantized
-// mode its own tier-pinned one — which must land off the lossless bits,
-// so the sweep is known to train) and the speedup column is anchored to
-// the single-loop baseline.
+// smallest fleet, at both precisions: all four planes over one worker
+// count, serial first, asserting every mode reproduces its in-process
+// engine reference bit-for-bit (the lossless modes sharing one
+// trajectory, the quantized mode its own tier-pinned one — which must
+// land off the lossless bits, so the sweep is known to train).
 func TestFleetScalingSmoke(t *testing.T) {
 	t.Run("f64", func(t *testing.T) { fleetScalingSmoke(t, wire.PrecisionF64, "") })
 	t.Run("f32", func(t *testing.T) { fleetScalingSmoke(t, wire.PrecisionF32, "-f32") })
@@ -38,6 +37,9 @@ func fleetScalingSmoke(t *testing.T, prec wire.Precision, suffix string) {
 		t.Fatal(err)
 	}
 	modes := FleetModes(2)
+	if len(modes) != 4 || modes[0].Name != "serial" {
+		t.Fatalf("FleetModes = %+v, want four planes with serial first", modes)
+	}
 	if len(points) != len(modes) {
 		t.Fatalf("got %d points, want %d", len(points), len(modes))
 	}
@@ -58,12 +60,9 @@ func fleetScalingSmoke(t *testing.T, prec wire.Precision, suffix string) {
 				t.Errorf("mode %s K=%d: params hash matches the lossless trajectory", pt.Mode, pt.Workers)
 			}
 		} else if pt.ParamsHash != points[0].ParamsHash {
-			t.Errorf("mode %s K=%d: params hash %x != single-loop %x",
+			t.Errorf("mode %s K=%d: params hash %x != serial %x",
 				pt.Mode, pt.Workers, pt.ParamsHash, points[0].ParamsHash)
 		}
-	}
-	if points[0].Mode != "single-loop"+suffix || points[0].Speedup != 1 {
-		t.Errorf("baseline point = %+v, want single-loop with speedup 1", points[0])
 	}
 }
 

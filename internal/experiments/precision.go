@@ -74,28 +74,12 @@ func (c PrecisionConfig) precisionSpec(inputDim int) transport.Spec {
 // whose parameters never leave their initial bits is an error: it would
 // time a round that computes gradients of zero.
 func timeRounds[T linalg.Float](ctx context.Context, c PrecisionConfig, spec transport.Spec) (int64, error) {
-	asn, err := spec.BuildAssignment()
+	cfg, err := specEngineConfig[T](spec)
 	if err != nil {
 		return 0, err
 	}
-	mdl, err := spec.BuildModel()
-	if err != nil {
-		return 0, err
-	}
-	train, test, err := spec.BuildData()
-	if err != nil {
-		return 0, err
-	}
-	agg, err := spec.BuildAggregator()
-	if err != nil {
-		return 0, err
-	}
-	eng, err := cluster.NewOf[T](cluster.Config{
-		Assignment: asn, Model: mdl, Train: train, Test: test,
-		BatchSize: spec.BatchSize, Aggregator: agg,
-		Schedule: spec.Schedule, Momentum: spec.Momentum, Seed: spec.Seed,
-		Parallelism: 1,
-	})
+	cfg.Parallelism = 1
+	eng, err := cluster.NewOf(cfg)
 	if err != nil {
 		return 0, err
 	}

@@ -109,26 +109,24 @@ func RenderFigureCSV(w io.Writer, fig Figure) {
 }
 
 // RenderTiming writes the Figure 12 per-iteration phase split, plus the
-// measured wire volume in each direction (worker→PS gradient frames,
-// both as moved by the uplink codec and raw-equivalent, and PS→worker
-// parameter broadcast).
+// measured worker→PS gradient-frame volume, both as moved by the uplink
+// codec and raw-equivalent.
 func RenderTiming(w io.Writer, rows []TimingRow) {
-	fmt.Fprintf(w, "%-12s %14s %14s %14s %14s %12s %12s %8s %12s %6s %4s\n",
-		"scheme", "compute/iter", "comm/iter", "agg/iter", "detect/iter", "upB/iter", "upRawB/iter", "upRatio", "downB/iter", "rep", "blk")
+	fmt.Fprintf(w, "%-12s %14s %14s %14s %14s %12s %12s %8s %6s %4s\n",
+		"scheme", "compute/iter", "comm/iter", "agg/iter", "detect/iter", "upB/iter", "upRawB/iter", "upRatio", "rep", "blk")
 	for _, r := range rows {
 		c, m, a, d := r.PerIteration()
-		up, raw, down := r.ReportBytes, r.ReportRawBytes, r.BroadcastBytes
+		up, raw := r.ReportBytes, r.ReportRawBytes
 		if r.Rounds > 0 {
 			up /= int64(r.Rounds)
 			raw /= int64(r.Rounds)
-			down /= int64(r.Rounds)
 		}
 		ratio := 1.0
 		if raw > 0 {
 			ratio = float64(up) / float64(raw)
 		}
-		fmt.Fprintf(w, "%-12s %14s %14s %14s %14s %12d %12d %8.2f %12d %6.3f %4d\n",
-			r.Scheme, round(c), round(m), round(a), round(d), up, raw, ratio, down, r.MeanReputation, r.Blacklisted)
+		fmt.Fprintf(w, "%-12s %14s %14s %14s %14s %12d %12d %8.2f %6.3f %4d\n",
+			r.Scheme, round(c), round(m), round(a), round(d), up, raw, ratio, r.MeanReputation, r.Blacklisted)
 	}
 }
 

@@ -8,9 +8,6 @@ import (
 	"byzshield/internal/aggregate"
 	"byzshield/internal/attack"
 	"byzshield/internal/cluster"
-	"byzshield/internal/data"
-	"byzshield/internal/detect"
-	"byzshield/internal/model"
 )
 
 // TimingRow is one bar group of Figure 12: the per-iteration wall-clock
@@ -32,10 +29,6 @@ type TimingRow struct {
 	// two together give the realized uplink compression ratio.
 	ReportBytes    int64
 	ReportRawBytes int64
-	// BroadcastBytes is the measured PS→worker parameter broadcast
-	// volume (full frames every BroadcastFullEvery rounds, bit-exact
-	// XOR deltas otherwise).
-	BroadcastBytes int64
 	Rounds         int
 	// MeanReputation is the fleet's mean reputation after the last
 	// round (1 when detection is off); Blacklisted the final blacklist
@@ -56,7 +49,8 @@ func (r TimingRow) PerIteration() (compute, comm, agg, det time.Duration) {
 // Figure12 measures the per-iteration time split for the three
 // median-family schemes of the paper's timing comparison (baseline
 // median, ByzShield, DETOX-MoM) under the ALIE attack with q = 3,
-// K = 25. Communication is physically exercised via gob serialization
+// K = 25. Communication is physically exercised: every worker message
+// makes the uplink gradient codec's encode→decode round trip
 // (MeasureComm).
 func Figure12(ctx context.Context, opts TrainOpts, rounds int) ([]TimingRow, error) {
 	if rounds < 1 {
@@ -87,52 +81,25 @@ func timeOne(ctx context.Context, name string, spec RunSpec, opts TrainOpts, rou
 		return TimingRow{}, err
 	}
 	byz, _ := selectByzantines(ctx, asn, spec.Q, opts.SearchBudget)
-	train, test, err := data.Synthetic(data.SyntheticConfig{
-		Train: opts.TrainN, Test: opts.TestN, Dim: opts.Dim,
-		Classes: opts.Classes, ClassSep: opts.ClassSep, Seed: opts.Seed,
-	})
+	cfg, err := opts.engineConfig()
 	if err != nil {
 		return TimingRow{}, err
 	}
-	var mdl model.Model
-	if opts.Hidden > 0 {
-		mdl, err = model.NewMLP(opts.Dim, opts.Hidden, opts.Classes)
-	} else {
-		mdl, err = model.NewSoftmax(opts.Dim, opts.Classes)
+	cfg.Assignment = asn
+	cfg.Attack = spec.Attack
+	cfg.Byzantines = byz
+	cfg.Aggregator = spec.Aggregator
+	if cfg.Aggregator == nil {
+		cfg.Aggregator = aggregate.Median{}
 	}
-	if err != nil {
-		return TimingRow{}, err
-	}
-	agg := spec.Aggregator
-	if agg == nil {
-		agg = aggregate.Median{}
-	}
-	var det detect.Detector
 	if opts.Detector != "" {
-		if det, err = components.Detector(opts.Detector); err != nil {
+		if cfg.Detector, err = components.Detector(opts.Detector); err != nil {
 			return TimingRow{}, err
 		}
 	}
-	eng, err := cluster.New(cluster.Config{
-		Assignment:  asn,
-		Model:       mdl,
-		Train:       train,
-		Test:        test,
-		BatchSize:   opts.BatchSize,
-		Attack:      spec.Attack,
-		Byzantines:  byz,
-		Aggregator:  agg,
-		Schedule:    defaultSchedule,
-		Momentum:    0.9,
-		Seed:        opts.Seed,
-		Detector:    det,
-		MeasureComm: true,
-		UplinkTier:  opts.Uplink,
-		// Delta parameter broadcasts with a periodic full refresh — the
-		// steady-state policy of the TCP server, so the measured
-		// PS→worker volume reflects the bandwidth-aware wire protocol.
-		BroadcastFullEvery: 16,
-	})
+	cfg.MeasureComm = true
+	cfg.UplinkTier = opts.Uplink
+	eng, err := cluster.New(cfg)
 	if err != nil {
 		return TimingRow{}, err
 	}
@@ -155,7 +122,6 @@ func timeOne(ctx context.Context, name string, spec RunSpec, opts TrainOpts, rou
 		Detect:         times.Detect,
 		ReportBytes:    times.ReportBytes,
 		ReportRawBytes: times.ReportRawBytes,
-		BroadcastBytes: times.BroadcastBytes,
 		Rounds:         rounds,
 		MeanReputation: meanRep,
 		Blacklisted:    blacklisted,

@@ -6,11 +6,11 @@ import (
 	"testing"
 )
 
-// Kernel micro-benchmarks at the two precision widths and the two dims
-// the scaling curve in BENCH_round.json brackets (the softmax config's
-// ~1k and the large-model 100k). The CI bench-smoke job runs these with
-// -benchtime=1x as a liveness check; locally they quantify the f32
-// datapath win and the quickselect-vs-sort median win.
+// Kernel micro-benchmarks at the two precision widths and two dims (the
+// softmax config's ~1k and the large-model 100k). They are layer checks
+// to run while working on a kernel — the CI bench-smoke job runs them
+// as a liveness check — not the record: the repository's numbers are
+// bench/'s linalg.* rows (bash bench/run.sh).
 
 const (
 	benchSmallDim = 1_000
@@ -111,8 +111,8 @@ func BenchmarkMedian(b *testing.B) {
 }
 
 // BenchmarkMedianSortBaseline is the pre-quickselect kernel (full
-// per-coordinate sort.Float64s) kept as the comparison baseline for the
-// BENCH_round.json quickselect entry.
+// per-coordinate sort.Float64s) kept as the comparison baseline for
+// BenchmarkMedian.
 func BenchmarkMedianSortBaseline(b *testing.B) {
 	vs := benchVecs64(benchSmallDim)
 	dim := len(vs[0])

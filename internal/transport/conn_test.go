@@ -470,6 +470,119 @@ func TestOversizedReportEvicts(t *testing.T) {
 	}
 }
 
+// openConns counts the connections the server still references: those
+// mid-handshake plus every worker's live and parked one.
+func openConns[T linalg.Float](s *ServerOf[T]) int {
+	s.mu.Lock()
+	n := len(s.handshaking)
+	s.mu.Unlock()
+	s.src.mu.Lock()
+	defer s.src.mu.Unlock()
+	for u := range s.src.workers {
+		if s.src.workers[u].conn != nil {
+			n++
+		}
+		if s.src.workers[u].pending != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// TestServerForgetsClosedConns: the server references a connection only
+// while it is handshaking or serving a worker. Dials that send garbage
+// and hang up while Serve still waits for its fleet leave nothing behind,
+// and after a worker is evicted mid-run the count is the live fleet —
+// a connection the server closed must not stay reachable (and with it a
+// receive buffer of up to a report) until Serve returns.
+func TestServerForgetsClosedConns(t *testing.T) {
+	const victim, dials = 4, 40
+	spec := testSpec(4)
+	asn, err := spec.BuildAssignment()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var srv *Server
+	var afterEviction int
+	srv, err = NewServer("127.0.0.1:0", ServerConfig{Spec: spec, OnRound: func(rs cluster.RoundStats) {
+		if rs.Iteration == spec.Rounds-1 {
+			afterEviction = openConns(srv)
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ctx := context.Background()
+	served := make(chan error, 1)
+	go func() {
+		_, err := srv.Serve(ctx)
+		served <- err
+	}()
+
+	for i := 0; i < dials; i++ {
+		raw, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw.Write([]byte("not a frame header"))
+		raw.SetReadDeadline(time.Now().Add(10 * time.Second))
+		if _, err := raw.Read(make([]byte, 64)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("dial %d: server did not close the garbage connection (%v)", i, err)
+		}
+		raw.Close()
+	}
+	// The client sees the close a moment before the handshake goroutine
+	// returns and forgets the connection.
+	deadline := time.Now().Add(10 * time.Second)
+	for openConns(srv) != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d rejected dials left %d connections referenced by a server with no worker", dials, openConns(srv))
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	var wg sync.WaitGroup
+	for u := 0; u < asn.K; u++ {
+		if u == victim {
+			continue
+		}
+		wg.Add(1)
+		go func(u int) {
+			defer wg.Done()
+			if _, err := RunWorker(ctx, srv.Addr(), WorkerConfig{ID: u}); err != nil {
+				t.Errorf("worker %d: %v", u, err)
+			}
+		}(u)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		raw, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer raw.Close()
+		c := NewConn(raw)
+		c.Send(Hello{WorkerID: victim, Version: wire.ProtocolVersion, Tiers: wire.AllTiersMask, Precisions: wire.PrecisionF64.Mask()})
+		if _, err := c.Recv(); err != nil { // Welcome
+			t.Error(err)
+		}
+		// Joined, then gone: the deferred Close is the eviction.
+	}()
+	if err := <-served; err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	if c := srv.Counters(); c.Evictions != 1 {
+		t.Fatalf("evictions = %d, want 1", c.Evictions)
+	}
+	if want := asn.K - 1; afterEviction != want {
+		t.Errorf("server references %d connections after the eviction, want the %d live workers", afterEviction, want)
+	}
+}
+
 // waitGoroutines waits for the goroutine count to fall back to base.
 func waitGoroutines(t *testing.T, base int) {
 	t.Helper()

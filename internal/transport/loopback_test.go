@@ -35,15 +35,7 @@ type enginePlane struct {
 // and returns the final parameters.
 func engineParamsOf[T linalg.Float](t *testing.T, spec Spec, ep enginePlane) []T {
 	t.Helper()
-	asn, err := spec.BuildAssignment()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mdl, err := spec.BuildModel()
-	if err != nil {
-		t.Fatal(err)
-	}
-	train, test, err := spec.BuildData()
+	b, err := spec.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,16 +47,12 @@ func engineParamsOf[T linalg.Float](t *testing.T, spec Spec, ep enginePlane) []T
 	if err != nil {
 		t.Fatal(err)
 	}
-	flt, err := spec.BuildFault()
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := cluster.NewOf[T](cluster.Config{
-		Assignment: asn, Model: mdl, Train: train, Test: test,
+	eng, err := cluster.NewOf(cluster.ConfigOf[T]{
+		Assignment: b.Assignment, Model: b.Model, Train: b.Train, Test: b.Test,
 		BatchSize: spec.BatchSize, Aggregator: agg,
 		Schedule: spec.Schedule, Momentum: spec.Momentum, Seed: spec.Seed,
 		Parallelism: ep.parallelism, Shards: ep.shards, UplinkTier: ep.tier,
-		Attack: ep.attack, Byzantines: ep.byz, Fault: flt,
+		Attack: ep.attack, Byzantines: ep.byz, Fault: b.Fault,
 		Detector: det, Detection: spec.DetectorParams.Policy(),
 	})
 	if err != nil {

@@ -184,6 +184,37 @@ type Spec struct {
 // object) are therefore valid on the wire.
 var components = registry.Default
 
+// Built is what every process of a run constructs from the Spec, each
+// to the identical result. The aggregation and detection rules are not
+// part of it: they are the parameter server's alone (ServerConfig may
+// override the aggregator, and a worker never resolves either name).
+type Built struct {
+	Assignment  *assign.Assignment
+	Model       model.Model
+	Train, Test *data.Dataset
+	Fault       fault.Fault
+}
+
+// Build constructs the spec's shared components, cheapest first so a
+// bad name fails before the datasets are generated.
+func (s *Spec) Build() (*Built, error) {
+	var b Built
+	var err error
+	if b.Fault, err = s.BuildFault(); err != nil {
+		return nil, err
+	}
+	if b.Assignment, err = s.BuildAssignment(); err != nil {
+		return nil, err
+	}
+	if b.Model, err = s.BuildModel(); err != nil {
+		return nil, err
+	}
+	if b.Train, b.Test, err = s.BuildData(); err != nil {
+		return nil, err
+	}
+	return &b, nil
+}
+
 // BuildAssignment constructs the assignment described by the spec via
 // the component registry, guaranteeing that every process (and the
 // in-process engine) realizes the identical placement.

@@ -182,9 +182,13 @@ type ServerOf[T linalg.Float] struct {
 	histMu  sync.Mutex
 	history trainer.History
 
-	mu      sync.Mutex
-	conns   []*Conn
-	serving bool
+	mu sync.Mutex
+	// handshaking holds the accepted connections whose Hello/Welcome
+	// exchange is in flight, so teardown can unblock them. A connection
+	// leaves the set when its handshake returns: rejected and closed, or
+	// published into the source's worker table, its one owner from then.
+	handshaking map[*Conn]struct{}
+	serving     bool
 }
 
 // NewServerOf validates the config, builds the width-T round engine and
@@ -200,23 +204,13 @@ func NewServerOf[T linalg.Float](addr string, cfg ServerConfig) (*ServerOf[T], e
 	if cfg.Spec.Rounds < 1 {
 		return nil, fmt.Errorf("transport: rounds %d < 1", cfg.Spec.Rounds)
 	}
-	if _, err := cfg.Spec.BuildFault(); err != nil {
-		return nil, err
-	}
-	asn, err := cfg.Spec.BuildAssignment()
+	b, err := cfg.Spec.Build()
 	if err != nil {
 		return nil, err
 	}
+	asn, mdl := b.Assignment, b.Model
 	cfg.Spec.K = asn.K
 	if err := welcomeFits(&cfg.Spec); err != nil {
-		return nil, err
-	}
-	mdl, err := cfg.Spec.BuildModel()
-	if err != nil {
-		return nil, err
-	}
-	train, test, err := cfg.Spec.BuildData()
-	if err != nil {
 		return nil, err
 	}
 	if cfg.EvalEvery < 1 {
@@ -250,11 +244,11 @@ func NewServerOf[T linalg.Float](addr string, cfg ServerConfig) (*ServerOf[T], e
 	shards := wire.ShardCount(cfg.Shards, mdl.NumParams())
 	src := newWireSource[T](asn, cfg.RoundTimeout, cfg.FullBroadcastEvery, shards, cfg.Pipeline, cfg.Spec.Rounds, cfg.Logf)
 	src.uplink = cfg.Uplink
-	eng, err := cluster.NewOf[T](cluster.Config{
+	eng, err := cluster.NewOf(cluster.ConfigOf[T]{
 		Assignment:   asn,
 		Model:        mdl,
-		Train:        train,
-		Test:         test,
+		Train:        b.Train,
+		Test:         b.Test,
 		BatchSize:    cfg.Spec.BatchSize,
 		Aggregator:   cfg.Aggregator,
 		Schedule:     cfg.Spec.Schedule,
@@ -294,6 +288,8 @@ func NewServerOf[T linalg.Float](addr string, cfg ServerConfig) (*ServerOf[T], e
 		eng:        eng,
 		src:        src,
 		fleet:      fleet,
+
+		handshaking: make(map[*Conn]struct{}),
 	}
 	if cfg.Metrics != nil {
 		s.registerInstruments(cfg.Metrics)
@@ -346,26 +342,19 @@ func (s *ServerOf[T]) Counters() Counters {
 	}
 }
 
-// track registers a connection for cancellation teardown.
-func (s *ServerOf[T]) track(c *Conn) {
-	s.mu.Lock()
-	s.conns = append(s.conns, c)
-	s.mu.Unlock()
-}
-
-// teardown closes the listener and every tracked connection, unblocking
-// any in-flight Accept/Send/Recv. It marks the source closing first so
-// the pump exits the teardown provokes are not miscounted as
+// teardown closes the listener and every connection — the workers'
+// and those still handshaking — unblocking any in-flight
+// Accept/Send/Recv. The source is marked closing before its connections
+// close, so the pump exits the teardown provokes are not miscounted as
 // evictions — cancellation is a deliberate shutdown.
 func (s *ServerOf[T]) teardown() {
-	s.src.markClosing()
+	s.src.closeConns()
 	s.listener.Close()
 	s.mu.Lock()
-	conns := append([]*Conn(nil), s.conns...)
-	s.mu.Unlock()
-	for _, c := range conns {
+	for c := range s.handshaking {
 		c.Close()
 	}
+	s.mu.Unlock()
 }
 
 // newToken draws a fresh random session token.
@@ -388,7 +377,9 @@ func (s *ServerOf[T]) acceptLoop(ctx context.Context, done chan<- error) {
 			return
 		}
 		conn := newHandshakeConn(raw)
-		s.track(conn)
+		s.mu.Lock()
+		s.handshaking[conn] = struct{}{}
+		s.mu.Unlock()
 		go s.handshake(ctx, conn)
 	}
 }
@@ -398,6 +389,11 @@ func (s *ServerOf[T]) acceptLoop(ctx context.Context, done chan<- error) {
 // so one malformed, duplicate, or stale-token Hello cannot tear down
 // the cluster.
 func (s *ServerOf[T]) handshake(ctx context.Context, conn *Conn) {
+	defer func() {
+		s.mu.Lock()
+		delete(s.handshaking, conn)
+		s.mu.Unlock()
+	}()
 	reject := func(format string, args ...any) {
 		s.cfg.Logf("rejecting %s: %s", conn.RemoteAddr(), fmt.Sprintf(format, args...))
 		conn.Close()
@@ -1169,13 +1165,9 @@ type wireSource[T linalg.Float] struct {
 	collectTimer *time.Timer
 }
 
-// cluster.Config.Source is untyped (one Config serves both widths), so
-// the source's side of that contract is pinned here.
-var (
-	_ cluster.GradientSourceOf[float64] = (*wireSource[float64])(nil)
-	_ cluster.GradientSourceOf[float32] = (*wireSource[float32])(nil)
-	_ cluster.RoundPreparer             = (*wireSource[float64])(nil)
-)
+// The engine finds the pipelining seam by type assertion, so the
+// source's side of that contract is pinned here.
+var _ cluster.RoundPreparer = (*wireSource[float64])(nil)
 
 // newWireSource prepares the per-worker state tables. shards must
 // already be clamped to [1, dim] (wire.ShardCount).
@@ -1309,16 +1301,9 @@ func (ws *wireSource[T]) shutdownConns() []*Conn {
 	return out
 }
 
-// markClosing flips the source into closing mode exactly once: no new
-// pumps start, pump exits stop counting as evictions, and blocked
-// inbox pushes release.
-func (ws *wireSource[T]) markClosing() {
-	ws.mu.Lock()
-	ws.markClosingLocked()
-	ws.mu.Unlock()
-}
-
-// markClosingLocked is markClosing with ws.mu already held.
+// markClosingLocked flips the source into closing mode exactly once: no
+// new pumps start, pump exits stop counting as evictions, and blocked
+// inbox pushes release. Callers hold ws.mu.
 func (ws *wireSource[T]) markClosingLocked() {
 	if !ws.closing {
 		ws.closing = true
@@ -1330,7 +1315,9 @@ func (ws *wireSource[T]) markClosingLocked() {
 // connections — each exits on its worker's EOF or its read deadline,
 // so workers get to read the final Shutdown.
 func (ws *wireSource[T]) drain() {
-	ws.markClosing()
+	ws.mu.Lock()
+	ws.markClosingLocked()
+	ws.mu.Unlock()
 	ws.pumps.Wait()
 }
 
@@ -1338,6 +1325,13 @@ func (ws *wireSource[T]) drain() {
 // It runs on every Serve exit path, making teardown deterministic: no
 // pump goroutine outlives Serve.
 func (ws *wireSource[T]) shutdown() {
+	ws.closeConns()
+	ws.pumps.Wait()
+}
+
+// closeConns marks the source closing and closes every worker's live and
+// parked connection, clearing the slots.
+func (ws *wireSource[T]) closeConns() {
 	ws.mu.Lock()
 	ws.markClosingLocked()
 	for u := range ws.workers {
@@ -1352,7 +1346,6 @@ func (ws *wireSource[T]) shutdown() {
 		}
 	}
 	ws.mu.Unlock()
-	ws.pumps.Wait()
 }
 
 // admitPending moves validated rejoin connections into the live slots —

@@ -124,20 +124,11 @@ type SharedWorkerState struct {
 
 // NewSharedWorkerState builds the shareable worker state for spec.
 func NewSharedWorkerState(spec Spec) (*SharedWorkerState, error) {
-	s := &SharedWorkerState{}
-	var err error
-	if s.mdl, err = spec.BuildModel(); err != nil {
+	b, err := spec.Build()
+	if err != nil {
 		return nil, err
 	}
-	if s.train, _, err = spec.BuildData(); err != nil {
-		return nil, err
-	}
-	if s.flt, err = spec.BuildFault(); err != nil {
-		return nil, err
-	}
-	if s.asn, err = spec.BuildAssignment(); err != nil {
-		return nil, err
-	}
+	s := &SharedWorkerState{mdl: b.Model, train: b.Train, flt: b.Fault, asn: b.Assignment}
 	s.bind32 = sync.OnceValues(func() (model.Bound[float32], error) {
 		return model.BindOf[float32](s.mdl, s.train)
 	})
@@ -396,31 +387,19 @@ func runWorkerConn[T linalg.Float](ctx context.Context, addr string, st *workerS
 		return 0, fmt.Errorf("transport: server changed shard count %d → %d across rejoin", st.shards, shards)
 	}
 	if st.mdl == nil {
-		// First successful handshake: build the deterministic local
-		// state from the Spec — or adopt the process-shared copy.
+		// First successful handshake: adopt the process-shared state, or
+		// build this worker's own from the Spec the Welcome carried.
 		// Rejoins keep it (same Spec, same run).
 		st.spec = welcome.Spec
-		if sh := cfg.Shared; sh != nil {
-			st.mdl, st.train, st.flt, st.asn = sh.mdl, sh.train, sh.flt, sh.asn
-			if st.kern, err = sharedBound[T](sh); err != nil {
+		sh := cfg.Shared
+		if sh == nil {
+			if sh, err = NewSharedWorkerState(st.spec); err != nil {
 				return 0, err
 			}
-		} else {
-			if st.mdl, err = st.spec.BuildModel(); err != nil {
-				return 0, err
-			}
-			if st.train, _, err = st.spec.BuildData(); err != nil {
-				return 0, err
-			}
-			if st.kern, err = model.BindOf[T](st.mdl, st.train); err != nil {
-				return 0, err
-			}
-			if st.flt, err = st.spec.BuildFault(); err != nil {
-				return 0, err
-			}
-			if st.asn, err = st.spec.BuildAssignment(); err != nil {
-				return 0, err
-			}
+		}
+		st.mdl, st.train, st.flt, st.asn = sh.mdl, sh.train, sh.flt, sh.asn
+		if st.kern, err = sharedBound[T](sh); err != nil {
+			return 0, err
 		}
 		st.trainN = st.train.Len()
 		if linalg.Width[T]() != 8 {

@@ -29,6 +29,10 @@ type Checkpoint = checkpoint.State
 // ErrSessionClosed is returned by operations on a closed Session.
 var ErrSessionClosed = errors.New("byzshield: session closed")
 
+// ErrRestoreDetector is returned by Session.Restore on a session that
+// runs a detector; see Restore.
+var ErrRestoreDetector = cluster.ErrRestoreDetector
+
 // RoundResult reports one executed protocol round.
 type RoundResult struct {
 	// Round is the number of completed rounds after this step (1-based,
@@ -371,6 +375,12 @@ func (s *Session) Checkpoint() *Checkpoint {
 // same TrainConfig continues bit-identically to the interrupted run —
 // no round replay required. The checkpoint's history becomes the
 // session's history.
+//
+// A checkpoint does not carry the detection layer's state (reputations,
+// feature windows, the blacklist), so a session Opened with a
+// TrainConfig.Detector other than NoDetector refuses to Restore with
+// ErrRestoreDetector instead of resuming with evicted workers voting
+// again.
 //
 // When the checkpoint records a Byzantine set, it must match the
 // session's: a session Opened with Q > 0 re-runs the budget-bounded
