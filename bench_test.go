@@ -232,7 +232,7 @@ func BenchmarkAblationRedundancy(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := byzshield.Train(byzshield.TrainConfig{
+				s, err := byzshield.Open(context.Background(), byzshield.TrainConfig{
 					Assignment: asn,
 					Model:      mdl,
 					Train:      train,
@@ -243,9 +243,14 @@ func BenchmarkAblationRedundancy(b *testing.B) {
 					Iterations: 20,
 					EvalEvery:  20,
 					Seed:       5,
-				}); err != nil {
+				})
+				if err != nil {
 					b.Fatal(err)
 				}
+				if _, err := s.Run(context.Background(), 0); err != nil {
+					b.Fatal(err)
+				}
+				s.Close()
 			}
 		})
 	}

@@ -317,8 +317,8 @@ const (
 // scaled-down reproduction (paper notation (x, y, z)).
 func DefaultSchedule() Schedule { return Schedule{Base: 0.05, Decay: 0.96, Every: 25} }
 
-// TrainConfig assembles a training run for Open (session-based) or
-// Train (fire-and-forget). Zero-valued optional fields take the
+// TrainConfig assembles a training run for Open. Zero-valued optional
+// fields take the
 // defaults documented in the Default* block above; ambiguous partial
 // values (a Schedule with decay but no base rate, Momentum combined
 // with NoMomentum, Q combined with Byzantines) are rejected by Open
@@ -450,19 +450,6 @@ func (cfg TrainConfig) normalized() (TrainConfig, error) {
 		cfg.Detector = NoDetector()
 	}
 	return cfg, nil
-}
-
-// Train runs the full protocol (Algorithm 1) in process and returns the
-// recorded history. It is a thin wrapper over Open followed by Run to
-// the Iterations horizon; use Open directly for incremental stepping,
-// cancellation, streaming metrics, or checkpointing.
-func Train(cfg TrainConfig) (*History, error) {
-	s, err := Open(context.Background(), cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer s.Close()
-	return s.Run(context.Background(), 0)
 }
 
 // SyntheticDataset generates the deterministic 10-class synthetic

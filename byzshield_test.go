@@ -1,6 +1,7 @@
 package byzshield
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -112,7 +113,7 @@ func TestTrainEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := Train(TrainConfig{
+	s, err := Open(context.Background(), TrainConfig{
 		Assignment: mols,
 		Model:      m,
 		Train:      train,
@@ -127,6 +128,11 @@ func TestTrainEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
+	h, err := s.Run(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if h.FinalAccuracy() < 0.5 {
 		t.Errorf("accuracy %.3f under ALIE q=3", h.FinalAccuracy())
 	}
@@ -136,7 +142,7 @@ func TestTrainValidatesInfeasibleAggregator(t *testing.T) {
 	mols, _ := NewMOLS(5, 3)
 	train, test, _ := SyntheticDataset(300, 100, 8, 10, 4)
 	m, _ := NewSoftmaxModel(8, 10)
-	_, err := Train(TrainConfig{
+	_, err := Open(context.Background(), TrainConfig{
 		Assignment: mols,
 		Model:      m,
 		Train:      train,
@@ -153,7 +159,7 @@ func TestTrainValidatesInfeasibleAggregator(t *testing.T) {
 }
 
 func TestTrainRequiresAssignment(t *testing.T) {
-	if _, err := Train(TrainConfig{}); err == nil {
+	if _, err := Open(context.Background(), TrainConfig{}); err == nil {
 		t.Error("empty config accepted")
 	}
 }

@@ -8,20 +8,16 @@
 //
 //	byzps -listen 127.0.0.1:7077 -scheme mols -l 5 -r 3 -rounds 200
 //	byzworker -connect 127.0.0.1:7077 -id 0 &
-//	... (one byzworker per worker id 0..K-1; some may be -behavior reversed)
+//	... (one byzworker per worker id 0..K-1; some may be -attack reversed)
 //
 // Fault injection (the Spec carries the fault models to every worker,
 // so workers crash/skip/delay themselves against the server's real
-// per-round deadline and quorum handling):
+// per-round deadline and quorum handling): -faults takes semicolon-
+// separated name@workers clauses, each with optional key=value knobs,
+// and composes them, e.g. worker 2 flaky while worker 9 straggles:
 //
-//	byzps ... -fault crash -fault-workers 2,9 -fault-round 50
-//	byzps ... -fault flaky -fault-workers 1,4 -fault-p 0.3
-//	byzps ... -fault straggler -fault-workers 3 -fault-delay 5s -round-timeout 2s
-//
-// Heterogeneous per-worker faults compose with -faults (semicolon-
-// separated name@workers clauses, each with optional key=value knobs),
-// e.g. worker 2 flaky while worker 9 straggles:
-//
+//	byzps ... -faults "crash@2,9:round=50"
+//	byzps ... -faults "straggler@3:delay=5s" -round-timeout 2s
 //	byzps ... -faults "flaky@2:p=0.3;straggler@9:delay=2s"
 //
 // Byzantine detection (PS-side, between collection and aggregation;
@@ -137,14 +133,9 @@ func main() {
 			"pipeline round prep: ship round t+1's sample assignments with round t's broadcast (bit-identical; RoundStart becomes one shared pre-encoded frame)")
 		verbose = flag.Bool("v", false,
 			"log every round: missing workers, rejoins/evictions/stale frames, up/down wire bytes")
-		quorum       = flag.Int("quorum", 0, "minimum surviving replicas per file vote (0 = r/2+1)")
-		faultName    = flag.String("fault", "", "worker fault model to inject: "+strings.Join(byzshield.Registry.Faults(), ", "))
-		faultWorkers = flag.String("fault-workers", "", "comma-separated worker ids the fault targets")
-		faultRound   = flag.Int("fault-round", 0, "crash/delay round parameter")
-		faultP       = flag.Float64("fault-p", 0.3, "flaky drop probability")
-		faultDelay   = flag.Duration("fault-delay", 2*time.Second, "straggler/delay duration")
-		faultSpecs   = flag.String("faults", "",
-			`composed per-worker faults: "name@ids[:k=v,...]" clauses joined by ";" (e.g. "flaky@2:p=0.3;straggler@9:delay=2s")`)
+		quorum     = flag.Int("quorum", 0, "minimum surviving replicas per file vote (0 = r/2+1)")
+		faultSpecs = flag.String("faults", "",
+			`worker faults to inject: "name@ids[:k=v,...]" clauses joined by ";" (e.g. "flaky@2:p=0.3;straggler@9:delay=2s"; knobs p, round, delay, seed) over `+strings.Join(byzshield.Registry.Faults(), ", "))
 		detector = flag.String("detector", "",
 			"PS-side Byzantine detector: "+strings.Join(byzshield.Registry.Detectors(), ", ")+" (empty = none)")
 		detThreshold = flag.Float64("detector-threshold", 0,
@@ -166,12 +157,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	workers, err := parseWorkerList(*faultWorkers)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "byzps:", err)
-		os.Exit(2)
-	}
-	composed, err := parseFaultSpecs(*faultSpecs, *seed)
+	faults, err := parseFaultSpecs(*faultSpecs, *seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "byzps:", err)
 		os.Exit(2)
@@ -186,11 +172,7 @@ func main() {
 		BatchSize: *batch,
 		Schedule:  trainer.Schedule{Base: *lr, Decay: *decay, Every: *every},
 		Momentum:  0.9, Seed: *seed, Rounds: *rounds,
-		Fault: *faultName,
-		FaultParams: byzshield.FaultParams{
-			Workers: workers, Round: *faultRound, P: *faultP, Delay: *faultDelay, Seed: *seed,
-		},
-		Faults:   composed,
+		Faults:   faults,
 		Detector: *detector,
 		DetectorParams: byzshield.DetectorParams{
 			Window: *detWindow, MinRounds: *detMinRounds,
@@ -353,7 +335,7 @@ func parseWorkerList(s string) ([]int, error) {
 	for _, p := range parts {
 		id, err := strconv.Atoi(strings.TrimSpace(p))
 		if err != nil {
-			return nil, fmt.Errorf("bad worker id %q in -fault-workers", p)
+			return nil, fmt.Errorf("bad worker id %q", p)
 		}
 		out = append(out, id)
 	}

@@ -11,17 +11,18 @@
 // first join logged:
 //
 //	byzworker -connect 127.0.0.1:7077 -id 0
-//	byzworker -connect 127.0.0.1:7077 -id 3 -behavior reversed
 //	byzworker -connect 127.0.0.1:7077 -id 3 -resume-token 0x1f3a...
 //
-// Coordinated attacks: the omniscient ALIE attack needs the global
-// gradient population, which a coalition of worker processes exchanges
-// through the byzadv sidecar hub. Start byzadv with the coalition size,
-// then point each Byzantine worker at it:
+// A Byzantine worker runs any attack of the component registry, the same
+// object the in-process engine runs: it replays the round locally (the
+// batch stream from the Spec, every file's gradient against the round's
+// parameters) and reports what the attack crafts for its files. Workers
+// started with the same -attack and -coalition are one colluding
+// adversary, with no channel between them:
 //
-//	byzadv -listen 127.0.0.1:7501 -peers 2 &
-//	byzworker -connect 127.0.0.1:7077 -id 3 -behavior alie -adv-addr 127.0.0.1:7501
-//	byzworker -connect 127.0.0.1:7077 -id 7 -behavior alie -adv-addr 127.0.0.1:7501
+//	byzworker -connect 127.0.0.1:7077 -id 3 -attack alie -coalition 3,7
+//	byzworker -connect 127.0.0.1:7077 -id 7 -attack alie -coalition 3,7
+//	byzworker -connect 127.0.0.1:7077 -id 9 -attack reversed -attack-param 2
 //
 // -metrics-addr serves the worker-side mirror of the PS diagnostics:
 // byzworker_* counters (rounds, report bytes, skips, reconnects), the
@@ -41,6 +42,7 @@ import (
 	"strings"
 	"syscall"
 
+	"byzshield"
 	"byzshield/internal/obs"
 	"byzshield/internal/transport"
 	"byzshield/internal/wire"
@@ -48,12 +50,12 @@ import (
 
 func main() {
 	var (
-		connect    = flag.String("connect", "127.0.0.1:7077", "parameter server address")
-		id         = flag.Int("id", -1, "worker id (0..K-1)")
-		behavior   = flag.String("behavior", "honest", "honest, reversed, constant, zero, sign-flip, alie (alie needs -adv-addr)")
-		value      = flag.Float64("value", -1, "payload value for -behavior constant")
-		advAddr    = flag.String("adv-addr", "", "adversary sidecar hub address (byzadv); required for -behavior alie")
-		alieZ      = flag.Float64("alie-z", 0, "ALIE z override (0 derives z from cluster and coalition sizes)")
+		connect     = flag.String("connect", "127.0.0.1:7077", "parameter server address")
+		id          = flag.Int("id", -1, "worker id (0..K-1)")
+		attackName  = flag.String("attack", "", "behave Byzantine with this attack (empty = honest): "+strings.Join(byzshield.Registry.Attacks(), ", "))
+		attackParam = flag.Float64("attack-param", 0,
+			"the attack's knob — constant's value, reversed's magnitude, alie's z, random-gaussian's scale (0 = its default)")
+		coalition  = flag.String("coalition", "", "comma-separated ids of the workers running -attack together, this one included (empty = alone)")
 		reconnects = flag.Int("reconnects", transport.DefaultReconnectAttempts,
 			"automatic rejoin attempts after a lost connection (negative disables)")
 		resumeToken = flag.String("resume-token", "",
@@ -70,6 +72,24 @@ func main() {
 	if *id < 0 {
 		fmt.Fprintln(os.Stderr, "byzworker: -id is required")
 		os.Exit(2)
+	}
+	var atk byzshield.Attack
+	var colluders []int
+	if *attackName != "" {
+		x := *attackParam
+		var err error
+		if atk, err = byzshield.Registry.Attack(*attackName, byzshield.AttackParams{Value: x, C: x, Z: x, Scale: x}); err != nil {
+			fmt.Fprintln(os.Stderr, "byzworker:", err)
+			os.Exit(2)
+		}
+		for _, f := range strings.FieldsFunc(*coalition, func(r rune) bool { return r == ',' }) {
+			u, err := strconv.Atoi(strings.TrimSpace(f))
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "byzworker: bad worker id %q in -coalition\n", f)
+				os.Exit(2)
+			}
+			colluders = append(colluders, u)
+		}
 	}
 	var tiers uint8
 	if *uplinkTiers != "" {
@@ -122,13 +142,11 @@ func main() {
 	}
 	final, err := run(ctx, *connect, transport.WorkerConfig{
 		ID:                *id,
-		Behavior:          transport.WorkerBehavior(*behavior),
-		ConstantValue:     *value,
+		Attack:            atk,
+		Coalition:         colluders,
 		ReconnectAttempts: *reconnects,
 		ResumeToken:       token,
 		Tiers:             tiers,
-		AdvAddr:           *advAddr,
-		ALIEZ:             *alieZ,
 		Metrics:           registry,
 		Logf:              logf,
 	})

@@ -82,9 +82,11 @@ func ExampleMedian() {
 	// 1.0 2.0
 }
 
-// ExampleTrain runs a short end-to-end defended training job against
-// the reversed-gradient attack and reports whether it converged.
-func ExampleTrain() {
+// ExampleSession_Run runs a short end-to-end defended training job
+// against the reversed-gradient attack to its horizon and reports
+// whether it converged.
+func ExampleSession_Run() {
+	ctx := context.Background()
 	asn, err := byzshield.NewMOLS(5, 3)
 	if err != nil {
 		panic(err)
@@ -97,7 +99,7 @@ func ExampleTrain() {
 	if err != nil {
 		panic(err)
 	}
-	hist, err := byzshield.Train(byzshield.TrainConfig{
+	s, err := byzshield.Open(ctx, byzshield.TrainConfig{
 		Assignment: asn,
 		Model:      mdl,
 		Train:      train,
@@ -112,6 +114,11 @@ func ExampleTrain() {
 	if err != nil {
 		panic(err)
 	}
+	defer s.Close()
+	hist, err := s.Run(ctx, 0)
+	if err != nil {
+		panic(err)
+	}
 	fmt.Println(hist.FinalAccuracy() > 0.6)
 	// Output:
 	// true
@@ -119,7 +126,7 @@ func ExampleTrain() {
 
 // ExampleOpen steps a session round by round under a context, with the
 // components resolved by name from the registry — the incremental
-// counterpart of ExampleTrain.
+// counterpart of ExampleSession_Run.
 func ExampleOpen() {
 	ctx := context.Background()
 	asn, err := byzshield.Registry.Scheme("mols", byzshield.SchemeParams{L: 5, R: 3})

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -71,27 +72,26 @@ func main() {
 	defer srv.Close()
 	fmt.Printf("parameter server on %s\n", srv.Addr())
 
-	// Two Byzantine workers return reversed gradients; the MOLS(5,3)
-	// assignment limits them to distorting at most 1 of 25 file votes
-	// (Table 3, q = 2), which the median then absorbs.
-	byzantine := map[int]transport.WorkerBehavior{
-		2: transport.BehaviorReversed,
-		9: transport.BehaviorReversed,
+	// Two colluding Byzantine workers run the registry's reversed-gradient
+	// attack — the same adversary object the in-process engine runs; the
+	// MOLS(5,3) assignment limits them to distorting at most 1 of 25 file
+	// votes (Table 3, q = 2), which the median then absorbs.
+	reversed, err := byzshield.Registry.Attack("reversed")
+	if err != nil {
+		log.Fatal(err)
 	}
+	coalition := []int{2, 9}
 
 	var wg sync.WaitGroup
 	for id := 0; id < 15; id++ {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			behavior := transport.BehaviorHonest
-			if b, ok := byzantine[id]; ok {
-				behavior = b
+			cfg := transport.WorkerConfig{ID: id}
+			if slices.Contains(coalition, id) {
+				cfg.Attack, cfg.Coalition = reversed, coalition
 			}
-			_, err := transport.RunWorker(ctx, srv.Addr(), transport.WorkerConfig{
-				ID:       id,
-				Behavior: behavior,
-			})
+			_, err := transport.RunWorker(ctx, srv.Addr(), cfg)
 			switch {
 			case errors.Is(err, transport.ErrInjectedCrash):
 				log.Printf("worker %d: crashed as scheduled", id)

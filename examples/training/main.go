@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -15,6 +16,7 @@ import (
 
 func main() {
 	const q = 5 // Byzantine workers (of K = 25)
+	ctx := context.Background()
 
 	// A task hard enough that defenses separate: clean training reaches
 	// ≈0.75; ALIE's bias costs the weaker defenses 10–20 points. The
@@ -57,7 +59,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		history, err := byzshield.Train(byzshield.TrainConfig{
+		sess, err := byzshield.Open(ctx, byzshield.TrainConfig{
 			Assignment: asn,
 			Model:      mdl,
 			Train:      train,
@@ -70,6 +72,11 @@ func main() {
 			EvalEvery:  50,
 			Seed:       11,
 		})
+		if err != nil {
+			log.Fatal(err)
+		}
+		history, err := sess.Run(ctx, 0)
+		sess.Close()
 		if err != nil {
 			log.Fatal(err)
 		}

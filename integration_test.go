@@ -169,11 +169,16 @@ func TestDRACOVsByzShieldBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := byzshield.Train(byzshield.TrainConfig{
+	s, err := byzshield.Open(context.Background(), byzshield.TrainConfig{
 		Assignment: asn, Model: mdl, Train: train, Test: test,
 		BatchSize: 100, Q: 2, Attack: byzshield.ReversedGradient(10),
 		Iterations: 40, EvalEvery: 40, Seed: 3,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	h, err := s.Run(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,10 +42,24 @@ type Context struct {
 	FileSize float64
 	// Rng provides per-round deterministic randomness.
 	Rng *rand.Rand
+	// Scratch is where the round's crafted vectors are built. A caller
+	// that keeps one across rounds pays no allocation per round; nil makes
+	// BeginRound start a fresh one.
+	Scratch *Scratch
+}
+
+// scratch returns ctx.Scratch, starting one if the caller brought none.
+func (ctx *Context) scratch() *Scratch {
+	if ctx.Scratch == nil {
+		ctx.Scratch = new(Scratch)
+	}
+	return ctx.Scratch
 }
 
 // Crafter maps a file id and its honest gradient to the adversarial
-// vector the Byzantines return for that file.
+// vector the Byzantines return for that file. The vector is a view into
+// the round's Scratch: it stays valid until the next BeginRound on that
+// Scratch and must not be written.
 type Crafter func(file int, honest []float64) []float64
 
 // Attack is a Byzantine payload generator.
@@ -57,14 +71,16 @@ type Attack interface {
 	BeginRound(ctx *Context) Crafter
 }
 
-// Scratch holds caller-owned buffers a Stateful attack reuses across
-// rounds: moment-estimation vectors, a shared payload, and per-file
-// payload buffers. One Scratch serves one engine (sharing it across
-// engines would race); with it, the steady-state payload-crafting path
-// allocates nothing after the first round.
+// Scratch holds the buffers crafted vectors live in — moment-estimation
+// vectors, a payload shared by every file, per-file payloads — and the
+// two crafters every attack is an instance of, built once. One Scratch
+// serves one adversary (sharing it would race); once it is warm a round
+// start allocates nothing.
 type Scratch struct {
 	mu, sigma, payload []float64
 	fileBufs           map[int][]float64
+	scale              float64
+	shared, scaled     Crafter
 }
 
 // grow resizes *p to n, reusing capacity, and returns it.
@@ -76,10 +92,10 @@ func grow(p *[]float64, n int) []float64 {
 	return *p
 }
 
-// FileBuf returns a persistent per-file buffer of length n. The
+// fileBuf returns a persistent per-file buffer of length n. The
 // Byzantine file set is static per run, so after the first round every
 // file hits its cached buffer.
-func (s *Scratch) FileBuf(file, n int) []float64 {
+func (s *Scratch) fileBuf(file, n int) []float64 {
 	if s.fileBufs == nil {
 		s.fileBufs = make(map[int][]float64)
 	}
@@ -92,24 +108,31 @@ func (s *Scratch) FileBuf(file, n int) []float64 {
 	return b
 }
 
-// Stateful is implemented by attacks whose per-round setup can reuse
-// caller-owned scratch instead of allocating. The crafted vectors a
-// scratch-backed Crafter returns are views into the Scratch (or the
-// honest input) and stay valid only until the next BeginRoundScratch
-// call; they must be bit-identical to what BeginRound would have
-// produced, which is what TestScratchMatchesBeginRound pins.
-type Stateful interface {
-	Attack
-	BeginRoundScratch(ctx *Context, s *Scratch) Crafter
+// sharedPayload is the crafter of the attacks that ignore the honest
+// gradient: every file gets s.payload, which the caller fills. Colluders
+// returning one buffer is exactly the attack's optimum under majority
+// voting — bit-identical replicas.
+func (s *Scratch) sharedPayload() Crafter {
+	if s.shared == nil {
+		s.shared = func(int, []float64) []float64 { return s.payload }
+	}
+	return s.shared
 }
 
-// Begin dispatches to BeginRoundScratch when the attack supports it
-// (and s is non-nil), falling back to the allocating BeginRound.
-func Begin(a Attack, ctx *Context, s *Scratch) Crafter {
-	if sa, ok := a.(Stateful); ok && s != nil {
-		return sa.BeginRoundScratch(ctx, s)
+// scaledHonest is the crafter of the attacks that are a multiple of the
+// honest gradient: k·g into the file's own buffer.
+func (s *Scratch) scaledHonest(k float64) Crafter {
+	s.scale = k
+	if s.scaled == nil {
+		s.scaled = func(file int, honest []float64) []float64 {
+			out := s.fileBuf(file, len(honest))
+			for i, v := range honest {
+				out[i] = s.scale * v
+			}
+			return out
+		}
 	}
-	return a.BeginRound(ctx)
+	return s.scaled
 }
 
 // Benign is the no-attack control: Byzantine workers behave honestly.
@@ -119,11 +142,7 @@ type Benign struct{}
 func (Benign) Name() string { return "benign" }
 
 // BeginRound implements Attack.
-func (Benign) BeginRound(*Context) Crafter {
-	return func(_ int, honest []float64) []float64 {
-		return linalg.CloneVec(honest)
-	}
-}
+func (Benign) BeginRound(ctx *Context) Crafter { return ctx.scratch().scaledHonest(1) }
 
 // Reversed is the reversed-gradient attack: Byzantines return −C·g
 // instead of the true gradient g. The paper calls it the weakest of the
@@ -137,29 +156,12 @@ type Reversed struct {
 func (r Reversed) Name() string { return "reversed-gradient" }
 
 // BeginRound implements Attack.
-func (r Reversed) BeginRound(*Context) Crafter {
+func (r Reversed) BeginRound(ctx *Context) Crafter {
 	c := r.C
 	if c == 0 {
 		c = 1
 	}
-	return func(_ int, honest []float64) []float64 {
-		return linalg.ScaleVec(honest, -c)
-	}
-}
-
-// BeginRoundScratch implements Stateful: −C·g into a per-file buffer.
-func (r Reversed) BeginRoundScratch(_ *Context, s *Scratch) Crafter {
-	c := r.C
-	if c == 0 {
-		c = 1
-	}
-	return func(file int, honest []float64) []float64 {
-		out := s.FileBuf(file, len(honest))
-		for i, v := range honest {
-			out[i] = -c * v
-		}
-		return out
-	}
+	return ctx.scratch().scaledHonest(-c)
 }
 
 // Constant sends a constant matrix with all elements equal to Value
@@ -185,33 +187,12 @@ func (c Constant) BeginRound(ctx *Context) Crafter {
 	if c.ScaleByFileSize && ctx.FileSize > 0 {
 		v *= ctx.FileSize
 	}
-	payload := make([]float64, ctx.Dim)
-	for i := range payload {
-		payload[i] = v
-	}
-	return func(int, []float64) []float64 {
-		return linalg.CloneVec(payload)
-	}
-}
-
-// BeginRoundScratch implements Stateful: all colluders share one
-// scratch payload (bit-identical replicas are exactly the attack's
-// optimum under majority voting, so sharing the buffer is safe).
-func (c Constant) BeginRoundScratch(ctx *Context, s *Scratch) Crafter {
-	v := c.Value
-	if v == 0 {
-		v = -1
-	}
-	if c.ScaleByFileSize && ctx.FileSize > 0 {
-		v *= ctx.FileSize
-	}
+	s := ctx.scratch()
 	payload := grow(&s.payload, ctx.Dim)
 	for i := range payload {
 		payload[i] = v
 	}
-	return func(int, []float64) []float64 {
-		return payload
-	}
+	return s.sharedPayload()
 }
 
 // ALIE is "A Little Is Enough" (Baruch et al. 2019): the Byzantines
@@ -257,27 +238,10 @@ func ZMax(n, m int) float64 {
 	return z
 }
 
-// BeginRound implements Attack.
+// BeginRound implements Attack: the moments of the omniscient view's
+// file gradients, then µ − z·σ into the shared payload.
 func (a ALIE) BeginRound(ctx *Context) Crafter {
-	mu := linalg.MeanVec(ctx.FileGradients)
-	sigma := linalg.StdVec(ctx.FileGradients)
-	z := a.ZOverride
-	if z == 0 {
-		z = ZMax(ctx.Participants, ctx.ExpectedCorrupted)
-	}
-	payload := make([]float64, len(mu))
-	for i := range payload {
-		payload[i] = mu[i] - z*sigma[i]
-	}
-	return func(int, []float64) []float64 {
-		return linalg.CloneVec(payload)
-	}
-}
-
-// BeginRoundScratch implements Stateful: the µ − z·σ moment estimation
-// runs into the scratch's mean/deviation vectors and the shared
-// payload, so the omniscient attack costs no allocation per round.
-func (a ALIE) BeginRoundScratch(ctx *Context, s *Scratch) Crafter {
+	s := ctx.scratch()
 	mu := linalg.MeanVecInto(grow(&s.mu, ctx.Dim), ctx.FileGradients)
 	sigma := linalg.StdVecInto(grow(&s.sigma, ctx.Dim), mu, ctx.FileGradients)
 	z := a.ZOverride
@@ -288,9 +252,7 @@ func (a ALIE) BeginRoundScratch(ctx *Context, s *Scratch) Crafter {
 	for i := range payload {
 		payload[i] = mu[i] - z*sigma[i]
 	}
-	return func(int, []float64) []float64 {
-		return payload
-	}
+	return s.sharedPayload()
 }
 
 // RandomGaussian sends N(0, Scale²) noise, refreshed per round but
@@ -312,31 +274,12 @@ func (g RandomGaussian) BeginRound(ctx *Context) Crafter {
 	if ctx.Rng == nil {
 		panic("attack: RandomGaussian requires Context.Rng")
 	}
-	payload := make([]float64, ctx.Dim)
-	for i := range payload {
-		payload[i] = ctx.Rng.NormFloat64() * scale
-	}
-	return func(int, []float64) []float64 {
-		return linalg.CloneVec(payload)
-	}
-}
-
-// BeginRoundScratch implements Stateful.
-func (g RandomGaussian) BeginRoundScratch(ctx *Context, s *Scratch) Crafter {
-	scale := g.Scale
-	if scale == 0 {
-		scale = 1
-	}
-	if ctx.Rng == nil {
-		panic("attack: RandomGaussian requires Context.Rng")
-	}
+	s := ctx.scratch()
 	payload := grow(&s.payload, ctx.Dim)
 	for i := range payload {
 		payload[i] = ctx.Rng.NormFloat64() * scale
 	}
-	return func(int, []float64) []float64 {
-		return payload
-	}
+	return s.sharedPayload()
 }
 
 // SignFlip negates each coordinate's sign while preserving magnitude
@@ -349,23 +292,4 @@ type SignFlip struct{}
 func (SignFlip) Name() string { return "sign-flip" }
 
 // BeginRound implements Attack.
-func (SignFlip) BeginRound(*Context) Crafter {
-	return func(_ int, honest []float64) []float64 {
-		out := make([]float64, len(honest))
-		for i, v := range honest {
-			out[i] = -v
-		}
-		return out
-	}
-}
-
-// BeginRoundScratch implements Stateful.
-func (SignFlip) BeginRoundScratch(_ *Context, s *Scratch) Crafter {
-	return func(file int, honest []float64) []float64 {
-		out := s.FileBuf(file, len(honest))
-		for i, v := range honest {
-			out[i] = -v
-		}
-		return out
-	}
-}
+func (SignFlip) BeginRound(ctx *Context) Crafter { return ctx.scratch().scaledHonest(-1) }

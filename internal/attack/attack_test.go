@@ -177,67 +177,70 @@ func TestAttackNamesStable(t *testing.T) {
 	}
 }
 
-// TestScratchMatchesBeginRound: for every Stateful attack, the
-// scratch-backed crafter must produce payloads bit-identical to the
-// allocating BeginRound path across rounds — reusing buffers must
-// never change a trajectory.
-func TestScratchMatchesBeginRound(t *testing.T) {
-	attacks := []Attack{
-		Reversed{C: 2},
-		Constant{Value: -3, ScaleByFileSize: true},
-		ALIE{},
-		RandomGaussian{Scale: 0.5},
-		SignFlip{},
+// TestPayloadsPinned pins what each attack sends against values worked
+// out by hand for one three-file round: µ = (3, 2) and, over the
+// population, σ = (√6, √2).
+func TestPayloadsPinned(t *testing.T) {
+	grads := [][]float64{{0, 1}, {3, 1}, {6, 4}}
+	sqrt6, sqrt2 := math.Sqrt(6), math.Sqrt(2)
+	// s = ⌊25/2+1⌋ − 9 = 4 honest supporters of 16: z = Φ⁻¹(12/16).
+	const zMax = 0.6744897501960817
+	stream := rand.New(rand.NewSource(9))
+	noise := []float64{stream.NormFloat64() * 0.5, stream.NormFloat64() * 0.5}
+	cases := []struct {
+		name     string
+		attack   Attack
+		fileSize float64
+		file     int
+		want     []float64
+	}{
+		{"benign", Benign{}, 0, 1, []float64{3, 1}},
+		{"reversed", Reversed{C: 2}, 0, 1, []float64{-6, -2}},
+		{"reversed default C", Reversed{}, 0, 2, []float64{-6, -4}},
+		{"sign-flip", SignFlip{}, 0, 2, []float64{-6, -4}},
+		{"constant", Constant{Value: 2}, 30, 0, []float64{2, 2}},
+		{"constant default", Constant{}, 30, 0, []float64{-1, -1}},
+		{"constant scaled by file size", Constant{Value: 2, ScaleByFileSize: true}, 30, 0, []float64{60, 60}},
+		{"alie z override", ALIE{ZOverride: 2}, 0, 0, []float64{3 - 2*sqrt6, 2 - 2*sqrt2}},
+		{"alie z max", ALIE{}, 0, 0, []float64{3 - zMax*sqrt6, 2 - zMax*sqrt2}},
+		{"gaussian", RandomGaussian{Scale: 0.5}, 0, 0, noise},
 	}
-	for _, a := range attacks {
-		sa, ok := a.(Stateful)
-		if !ok {
-			t.Errorf("%s does not implement Stateful", a.Name())
-			continue
-		}
-		var s Scratch
-		for round := 0; round < 3; round++ {
-			ctxA := testContext()
-			ctxB := testContext()
-			ctxA.Round, ctxB.Round = round, round
-			// Context rngs are fresh per round with identical seeds, so
-			// both paths draw the same stream.
-			craftA := a.BeginRound(ctxA)
-			craftB := sa.BeginRoundScratch(ctxB, &s)
-			for _, file := range ctxA.CorruptibleFiles {
-				honest := ctxA.FileGradients[file]
-				pa := craftA(file, honest)
-				pb := craftB(file, honest)
-				if len(pa) != len(pb) {
-					t.Fatalf("%s round %d file %d: lengths %d vs %d", a.Name(), round, file, len(pa), len(pb))
-				}
-				for i := range pa {
-					if math.Float64bits(pa[i]) != math.Float64bits(pb[i]) {
-						t.Fatalf("%s round %d file %d coord %d: %x vs %x",
-							a.Name(), round, file, i, math.Float64bits(pa[i]), math.Float64bits(pb[i]))
-					}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := &Context{
+				Dim: 2, FileGradients: grads, Participants: 25, ExpectedCorrupted: 9,
+				FileSize: tc.fileSize, Rng: rand.New(rand.NewSource(9)),
+			}
+			got := tc.attack.BeginRound(ctx)(tc.file, grads[tc.file])
+			if len(got) != len(tc.want) {
+				t.Fatalf("payload %v, want %v", got, tc.want)
+			}
+			for i := range got {
+				if math.Abs(got[i]-tc.want[i]) > 1e-9 {
+					t.Errorf("payload %v, want %v", got, tc.want)
+					break
 				}
 			}
-		}
+		})
 	}
 }
 
-// TestScratchAllocationFree: after a warm-up round, the scratch-backed
-// ALIE round setup and payload crafting allocate nothing.
+// TestScratchAllocationFree: with a Scratch kept across rounds, a round
+// start and the crafting of every file allocate nothing once the first
+// round has sized the buffers — for every attack.
 func TestScratchAllocationFree(t *testing.T) {
-	var s Scratch
-	ctx := testContext()
-	craft := ALIE{}.BeginRoundScratch(ctx, &s)
-	craft(1, ctx.FileGradients[1])
-	allocs := testing.AllocsPerRun(50, func() {
-		craft := ALIE{}.BeginRoundScratch(ctx, &s)
-		for _, file := range ctx.CorruptibleFiles {
-			craft(file, ctx.FileGradients[file])
+	for _, a := range []Attack{Benign{}, Reversed{C: 2}, Constant{}, ALIE{}, RandomGaussian{}, SignFlip{}} {
+		ctx := testContext()
+		ctx.Scratch = new(Scratch)
+		round := func() {
+			craft := a.BeginRound(ctx)
+			for _, file := range ctx.CorruptibleFiles {
+				craft(file, ctx.FileGradients[file])
+			}
 		}
-	})
-	// The closure itself may cost an allocation; the moment estimation
-	// and payloads must not.
-	if allocs > 1 {
-		t.Errorf("scratch-backed ALIE round allocates %.1f times", allocs)
+		round()
+		if allocs := testing.AllocsPerRun(50, round); allocs != 0 {
+			t.Errorf("%s: a warm round allocates %.1f times", a.Name(), allocs)
+		}
 	}
 }

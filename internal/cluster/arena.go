@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"slices"
-
 	"byzshield/internal/assign"
 	"byzshield/internal/linalg"
 	"byzshield/internal/wire"
@@ -41,22 +39,6 @@ type roundArena[T linalg.Float] struct {
 	// are Byzantine (nil elsewhere); static per run because the
 	// Byzantine set is.
 	oracle [][]T
-	// byzWorkers is the sorted Byzantine worker list; byzFiles the
-	// sorted union of their files. Both fix the payload-crafting order,
-	// making rounds deterministic regardless of map iteration.
-	byzWorkers []int
-	byzFiles   []int
-	// crafted[v] is the Byzantine payload elected for file v this round
-	// (only indices in byzFiles are written).
-	crafted [][]T
-	// wideGrads and narrowed are the float32 engine's side of the
-	// adversary view (linalg.WidenRows, linalg.Narrow): the attack oracle
-	// reads float64, so the true gradients are widened into wideGrads
-	// and each crafted payload is narrowed into narrowed[v]. The rows
-	// exist only at float32 with a Byzantine set; at float64 the view is
-	// the gradients themselves.
-	wideGrads [][]float64
-	narrowed  [][]T
 	// winners[v] is file v's vote winner this round (nil when the file
 	// was dropped for lack of quorum).
 	winners [][]T
@@ -185,19 +167,6 @@ func newRoundArena[T linalg.Float](a *assign.Assignment, dim int, byzSet map[int
 		}
 	}
 
-	byzFileSet := make(map[int]bool)
-	for u := range byzSet {
-		ar.byzWorkers = append(ar.byzWorkers, u)
-		for _, v := range ar.workerFiles[u] {
-			byzFileSet[v] = true
-		}
-	}
-	slices.Sort(ar.byzWorkers)
-	for v := range byzFileSet {
-		ar.byzFiles = append(ar.byzFiles, v)
-	}
-	slices.Sort(ar.byzFiles)
-
 	ar.oracle = make([][]T, a.F)
 	needsOracle := func(v int) bool {
 		return fullOracle || allByz(ar.fileReplicas[v], byzSet)
@@ -219,17 +188,6 @@ func newRoundArena[T linalg.Float](a *assign.Assignment, dim int, byzSet map[int
 	}
 
 	ar.trueGrads = make([][]T, a.F)
-	ar.crafted = make([][]T, a.F)
-	ar.narrowed = make([][]T, a.F)
-	if len(byzSet) > 0 {
-		ar.wideGrads = linalg.NewWideRows[T](a.F, dim)
-	}
-	if ar.wideGrads != nil {
-		narrow := make([]T, len(ar.byzFiles)*dim)
-		for i, v := range ar.byzFiles {
-			ar.narrowed[v] = narrow[i*dim : (i+1)*dim : (i+1)*dim]
-		}
-	}
 	ar.winners = make([][]T, a.F)
 	ar.live = make([][]T, 0, a.F)
 	ar.missing = make([]bool, a.K)

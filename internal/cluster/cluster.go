@@ -34,7 +34,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sync"
 	"time"
@@ -294,16 +293,9 @@ type EngineOf[T linalg.Float] struct {
 	// rd is the persistent Round view handed to the source each
 	// iteration (only its files table changes per round).
 	rd RoundOf[T]
-	// atkRng and atkCtx are the reusable attack-oracle state: the rng
-	// is reseeded per round (identical stream to a freshly constructed
-	// one) and the context struct is updated in place, so the Byzantine
-	// path allocates nothing in steady state.
-	atkRng *rand.Rand
-	atkCtx attack.Context
-	atkScr attack.Scratch
-	// atkCoord is the in-process moment coordinator backing omniscient
-	// attacks; the same seam the cross-process sidecar fills over TCP.
-	atkCoord attack.Loopback
+	// adv crafts the Byzantine workers' payloads (nil without any): the
+	// same adversary every Byzantine worker process of a TCP fleet runs.
+	adv *attack.AdversaryOf[T]
 	// det and detSt are the detection/reputation layer; both nil when
 	// detection is off (detect.None or unset).
 	det   detect.Detector
@@ -409,15 +401,19 @@ func NewOf[T linalg.Float](cfg ConfigOf[T]) (*EngineOf[T], error) {
 	if quorum < 1 || quorum > cfg.Assignment.R {
 		return nil, fmt.Errorf("cluster: quorum %d outside [1,%d]", cfg.Quorum, cfg.Assignment.R)
 	}
+	dim := cfg.Model.NumParams()
+	var adv *attack.AdversaryOf[T]
+	var corruptible []int
 	byzSet := make(map[int]bool, len(cfg.Byzantines))
-	for _, u := range cfg.Byzantines {
-		if u < 0 || u >= cfg.Assignment.K {
-			return nil, fmt.Errorf("cluster: byzantine worker %d out of range [0,%d)", u, cfg.Assignment.K)
+	if len(cfg.Byzantines) > 0 {
+		var err error
+		if adv, err = attack.NewAdversaryOf[T](cfg.Attack, cfg.Assignment, cfg.Byzantines, dim, cfg.Seed, cfg.BatchSize); err != nil {
+			return nil, fmt.Errorf("cluster: %w", err)
 		}
-		if byzSet[u] {
-			return nil, fmt.Errorf("cluster: byzantine worker %d listed twice", u)
+		corruptible = adv.Corruptible
+		for _, u := range adv.Coalition {
+			byzSet[u] = true
 		}
-		byzSet[u] = true
 	}
 	train, err := model.BindOf[T](cfg.Model, cfg.Train)
 	if err != nil {
@@ -439,7 +435,6 @@ func NewOf[T linalg.Float](cfg ConfigOf[T]) (*EngineOf[T], error) {
 	if err != nil {
 		return nil, err
 	}
-	dim := cfg.Model.NumParams()
 	opt, err := trainer.NewSGDOf[T](cfg.Schedule, cfg.Momentum, dim)
 	if err != nil {
 		return nil, err
@@ -458,6 +453,8 @@ func NewOf[T linalg.Float](cfg ConfigOf[T]) (*EngineOf[T], error) {
 		opt:          opt,
 		sampler:      sampler,
 		byzSet:       byzSet,
+		corruptible:  corruptible,
+		adv:          adv,
 		quorum:       quorum,
 		width:        width,
 		preparedIter: -1,
@@ -467,7 +464,6 @@ func NewOf[T linalg.Float](cfg ConfigOf[T]) (*EngineOf[T], error) {
 			e.honest = append(e.honest, u)
 		}
 	}
-	e.corruptible = e.computeCorruptible()
 	if !detect.IsNone(cfg.Detector) {
 		e.det = cfg.Detector
 		e.detSt = detect.NewState(cfg.Assignment.K, dim, cfg.Detection)
@@ -486,9 +482,6 @@ func NewOf[T linalg.Float](cfg ConfigOf[T]) (*EngineOf[T], error) {
 		e.aggErrs = make([]error, n)
 	}
 	e.rd = RoundOf[T]{eng: e}
-	if len(byzSet) > 0 {
-		e.atkRng = rand.New(rand.NewSource(cfg.Seed))
-	}
 	// Probe indices are initialized eagerly so snapshot evaluation
 	// (EvalLossParams) is safe from a background goroutine while the
 	// serve loop keeps stepping rounds.
@@ -564,26 +557,6 @@ func (e *EngineOf[T]) runPhase(n int, fn func(worker, task int)) {
 		return
 	}
 	e.pool.run(n, fn)
-}
-
-// computeCorruptible returns the files with at least r' Byzantine
-// replicas under the configured Byzantine set.
-func (e *EngineOf[T]) computeCorruptible() []int {
-	a := e.cfg.Assignment
-	rp := a.R/2 + 1
-	var out []int
-	for v := 0; v < a.F; v++ {
-		c := 0
-		for _, u := range a.FileWorkers(v) {
-			if e.byzSet[u] {
-				c++
-			}
-		}
-		if c >= rp {
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 // CorruptibleFiles returns the files whose votes the Byzantines control.

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"time"
 
-	"byzshield/internal/attack"
 	"byzshield/internal/linalg"
 )
 
@@ -192,48 +191,20 @@ func (s localSource[T]) Collect(_ context.Context, rd *RoundOf[T]) (CollectStats
 		}
 	}
 
-	// Byzantine payloads. ALIE-style attacks are crafted from the
-	// worker-level view (n = K workers, m = q Byzantines), matching the
-	// paper's attack model: the adversary estimates moments across the
-	// worker population, not the post-vote operand population. Files are
-	// crafted in ascending order so runs are deterministic even for
-	// attacks that draw from the round Rng per file — and regardless of
-	// which workers a fault removed.
-	if len(ar.byzWorkers) > 0 {
-		// The rng is reseeded rather than reallocated: Seed resets the
-		// source and the normal-draw cache, so the stream is identical
-		// to a freshly constructed rand.New per round.
-		e.atkRng.Seed(e.cfg.Seed + int64(e.iter)*7919)
-		// The attack oracle is float64 at either engine width: it reads
-		// the true gradients through a float64 view and its payloads
-		// come back narrowed to T, one buffer per file. Colluding
-		// replicas of a file all report that buffer, and a payload the
-		// attack shares across files narrows to identical bits in each,
-		// so the bit-exact vote still sees the coalition agree.
-		trueGrads := linalg.WidenRows(ar.wideGrads, ar.trueGrads)
-		e.atkCtx = attack.Context{
-			Round:             e.iter,
-			Dim:               ar.dim,
-			FileGradients:     trueGrads,
-			CorruptibleFiles:  e.corruptible,
-			Participants:      a.K,
-			ExpectedCorrupted: len(e.byzSet),
-			FileSize:          float64(e.cfg.BatchSize) / float64(a.F),
-			Rng:               e.atkRng,
-		}
-		craft, err := attack.BeginWith(e.cfg.Attack, &e.atkCtx, &e.atkScr, &e.atkCoord)
-		if err != nil {
-			return CollectStats{}, fmt.Errorf("cluster: attack coordinator: %w", err)
-		}
-		for _, v := range ar.byzFiles {
-			ar.crafted[v] = linalg.Narrow(ar.narrowed[v], craft(v, trueGrads[v]))
-		}
-		for _, u := range ar.byzWorkers {
+	// Byzantine payloads: the coalition crafts one vector per file it
+	// holds, every round and whichever of its members a fault removed,
+	// and each live member reports the vector of each of its files.
+	var byzFiles []int
+	var crafted [][]T
+	if e.adv != nil {
+		byzFiles = e.adv.Files
+		crafted = e.adv.Craft(e.iter, ar.trueGrads)
+		for _, u := range e.adv.Coalition {
 			if ar.missing[u] {
 				continue
 			}
 			for j, v := range ar.workerFiles[u] {
-				ar.cur[u][j] = ar.crafted[v]
+				ar.cur[u][j] = crafted[v]
 			}
 		}
 	}
@@ -251,8 +222,8 @@ func (s localSource[T]) Collect(_ context.Context, rd *RoundOf[T]) (CollectStats
 				signInPlace(g)
 			}
 		}
-		for _, v := range ar.byzFiles {
-			signInPlace(ar.crafted[v])
+		for _, v := range byzFiles {
+			signInPlace(crafted[v])
 		}
 	}
 
@@ -278,8 +249,8 @@ func (s localSource[T]) Collect(_ context.Context, rd *RoundOf[T]) (CollectStats
 			}
 		}
 		seen := ar.quantSeen[:0]
-		for _, v := range ar.byzFiles {
-			g := ar.crafted[v]
+		for _, v := range byzFiles {
+			g := crafted[v]
 			if len(g) == 0 || slices.Contains(seen, &g[0]) {
 				continue
 			}

@@ -82,7 +82,7 @@ func NewWideRows[T Float](n, dim int) [][]float64 {
 }
 
 // WidenRows returns rows as float64 rows — the view the adversary plane
-// (attack, detect, advnet) reads at either engine width: rows itself at
+// (attack, detect) reads at either engine width: rows itself at
 // T = float64, no copy; at float32 each row widened into the matching
 // row of dst (NewWideRows).
 func WidenRows[T Float](dst [][]float64, rows [][]T) [][]float64 {

@@ -131,8 +131,7 @@ func BenchmarkLoopbackRoundSignUplink(b *testing.B) {
 // worker's socket.
 func BenchmarkLoopbackRoundStraggler(b *testing.B) {
 	spec := testSpec(1)
-	spec.Fault = "straggler"
-	spec.FaultParams = registry.FaultParams{Workers: []int{3}, Delay: 60 * time.Millisecond}
+	spec.Faults = []FaultSpec{{Name: "straggler", Params: registry.FaultParams{Workers: []int{3}, Delay: 60 * time.Millisecond}}}
 	benchLoopback(b, spec, ServerConfig{RoundTimeout: 25 * time.Millisecond})
 }
 

@@ -153,7 +153,7 @@ func TestConnRecvReadPath(t *testing.T) {
 func TestConnRecvFrameSurvivesBufferedSuccessor(t *testing.T) {
 	params := bytes.Repeat([]byte{0x5A, 0xC3, 0x01}, 40)
 	msgs := []Message{
-		RoundStart{Iteration: 6, BaseIteration: 5, ParamsFrame: params, Files: map[int][]int{}},
+		RoundStart{Iteration: 6, BaseIteration: 5, ParamsFrame: params},
 		RoundPrep{Iteration: 7, Samples: [][]int{{3, 1}, {4}}},
 		readPathMessages()[2], // the 3 KB report: more than the buffer holds yet
 	}
@@ -228,7 +228,8 @@ func TestConnRecvBufferTracksLargestFrame(t *testing.T) {
 // message whole (appendMessageFrame) does.
 func TestConnSendsByteIdenticalStreams(t *testing.T) {
 	params := bytes.Repeat([]byte{0xAB, 0xCD}, 700)
-	files := map[int][]int{2: {5, 6, 7}, 9: nil, 11: {1}}
+	start := RoundStart{Iteration: 7, BaseIteration: 6, ParamsFrame: params,
+		Files: []int{2, 9, 11}, Samples: [][]int{{5, 6, 7}, nil, {1}}}
 	prep, err := appendMessageFrame(nil, RoundPrep{Iteration: 8, Samples: [][]int{{4}, {5, 6}}})
 	if err != nil {
 		t.Fatal(err)
@@ -256,8 +257,8 @@ func TestConnSendsByteIdenticalStreams(t *testing.T) {
 		{"SendMany", func(c *Conn) (int, error) { return c.SendMany(reports...) }, whole(reports...)},
 		{"Send", func(c *Conn) (int, error) { return c.Send(reports[1]) }, whole(reports[1])},
 		{"writeRoundStart with files and prep", func(c *Conn) (int, error) {
-			return c.writeRoundStart(7, 6, params, []int{2, 9, 11}, fileMap(files), prep)
-		}, append(whole(RoundStart{Iteration: 7, BaseIteration: 6, ParamsFrame: params, Files: files}), prep...)},
+			return c.writeRoundStart(7, 6, params, start.Files, start, prep)
+		}, append(whole(start), prep...)},
 		{"writeRoundStart prepped", func(c *Conn) (int, error) {
 			return c.writeRoundStart(7, 0, params, nil, nil, nil)
 		}, whole(RoundStart{Iteration: 7, ParamsFrame: params})},
@@ -712,5 +713,84 @@ func loopbackSteadyStateAllocs[T linalg.Float](t *testing.T) {
 	t.Logf("%.2f mallocs per worker-round", per)
 	if per > limit {
 		t.Errorf("%.2f mallocs per worker-round, pinned at %.1f", per, limit)
+	}
+}
+
+// TestHostileRoundStartFailsWorker: a RoundStart whose file section
+// declares more files than its bytes could hold, names a file outside
+// the worker's assignment, or names one of its files twice is
+// ErrBadRoundStart — the worker's run ends there, without a reconnect,
+// and refusing the declared count allocates nothing sized by it (2²⁸
+// files would have been gigabytes of map before the first id was read).
+func TestHostileRoundStartFailsWorker(t *testing.T) {
+	const id = 3
+	spec := testSpec(4)
+	asn, err := spec.BuildAssignment()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.K = asn.K
+	mine := asn.WorkerFiles(id)
+	start := func(files []int) []byte {
+		f, err := appendMessageFrame(nil, RoundStart{Files: files, Samples: make([][]int, len(files))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	foreign := append([]int(nil), mine...)
+	foreign[1]++
+	twice := append([]int(nil), mine...)
+	twice[1] = twice[0]
+	hostileCount := binary.LittleEndian.AppendUint32(start(nil)[:wire.FrameHeaderSize+12], 1<<28)
+
+	var m RoundStart
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err = m.decodePayload(hostileCount[wire.FrameHeaderSize:])
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrBadRoundStart) {
+		t.Errorf("decoding a count of 2^28 files in a 16-byte payload: %v, want ErrBadRoundStart", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<16 {
+		t.Errorf("refusing the count allocated %d bytes, want < 64 KiB", grew)
+	}
+
+	for name, frame := range map[string][]byte{"hostile count": hostileCount, "foreign file": start(foreign), "file named twice": start(twice)} {
+		t.Run(name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			dials := make(chan int, 1)
+			go func() {
+				n := 0
+				defer func() { dials <- n }()
+				for {
+					raw, err := ln.Accept()
+					if err != nil {
+						return
+					}
+					n++
+					c := NewConn(raw)
+					c.Recv() // the Hello
+					c.Send(Welcome{Version: wire.ProtocolVersion, Token: 7, FullEvery: 1, Uplink: wire.TierRaw, Spec: spec})
+					raw.Write(frame)
+					c.Recv() // until the worker hangs up
+					raw.Close()
+				}
+			}()
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+			defer cancel()
+			_, err = RunWorker(ctx, ln.Addr().String(), WorkerConfig{ID: id})
+			if !errors.Is(err, ErrBadRoundStart) {
+				t.Errorf("worker returned %v, want ErrBadRoundStart", err)
+			}
+			ln.Close()
+			if n := <-dials; n != 1 {
+				t.Errorf("worker dialed %d times: the error was retried", n)
+			}
+		})
 	}
 }

@@ -9,9 +9,10 @@ import (
 	"testing"
 	"time"
 
-	"byzshield/internal/advnet"
 	"byzshield/internal/attack"
 	"byzshield/internal/cluster"
+	"byzshield/internal/linalg"
+	byzregistry "byzshield/internal/registry"
 )
 
 // TestDetectorLoopbackBitIdentical: an active detector observes the
@@ -39,75 +40,123 @@ func TestDetectorLoopbackBitIdentical(t *testing.T) {
 	}
 }
 
-// attackEngineParams runs the in-process engine with the given attack
-// and Byzantine set and returns the final parameters.
-func attackEngineParams(t *testing.T, spec Spec, atk attack.Attack, byz []int) []float64 {
-	t.Helper()
-	return engineParamsOf[float64](t, spec, enginePlane{attack: atk, byz: byz})
+// TestWireAdversaryMatchesEngine: a Byzantine worker process runs the
+// engine's own adversary on its own replica of the round, so for every
+// attack of the registry a loopback fleet whose coalition — two workers
+// holding a majority of one file's replicas — runs it ends on the
+// engine's final parameters bit for bit: at both widths, with sharded
+// report frames and pipelined prep, and with one member skipping rounds.
+// No byte passes between the members.
+func TestWireAdversaryMatchesEngine(t *testing.T) {
+	t.Run("f64", wireAdversaryMatchesEngine[float64])
+	t.Run("f32", wireAdversaryMatchesEngine[float32])
 }
 
-// TestSidecarALIEBitIdenticalToEngine: the cross-process ALIE coalition
-// — Byzantine workers coordinating through the byzadv moment hub — must
-// reproduce the in-process omniscient ALIE attack bit-for-bit. The
-// coalition leader reconstructs the honest per-file gradients from the
-// shared Spec, publishes the fleet moments through the hub, and every
-// member crafts the identical μ − z·σ payload the in-process oracle
-// hands its Byzantines.
-func TestSidecarALIEBitIdenticalToEngine(t *testing.T) {
-	byz := []int{1, 7}
-	spec := testSpec(8)
-	want := attackEngineParams(t, spec, attack.ALIE{}, byz)
-
-	hub, err := advnet.NewHub("127.0.0.1:0", len(byz), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hub.Close()
-	hubDone := make(chan error, 1)
-	go func() { hubDone <- hub.Serve(context.Background()) }()
-
-	srv, err := NewServer("127.0.0.1:0", ServerConfig{Spec: spec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+func wireAdversaryMatchesEngine[T linalg.Float](t *testing.T) {
+	spec := testSpec(6)
 	asn, err := spec.BuildAssignment()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
-	for u := 0; u < asn.K; u++ {
-		cfg := WorkerConfig{ID: u}
-		if slices.Contains(byz, u) {
-			cfg.Behavior = BehaviorALIE
-			cfg.AdvAddr = hub.Addr()
-		}
-		wg.Add(1)
-		go func(cfg WorkerConfig) {
-			defer wg.Done()
-			if _, err := RunWorker(context.Background(), srv.Addr(), cfg); err != nil {
-				t.Errorf("worker %d: %v", cfg.ID, err)
+	coalition := asn.FileWorkers(0)[:2]
+	byzantine := func(atk attack.Attack) func(int) WorkerConfig {
+		return func(u int) WorkerConfig {
+			if !slices.Contains(coalition, u) {
+				return WorkerConfig{}
 			}
-		}(cfg)
+			return WorkerConfig{Attack: atk, Coalition: coalition}
+		}
 	}
-	if _, err := srv.Serve(context.Background()); err != nil {
-		t.Fatalf("Serve: %v", err)
+	planes := []struct {
+		name   string
+		cfg    ServerConfig
+		faults []FaultSpec
+	}{
+		{name: "plain"},
+		{name: "sharded-pipelined", cfg: ServerConfig{Shards: 2, Pipeline: true}},
+		{name: "flaky-member", faults: []FaultSpec{
+			{Name: "flaky", Params: byzregistry.FaultParams{Workers: coalition[1:], P: 0.4, Seed: 5}},
+		}},
 	}
-	wg.Wait()
-	if err := <-hubDone; err != nil {
-		t.Fatalf("hub: %v", err)
+	clean := engineParamsOf[T](t, spec, enginePlane{})
+	for _, name := range byzregistry.Default.Attacks() {
+		atk, err := byzregistry.Default.Attack(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pl := range planes {
+			t.Run(name+"/"+pl.name, func(t *testing.T) {
+				spec := spec
+				spec.Faults = pl.faults
+				want := engineParamsOf[T](t, spec, enginePlane{attack: atk, byz: coalition})
+				if name != "benign" && pl.faults == nil && linalg.EqualBits(want, clean) {
+					t.Fatal("the attack leaves the trajectory where an honest fleet puts it: the case checks nothing")
+				}
+				pl.cfg.RoundTimeout = 30 * time.Second
+				f := runFleetOf[T](t, spec, pl.cfg, byzantine(atk), nil).healthy(t)
+				if !linalg.EqualBits(f.params, want) {
+					t.Fatal("the wire coalition's trajectory diverged from the engine's")
+				}
+			})
+		}
 	}
 
-	got := srv.Params()
-	if len(got) != len(want) {
-		t.Fatalf("param lengths diverge: %d vs %d", len(got), len(want))
-	}
-	for i := range want {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("param %d: sidecar ALIE diverged from in-process ALIE (%x vs %x)",
-				i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+	// What the moment hub could not survive: the detector blacklists the
+	// coalition's lowest id mid-run — the member that used to publish for
+	// the rest — and the other member, observed half as often because it
+	// skips rounds, keeps attacking alone, exactly as the engine's does.
+	t.Run("alie/lowest-id-blacklisted", func(t *testing.T) {
+		spec := testSpec(16)
+		spec.Detector = "zscore"
+		spec.DetectorParams = byzregistry.DetectorParams{MinRounds: 4}
+		spec.Faults = []FaultSpec{
+			{Name: "flaky", Params: byzregistry.FaultParams{Workers: coalition[1:], P: 0.5, Seed: 5}},
 		}
-	}
+		atk := attack.ALIE{ZOverride: 30}
+		want := engineParamsOf[T](t, spec, enginePlane{attack: atk, byz: coalition})
+		// A blacklisted worker's rejoin must reach the still-live listener
+		// and be refused; OnRound blocks the serve loop, so waiting for the
+		// refusal here makes what its RunWorkerOf returns deterministic.
+		blacklistedAt := map[int]int{}
+		f := runFleetOf[T](t, spec, ServerConfig{RoundTimeout: 30 * time.Second}, byzantine(atk),
+			func(srv *ServerOf[T], rs cluster.RoundStats) {
+				for _, u := range rs.BlacklistedWorkers {
+					blacklistedAt[u] = rs.Iteration
+				}
+				for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(2 * time.Millisecond) {
+					if srv.Counters().BlacklistRejections >= int64(len(blacklistedAt)) {
+						return
+					}
+				}
+				t.Error("a blacklisted worker's rejoin was never refused while the server was live")
+			})
+		if !linalg.EqualBits(f.params, want) {
+			t.Fatal("the wire coalition's trajectory diverged from the engine's")
+		}
+		first, second := coalition[0], coalition[1]
+		evicted, ok := blacklistedAt[first]
+		if at, also := blacklistedAt[second]; !ok || also && at <= evicted {
+			t.Fatalf("blacklisted at %v: the lowest id %d did not go first", blacklistedAt, first)
+		}
+		alone := 0
+		for _, rs := range f.stats {
+			if rs.Iteration > evicted && !slices.Contains(rs.MissingWorkers, second) {
+				alone++
+			}
+		}
+		if alone == 0 {
+			t.Fatalf("worker %d reported in no round after %d was blacklisted at round %d", second, first, evicted)
+		}
+		for u, err := range f.errs {
+			var want error
+			if _, gone := blacklistedAt[u]; gone {
+				want = ErrBlacklisted
+			}
+			if !errors.Is(err, want) {
+				t.Errorf("worker %d returned %v, want %v (blacklisted at %v)", u, err, want, blacklistedAt)
+			}
+		}
+	})
 }
 
 // TestBlacklistedWorkerRejoinRejected: a persistently Byzantine worker
@@ -165,7 +214,7 @@ func TestBlacklistedWorkerRejoinRejected(t *testing.T) {
 	for u := 0; u < asn.K; u++ {
 		cfg := WorkerConfig{ID: u}
 		if u == victim {
-			cfg.Behavior = BehaviorReversed
+			cfg.Attack = attack.SignFlip{}
 		}
 		wg.Add(1)
 		go func(cfg WorkerConfig) {

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"byzshield/internal/advnet"
 	"byzshield/internal/attack"
 	"byzshield/internal/cluster"
 	"byzshield/internal/linalg"
@@ -200,8 +199,8 @@ func TestWorker32RejoinRenegotiation(t *testing.T) {
 // TestLoopback32Planes runs, at float32, every plane the f32 tier could
 // not reach while it was a second stack — a crash fault, the z-score
 // detector blacklisting a Byzantine worker, sharded report frames with
-// pipelined prep, the ALIE coalition coordinating through the adversary
-// sidecar, and the metrics/tracer plane — each against the in-process
+// pipelined prep, an ALIE coalition, and the metrics/tracer plane — each
+// against the in-process
 // float32 engine of the same experiment: final parameters bit for bit,
 // lifecycle counters counted once.
 func TestLoopback32Planes(t *testing.T) {
@@ -211,10 +210,6 @@ func TestLoopback32Planes(t *testing.T) {
 		spec   func(*Spec)
 		cfg    ServerConfig
 		engine enginePlane
-		// byzantine maps the Byzantine workers to their wire behaviour;
-		// sidecar runs a byzadv hub for them.
-		byzantine map[int]WorkerBehavior
-		sidecar   bool
 		// workerErr is what the named worker's RunWorker32 must return.
 		workerErr map[int]error
 		want      Counters
@@ -222,14 +217,12 @@ func TestLoopback32Planes(t *testing.T) {
 		// that round the server blocks until its rejoin was refused.
 		blacklists int
 	}
-	byzALIE := []int{1, 7}
 	registry, tracer := obs.NewRegistry(), obs.NewTracer(16)
 	planes := []plane{
 		{
 			name: "crash", rounds: 10, blacklists: -1,
 			spec: func(s *Spec) {
-				s.Fault = "crash"
-				s.FaultParams = byzregistry.FaultParams{Workers: []int{2}, Round: 4}
+				s.Faults = []FaultSpec{{Name: "crash", Params: byzregistry.FaultParams{Workers: []int{2}, Round: 4}}}
 			},
 			workerErr: map[int]error{2: ErrInjectedCrash},
 			want:      Counters{Joins: 15, Evictions: 1},
@@ -238,7 +231,6 @@ func TestLoopback32Planes(t *testing.T) {
 			name: "zscore-blacklist", rounds: 14, blacklists: 6,
 			spec:      func(s *Spec) { s.Detector = "zscore" },
 			engine:    enginePlane{attack: attack.SignFlip{}, byz: []int{6}},
-			byzantine: map[int]WorkerBehavior{6: BehaviorReversed},
 			workerErr: map[int]error{6: ErrBlacklisted},
 			want:      Counters{Joins: 15, BlacklistRejections: 1},
 		},
@@ -248,11 +240,9 @@ func TestLoopback32Planes(t *testing.T) {
 			want: Counters{Joins: 15},
 		},
 		{
-			name: "alie-sidecar", rounds: 8, blacklists: -1,
-			engine:    enginePlane{attack: attack.ALIE{}, byz: byzALIE},
-			byzantine: map[int]WorkerBehavior{1: BehaviorALIE, 7: BehaviorALIE},
-			sidecar:   true,
-			want:      Counters{Joins: 15},
+			name: "alie", rounds: 8, blacklists: -1,
+			engine: enginePlane{attack: attack.ALIE{}, byz: []int{1, 7}},
+			want:   Counters{Joins: 15},
 		},
 		{
 			name: "obs", rounds: 8, blacklists: -1,
@@ -268,30 +258,13 @@ func TestLoopback32Planes(t *testing.T) {
 			}
 			want := engineParamsOf[float32](t, spec, pl.engine)
 
-			var hubAddr string
-			if pl.sidecar {
-				hub, err := advnet.NewHub("127.0.0.1:0", len(pl.byzantine), nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer hub.Close()
-				hubDone := make(chan error, 1)
-				go func() { hubDone <- hub.Serve(context.Background()) }()
-				defer func() {
-					if err := <-hubDone; err != nil {
-						t.Errorf("hub: %v", err)
-					}
-				}()
-				hubAddr = hub.Addr()
-			}
 			pl.cfg.RoundTimeout = 30 * time.Second
 			f := runFleetOf[float32](t, spec, pl.cfg,
 				func(u int) WorkerConfig {
-					cfg := WorkerConfig{Behavior: pl.byzantine[u]}
-					if cfg.Behavior == BehaviorALIE {
-						cfg.AdvAddr = hubAddr
+					if !slices.Contains(pl.engine.byz, u) {
+						return WorkerConfig{}
 					}
-					return cfg
+					return WorkerConfig{Attack: pl.engine.attack, Coalition: pl.engine.byz}
 				},
 				func(srv *Server32, rs cluster.RoundStats) {
 					if !slices.Contains(rs.BlacklistedWorkers, pl.blacklists) {

@@ -392,7 +392,7 @@ func TestEvictedWorkerRejoinsAfterMissedRounds(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		st := &workerState{cfg: WorkerConfig{ID: victim, Behavior: BehaviorHonest}, lastApplied: -1}
+		st := &workerState{cfg: WorkerConfig{ID: victim}, lastApplied: -1}
 		var err error
 		if st.mdl, err = welcome.Spec.BuildModel(); err != nil {
 			t.Error(err)
@@ -423,12 +423,12 @@ func TestEvictedWorkerRejoinsAfterMissedRounds(t *testing.T) {
 				victimConn.Close() // crash mid-round, report never sent
 				return
 			}
-			files, samples, err := st.roundWork(&m)
+			samples, err := st.roundWork(&m)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			msgs, err := st.computeReport(m.Iteration, files, samples)
+			msgs, err := st.computeReport(m.Iteration, samples)
 			if err != nil {
 				t.Error(err)
 				return
@@ -535,8 +535,7 @@ func TestWireDeltaBroadcastReducesBytes(t *testing.T) {
 // erroring out.
 func TestCrashedWorkerDoesNotAbortTCPTraining(t *testing.T) {
 	spec := testSpec(12)
-	spec.Fault = "crash"
-	spec.FaultParams = registry.FaultParams{Workers: []int{2}, Round: 4}
+	spec.Faults = []FaultSpec{{Name: "crash", Params: registry.FaultParams{Workers: []int{2}, Round: 4}}}
 
 	var mu sync.Mutex
 	var stats []cluster.RoundStats
@@ -609,8 +608,7 @@ func TestCrashedWorkerDoesNotAbortTCPTraining(t *testing.T) {
 // its connection and participates again later.
 func TestFlakySkipsDoNotEvict(t *testing.T) {
 	spec := testSpec(12)
-	spec.Fault = "flaky"
-	spec.FaultParams = registry.FaultParams{Workers: []int{1}, P: 0.5, Seed: 9}
+	spec.Faults = []FaultSpec{{Name: "flaky", Params: registry.FaultParams{Workers: []int{1}, P: 0.5, Seed: 9}}}
 
 	var mu sync.Mutex
 	var stats []cluster.RoundStats
@@ -738,8 +736,7 @@ func TestHeterogeneousWireFaults(t *testing.T) {
 // missed deadline evicted it permanently.)
 func TestStragglerPastDeadlineMissesRoundsButSurvives(t *testing.T) {
 	spec := testSpec(3)
-	spec.Fault = "straggler"
-	spec.FaultParams = registry.FaultParams{Workers: []int{3}, Delay: 700 * time.Millisecond}
+	spec.Faults = []FaultSpec{{Name: "straggler", Params: registry.FaultParams{Workers: []int{3}, Delay: 700 * time.Millisecond}}}
 
 	var mu sync.Mutex
 	var stats []cluster.RoundStats

@@ -27,6 +27,13 @@ func initManualWorkerShards(st *workerState, w Welcome) {
 	if st.kern, err = model.BindOf[float64](st.mdl, st.train); err != nil {
 		panic(err)
 	}
+	if st.filesStatic == nil {
+		asn, err := w.Spec.BuildAssignment()
+		if err != nil {
+			panic(err)
+		}
+		st.filesStatic = asn.WorkerFiles(st.cfg.ID)
+	}
 	shards := w.Shards
 	if shards == 0 {
 		shards = 1
@@ -193,7 +200,7 @@ func TestStaleReportRetiredEagerly(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		st := &workerState{cfg: WorkerConfig{ID: victim, Behavior: BehaviorHonest}, lastApplied: -1}
+		st := &workerState{cfg: WorkerConfig{ID: victim}, lastApplied: -1}
 		var err error
 		if st.mdl, err = welcome.Spec.BuildModel(); err != nil {
 			t.Error(err)
@@ -217,12 +224,12 @@ func TestStaleReportRetiredEagerly(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				files, samples, err := st.roundWork(&m)
+				samples, err := st.roundWork(&m)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				msgs, err := st.computeReport(m.Iteration, files, samples)
+				msgs, err := st.computeReport(m.Iteration, samples)
 				if err != nil {
 					t.Error(err)
 					return
@@ -339,7 +346,7 @@ func TestLifecycleCountersOnEviction(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		st := &workerState{cfg: WorkerConfig{ID: victim, Behavior: BehaviorHonest}, lastApplied: -1}
+		st := &workerState{cfg: WorkerConfig{ID: victim}, lastApplied: -1}
 		var err error
 		if st.mdl, err = welcome.Spec.BuildModel(); err != nil {
 			t.Error(err)
@@ -370,12 +377,12 @@ func TestLifecycleCountersOnEviction(t *testing.T) {
 				conn.Close()
 				return
 			}
-			files, samples, err := st.roundWork(&m)
+			samples, err := st.roundWork(&m)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			msgs, err := st.computeReport(m.Iteration, files, samples)
+			msgs, err := st.computeReport(m.Iteration, samples)
 			if err != nil {
 				t.Error(err)
 				return

@@ -17,7 +17,7 @@
 //	PS → worker:  Welcome{Version, Token, FullEvery, Uplink, Spec, Shards, Pipeline}
 //	PS → worker:  Reject{Code, Reason}
 //	PS → worker:  RoundPrep{Iteration, Samples}            (pipelined runs)
-//	PS → worker:  RoundStart{Iteration, BaseIteration, ParamsFrame, Files}
+//	PS → worker:  RoundStart{Iteration, BaseIteration, ParamsFrame, Files, Samples}
 //	worker → PS:  GradientReport{WorkerID, Iteration, Shard, Frame}
 //	PS → worker:  Shutdown{FinalAccuracy}
 //
@@ -39,7 +39,7 @@
 // contiguous coordinate range (wire.ShardRange) and the PS can vote a
 // shard as soon as its last frame lands; RoundPrep broadcasts round
 // t+1's sample lists while round t's tail still aggregates, after which
-// the RoundStart for a prepped round omits the Files map (workers
+// the RoundStart for a prepped round omits the file section (workers
 // derive file ids from the static assignment). The Welcome announces
 // both knobs. v4 added the detector configuration to the Spec payload
 // (the PS-side detection/reputation layer of internal/detect is part of
@@ -158,17 +158,13 @@ type Spec struct {
 	Momentum  float64
 	Seed      int64
 	Rounds    int
-	// Fault names the registry fault model every worker applies to
-	// itself ("" or "none" = fault-free); FaultParams carries its knobs.
-	// Fault decisions are deterministic in (round, worker), so the
-	// worker processes and any observer evaluating the same Spec agree
-	// on the injected schedule without coordination.
-	Fault       string
-	FaultParams registry.FaultParams
-	// Faults composes additional fault models on top of Fault, so
-	// different workers can fail in different ways at once (worker 2
-	// flaky AND worker 9 straggling). All named models resolve through
-	// the registry and stack via fault.Stack.
+	// Faults names the registry fault models the workers apply to
+	// themselves (none = fault-free), each with the workers it targets,
+	// so different workers can fail in different ways at once (worker 2
+	// flaky AND worker 9 straggling); they stack via fault.Stack. Fault
+	// decisions are deterministic in (round, worker), so the worker
+	// processes and any observer evaluating the same Spec agree on the
+	// injected schedule without coordination.
 	Faults []FaultSpec
 	// Detector names the registry detector the PS runs between
 	// collection and aggregation ("" or "none" = detection off);
@@ -186,8 +182,8 @@ var components = registry.Default
 
 // Built is what every process of a run constructs from the Spec, each
 // to the identical result. The aggregation and detection rules are not
-// part of it: they are the parameter server's alone (ServerConfig may
-// override the aggregator, and a worker never resolves either name).
+// part of it: they are the parameter server's alone (a worker never
+// resolves either name).
 type Built struct {
 	Assignment  *assign.Assignment
 	Model       model.Model
@@ -261,18 +257,10 @@ func (s *Spec) BuildDetector() (detect.Detector, error) {
 }
 
 // BuildFault constructs the worker fault model named by the spec:
-// fault-free when nothing is named, the single Fault model when only it
-// is set, and a fault.Stack composing Fault plus every Faults entry
-// otherwise.
+// fault-free when nothing is named, the model itself when one is, and a
+// fault.Stack composing every Faults entry otherwise.
 func (s *Spec) BuildFault() (fault.Fault, error) {
 	var stack fault.Stack
-	if s.Fault != "" {
-		f, err := components.Fault(s.Fault, s.FaultParams)
-		if err != nil {
-			return nil, err
-		}
-		stack = append(stack, f)
-	}
 	for _, fs := range s.Faults {
 		f, err := components.Fault(fs.Name, fs.Params)
 		if err != nil {
@@ -292,10 +280,7 @@ func (s *Spec) BuildFault() (fault.Fault, error) {
 
 // --- Spec payload codec --------------------------------------------
 
-// appendSpec encodes the spec in canonical field order. The legacy
-// single Fault field is folded into the Faults list on the wire (first
-// entry), so the two representations are indistinguishable to workers —
-// both sides resolve participation through the same composed model.
+// appendSpec encodes the spec in canonical field order.
 func appendSpec(dst []byte, s *Spec) ([]byte, error) {
 	dst = wire.AppendString(dst, s.Scheme)
 	for _, v := range []int{s.L, s.R, s.K, s.F} {
@@ -319,12 +304,8 @@ func appendSpec(dst []byte, s *Spec) ([]byte, error) {
 	dst = wire.AppendF64(dst, s.Momentum)
 	dst = wire.AppendI64(dst, s.Seed)
 	dst = wire.AppendU32(dst, uint32(s.Rounds))
-	faults := s.Faults
-	if s.Fault != "" {
-		faults = append([]FaultSpec{{Name: s.Fault, Params: s.FaultParams}}, faults...)
-	}
-	dst = wire.AppendU32(dst, uint32(len(faults)))
-	for _, fs := range faults {
+	dst = wire.AppendU32(dst, uint32(len(s.Faults)))
+	for _, fs := range s.Faults {
 		if dst, err = appendFaultSpec(dst, &fs); err != nil {
 			return nil, err
 		}
@@ -488,7 +469,7 @@ type Welcome struct {
 	Shards int
 	// Pipeline tells the worker the server runs pipelined rounds: round
 	// t+1's RoundPrep (sample lists) arrives while round t's tail still
-	// aggregates, and the following RoundStart carries no Files map —
+	// aggregates, and the following RoundStart carries no file section —
 	// the worker derives its file ids from the static assignment and the
 	// samples from the prep.
 	Pipeline bool
@@ -533,12 +514,19 @@ func (m *Welcome) decodePayload(src []byte) error {
 	return d.Done()
 }
 
+// ErrBadRoundStart marks a RoundStart no honest server of this run sends:
+// a file section that cannot fit the frame it arrived in, or files that
+// are not the receiving worker's assignment. Reconnecting cannot help.
+var ErrBadRoundStart = errors.New("transport: malformed round start")
+
 // RoundStart carries the model parameters and this worker's file
 // assignments for one iteration. ParamsFrame is a wire params frame
 // (full or delta; wire.DecodeParams applies it); on a delta frame,
 // BaseIteration names the round whose parameters the delta patches, and
-// the worker must hold exactly that vector. Files maps file id →
-// training-sample indices.
+// the worker must hold exactly that vector. Files lists the worker's
+// file ids in slot order — the static assignment's ascending order —
+// and Samples[j] the training-sample indices of Files[j]; both are empty
+// on a pipelined round, whose RoundPrep carried the samples.
 //
 // A decoded ParamsFrame aliases the connection's receive buffer and is
 // valid only until the next Recv on that Conn — receivers apply it
@@ -548,29 +536,23 @@ type RoundStart struct {
 	Iteration     int
 	BaseIteration int
 	ParamsFrame   []byte
-	Files         map[int][]int
+	Files         []int
+	Samples       [][]int
 }
 
 func (RoundStart) wireType() byte { return msgRoundStart }
 
 func (m RoundStart) appendPayload(dst []byte) ([]byte, error) {
-	ids := make([]int, 0, len(m.Files))
-	for v := range m.Files {
-		ids = append(ids, v)
-	}
-	slices.Sort(ids) // canonical order
 	dst = appendRoundStartHead(dst, m.Iteration, m.BaseIteration, len(m.ParamsFrame))
-	return appendFileSection(append(dst, m.ParamsFrame...), ids, fileMap(m.Files))
+	return appendFileSection(append(dst, m.ParamsFrame...), m.Files, m)
 }
 
 // fileSampler yields a file's training-sample indices for the round
 // being broadcast (cluster.RoundOf does).
 type fileSampler interface{ FileSamples(v int) []int }
 
-// fileMap serves a decoded RoundStart.Files map as a fileSampler.
-type fileMap map[int][]int
-
-func (m fileMap) FileSamples(v int) []int { return m[v] }
+// FileSamples serves the message's own lists as a fileSampler.
+func (m RoundStart) FileSamples(v int) []int { return m.Samples[slices.Index(m.Files, v)] }
 
 // appendRoundStartHead appends the RoundStart payload up to where the
 // params frame's bytes begin.
@@ -581,8 +563,8 @@ func appendRoundStartHead(dst []byte, iter, base, paramsLen int) []byte {
 }
 
 // appendFileSection appends the RoundStart payload after the params
-// frame: the file count, then each file id (files must be ascending —
-// the canonical order) with its sample list.
+// frame: the file count, then each file id (in slot order) with its
+// sample list.
 func appendFileSection(dst []byte, files []int, rd fileSampler) ([]byte, error) {
 	dst = wire.AppendU32(dst, uint32(len(files)))
 	var err error
@@ -614,14 +596,19 @@ func (m *RoundStart) decodePayload(src []byte) error {
 	if d.Err() != nil {
 		return d.Err()
 	}
-	m.Files = make(map[int][]int, nf)
-	for i := 0; i < nf; i++ {
-		v := d.Int()
-		samples := d.Ints()
-		if d.Err() != nil {
-			return d.Err()
-		}
-		m.Files[v] = samples
+	// A file costs at least its id and its sample count on the wire, so
+	// the declared count is checked against the bytes that are left before
+	// anything is sized by it.
+	if left := len(src) - d.Offset(); nf > left/8 {
+		return fmt.Errorf("%w: %d files declared with %d bytes left", ErrBadRoundStart, nf, left)
+	}
+	if nf > 0 {
+		m.Files = make([]int, nf)
+		m.Samples = make([][]int, nf)
+	}
+	for j := range m.Files {
+		m.Files[j] = d.Int()
+		m.Samples[j] = d.Ints()
 	}
 	return d.Done()
 }
@@ -681,7 +668,7 @@ func (m *GradientReport) decodePayload(src []byte) error {
 // the receiving worker's j-th assigned file — slot order is the static
 // assignment's ascending file order, so no file ids travel and workers
 // of the same replication group receive byte-identical frames. The
-// matching RoundStart then carries no Files map, only the parameter
+// matching RoundStart then carries no file section, only the parameter
 // frame the prep could not know yet.
 type RoundPrep struct {
 	Iteration int

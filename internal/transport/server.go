@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"byzshield/internal/aggregate"
 	"byzshield/internal/assign"
 	"byzshield/internal/cluster"
 	"byzshield/internal/linalg"
@@ -51,9 +50,6 @@ const shutdownDrainTimeout = 10 * time.Second
 // over float32 ones. Nothing in it names a width.
 type ServerConfig struct {
 	Spec Spec
-	// Aggregator overrides the rule named by Spec.Aggregator; leave nil
-	// to resolve it from the registry.
-	Aggregator aggregate.Aggregator
 	// Logf receives progress lines; nil disables logging.
 	Logf func(format string, args ...any)
 	// EvalEvery controls accuracy evaluation cadence (default: every
@@ -90,9 +86,6 @@ type ServerConfig struct {
 	// (0 → majority of the nominal replication, R/2+1); see
 	// cluster.Config.Quorum.
 	Quorum int
-	// Parallelism is the width of the PS-side engine pool used for vote
-	// sharding and chunked aggregation (0 → GOMAXPROCS, 1 → serial).
-	Parallelism int
 	// Shards splits the aggregation plane into N contiguous coordinate
 	// ranges (wire.ShardRange): each worker ships one report frame per
 	// shard, and the PS votes a shard the moment the last live worker's
@@ -105,7 +98,7 @@ type ServerConfig struct {
 	// Pipeline overlaps consecutive rounds: while round t's tail (vote,
 	// aggregate, step) still runs, the server draws round t+1's batch
 	// and broadcasts its sample lists as RoundPrep frames, so round
-	// t+1's RoundStart carries no Files map and is one shared
+	// t+1's RoundStart carries no file section and is one shared
 	// pre-encoded frame written to every prepped worker. Bit-identical
 	// to serial rounds (the batch stream is consumed in the same order).
 	Pipeline bool
@@ -194,12 +187,9 @@ type ServerOf[T linalg.Float] struct {
 // NewServerOf validates the config, builds the width-T round engine and
 // binds the listener on addr (e.g. "127.0.0.1:0" to pick a free port).
 func NewServerOf[T linalg.Float](addr string, cfg ServerConfig) (*ServerOf[T], error) {
-	if cfg.Aggregator == nil {
-		agg, err := cfg.Spec.BuildAggregator()
-		if err != nil {
-			return nil, err
-		}
-		cfg.Aggregator = agg
+	agg, err := cfg.Spec.BuildAggregator()
+	if err != nil {
+		return nil, err
 	}
 	if cfg.Spec.Rounds < 1 {
 		return nil, fmt.Errorf("transport: rounds %d < 1", cfg.Spec.Rounds)
@@ -250,12 +240,11 @@ func NewServerOf[T linalg.Float](addr string, cfg ServerConfig) (*ServerOf[T], e
 		Train:        b.Train,
 		Test:         b.Test,
 		BatchSize:    cfg.Spec.BatchSize,
-		Aggregator:   cfg.Aggregator,
+		Aggregator:   agg,
 		Schedule:     cfg.Spec.Schedule,
 		Momentum:     cfg.Spec.Momentum,
 		Seed:         cfg.Spec.Seed,
 		Quorum:       cfg.Quorum,
-		Parallelism:  cfg.Parallelism,
 		Shards:       shards,
 		PrepareAhead: cfg.Pipeline,
 		Detector:     det,

@@ -27,8 +27,7 @@ import (
 // round is already collecting.
 func TestShardedPipelinedTrajectoryIdentity(t *testing.T) {
 	spec := testSpec(10)
-	spec.Fault = "straggler"
-	spec.FaultParams = registry.FaultParams{Workers: []int{1}, Delay: 20 * time.Millisecond}
+	spec.Faults = []FaultSpec{{Name: "straggler", Params: registry.FaultParams{Workers: []int{1}, Delay: 20 * time.Millisecond}}}
 	// The engine treats a pure delay as full participation; the wire
 	// path must agree as long as the delay stays inside the collection
 	// window (asserted per round below).
@@ -168,7 +167,7 @@ func TestPipelinedRejoinCountersSingleCount(t *testing.T) {
 			return
 		}
 		defer func() { conn.Close() }()
-		st := &workerState{cfg: WorkerConfig{ID: victim, Behavior: BehaviorHonest}, lastApplied: -1}
+		st := &workerState{cfg: WorkerConfig{ID: victim}, lastApplied: -1}
 		st.spec = welcome.Spec
 		if st.mdl, err = st.spec.BuildModel(); err != nil {
 			t.Error(err)
@@ -204,12 +203,12 @@ func TestPipelinedRejoinCountersSingleCount(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				files, samples, err := st.roundWork(&m)
+				samples, err := st.roundWork(&m)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				msgs, err := st.computeReport(m.Iteration, files, samples)
+				msgs, err := st.computeReport(m.Iteration, samples)
 				if err != nil {
 					t.Error(err)
 					return

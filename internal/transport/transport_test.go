@@ -10,7 +10,8 @@ import (
 	"testing"
 	"time"
 
-	"byzshield/internal/aggregate"
+	"byzshield/internal/attack"
+	"byzshield/internal/linalg"
 	byzregistry "byzshield/internal/registry"
 	"byzshield/internal/trainer"
 	"byzshield/internal/wire"
@@ -26,12 +27,13 @@ func testSpec(rounds int) Spec {
 	}
 }
 
-// runCluster starts a PS and K worker goroutines over loopback TCP and
-// returns the final accuracy.
-func runCluster(t *testing.T, spec Spec, byz map[int]WorkerBehavior, agg aggregate.Aggregator) float64 {
+// runCluster starts a PS and K worker goroutines over loopback TCP, the
+// workers of byz each running their attack alone, and returns the final
+// accuracy.
+func runCluster(t *testing.T, spec Spec, byz map[int]attack.Attack) float64 {
 	t.Helper()
 	ctx := context.Background()
-	srv, err := NewServer("127.0.0.1:0", ServerConfig{Spec: spec, Aggregator: agg})
+	srv, err := NewServer("127.0.0.1:0", ServerConfig{Spec: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,11 +49,7 @@ func runCluster(t *testing.T, spec Spec, byz map[int]WorkerBehavior, agg aggrega
 		wg.Add(1)
 		go func(u int) {
 			defer wg.Done()
-			behavior := BehaviorHonest
-			if b, ok := byz[u]; ok {
-				behavior = b
-			}
-			_, errs[u] = RunWorker(ctx, srv.Addr(), WorkerConfig{ID: u, Behavior: behavior})
+			_, errs[u] = RunWorker(ctx, srv.Addr(), WorkerConfig{ID: u, Attack: byz[u]})
 		}(u)
 	}
 	final, err := srv.Serve(ctx)
@@ -68,7 +66,7 @@ func runCluster(t *testing.T, spec Spec, byz map[int]WorkerBehavior, agg aggrega
 }
 
 func TestTCPClusterHonestTraining(t *testing.T) {
-	final := runCluster(t, testSpec(30), nil, aggregate.Median{})
+	final := runCluster(t, testSpec(30), nil)
 	if final < 0.6 {
 		t.Errorf("honest TCP training accuracy %.3f < 0.6", final)
 	}
@@ -77,18 +75,18 @@ func TestTCPClusterHonestTraining(t *testing.T) {
 func TestTCPClusterToleratesByzantines(t *testing.T) {
 	// Two Byzantines sending reversed gradients: below r' on every
 	// shared file except one (MOLS q=2 → c_max=1 of 25), median absorbs.
-	byz := map[int]WorkerBehavior{0: BehaviorReversed, 5: BehaviorReversed}
-	final := runCluster(t, testSpec(30), byz, aggregate.Median{})
+	byz := map[int]attack.Attack{0: attack.Reversed{}, 5: attack.Reversed{}}
+	final := runCluster(t, testSpec(30), byz)
 	if final < 0.6 {
 		t.Errorf("TCP training with 2 Byzantines reached %.3f", final)
 	}
 }
 
 func TestTCPClusterConstantAttack(t *testing.T) {
-	byz := map[int]WorkerBehavior{3: BehaviorConstant, 9: BehaviorZero}
-	final := runCluster(t, testSpec(20), byz, aggregate.Median{})
+	byz := map[int]attack.Attack{3: attack.Constant{}, 9: attack.RandomGaussian{}}
+	final := runCluster(t, testSpec(20), byz)
 	if final < 0.5 {
-		t.Errorf("TCP training with constant/zero Byzantines reached %.3f", final)
+		t.Errorf("TCP training with constant/gaussian Byzantines reached %.3f", final)
 	}
 }
 
@@ -120,12 +118,12 @@ func TestBuildAssignmentSchemes(t *testing.T) {
 func TestServerRejectsBadConfig(t *testing.T) {
 	spec := testSpec(10)
 	spec.Rounds = 0
-	if _, err := NewServer("127.0.0.1:0", ServerConfig{Spec: spec, Aggregator: aggregate.Median{}}); err == nil {
+	if _, err := NewServer("127.0.0.1:0", ServerConfig{Spec: spec}); err == nil {
 		t.Error("0 rounds accepted")
 	}
 	spec = testSpec(5)
 	spec.BatchSize = 10 // < f = 25
-	if _, err := NewServer("127.0.0.1:0", ServerConfig{Spec: spec, Aggregator: aggregate.Median{}}); err == nil {
+	if _, err := NewServer("127.0.0.1:0", ServerConfig{Spec: spec}); err == nil {
 		t.Error("batch < files accepted")
 	}
 	spec = testSpec(5)
@@ -135,18 +133,19 @@ func TestServerRejectsBadConfig(t *testing.T) {
 	}
 }
 
-// TestServerResolvesAggregatorFromSpec: a nil ServerConfig.Aggregator
-// resolves the registry name carried by the Spec.
+// TestServerResolvesAggregatorFromSpec: the server aggregates with the
+// registry rule the Spec names — the fleet ends where the engine running
+// that rule does, which is not where the default median ends.
 func TestServerResolvesAggregatorFromSpec(t *testing.T) {
 	spec := testSpec(5)
+	median := engineParams(t, spec, 1)
 	spec.Aggregator = "median-of-means"
-	srv, err := NewServer("127.0.0.1:0", ServerConfig{Spec: spec})
-	if err != nil {
-		t.Fatal(err)
+	want := engineParams(t, spec, 1)
+	if linalg.EqualBits(want, median) {
+		t.Fatal("median-of-means and median end on the same parameters: the case checks nothing")
 	}
-	defer srv.Close()
-	if got := srv.cfg.Aggregator.Name(); got != "median-of-means(3)" {
-		t.Errorf("aggregator = %q", got)
+	if got := wireParams(t, spec); !linalg.EqualBits(got, want) {
+		t.Error("the server did not aggregate with the rule its Spec names")
 	}
 }
 
@@ -154,7 +153,7 @@ func TestServerResolvesAggregatorFromSpec(t *testing.T) {
 // return promptly with context.Canceled, and workers unblock too.
 func TestServeCancellation(t *testing.T) {
 	spec := testSpec(100000) // far more rounds than can run in the test
-	srv, err := NewServer("127.0.0.1:0", ServerConfig{Spec: spec, Aggregator: aggregate.Median{}})
+	srv, err := NewServer("127.0.0.1:0", ServerConfig{Spec: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,18 +262,18 @@ func TestConnRecvResumesAfterDeadline(t *testing.T) {
 }
 
 // TestSpecWireRoundTrip: the hand-rolled Spec payload codec preserves
-// every field workers depend on, including composed per-worker faults
-// (the legacy single Fault folds into the Faults list).
+// every field — what a worker decodes is the Spec the server encoded.
 func TestSpecWireRoundTrip(t *testing.T) {
 	spec := testSpec(7)
 	spec.Aggregator = "bulyan"
 	spec.AggParams = byzregistry.AggregatorParams{C: 2, Groups: 5, Threshold: 0.25}
 	spec.Hidden = 12
-	spec.Fault = "flaky"
-	spec.FaultParams = byzregistry.FaultParams{Workers: []int{1, 4}, P: 0.3, Seed: 8}
 	spec.Faults = []FaultSpec{
+		{Name: "flaky", Params: byzregistry.FaultParams{Workers: []int{1, 4}, P: 0.3, Seed: 8}},
 		{Name: "straggler", Params: byzregistry.FaultParams{Workers: []int{9}, Delay: 2 * time.Second}},
 	}
+	spec.Detector = "zscore"
+	spec.DetectorParams = byzregistry.DetectorParams{Window: 6, MinRounds: 3, Decay: 0.8, Threshold: 2.5, BlacklistBelow: 0.4}
 	enc, err := appendSpec(nil, &spec)
 	if err != nil {
 		t.Fatal(err)
@@ -285,22 +284,6 @@ func TestSpecWireRoundTrip(t *testing.T) {
 	if err := d.Done(); err != nil {
 		t.Fatal(err)
 	}
-	// The single Fault folds into Faults on the wire; compare the
-	// composed models and the remaining fields.
-	wantFault, err := spec.BuildFault()
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotFault, err := got.BuildFault()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wantFault.Name() != gotFault.Name() {
-		t.Errorf("fault %q, want %q", gotFault.Name(), wantFault.Name())
-	}
-	got.Faults, spec.Faults = nil, nil
-	got.Fault, spec.Fault = "", ""
-	got.FaultParams, spec.FaultParams = byzregistry.FaultParams{}, byzregistry.FaultParams{}
 	if !reflect.DeepEqual(got, spec) {
 		t.Errorf("spec round-trip mismatch:\n got %+v\nwant %+v", got, spec)
 	}
@@ -312,7 +295,7 @@ func TestSpecWireRoundTrip(t *testing.T) {
 // still joins and trains to completion afterwards.
 func TestServerSurvivesBadHellos(t *testing.T) {
 	spec := testSpec(3)
-	srv, err := NewServer("127.0.0.1:0", ServerConfig{Spec: spec, Aggregator: aggregate.Median{}})
+	srv, err := NewServer("127.0.0.1:0", ServerConfig{Spec: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,7 +435,7 @@ func TestServerSurvivesBadHellos(t *testing.T) {
 // and delta parameter broadcasts exactly like RunWorker.
 func driveWorker(t *testing.T, c *Conn, id int, spec Spec) error {
 	t.Helper()
-	st := &workerState{cfg: WorkerConfig{ID: id, Behavior: BehaviorHonest}, lastApplied: -1}
+	st := &workerState{cfg: WorkerConfig{ID: id}, lastApplied: -1}
 	var err error
 	if st.mdl, err = spec.BuildModel(); err != nil {
 		return err
@@ -463,7 +446,7 @@ func driveWorker(t *testing.T, c *Conn, id int, spec Spec) error {
 	st.params = make([]float64, st.mdl.NumParams())
 	// Unsharded raw-frame uplink: raw frames decode under any server
 	// delta policy.
-	initManualWorkerShards(st, Welcome{})
+	initManualWorkerShards(st, Welcome{Spec: spec})
 	for {
 		msg, err := c.Recv()
 		if err != nil {
@@ -474,11 +457,11 @@ func driveWorker(t *testing.T, c *Conn, id int, spec Spec) error {
 			if err := st.applyParams(&m); err != nil {
 				return err
 			}
-			files, samples, err := st.roundWork(&m)
+			samples, err := st.roundWork(&m)
 			if err != nil {
 				return err
 			}
-			msgs, err := st.computeReport(m.Iteration, files, samples)
+			msgs, err := st.computeReport(m.Iteration, samples)
 			if err != nil {
 				return err
 			}

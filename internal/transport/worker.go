@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"byzshield/internal/advnet"
 	"byzshield/internal/assign"
 	"byzshield/internal/attack"
 	"byzshield/internal/data"
@@ -41,32 +40,22 @@ const DefaultReconnectAttempts = 5
 // (doubled per consecutive failure).
 const defaultReconnectDelay = 100 * time.Millisecond
 
-// WorkerBehavior selects how a worker process responds to gradient
-// requests. Attacks that require only local knowledge run standalone;
-// the omniscient ALIE attack needs the global gradient population and
-// therefore requires the adversary sidecar (WorkerConfig.AdvAddr): the
-// coalition leader reconstructs the population moments deterministically
-// from the Spec and shares them through the hub, reproducing the
-// in-process omniscient attacker bit-for-bit (see DESIGN.md).
-type WorkerBehavior string
-
-// Worker behaviors.
-const (
-	BehaviorHonest   WorkerBehavior = "honest"
-	BehaviorReversed WorkerBehavior = "reversed"  // send −g
-	BehaviorConstant WorkerBehavior = "constant"  // send a constant vector
-	BehaviorZero     WorkerBehavior = "zero"      // send zeros (crash-like)
-	BehaviorSignFlip WorkerBehavior = "sign-flip" // send −g (the registry sign-flip attack)
-	BehaviorALIE     WorkerBehavior = "alie"      // coordinated µ − z·σ via the sidecar
-)
-
 // WorkerConfig configures a worker process, at either value width
 // (RunWorker, RunWorker32).
 type WorkerConfig struct {
-	ID       int
-	Behavior WorkerBehavior
-	// ConstantValue is the payload value for BehaviorConstant (default −1).
-	ConstantValue float64
+	ID int
+	// Attack makes this worker Byzantine: instead of its files' gradients
+	// it reports what the attack crafts for them (nil = honest). The
+	// adversary is the engine's omniscient one (attack.AdversaryOf), so
+	// the worker computes the honest gradient of every file of the round
+	// itself — F of them instead of its own — from its replica of the
+	// run's batch stream and the round's parameters.
+	Attack attack.Attack
+	// Coalition lists the workers running Attack together, this one
+	// included (nil = this worker alone). Every member must be started
+	// with the same Attack and Coalition; they then craft bit-identical
+	// vectors for the files they share without exchanging a byte.
+	Coalition []int
 	// ReconnectAttempts bounds the automatic rejoin attempts after the
 	// connection to the PS breaks mid-run: 0 selects
 	// DefaultReconnectAttempts, negative disables reconnecting (any
@@ -84,13 +73,6 @@ type WorkerConfig struct {
 	// how a fleet keeps a lossy run interoperable with workers that
 	// cannot (or should not) quantize.
 	Tiers uint8
-	// AdvAddr is the adversary sidecar hub (cmd/byzadv) this Byzantine
-	// worker coordinates through; required for BehaviorALIE. The worker
-	// joins the coalition before its first PS handshake.
-	AdvAddr string
-	// ALIEZ overrides ALIE's z factor (0 derives z from the cluster and
-	// coalition sizes via attack.ZMax, matching the in-process attack).
-	ALIEZ float64
 	// Metrics, when non-nil, receives the worker-side metric families
 	// (byzworker_* counters: rounds, report bytes, skips, reconnects,
 	// rejections, plus the current-round and tier gauges and the local
@@ -193,30 +175,21 @@ type workerStateOf[T linalg.Float] struct {
 	prepIter    int
 	prepSamples [][]int
 	filesStatic []int
-	// files/grads/shardGrads/sampleLists are the per-round report
-	// scratch, reused across rounds; shardGrads holds per-shard subslice
-	// headers over grads' full-dimension rows.
-	files       []int
-	grads       [][]T
-	shardGrads  [][]T
-	sampleLists [][]int
-	// adv is the sidecar coalition connection (nil outside coalitions);
-	// the fields below are the leader's deterministic reconstruction of
-	// the batch stream — its own sampler fast-forwarded to the current
-	// round — plus the moment and payload scratch every member shares.
-	adv         *advnet.Client
-	asn         *assign.Assignment
+	// grads/shardGrads are the per-round report scratch, reused across
+	// rounds; shardGrads holds per-shard subslice headers over grads'
+	// full-dimension rows.
+	grads      [][]T
+	shardGrads [][]T
+	asn        *assign.Assignment
+	// adv is the adversary a Byzantine worker crafts through (nil when
+	// honest); the fields below are its view of the round — the worker's
+	// own replica of the run's batch stream, fast-forwarded to the current
+	// round, that batch's file partition, and every file's gradient.
+	adv         *attack.AdversaryOf[T]
 	sampler     *data.BatchSampler
 	sampledIter int
 	fileParts   [][]int
 	trueGrads   [][]T
-	wideGrads   [][]float64
-	alie        []T
-	muBuf       []float64
-	sigmaBuf    []float64
-	moments     wire.MomentFrame
-	atkCtx      attack.Context
-	atkScr      attack.Scratch
 	// ins is the worker-side metric state (nil with metrics disabled;
 	// every method is nil-safe).
 	ins *workerInstruments
@@ -233,27 +206,12 @@ type workerStateOf[T linalg.Float] struct {
 // blocked send/receive promptly (by closing the connection) and returns
 // ctx.Err().
 func RunWorkerOf[T linalg.Float](ctx context.Context, addr string, cfg WorkerConfig) (float64, error) {
-	if cfg.Behavior == "" {
-		cfg.Behavior = BehaviorHonest
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
 	st := &workerStateOf[T]{cfg: cfg, token: cfg.ResumeToken, lastApplied: -1, sampledIter: -1}
 	if cfg.Metrics != nil {
 		st.ins = newWorkerInstruments(cfg.Metrics)
-	}
-	if cfg.Behavior == BehaviorALIE && cfg.AdvAddr == "" {
-		return 0, fmt.Errorf("transport: worker %d: behavior %q requires the adversary sidecar (AdvAddr)", cfg.ID, cfg.Behavior)
-	}
-	if cfg.AdvAddr != "" {
-		adv, err := advnet.Dial(ctx, cfg.AdvAddr, cfg.ID)
-		if err != nil {
-			return 0, err
-		}
-		defer adv.Close()
-		st.adv = adv
-		cfg.Logf("worker %d: adversary coalition %v, leader %d", cfg.ID, adv.MemberIDs(), adv.Leader())
 	}
 	return reconnectLoop(ctx, cfg.ID, cfg.ReconnectAttempts, cfg.Logf, st.ins.reconnecting,
 		func() (float64, error) { return runWorkerConn(ctx, addr, st) })
@@ -407,6 +365,11 @@ func runWorkerConn[T linalg.Float](ctx context.Context, addr string, st *workerS
 		}
 		st.filesStatic = st.asn.WorkerFiles(cfg.ID)
 		st.params = make([]T, st.mdl.NumParams())
+		if cfg.Attack != nil {
+			if err := st.initAdversary(); err != nil {
+				return 0, err
+			}
+		}
 	}
 	// The handshake is over: from here the PS sends this worker nothing
 	// larger than a RoundStart of this Spec.
@@ -461,6 +424,9 @@ func runWorkerConn[T linalg.Float](ctx context.Context, addr string, st *workerS
 	}()
 	for {
 		msg, err := conn.Recv()
+		if errors.Is(err, ErrBadRoundStart) {
+			return 0, fmt.Errorf("transport: worker %d recv: %w", cfg.ID, err)
+		}
 		if err != nil {
 			return 0, retryable(fmt.Errorf("transport: worker %d recv: %w", cfg.ID, ctxErr(ctx, err)))
 		}
@@ -473,7 +439,7 @@ func runWorkerConn[T linalg.Float](ctx context.Context, addr string, st *workerS
 			st.prepSamples = m.Samples
 		case RoundStart:
 			st.ins.roundStarted(m.Iteration)
-			files, samples, err := st.roundWork(&m)
+			samples, err := st.roundWork(&m)
 			if err != nil {
 				return 0, err
 			}
@@ -510,7 +476,7 @@ func runWorkerConn[T linalg.Float](ctx context.Context, addr string, st *workerS
 				continue
 			}
 			computeStart := time.Now()
-			msgs, err := st.computeReport(m.Iteration, files, samples)
+			msgs, err := st.computeReport(m.Iteration, samples)
 			if err != nil {
 				return 0, err
 			}
@@ -559,103 +525,68 @@ func (st *workerStateOf[T]) applyParams(m *RoundStart) error {
 	return nil
 }
 
-// roundWork resolves a RoundStart into the worker's file list (static
-// slot order) and per-file sample lists. A self-contained round carries
-// the Files map; a prep round carries neither file ids nor samples and
-// must be preceded by its RoundPrep on this same connection — if that
-// prep was lost the error is retryable, because the server serves a
-// reconnected worker the self-contained path.
-func (st *workerStateOf[T]) roundWork(m *RoundStart) (files []int, samples [][]int, err error) {
+// roundWork resolves a RoundStart into the per-file sample lists of the
+// worker's files, in static slot order. A self-contained round names the
+// files itself, and they must be exactly the worker's assignment; a prep
+// round carries neither file ids nor samples and must be preceded by its
+// RoundPrep on this same connection — if that prep was lost the error is
+// retryable, because the server serves a reconnected worker the
+// self-contained path.
+func (st *workerStateOf[T]) roundWork(m *RoundStart) (samples [][]int, err error) {
 	if len(m.Files) > 0 {
-		st.files, st.sampleLists = filesInSlotOrder(m.Files, st.files, st.sampleLists)
-		return st.files, st.sampleLists, nil
+		if !slices.Equal(m.Files, st.filesStatic) {
+			return nil, fmt.Errorf("%w: worker %d: round %d names files %v, assignment is %v",
+				ErrBadRoundStart, st.cfg.ID, m.Iteration, m.Files, st.filesStatic)
+		}
+		return m.Samples, nil
 	}
 	if !st.pipeline {
-		return nil, nil, fmt.Errorf("transport: worker %d: round %d carried no files outside pipeline mode",
+		return nil, fmt.Errorf("transport: worker %d: round %d carried no files outside pipeline mode",
 			st.cfg.ID, m.Iteration)
 	}
 	if st.prepIter != m.Iteration {
-		return nil, nil, retryable(fmt.Errorf("transport: worker %d: round %d started without its prep (have %d)",
+		return nil, retryable(fmt.Errorf("transport: worker %d: round %d started without its prep (have %d)",
 			st.cfg.ID, m.Iteration, st.prepIter))
 	}
 	if len(st.prepSamples) != len(st.filesStatic) {
-		return nil, nil, fmt.Errorf("transport: worker %d: round %d prep carried %d sample lists, want %d",
+		return nil, fmt.Errorf("transport: worker %d: round %d prep carried %d sample lists, want %d",
 			st.cfg.ID, m.Iteration, len(st.prepSamples), len(st.filesStatic))
 	}
-	return st.filesStatic, st.prepSamples, nil
+	return st.prepSamples, nil
 }
 
-// filesInSlotOrder flattens a RoundStart's Files map into the worker's
-// file list in static slot order (ascending ids) and the matching sample
-// lists, reusing the capacity of files and lists.
-func filesInSlotOrder(m map[int][]int, files []int, lists [][]int) ([]int, [][]int) {
-	files, lists = files[:0], lists[:0]
-	for v := range m {
-		files = append(files, v)
-	}
-	slices.Sort(files)
-	for _, v := range files {
-		lists = append(lists, m[v])
-	}
-	return files, lists
-}
-
-// computeReport produces the worker's (honest or Byzantine) gradients
-// for one round, sliced into one report per shard, each encoded through
-// its shard's uplink codec (raw or XOR-delta against the previous
-// report, whichever is smaller). The returned messages alias the
-// state's scratch and are valid until the next computeReport call.
-func (st *workerStateOf[T]) computeReport(iter int, files []int, samples [][]int) ([]Message, error) {
+// computeReport produces the worker's gradients for one round — of its
+// files' samples when honest, what the adversary crafts for its files
+// when Byzantine — sliced into one report per shard, each encoded
+// through its shard's uplink codec (raw or XOR-delta against the
+// previous report, whichever is smaller). The returned messages alias
+// the state's scratch and are valid until the next computeReport call.
+func (st *workerStateOf[T]) computeReport(iter int, samples [][]int) ([]Message, error) {
 	cfg := st.cfg
+	files := st.filesStatic
 	dim := st.mdl.NumParams()
 	if cap(st.grads) < len(files) {
 		st.grads = make([][]T, len(files))
 	}
 	grads := st.grads[:len(files)]
 	st.grads = grads
-	// The ALIE payload is one vector per round shared by every file, so
-	// it is crafted once — through the sidecar coalition — before the
-	// per-file loop.
-	var alie []T
-	if cfg.Behavior == BehaviorALIE {
-		payload, err := st.aliePayload(iter)
+	if st.adv != nil {
+		crafted, err := st.craft(iter)
 		if err != nil {
 			return nil, err
 		}
-		// The attack crafts in float64 at either width; what goes on
-		// the wire is its narrowing to T (the payload itself at float64).
-		st.alie = linalg.Narrow(st.alie, payload)
-		alie = st.alie
-	}
-	for i := range files {
-		if cap(grads[i]) < dim {
-			grads[i] = make([]T, dim)
+		for i, v := range files {
+			grads[i] = crafted[v]
 		}
-		g := grads[i][:dim]
-		grads[i] = g
-		clear(g)
-		switch cfg.Behavior {
-		case BehaviorHonest:
+	} else {
+		for i := range files {
+			if cap(grads[i]) < dim {
+				grads[i] = make([]T, dim)
+			}
+			g := grads[i][:dim]
+			grads[i] = g
+			clear(g)
 			st.kern.SumGradient(st.params, samples[i], g)
-		case BehaviorReversed, BehaviorSignFlip:
-			st.kern.SumGradient(st.params, samples[i], g)
-			for i := range g {
-				g[i] = -g[i]
-			}
-		case BehaviorConstant:
-			val := T(-1)
-			if cfg.ConstantValue != 0 {
-				val = T(cfg.ConstantValue)
-			}
-			for i := range g {
-				g[i] = val
-			}
-		case BehaviorZero:
-			// zeros (crash-like)
-		case BehaviorALIE:
-			copy(g, alie)
-		default:
-			return nil, fmt.Errorf("transport: unknown behavior %q", cfg.Behavior)
 		}
 	}
 	if cap(st.shardGrads) < len(files) {
@@ -679,106 +610,63 @@ func (st *workerStateOf[T]) computeReport(iter int, files []int, samples [][]int
 	return st.msgs, nil
 }
 
-// aliePayload crafts the round's ALIE vector through the sidecar
-// coalition. The z factor matches the in-process attack: ZMax over the
-// cluster size (Spec.K, which the server pins to the assignment's K
-// before Welcome) and the coalition size the share reports.
-func (st *workerStateOf[T]) aliePayload(round int) ([]float64, error) {
-	st.atkCtx = attack.Context{
-		Round:             round,
-		Dim:               st.mdl.NumParams(),
-		Participants:      st.spec.K,
-		ExpectedCorrupted: st.adv.Members(),
+// initAdversary builds the adversary of a Byzantine worker and the
+// replica of the run it crafts from, once the first Welcome has said
+// what the run is.
+func (st *workerStateOf[T]) initAdversary() error {
+	cfg, dim := st.cfg, len(st.params)
+	coalition := cfg.Coalition
+	if coalition == nil {
+		coalition = []int{cfg.ID}
 	}
-	craft, err := attack.BeginWith(attack.ALIE{ZOverride: st.cfg.ALIEZ}, &st.atkCtx, &st.atkScr, advCoordinator[T]{st})
-	if err != nil {
-		return nil, fmt.Errorf("transport: worker %d round %d: %w", st.cfg.ID, round, err)
+	if !slices.Contains(coalition, cfg.ID) {
+		return fmt.Errorf("transport: worker %d is not in its own coalition %v", cfg.ID, coalition)
 	}
-	return craft(0, nil), nil
+	var err error
+	if st.adv, err = attack.NewAdversaryOf[T](cfg.Attack, st.asn, coalition, dim, st.spec.Seed, st.spec.BatchSize); err != nil {
+		return fmt.Errorf("transport: worker %d: %w", cfg.ID, err)
+	}
+	if st.sampler, err = data.NewBatchSampler(st.trainN, st.spec.BatchSize, st.spec.Seed); err != nil {
+		return err
+	}
+	flat := make([]T, st.asn.F*dim)
+	st.trueGrads = make([][]T, st.asn.F)
+	for v := range st.trueGrads {
+		st.trueGrads[v] = flat[v*dim : (v+1)*dim]
+	}
+	cfg.Logf("worker %d: byzantine: %s with coalition %v (computing all %d files a round)",
+		cfg.ID, cfg.Attack.Name(), st.adv.Coalition, st.asn.F)
+	return nil
 }
 
-// advCoordinator backs attack.Coordinator with the coalition hub: the
-// leader reconstructs the round's gradient-population moments and
-// publishes them; every member — leader included — then crafts from the
-// hub's broadcast, so the whole coalition (and, by the bit-exact codec,
-// the in-process omniscient attacker) agrees on the payload
-// bit-for-bit.
-type advCoordinator[T linalg.Float] struct{ st *workerStateOf[T] }
-
-// RoundMoments implements attack.Coordinator.
-func (c advCoordinator[T]) RoundMoments(ctx *attack.Context) (attack.Moments, error) {
-	st := c.st
-	if st.adv.IsLeader() {
-		mu, sigma, err := st.reconstructMoments(ctx.Round)
-		if err != nil {
-			return attack.Moments{}, err
-		}
-		st.moments = wire.MomentFrame{Round: ctx.Round, Members: st.adv.Members(), Mu: mu, Sigma: sigma}
-		if err := st.adv.Publish(&st.moments); err != nil {
-			return attack.Moments{}, err
-		}
-	}
-	// Decoding the share back into st.moments reuses its buffers; for
-	// the leader those hold the just-published values, which the decoded
-	// bits reproduce exactly.
-	if err := st.adv.AwaitShare(ctx.Round, &st.moments); err != nil {
-		return attack.Moments{}, err
-	}
-	return attack.Moments{
-		Round:   st.moments.Round,
-		Members: st.moments.Members,
-		Mu:      st.moments.Mu,
-		Sigma:   st.moments.Sigma,
-	}, nil
-}
-
-// reconstructMoments is the coalition leader's omniscient
-// reconstruction: everything the in-process attack oracle reads off the
-// engine — the round's batch, its file partition, and every file's true
-// gradient — is a deterministic function of the Spec, so the leader
-// replays it locally (its own batch sampler fast-forwarded to round)
-// and takes the population moments with the same accumulation order as
-// attack.Loopback. st.params must already reflect the round's
-// broadcast, which the computeReport call order guarantees.
-func (st *workerStateOf[T]) reconstructMoments(round int) (mu, sigma []float64, err error) {
-	if st.sampler == nil {
-		if st.sampler, err = data.NewBatchSampler(st.trainN, st.spec.BatchSize, st.spec.Seed); err != nil {
-			return nil, nil, err
-		}
-		dim := st.mdl.NumParams()
-		flat := make([]T, st.asn.F*dim)
-		st.trueGrads = make([][]T, st.asn.F)
-		for v := range st.trueGrads {
-			st.trueGrads[v] = flat[v*dim : (v+1)*dim]
-		}
-		st.wideGrads = linalg.NewWideRows[T](st.asn.F, dim)
-		st.muBuf = make([]float64, dim)
-		st.sigmaBuf = make([]float64, dim)
-	}
+// craft is a Byzantine worker's round: everything the engine's adversary
+// reads off the engine — the round's batch, its file partition, every
+// file's honest gradient — is a deterministic function of the Spec and
+// the round's parameters, the same determinism the honest replicas' vote
+// relies on, so the worker replays it locally and crafts through the
+// same attack.AdversaryOf. Every coalition member does, and so they
+// agree with each other and with the engine bit for bit. st.params must
+// already reflect the round's broadcast, which the call order guarantees.
+func (st *workerStateOf[T]) craft(round int) ([][]T, error) {
 	if round <= st.sampledIter {
-		return nil, nil, fmt.Errorf("transport: worker %d: moments for round %d requested after round %d",
+		return nil, fmt.Errorf("transport: worker %d: round %d started after round %d",
 			st.cfg.ID, round, st.sampledIter)
 	}
 	// The sampler's stream is positional: skipped rounds (missed while
-	// disconnected) still consume their batches so round r always sees
-	// the engine's batch r.
+	// disconnected, or skipped by a fault) still consume their batches so
+	// round r always sees the engine's batch r.
 	var batch []int
 	for st.sampledIter < round {
 		batch = st.sampler.Next()
 		st.sampledIter++
 	}
+	var err error
 	if st.fileParts, err = data.PartitionFilesInto(batch, st.asn.F, st.fileParts); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	for v, g := range st.trueGrads {
 		clear(g)
 		st.kern.SumGradient(st.params, st.fileParts[v], g)
 	}
-	// The moments are taken in float64 over the same float64 view of
-	// the true gradients the in-process oracle reads (the rows
-	// themselves at T = float64, widened at float32).
-	wide := linalg.WidenRows(st.wideGrads, st.trueGrads)
-	mu = linalg.MeanVecInto(st.muBuf, wide)
-	sigma = linalg.StdVecInto(st.sigmaBuf, mu, wide)
-	return mu, sigma, nil
+	return st.adv.Craft(round, st.trueGrads), nil
 }

@@ -61,10 +61,9 @@ const (
 	// ranges), the RoundPrep message that pipelines round t+1's file
 	// assignments during round t's aggregation, and the Welcome's
 	// shard-count/pipeline negotiation fields.
-	// v4 extended the Spec payload with the detector configuration,
-	// added the typed Reject frame (blacklisted-rejoin refusal), and
-	// introduced the sidecar moment frame (moments.go); v3 added the
-	// compressed uplink gradient codec (uplink.go) and the Welcome's
+	// v4 extended the Spec payload with the detector configuration and
+	// added the typed Reject frame (blacklisted-rejoin refusal); v3 added
+	// the compressed uplink gradient codec (uplink.go) and the Welcome's
 	// uplink-delta flag. Older peers are rejected at the first frame
 	// (and at Hello/Welcome negotiation) with a typed version Reject.
 	ProtocolVersion = 7
