@@ -1,7 +1,7 @@
 // Command byzfleet runs the fleet-scaling sweep of the aggregation
 // plane: for each worker count it drives a loopback fleet through the
-// serial, sharded, sharded+pipelined, and quantized (pipelined plane on
-// the lossy int8 uplink tier) planes over the identical spec, checks
+// serial, sharded, and quantized (sharded plane on the lossy int8
+// uplink tier) planes over the identical spec, checks
 // every mode's final parameters bit-for-bit against the in-process
 // engine — the quantized mode against an engine pinned to the same tier
 // and shard count — and reports rounds/sec per plane. It is a
@@ -50,7 +50,7 @@ func main() {
 		shards    = flag.Int("shards", 2, "shard count")
 		modes     = flag.String("modes", "", "comma-separated mode filter (default all)")
 		precision = flag.String("precision", "f64",
-			"numeric precision tier the whole sweep runs at: f64 or f32 (the same four planes; f32 rows are reported with an -f32 suffix)")
+			"numeric precision tier the whole sweep runs at: f64 or f32 (the same three planes; f32 rows are reported with an -f32 suffix)")
 		jsonOut  = flag.Bool("json", false, "emit the points as JSON on stdout")
 		prof     = flag.String("cpuprofile", "", "write cpu profile")
 		memProf  = flag.String("memprofile", "", "write heap profile at sweep end (live servers: prefer byzps /debug/pprof/heap)")

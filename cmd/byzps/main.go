@@ -53,12 +53,10 @@
 //
 // The aggregation plane itself is configurable: -shards N splits the
 // parameter vector into N contiguous coordinate ranges that vote and
-// aggregate independently as their report frames land, and -pipeline
-// piggybacks round t+1's sample assignments on round t's parameter
-// broadcast so steady-state rounds reuse one pre-encoded RoundStart
-// frame. Both are bit-identical to the unsharded, unpipelined plane:
+// aggregate independently as their report frames land, bit-identical to
+// the unsharded plane:
 //
-//	byzps ... -shards 4 -pipeline
+//	byzps ... -shards 4
 //
 // Live observability (see DESIGN.md "Observability"): -metrics-addr
 // serves /metrics (Prometheus text), /statusz (human-readable fleet
@@ -129,8 +127,6 @@ func main() {
 			"numeric precision tier: f64 or f32 (float32 kernels and frames; the same protocol, for the models and coordinate-wise aggregators that have float32 kernels)")
 		shardCount = flag.Int("shards", 0,
 			"aggregation shards: split the parameter vector into N coordinate ranges that vote/aggregate independently (0 or 1 = single loop; bit-identical either way)")
-		pipeline = flag.Bool("pipeline", false,
-			"pipeline round prep: ship round t+1's sample assignments with round t's broadcast (bit-identical; RoundStart becomes one shared pre-encoded frame)")
 		verbose = flag.Bool("v", false,
 			"log every round: missing workers, rejoins/evictions/stale frames, up/down wire bytes")
 		quorum     = flag.Int("quorum", 0, "minimum surviving replicas per file vote (0 = r/2+1)")
@@ -191,7 +187,6 @@ func main() {
 		FullBroadcastEvery: *fullEvery,
 		Uplink:             tier,
 		Shards:             *shardCount,
-		Pipeline:           *pipeline,
 		Quorum:             *quorum,
 	}
 	// Observability plane: the registry and tracer are created whenever

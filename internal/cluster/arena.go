@@ -64,9 +64,6 @@ type roundArena[T linalg.Float] struct {
 	voteErrs  []error
 	// probe caches the deterministic loss-evaluation indices.
 	probe []int
-	// files is the reusable batch→file partition table (the per-file
-	// slices are views into the sampler's batch buffer).
-	files [][]int
 	// encBuf and rxFrame are the communication round-trip scratch;
 	// upEnc[u]/upDec[u] are worker u's uplink codec stream state —
 	// exactly the state each TCP connection pair holds, so measured
@@ -144,7 +141,6 @@ func newRoundArena[T linalg.Float](a *assign.Assignment, dim int, byzSet map[int
 		ar.txRows = make([][]T, maxSlots)
 		ar.rxRows = make([][]T, maxSlots)
 	}
-	ar.files = make([][]int, a.F)
 
 	ar.fileReplicas = make([][]slotRef, a.F)
 	slotOf := make([]map[int]int, a.K)

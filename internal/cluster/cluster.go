@@ -130,14 +130,6 @@ type ConfigOf[T linalg.Float] struct {
 	// exact bit-equality votes (VoteTolerance must be 0 — L∞ clustering
 	// does not decompose across coordinate ranges).
 	Shards int
-	// PrepareAhead draws and partitions round t+1's batch before round
-	// t's collection opens and hands the prepared file table to the
-	// source if it implements RoundPreparer (the TCP server piggybacks
-	// round t+1's sample lists on round t's own broadcast frames, which
-	// is what pipelines the wire rounds). The sample stream order is
-	// unchanged — the seeded sampler is still consumed in strict round
-	// order — so trajectories stay bit-identical.
-	PrepareAhead bool
 	// Fault injects worker participation faults (crash, flaky skips)
 	// into the in-process source; nil runs fault-free. Incompatible with
 	// Source, which owns participation itself.
@@ -280,7 +272,7 @@ type EngineOf[T linalg.Float] struct {
 	src         GradientSourceOf[T]
 	params      []T
 	opt         *trainer.SGDOf[T]
-	sampler     batchSource
+	stream      *data.FileStream
 	byzSet      map[int]bool
 	honest      []int // sorted non-Byzantine worker ids
 	corruptible []int // files with ≥ r' Byzantine replicas (static per run)
@@ -291,8 +283,9 @@ type EngineOf[T linalg.Float] struct {
 	width       int   // pool width (1 when serial)
 	arena       *roundArena[T]
 	// rd is the persistent Round view handed to the source each
-	// iteration (only its files table changes per round).
-	rd RoundOf[T]
+	// iteration; files is the round's file→samples table, owned by stream.
+	rd    RoundOf[T]
+	files [][]int
 	// adv crafts the Byzantine workers' payloads (nil without any): the
 	// same adversary every Byzantine worker process of a TCP fleet runs.
 	adv *attack.AdversaryOf[T]
@@ -302,23 +295,6 @@ type EngineOf[T linalg.Float] struct {
 	detSt *detect.State
 	// plane is the sharded aggregation plane (nil when Shards <= 1).
 	plane *shardPlane
-	// pendingFiles/spareFiles/preparedIter/prepErr are the prepare-ahead
-	// state: pendingFiles holds the next round's partitioned file table
-	// (always the next batch in sampler stream order), spareFiles is the
-	// retired table recycled by the next prepare, and prepErr defers a
-	// preparation failure to the next StepOnce boundary. prepBatch is a
-	// pair of alternating batch copies: the sampler owns its Next buffer
-	// and overwrites it on the following draw, and a file table aliases
-	// the batch it was partitioned from — so when a round draws ahead
-	// (prepare-ahead runs before the current round's collection), each
-	// live table must sit on its own copy. Two buffers suffice: table t
-	// is dead before the prepare in round t+1 reuses its buffer.
-	pendingFiles [][]int
-	spareFiles   [][]int
-	prepBatch    [2][]int
-	prepFlip     int
-	preparedIter int
-	prepErr      error
 	// ins holds the preallocated metric instruments (nil when
 	// Config.Metrics is unset); tracer and trace are the round tracer
 	// and its engine-owned scratch record (trace's worker-set slices are
@@ -431,7 +407,7 @@ func NewOf[T linalg.Float](cfg ConfigOf[T]) (*EngineOf[T], error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
-	sampler, err := newBatchSource(&cfg)
+	stream, err := newFileStream(&cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -444,20 +420,19 @@ func NewOf[T linalg.Float](cfg ConfigOf[T]) (*EngineOf[T], error) {
 		width = runtime.GOMAXPROCS(0)
 	}
 	e := &EngineOf[T]{
-		cfg:          cfg,
-		train:        train,
-		test:         test,
-		agg:          agg,
-		median:       median,
-		params:       model.InitParamsOf[T](cfg.Model, cfg.Seed),
-		opt:          opt,
-		sampler:      sampler,
-		byzSet:       byzSet,
-		corruptible:  corruptible,
-		adv:          adv,
-		quorum:       quorum,
-		width:        width,
-		preparedIter: -1,
+		cfg:         cfg,
+		train:       train,
+		test:        test,
+		agg:         agg,
+		median:      median,
+		params:      model.InitParamsOf[T](cfg.Model, cfg.Seed),
+		opt:         opt,
+		stream:      stream,
+		byzSet:      byzSet,
+		corruptible: corruptible,
+		adv:         adv,
+		quorum:      quorum,
+		width:       width,
 	}
 	for u := 0; u < cfg.Assignment.K; u++ {
 		if !byzSet[u] {
@@ -522,27 +497,20 @@ func (e *EngineOf[T]) Close() error {
 	return nil
 }
 
-// batchSource is the per-round batch stream: the IID reshuffling
-// sampler by default, the per-pool non-IID sampler under a configured
-// Distribution. Both are deterministic in the seed and stepped in
-// strict round order, which is what checkpoint fast-forwarding and
-// prepare-ahead rely on.
-type batchSource interface {
-	Next() []int
-}
-
-// newBatchSource builds the config's batch stream; called identically
-// at construction and on every Restore so a restored engine replays the
-// exact stream of the interrupted run.
-func newBatchSource[T linalg.Float](cfg *ConfigOf[T]) (batchSource, error) {
+// newFileStream builds the config's file→samples stream: the IID
+// reshuffling sampler by default, the per-pool non-IID sampler under a
+// configured Distribution. Called identically at construction and on
+// every Restore, so a restored engine continues the exact stream of the
+// interrupted run.
+func newFileStream[T linalg.Float](cfg *ConfigOf[T]) (*data.FileStream, error) {
 	if cfg.Distribution == nil {
-		return data.NewBatchSampler(cfg.Train.Len(), cfg.BatchSize, cfg.Seed)
+		return data.NewFileStream(cfg.Train.Len(), cfg.BatchSize, cfg.Seed, cfg.Assignment.F)
 	}
 	pools, err := cfg.Distribution.Split(cfg.Train, cfg.Assignment.F)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: distribution %s: %w", cfg.Distribution.Name(), err)
 	}
-	return data.NewPoolSampler(pools, cfg.BatchSize, cfg.Seed)
+	return data.NewPoolFileStream(pools, cfg.BatchSize, cfg.Seed)
 }
 
 // runPhase executes fn(worker, task) for task in [0, n): inline on the
@@ -589,8 +557,8 @@ func (e *EngineOf[T]) Snapshot() (params, velocity []T, iteration int) {
 }
 
 // Restore resumes from a snapshot taken by Snapshot. Dimensions must
-// match the engine's model. The batch sampler is rebuilt from the
-// engine's seed and fast-forwarded to the snapshot iteration, so a
+// match the engine's model. The file stream is rebuilt from the engine's
+// seed and the next round seeks it to the snapshot iteration, so a
 // restore into a freshly constructed engine continues the exact sample
 // stream of the interrupted run — no round replay is needed. An engine
 // with a live detector refuses with ErrRestoreDetector.
@@ -609,24 +577,13 @@ func (e *EngineOf[T]) Restore(params, velocity []T, iteration int) error {
 			return err
 		}
 	}
-	sampler, err := newBatchSource(&e.cfg)
+	stream, err := newFileStream(&e.cfg)
 	if err != nil {
 		return err
 	}
-	for t := 0; t < iteration; t++ {
-		sampler.Next()
-	}
-	e.sampler = sampler
+	e.stream = stream
 	copy(e.params, params)
 	e.iter = iteration
-	// Any prepared-ahead batch belongs to the abandoned sample stream;
-	// the rebuilt sampler re-draws it, so the pending table is recycled.
-	if e.pendingFiles != nil {
-		e.spareFiles = e.pendingFiles
-		e.pendingFiles = nil
-	}
-	e.preparedIter = -1
-	e.prepErr = nil
 	return nil
 }
 
@@ -651,12 +608,13 @@ func (e *EngineOf[T]) RunRound() (RoundStats, error) {
 
 // StepOnce executes one protocol round under the given context.
 // Cancellation is checked at the round boundary — a canceled context
-// returns before any state (sampler, optimizer, iteration counter)
+// returns before any state (file stream, optimizer, iteration counter)
 // mutates, so the engine always sits exactly between rounds and can be
 // resumed or checkpointed after a cancellation. (A network source may
 // additionally fail mid-collection, e.g. on cancellation while blocked
 // on sockets; such a round is aborted without an optimizer step and the
-// error is surfaced.)
+// error is surfaced. Its batch is spent: the file stream does not
+// rewind, so a later StepOnce fails too until a Restore rebuilds it.)
 func (e *EngineOf[T]) StepOnce(ctx context.Context) (RoundStats, error) {
 	if err := ctx.Err(); err != nil {
 		return RoundStats{}, err
@@ -664,40 +622,9 @@ func (e *EngineOf[T]) StepOnce(ctx context.Context) (RoundStats, error) {
 	if e.closed {
 		return RoundStats{}, ErrClosed
 	}
-	if err := e.prepErr; err != nil {
-		e.prepErr = nil
-		return RoundStats{}, err
-	}
 	a := e.cfg.Assignment
 	ar := e.arena
 
-	// A prepared file table is always the next batch in sampler stream
-	// order, so consuming it here is exactly what drawing it now would
-	// produce — prepare-ahead never reorders the sample stream.
-	var files [][]int
-	if e.pendingFiles != nil {
-		files = e.pendingFiles
-		e.pendingFiles = nil
-		e.spareFiles, ar.files = ar.files, files
-	} else {
-		batch := e.sampler.Next()
-		if e.cfg.PrepareAhead {
-			// This round prepares ahead below, and that draw overwrites
-			// the sampler's batch buffer — which this round's file table
-			// would otherwise alias.
-			batch = e.copyBatch(batch)
-		}
-		f, err := data.PartitionFilesInto(batch, a.F, ar.files)
-		if err != nil {
-			return RoundStats{}, err
-		}
-		files = f
-	}
-	ar.files = files
-
-	// --- Collection: the source computes (in process) or gathers (off
-	// the wire) every participating worker's per-file gradient sums into
-	// the arena and marks the workers that did not make it.
 	for u := range ar.missing {
 		ar.missing[u] = false
 	}
@@ -712,21 +639,18 @@ func (e *EngineOf[T]) StepOnce(ctx context.Context) (RoundStats, error) {
 	if e.plane != nil {
 		e.plane.beginRound()
 	}
-	e.rd.files = files
 
-	// --- Prepare-ahead: draw and partition round t+1's batch before this
-	// round's collection opens. The sample stream is data-independent
-	// (a seeded sampler drawn in strict round order), so the draw can
-	// move ahead of the collect without reordering anything — and a
-	// RoundPreparer source can then piggyback round t+1's sample lists
-	// on round t's own broadcast frames instead of paying a separate
-	// write per worker during the tail.
+	// --- Prep: this round's file→samples table, derived from the seed
+	// (after a Restore, by seeking the fresh stream to the round).
 	obsOn := e.ins != nil || e.tracer != nil
 	var prepStart time.Time
 	if obsOn {
 		prepStart = time.Now()
 	}
-	e.prepareNext()
+	var err error
+	if e.files, err = e.stream.Round(e.iter); err != nil {
+		return RoundStats{}, err
+	}
 	var prepDur time.Duration
 	var collectStart time.Time
 	if obsOn {
@@ -734,6 +658,9 @@ func (e *EngineOf[T]) StepOnce(ctx context.Context) (RoundStats, error) {
 		prepDur = collectStart.Sub(prepStart)
 	}
 
+	// --- Collection: the source computes (in process) or gathers (off
+	// the wire) every participating worker's per-file gradient sums into
+	// the arena and marks the workers that did not make it.
 	cs, err := e.src.Collect(ctx, &e.rd)
 	if err != nil {
 		return RoundStats{}, err
@@ -999,42 +926,6 @@ func (e *EngineOf[T]) voteFile(w, v int) {
 		ar.trueGrads[v] != nil && !linalg.EqualBits(res.Winner, ar.trueGrads[v]) {
 		ar.distorted[w]++
 	}
-}
-
-// prepareNext draws and partitions the next round's batch into the
-// spare file table and, when the source consumes prepared rounds,
-// hands it over for an early broadcast. A preparation failure is
-// deferred to the next StepOnce boundary (the current round is already
-// collected and completes normally). No-op unless PrepareAhead is set.
-func (e *EngineOf[T]) prepareNext() {
-	if !e.cfg.PrepareAhead || e.prepErr != nil || e.pendingFiles != nil {
-		return
-	}
-	// The ahead table must outlive the sampler's buffer: the current
-	// round is still collecting on the previous draw, and the draw after
-	// this one happens while this table is still the live round.
-	batch := e.copyBatch(e.sampler.Next())
-	files, err := data.PartitionFilesInto(batch, e.cfg.Assignment.F, e.spareFiles)
-	if err != nil {
-		e.prepErr = err
-		return
-	}
-	e.spareFiles = nil
-	e.pendingFiles = files
-	e.preparedIter = e.iter + 1
-	if p, ok := e.src.(RoundPreparer); ok {
-		p.PrepareNext(e.preparedIter, files)
-	}
-}
-
-// copyBatch copies a freshly drawn batch into one of two alternating
-// engine-owned buffers, so a file table partitioned from it survives
-// the sampler's next draw (see the prepBatch field).
-func (e *EngineOf[T]) copyBatch(batch []int) []int {
-	b := &e.prepBatch[e.prepFlip]
-	e.prepFlip ^= 1
-	*b = append((*b)[:0], batch...)
-	return *b
 }
 
 // resolveDegradedTie elects among a tied degraded vote's replicas by

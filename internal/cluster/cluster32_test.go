@@ -68,8 +68,8 @@ func run32(t *testing.T, cfg Config32, rounds int) []float32 {
 // TestEngine32SerialPooledShardedIdentical pins the bit-identity
 // discipline at float32: every pool width × shard count — the pooled
 // engine cuts the aggregate into one chunk per pool goroutine when the
-// plane is off and along the shard ranges when it is on — and
-// prepare-ahead all produce the serial engine's parameter bits.
+// plane is off and along the shard ranges when it is on — produces the
+// serial engine's parameter bits.
 func TestEngine32SerialPooledShardedIdentical(t *testing.T) {
 	base := testSetup32(t)
 	base.Parallelism = 1
@@ -77,12 +77,10 @@ func TestEngine32SerialPooledShardedIdentical(t *testing.T) {
 
 	for _, par := range []int{1, 2, 4} {
 		for _, shards := range []int{0, 1, 3} {
-			for _, ahead := range []bool{false, true} {
-				cfg := testSetup32(t)
-				cfg.Parallelism, cfg.Shards, cfg.PrepareAhead = par, shards, ahead
-				if got := run32(t, cfg, 8); !equalBits32(serial, got) {
-					t.Errorf("parallelism %d, %d shards, prepare-ahead %v: diverged from serial at f32", par, shards, ahead)
-				}
+			cfg := testSetup32(t)
+			cfg.Parallelism, cfg.Shards = par, shards
+			if got := run32(t, cfg, 8); !equalBits32(serial, got) {
+				t.Errorf("parallelism %d, %d shards: diverged from serial at f32", par, shards)
 			}
 		}
 	}

@@ -53,42 +53,6 @@ func TestShardedEngineBitIdentical(t *testing.T) {
 	}
 }
 
-// TestPrepareAheadBitIdentical pins that drawing and partitioning round
-// t+1's batch during round t (PrepareAhead) does not perturb the sample
-// stream: trajectories with and without prepare-ahead, with and without
-// shards, are bit-identical.
-func TestPrepareAheadBitIdentical(t *testing.T) {
-	run := func(prepare bool, shards int) []float64 {
-		cfg := testSetup(t, []int{2, 7}, attack.ALIE{}, mustAggregator(t, "median"))
-		cfg.PrepareAhead = prepare
-		cfg.Shards = shards
-		e, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer e.Close()
-		for i := 0; i < 12; i++ {
-			if _, err := e.RunRound(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return e.Params()
-	}
-	base := run(false, 0)
-	for _, mode := range []struct {
-		prepare bool
-		shards  int
-	}{{true, 0}, {true, 4}, {false, 4}} {
-		got := run(mode.prepare, mode.shards)
-		for i := range base {
-			if math.Float64bits(base[i]) != math.Float64bits(got[i]) {
-				t.Fatalf("prepare=%v shards=%d: param %d diverged: %v vs %v",
-					mode.prepare, mode.shards, i, base[i], got[i])
-			}
-		}
-	}
-}
-
 // TestShardConfigValidation covers the plane's configuration rules.
 func TestShardConfigValidation(t *testing.T) {
 	cfg := testSetup(t, nil, attack.Benign{}, mustAggregator(t, "median"))

@@ -54,28 +54,16 @@ type GradientSourceOf[T linalg.Float] interface {
 	Collect(ctx context.Context, rd *RoundOf[T]) (CollectStats, error)
 }
 
-// RoundPreparer is the optional pipelining seam a GradientSource may
-// implement: when the engine runs with PrepareAhead, it calls
-// PrepareNext with round iteration's file→sample partition before
-// round iteration-1's collection opens, so a network source can encode
-// the next round's sample lists once and piggyback them on the current
-// round's own broadcast instead of paying a separate write per worker.
-// fileSamples is engine-owned and valid until the round with that
-// iteration completes; implementations must not retain it past their
-// own encode.
-type RoundPreparer interface {
-	PrepareNext(iteration int, fileSamples [][]int)
-}
-
 // RoundOf is the engine's view of one in-flight protocol round, handed to
-// the GradientSourceOf: the iteration number, the current parameters, the
-// file→sample partition, and the preallocated arena buffers gradients
-// land in. Methods that address per-worker state (Buffer, Deliver,
-// MarkMissing) are safe to call concurrently for distinct workers,
-// which is how network sources collect from all workers in parallel.
+// the GradientSourceOf: the iteration number, the current parameters, and
+// the preallocated arena buffers gradients land in. The round's
+// file→samples table is not part of it: a network source's workers each
+// derive their own (data.FileStream). Methods that address per-worker
+// state (Buffer, Deliver, MarkMissing) are safe to call concurrently for
+// distinct workers, which is how network sources collect from all workers
+// in parallel.
 type RoundOf[T linalg.Float] struct {
-	eng   *EngineOf[T]
-	files [][]int
+	eng *EngineOf[T]
 }
 
 // Iteration returns the 0-based round index.
@@ -84,9 +72,6 @@ func (rd *RoundOf[T]) Iteration() int { return rd.eng.iter }
 // Params returns the current model parameters. The slice is the
 // engine's live parameter vector: read (or serialize) it, never write.
 func (rd *RoundOf[T]) Params() []T { return rd.eng.params }
-
-// FileSamples returns the training-sample indices of file v this round.
-func (rd *RoundOf[T]) FileSamples(v int) []int { return rd.files[v] }
 
 // GradBuffer returns the engine-owned gradient buffer for worker u's
 // slot-th assigned file. The buffers are stable for the engine's
@@ -145,11 +130,11 @@ type localSource[T linalg.Float] struct {
 }
 
 // Collect implements GradientSourceOf.
-func (s localSource[T]) Collect(_ context.Context, rd *RoundOf[T]) (CollectStats, error) {
+func (s localSource[T]) Collect(context.Context, *RoundOf[T]) (CollectStats, error) {
 	e := s.e
 	a := e.cfg.Assignment
 	ar := e.arena
-	files := rd.files
+	files := e.files
 
 	// Fault plan: remove skipped and crashed workers before any compute
 	// happens. Pure delays are a wire-transport phenomenon; in process
@@ -333,7 +318,7 @@ func (e *EngineOf[T]) computeWorker(_, t int) {
 	for j, v := range ar.workerFiles[u] {
 		g := ar.grads[u][j]
 		clear(g)
-		e.train.SumGradient(e.params, e.rd.files[v], g)
+		e.train.SumGradient(e.params, e.files[v], g)
 		// Repoint the PS's view at the fresh compute buffer (a
 		// measured-communication round leaves it on the rx side).
 		ar.cur[u][j] = g

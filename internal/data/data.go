@@ -232,6 +232,69 @@ func PartitionFilesInto(batch []int, f int, dst [][]int) ([][]int, error) {
 	return files, nil
 }
 
+// FileStream is a run's file→samples table, round by round: the batch
+// B_t and its partition into f files are a function of the seed and the
+// round number alone, so every process of a run — the parameter server's
+// engine, each honest worker, each Byzantine worker replaying the round —
+// holds its own stream and derives round t's table instead of being sent
+// it. The stream is positional: Round(t) consumes the batches of the
+// rounds it was not asked for, so a process that missed rounds (a skip
+// fault, a lost connection, a restore from a checkpoint) still sees the
+// run's batch t.
+type FileStream struct {
+	src   batchSource
+	next  int // the round the next draw belongs to
+	files [][]int
+}
+
+// batchSource is what a FileStream partitions: BatchSampler or
+// PoolSampler, each deterministic in its seed.
+type batchSource interface{ Next() []int }
+
+// NewFileStream is the stream of the IID reshuffling sampler
+// (BatchSampler) over n samples, each batch split into f files.
+func NewFileStream(n, batch int, seed int64, f int) (*FileStream, error) {
+	src, err := NewBatchSampler(n, batch, seed)
+	if err != nil {
+		return nil, err
+	}
+	return newFileStream(src, batch, f)
+}
+
+// NewPoolFileStream is the stream of the non-IID PoolSampler: one file
+// per pool, file v drawing from pools[v] alone.
+func NewPoolFileStream(pools [][]int, batch int, seed int64) (*FileStream, error) {
+	src, err := NewPoolSampler(pools, batch, seed)
+	if err != nil {
+		return nil, err
+	}
+	return newFileStream(src, batch, len(pools))
+}
+
+func newFileStream(src batchSource, batch, f int) (*FileStream, error) {
+	// Checked here so that Round can fail on its argument only.
+	if f < 1 || f > batch {
+		return nil, fmt.Errorf("data: %d files for a batch of %d samples", f, batch)
+	}
+	return &FileStream{src: src, files: make([][]int, f)}, nil
+}
+
+// Round returns round t's table: files[v] lists the training-sample
+// indices of file v. Rounds must be asked for in strictly increasing
+// order (a stream cannot rewind; build a new one to go back). The table
+// is owned by the stream and overwritten by the following Round, and a
+// steady-state call allocates nothing.
+func (s *FileStream) Round(t int) ([][]int, error) {
+	if t < s.next {
+		return nil, fmt.Errorf("data: file stream asked for round %d after round %d", t, s.next-1)
+	}
+	var batch []int
+	for ; s.next <= t; s.next++ {
+		batch = s.src.Next()
+	}
+	return PartitionFilesInto(batch, len(s.files), s.files)
+}
+
 // ProbeIndices returns a fixed, deterministic subset of up to 256
 // sample indices from a dataset of n samples, strided across the whole
 // set. It is the shared loss-probe used for cheap history reporting by

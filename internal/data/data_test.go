@@ -1,6 +1,7 @@
 package data
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -267,5 +268,84 @@ func TestPerSampleScale(t *testing.T) {
 	}
 	if got := PerSampleScale(1, 4); got != 0.25 {
 		t.Errorf("PerSampleScale(1, 4) = %v", got)
+	}
+}
+
+// TestFileStreamRoundIsPositional: round t's table depends on t alone —
+// a stream that skipped rounds returns, for the rounds it is asked,
+// what a fresh stream stepped round by round returns (and, for the IID
+// sampler, what the sampler and PartitionFiles give by hand) — for both
+// samplers; it cannot rewind; and a steady-state Round allocates nothing.
+func TestFileStreamRoundIsPositional(t *testing.T) {
+	const n, batch, f, seed = 97, 20, 6, 11
+	ds, _, err := Synthetic(SyntheticConfig{Train: n, Dim: 2, Classes: f, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pools, err := IID{Seed: 4}.Split(ds, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, open := range map[string]func() (*FileStream, error){
+		"iid":   func() (*FileStream, error) { return NewFileStream(n, batch, seed, f) },
+		"pools": func() (*FileStream, error) { return NewPoolFileStream(pools, batch, seed) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			stepped, err := open()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want [][][]int // want[t][v]: a copy of round t's table
+			for r := 0; r < 40; r++ {
+				files, err := stepped.Round(r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				table := make([][]int, len(files))
+				for v := range files {
+					table[v] = append([]int(nil), files[v]...)
+				}
+				want = append(want, table)
+			}
+			if name == "iid" {
+				sampler, _ := NewBatchSampler(n, batch, seed)
+				for r := range want {
+					byHand, _ := PartitionFiles(sampler.Next(), f)
+					if !reflect.DeepEqual(want[r], byHand) {
+						t.Fatalf("round %d: the stream differs from sampler.Next + PartitionFiles", r)
+					}
+				}
+			}
+			skipping, err := open()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range []int{3, 4, 9, 10, 31, 39} { // a seek from 0, steps, skips across epochs
+				got, err := skipping.Round(r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want[r]) {
+					t.Fatalf("round %d after skipping: %v, want %v", r, got, want[r])
+				}
+			}
+			for _, r := range []int{39, 12, 0} {
+				if _, err := skipping.Round(r); err == nil {
+					t.Errorf("round %d after round 39: the stream rewound", r)
+				}
+			}
+			next := 40
+			if allocs := testing.AllocsPerRun(20, func() {
+				if _, err := skipping.Round(next); err != nil {
+					t.Fatal(err)
+				}
+				next += 2
+			}); allocs != 0 {
+				t.Errorf("%v allocations per steady-state Round, want 0", allocs)
+			}
+		})
+	}
+	if _, err := NewFileStream(n, batch, seed, batch+1); err == nil {
+		t.Error("more files than samples in a batch accepted")
 	}
 }

@@ -21,9 +21,8 @@ import (
 // FleetMode names one aggregation-plane configuration of the scaling
 // sweep.
 type FleetMode struct {
-	Name     string
-	Shards   int
-	Pipeline bool
+	Name   string
+	Shards int
 	// Uplink is the report codec tier the server negotiates for this
 	// mode.
 	Uplink wire.UplinkTier
@@ -32,14 +31,13 @@ type FleetMode struct {
 // FleetModes are the planes every sweep point runs, in order:
 //
 //   - serial: one aggregation pass over the whole vector after every
-//     report lands, no round prep, raw uplink.
-//   - sharded / pipelined: per-shard report streams and early shard
-//     votes; plus prep pipelining. Raw uplink — the configuration
-//     shipped for CPU-bound loopback fleets, where the delta codec's
-//     two extra passes per gradient cost more than the ~2% of bytes
-//     they save (its bit-identity is pinned by the transport tests,
-//     not swept here).
-//   - quantized: the pipelined plane on the lossy int8 uplink tier —
+//     report lands, raw uplink.
+//   - sharded: per-shard report streams and early shard votes. Raw
+//     uplink — the configuration shipped for CPU-bound loopback fleets,
+//     where the delta codec's two extra passes per gradient cost more
+//     than the ~2% of bytes they save (its bit-identity is pinned by
+//     the transport tests, not swept here).
+//   - quantized: the sharded plane on the lossy int8 uplink tier —
 //     every report row ships 8-bit linear-quantized with per-(file,
 //     shard) scale parameters. Its trajectory is checked bit-for-bit
 //     against an in-process engine running the same tier and shard
@@ -48,8 +46,7 @@ func FleetModes(shards int) []FleetMode {
 	return []FleetMode{
 		{Name: "serial", Uplink: wire.TierRaw},
 		{Name: "sharded", Shards: shards, Uplink: wire.TierRaw},
-		{Name: "pipelined", Shards: shards, Pipeline: true, Uplink: wire.TierRaw},
-		{Name: "quantized", Shards: shards, Pipeline: true, Uplink: wire.TierInt8},
+		{Name: "quantized", Shards: shards, Uplink: wire.TierInt8},
 	}
 }
 
@@ -92,7 +89,7 @@ type FleetConfig struct {
 	// dimension is InputDim*Classes + Classes. Defaults 256 and 8
 	// (dim 2056).
 	InputDim, Classes int
-	// Shards is the shard count for the sharded/pipelined modes
+	// Shards is the shard count for the sharded and quantized modes
 	// (default 2).
 	Shards int
 	// Modes restricts the sweep to the named planes (default all), by
@@ -118,8 +115,7 @@ type FleetConfig struct {
 // fleetSpec builds the sweep's Spec for one worker count: FRC(K, 3) —
 // one file per worker, K/3 files — with a one-sample-per-file batch, so
 // the per-round cost is wire- and plane-dominated rather than
-// compute-dominated, which is the regime the sharded/pipelined plane
-// targets.
+// compute-dominated, which is the regime the sharded plane targets.
 //
 // The data seed is deliberately not the model seed. data.Synthetic draws
 // the class means from the head of the very random stream
@@ -220,7 +216,6 @@ func runFleetPoint[T linalg.Float](ctx context.Context, c FleetConfig, spec tran
 	srvCfg := transport.ServerConfig{
 		Spec:               spec,
 		Shards:             mode.Shards,
-		Pipeline:           mode.Pipeline,
 		EvalEvery:          spec.Rounds + 1,
 		RoundTimeout:       5 * time.Minute,
 		Uplink:             mode.Uplink,
@@ -282,12 +277,11 @@ func runFleetPoint[T linalg.Float](ctx context.Context, c FleetConfig, spec tran
 }
 
 // FleetScaling runs the rounds/sec-vs-worker-count scaling sweep: for
-// each worker count, the serial, sharded, sharded+pipelined, and
-// quantized planes drive the same loopback fleet over the identical
-// Spec, and every mode's final parameters are checked bit-for-bit
-// against an in-process engine — the lossless modes against one shared
-// reference (the plane cannot move a bit, so all three must land on the
-// same bits), the quantized mode against an engine pinned to its own
+// each worker count, the serial, sharded, and quantized planes drive the
+// same loopback fleet over the identical Spec, and every mode's final
+// parameters are checked bit-for-bit against an in-process engine — the
+// lossless modes against one shared reference (the plane cannot move a
+// bit, so both must land on the same bits), the quantized mode against an engine pinned to its own
 // uplink tier and shard count. The returned points are grouped by
 // worker count in mode order (serial first).
 func FleetScaling(ctx context.Context, cfg FleetConfig) ([]FleetPoint, error) {

@@ -10,7 +10,7 @@ import (
 )
 
 // TestFleetScalingSmoke drives the scaling sweep end to end at the
-// smallest fleet, at both precisions: all four planes over one worker
+// smallest fleet, at both precisions: all three planes over one worker
 // count, serial first, asserting every mode reproduces its in-process
 // engine reference bit-for-bit (the lossless modes sharing one
 // trajectory, the quantized mode its own tier-pinned one — which must
@@ -37,8 +37,8 @@ func fleetScalingSmoke(t *testing.T, prec wire.Precision, suffix string) {
 		t.Fatal(err)
 	}
 	modes := FleetModes(2)
-	if len(modes) != 4 || modes[0].Name != "serial" {
-		t.Fatalf("FleetModes = %+v, want four planes with serial first", modes)
+	if len(modes) != 3 || modes[0].Name != "serial" {
+		t.Fatalf("FleetModes = %+v, want three planes with serial first", modes)
 	}
 	if len(points) != len(modes) {
 		t.Fatalf("got %d points, want %d", len(points), len(modes))

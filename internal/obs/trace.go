@@ -11,7 +11,9 @@ import (
 type Phase int
 
 const (
-	// PhasePrep is next-round preparation (sampler draw + prep frames).
+	// PhasePrep is the round's file→samples table: the engine's own
+	// data.FileStream.Round call (sampler draw + partition; after a
+	// restore, the seek to the round).
 	PhasePrep Phase = iota
 	// PhaseBroadcast is the parameter broadcast send (subset of the
 	// communication span; zero on the in-process engine, which has no

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"math"
 	"net"
 	"os"
 	"reflect"
@@ -13,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"byzshield/internal/attack"
 	"byzshield/internal/cluster"
 	"byzshield/internal/linalg"
 	"byzshield/internal/wire"
@@ -20,7 +22,7 @@ import (
 
 // readPathMessages is the sequence every read-path case delivers: a
 // small report, a Shutdown, a report larger than the receive buffer's
-// first allocation, a RoundPrep, and a small report again.
+// first allocation, a RoundStart, and a small report again.
 func readPathMessages() []Message {
 	big := make([]byte, 3000)
 	for i := range big {
@@ -30,7 +32,7 @@ func readPathMessages() []Message {
 		GradientReport{WorkerID: 3, Iteration: 1, Frame: []byte{1, 2, 3, 4, 5}},
 		Shutdown{FinalAccuracy: 0.75},
 		GradientReport{WorkerID: 3, Iteration: 2, Shard: 1, Frame: big},
-		RoundPrep{Iteration: 4, Samples: [][]int{{1, 2}, nil, {9}}},
+		RoundStart{Iteration: 4, BaseIteration: 3, ParamsFrame: []byte{8, 6, 4}},
 		GradientReport{WorkerID: 3, Iteration: 3, Frame: []byte{9}},
 	}
 }
@@ -146,15 +148,15 @@ func TestConnRecvReadPath(t *testing.T) {
 
 // TestConnRecvFrameSurvivesBufferedSuccessor: a returned RoundStart's
 // ParamsFrame aliases the receive buffer and is promised intact until
-// the next Recv — also when the read that completed it pulled the
-// piggy-backed RoundPrep in behind it, and the head of a frame after
-// that. Serving the buffered RoundPrep does not touch it either: the
-// buffer is only compacted by a Recv that has to read.
+// the next Recv — also when the read that completed it pulled a whole
+// frame in behind it, and the head of a frame after that. Serving the
+// buffered frame does not touch it either: the buffer is only compacted
+// by a Recv that has to read.
 func TestConnRecvFrameSurvivesBufferedSuccessor(t *testing.T) {
 	params := bytes.Repeat([]byte{0x5A, 0xC3, 0x01}, 40)
 	msgs := []Message{
 		RoundStart{Iteration: 6, BaseIteration: 5, ParamsFrame: params},
-		RoundPrep{Iteration: 7, Samples: [][]int{{3, 1}, {4}}},
+		Shutdown{FinalAccuracy: 0.5},
 		readPathMessages()[2], // the 3 KB report: more than the buffer holds yet
 	}
 	var stream []byte
@@ -182,7 +184,7 @@ func TestConnRecvFrameSurvivesBufferedSuccessor(t *testing.T) {
 		t.Fatal("ParamsFrame does not hold its bytes with a successor buffered behind it")
 	}
 	if got, err = rx.Recv(); err != nil || !reflect.DeepEqual(got, msgs[1]) {
-		t.Fatalf("the buffered RoundPrep: %+v, %v", got, err)
+		t.Fatalf("the buffered Shutdown: %+v, %v", got, err)
 	}
 	if !bytes.Equal(first.ParamsFrame, params) {
 		t.Error("serving a buffered frame disturbed the frame returned before it")
@@ -222,18 +224,25 @@ func TestConnRecvBufferTracksLargestFrame(t *testing.T) {
 	}
 }
 
-// TestConnSendsByteIdenticalStreams: the vectored senders — SendMany
-// scattering a report's Frame, writeRoundStart scattering the shared
-// params frame — put exactly the bytes on the wire that encoding each
-// message whole (appendMessageFrame) does.
+// appendMessageFrame encodes msg as one complete frame appended to dst —
+// the whole-message reference the senders below are compared against.
+func appendMessageFrame(dst []byte, msg Message) ([]byte, error) {
+	dst, at := wire.BeginFrame(dst, msg.wireType())
+	dst, err := msg.appendPayload(dst)
+	if err != nil {
+		return dst, err
+	}
+	return wire.EndFrame(dst, at)
+}
+
+// TestConnSendsByteIdenticalStreams: the senders that do not encode a
+// message whole — SendMany scattering a report's Frame, the round's
+// shared RoundStart built around params encoded in place
+// (beginRoundStart/endRoundStart) and written raw — put exactly the
+// bytes on the wire that appendMessageFrame does.
 func TestConnSendsByteIdenticalStreams(t *testing.T) {
 	params := bytes.Repeat([]byte{0xAB, 0xCD}, 700)
-	start := RoundStart{Iteration: 7, BaseIteration: 6, ParamsFrame: params,
-		Files: []int{2, 9, 11}, Samples: [][]int{{5, 6, 7}, nil, {1}}}
-	prep, err := appendMessageFrame(nil, RoundPrep{Iteration: 8, Samples: [][]int{{4}, {5, 6}}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	var err error
 	reports := []Message{
 		GradientReport{WorkerID: 1, Iteration: 7, Shard: 0, Frame: []byte{1, 2, 3}},
 		GradientReport{WorkerID: 1, Iteration: 7, Shard: 1, Frame: bytes.Repeat([]byte{9}, 4000)},
@@ -256,12 +265,15 @@ func TestConnSendsByteIdenticalStreams(t *testing.T) {
 	}{
 		{"SendMany", func(c *Conn) (int, error) { return c.SendMany(reports...) }, whole(reports...)},
 		{"Send", func(c *Conn) (int, error) { return c.Send(reports[1]) }, whole(reports[1])},
-		{"writeRoundStart with files and prep", func(c *Conn) (int, error) {
-			return c.writeRoundStart(7, 6, params, start.Files, start, prep)
-		}, append(whole(start), prep...)},
-		{"writeRoundStart prepped", func(c *Conn) (int, error) {
-			return c.writeRoundStart(7, 0, params, nil, nil, nil)
-		}, whole(RoundStart{Iteration: 7, ParamsFrame: params})},
+		{"shared RoundStart", func(c *Conn) (int, error) {
+			// Behind a frame already in the buffer, as the offset must allow.
+			b, at := beginRoundStart([]byte{1, 2, 3}, 7, 6)
+			b, err := endRoundStart(append(b, params...), at)
+			if err != nil {
+				return 0, err
+			}
+			return c.raw.Write(b[3:])
+		}, whole(RoundStart{Iteration: 7, BaseIteration: 6, ParamsFrame: params})},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -716,12 +728,13 @@ func loopbackSteadyStateAllocs[T linalg.Float](t *testing.T) {
 	}
 }
 
-// TestHostileRoundStartFailsWorker: a RoundStart whose file section
-// declares more files than its bytes could hold, names a file outside
-// the worker's assignment, or names one of its files twice is
-// ErrBadRoundStart — the worker's run ends there, without a reconnect,
-// and refusing the declared count allocates nothing sized by it (2²⁸
-// files would have been gigabytes of map before the first id was read).
+// TestHostileRoundStartFailsWorker: a RoundStart naming a round past the
+// run's last (the field is an unchecked u32 on the wire, and a worker
+// seeks its file stream to the round it is given), repeating a round this
+// worker was already started on, or carrying bytes behind its params
+// frame is ErrBadRoundStart — the worker's run ends there, before any
+// seek or compute and without a reconnect. An honest and a Byzantine
+// worker refuse alike: they are one code path up to the craft.
 func TestHostileRoundStartFailsWorker(t *testing.T) {
 	const id = 3
 	spec := testSpec(4)
@@ -730,34 +743,38 @@ func TestHostileRoundStartFailsWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec.K = asn.K
-	mine := asn.WorkerFiles(id)
-	start := func(files []int) []byte {
-		f, err := appendMessageFrame(nil, RoundStart{Files: files, Samples: make([][]int, len(files))})
+	mdl, err := spec.BuildModel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	params, err := wire.AppendParamsFullOf(nil, make([]float64, mdl.NumParams()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := func(iter int) []byte {
+		f, err := appendMessageFrame(nil, RoundStart{Iteration: iter, ParamsFrame: params})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return f
 	}
-	foreign := append([]int(nil), mine...)
-	foreign[1]++
-	twice := append([]int(nil), mine...)
-	twice[1] = twice[0]
-	hostileCount := binary.LittleEndian.AppendUint32(start(nil)[:wire.FrameHeaderSize+12], 1<<28)
-
-	var m RoundStart
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	err = m.decodePayload(hostileCount[wire.FrameHeaderSize:])
-	runtime.ReadMemStats(&after)
-	if !errors.Is(err, ErrBadRoundStart) {
-		t.Errorf("decoding a count of 2^28 files in a 16-byte payload: %v, want ErrBadRoundStart", err)
+	payload, _ := RoundStart{ParamsFrame: params}.appendPayload(nil)
+	trailing, err := wire.AppendFrame(nil, msgRoundStart, append(payload, 0))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<16 {
-		t.Errorf("refusing the count allocated %d bytes, want < 64 KiB", grew)
-	}
-
-	for name, frame := range map[string][]byte{"hostile count": hostileCount, "foreign file": start(foreign), "file named twice": start(twice)} {
-		t.Run(name, func(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		stream []byte
+		atk    attack.Attack
+	}{
+		{"round past the run", start(spec.Rounds), nil},
+		{"round 2^32-1, byzantine", start(math.MaxUint32), attack.ALIE{}},
+		{"round repeated", append(start(0), start(0)...), nil},
+		{"round going back, byzantine", append(start(2), start(1)...), attack.ALIE{}},
+		{"trailing bytes", trailing, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			ln, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
 				t.Fatal(err)
@@ -776,14 +793,16 @@ func TestHostileRoundStartFailsWorker(t *testing.T) {
 					c := NewConn(raw)
 					c.Recv() // the Hello
 					c.Send(Welcome{Version: wire.ProtocolVersion, Token: 7, FullEvery: 1, Uplink: wire.TierRaw, Spec: spec})
-					raw.Write(frame)
-					c.Recv() // until the worker hangs up
+					raw.Write(tc.stream)
+					for err == nil { // reports, until the worker hangs up
+						_, err = c.Recv()
+					}
 					raw.Close()
 				}
 			}()
 			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 			defer cancel()
-			_, err = RunWorker(ctx, ln.Addr().String(), WorkerConfig{ID: id})
+			_, err = RunWorker(ctx, ln.Addr().String(), WorkerConfig{ID: id, Attack: tc.atk})
 			if !errors.Is(err, ErrBadRoundStart) {
 				t.Errorf("worker returned %v, want ErrBadRoundStart", err)
 			}

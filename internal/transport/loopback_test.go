@@ -202,105 +202,119 @@ func workerToken[T linalg.Float](srv *ServerOf[T], u int) uint64 {
 	return srv.src.workers[u].token
 }
 
-// TestWorkerRejoinBitIdenticalTrajectory kills worker 4 between rounds,
-// restarts it with its session token, and blocks the serve loop (via
-// OnRound) until the rejoin is parked — so the replacement lands before
-// the next round's deadline. The worker must participate again at the
-// very next round boundary, no round may see a missing worker, and the
-// final parameters must be bit-identical to an uninterrupted run: a
-// fast enough rejoin is invisible to the trajectory.
+// TestWorkerRejoinBitIdenticalTrajectory takes worker 4 out between
+// rounds 3 and 4, at either width, in the two ways a worker comes back:
+// "restarted" kills the process and starts a new one with the session
+// token — fresh state, so its file stream seeks from round 0 to the
+// round it is started on — and "reconnected" breaks the connection
+// under a live process, which redials by itself and carries its stream
+// on. OnRound blocks the serve loop until the rejoin is parked, so the
+// replacement lands before the next round's deadline: the worker must
+// participate again at the very next round boundary, no round may see a
+// missing worker, and the final parameters must be bit-identical to the
+// in-process engine's — a fast enough rejoin is invisible to the
+// trajectory, and every worker derives the engine's batches whatever
+// rounds it was there for.
 func TestWorkerRejoinBitIdenticalTrajectory(t *testing.T) {
+	t.Run("f64", workerRejoinBitIdentical[float64])
+	t.Run("f32", workerRejoinBitIdentical[float32])
+}
+
+func workerRejoinBitIdentical[T linalg.Float](t *testing.T) {
 	const victim = 4
 	spec := testSpec(8)
-	baseline := wireParams(t, spec)
-
-	var mu sync.Mutex
-	var stats []cluster.RoundStats
-	var srv *Server
-	restarted := make(chan error, 1)
-	workerCtx, killWorker := context.WithCancel(context.Background())
-	defer killWorker()
-
-	srvCfg := ServerConfig{
-		Spec:         spec,
-		RoundTimeout: 30 * time.Second,
-		OnRound: func(rs cluster.RoundStats) {
-			mu.Lock()
-			stats = append(stats, rs)
-			mu.Unlock()
-			if rs.Iteration != 3 {
-				return
-			}
-			// Between rounds 3 and 4: kill the worker process, then
-			// restart it with the session token. OnRound blocks the
-			// serve loop, so round 4 starts only after the rejoin is
-			// parked for admission.
-			killWorker()
-			token := workerToken(srv, victim)
-			go func() {
-				_, err := RunWorker(context.Background(), srv.Addr(), WorkerConfig{
-					ID:          victim,
-					ResumeToken: token,
-				})
-				restarted <- err
-			}()
-			waitRejoinPending(t, srv, victim)
-		},
-	}
-	var err error
-	srv, err = NewServer("127.0.0.1:0", srvCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
+	want := engineParamsOf[T](t, spec, enginePlane{})
 	asn, err := spec.BuildAssignment()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
-	for u := 0; u < asn.K; u++ {
-		wg.Add(1)
-		go func(u int) {
-			defer wg.Done()
-			ctx := context.Background()
-			cfg := WorkerConfig{ID: u}
-			if u == victim {
-				ctx = workerCtx
-				cfg.ReconnectAttempts = -1 // the test restarts it explicitly
-			}
-			_, err := RunWorker(ctx, srv.Addr(), cfg)
-			if u == victim {
-				if !errors.Is(err, context.Canceled) {
-					t.Errorf("killed worker returned %v, want context.Canceled", err)
-				}
-			} else if err != nil {
-				t.Errorf("worker %d: %v", u, err)
-			}
-		}(u)
-	}
-	if _, err := srv.Serve(context.Background()); err != nil {
-		t.Fatalf("Serve: %v", err)
-	}
-	wg.Wait()
-	if err := <-restarted; err != nil {
-		t.Errorf("restarted worker: %v", err)
-	}
+	for _, restart := range []bool{true, false} {
+		name := map[bool]string{true: "restarted", false: "reconnected"}[restart]
+		t.Run(name, func(t *testing.T) {
+			var stats []cluster.RoundStats
+			var srv *ServerOf[T]
+			restarted := make(chan error, 1)
+			workerCtx, killWorker := context.WithCancel(context.Background())
+			defer killWorker()
 
-	if len(stats) != spec.Rounds {
-		t.Fatalf("recorded %d rounds, want %d", len(stats), spec.Rounds)
-	}
-	for _, rs := range stats {
-		if len(rs.MissingWorkers) != 0 {
-			t.Errorf("round %d: missing %v — rejoin before the deadline must be invisible", rs.Iteration, rs.MissingWorkers)
-		}
-	}
-	got := srv.Params()
-	for i := range baseline {
-		if math.Float64bits(got[i]) != math.Float64bits(baseline[i]) {
-			t.Fatalf("param %d: rejoin run diverged from uninterrupted run (%x vs %x)",
-				i, math.Float64bits(got[i]), math.Float64bits(baseline[i]))
-		}
+			srvCfg := ServerConfig{
+				Spec:         spec,
+				RoundTimeout: 30 * time.Second,
+				OnRound: func(rs cluster.RoundStats) {
+					stats = append(stats, rs)
+					if rs.Iteration != 3 {
+						return
+					}
+					// OnRound blocks the serve loop, so round 4 starts only
+					// after the rejoin is parked for admission.
+					if restart {
+						killWorker()
+						token := workerToken(srv, victim)
+						go func() {
+							_, err := RunWorkerOf[T](context.Background(), srv.Addr(), WorkerConfig{
+								ID:          victim,
+								ResumeToken: token,
+							})
+							restarted <- err
+						}()
+					} else {
+						srv.src.liveConn(victim).Close()
+					}
+					waitRejoinPending(t, srv, victim)
+				},
+			}
+			srv, err = NewServerOf[T]("127.0.0.1:0", srvCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+
+			var wg sync.WaitGroup
+			for u := 0; u < asn.K; u++ {
+				wg.Add(1)
+				go func(u int) {
+					defer wg.Done()
+					ctx := context.Background()
+					cfg := WorkerConfig{ID: u}
+					if u == victim && restart {
+						ctx = workerCtx
+						cfg.ReconnectAttempts = -1 // the test restarts it explicitly
+					}
+					_, err := RunWorkerOf[T](ctx, srv.Addr(), cfg)
+					if u == victim && restart {
+						if !errors.Is(err, context.Canceled) {
+							t.Errorf("killed worker returned %v, want context.Canceled", err)
+						}
+					} else if err != nil {
+						t.Errorf("worker %d: %v", u, err)
+					}
+				}(u)
+			}
+			if _, err := srv.Serve(context.Background()); err != nil {
+				t.Fatalf("Serve: %v", err)
+			}
+			wg.Wait()
+			if restart {
+				if err := <-restarted; err != nil {
+					t.Errorf("restarted worker: %v", err)
+				}
+			}
+
+			if len(stats) != spec.Rounds {
+				t.Fatalf("recorded %d rounds, want %d", len(stats), spec.Rounds)
+			}
+			for _, rs := range stats {
+				if len(rs.MissingWorkers) != 0 {
+					t.Errorf("round %d: missing %v — rejoin before the deadline must be invisible", rs.Iteration, rs.MissingWorkers)
+				}
+			}
+			if c := srv.Counters(); c.Rejoins != 1 {
+				t.Errorf("counters %+v, want exactly one rejoin", c)
+			}
+			if !linalg.EqualBits(srv.Params(), want) {
+				t.Fatal("the rejoin run diverged from the in-process engine")
+			}
+		})
 	}
 }
 
@@ -392,18 +406,11 @@ func TestEvictedWorkerRejoinsAfterMissedRounds(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		st := &workerState{cfg: WorkerConfig{ID: victim}, lastApplied: -1}
-		var err error
-		if st.mdl, err = welcome.Spec.BuildModel(); err != nil {
+		st, err := manualWorker(victim, welcome)
+		if err != nil {
 			t.Error(err)
 			return
 		}
-		if st.train, _, err = welcome.Spec.BuildData(); err != nil {
-			t.Error(err)
-			return
-		}
-		st.params = make([]float64, st.mdl.NumParams())
-		initManualWorkerShards(st, welcome)
 		for {
 			msg, err := victimConn.Recv()
 			if err != nil {
@@ -423,12 +430,7 @@ func TestEvictedWorkerRejoinsAfterMissedRounds(t *testing.T) {
 				victimConn.Close() // crash mid-round, report never sent
 				return
 			}
-			samples, err := st.roundWork(&m)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			msgs, err := st.computeReport(m.Iteration, samples)
+			msgs, err := st.computeReport(m.Iteration)
 			if err != nil {
 				t.Error(err)
 				return
@@ -605,50 +607,22 @@ func TestCrashedWorkerDoesNotAbortTCPTraining(t *testing.T) {
 
 // TestFlakySkipsDoNotEvict: a flaky worker that skips rounds with an
 // explicit empty report is counted missing for those rounds but keeps
-// its connection and participates again later.
+// its connection and participates again later — on the engine's batch
+// of that later round, its file stream having consumed the rounds it sat
+// out: the final parameters are the in-process engine's under the same
+// fault plan, bit for bit, at either width.
 func TestFlakySkipsDoNotEvict(t *testing.T) {
+	t.Run("f64", flakySkipsDoNotEvict[float64])
+	t.Run("f32", flakySkipsDoNotEvict[float32])
+}
+
+func flakySkipsDoNotEvict[T linalg.Float](t *testing.T) {
 	spec := testSpec(12)
 	spec.Faults = []FaultSpec{{Name: "flaky", Params: registry.FaultParams{Workers: []int{1}, P: 0.5, Seed: 9}}}
-
-	var mu sync.Mutex
-	var stats []cluster.RoundStats
-	srv, err := NewServer("127.0.0.1:0", ServerConfig{
-		Spec: spec,
-		OnRound: func(rs cluster.RoundStats) {
-			mu.Lock()
-			stats = append(stats, rs)
-			mu.Unlock()
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	asn, err := spec.BuildAssignment()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, asn.K)
-	for u := 0; u < asn.K; u++ {
-		wg.Add(1)
-		go func(u int) {
-			defer wg.Done()
-			_, errs[u] = RunWorker(context.Background(), srv.Addr(), WorkerConfig{ID: u})
-		}(u)
-	}
-	if _, err := srv.Serve(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	for u, e := range errs {
-		if e != nil {
-			t.Errorf("worker %d: %v (flaky skips must not kill workers)", u, e)
-		}
-	}
+	want := engineParamsOf[T](t, spec, enginePlane{})
+	f := runFleetOf[T](t, spec, ServerConfig{}, nil, nil).healthy(t)
 	skipped, full := 0, 0
-	for _, rs := range stats {
+	for _, rs := range f.stats {
 		if len(rs.MissingWorkers) > 0 {
 			skipped++
 		} else {
@@ -657,6 +631,12 @@ func TestFlakySkipsDoNotEvict(t *testing.T) {
 	}
 	if skipped == 0 || full == 0 {
 		t.Errorf("flaky worker: %d skipped rounds, %d full rounds; want both > 0", skipped, full)
+	}
+	if c := f.srv.Counters(); c.Evictions != 0 {
+		t.Errorf("counters %+v: a skip evicted", c)
+	}
+	if !linalg.EqualBits(f.params, want) {
+		t.Fatal("the flaky fleet's trajectory diverged from the engine's under the same fault plan")
 	}
 }
 

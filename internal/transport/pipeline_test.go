@@ -15,42 +15,14 @@ import (
 	"time"
 
 	"byzshield/internal/cluster"
-	"byzshield/internal/model"
 	"byzshield/internal/wire"
 )
 
-// initManualWorkerShards gives a hand-rolled test worker the kernel
-// binding and shard state RunWorker's handshake would build from the
-// Welcome.
-func initManualWorkerShards(st *workerState, w Welcome) {
-	var err error
-	if st.kern, err = model.BindOf[float64](st.mdl, st.train); err != nil {
-		panic(err)
-	}
-	if st.filesStatic == nil {
-		asn, err := w.Spec.BuildAssignment()
-		if err != nil {
-			panic(err)
-		}
-		st.filesStatic = asn.WorkerFiles(st.cfg.ID)
-	}
-	shards := w.Shards
-	if shards == 0 {
-		shards = 1
-	}
-	st.shards = shards
-	st.ranges = make([][2]int, shards)
-	dim := st.mdl.NumParams()
-	for s := range st.ranges {
-		st.ranges[s][0], st.ranges[s][1] = wire.ShardRange(dim, shards, s)
-	}
-	st.encs = make([]wire.UplinkEncoder, shards)
-	for s := range st.encs {
-		st.encs[s].Tier = w.Uplink
-	}
-	st.frames = make([][]byte, shards)
-	st.reps = make([]GradientReport, shards)
-	st.msgs = make([]Message, shards)
+// manualWorker is the state of a hand-rolled test worker, built from the
+// Welcome it read off its own connection exactly as RunWorker builds it.
+func manualWorker(id int, w Welcome) (*workerState, error) {
+	st := &workerState{cfg: WorkerConfig{ID: id}}
+	return st, st.adopt(w)
 }
 
 // runLoopback runs spec over loopback TCP with the given server config
@@ -200,18 +172,11 @@ func TestStaleReportRetiredEagerly(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		st := &workerState{cfg: WorkerConfig{ID: victim}, lastApplied: -1}
-		var err error
-		if st.mdl, err = welcome.Spec.BuildModel(); err != nil {
+		st, err := manualWorker(victim, welcome)
+		if err != nil {
 			t.Error(err)
 			return
 		}
-		if st.train, _, err = welcome.Spec.BuildData(); err != nil {
-			t.Error(err)
-			return
-		}
-		st.params = make([]float64, st.mdl.NumParams())
-		initManualWorkerShards(st, welcome)
 		for {
 			msg, err := conn.Recv()
 			if err != nil {
@@ -224,12 +189,7 @@ func TestStaleReportRetiredEagerly(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				samples, err := st.roundWork(&m)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				msgs, err := st.computeReport(m.Iteration, samples)
+				msgs, err := st.computeReport(m.Iteration)
 				if err != nil {
 					t.Error(err)
 					return
@@ -346,18 +306,11 @@ func TestLifecycleCountersOnEviction(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		st := &workerState{cfg: WorkerConfig{ID: victim}, lastApplied: -1}
-		var err error
-		if st.mdl, err = welcome.Spec.BuildModel(); err != nil {
+		st, err := manualWorker(victim, welcome)
+		if err != nil {
 			t.Error(err)
 			return
 		}
-		if st.train, _, err = welcome.Spec.BuildData(); err != nil {
-			t.Error(err)
-			return
-		}
-		st.params = make([]float64, st.mdl.NumParams())
-		initManualWorkerShards(st, welcome)
 		for {
 			msg, err := conn.Recv()
 			if err != nil {
@@ -377,12 +330,7 @@ func TestLifecycleCountersOnEviction(t *testing.T) {
 				conn.Close()
 				return
 			}
-			samples, err := st.roundWork(&m)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			msgs, err := st.computeReport(m.Iteration, samples)
+			msgs, err := st.computeReport(m.Iteration)
 			if err != nil {
 				t.Error(err)
 				return
@@ -467,8 +415,8 @@ func TestServeJoinsAllPumpGoroutines(t *testing.T) {
 // TestV2PeerRejected: an old-version peer is refused with a typed
 // Reject{RejectVersion} at both negotiation layers — a Hello declaring
 // an old version inside a valid frame, and any frame whose header is
-// stamped with an old version (how a real v5 peer looks on the wire:
-// its very first frame header fails the version check, before any
+// stamped with an old version (how a real v5 or v7 peer looks on the
+// wire: its very first frame header fails the version check, before any
 // payload parses).
 func TestV2PeerRejected(t *testing.T) {
 	spec := testSpec(3)
@@ -509,42 +457,45 @@ func TestV2PeerRejected(t *testing.T) {
 	c.Close()
 
 	// A frame stamped with an old version in its header, as a real old
-	// peer would send: rejected before the payload is even interpreted.
-	// The peer cannot parse the v6 Reject frame it gets back, but the
-	// bytes on its socket are deterministic — a framed Reject carrying
-	// RejectVersion, then EOF — so the refusal is diagnosable.
-	raw, err = net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer raw.Close()
-	hdr := make([]byte, wire.FrameHeaderSize)
-	binary.LittleEndian.PutUint16(hdr, wire.FrameMagic)
-	hdr[2] = 5 // protocol v5
-	hdr[3] = 1 // Hello
-	binary.LittleEndian.PutUint32(hdr[4:], 0)
-	if _, err := raw.Write(hdr); err != nil {
-		t.Fatal(err)
-	}
-	raw.SetReadDeadline(time.Now().Add(10 * time.Second))
-	buf, err := io.ReadAll(raw)
-	if err != nil {
-		t.Fatalf("reading the reject bytes: %v", err)
-	}
-	if len(buf) < wire.FrameHeaderSize+1 {
-		t.Fatalf("server wrote %d bytes before closing, want a framed Reject", len(buf))
-	}
-	if got := binary.LittleEndian.Uint16(buf); got != wire.FrameMagic {
-		t.Errorf("reject frame magic %#x, want %#x", got, wire.FrameMagic)
-	}
-	if buf[2] != wire.ProtocolVersion {
-		t.Errorf("reject frame stamped version %d, want %d", buf[2], wire.ProtocolVersion)
-	}
-	if buf[3] != msgReject {
-		t.Errorf("reject frame type %d, want %d (Reject)", buf[3], msgReject)
-	}
-	if buf[wire.FrameHeaderSize] != RejectVersion {
-		t.Errorf("reject code %d, want RejectVersion (%d)", buf[wire.FrameHeaderSize], RejectVersion)
+	// peer would send — a v5 one, and the v7 one whose Hello has this
+	// version's very layout: rejected before the payload is even
+	// interpreted. The peer cannot parse the Reject frame it gets back,
+	// but the bytes on its socket are deterministic — a framed Reject
+	// carrying RejectVersion, then EOF — so the refusal is diagnosable.
+	for _, old := range []byte{5, 7} {
+		raw, err = net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer raw.Close()
+		hello, err := appendMessageFrame(nil, Hello{Version: int(old), Tiers: wire.AllTiersMask, Precisions: wire.PrecisionF64.Mask()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hello[2] = old
+		if _, err := raw.Write(hello); err != nil {
+			t.Fatal(err)
+		}
+		raw.SetReadDeadline(time.Now().Add(10 * time.Second))
+		buf, err := io.ReadAll(raw)
+		if err != nil {
+			t.Fatalf("v%d: reading the reject bytes: %v", old, err)
+		}
+		if len(buf) < wire.FrameHeaderSize+1 {
+			t.Fatalf("v%d: server wrote %d bytes before closing, want a framed Reject", old, len(buf))
+		}
+		if got := binary.LittleEndian.Uint16(buf); got != wire.FrameMagic {
+			t.Errorf("v%d: reject frame magic %#x, want %#x", old, got, wire.FrameMagic)
+		}
+		if buf[2] != wire.ProtocolVersion {
+			t.Errorf("v%d: reject frame stamped version %d, want %d", old, buf[2], wire.ProtocolVersion)
+		}
+		if buf[3] != msgReject {
+			t.Errorf("v%d: reject frame type %d, want %d (Reject)", old, buf[3], msgReject)
+		}
+		if buf[wire.FrameHeaderSize] != RejectVersion {
+			t.Errorf("v%d: reject code %d, want RejectVersion (%d)", old, buf[wire.FrameHeaderSize], RejectVersion)
+		}
 	}
 
 	cancel()

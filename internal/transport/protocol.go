@@ -1,6 +1,6 @@
 // Package transport implements a real network transport for the
 // training protocol: a TCP parameter server and worker clients speaking
-// the framed v6 control protocol over net.Conn. This is the repository's
+// the framed v8 control protocol over net.Conn. This is the repository's
 // substitute for the paper's MPICH deployment — cmd/byzps and
 // cmd/byzworker run the same synchronous rounds as the in-process engine
 // across OS processes (or machines). The server executes every round
@@ -9,19 +9,28 @@
 // aggregates, and steps exactly like the in-process engine and
 // reproduces its parameter trajectory bit-for-bit for the same Spec.
 //
-// Wire protocol v6 (every message one self-delimiting frame, see
+// Wire protocol v8 (every message one self-delimiting frame, see
 // internal/wire: magic, version, type, length header + canonical
 // little-endian binary payload):
 //
-//	worker → PS:  Hello{WorkerID, Version, Token, Resume, Tiers}
-//	PS → worker:  Welcome{Version, Token, FullEvery, Uplink, Spec, Shards, Pipeline}
+//	worker → PS:  Hello{WorkerID, Version, Token, Resume, Tiers, Precisions}
+//	PS → worker:  Welcome{Version, Token, FullEvery, Uplink, Spec, Shards, Precision}
 //	PS → worker:  Reject{Code, Reason}
-//	PS → worker:  RoundPrep{Iteration, Samples}            (pipelined runs)
-//	PS → worker:  RoundStart{Iteration, BaseIteration, ParamsFrame, Files, Samples}
+//	PS → worker:  RoundStart{Iteration, BaseIteration, ParamsFrame}
 //	worker → PS:  GradientReport{WorkerID, Iteration, Shard, Frame}
 //	PS → worker:  Shutdown{FinalAccuracy}
 //
-// v6 makes the uplink codec a negotiated per-connection tier: the
+// v8 stopped shipping what every process can derive: round t's batch and
+// its partition into files are a function of the Spec (TrainN, BatchSize,
+// Seed) and the assignment's F, so each worker draws them from its own
+// data.FileStream — as the PS's engine does — and a RoundStart carries
+// the round number and the parameters, nothing else. The file section of
+// RoundStart, the round-prep message (type 7, now unassigned) that
+// pipelined the next round's sample lists, and the Welcome's pipeline flag
+// went with it. v7 added the negotiated precision (Hello.Precisions,
+// Welcome.Precision).
+//
+// v6 made the uplink codec a negotiated per-connection tier: the
 // Hello advertises the tiers the worker implements as a bitmask
 // (wire.UplinkTier.Mask), the Welcome's uplink flag byte became the
 // negotiated wire.UplinkTier, and two lossy quantized frame modes —
@@ -34,15 +43,11 @@
 // version check on its Hello and is refused with a typed
 // Reject{RejectVersion} naming both versions.
 //
-// v5 added the sharded, pipelined aggregation plane: GradientReport
-// carries a shard index so a worker's report travels as one frame per
-// contiguous coordinate range (wire.ShardRange) and the PS can vote a
-// shard as soon as its last frame lands; RoundPrep broadcasts round
-// t+1's sample lists while round t's tail still aggregates, after which
-// the RoundStart for a prepped round omits the file section (workers
-// derive file ids from the static assignment). The Welcome announces
-// both knobs. v4 added the detector configuration to the Spec payload
-// (the PS-side detection/reputation layer of internal/detect is part of
+// v5 added the sharded aggregation plane: GradientReport carries a shard
+// index so a worker's report travels as one frame per contiguous
+// coordinate range (wire.ShardRange) and the PS can vote a shard as soon
+// as its last frame lands; the Welcome announces the shard count. v4
+// added the detector configuration to the Spec payload (the PS-side detection/reputation layer of internal/detect is part of
 // the experiment description, so observers evaluating the same Spec
 // agree on it) and the typed Reject frame: a blacklisted worker
 // presenting a valid session token is refused with
@@ -69,10 +74,11 @@
 // either way; the lossy tiers ship stateless quantized frames (sign,
 // int8) that dequantize deterministically on both sides.
 //
-// Workers reconstruct the dataset and model deterministically from the
-// Spec (seeded synthetic data stands in for the shared dataset storage
-// of a real cluster), so only indices — not samples — cross the wire,
-// exactly as in the paper's setup where every node holds the dataset.
+// Workers reconstruct the dataset, the model and every round's batch
+// deterministically from the Spec (seeded synthetic data stands in for
+// the shared dataset storage of a real cluster), so neither samples nor
+// their indices cross the wire — every node holds the dataset, as in the
+// paper's setup, and the seed.
 //
 // Rounds tolerate partial participation: the server gives every
 // accepted connection a dedicated reader pump, and the round collects
@@ -89,10 +95,10 @@ package transport
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
-	"slices"
 	"time"
 
 	"byzshield/internal/aggregate"
@@ -107,7 +113,8 @@ import (
 	"byzshield/internal/wire"
 )
 
-// Message type bytes of the v2 framing.
+// Message type bytes of the v2 framing. Type 7 was the round-prep message
+// until v8 and stays unassigned.
 const (
 	msgHello byte = iota + 1
 	msgWelcome
@@ -115,7 +122,6 @@ const (
 	msgGradientReport
 	msgShutdown
 	msgReject
-	msgRoundPrep
 )
 
 // FaultSpec names one registry fault model with its parameters, so a
@@ -467,12 +473,6 @@ type Welcome struct {
 	// a shard as soon as its last frame lands. 0 or 1 = whole-vector
 	// reports.
 	Shards int
-	// Pipeline tells the worker the server runs pipelined rounds: round
-	// t+1's RoundPrep (sample lists) arrives while round t's tail still
-	// aggregates, and the following RoundStart carries no file section —
-	// the worker derives its file ids from the static assignment and the
-	// samples from the prep.
-	Pipeline bool
 	// Precision is the connection's negotiated numeric width: every
 	// params and gradient frame on the connection from here on carries
 	// values of this precision (wire.PrecisionF64, the zero value, keeps
@@ -493,11 +493,6 @@ func (m Welcome) appendPayload(dst []byte) ([]byte, error) {
 		return nil, err
 	}
 	dst = wire.AppendU32(dst, uint32(m.Shards))
-	var pipe uint8
-	if m.Pipeline {
-		pipe = 1
-	}
-	dst = wire.AppendU8(dst, pipe)
 	return wire.AppendU8(dst, uint8(m.Precision)), nil
 }
 
@@ -509,24 +504,25 @@ func (m *Welcome) decodePayload(src []byte) error {
 	m.Uplink = wire.UplinkTier(d.U8())
 	decodeSpec(d, &m.Spec)
 	m.Shards = d.Int()
-	m.Pipeline = d.U8() != 0
 	m.Precision = wire.Precision(d.U8())
 	return d.Done()
 }
 
 // ErrBadRoundStart marks a RoundStart no honest server of this run sends:
-// a file section that cannot fit the frame it arrived in, or files that
-// are not the receiving worker's assignment. Reconnecting cannot help.
+// a payload that is not exactly a header and one params frame, a round
+// past the run's last, or a round this worker has already been started
+// on. Reconnecting cannot help.
 var ErrBadRoundStart = errors.New("transport: malformed round start")
 
-// RoundStart carries the model parameters and this worker's file
-// assignments for one iteration. ParamsFrame is a wire params frame
-// (full or delta; wire.DecodeParams applies it); on a delta frame,
-// BaseIteration names the round whose parameters the delta patches, and
-// the worker must hold exactly that vector. Files lists the worker's
-// file ids in slot order — the static assignment's ascending order —
-// and Samples[j] the training-sample indices of Files[j]; both are empty
-// on a pipelined round, whose RoundPrep carried the samples.
+// RoundStart opens one iteration: it carries the model parameters, and
+// nothing about the worker's files — their ids are the static assignment
+// and their samples come from the worker's own data.FileStream.
+// ParamsFrame is a wire params frame (full or delta; wire.DecodeParams
+// applies it); on a delta frame, BaseIteration names the round whose
+// parameters the delta patches, and the worker must hold exactly that
+// vector. Every worker of a round is sent one of two byte strings — the
+// round's full frame or its delta frame — which the PS encodes once
+// (beginRoundStart/endRoundStart).
 //
 // A decoded ParamsFrame aliases the connection's receive buffer and is
 // valid only until the next Recv on that Conn — receivers apply it
@@ -536,48 +532,33 @@ type RoundStart struct {
 	Iteration     int
 	BaseIteration int
 	ParamsFrame   []byte
-	Files         []int
-	Samples       [][]int
 }
 
 func (RoundStart) wireType() byte { return msgRoundStart }
 
 func (m RoundStart) appendPayload(dst []byte) ([]byte, error) {
-	dst = appendRoundStartHead(dst, m.Iteration, m.BaseIteration, len(m.ParamsFrame))
-	return appendFileSection(append(dst, m.ParamsFrame...), m.Files, m)
+	dst = wire.AppendU32(dst, uint32(m.Iteration))
+	dst = wire.AppendU32(dst, uint32(m.BaseIteration))
+	dst = wire.AppendU32(dst, uint32(len(m.ParamsFrame)))
+	return append(dst, m.ParamsFrame...), nil
 }
 
-// fileSampler yields a file's training-sample indices for the round
-// being broadcast (cluster.RoundOf does).
-type fileSampler interface{ FileSamples(v int) []int }
-
-// FileSamples serves the message's own lists as a fileSampler.
-func (m RoundStart) FileSamples(v int) []int { return m.Samples[slices.Index(m.Files, v)] }
-
-// appendRoundStartHead appends the RoundStart payload up to where the
-// params frame's bytes begin.
-func appendRoundStartHead(dst []byte, iter, base, paramsLen int) []byte {
-	dst = wire.AppendU32(dst, uint32(iter))
-	dst = wire.AppendU32(dst, uint32(base))
-	return wire.AppendU32(dst, uint32(paramsLen))
+// beginRoundStart appends a complete RoundStart frame up to where its
+// params frame's bytes begin, so the caller can encode the params in
+// place behind it, and returns the offset endRoundStart needs.
+func beginRoundStart(dst []byte, iter, base int) ([]byte, int) {
+	dst, at := wire.BeginFrame(dst, msgRoundStart)
+	dst, _ = RoundStart{Iteration: iter, BaseIteration: base}.appendPayload(dst)
+	return dst, at
 }
 
-// appendFileSection appends the RoundStart payload after the params
-// frame: the file count, then each file id (in slot order) with its
-// sample list.
-func appendFileSection(dst []byte, files []int, rd fileSampler) ([]byte, error) {
-	dst = wire.AppendU32(dst, uint32(len(files)))
-	var err error
-	for _, v := range files {
-		if v < 0 {
-			return dst, fmt.Errorf("transport: negative file id %d", v)
-		}
-		dst = wire.AppendU32(dst, uint32(v))
-		if dst, err = wire.AppendInts(dst, rd.FileSamples(v)); err != nil {
-			return dst, err
-		}
-	}
-	return dst, nil
+// endRoundStart closes the frame begun at `at`: everything appended
+// since is its params frame, whose length — unknown for a delta until it
+// is encoded — is patched into the header along with the frame's own.
+func endRoundStart(dst []byte, at int) ([]byte, error) {
+	params := at + 4 + 12 // behind the frame length and the three header fields
+	binary.LittleEndian.PutUint32(dst[params-4:], uint32(len(dst)-params))
+	return wire.EndFrame(dst, at)
 }
 
 func (m *RoundStart) decodePayload(src []byte) error {
@@ -586,31 +567,16 @@ func (m *RoundStart) decodePayload(src []byte) error {
 	m.BaseIteration = d.Int()
 	n := d.Int()
 	if d.Err() == nil && n > len(src)-d.Offset() {
-		return fmt.Errorf("transport: params frame declares %d bytes, have %d", n, len(src)-d.Offset())
+		return fmt.Errorf("%w: params frame declares %d bytes, have %d", ErrBadRoundStart, n, len(src)-d.Offset())
 	}
 	if d.Err() == nil {
 		m.ParamsFrame = src[d.Offset() : d.Offset()+n : d.Offset()+n]
 		d.Skip(n)
 	}
-	nf := d.Int()
-	if d.Err() != nil {
-		return d.Err()
+	if err := d.Done(); err != nil {
+		return fmt.Errorf("%w: %w", ErrBadRoundStart, err)
 	}
-	// A file costs at least its id and its sample count on the wire, so
-	// the declared count is checked against the bytes that are left before
-	// anything is sized by it.
-	if left := len(src) - d.Offset(); nf > left/8 {
-		return fmt.Errorf("%w: %d files declared with %d bytes left", ErrBadRoundStart, nf, left)
-	}
-	if nf > 0 {
-		m.Files = make([]int, nf)
-		m.Samples = make([][]int, nf)
-	}
-	for j := range m.Files {
-		m.Files[j] = d.Int()
-		m.Samples[j] = d.Ints()
-	}
-	return d.Done()
+	return nil
 }
 
 // GradientReport returns the worker's per-file gradient sums. The
@@ -660,50 +626,6 @@ func (m *GradientReport) decodePayload(src []byte) error {
 	m.Shard = d.Int()
 	m.Frame = d.Rest()
 	return d.Err()
-}
-
-// RoundPrep pipelines round Iteration's sample assignment ahead of its
-// RoundStart: the server broadcasts it while the previous round's tail
-// (vote, aggregate, step) still runs. Samples[j] is the sample list of
-// the receiving worker's j-th assigned file — slot order is the static
-// assignment's ascending file order, so no file ids travel and workers
-// of the same replication group receive byte-identical frames. The
-// matching RoundStart then carries no file section, only the parameter
-// frame the prep could not know yet.
-type RoundPrep struct {
-	Iteration int
-	Samples   [][]int
-}
-
-func (RoundPrep) wireType() byte { return msgRoundPrep }
-
-func (m RoundPrep) appendPayload(dst []byte) ([]byte, error) {
-	dst = wire.AppendU32(dst, uint32(m.Iteration))
-	dst = wire.AppendU32(dst, uint32(len(m.Samples)))
-	var err error
-	for _, s := range m.Samples {
-		if dst, err = wire.AppendInts(dst, s); err != nil {
-			return nil, err
-		}
-	}
-	return dst, nil
-}
-
-func (m *RoundPrep) decodePayload(src []byte) error {
-	d := wire.NewDec(src)
-	m.Iteration = d.Int()
-	n := d.Int()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if n > 1<<20 {
-		return fmt.Errorf("transport: round prep declares %d files", n)
-	}
-	m.Samples = m.Samples[:0]
-	for i := 0; i < n; i++ {
-		m.Samples = append(m.Samples, d.Ints())
-	}
-	return d.Done()
 }
 
 // Reject codes.
@@ -802,11 +724,10 @@ func reportPayloadLimit[T linalg.Float](files, dim int) int {
 }
 
 // roundPayloadLimit is the largest PS→worker payload of a run: a
-// RoundStart carrying a worst-case delta params frame and the sample
-// lists of `files` files — at most one whole batch between them — which
-// also covers that worker's RoundPrep, plus slack.
-func roundPayloadLimit[T linalg.Float](files, dim, batch int) int {
-	return 16 + wire.ParamsFullSizeOf[T](dim) + (dim+1)/2 + 8*files + 4*batch + payloadSlack
+// RoundStart — its 12-byte header and a worst-case delta params frame —
+// plus slack.
+func roundPayloadLimit[T linalg.Float](dim int) int {
+	return 12 + wire.ParamsFullSizeOf[T](dim) + (dim+1)/2 + payloadSlack
 }
 
 // welcomeFits rejects a Spec whose Welcome no worker could read: the
@@ -909,28 +830,6 @@ func (c *Conn) SendMany(msgs ...Message) (int, error) {
 	return c.writev()
 }
 
-// writeRoundStart transmits one worker's RoundStart — and, when prep is
-// non-empty, that pre-encoded RoundPrep frame behind it — in a single
-// vectored write. Only the few bytes around the params frame are encoded
-// per worker; the frame itself, shared by the whole fleet for the round,
-// goes from where it is. files must be ascending; nil files send the
-// pipelined RoundStart that carries no file section.
-func (c *Conn) writeRoundStart(iter, base int, params []byte, files []int, rd fileSampler, prep []byte) (int, error) {
-	b, at := wire.BeginFrame(c.wbuf[:0], msgRoundStart)
-	b = appendRoundStartHead(b, iter, base, len(params))
-	split := len(b)
-	b, err := appendFileSection(b, files, rd)
-	if err == nil {
-		b, err = wire.EndFrameWith(b, at, len(params))
-	}
-	c.wbuf = b
-	if err != nil {
-		return 0, err
-	}
-	c.iov = append(c.iov[:0], b[:split], params, b[split:], prep)
-	return c.writev()
-}
-
 // writev writes the non-empty buffers of c.iov as one vectored write
 // (writev on TCP) and reports the bytes written.
 func (c *Conn) writev() (int, error) {
@@ -947,21 +846,6 @@ func (c *Conn) writev() (int, error) {
 		return 0, err
 	}
 	return n, nil
-}
-
-// appendMessageFrame encodes msg as one complete frame appended to
-// dst: the payload is built in place right after the header and the
-// length patched afterwards (wire.BeginFrame/EndFrame), so assembling
-// a frame costs no payload copy. It pre-encodes a frame shared by many
-// workers (a replication group's RoundPrep) once. The buffer is
-// returned even on error so callers keep reusing its capacity.
-func appendMessageFrame(dst []byte, msg Message) ([]byte, error) {
-	dst, at := wire.BeginFrame(dst, msg.wireType())
-	dst, err := msg.appendPayload(dst)
-	if err != nil {
-		return dst, err
-	}
-	return wire.EndFrame(dst, at)
 }
 
 // Recv receives the next message. Decoded messages own their fields,
@@ -1050,12 +934,6 @@ func decodeMessage(typ byte, body []byte) (any, error) {
 		return m, nil
 	case msgReject:
 		var m Reject
-		if err := m.decodePayload(body); err != nil {
-			return nil, err
-		}
-		return m, nil
-	case msgRoundPrep:
-		var m RoundPrep
 		if err := m.decodePayload(body); err != nil {
 			return nil, err
 		}

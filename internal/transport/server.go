@@ -95,12 +95,11 @@ type ServerConfig struct {
 	// dominates long before that). The parameter trajectory is
 	// bit-identical to the unsharded plane (see internal/cluster).
 	Shards int
-	// Pipeline overlaps consecutive rounds: while round t's tail (vote,
-	// aggregate, step) still runs, the server draws round t+1's batch
-	// and broadcasts its sample lists as RoundPrep frames, so round
-	// t+1's RoundStart carries no file section and is one shared
-	// pre-encoded frame written to every prepped worker. Bit-identical
-	// to serial rounds (the batch stream is consumed in the same order).
+	// Pipeline is inert: nothing reads it. It selected the pipelined-prep
+	// plane protocol v8 deleted, and stays only because
+	// bench/adapter_fleet.go sets it and that module is not this
+	// package's to edit; ROADMAP item 1a deletes it with the names.go
+	// aliases.
 	Pipeline bool
 	// OnRound, when non-nil, receives every completed round's
 	// statistics — including missing workers, degraded/dropped file
@@ -232,26 +231,25 @@ func NewServerOf[T linalg.Float](addr string, cfg ServerConfig) (*ServerOf[T], e
 		return nil, fmt.Errorf("transport: unknown uplink tier %d", cfg.Uplink)
 	}
 	shards := wire.ShardCount(cfg.Shards, mdl.NumParams())
-	src := newWireSource[T](asn, cfg.RoundTimeout, cfg.FullBroadcastEvery, shards, cfg.Pipeline, cfg.Spec.Rounds, cfg.Logf)
+	src := newWireSource[T](asn, cfg.RoundTimeout, cfg.FullBroadcastEvery, shards, cfg.Logf)
 	src.uplink = cfg.Uplink
 	eng, err := cluster.NewOf(cluster.ConfigOf[T]{
-		Assignment:   asn,
-		Model:        mdl,
-		Train:        b.Train,
-		Test:         b.Test,
-		BatchSize:    cfg.Spec.BatchSize,
-		Aggregator:   agg,
-		Schedule:     cfg.Spec.Schedule,
-		Momentum:     cfg.Spec.Momentum,
-		Seed:         cfg.Spec.Seed,
-		Quorum:       cfg.Quorum,
-		Shards:       shards,
-		PrepareAhead: cfg.Pipeline,
-		Detector:     det,
-		Detection:    cfg.Spec.DetectorParams.Policy(),
-		Source:       src,
-		Metrics:      cfg.Metrics,
-		Tracer:       cfg.Tracer,
+		Assignment: asn,
+		Model:      mdl,
+		Train:      b.Train,
+		Test:       b.Test,
+		BatchSize:  cfg.Spec.BatchSize,
+		Aggregator: agg,
+		Schedule:   cfg.Spec.Schedule,
+		Momentum:   cfg.Spec.Momentum,
+		Seed:       cfg.Spec.Seed,
+		Quorum:     cfg.Quorum,
+		Shards:     shards,
+		Detector:   det,
+		Detection:  cfg.Spec.DetectorParams.Policy(),
+		Source:     src,
+		Metrics:    cfg.Metrics,
+		Tracer:     cfg.Tracer,
 	})
 	if err != nil {
 		return nil, err
@@ -472,7 +470,6 @@ func (s *ServerOf[T]) handshake(ctx context.Context, conn *Conn) {
 		Uplink:    tier,
 		Spec:      s.cfg.Spec,
 		Shards:    ws.shards,
-		Pipeline:  ws.pipeline,
 		Precision: wire.PrecisionOf[T](),
 	}); err != nil {
 		if !hello.Resume {
@@ -1050,13 +1047,9 @@ type wireSource[T linalg.Float] struct {
 	fleet *obs.FleetTable
 
 	// shards is the aggregation-plane shard count (1 = whole-vector);
-	// shardRanges[s] the [lo, hi) coordinate range of shard s. pipeline
-	// enables the RoundPrep overlap; rounds bounds it (no prep past the
-	// final round).
+	// shardRanges[s] the [lo, hi) coordinate range of shard s.
 	shards      int
 	shardRanges [][2]int
-	pipeline    bool
-	rounds      int
 	// uplink is the server's configured codec tier
 	// (ServerConfig.Uplink); each connection negotiates its own against
 	// the worker's Hello mask, recorded in its workerEntry and copied
@@ -1124,27 +1117,11 @@ type wireSource[T linalg.Float] struct {
 	// delta base); prevIter the iteration it belongs to (-1 = none).
 	prevParams []T
 	prevIter   int
-	// fullFrame/deltaFrame are the per-round broadcast encode buffers,
-	// shared read-only by every send goroutine of the round.
+	// fullFrame/deltaFrame are the round's two RoundStart frames, complete
+	// and encoded once — the whole vector, and (empty when no worker can
+	// use it) the XOR delta against prevParams — shared read-only by
+	// every send goroutine of the round.
 	fullFrame, deltaFrame []byte
-
-	// Pipelined prep state. PrepareNext encodes round t+1's sample
-	// lists once per replication group (prepGroups clusters workers
-	// with identical file lists; groupOf maps a worker to its group)
-	// into prepFrames and records the round in prepReady; Collect then
-	// piggybacks each group's frame on the same vectored write as round
-	// t's RoundStart. prepIter[u]/prepConn[u] record the round worker u
-	// was last successfully prepped for and on which connection — the
-	// slim-RoundStart fast path fires only when both match the round
-	// being broadcast (written by the round's send goroutines, read by
-	// the next Collect after the sends.Wait barrier).
-	prepReady   int
-	prepIter    []int
-	prepConn    []*Conn
-	prepGroups  [][]int
-	groupOf     []int
-	prepFrames  [][]byte
-	prepSamples [][]int
 
 	// collectTimer is the reused collection deadline timer; it is
 	// stopped and drained before every Reset so a tick left over from
@@ -1154,20 +1131,14 @@ type wireSource[T linalg.Float] struct {
 	collectTimer *time.Timer
 }
 
-// The engine finds the pipelining seam by type assertion, so the
-// source's side of that contract is pinned here.
-var _ cluster.RoundPreparer = (*wireSource[float64])(nil)
-
 // newWireSource prepares the per-worker state tables. shards must
 // already be clamped to [1, dim] (wire.ShardCount).
-func newWireSource[T linalg.Float](asn *assign.Assignment, timeout time.Duration, fullEvery, shards int, pipeline bool, rounds int, logf func(string, ...any)) *wireSource[T] {
+func newWireSource[T linalg.Float](asn *assign.Assignment, timeout time.Duration, fullEvery, shards int, logf func(string, ...any)) *wireSource[T] {
 	ws := &wireSource[T]{
 		timeout:   timeout,
 		fullEvery: fullEvery,
 		logf:      logf,
 		shards:    shards,
-		pipeline:  pipeline,
-		rounds:    rounds,
 		workers:   make([]workerEntry, asn.K),
 		joinedCh:  make(chan struct{}, 1),
 		// The inbox covers the worst case of one report frame per shard
@@ -1189,34 +1160,6 @@ func newWireSource[T linalg.Float](asn *assign.Assignment, timeout time.Duration
 	ws.retireBelow.Store(-1)
 	for u := 0; u < asn.K; u++ {
 		ws.files[u] = asn.WorkerFiles(u)
-	}
-	if pipeline {
-		ws.prepReady = -1
-		ws.prepIter = make([]int, asn.K)
-		ws.prepConn = make([]*Conn, asn.K)
-		ws.groupOf = make([]int, asn.K)
-		for u := range ws.prepIter {
-			ws.prepIter[u] = -1
-		}
-		// Workers with identical file lists (a replication group) share
-		// one encoded RoundPrep frame per round.
-		for u := 0; u < asn.K; u++ {
-			g := -1
-			for gi, members := range ws.prepGroups {
-				if slices.Equal(ws.files[members[0]], ws.files[u]) {
-					g = gi
-					break
-				}
-			}
-			if g < 0 {
-				g = len(ws.prepGroups)
-				ws.prepGroups = append(ws.prepGroups, []int{u})
-			} else {
-				ws.prepGroups[g] = append(ws.prepGroups[g], u)
-			}
-			ws.groupOf[u] = g
-		}
-		ws.prepFrames = make([][]byte, len(ws.prepGroups))
 	}
 	return ws
 }
@@ -1411,11 +1354,6 @@ func (ws *wireSource[T]) Collect(ctx context.Context, rd *cluster.RoundOf[T]) (c
 
 	// Parallel broadcast: one send goroutine per live worker, so one
 	// slow socket costs the round a write deadline, not a serial sum.
-	// A prepped worker (round t's RoundPrep reached this connection on
-	// the previous broadcast) gets a RoundStart with no file section;
-	// when round t+1's prep is staged, its group frame rides the same
-	// vectored write as this round's RoundStart.
-	prepNext := ws.pipeline && ws.prepReady == t+1
 	bcastStart := time.Now()
 	var bcastBytes atomic.Int64
 	var sends sync.WaitGroup
@@ -1424,18 +1362,10 @@ func (ws *wireSource[T]) Collect(ctx context.Context, rd *cluster.RoundOf[T]) (c
 		if conn == nil {
 			continue
 		}
-		files := ws.files[u]
-		if ws.pipeline && ws.prepIter[u] == t && ws.prepConn[u] == conn {
-			files = nil
-		}
-		var prepFrame []byte
-		if prepNext {
-			prepFrame = ws.prepFrames[ws.groupOf[u]]
-		}
 		sends.Add(1)
-		go func(u int, conn *Conn, lastAck int, files []int, prepFrame []byte) {
+		go func(u int, conn *Conn, lastAck int) {
 			defer sends.Done()
-			n, err := sendRoundStart(conn, ws.timeout, t, lastAck, ws.fullFrame, ws.deltaFrame, files, rd, prepFrame)
+			n, err := sendRoundStart(conn, ws.timeout, t, lastAck, ws.fullFrame, ws.deltaFrame)
 			if err != nil {
 				// A failed or partial send poisons the outbound stream —
 				// unlike reads it cannot be resumed, so the worker is
@@ -1444,14 +1374,8 @@ func (ws *wireSource[T]) Collect(ctx context.Context, rd *cluster.RoundOf[T]) (c
 				ws.evict(u, conn, fmt.Errorf("send: %w", err))
 				return
 			}
-			if prepFrame != nil {
-				// Written before sends.Done, read by the next Collect
-				// after sends.Wait — the barrier orders it.
-				ws.prepIter[u] = t + 1
-				ws.prepConn[u] = conn
-			}
 			bcastBytes.Add(int64(n))
-		}(u, conn, ws.roundAcks[u], files, prepFrame)
+		}(u, conn, ws.roundAcks[u])
 	}
 	sends.Wait()
 	bcastDur := time.Since(bcastStart)
@@ -1625,22 +1549,26 @@ func armTimer(timer **time.Timer, d time.Duration) <-chan time.Time {
 	return t.C
 }
 
-// prepareBroadcast encodes this round's shared params frames: the full
-// frame (always needed for unacknowledged or refresh rounds) and the
-// delta frame against the previous round's vector when any worker can
-// use it. Both buffers are read-only for the round.
+// prepareBroadcast encodes this round's two RoundStart frames: the one
+// carrying the full vector (always needed for unacknowledged or refresh
+// rounds) and the one carrying the delta against the previous round's
+// vector when any worker can use it. Both buffers are read-only for the
+// round.
 func (ws *wireSource[T]) prepareBroadcast(t int, params []T) error {
-	var err error
-	ws.fullFrame, err = wire.AppendParamsFullOf(ws.fullFrame[:0], params)
-	if err != nil {
-		return fmt.Errorf("transport: broadcast: %w", err)
+	b, at := beginRoundStart(ws.fullFrame[:0], t, 0)
+	b, err := wire.AppendParamsFullOf(b, params)
+	if err == nil {
+		ws.fullFrame, err = endRoundStart(b, at)
 	}
 	ws.deltaFrame = ws.deltaFrame[:0]
-	if !refreshRound(t, ws.fullEvery) && ws.prevIter == t-1 {
-		ws.deltaFrame, err = wire.AppendParamsDeltaOf(ws.deltaFrame[:0], ws.prevParams, params)
-		if err != nil {
-			return fmt.Errorf("transport: broadcast: %w", err)
+	if err == nil && !refreshRound(t, ws.fullEvery) && ws.prevIter == t-1 {
+		b, at = beginRoundStart(ws.deltaFrame, t, t-1)
+		if b, err = wire.AppendParamsDeltaOf(b, ws.prevParams, params); err == nil {
+			ws.deltaFrame, err = endRoundStart(b, at)
 		}
+	}
+	if err != nil {
+		return fmt.Errorf("transport: broadcast: %w", err)
 	}
 	return nil
 }
@@ -1651,55 +1579,19 @@ func refreshRound(t, fullEvery int) bool {
 	return t == 0 || fullEvery <= 1 || t%fullEvery == 0
 }
 
-// sendRoundStart sends one worker's RoundStart for round t and returns
-// the bytes written: the round's shared delta params frame when there is
-// one and the worker acknowledged round t-1, the full frame otherwise,
-// under the round timeout as the write deadline. files is the worker's
-// ascending file list, whose sample lists rd supplies; nil for a worker
-// already prepped for t, whose RoundStart carries no file section. A
-// non-empty prep (a pre-encoded RoundPrep frame for round t+1) rides the
-// same vectored write.
-func sendRoundStart(conn *Conn, timeout time.Duration, t, lastAck int, full, delta []byte, files []int, rd fileSampler, prep []byte) (int, error) {
+// sendRoundStart sends one worker round t's RoundStart and returns the
+// bytes written: the round's delta frame when there is one and the
+// worker acknowledged round t-1, the full frame otherwise, under the
+// round timeout as the write deadline.
+func sendRoundStart(conn *Conn, timeout time.Duration, t, lastAck int, full, delta []byte) (int, error) {
 	if timeout > 0 {
 		conn.SetWriteDeadline(time.Now().Add(timeout))
 		defer conn.SetWriteDeadline(time.Time{})
 	}
 	if len(delta) > 0 && lastAck == t-1 {
-		return conn.writeRoundStart(t, t-1, delta, files, rd, prep)
+		return conn.raw.Write(delta)
 	}
-	return conn.writeRoundStart(t, 0, full, files, rd, prep)
-}
-
-// PrepareNext implements cluster.RoundPreparer: the engine calls it
-// with round iter's freshly drawn file→sample partition just before
-// round iter-1's collection opens. Nothing is sent from here — the
-// sample lists are encoded once per replication group (identical file
-// lists, so every member receives byte-identical bytes; no file ids
-// travel, samples ride in static slot order) and stashed. Collect then
-// piggybacks each group's frame on the same vectored write as round
-// iter-1's RoundStart, so pipelining the prep costs no extra syscalls,
-// send goroutines, or barriers. A failed combined write evicts exactly
-// like a failed RoundStart send; the worker rejoins unprepped.
-func (ws *wireSource[T]) PrepareNext(iter int, files [][]int) {
-	ws.prepReady = -1
-	if !ws.pipeline || iter >= ws.rounds {
-		return
-	}
-	for g, members := range ws.prepGroups {
-		samples := ws.prepSamples[:0]
-		for _, v := range ws.files[members[0]] {
-			samples = append(samples, files[v])
-		}
-		ws.prepSamples = samples
-		frame, err := appendMessageFrame(ws.prepFrames[g][:0],
-			RoundPrep{Iteration: iter, Samples: samples})
-		ws.prepFrames[g] = frame
-		if err != nil {
-			ws.logf("round %d: prep encode: %v", iter, err)
-			return
-		}
-	}
-	ws.prepReady = iter
+	return conn.raw.Write(full)
 }
 
 // ack records that worker u applied round t's parameter broadcast.

@@ -1,7 +1,6 @@
-// Tests for the sharded aggregation plane and pipelined rounds of
-// protocol v5: per-shard report streams, early shard votes, RoundPrep
-// overlap with shared pre-encoded RoundStart frames, and single-count
-// lifecycle accounting across the pipelined round boundary.
+// Tests for the sharded aggregation plane of protocol v5: per-shard
+// report streams, early shard votes, and single-count lifecycle
+// accounting across a round boundary.
 package transport
 
 import (
@@ -17,14 +16,13 @@ import (
 	"byzshield/internal/wire"
 )
 
-// TestShardedPipelinedTrajectoryIdentity: sharding the aggregation
-// plane and pipelining consecutive rounds are wire concerns — for the
-// same Spec the serial in-process engine, the sharded cluster, the
-// pipelined cluster, and the combination must produce bit-identical
+// TestShardedPipelinedTrajectoryIdentity (the name predates protocol v8,
+// which deleted the pipelined plane it also covered): sharding the
+// aggregation plane is a wire concern — for the same Spec the serial
+// in-process engine and the sharded cluster must produce bit-identical
 // final parameters. The spec includes a per-round straggler whose
-// reports always trail the rest of the fleet, so in pipelined mode its
-// RoundPrep backlog drains across the round boundary while the next
-// round is already collecting.
+// reports always trail the rest of the fleet, so its shard frames are
+// the ones every early shard vote waits for.
 func TestShardedPipelinedTrajectoryIdentity(t *testing.T) {
 	spec := testSpec(10)
 	spec.Faults = []FaultSpec{{Name: "straggler", Params: registry.FaultParams{Workers: []int{1}, Delay: 20 * time.Millisecond}}}
@@ -37,8 +35,6 @@ func TestShardedPipelinedTrajectoryIdentity(t *testing.T) {
 		cfg  ServerConfig
 	}{
 		{"sharded", ServerConfig{Shards: 4}},
-		{"pipelined", ServerConfig{Pipeline: true}},
-		{"sharded-pipelined", ServerConfig{Shards: 4, Pipeline: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, params, stats := runLoopback(t, spec, tc.cfg)
@@ -70,12 +66,12 @@ func TestShardedRejectsBadConfig(t *testing.T) {
 	}
 }
 
-// TestPipelinedRejoinCountersSingleCount: a worker that reports round
-// t, drops its connection during the pipelined t/t+1 boundary — where
-// the prep writer and its reader pump may both observe the dead
+// TestShardedRejoinCountersSingleCount: a worker that reports round t,
+// drops its connection at the t/t+1 boundary — where the next round's
+// broadcast writer and its reader pump may both observe the dead
 // connection — and rejoins must be counted exactly once everywhere:
 // one eviction, one rejoin, and one round's worth of degraded votes.
-func TestPipelinedRejoinCountersSingleCount(t *testing.T) {
+func TestShardedRejoinCountersSingleCount(t *testing.T) {
 	const victim = 2
 	const dropRound = 2
 	spec := testSpec(7)
@@ -91,7 +87,6 @@ func TestPipelinedRejoinCountersSingleCount(t *testing.T) {
 	srvCfg := ServerConfig{
 		Spec:         spec,
 		Shards:       2,
-		Pipeline:     true,
 		RoundTimeout: 10 * time.Second,
 	}
 	var mu sync.Mutex
@@ -134,8 +129,8 @@ func TestPipelinedRejoinCountersSingleCount(t *testing.T) {
 	}
 
 	// The victim participates manually so the drop lands at a precise
-	// point: right after its round-dropRound report, while the server's
-	// tail is about to stream round dropRound+1's prep to it.
+	// point: right after its round-dropRound report, while the server is
+	// about to broadcast round dropRound+1 to it.
 	handshake := func(resume bool, token uint64) (*Conn, Welcome, error) {
 		raw, err := net.Dial("tcp", srv.Addr())
 		if err != nil {
@@ -167,26 +162,11 @@ func TestPipelinedRejoinCountersSingleCount(t *testing.T) {
 			return
 		}
 		defer func() { conn.Close() }()
-		st := &workerState{cfg: WorkerConfig{ID: victim}, lastApplied: -1}
-		st.spec = welcome.Spec
-		if st.mdl, err = st.spec.BuildModel(); err != nil {
+		st, err := manualWorker(victim, welcome)
+		if err != nil {
 			t.Error(err)
 			return
 		}
-		if st.train, _, err = st.spec.BuildData(); err != nil {
-			t.Error(err)
-			return
-		}
-		if st.asn, err = st.spec.BuildAssignment(); err != nil {
-			t.Error(err)
-			return
-		}
-		st.params = make([]float64, st.mdl.NumParams())
-		st.pipeline = welcome.Pipeline
-		st.prepIter = -1
-		st.filesStatic = st.asn.WorkerFiles(victim)
-		st.token = welcome.Token
-		initManualWorkerShards(st, welcome)
 		dropped := false
 		for {
 			msg, err := conn.Recv()
@@ -195,20 +175,12 @@ func TestPipelinedRejoinCountersSingleCount(t *testing.T) {
 				return
 			}
 			switch m := msg.(type) {
-			case RoundPrep:
-				st.prepIter = m.Iteration
-				st.prepSamples = m.Samples
 			case RoundStart:
 				if err := st.applyParams(&m); err != nil {
 					t.Error(err)
 					return
 				}
-				samples, err := st.roundWork(&m)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				msgs, err := st.computeReport(m.Iteration, samples)
+				msgs, err := st.computeReport(m.Iteration)
 				if err != nil {
 					t.Error(err)
 					return
@@ -219,21 +191,16 @@ func TestPipelinedRejoinCountersSingleCount(t *testing.T) {
 				}
 				if m.Iteration == dropRound && !dropped {
 					dropped = true
-					// Drop inside the pipelined window: the report is
-					// on the wire, and this RoundStart already carried
-					// the next round's prep for this connection.
+					// Drop at the boundary: the report is on the wire.
 					conn.Close()
 					<-release
 					conn, welcome, err = handshake(true, st.token)
+					if err == nil {
+						err = st.adopt(welcome)
+					}
 					if err != nil {
 						t.Errorf("victim rejoin: %v", err)
 						return
-					}
-					st.token = welcome.Token
-					st.lastApplied = -1
-					st.prepIter = -1
-					for s := range st.encs {
-						st.encs[s].Reset()
 					}
 					close(rejoined)
 				}
@@ -268,7 +235,7 @@ func TestPipelinedRejoinCountersSingleCount(t *testing.T) {
 		t.Errorf("victim missing in %d rounds, want exactly 1", missingRounds)
 	}
 	if evictions != 1 {
-		t.Errorf("per-round eviction deltas sum to %d, want 1 — the pipelined boundary double-counted", evictions)
+		t.Errorf("per-round eviction deltas sum to %d, want 1 — the round boundary double-counted", evictions)
 	}
 	if rejoins != 1 {
 		t.Errorf("per-round rejoin deltas sum to %d, want 1", rejoins)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -221,6 +222,10 @@ func TestConnSendRecvRoundTrip(t *testing.T) {
 	if !ok || hello.WorkerID != 7 || hello.Version != wire.ProtocolVersion || hello.Token != 99 || !hello.Resume {
 		t.Fatalf("got %#v", msg)
 	}
+	// Type 7 was RoundPrep until protocol v8 and is no message now.
+	if _, err := decodeMessage(7, nil); err == nil || !strings.Contains(err.Error(), "unknown message type 7") {
+		t.Errorf("decoding a type-7 frame: %v, want the unknown-message-type error", err)
+	}
 }
 
 // TestConnRecvResumesAfterDeadline: a read deadline that fires while a
@@ -435,18 +440,12 @@ func TestServerSurvivesBadHellos(t *testing.T) {
 // and delta parameter broadcasts exactly like RunWorker.
 func driveWorker(t *testing.T, c *Conn, id int, spec Spec) error {
 	t.Helper()
-	st := &workerState{cfg: WorkerConfig{ID: id}, lastApplied: -1}
-	var err error
-	if st.mdl, err = spec.BuildModel(); err != nil {
-		return err
-	}
-	if st.train, _, err = spec.BuildData(); err != nil {
-		return err
-	}
-	st.params = make([]float64, st.mdl.NumParams())
 	// Unsharded raw-frame uplink: raw frames decode under any server
 	// delta policy.
-	initManualWorkerShards(st, Welcome{Spec: spec})
+	st, err := manualWorker(id, Welcome{Spec: spec})
+	if err != nil {
+		return err
+	}
 	for {
 		msg, err := c.Recv()
 		if err != nil {
@@ -457,11 +456,7 @@ func driveWorker(t *testing.T, c *Conn, id int, spec Spec) error {
 			if err := st.applyParams(&m); err != nil {
 				return err
 			}
-			samples, err := st.roundWork(&m)
-			if err != nil {
-				return err
-			}
-			msgs, err := st.computeReport(m.Iteration, samples)
+			msgs, err := st.computeReport(m.Iteration)
 			if err != nil {
 				return err
 			}

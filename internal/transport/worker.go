@@ -136,14 +136,13 @@ type workerStateOf[T linalg.Float] struct {
 	cfg  WorkerConfig
 	spec Spec
 	// mdl and train are the Spec's model and training set, kern their
-	// kernels at width T (model.BindOf) and trainN the set's size. The
-	// float64 kernels read train in place; a float32 worker lets go of it
-	// once kern holds the narrowed copy.
-	mdl    model.Model
-	train  *data.Dataset
-	kern   model.Bound[T]
-	trainN int
-	flt    fault.Fault
+	// kernels at width T (model.BindOf). The float64 kernels read train in
+	// place; a float32 worker lets go of it once kern holds the narrowed
+	// copy.
+	mdl   model.Model
+	train *data.Dataset
+	kern  model.Bound[T]
+	flt   fault.Fault
 	// token is the session token the last Welcome assigned.
 	token uint64
 	// params is the worker's copy of the model vector, patched in place
@@ -165,16 +164,14 @@ type workerStateOf[T linalg.Float] struct {
 	frames [][]byte
 	reps   []GradientReport
 	msgs   []Message
-	// pipeline mirrors Welcome.Pipeline. prepIter is the iteration of
-	// the last RoundPrep received on this connection (-1 before any);
-	// prepSamples are its per-slot sample lists, valid for the matching
-	// RoundStart. filesStatic is this worker's assignment in static slot
-	// order — prep rounds carry no file ids, only samples in this order —
-	// set, with asn, by the first handshake.
-	pipeline    bool
-	prepIter    int
-	prepSamples [][]int
+	// filesStatic is this worker's assignment in static slot order and
+	// stream its own replica of the run's file→samples table — the PS
+	// sends neither — both set, with asn, by the first handshake.
+	// nextRound is one past the last round this process was started on,
+	// on whichever connection: the stream cannot go back below it.
 	filesStatic []int
+	stream      *data.FileStream
+	nextRound   int
 	// grads/shardGrads are the per-round report scratch, reused across
 	// rounds; shardGrads holds per-shard subslice headers over grads'
 	// full-dimension rows.
@@ -182,14 +179,9 @@ type workerStateOf[T linalg.Float] struct {
 	shardGrads [][]T
 	asn        *assign.Assignment
 	// adv is the adversary a Byzantine worker crafts through (nil when
-	// honest); the fields below are its view of the round — the worker's
-	// own replica of the run's batch stream, fast-forwarded to the current
-	// round, that batch's file partition, and every file's gradient.
-	adv         *attack.AdversaryOf[T]
-	sampler     *data.BatchSampler
-	sampledIter int
-	fileParts   [][]int
-	trueGrads   [][]T
+	// honest), from trueGrads: every file's honest gradient this round.
+	adv       *attack.AdversaryOf[T]
+	trueGrads [][]T
 	// ins is the worker-side metric state (nil with metrics disabled;
 	// every method is nil-safe).
 	ins *workerInstruments
@@ -209,7 +201,7 @@ func RunWorkerOf[T linalg.Float](ctx context.Context, addr string, cfg WorkerCon
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	st := &workerStateOf[T]{cfg: cfg, token: cfg.ResumeToken, lastApplied: -1, sampledIter: -1}
+	st := &workerStateOf[T]{cfg: cfg, token: cfg.ResumeToken}
 	if cfg.Metrics != nil {
 		st.ins = newWorkerInstruments(cfg.Metrics)
 	}
@@ -332,77 +324,12 @@ func runWorkerConn[T linalg.Float](ctx context.Context, addr string, st *workerS
 		return 0, fmt.Errorf("transport: server negotiated precision %s, this worker offered only %s",
 			welcome.Precision, prec)
 	}
-	st.token = welcome.Token
-	st.ins.tierNegotiated(int32(welcome.Uplink))
-	shards := welcome.Shards
-	if shards == 0 {
-		shards = 1
-	}
-	if shards < 1 || shards > 64 {
-		return 0, fmt.Errorf("transport: server announced %d shards, want 1..64", shards)
-	}
-	if st.shards != 0 && shards != st.shards {
-		return 0, fmt.Errorf("transport: server changed shard count %d → %d across rejoin", st.shards, shards)
-	}
-	if st.mdl == nil {
-		// First successful handshake: adopt the process-shared state, or
-		// build this worker's own from the Spec the Welcome carried.
-		// Rejoins keep it (same Spec, same run).
-		st.spec = welcome.Spec
-		sh := cfg.Shared
-		if sh == nil {
-			if sh, err = NewSharedWorkerState(st.spec); err != nil {
-				return 0, err
-			}
-		}
-		st.mdl, st.train, st.flt, st.asn = sh.mdl, sh.train, sh.flt, sh.asn
-		if st.kern, err = sharedBound[T](sh); err != nil {
-			return 0, err
-		}
-		st.trainN = st.train.Len()
-		if linalg.Width[T]() != 8 {
-			st.train = nil
-		}
-		st.filesStatic = st.asn.WorkerFiles(cfg.ID)
-		st.params = make([]T, st.mdl.NumParams())
-		if cfg.Attack != nil {
-			if err := st.initAdversary(); err != nil {
-				return 0, err
-			}
-		}
+	if err := st.adopt(welcome); err != nil {
+		return 0, err
 	}
 	// The handshake is over: from here the PS sends this worker nothing
 	// larger than a RoundStart of this Spec.
-	conn.setPayloadLimit(roundPayloadLimit[T](len(st.filesStatic), len(st.params), st.spec.BatchSize))
-	if st.shards == 0 {
-		st.shards = shards
-		st.ranges = make([][2]int, shards)
-		dim := st.mdl.NumParams()
-		for s := range st.ranges {
-			st.ranges[s][0], st.ranges[s][1] = wire.ShardRange(dim, shards, s)
-		}
-		st.encs = make([]wire.UplinkEncoderOf[T], shards)
-		st.frames = make([][]byte, shards)
-		st.reps = make([]GradientReport, shards)
-		st.msgs = make([]Message, shards)
-	}
-	// A fresh connection means fresh uplink streams: the server's
-	// decoders hold no codec state, so the encoders must not either. The
-	// tier is per connection — a rejoin may renegotiate (the lossy tiers
-	// are stateless, and the delta tier's first frame after a reset
-	// ships raw), so adopting the new Welcome's tier is always safe.
-	for s := range st.encs {
-		st.encs[s].Reset()
-		st.encs[s].Tier = welcome.Uplink
-	}
-	st.pipeline = welcome.Pipeline
-	// Any prep received on a previous connection died with it: the
-	// server forgets prep state on eviction and serves this connection
-	// the self-contained Files path until its next prep lands.
-	st.prepIter = -1
-	// A (re)connected worker holds no acknowledged vector: the server
-	// sends a full broadcast first, so stale params are never patched.
-	st.lastApplied = -1
+	conn.setPayloadLimit(roundPayloadLimit[T](len(st.params)))
 	// The session token is logged on every (re)join — the server
 	// rotates it per handshake, so a restarted process must present the
 	// latest one (byzworker -resume-token).
@@ -431,18 +358,11 @@ func runWorkerConn[T linalg.Float](ctx context.Context, addr string, st *workerS
 			return 0, retryable(fmt.Errorf("transport: worker %d recv: %w", cfg.ID, ctxErr(ctx, err)))
 		}
 		switch m := msg.(type) {
-		case RoundPrep:
-			// The next round's sample lists, streamed while the current
-			// round's tail still runs on the PS. Decoded slices are
-			// fresh per Recv, so retaining them is safe.
-			st.prepIter = m.Iteration
-			st.prepSamples = m.Samples
 		case RoundStart:
-			st.ins.roundStarted(m.Iteration)
-			samples, err := st.roundWork(&m)
-			if err != nil {
+			if err := st.startRound(m.Iteration); err != nil {
 				return 0, err
 			}
+			st.ins.roundStarted(m.Iteration)
 			if err := st.applyParams(&m); err != nil {
 				// A delta against a base this worker does not hold means
 				// the broadcast state diverged; reconnecting fetches a
@@ -476,7 +396,7 @@ func runWorkerConn[T linalg.Float](ctx context.Context, addr string, st *workerS
 				continue
 			}
 			computeStart := time.Now()
-			msgs, err := st.computeReport(m.Iteration, samples)
+			msgs, err := st.computeReport(m.Iteration)
 			if err != nil {
 				return 0, err
 			}
@@ -497,6 +417,76 @@ func runWorkerConn[T linalg.Float](ctx context.Context, addr string, st *workerS
 			return 0, fmt.Errorf("transport: worker %d: unexpected message %T", cfg.ID, msg)
 		}
 	}
+}
+
+// adopt takes a validated Welcome into the worker's state: on the first
+// one it builds everything the Spec determines; on every one it starts
+// the connection's codec and broadcast state afresh.
+func (st *workerStateOf[T]) adopt(welcome Welcome) error {
+	var err error
+	st.token = welcome.Token
+	st.ins.tierNegotiated(int32(welcome.Uplink))
+	shards := welcome.Shards
+	if shards == 0 {
+		shards = 1
+	}
+	if shards < 1 || shards > 64 {
+		return fmt.Errorf("transport: server announced %d shards, want 1..64", shards)
+	}
+	if st.shards != 0 && shards != st.shards {
+		return fmt.Errorf("transport: server changed shard count %d → %d across rejoin", st.shards, shards)
+	}
+	if st.mdl == nil {
+		// First successful handshake: adopt the process-shared state, or
+		// build this worker's own from the Spec the Welcome carried.
+		// Rejoins keep it (same Spec, same run).
+		st.spec = welcome.Spec
+		sh := st.cfg.Shared
+		if sh == nil {
+			if sh, err = NewSharedWorkerState(st.spec); err != nil {
+				return err
+			}
+		}
+		st.mdl, st.train, st.flt, st.asn = sh.mdl, sh.train, sh.flt, sh.asn
+		if st.kern, err = sharedBound[T](sh); err != nil {
+			return err
+		}
+		st.filesStatic = st.asn.WorkerFiles(st.cfg.ID)
+		if st.stream, err = data.NewFileStream(st.train.Len(), st.spec.BatchSize, st.spec.Seed, st.asn.F); err != nil {
+			return err
+		}
+		if linalg.Width[T]() != 8 {
+			st.train = nil
+		}
+		st.params = make([]T, st.mdl.NumParams())
+		if st.cfg.Attack != nil {
+			if err := st.initAdversary(); err != nil {
+				return err
+			}
+		}
+		st.shards = shards
+		st.ranges = make([][2]int, shards)
+		for s := range st.ranges {
+			st.ranges[s][0], st.ranges[s][1] = wire.ShardRange(len(st.params), shards, s)
+		}
+		st.encs = make([]wire.UplinkEncoderOf[T], shards)
+		st.frames = make([][]byte, shards)
+		st.reps = make([]GradientReport, shards)
+		st.msgs = make([]Message, shards)
+	}
+	// A fresh connection means fresh uplink streams: the server's
+	// decoders hold no codec state, so the encoders must not either. The
+	// tier is per connection — a rejoin may renegotiate (the lossy tiers
+	// are stateless, and the delta tier's first frame after a reset
+	// ships raw), so adopting the new Welcome's tier is always safe.
+	for s := range st.encs {
+		st.encs[s].Reset()
+		st.encs[s].Tier = welcome.Uplink
+	}
+	// A (re)connected worker holds no acknowledged vector: the server
+	// sends a full broadcast first, so stale params are never patched.
+	st.lastApplied = -1
+	return nil
 }
 
 // applyParams patches the worker's copy of the model vector — reflecting
@@ -525,68 +515,56 @@ func (st *workerStateOf[T]) applyParams(m *RoundStart) error {
 	return nil
 }
 
-// roundWork resolves a RoundStart into the per-file sample lists of the
-// worker's files, in static slot order. A self-contained round names the
-// files itself, and they must be exactly the worker's assignment; a prep
-// round carries neither file ids nor samples and must be preceded by its
-// RoundPrep on this same connection — if that prep was lost the error is
-// retryable, because the server serves a reconnected worker the
-// self-contained path.
-func (st *workerStateOf[T]) roundWork(m *RoundStart) (samples [][]int, err error) {
-	if len(m.Files) > 0 {
-		if !slices.Equal(m.Files, st.filesStatic) {
-			return nil, fmt.Errorf("%w: worker %d: round %d names files %v, assignment is %v",
-				ErrBadRoundStart, st.cfg.ID, m.Iteration, m.Files, st.filesStatic)
-		}
-		return m.Samples, nil
+// startRound admits the round a RoundStart names before anything is
+// sought, patched or computed for it: a round of this run, and a later
+// one than any this process was started on — the only rounds an honest
+// server starts a worker on, whatever connection they arrive over.
+func (st *workerStateOf[T]) startRound(iter int) error {
+	if iter >= st.spec.Rounds || iter < st.nextRound {
+		return fmt.Errorf("%w: worker %d: round %d of %d started after round %d",
+			ErrBadRoundStart, st.cfg.ID, iter, st.spec.Rounds, st.nextRound-1)
 	}
-	if !st.pipeline {
-		return nil, fmt.Errorf("transport: worker %d: round %d carried no files outside pipeline mode",
-			st.cfg.ID, m.Iteration)
-	}
-	if st.prepIter != m.Iteration {
-		return nil, retryable(fmt.Errorf("transport: worker %d: round %d started without its prep (have %d)",
-			st.cfg.ID, m.Iteration, st.prepIter))
-	}
-	if len(st.prepSamples) != len(st.filesStatic) {
-		return nil, fmt.Errorf("transport: worker %d: round %d prep carried %d sample lists, want %d",
-			st.cfg.ID, m.Iteration, len(st.prepSamples), len(st.filesStatic))
-	}
-	return st.prepSamples, nil
+	st.nextRound = iter + 1
+	return nil
 }
 
 // computeReport produces the worker's gradients for one round — of its
-// files' samples when honest, what the adversary crafts for its files
-// when Byzantine — sliced into one report per shard, each encoded
-// through its shard's uplink codec (raw or XOR-delta against the
-// previous report, whichever is smaller). The returned messages alias
-// the state's scratch and are valid until the next computeReport call.
-func (st *workerStateOf[T]) computeReport(iter int, samples [][]int) ([]Message, error) {
+// files' samples, which it draws from its own stream, when honest; what
+// the adversary crafts for its files when Byzantine — sliced into one
+// report per shard, each encoded through its shard's uplink codec (raw
+// or XOR-delta against the previous report, whichever is smaller). The
+// returned messages alias the state's scratch and are valid until the
+// next computeReport call.
+func (st *workerStateOf[T]) computeReport(iter int) ([]Message, error) {
 	cfg := st.cfg
 	files := st.filesStatic
 	dim := st.mdl.NumParams()
+	// The stream is positional: rounds this worker sat out (disconnected,
+	// or skipped by a fault) still consume their batches, so round r
+	// always sees the engine's batch r.
+	samples, err := st.stream.Round(iter)
+	if err != nil {
+		return nil, err
+	}
 	if cap(st.grads) < len(files) {
 		st.grads = make([][]T, len(files))
 	}
 	grads := st.grads[:len(files)]
 	st.grads = grads
 	if st.adv != nil {
-		crafted, err := st.craft(iter)
-		if err != nil {
-			return nil, err
-		}
+		crafted := st.craft(iter, samples)
 		for i, v := range files {
 			grads[i] = crafted[v]
 		}
 	} else {
-		for i := range files {
+		for i, v := range files {
 			if cap(grads[i]) < dim {
 				grads[i] = make([]T, dim)
 			}
 			g := grads[i][:dim]
 			grads[i] = g
 			clear(g)
-			st.kern.SumGradient(st.params, samples[i], g)
+			st.kern.SumGradient(st.params, samples[v], g)
 		}
 	}
 	if cap(st.shardGrads) < len(files) {
@@ -610,9 +588,8 @@ func (st *workerStateOf[T]) computeReport(iter int, samples [][]int) ([]Message,
 	return st.msgs, nil
 }
 
-// initAdversary builds the adversary of a Byzantine worker and the
-// replica of the run it crafts from, once the first Welcome has said
-// what the run is.
+// initAdversary builds the adversary of a Byzantine worker, once the
+// first Welcome has said what the run is.
 func (st *workerStateOf[T]) initAdversary() error {
 	cfg, dim := st.cfg, len(st.params)
 	coalition := cfg.Coalition
@@ -626,9 +603,6 @@ func (st *workerStateOf[T]) initAdversary() error {
 	if st.adv, err = attack.NewAdversaryOf[T](cfg.Attack, st.asn, coalition, dim, st.spec.Seed, st.spec.BatchSize); err != nil {
 		return fmt.Errorf("transport: worker %d: %w", cfg.ID, err)
 	}
-	if st.sampler, err = data.NewBatchSampler(st.trainN, st.spec.BatchSize, st.spec.Seed); err != nil {
-		return err
-	}
 	flat := make([]T, st.asn.F*dim)
 	st.trueGrads = make([][]T, st.asn.F)
 	for v := range st.trueGrads {
@@ -640,33 +614,17 @@ func (st *workerStateOf[T]) initAdversary() error {
 }
 
 // craft is a Byzantine worker's round: everything the engine's adversary
-// reads off the engine — the round's batch, its file partition, every
-// file's honest gradient — is a deterministic function of the Spec and
-// the round's parameters, the same determinism the honest replicas' vote
-// relies on, so the worker replays it locally and crafts through the
-// same attack.AdversaryOf. Every coalition member does, and so they
-// agree with each other and with the engine bit for bit. st.params must
-// already reflect the round's broadcast, which the call order guarantees.
-func (st *workerStateOf[T]) craft(round int) ([][]T, error) {
-	if round <= st.sampledIter {
-		return nil, fmt.Errorf("transport: worker %d: round %d started after round %d",
-			st.cfg.ID, round, st.sampledIter)
-	}
-	// The sampler's stream is positional: skipped rounds (missed while
-	// disconnected, or skipped by a fault) still consume their batches so
-	// round r always sees the engine's batch r.
-	var batch []int
-	for st.sampledIter < round {
-		batch = st.sampler.Next()
-		st.sampledIter++
-	}
-	var err error
-	if st.fileParts, err = data.PartitionFilesInto(batch, st.asn.F, st.fileParts); err != nil {
-		return nil, err
-	}
+// reads off the engine — the round's file table, every file's honest
+// gradient — is a deterministic function of the Spec and the round's
+// parameters, the same determinism the honest replicas' vote relies on,
+// so the worker replays it locally and crafts through the same
+// attack.AdversaryOf. Every coalition member does, and so they agree with
+// each other and with the engine bit for bit. st.params must already
+// reflect the round's broadcast, which the call order guarantees.
+func (st *workerStateOf[T]) craft(round int, samples [][]int) [][]T {
 	for v, g := range st.trueGrads {
 		clear(g)
-		st.kern.SumGradient(st.params, st.fileParts[v], g)
+		st.kern.SumGradient(st.params, samples[v], g)
 	}
-	return st.adv.Craft(round, st.trueGrads), nil
+	return st.adv.Craft(round, st.trueGrads)
 }

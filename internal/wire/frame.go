@@ -2,7 +2,7 @@
 // one self-delimiting frame:
 //
 //	u16  magic  (0xB52D, little-endian)
-//	u8   protocol version (currently 4)
+//	u8   protocol version (ProtocolVersion)
 //	u8   message type (transport-defined)
 //	u32  payload length in bytes
 //	…    payload
@@ -45,6 +45,11 @@ const (
 	// ProtocolVersion is the current control-plane protocol version.
 	// Hello/Welcome carry it explicitly for negotiation; every frame
 	// header repeats it so a version skew fails fast on any message.
+	// v8 stopped shipping each round's file→samples table, which every
+	// process derives from the Spec's seed (data.FileStream): the
+	// RoundStart's file section, the round-prep message (type 7) and the
+	// Welcome's pipeline flag are gone, and a RoundStart is a header and
+	// a params frame.
 	// v7 added the negotiated precision tier: the Hello advertises a
 	// supported-precisions bitmask, the Welcome pins the connection's
 	// Precision (f64 stays the default), and the float32 instantiation
@@ -58,15 +63,13 @@ const (
 	// modes (sign, int8 — quant.go) joined raw and XOR-delta.
 	// v5 added the sharded aggregation plane: per-shard gradient
 	// report frames (GradientReport.Shard over ShardRange coordinate
-	// ranges), the RoundPrep message that pipelines round t+1's file
-	// assignments during round t's aggregation, and the Welcome's
-	// shard-count/pipeline negotiation fields.
+	// ranges) and the Welcome's shard count.
 	// v4 extended the Spec payload with the detector configuration and
 	// added the typed Reject frame (blacklisted-rejoin refusal); v3 added
 	// the compressed uplink gradient codec (uplink.go) and the Welcome's
 	// uplink-delta flag. Older peers are rejected at the first frame
 	// (and at Hello/Welcome negotiation) with a typed version Reject.
-	ProtocolVersion = 7
+	ProtocolVersion = 8
 	// FrameHeaderSize is the fixed byte size of the frame header.
 	FrameHeaderSize = 8
 	// MaxFramePayload bounds the declared payload length a receiver will

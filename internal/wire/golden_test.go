@@ -297,7 +297,7 @@ func TestGoldenFrames(t *testing.T) {
 
 	if *updateGolden {
 		var sb strings.Builder
-		sb.WriteString("# Golden wire frames, protocol v7. Generated by\n")
+		fmt.Fprintf(&sb, "# Golden wire frames, protocol v%d. Generated by\n", ProtocolVersion)
 		sb.WriteString("#   go test ./internal/wire -run TestGoldenFrames -update-golden\n")
 		sb.WriteString("# <width>.<case>.frame = encoded bytes; .values = decoded bit patterns.\n")
 		for _, k := range keys {
