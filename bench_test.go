@@ -23,7 +23,6 @@ import (
 	"byzshield/internal/attack"
 	"byzshield/internal/distort"
 	"byzshield/internal/experiments"
-	"byzshield/internal/vote"
 )
 
 // benchOpts are reduced-size training options so each figure bench
@@ -131,33 +130,6 @@ func BenchmarkAblationAssignment(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkAblationVote compares the exact (hash) and tolerance
-// (clustering) vote modes on identical replica sets.
-func BenchmarkAblationVote(b *testing.B) {
-	replicas := make([][]float64, 5)
-	base := make([]float64, 2000)
-	for i := range base {
-		base[i] = float64(i%17) - 8
-	}
-	for i := range replicas {
-		replicas[i] = base
-	}
-	b.Run("exact", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := vote.Majority(replicas); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("tolerance", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := vote.MajorityWithTolerance(replicas, 1e-9); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkAblationAggregator compares the post-vote aggregation rules

@@ -8,8 +8,8 @@
 // real sockets only (byzps -v). The rep/blk columns show the detection
 // layer's view (mean reputation, blacklist size) when a -detector is
 // timed. -uplink selects the report codec tier the communication phase
-// times: delta (the bit-exact default), raw, or the lossy sign/int8
-// quantized tiers, whose upRatio shows the realized lossy saving.
+// times: raw (the bit-exact default) or the lossy sign/int8 quantized
+// tiers, whose upRatio shows the realized lossy saving.
 //
 // Usage:
 //
@@ -52,7 +52,7 @@ func main() {
 		seed      = flag.Int64("seed", 42, "experiment seed")
 		budget    = flag.Duration("budget", 10*time.Second, "Byzantine-set search budget")
 		detector  = flag.String("detector", "", "PS-side Byzantine detector to time (none, zscore, cluster)")
-		uplink    = flag.String("uplink", "delta", "report codec tier to time: raw, delta, sign, int8")
+		uplink    = flag.String("uplink", "raw", "report codec tier to time: raw, sign, int8")
 		precision = flag.String("precision", "f64",
 			"f64 = the Figure 12 timing split; f32 = the f64-vs-f32 precision-scaling dim sweep")
 		dims = flag.String("dims", "",

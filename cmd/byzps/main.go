@@ -29,13 +29,10 @@
 //
 // Parameter broadcasts ship as bit-exact deltas between periodic full
 // refreshes; -full-every controls the cadence (1 = full every round).
-// Worker→PS gradient reports run the negotiated uplink codec tier:
+// Worker→PS gradient reports run the uplink codec tier the PS names in
+// every Welcome; each frame is self-contained:
 //
-//	-uplink delta   XOR deltas against each worker's previous report,
-//	                raw fallback per frame (bit-exact; the default)
-//	-uplink raw     uncompressed frames (recommended for CPU-bound
-//	                loopback fleets, where the delta codec's two extra
-//	                passes per gradient cost more than the bytes saved)
+//	-uplink raw     uncompressed frames (bit-exact; the default)
 //	-uplink sign    lossy 1-bit sign quantization, one scale per
 //	                (file, shard) row — ~64x fewer gradient bytes
 //	-uplink int8    lossy 8-bit linear quantization, min/scale per
@@ -44,9 +41,7 @@
 // The lossy tiers trade exactness for bandwidth: the PS aggregates the
 // dequantized values, so the trajectory is deterministic (and matches
 // the in-process engine on the same tier bit for bit) but differs from
-// the lossless trajectory. Workers advertise the tiers they support at
-// Hello; the server downgrades to the best mutually supported lossless
-// tier rather than substituting a different lossy one. -v logs
+// the lossless trajectory. Every worker speaks every tier. -v logs
 // per-round participation and wire-volume stats, and the lifecycle
 // counters (joins, rejoins, evictions, stale frames retired) print at
 // shutdown.
@@ -121,8 +116,8 @@ func main() {
 			"per-round report-collection deadline (negative disables; stalled workers miss the round)")
 		fullEvery = flag.Int("full-every", transport.DefaultFullBroadcastEvery,
 			"full parameter-broadcast cadence (1 = full vector every round, N = deltas between every N-th round)")
-		uplink = flag.String("uplink", "delta",
-			"worker→PS report codec tier: raw, delta (bit-exact XOR compression), sign or int8 (lossy quantization)")
+		uplink = flag.String("uplink", "raw",
+			"worker→PS report codec tier: raw (bit-exact), sign or int8 (lossy quantization)")
 		precision = flag.String("precision", "f64",
 			"numeric precision tier: f64 or f32 (float32 kernels and frames; the same protocol, for the models and coordinate-wise aggregators that have float32 kernels)")
 		shardCount = flag.Int("shards", 0,

@@ -24,6 +24,9 @@
 //	byzworker -connect 127.0.0.1:7077 -id 7 -attack alie -coalition 3,7
 //	byzworker -connect 127.0.0.1:7077 -id 9 -attack reversed -attack-param 2
 //
+// The uplink codec tier is the PS's to name (byzps -uplink); a worker
+// speaks every tier.
+//
 // -metrics-addr serves the worker-side mirror of the PS diagnostics:
 // byzworker_* counters (rounds, report bytes, skips, reconnects), the
 // current-round gauge, and /debug/pprof — so a fleet operator can tell
@@ -60,8 +63,6 @@ func main() {
 			"automatic rejoin attempts after a lost connection (negative disables)")
 		resumeToken = flag.String("resume-token", "",
 			"session token (hex, from the first join's log line) to rejoin a run after a process restart")
-		uplinkTiers = flag.String("uplink-tiers", "",
-			"comma-separated report codec tiers to offer the server (raw, delta, sign, int8; empty = all) — restricting the list forces the server to downgrade this connection to a mutually supported lossless tier")
 		precision = flag.String("precision", "f64",
 			"numeric precision tier: f64 or f32 — must match the byzps -precision it connects to")
 		quiet       = flag.Bool("quiet", false, "suppress progress logging")
@@ -89,17 +90,6 @@ func main() {
 				os.Exit(2)
 			}
 			colluders = append(colluders, u)
-		}
-	}
-	var tiers uint8
-	if *uplinkTiers != "" {
-		for _, name := range strings.Split(*uplinkTiers, ",") {
-			t, err := wire.ParseUplinkTier(strings.TrimSpace(name))
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "byzworker:", err)
-				os.Exit(2)
-			}
-			tiers |= t.Mask()
 		}
 	}
 	var token uint64
@@ -146,7 +136,6 @@ func main() {
 		Coalition:         colluders,
 		ReconnectAttempts: *reconnects,
 		ResumeToken:       token,
-		Tiers:             tiers,
 		Metrics:           registry,
 		Logf:              logf,
 	})

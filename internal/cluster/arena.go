@@ -64,15 +64,13 @@ type roundArena[T linalg.Float] struct {
 	voteErrs  []error
 	// probe caches the deterministic loss-evaluation indices.
 	probe []int
-	// encBuf and rxFrame are the communication round-trip scratch;
-	// upEnc[u]/upDec[u] are worker u's uplink codec stream state —
-	// exactly the state each TCP connection pair holds, so measured
-	// communication exercises the same raw-vs-delta self-selection
-	// (allocated only when MeasureComm is set).
+	// encBuf and rxFrame are the communication round-trip scratch, and
+	// upEnc/upDec the uplink codec pair every worker's frame passes
+	// through (the codec is stateless, so one pair serves all workers).
 	encBuf  []byte
 	rxFrame wire.GradFrameOf[T]
-	upEnc   []wire.UplinkEncoderOf[T]
-	upDec   []wire.UplinkDecoderOf[T]
+	upEnc   wire.UplinkEncoderOf[T]
+	upDec   wire.UplinkDecoderOf[T]
 	// txRows/rxRows are the row-view scratch of the measured round trip,
 	// one view per slot of the range being framed (sized to the widest
 	// worker's slot count, allocated only when MeasureComm is set).
@@ -130,8 +128,6 @@ func newRoundArena[T linalg.Float](a *assign.Assignment, dim int, byzSet map[int
 				rxBacking = rxBacking[dim:]
 			}
 		}
-		ar.upEnc = make([]wire.UplinkEncoderOf[T], a.K)
-		ar.upDec = make([]wire.UplinkDecoderOf[T], a.K)
 		maxSlots := 0
 		for u := 0; u < a.K; u++ {
 			if n := len(ar.workerFiles[u]); n > maxSlots {

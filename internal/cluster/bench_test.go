@@ -118,7 +118,7 @@ func BenchmarkRound(b *testing.B) {
 	// upB/round against the raw-equivalent upRawB/round is the realized
 	// lossy saving on the quickstart config — the acceptance gate for
 	// the quantized tiers is ≥4x under int8 or sign with round_ns no
-	// worse than the measure-comm row above (the delta tier).
+	// worse than the measure-comm row above (the raw tier).
 	b.Run("measure-comm-int8", func(b *testing.B) {
 		cfg := quickstartConfig(b)
 		cfg.MeasureComm = true

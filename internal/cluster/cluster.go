@@ -97,9 +97,8 @@ type ConfigOf[T linalg.Float] struct {
 	// is applied directly (scaled only by the learning rate).
 	SignMessages bool
 	// UplinkTier pins the in-process engine to one worker→PS codec tier
-	// (wire.UplinkTier). The lossless tiers (TierDelta, the zero value,
-	// and TierRaw) are no-ops here — compression is a wire concern
-	// invisible to training — but a lossy tier (TierSign, TierInt8)
+	// (wire.UplinkTier). The lossless TierRaw, the zero value, is a
+	// no-op here, but a lossy tier (TierSign, TierInt8)
 	// makes every collected gradient pass through the exact
 	// quantize→dequantize float operations of the wire codec, per
 	// aggregation-shard coordinate range, so the engine reproduces a
@@ -108,8 +107,6 @@ type ConfigOf[T linalg.Float] struct {
 	// (two different message semantics) and with Source (a network
 	// source's workers quantize on their own side of the wire).
 	UplinkTier wire.UplinkTier
-	// VoteTolerance > 0 switches the vote to L∞ clustering mode.
-	VoteTolerance float64
 	// MeasureComm pushes every surviving worker's message through the
 	// uplink gradient codec (encode, then decode into the PS's receive
 	// buffers), so Figure 12's communication phase is physically
@@ -126,9 +123,7 @@ type ConfigOf[T linalg.Float] struct {
 	// aggregate state, so a network source can stream per-shard report
 	// frames and vote a shard early while other shards still collect.
 	// Any shard count produces bit-identical trajectories to the serial
-	// engine (see shard.go for why); 0 or 1 disables the plane. Requires
-	// exact bit-equality votes (VoteTolerance must be 0 — L∞ clustering
-	// does not decompose across coordinate ranges).
+	// engine (see shard.go for why); 0 or 1 disables the plane.
 	Shards int
 	// Fault injects worker participation faults (crash, flaky skips)
 	// into the in-process source; nil runs fault-free. Incompatible with
@@ -156,7 +151,7 @@ type ConfigOf[T linalg.Float] struct {
 	// in-process compute source (Algorithm 1's simulated cluster); the
 	// TCP parameter server installs its network collector here. When
 	// Source is set, the in-process-only knobs (Attack, Byzantines,
-	// SignMessages, VoteTolerance, MeasureComm, Fault) must be unset —
+	// SignMessages, MeasureComm, Fault, UplinkTier) must be unset —
 	// in a real deployment those behaviors belong to the workers, not
 	// the PS.
 	Source GradientSourceOf[T]
@@ -189,12 +184,12 @@ type PhaseTimes struct {
 	// from Aggregation so the Figure-12 phase split stays honest.
 	Detect time.Duration
 	// ReportBytes counts the serialized worker→PS gradient-report bytes
-	// as they move (or are measured) on the wire — compressed uplink
-	// frames where the codec chose a delta, raw frames otherwise.
+	// as they move (or are measured) on the wire, in the uplink tier's
+	// frames.
 	ReportBytes int64
 	// ReportRawBytes is what the same reports would have cost as raw
 	// frames; ReportBytes/ReportRawBytes is the realized uplink
-	// compression ratio (1.0 when every frame fell back to raw).
+	// compression ratio (1.0 on the raw tier).
 	ReportRawBytes int64
 	// BroadcastBytes counts the serialized PS→worker parameter
 	// broadcast (full or delta frames) a network source sent; zero for
@@ -331,9 +326,8 @@ func NewOf[T linalg.Float](cfg ConfigOf[T]) (*EngineOf[T], error) {
 	}
 	if cfg.Source != nil {
 		if cfg.Attack != nil || len(cfg.Byzantines) > 0 || cfg.SignMessages ||
-			cfg.VoteTolerance != 0 || cfg.MeasureComm || cfg.Fault != nil ||
-			cfg.UplinkTier != wire.TierDelta {
-			return nil, fmt.Errorf("cluster: Attack/Byzantines/SignMessages/VoteTolerance/MeasureComm/Fault/UplinkTier " +
+			cfg.MeasureComm || cfg.Fault != nil || cfg.UplinkTier != wire.TierRaw {
+			return nil, fmt.Errorf("cluster: Attack/Byzantines/SignMessages/MeasureComm/Fault/UplinkTier " +
 				"are in-process source knobs; they must be unset when Source is provided")
 		}
 	}
@@ -366,9 +360,6 @@ func NewOf[T linalg.Float](cfg ConfigOf[T]) (*EngineOf[T], error) {
 	}
 	if cfg.Shards < 0 {
 		return nil, fmt.Errorf("cluster: shards %d < 0", cfg.Shards)
-	}
-	if cfg.Shards > 1 && cfg.VoteTolerance != 0 {
-		return nil, fmt.Errorf("cluster: sharded voting requires exact bit-equality votes; VoteTolerance must be 0")
 	}
 	quorum := cfg.Quorum
 	if quorum == 0 {
@@ -447,10 +438,8 @@ func NewOf[T linalg.Float](cfg ConfigOf[T]) (*EngineOf[T], error) {
 	// (faults by plan, detection by blacklist), so either forces the
 	// full-oracle arena: any file's live honest replicas may vanish.
 	e.arena = newRoundArena[T](cfg.Assignment, dim, byzSet, cfg.MeasureComm, cfg.Fault != nil || e.det != nil, width)
-	for u := range e.arena.upEnc {
-		e.arena.upEnc[u].Tier = cfg.UplinkTier
-		e.arena.upDec[u].Tier = cfg.UplinkTier
-	}
+	e.arena.upEnc.Tier = cfg.UplinkTier
+	e.arena.upDec.Tier = cfg.UplinkTier
 	e.aggErrs = make([]error, width)
 	if n := wire.ShardCount(cfg.Shards, dim); n > 1 {
 		e.plane = newShardPlane(n, dim, cfg.Assignment.F, cfg.Assignment.K)
@@ -876,14 +865,9 @@ func (e *EngineOf[T]) voteFile(w, v int) {
 		return
 	}
 	degradedVote := len(repl) < len(ar.fileReplicas[v])
-	var res vote.ResultOf[T]
+	res := vote.ResultOf[T]{Winner: repl[0], Count: 1, Unanimous: true}
 	var vErr error
-	switch {
-	case len(repl) == 1:
-		res = vote.ResultOf[T]{Winner: repl[0], Count: 1, Unanimous: true}
-	case e.cfg.VoteTolerance > 0:
-		res, vErr = vote.MajorityWithToleranceOf(repl, e.cfg.VoteTolerance)
-	default:
+	if len(repl) > 1 {
 		res, vErr = vote.MajorityOf(repl)
 	}
 	if vErr != nil {

@@ -249,49 +249,6 @@ func TestMeasureCommRoundTrip(t *testing.T) {
 	}
 }
 
-// TestVoteToleranceMode runs the approximate vote at both widths: the
-// honest replicas of a file are bit-identical and the colluding
-// Byzantines send one payload, so a 1e-9 tolerance must elect the same
-// winners, and land on the same parameter bits, as the exact vote.
-func TestVoteToleranceMode(t *testing.T) {
-	t.Run("f64", testVoteTolerance[float64])
-	t.Run("f32", testVoteTolerance[float32])
-}
-
-func testVoteTolerance[T linalg.Float](t *testing.T) {
-	run := func(tol float64) ([]T, int) {
-		// Workers 0 and 5 sit in different parallel classes of MOLS(5,3),
-		// so they share exactly one file and hold its majority.
-		cfg := testSetupOf[T](t, []int{0, 5}, attack.Constant{Value: 3}, aggregate.Median{})
-		cfg.VoteTolerance = tol
-		e, err := NewOf[T](cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer e.Close()
-		distorted := 0
-		for i := 0; i < 3; i++ {
-			stats, err := e.RunRound()
-			if err != nil {
-				t.Fatal(err)
-			}
-			distorted += stats.DistortedFiles
-		}
-		return e.Params(), distorted
-	}
-	exact, exactDistorted := run(0)
-	approx, approxDistorted := run(1e-9)
-	if exactDistorted == 0 {
-		t.Fatal("Byzantines {0,5} won no vote: the test exercises nothing")
-	}
-	if approxDistorted != exactDistorted {
-		t.Errorf("tolerance vote distorted %d files, exact vote %d", approxDistorted, exactDistorted)
-	}
-	if !linalg.EqualBits(exact, approx) {
-		t.Error("tolerance vote left the exact vote's trajectory")
-	}
-}
-
 func TestCheckFeasible(t *testing.T) {
 	an := distort.NewAnalyzer(mustMOLS(t))
 	byz := an.WorstCaseByzantines(context.Background(), 5) // c_max = 8 of 25

@@ -63,21 +63,13 @@ func TestUplinkTierValidation(t *testing.T) {
 
 // TestLossyUplinkDeterministicAndLossy: a lossy-tier run is exactly
 // reproducible (two identical runs land on the same bits — the
-// quantizer has no entropy source), the lossless tiers are bit-exact
-// no-ops in the engine, and the lossy tiers actually move the
-// trajectory off the lossless bits.
+// quantizer has no entropy source), and the lossy tiers actually move
+// the trajectory off the raw tier's lossless bits.
 func TestLossyUplinkDeterministicAndLossy(t *testing.T) {
 	const rounds = 8
 	cfg := testSetup(t, nil, attack.Benign{}, aggregate.Median{})
 	base := runParams(t, cfg, rounds)
 
-	for _, tier := range []wire.UplinkTier{wire.TierRaw, wire.TierDelta} {
-		c := cfg
-		c.UplinkTier = tier
-		if !paramsEqual(runParams(t, c, rounds), base) {
-			t.Errorf("lossless tier %s changed the engine trajectory", tier)
-		}
-	}
 	for _, tier := range []wire.UplinkTier{wire.TierSign, wire.TierInt8} {
 		c := cfg
 		c.UplinkTier = tier
@@ -119,7 +111,7 @@ func TestLossyUplinkMeasureCommBitIdentical(t *testing.T) {
 // TestLossyUplinkShardGranularity: the quantization granularity is the
 // aggregation shard range — a sharded worker frames each shard with
 // its own scale parameters — so a sharded lossy engine must NOT land
-// on the unsharded lossy engine's bits. (Lossless tiers are
+// on the unsharded lossy engine's bits. (The raw tier is
 // shard-invariant; the lossy tiers are deliberately not.)
 func TestLossyUplinkShardGranularity(t *testing.T) {
 	const rounds = 6
@@ -136,7 +128,7 @@ func TestLossyUplinkShardGranularity(t *testing.T) {
 // TestLossyUplinkConvergenceParity runs the attack × aggregator matrix
 // on both lossy tiers and requires convergence parity with the
 // lossless baseline: the quantized run's final accuracy must stay
-// within a fixed tolerance of the delta-tier run under the same attack
+// within a fixed tolerance of the raw-tier run under the same attack
 // and defense. This is the acceptance gate for shipping the lossy
 // tiers — they trade gradient precision for uplink bytes, not
 // robustness.
@@ -179,7 +171,7 @@ func TestLossyUplinkConvergenceParity(t *testing.T) {
 	}
 	for _, av := range attacks {
 		for _, gv := range aggs {
-			base := run(av.atk, av.byz, gv.agg, wire.TierDelta)
+			base := run(av.atk, av.byz, gv.agg, wire.TierRaw)
 			for _, tier := range []wire.UplinkTier{wire.TierSign, wire.TierInt8} {
 				acc := run(av.atk, av.byz, gv.agg, tier)
 				t.Logf("%s/%s: %s acc %.3f vs lossless %.3f", av.name, gv.name, tier, acc, base)

@@ -17,7 +17,7 @@ type CollectStats struct {
 	Compute       time.Duration
 	Communication time.Duration
 	// ReportBytes counts serialized worker→PS report bytes as they
-	// moved (compressed uplink frames); ReportRawBytes what the same
+	// moved (in the uplink tier's frames); ReportRawBytes what the same
 	// reports would have cost raw. See PhaseTimes.
 	ReportBytes    int64
 	ReportRawBytes int64
@@ -246,12 +246,9 @@ func (s localSource[T]) Collect(context.Context, *RoundOf[T]) (CollectStats, err
 	}
 
 	// --- Communication phase: move every surviving worker's message to
-	// the PS through the uplink gradient codec — per-worker encoder and
-	// decoder state, exactly as each TCP connection pair holds it, so
-	// the codec's raw-vs-delta self-selection is physically exercised
-	// and the realized ratio is measured, not modelled. The decoded
-	// receive buffers become the PS's working set, as bytes off a wire
-	// would.
+	// the PS through the uplink gradient codec, so the realized ratio is
+	// measured, not modelled. The decoded receive buffers become the PS's
+	// working set, as bytes off a wire would.
 	commStart := time.Now()
 	var commBytes, rawBytes int64
 	if e.cfg.MeasureComm {
@@ -268,8 +265,6 @@ func (s localSource[T]) Collect(context.Context, *RoundOf[T]) (CollectStats, err
 		}
 		for u := 0; u < a.K; u++ {
 			if ar.missing[u] {
-				// No report: encoder and decoder bases both stay put, so
-				// the pair stays in lockstep across the gap.
 				continue
 			}
 			rows := ar.cur[u]
@@ -279,13 +274,13 @@ func (s localSource[T]) Collect(context.Context, *RoundOf[T]) (CollectStats, err
 					ar.txRows[j] = rows[j][lo:hi]
 					ar.rxRows[j] = ar.rx[u][j][lo:hi:hi]
 				}
-				buf, _, rawSize, err := ar.upEnc[u].Encode(ar.encBuf[:0], u, ar.workerFiles[u], ar.txRows[:len(rows)])
+				buf, _, rawSize, err := ar.upEnc.Encode(ar.encBuf[:0], u, ar.workerFiles[u], ar.txRows[:len(rows)])
 				if err != nil {
 					return CollectStats{}, fmt.Errorf("cluster: worker %d message: %w", u, err)
 				}
 				ar.encBuf = buf
 				ar.rxFrame.Grads = ar.rxRows[:len(rows)]
-				if _, _, err := ar.upDec[u].Decode(buf, &ar.rxFrame); err != nil {
+				if _, _, err := ar.upDec.Decode(buf, &ar.rxFrame); err != nil {
 					return CollectStats{}, fmt.Errorf("cluster: worker %d message: %w", u, err)
 				}
 				commBytes += int64(len(buf))

@@ -50,8 +50,8 @@ type TrainOpts struct {
 	// measures the detection layer's overhead.
 	Detector string
 	// Uplink is the worker→PS report codec tier the timing suite
-	// measures (raw, delta, or the lossy sign/int8 quantized tiers);
-	// the zero value is the delta default.
+	// measures: raw (the zero value) or the lossy sign/int8 quantized
+	// tiers.
 	Uplink wire.UplinkTier
 	// Distribution names the registry data distribution the training
 	// cells sample batches under ("" or "iid" = homogeneous);

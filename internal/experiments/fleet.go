@@ -23,8 +23,7 @@ import (
 type FleetMode struct {
 	Name   string
 	Shards int
-	// Uplink is the report codec tier the server negotiates for this
-	// mode.
+	// Uplink is the report codec tier the server names for this mode.
 	Uplink wire.UplinkTier
 }
 
@@ -32,11 +31,8 @@ type FleetMode struct {
 //
 //   - serial: one aggregation pass over the whole vector after every
 //     report lands, raw uplink.
-//   - sharded: per-shard report streams and early shard votes. Raw
-//     uplink — the configuration shipped for CPU-bound loopback fleets,
-//     where the delta codec's two extra passes per gradient cost more
-//     than the ~2% of bytes they save (its bit-identity is pinned by
-//     the transport tests, not swept here).
+//   - sharded: per-shard report streams and early shard votes, raw
+//     uplink.
 //   - quantized: the sharded plane on the lossy int8 uplink tier —
 //     every report row ships 8-bit linear-quantized with per-(file,
 //     shard) scale parameters. Its trajectory is checked bit-for-bit
@@ -333,7 +329,7 @@ func fleetScaling[T linalg.Float](ctx context.Context, cfg FleetConfig, suffix s
 			return nil, fmt.Errorf("fleet: worker count %d is not a positive multiple of 3 (FRC r=3)", k)
 		}
 		spec := cfg.fleetSpec(k)
-		losslessRef, err := engineFinalParams[T](spec, 0, wire.TierDelta)
+		losslessRef, err := engineFinalParams[T](spec, 0, wire.TierRaw)
 		if err != nil {
 			return nil, fmt.Errorf("fleet K=%d reference: %w", k, err)
 		}

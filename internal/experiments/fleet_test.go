@@ -109,11 +109,11 @@ func TestFleetScalingModeFilter(t *testing.T) {
 // initial bits.
 func TestSweepReferenceMustTrain(t *testing.T) {
 	spec := FleetConfig{InputDim: 256, Classes: 8, Rounds: 6, Warmup: 2, Seed: 0}.fleetSpec(15)
-	if _, err := engineFinalParams[float32](spec, 0, wire.TierDelta); err != nil {
+	if _, err := engineFinalParams[float32](spec, 0, wire.TierRaw); err != nil {
 		t.Fatalf("the sweep's own spec: %v", err)
 	}
 	spec.DataSeed = spec.Seed
-	_, err := engineFinalParams[float32](spec, 0, wire.TierDelta)
+	_, err := engineFinalParams[float32](spec, 0, wire.TierRaw)
 	if err == nil || !strings.Contains(err.Error(), "does not train") {
 		t.Fatalf("aliased seeds: err = %v, want the does-not-train refusal", err)
 	}

@@ -24,9 +24,9 @@ type TimingRow struct {
 	Aggregation time.Duration
 	Detect      time.Duration
 	// ReportBytes is the measured worker→PS gradient-report volume as
-	// the uplink codec moved it (delta frames where they paid, raw
-	// otherwise); ReportRawBytes what raw frames would have cost — the
-	// two together give the realized uplink compression ratio.
+	// the uplink codec moved it; ReportRawBytes what raw frames would
+	// have cost — the two together give the realized uplink compression
+	// ratio.
 	ReportBytes    int64
 	ReportRawBytes int64
 	Rounds         int

@@ -41,7 +41,6 @@ func (s WorkerState) String() string {
 // the scrape side reads a consistent-enough snapshot.
 type fleetRow struct {
 	state     atomic.Int32
-	tier      atomic.Int32
 	lastRound atomic.Int64 // last round a report landed; -1 before any
 	rejoins   atomic.Int64
 	repBits   atomic.Uint64 // reputation as float bits
@@ -54,9 +53,6 @@ type fleetRow struct {
 // stores.
 type FleetTable struct {
 	rows []fleetRow
-	// TierName renders a tier code for display; set by the transport so
-	// obs stays independent of the wire package. Nil prints the code.
-	TierName func(int32) string
 }
 
 // NewFleetTable returns a table with k rows, all unseen, reputation 1.
@@ -77,9 +73,6 @@ func (t *FleetTable) SetState(u int, s WorkerState) { t.rows[u].state.Store(int3
 
 // State returns worker u's connection state.
 func (t *FleetTable) State(u int) WorkerState { return WorkerState(t.rows[u].state.Load()) }
-
-// SetTier records worker u's negotiated uplink tier code.
-func (t *FleetTable) SetTier(u int, tier int32) { t.rows[u].tier.Store(tier) }
 
 // ObserveRound records that worker u participated in round r.
 func (t *FleetTable) ObserveRound(u, r int) { t.rows[u].lastRound.Store(int64(r)) }
@@ -106,14 +99,6 @@ func (t *FleetTable) Reputation(u int) float64 {
 
 // Touch stamps worker u's last-seen time with now.
 func (t *FleetTable) Touch(u int, now time.Time) { t.rows[u].lastSeen.Store(now.UnixNano()) }
-
-// tierName renders a tier code.
-func (t *FleetTable) tierName(code int32) string {
-	if t.TierName != nil {
-		return t.TierName(code)
-	}
-	return fmt.Sprintf("%d", code)
-}
 
 // WritePrometheus writes the per-worker series: state, last round,
 // rejoins, and reputation, labeled by worker id.
@@ -155,8 +140,8 @@ func (t *FleetTable) WritePrometheus(w io.Writer) error {
 
 // WriteStatusz writes the human-readable fleet table.
 func (t *FleetTable) WriteStatusz(w io.Writer, now time.Time) error {
-	if _, err := fmt.Fprintf(w, "%-6s %-12s %-6s %10s %8s %6s %10s\n",
-		"worker", "state", "tier", "last_round", "rejoins", "rep", "last_seen"); err != nil {
+	if _, err := fmt.Fprintf(w, "%-6s %-12s %10s %8s %6s %10s\n",
+		"worker", "state", "last_round", "rejoins", "rep", "last_seen"); err != nil {
 		return err
 	}
 	for u := range t.rows {
@@ -165,9 +150,8 @@ func (t *FleetTable) WriteStatusz(w io.Writer, now time.Time) error {
 		if ns := r.lastSeen.Load(); ns != 0 {
 			seen = now.Sub(time.Unix(0, ns)).Truncate(time.Millisecond).String() + " ago"
 		}
-		if _, err := fmt.Fprintf(w, "%-6d %-12s %-6s %10d %8d %6.3f %10s\n",
-			u, WorkerState(r.state.Load()), t.tierName(r.tier.Load()),
-			r.lastRound.Load(), r.rejoins.Load(), t.Reputation(u), seen); err != nil {
+		if _, err := fmt.Fprintf(w, "%-6d %-12s %10d %8d %6.3f %10s\n",
+			u, WorkerState(r.state.Load()), r.lastRound.Load(), r.rejoins.Load(), t.Reputation(u), seen); err != nil {
 			return err
 		}
 	}

@@ -143,7 +143,6 @@ func TestTracerJSONL(t *testing.T) {
 func TestFleetTable(t *testing.T) {
 	ft := NewFleetTable(3)
 	ft.SetState(1, WorkerLive)
-	ft.SetTier(1, 2)
 	ft.ObserveRound(1, 7)
 	ft.IncRejoins(1)
 	ft.SetReputation(1, 0.25)

@@ -1,6 +1,6 @@
 // Loopback wire-path benchmarks: steady-state round latency and wire
-// volume of the pipelined TCP rounds (reader pumps + compressed uplink
-// frames), and a straggler-injected variant showing round latency
+// volume of the pipelined TCP rounds (reader pumps + uplink frames of
+// each tier), and a straggler-injected variant showing round latency
 // tracking the collection deadline rather than the slow worker's drain.
 //
 // Run with:
@@ -81,8 +81,8 @@ func benchLoopback(b *testing.B, spec Spec, cfg ServerConfig) {
 }
 
 // BenchmarkLoopbackRound is the steady-state pipelined wire round on
-// the shared test spec: all workers honest, compressed uplink enabled
-// (self-selecting), delta broadcasts at the default cadence.
+// the shared test spec: all workers honest, raw uplink frames, delta
+// broadcasts at the default cadence.
 func BenchmarkLoopbackRound(b *testing.B) {
 	benchLoopback(b, testSpec(1), ServerConfig{})
 }
@@ -100,18 +100,11 @@ func BenchmarkLoopbackRoundMetrics(b *testing.B) {
 	})
 }
 
-// BenchmarkLoopbackRoundRawUplink is the same round with uplink
-// compression disabled — the upB gap against BenchmarkLoopbackRound is
-// the realized uplink saving on the real wire.
-func BenchmarkLoopbackRoundRawUplink(b *testing.B) {
-	benchLoopback(b, testSpec(1), ServerConfig{Uplink: wire.TierRaw})
-}
-
 // BenchmarkLoopbackRoundQuantizedUplink is the same round on the lossy
 // int8 uplink tier: every report frame ships 8-bit linear-quantized
 // gradients (~1/8 the raw bytes plus per-row parameters), and the PS
-// dequantizes into the arena on decode. The upB gap against the raw
-// variant is the realized lossy saving; round_ns shows the quantize /
+// dequantizes into the arena on decode. The upB gap against
+// BenchmarkLoopbackRound is the realized lossy saving; round_ns shows the quantize /
 // dequantize passes costing less than the bytes they remove.
 func BenchmarkLoopbackRoundQuantizedUplink(b *testing.B) {
 	benchLoopback(b, testSpec(1), ServerConfig{Uplink: wire.TierInt8})

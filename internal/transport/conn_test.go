@@ -449,7 +449,7 @@ func TestOversizedReportEvicts(t *testing.T) {
 		}
 		defer raw.Close()
 		c := NewConn(raw)
-		c.Send(Hello{WorkerID: victim, Version: wire.ProtocolVersion, Tiers: wire.AllTiersMask, Precisions: wire.PrecisionF64.Mask()})
+		c.Send(Hello{WorkerID: victim, Version: wire.ProtocolVersion, Precisions: wire.PrecisionF64.Mask()})
 		if _, err := c.Recv(); err != nil { // Welcome
 			t.Error(err)
 			return
@@ -578,7 +578,7 @@ func TestServerForgetsClosedConns(t *testing.T) {
 		}
 		defer raw.Close()
 		c := NewConn(raw)
-		c.Send(Hello{WorkerID: victim, Version: wire.ProtocolVersion, Tiers: wire.AllTiersMask, Precisions: wire.PrecisionF64.Mask()})
+		c.Send(Hello{WorkerID: victim, Version: wire.ProtocolVersion, Precisions: wire.PrecisionF64.Mask()})
 		if _, err := c.Recv(); err != nil { // Welcome
 			t.Error(err)
 		}
@@ -792,7 +792,7 @@ func TestHostileRoundStartFailsWorker(t *testing.T) {
 					n++
 					c := NewConn(raw)
 					c.Recv() // the Hello
-					c.Send(Welcome{Version: wire.ProtocolVersion, Token: 7, FullEvery: 1, Uplink: wire.TierRaw, Spec: spec})
+					c.Send(Welcome{Version: wire.ProtocolVersion, Token: 7, Uplink: wire.TierRaw, Spec: spec})
 					raw.Write(tc.stream)
 					for err == nil { // reports, until the worker hangs up
 						_, err = c.Recv()

@@ -66,7 +66,7 @@ func newWorkerInstruments(r *obs.Registry) *workerInstruments {
 		reconnects:  r.Counter("byzworker_reconnects_total", "", "reconnect attempts after a broken PS connection"),
 		rejections:  r.Counter("byzworker_rejections_total", "", "typed Reject frames received from the PS"),
 		round:       r.Gauge("byzworker_current_round", "", "iteration of the last RoundStart received"),
-		tier:        r.Gauge("byzworker_uplink_tier", "", "negotiated uplink codec tier code"),
+		tier:        r.Gauge("byzworker_uplink_tier", "", "uplink codec tier code the PS named"),
 		computeSec:  r.Histogram("byzworker_compute_seconds", "", "wall-clock time of local gradient computation per round", workerPhaseBuckets),
 	}
 }
@@ -117,8 +117,8 @@ func (wi *workerInstruments) roundStarted(iter int) {
 	}
 }
 
-// tierNegotiated publishes the Welcome's uplink tier code.
-func (wi *workerInstruments) tierNegotiated(code int32) {
+// tierNamed publishes the Welcome's uplink tier code.
+func (wi *workerInstruments) tierNamed(code int32) {
 	if wi != nil {
 		wi.tier.Set(float64(code))
 	}

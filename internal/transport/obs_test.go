@@ -243,7 +243,7 @@ func TestObsScrapeConsistentWithRoundStats(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/statusz status %d", resp.StatusCode)
 	}
-	// The fleet table is one row per worker: "<id> <state> <tier> ...".
+	// The fleet table is one row per worker: "<id> <state> <last_round> ...".
 	rows := 0
 	for _, line := range strings.Split(string(page), "\n") {
 		f := strings.Fields(line)

@@ -1,13 +1,12 @@
 // Tests for the pipelined wire rounds of protocol v3: per-connection
-// reader pumps, eager stale-frame retirement, compressed uplink
-// gradient frames, lifecycle counters, and deterministic pump teardown.
+// reader pumps, eager stale-frame retirement, lifecycle counters, and
+// deterministic pump teardown.
 package transport
 
 import (
 	"context"
 	"encoding/binary"
 	"io"
-	"math"
 	"net"
 	"runtime"
 	"sync"
@@ -33,90 +32,44 @@ func runLoopback(t *testing.T, spec Spec, cfg ServerConfig) (*Server, []float64,
 	return f.srv, f.params, f.stats
 }
 
-// TestUplinkDeltaTrajectoryIdentity: compressed uplink (the default)
-// must move strictly fewer worker→PS bytes than forced-raw frames on
-// the same spec, never more than the raw equivalent on any round, and
-// produce the bit-identical parameter trajectory — compression is a
-// wire concern, invisible to training.
-func TestUplinkDeltaTrajectoryIdentity(t *testing.T) {
-	spec := testSpec(12)
-	sum := func(stats []cluster.RoundStats) (up, raw int64) {
-		for _, rs := range stats {
-			if rs.Times.ReportBytes > rs.Times.ReportRawBytes {
-				t.Errorf("round %d: moved %d bytes, raw equivalent %d — self-selection must never lose",
-					rs.Iteration, rs.Times.ReportBytes, rs.Times.ReportRawBytes)
-			}
-			up += rs.Times.ReportBytes
-			raw += rs.Times.ReportRawBytes
-		}
-		return up, raw
-	}
-	_, deltaParams, deltaStats := runLoopback(t, spec, ServerConfig{})
-	_, rawParams, rawStats := runLoopback(t, spec, ServerConfig{Uplink: wire.TierRaw})
-
-	deltaUp, deltaRaw := sum(deltaStats)
-	rawUp, rawRaw := sum(rawStats)
-	if rawUp != rawRaw {
-		t.Errorf("forced-raw run moved %d bytes but raw equivalent is %d", rawUp, rawRaw)
-	}
-	if deltaUp >= rawUp {
-		t.Errorf("compressed uplink moved %d bytes, raw %d — no saving", deltaUp, rawUp)
-	}
-	if deltaRaw != rawUp {
-		t.Errorf("raw-equivalent accounting diverged: %d vs %d", deltaRaw, rawUp)
-	}
-	for i := range rawParams {
-		if math.Float64bits(deltaParams[i]) != math.Float64bits(rawParams[i]) {
-			t.Fatalf("param %d: uplink compression changed the trajectory", i)
-		}
-	}
-}
-
 // TestStaleReportRetiredEagerly: a report that arrives after its
 // round's deadline is retired by the worker's reader pump the moment it
-// lands — not lazily at the next round's collection. The test parks the
-// serve loop between rounds (OnRound blocks it), releases the late
-// report, and watches the stale counter tick while no collection is
-// running; the late frame must also keep the uplink delta base in
-// lockstep, so the worker's next (delta) report still decodes.
+// lands — not lazily at the next round's collection — and unread. The
+// test parks the serve loop between rounds (OnRound blocks it) and has
+// the victim send two late round-0 reports there: its real one, and one
+// whose frame is garbage. Each counts once in StaleFrames; neither is
+// decoded, so the garbage evicts nobody, and the victim's next report
+// still delivers.
 func TestStaleReportRetiredEagerly(t *testing.T) {
 	const victim = 3
 	spec := testSpec(3)
 	sendStale := make(chan struct{})
 	staleSent := make(chan struct{})
 
-	srvCfg := ServerConfig{
-		RoundTimeout: 500 * time.Millisecond,
-	}
-	var srv *Server
-	srvCfg.OnRound = func(rs cluster.RoundStats) {
-		if rs.Iteration != 0 {
-			return
-		}
-		// Round 0 is aggregated and the serve loop is parked here: no
-		// collection is running. Release the victim's round-0 report
-		// and require the pump to retire it before round 1 starts.
-		close(sendStale)
-		<-staleSent
-		deadline := time.Now().Add(10 * time.Second)
-		for srv.Counters().StaleFrames == 0 {
-			if time.Now().After(deadline) {
-				t.Error("stale report was not retired while the serve loop was parked")
-				return
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-	}
-
 	var mu sync.Mutex
 	var stats []cluster.RoundStats
-	userOnRound := srvCfg.OnRound
-	srvCfg.Spec = spec
+	var srv *Server
+	srvCfg := ServerConfig{Spec: spec, RoundTimeout: 500 * time.Millisecond}
 	srvCfg.OnRound = func(rs cluster.RoundStats) {
 		mu.Lock()
 		stats = append(stats, rs)
 		mu.Unlock()
-		userOnRound(rs)
+		if rs.Iteration != 0 {
+			return
+		}
+		// Round 0 is aggregated and the serve loop is parked here: no
+		// collection is running. Release the victim's late reports and
+		// require the pump to retire both before round 1 starts.
+		close(sendStale)
+		<-staleSent
+		deadline := time.Now().Add(10 * time.Second)
+		for srv.Counters().StaleFrames < 2 {
+			if time.Now().After(deadline) {
+				t.Error("stale reports were not retired while the serve loop was parked")
+				return
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
 	}
 	var err error
 	srv, err = NewServer("127.0.0.1:0", srvCfg)
@@ -149,10 +102,8 @@ func TestStaleReportRetiredEagerly(t *testing.T) {
 	}
 
 	// The victim participates manually: it withholds its round-0 report
-	// until the serve loop is parked between rounds, then sends it
-	// (stale), and participates normally afterwards — its round-1
-	// report is an XOR delta against the stale round-0 one, proving the
-	// pump kept the decoder base moving.
+	// until the serve loop is parked between rounds, then sends it and a
+	// garbage twin (both stale), and participates normally afterwards.
 	raw, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -185,6 +136,10 @@ func TestStaleReportRetiredEagerly(t *testing.T) {
 			}
 			switch m := msg.(type) {
 			case RoundStart:
+				if err := st.startRound(m.Iteration); err != nil {
+					t.Error(err)
+					return
+				}
 				if err := st.applyParams(&m); err != nil {
 					t.Error(err)
 					return
@@ -196,6 +151,8 @@ func TestStaleReportRetiredEagerly(t *testing.T) {
 				}
 				if m.Iteration == 0 {
 					<-sendStale // wait for the serve loop to park
+					garbage := GradientReport{WorkerID: victim, Frame: []byte{wire.UplinkRaw, 0xde, 0xad}}
+					msgs = append(msgs, garbage)
 				}
 				if _, err := conn.SendMany(msgs...); err != nil {
 					t.Errorf("victim send: %v", err)
@@ -225,19 +182,19 @@ func TestStaleReportRetiredEagerly(t *testing.T) {
 	if len(stats[0].MissingWorkers) != 1 || stats[0].MissingWorkers[0] != victim {
 		t.Errorf("round 0 missing %v, want [%d]", stats[0].MissingWorkers, victim)
 	}
-	// The stale frame was retired between rounds 0 and 1, so round 1's
-	// delta accounting carries it; no later round discards anything.
-	if stats[1].StaleFrames != 1 {
-		t.Errorf("round 1 retired %d stale frames, want 1", stats[1].StaleFrames)
+	// Both frames were retired between rounds 0 and 1, so round 1's
+	// delta accounting carries them; no later round discards anything.
+	if stats[1].StaleFrames != 2 {
+		t.Errorf("round 1 retired %d stale frames, want 2", stats[1].StaleFrames)
 	}
 	for _, rs := range stats[1:] {
-		if len(rs.MissingWorkers) != 0 {
-			t.Errorf("round %d: missing %v after the stale round", rs.Iteration, rs.MissingWorkers)
+		if len(rs.MissingWorkers) != 0 || rs.Evictions != 0 {
+			t.Errorf("round %d: missing %v, %d evictions after the stale round", rs.Iteration, rs.MissingWorkers, rs.Evictions)
 		}
 	}
 	c := srv.Counters()
-	if c.Joins != int64(asn.K) || c.Rejoins != 0 || c.Evictions != 0 || c.StaleFrames != 1 {
-		t.Errorf("counters = %+v, want %d joins, 0 rejoins, 0 evictions, 1 stale", c, asn.K)
+	if c.Joins != int64(asn.K) || c.Rejoins != 0 || c.Evictions != 0 || c.StaleFrames != 2 {
+		t.Errorf("counters = %+v, want %d joins, 0 rejoins, 0 evictions, 2 stale", c, asn.K)
 	}
 }
 
@@ -457,18 +414,18 @@ func TestV2PeerRejected(t *testing.T) {
 	c.Close()
 
 	// A frame stamped with an old version in its header, as a real old
-	// peer would send — a v5 one, and the v7 one whose Hello has this
-	// version's very layout: rejected before the payload is even
-	// interpreted. The peer cannot parse the Reject frame it gets back,
-	// but the bytes on its socket are deterministic — a framed Reject
-	// carrying RejectVersion, then EOF — so the refusal is diagnosable.
-	for _, old := range []byte{5, 7} {
+	// peer would send — a v5, a v7 and a v8 one: rejected before the
+	// payload is even interpreted. The peer cannot parse the Reject frame
+	// it gets back, but the bytes on its socket are deterministic — a
+	// framed Reject carrying RejectVersion, then EOF — so the refusal is
+	// diagnosable.
+	for _, old := range []byte{5, 7, 8} {
 		raw, err = net.Dial("tcp", srv.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer raw.Close()
-		hello, err := appendMessageFrame(nil, Hello{Version: int(old), Tiers: wire.AllTiersMask, Precisions: wire.PrecisionF64.Mask()})
+		hello, err := appendMessageFrame(nil, Hello{Version: int(old), Precisions: wire.PrecisionF64.Mask()})
 		if err != nil {
 			t.Fatal(err)
 		}

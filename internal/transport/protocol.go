@@ -1,6 +1,6 @@
 // Package transport implements a real network transport for the
 // training protocol: a TCP parameter server and worker clients speaking
-// the framed v8 control protocol over net.Conn. This is the repository's
+// the framed v9 control protocol over net.Conn. This is the repository's
 // substitute for the paper's MPICH deployment — cmd/byzps and
 // cmd/byzworker run the same synchronous rounds as the in-process engine
 // across OS processes (or machines). The server executes every round
@@ -9,16 +9,23 @@
 // aggregates, and steps exactly like the in-process engine and
 // reproduces its parameter trajectory bit-for-bit for the same Spec.
 //
-// Wire protocol v8 (every message one self-delimiting frame, see
+// Wire protocol v9 (every message one self-delimiting frame, see
 // internal/wire: magic, version, type, length header + canonical
 // little-endian binary payload):
 //
-//	worker → PS:  Hello{WorkerID, Version, Token, Resume, Tiers, Precisions}
-//	PS → worker:  Welcome{Version, Token, FullEvery, Uplink, Spec, Shards, Precision}
+//	worker → PS:  Hello{WorkerID, Version, Token, Resume, Precisions}
+//	PS → worker:  Welcome{Version, Token, Uplink, Spec, Shards, Precision}
 //	PS → worker:  Reject{Code, Reason}
 //	PS → worker:  RoundStart{Iteration, BaseIteration, ParamsFrame}
 //	worker → PS:  GradientReport{WorkerID, Iteration, Shard, Frame}
 //	PS → worker:  Shutdown{FinalAccuracy}
+//
+// v9 made every uplink frame self-contained (wire/uplink.go). Both ends
+// of a connection run the same binary — the handshake checks the
+// version — so every admitted worker speaks every uplink tier, and the
+// PS names the connection's tier in Welcome.Uplink instead of
+// negotiating it: the Hello's tier mask went, as did the Welcome's
+// full-broadcast cadence, which no worker read.
 //
 // v8 stopped shipping what every process can derive: round t's batch and
 // its partition into files are a function of the Spec (TrainN, BatchSize,
@@ -30,17 +37,13 @@
 // went with it. v7 added the negotiated precision (Hello.Precisions,
 // Welcome.Precision).
 //
-// v6 made the uplink codec a negotiated per-connection tier: the
-// Hello advertises the tiers the worker implements as a bitmask
-// (wire.UplinkTier.Mask), the Welcome's uplink flag byte became the
-// negotiated wire.UplinkTier, and two lossy quantized frame modes —
+// v6 made the uplink codec a per-connection tier: the Welcome's uplink
+// byte became a wire.UplinkTier, and two lossy quantized frame modes —
 // sign (1 bit + per-row scale) and int8 (byte + per-row min/scale) —
-// joined raw and XOR-delta. Negotiation picks the server's configured
-// tier when the worker supports it and degrades lossless otherwise
-// (delta, then raw); it never substitutes one lossy tier for another,
-// because the two quantizations dequantize differently and the vote
-// needs every replica bit-identical. A v5 peer fails the frame-header
-// version check on its Hello and is refused with a typed
+// joined the lossless ones. Every connection of a run carries the same
+// tier, because the two quantizations dequantize differently and the
+// vote needs every replica bit-identical. An older peer fails the
+// frame-header version check on its Hello and is refused with a typed
 // Reject{RejectVersion} naming both versions.
 //
 // v5 added the sharded aggregation plane: GradientReport carries a shard
@@ -62,17 +65,13 @@
 // reconnects by re-sending Hello with Resume=true and that token, and
 // the server re-admits it at the next round boundary (see server.go).
 //
-// Both wire directions are bandwidth-aware. RoundStart.ParamsFrame is a
-// full parameter vector only on join/rejoin and every FullEvery-th
-// round, and a bit-exact XOR delta against the previous round's
-// acknowledged vector otherwise (wire.AppendParamsDelta).
-// GradientReport.Frame is an uplink frame (wire.UplinkEncoder) in the
-// connection's negotiated tier: on the default lossless tier each
-// worker XORs its report against its own previous one and ships the
-// delta when it is smaller, falling back to a raw frame when gradients
-// decorrelated too much to pay — self-selected per frame, bit-exact
-// either way; the lossy tiers ship stateless quantized frames (sign,
-// int8) that dequantize deterministically on both sides.
+// RoundStart.ParamsFrame is a full parameter vector only on join/rejoin
+// and every ServerConfig.FullBroadcastEvery-th round, and a bit-exact
+// XOR delta against the previous round's acknowledged vector otherwise
+// (wire.AppendParamsDelta). GradientReport.Frame is a self-contained
+// uplink frame (wire.UplinkEncoder) in the tier the PS named: raw by
+// default, bit-exact; the lossy tiers ship quantized frames (sign, int8)
+// that dequantize deterministically on both sides.
 //
 // Workers reconstruct the dataset, the model and every round's batch
 // deterministically from the Spec (seeded synthetic data stands in for
@@ -407,11 +406,6 @@ type Hello struct {
 	Version int
 	Token   uint64
 	Resume  bool
-	// Tiers is the bitmask of uplink codec tiers the worker implements
-	// (wire.UplinkTier.Mask per bit). The server intersects it with its
-	// own configuration to pick the connection's tier; a zero mask is
-	// treated as raw-only, the tier every peer must implement.
-	Tiers uint8
 	// Precisions is the bitmask of numeric precision tiers the worker
 	// implements (wire.Precision.Mask per bit). The server runs at one
 	// width: it refuses a Hello whose mask lacks that width's bit with
@@ -436,7 +430,6 @@ func (m Hello) appendPayload(dst []byte) ([]byte, error) {
 		resume = 1
 	}
 	dst = wire.AppendU8(dst, resume)
-	dst = wire.AppendU8(dst, m.Tiers)
 	return wire.AppendU8(dst, m.Precisions), nil
 }
 
@@ -446,7 +439,6 @@ func (m *Hello) decodePayload(src []byte) error {
 	m.Version = int(d.U8())
 	m.Token = d.U64()
 	m.Resume = d.U8() != 0
-	m.Tiers = d.U8()
 	m.Precisions = d.U8()
 	return d.Done()
 }
@@ -457,13 +449,9 @@ type Welcome struct {
 	Version int
 	// Token is the worker's session token for rejoin handshakes.
 	Token uint64
-	// FullEvery is the server's full-broadcast cadence (every N-th
-	// round ships the whole vector; deltas in between).
-	FullEvery int
-	// Uplink is the connection's negotiated uplink codec tier: the
-	// worker must encode every gradient report with it and the PS's
-	// pump decoders accept no other modes. The lossless tiers (raw,
-	// delta) are bit-identical to each other; the lossy tiers quantize
+	// Uplink is the run's uplink codec tier, named by the PS: the worker
+	// must encode every gradient report with it and the PS's pump
+	// decoders accept no other mode. The lossy tiers quantize
 	// deterministically, so every honest replica still votes equal.
 	Uplink wire.UplinkTier
 	Spec   Spec
@@ -486,7 +474,6 @@ func (Welcome) wireType() byte { return msgWelcome }
 func (m Welcome) appendPayload(dst []byte) ([]byte, error) {
 	dst = wire.AppendU8(dst, uint8(m.Version))
 	dst = wire.AppendU64(dst, m.Token)
-	dst = wire.AppendU32(dst, uint32(m.FullEvery))
 	dst = wire.AppendU8(dst, uint8(m.Uplink))
 	dst, err := appendSpec(dst, &m.Spec)
 	if err != nil {
@@ -500,7 +487,6 @@ func (m *Welcome) decodePayload(src []byte) error {
 	d := wire.NewDec(src)
 	m.Version = int(d.U8())
 	m.Token = d.U64()
-	m.FullEvery = d.Int()
 	m.Uplink = wire.UplinkTier(d.U8())
 	decodeSpec(d, &m.Spec)
 	m.Shards = d.Int()
@@ -580,10 +566,8 @@ func (m *RoundStart) decodePayload(src []byte) error {
 }
 
 // GradientReport returns the worker's per-file gradient sums. The
-// gradients travel as one compact binary uplink frame (see
-// internal/wire): a raw gradient frame, or a bit-exact XOR delta
-// against the worker's previous report when that is smaller — the
-// worker's encoder self-selects per frame.
+// gradients travel as one self-contained binary uplink frame (see
+// internal/wire/uplink.go) in the tier the PS named.
 type GradientReport struct {
 	WorkerID  int
 	Iteration int
@@ -594,15 +578,15 @@ type GradientReport struct {
 	// and the PS counts a worker delivered once all of them landed.
 	Shard int
 	// Frame is the wire-encoded uplink frame (worker, files,
-	// gradients); decode with the connection's per-shard
-	// wire.UplinkDecoder. Its embedded worker id must match WorkerID.
+	// gradients); decode with a wire.UplinkDecoder of the connection's
+	// tier. Its embedded worker id must match WorkerID.
 	// A decoded Frame aliases the connection's receive buffer and is
 	// valid only until the next Recv on that Conn — the PS pump runs it
 	// through the uplink decoder before reading again.
 	// An empty Frame (sent with Shard 0 only) is an explicit skip: the
 	// worker is alive but reports no gradients this round (flaky-fault
 	// injection), so the PS counts it missing for the round without
-	// evicting it — and neither side's delta bases move.
+	// evicting it.
 	Frame []byte
 }
 
@@ -732,11 +716,11 @@ func roundPayloadLimit[T linalg.Float](dim int) int {
 
 // welcomeFits rejects a Spec whose Welcome no worker could read: the
 // Welcome arrives before the worker's handshake completes, so it is
-// read under preHandshakePayload (20 bytes of it are not the Spec).
+// read under preHandshakePayload (15 bytes of it are not the Spec).
 func welcomeFits(s *Spec) error {
 	b, err := appendSpec(nil, s)
-	if err == nil && len(b)+20 > preHandshakePayload {
-		err = fmt.Errorf("transport: spec encodes to %d bytes, a Welcome carries at most %d", len(b), preHandshakePayload-20)
+	if err == nil && len(b)+15 > preHandshakePayload {
+		err = fmt.Errorf("transport: spec encodes to %d bytes, a Welcome carries at most %d", len(b), preHandshakePayload-15)
 	}
 	return err
 }

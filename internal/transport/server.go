@@ -71,16 +71,11 @@ type ServerConfig struct {
 	// worker, with bit-exact XOR deltas in between. 0 selects
 	// DefaultFullBroadcastEvery.
 	FullBroadcastEvery int
-	// Uplink selects the worker→PS gradient codec tier the server asks
-	// its workers to use: TierDelta (the zero value) lets each worker's
-	// encoder self-select raw or XOR-delta per frame, TierRaw forces
-	// self-contained raw frames — both lossless and bit-identical to the
-	// in-process engine — and the lossy TierSign / TierInt8 ship 1-bit /
-	// 8-bit linear-quantized gradients (see internal/wire). The tier is
-	// negotiated per connection: a worker whose Hello does not offer the
-	// configured tier is downgraded to the best lossless tier it speaks
-	// (delta, then raw) — one lossy tier is never substituted for
-	// another.
+	// Uplink is the worker→PS gradient codec tier the server names in
+	// every Welcome: TierRaw (the zero value) ships self-contained raw
+	// frames, bit-identical to the in-process engine, and the lossy
+	// TierSign / TierInt8 ship 1-bit / 8-bit linear-quantized gradients
+	// (see internal/wire).
 	Uplink wire.UplinkTier
 	// Quorum is the minimum surviving replicas a file needs to be voted
 	// (0 → majority of the nominal replication, R/2+1); see
@@ -261,7 +256,6 @@ func NewServerOf[T linalg.Float](addr string, cfg ServerConfig) (*ServerOf[T], e
 	// per-worker /metrics series, and its updates are single atomic
 	// stores); the registry families are only added when metrics are on.
 	fleet := obs.NewFleetTable(asn.K)
-	fleet.TierName = func(code int32) string { return wire.UplinkTier(code).String() }
 	src.fleet = fleet
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -418,7 +412,6 @@ func (s *ServerOf[T]) handshake(ctx context.Context, conn *Conn) {
 			hello.WorkerID, hello.Precisions, prec))
 		return
 	}
-	tier := negotiateTier(s.src.uplink, hello.Tiers)
 	k := s.assignment.K
 	if hello.WorkerID < 0 || hello.WorkerID >= k {
 		reject("worker id %d out of range [0,%d)", hello.WorkerID, k)
@@ -466,8 +459,7 @@ func (s *ServerOf[T]) handshake(ctx context.Context, conn *Conn) {
 	if _, err := conn.Send(Welcome{
 		Version:   wire.ProtocolVersion,
 		Token:     token,
-		FullEvery: s.cfg.FullBroadcastEvery,
-		Uplink:    tier,
+		Uplink:    ws.uplink,
 		Spec:      s.cfg.Spec,
 		Shards:    ws.shards,
 		Precision: wire.PrecisionOf[T](),
@@ -503,7 +495,6 @@ func (s *ServerOf[T]) handshake(ctx context.Context, conn *Conn) {
 		return
 	}
 	w.token = token
-	w.tier = tier
 	var stale []*Conn
 	// A rejoin that finds the old connection still live tears it down
 	// here, before its pump has seen the stream break: that is the
@@ -532,10 +523,6 @@ func (s *ServerOf[T]) handshake(ctx context.Context, conn *Conn) {
 	if displaced {
 		ws.evicted(hello.WorkerID, errors.New("displaced by the worker's rejoin"))
 	}
-	if tier != s.src.uplink {
-		s.cfg.Logf("worker %d: uplink tier %s unsupported by peer, downgraded to %s", hello.WorkerID, s.src.uplink, tier)
-	}
-	s.fleet.SetTier(hello.WorkerID, int32(tier))
 	s.fleet.Touch(hello.WorkerID, time.Now())
 	if hello.Resume {
 		// State flips to live at admitPending — the round boundary where
@@ -549,28 +536,6 @@ func (s *ServerOf[T]) handshake(ctx context.Context, conn *Conn) {
 		default:
 		}
 	}
-}
-
-// negotiateTier picks a connection's uplink codec tier: the server's
-// configured tier when the worker's Hello offers it, otherwise the best
-// lossless tier the worker speaks — delta, then raw. One lossy tier is
-// never substituted for another (a worker built for int8 frames must
-// not silently receive sign frames, whose loss profile it was not
-// validated against). An empty mask is read as the lossless pair: any
-// peer that reached negotiation speaks raw and delta — those predate
-// the tier handshake — while a lossy tier requires an explicit opt-in
-// bit.
-func negotiateTier(want wire.UplinkTier, mask uint8) wire.UplinkTier {
-	if mask == 0 {
-		mask = wire.TierRaw.Mask() | wire.TierDelta.Mask()
-	}
-	if mask&want.Mask() != 0 {
-		return want
-	}
-	if mask&wire.TierDelta.Mask() != 0 {
-		return wire.TierDelta
-	}
-	return wire.TierRaw
 }
 
 // sendReject refuses a handshake with a typed Reject before closing, so
@@ -764,12 +729,6 @@ type workerEntry struct {
 	// permanently: its token stays on file but every handshake is
 	// refused with Reject{RejectBlacklisted}.
 	blacklisted bool
-	// tier is the uplink codec tier the worker's most recent accepted
-	// handshake negotiated; the connection's pump adopts it for its
-	// frame decoders at startPump time. Rejoins renegotiate — a
-	// restarted worker process may offer a different tier set — and the
-	// fresh encoder/decoder pair starts with no codec state either way.
-	tier wire.UplinkTier
 	// lastAck is the last iteration for which the worker returned a
 	// valid report (implying it received and applied that round's
 	// parameter broadcast); -1 after (re)join forces a full broadcast.
@@ -806,27 +765,20 @@ type pumpItem struct {
 }
 
 // pump is one connection's dedicated reader: it blocks on the socket,
-// decodes every frame the moment it arrives, and forwards validated
-// current-round reports to the collection inbox. Stale reports —
-// duplicates, or reports that missed their round's deadline — are
-// retired here, eagerly, after being run through the uplink decoder so
-// the delta base stays in lockstep with the worker's encoder. The pump
-// is the only reader of its connection, so it owns the per-connection
-// uplink decoder state, and it never sets read deadlines: the round
-// loop's single collection timer is the only clock on the hot path.
+// decodes every deliverable report the moment it arrives, and forwards
+// it to the collection inbox. Stale reports — duplicates, or reports
+// that missed their round's deadline — are counted and dropped unread
+// (uplink frames are self-contained, so skipping one costs the next
+// nothing). The pump never sets read deadlines: the round loop's single
+// collection timer is the only clock on the hot path.
 type pump[T linalg.Float] struct {
 	ws   *wireSource[T]
 	u    int
 	conn *Conn
-	// decs holds one uplink decoder per aggregation shard: a sharded
-	// worker runs one independent delta stream per shard (each with its
-	// own base), mirroring the per-shard encoders on the worker side.
-	decs []wire.UplinkDecoderOf[T]
-	// frame is the decode target; its Grads are pointed at the engine's
-	// arena buffers for deliverable reports and at private scratch for
-	// stale ones (the arena slot may be under read by a vote).
-	frame      wire.GradFrameOf[T]
-	staleGrads [][]T
+	dec  wire.UplinkDecoderOf[T]
+	// frame is the decode target; its Grads point at the engine's arena
+	// buffers.
+	frame wire.GradFrameOf[T]
 	// deliveredIter/deliveredMask bound the inbox: at most one report
 	// frame enters it per (connection, round, shard), which keeps a
 	// duplicate frame from being decoded into an arena buffer the
@@ -885,15 +837,10 @@ func (p *pump[T]) handle(rep GradientReport) error {
 	}
 	retire := int(ws.retireBelow.Load())
 	if it < retire || it < p.deliveredIter || p.deliveredMask&(1<<rep.Shard) != 0 {
-		// Too late for its round (or a duplicate shard frame): retire
-		// it now — but still run it through the decoder into private
-		// scratch, so the uplink delta base advances exactly as the
-		// worker's encoder did when it sent the frame.
+		// Too late for its round, or a duplicate shard frame: retire it
+		// unread.
 		ws.staleFrames.Add(1)
-		if len(rep.Frame) == 0 {
-			return nil
-		}
-		return p.decode(rep.Frame, p.scratchBufs(rep.Shard), rep.Shard)
+		return nil
 	}
 	p.deliveredMask |= 1 << rep.Shard
 	if len(rep.Frame) == 0 {
@@ -906,24 +853,19 @@ func (p *pump[T]) handle(rep GradientReport) error {
 	// Arena decodes for one worker are serialized, and liveness is
 	// re-checked under that lock: after a rejoin displaces this
 	// connection, the new pump owns the worker's arena slots, and a
-	// superseded pump that already passed the round checks must not
-	// race it — its report decodes into scratch (keeping its decoder
-	// consistent until the conn's teardown kills it) and is retired.
+	// superseded pump that already passed the round checks must not race
+	// it — its report is retired unread.
 	wf := ws.files[p.u]
 	ws.arenaMu[p.u].Lock()
-	live := ws.liveConn(p.u) == p.conn
-	bufs := p.scratchBufs(rep.Shard)
-	if live {
-		bufs = p.arenaBufs(rep.Shard)
+	if ws.liveConn(p.u) != p.conn {
+		ws.arenaMu[p.u].Unlock()
+		ws.staleFrames.Add(1)
+		return nil
 	}
-	err := p.decode(rep.Frame, bufs, rep.Shard)
+	err := p.decode(rep.Frame, rep.Shard)
 	ws.arenaMu[p.u].Unlock()
 	if err != nil {
 		return err
-	}
-	if !live {
-		ws.staleFrames.Add(1)
-		return nil
 	}
 	lo, hi := ws.shardRanges[rep.Shard][0], ws.shardRanges[rep.Shard][1]
 	p.push(pumpItem{
@@ -934,16 +876,16 @@ func (p *pump[T]) handle(rep GradientReport) error {
 	return nil
 }
 
-// decode runs one report frame through the connection's per-shard
-// uplink decoder into the given target buffers and validates its
-// structure against the worker's static file assignment and the
-// shard's coordinate width.
-func (p *pump[T]) decode(frameBytes []byte, bufs [][]T, shard int) error {
+// decode runs one report frame through the uplink decoder into the
+// shard's range of the worker's arena buffers and validates its
+// structure against the worker's static file assignment and the shard's
+// coordinate width.
+func (p *pump[T]) decode(frameBytes []byte, shard int) error {
 	ws := p.ws
 	wf := ws.files[p.u]
 	want := ws.shardRanges[shard][1] - ws.shardRanges[shard][0]
-	p.frame.Grads = bufs
-	_, consumed, err := p.decs[shard].Decode(frameBytes, &p.frame)
+	p.frame.Grads = p.arenaBufs(shard)
+	_, consumed, err := p.dec.Decode(frameBytes, &p.frame)
 	switch {
 	case err != nil:
 		return err
@@ -981,29 +923,6 @@ func (p *pump[T]) arenaBufs(shard int) [][]T {
 		// the decoder allocate instead of scribbling into a neighboring
 		// shard's coordinates, and the width check above then evicts.
 		bufs[j] = ws.eng.GradBuffer(p.u, j)[lo:hi:hi]
-	}
-	return bufs
-}
-
-// scratchBufs are the pump-private decode targets for stale frames:
-// the arena slot may be under concurrent read by the round that just
-// missed this worker, so late frames must not touch it.
-func (p *pump[T]) scratchBufs(shard int) [][]T {
-	ws := p.ws
-	wf := ws.files[p.u]
-	if p.staleGrads == nil {
-		p.staleGrads = make([][]T, len(wf))
-		for j := range p.staleGrads {
-			p.staleGrads[j] = make([]T, ws.dim)
-		}
-	}
-	lo, hi := ws.shardRanges[shard][0], ws.shardRanges[shard][1]
-	if cap(p.frame.Grads) < len(wf) {
-		p.frame.Grads = make([][]T, len(wf))
-	}
-	bufs := p.frame.Grads[:len(wf)]
-	for j := range wf {
-		bufs[j] = p.staleGrads[j][lo:hi:hi]
 	}
 	return bufs
 }
@@ -1050,10 +969,8 @@ type wireSource[T linalg.Float] struct {
 	// shardRanges[s] the [lo, hi) coordinate range of shard s.
 	shards      int
 	shardRanges [][2]int
-	// uplink is the server's configured codec tier
-	// (ServerConfig.Uplink); each connection negotiates its own against
-	// the worker's Hello mask, recorded in its workerEntry and copied
-	// into the pump's frame decoders at startPump time.
+	// uplink is the run's codec tier (ServerConfig.Uplink), named in
+	// every Welcome.
 	uplink wire.UplinkTier
 
 	mu          sync.Mutex
@@ -1184,10 +1101,7 @@ func (ws *wireSource[T]) startPump(u int, conn *Conn) {
 		return
 	}
 	ws.pumps.Add(1)
-	p := &pump[T]{ws: ws, u: u, conn: conn, deliveredIter: -1, decs: make([]wire.UplinkDecoderOf[T], ws.shards)}
-	for s := range p.decs {
-		p.decs[s].Tier = ws.workers[u].tier
-	}
+	p := &pump[T]{ws: ws, u: u, conn: conn, deliveredIter: -1, dec: wire.UplinkDecoderOf[T]{Tier: ws.uplink}}
 	go p.run()
 }
 

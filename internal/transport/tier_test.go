@@ -1,14 +1,13 @@
-// Tests for the negotiated uplink codec tier of protocol v6: per-tier
-// loopback trajectories pinned against the in-process engine, the
-// Hello/Welcome tier negotiation (including the server-forced
-// downgrade when a peer does not offer the configured tier), and
-// rejoin renegotiation with fresh encoder state on a lossy tier.
+// Tests for the uplink codec tier the PS names in its Welcome: per-tier
+// loopback trajectories pinned against the in-process engine, a worker
+// refusing a tier it does not know, and a kill+rejoin on a lossy tier.
 package transport
 
 import (
 	"context"
 	"errors"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -38,9 +37,9 @@ var sameBits = linalg.EqualBits[float64]
 // their raw equivalent and land off the lossless bits.
 func TestUplinkTierLoopbackMatchesEngine(t *testing.T) {
 	spec := testSpec(6)
-	lossless := engineParamsTier(t, spec, 0, wire.TierDelta)
+	lossless := engineParamsTier(t, spec, 0, wire.TierRaw)
 	for _, shards := range []int{0, 2} {
-		for _, tier := range []wire.UplinkTier{wire.TierRaw, wire.TierDelta, wire.TierSign, wire.TierInt8} {
+		for _, tier := range []wire.UplinkTier{wire.TierRaw, wire.TierSign, wire.TierInt8} {
 			_, params, stats := runLoopback(t, spec, ServerConfig{Uplink: tier, Shards: shards})
 			ref := lossless
 			if tier.Lossy() {
@@ -71,104 +70,41 @@ func TestUplinkTierLoopbackMatchesEngine(t *testing.T) {
 	}
 }
 
-// TestUplinkTierNegotiation drives the Hello/Welcome negotiation
-// directly: the server's configured tier when offered, the best
-// lossless tier the peer speaks otherwise (never a substitute lossy
-// tier), and the legacy lossless pair for an empty mask.
-func TestUplinkTierNegotiation(t *testing.T) {
-	spec := testSpec(1)
-	srv, err := NewServer("127.0.0.1:0", ServerConfig{Spec: spec, Uplink: wire.TierInt8})
+// TestWorkerRejectsUnknownUplinkTier: a Welcome naming an undefined
+// tier — 3 was int8 before protocol v9 — ends the worker with an error
+// a reconnect cannot fix, instead of a codec mismatch mid-run.
+func TestWorkerRejectsUnknownUplinkTier(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	serveDone := make(chan error, 1)
+	defer ln.Close()
 	go func() {
-		_, err := srv.Serve(ctx)
-		serveDone <- err
-	}()
-
-	cases := []struct {
-		name  string
-		tiers uint8
-		want  wire.UplinkTier
-	}{
-		{"configured tier offered", wire.AllTiersMask, wire.TierInt8},
-		{"lossless downgrade to delta", wire.TierRaw.Mask() | wire.TierDelta.Mask(), wire.TierDelta},
-		{"lossless downgrade to raw", wire.TierRaw.Mask(), wire.TierRaw},
-		{"lossy never substituted", wire.TierSign.Mask() | wire.TierDelta.Mask(), wire.TierDelta},
-		{"empty mask is the legacy lossless pair", 0, wire.TierDelta},
-	}
-	for id, tc := range cases {
-		raw, err := net.Dial("tcp", srv.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := NewConn(raw)
-		if _, err := c.Send(Hello{WorkerID: id, Version: wire.ProtocolVersion, Tiers: tc.tiers, Precisions: wire.PrecisionF64.Mask()}); err != nil {
-			t.Fatal(err)
-		}
-		msg, err := c.Recv()
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		w, ok := msg.(Welcome)
-		if !ok {
-			t.Fatalf("%s: expected Welcome, got %T", tc.name, msg)
-		}
-		if w.Uplink != tc.want {
-			t.Errorf("%s: negotiated %s, want %s", tc.name, w.Uplink, tc.want)
-		}
-		c.Close()
-	}
-	cancel()
-	<-serveDone
-}
-
-// TestUplinkTierDowngradedFleet runs a full training fleet whose
-// workers refuse the lossy tiers against a server configured for int8:
-// every connection is downgraded to delta, the run completes, and the
-// trajectory lands on the lossless engine's bits — a forced downgrade
-// is a codec change, not a semantic one.
-func TestUplinkTierDowngradedFleet(t *testing.T) {
-	spec := testSpec(6)
-	srv, err := NewServer("127.0.0.1:0", ServerConfig{Spec: spec, Uplink: wire.TierInt8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	asn, err := spec.BuildAssignment()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for u := 0; u < asn.K; u++ {
-		wg.Add(1)
-		go func(u int) {
-			defer wg.Done()
-			cfg := WorkerConfig{ID: u, Tiers: wire.TierRaw.Mask() | wire.TierDelta.Mask()}
-			if _, err := RunWorker(context.Background(), srv.Addr(), cfg); err != nil {
-				t.Errorf("worker %d: %v", u, err)
+		for {
+			raw, err := ln.Accept()
+			if err != nil {
+				return
 			}
-		}(u)
-	}
-	if _, err := srv.Serve(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	if !sameBits(srv.Params(), engineParamsTier(t, spec, 0, wire.TierDelta)) {
-		t.Error("downgraded fleet diverged from the lossless engine")
+			c := NewConn(raw)
+			c.Recv() // the Hello
+			c.Send(Welcome{Version: wire.ProtocolVersion, Token: 7, Uplink: wire.UplinkTier(3), Spec: testSpec(2)})
+			c.Recv() // until the worker hangs up
+			raw.Close()
+		}
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	_, err = RunWorker(ctx, ln.Addr().String(), WorkerConfig{ID: 0})
+	if err == nil || !strings.Contains(err.Error(), "unknown uplink tier 3") {
+		t.Errorf("worker returned %v, want an unknown-uplink-tier error", err)
 	}
 }
 
 // TestUplinkTierRejoinFreshEncoderState kills a worker mid-run on the
-// int8 tier and restarts it with its session token: the rejoin
-// renegotiates the tier and starts from fresh encoder state, and
-// because the lossy codecs are stateless per frame the interrupted
-// trajectory must stay bit-identical to an uninterrupted run — and to
-// the tier-pinned engine.
+// int8 tier and restarts it with its session token: the restarted
+// process is named the tier afresh, and because every uplink frame is
+// self-contained the interrupted trajectory must stay bit-identical to
+// an uninterrupted run — and to the tier-pinned engine.
 func TestUplinkTierRejoinFreshEncoderState(t *testing.T) {
 	const victim = 4
 	spec := testSpec(8)

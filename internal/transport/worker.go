@@ -66,13 +66,6 @@ type WorkerConfig struct {
 	// attempt with this session token — how a restarted worker process
 	// re-enters a run it was evicted from (byzworker -resume-token).
 	ResumeToken uint64
-	// Tiers is the bitmask of uplink codec tiers this worker offers in
-	// its Hello (OR of wire.UplinkTier.Mask values); 0 offers every tier
-	// (wire.AllTiersMask). Restricting the mask makes the server
-	// downgrade this connection to the best lossless tier it offers —
-	// how a fleet keeps a lossy run interoperable with workers that
-	// cannot (or should not) quantize.
-	Tiers uint8
 	// Metrics, when non-nil, receives the worker-side metric families
 	// (byzworker_* counters: rounds, report bytes, skips, reconnects,
 	// rejections, plus the current-round and tier gauges and the local
@@ -152,15 +145,12 @@ type workerStateOf[T linalg.Float] struct {
 	lastApplied int
 	// shards/ranges mirror the Welcome's shard plane: the worker ships
 	// one report frame per shard, each covering its contiguous
-	// coordinate range of every assigned file's gradient. encs holds one
-	// uplink encoder per shard — each shard is its own delta stream —
-	// and frames/reps/msgs are the per-shard send scratch. Every
-	// (re)connect Resets the encoders: the PS's decoders for a fresh
-	// connection hold no delta base, so the first report of a connection
-	// ships raw.
+	// coordinate range of every assigned file's gradient. enc is the
+	// uplink encoder in the tier the last Welcome named, and
+	// frames/reps/msgs are the per-shard send scratch.
 	shards int
 	ranges [][2]int
-	encs   []wire.UplinkEncoderOf[T]
+	enc    wire.UplinkEncoderOf[T]
 	frames [][]byte
 	reps   []GradientReport
 	msgs   []Message
@@ -281,16 +271,11 @@ func runWorkerConn[T linalg.Float](ctx context.Context, addr string, st *workerS
 	defer stop()
 
 	resume := st.token != 0
-	tiers := cfg.Tiers
-	if tiers == 0 {
-		tiers = wire.AllTiersMask
-	}
 	if _, err := conn.Send(Hello{
 		WorkerID:   cfg.ID,
 		Version:    wire.ProtocolVersion,
 		Token:      st.token,
 		Resume:     resume,
-		Tiers:      tiers,
 		Precisions: wire.PrecisionOf[T]().Mask(),
 	}); err != nil {
 		return 0, retryable(ctxErr(ctx, err))
@@ -314,11 +299,7 @@ func runWorkerConn[T linalg.Float](ctx context.Context, addr string, st *workerS
 		return 0, fmt.Errorf("transport: server speaks protocol %d, want %d", welcome.Version, wire.ProtocolVersion)
 	}
 	if !welcome.Uplink.Valid() {
-		return 0, fmt.Errorf("transport: server negotiated unknown uplink tier %d", welcome.Uplink)
-	}
-	if tiers&welcome.Uplink.Mask() == 0 {
-		return 0, fmt.Errorf("transport: server negotiated uplink tier %s outside the offered mask %#x",
-			welcome.Uplink, tiers)
+		return 0, fmt.Errorf("transport: server named unknown uplink tier %d", welcome.Uplink)
 	}
 	if prec := wire.PrecisionOf[T](); welcome.Precision != prec {
 		return 0, fmt.Errorf("transport: server negotiated precision %s, this worker offered only %s",
@@ -388,7 +369,7 @@ func runWorkerConn[T linalg.Float](ctx context.Context, addr string, st *workerS
 			if d.Skip {
 				cfg.Logf("worker %d: injected skip at round %d", cfg.ID, m.Iteration)
 				// A single empty frame stands for every shard of the
-				// round; no encoder rolls its delta base, on either side.
+				// round.
 				if _, err := conn.Send(GradientReport{WorkerID: cfg.ID, Iteration: m.Iteration}); err != nil {
 					return 0, retryable(ctxErr(ctx, err))
 				}
@@ -420,12 +401,13 @@ func runWorkerConn[T linalg.Float](ctx context.Context, addr string, st *workerS
 }
 
 // adopt takes a validated Welcome into the worker's state: on the first
-// one it builds everything the Spec determines; on every one it starts
-// the connection's codec and broadcast state afresh.
+// one it builds everything the Spec determines; on every one it takes
+// the named uplink tier and starts the broadcast state afresh.
 func (st *workerStateOf[T]) adopt(welcome Welcome) error {
 	var err error
 	st.token = welcome.Token
-	st.ins.tierNegotiated(int32(welcome.Uplink))
+	st.enc.Tier = welcome.Uplink
+	st.ins.tierNamed(int32(welcome.Uplink))
 	shards := welcome.Shards
 	if shards == 0 {
 		shards = 1
@@ -469,19 +451,9 @@ func (st *workerStateOf[T]) adopt(welcome Welcome) error {
 		for s := range st.ranges {
 			st.ranges[s][0], st.ranges[s][1] = wire.ShardRange(len(st.params), shards, s)
 		}
-		st.encs = make([]wire.UplinkEncoderOf[T], shards)
 		st.frames = make([][]byte, shards)
 		st.reps = make([]GradientReport, shards)
 		st.msgs = make([]Message, shards)
-	}
-	// A fresh connection means fresh uplink streams: the server's
-	// decoders hold no codec state, so the encoders must not either. The
-	// tier is per connection — a rejoin may renegotiate (the lossy tiers
-	// are stateless, and the delta tier's first frame after a reset
-	// ships raw), so adopting the new Welcome's tier is always safe.
-	for s := range st.encs {
-		st.encs[s].Reset()
-		st.encs[s].Tier = welcome.Uplink
 	}
 	// A (re)connected worker holds no acknowledged vector: the server
 	// sends a full broadcast first, so stale params are never patched.
@@ -531,10 +503,9 @@ func (st *workerStateOf[T]) startRound(iter int) error {
 // computeReport produces the worker's gradients for one round — of its
 // files' samples, which it draws from its own stream, when honest; what
 // the adversary crafts for its files when Byzantine — sliced into one
-// report per shard, each encoded through its shard's uplink codec (raw
-// or XOR-delta against the previous report, whichever is smaller). The
-// returned messages alias the state's scratch and are valid until the
-// next computeReport call.
+// report per shard, each encoded in the named uplink tier. The returned
+// messages alias the state's scratch and are valid until the next
+// computeReport call.
 func (st *workerStateOf[T]) computeReport(iter int) ([]Message, error) {
 	cfg := st.cfg
 	files := st.filesStatic
@@ -577,7 +548,7 @@ func (st *workerStateOf[T]) computeReport(iter int) ([]Message, error) {
 		for i := range grads {
 			sg[i] = grads[i][lo:hi]
 		}
-		frame, _, _, err := st.encs[s].Encode(st.frames[s][:0], cfg.ID, files, sg)
+		frame, _, _, err := st.enc.Encode(st.frames[s][:0], cfg.ID, files, sg)
 		if err != nil {
 			return nil, err
 		}

@@ -2,9 +2,7 @@ package vote
 
 // The historical per-width names: aliases and instantiations of the one
 // generic exact vote, with no bodies of their own (see wire/names.go
-// for the convention). MajorityWithToleranceOf is generic as well —
-// Config.VoteTolerance reaches it at either width — but only its
-// float64 instantiation ever had a name.
+// for the convention).
 
 type (
 	Result   = ResultOf[float64]
@@ -14,6 +12,4 @@ type (
 var (
 	Majority   = MajorityOf[float64]
 	Majority32 = MajorityOf[float32]
-
-	MajorityWithTolerance = MajorityWithToleranceOf[float64]
 )

@@ -67,8 +67,8 @@ func TestMajorityWinnerInvariantUnderPermutation(t *testing.T) {
 	}
 }
 
-// TestMajorityUnanimityDetection: identical replicas are unanimous in
-// both exact and tolerance modes, for any replica count.
+// TestMajorityUnanimityDetection: identical replicas are unanimous, for
+// any replica count.
 func TestMajorityUnanimityDetection(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, n := range []int{1, 2, 3, 5, 9, 17, 31} {
@@ -86,13 +86,6 @@ func TestMajorityUnanimityDetection(t *testing.T) {
 		}
 		if !res.Unanimous || res.Count != n || res.Tied {
 			t.Fatalf("n=%d: exact vote on identical replicas: %+v", n, res)
-		}
-		tres, err := MajorityWithTolerance(replicas, 1e-12)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !tres.Unanimous || tres.Count != n || tres.Tied {
-			t.Fatalf("n=%d: tolerance vote on identical replicas: %+v", n, tres)
 		}
 	}
 }
@@ -133,68 +126,6 @@ func TestMajoritySmallAgreesWithHashPath(t *testing.T) {
 		}
 		if resSmall.Count != winnerCount || resLarge.Count != winnerCount {
 			t.Fatalf("trial %d: counts %d/%d, want %d", trial, resSmall.Count, resLarge.Count, winnerCount)
-		}
-	}
-}
-
-// TestToleranceClusteringOnPerturbedReplicas: honest replicas perturbed
-// within tol/2 of a base vector must out-vote distant outliers, electing
-// an honest replica with the full honest count; exact voting on the same
-// set sees every replica as distinct.
-func TestToleranceClusteringOnPerturbedReplicas(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	const tol = 1e-6
-	for trial := 0; trial < 200; trial++ {
-		dim := 1 + rng.Intn(8)
-		honest := 2 + rng.Intn(3)
-		outliers := rng.Intn(honest) // strictly fewer than honest
-		base := make([]float64, dim)
-		for i := range base {
-			base[i] = rng.NormFloat64()
-		}
-		var replicas [][]float64
-		for i := 0; i < honest; i++ {
-			r := make([]float64, dim)
-			for j := range r {
-				r[j] = base[j] + (rng.Float64()-0.5)*tol // within tol/2 of base
-			}
-			replicas = append(replicas, r)
-		}
-		for i := 0; i < outliers; i++ {
-			r := make([]float64, dim)
-			for j := range r {
-				r[j] = base[j] + 10*tol*float64(i+2) + rng.Float64()*tol
-			}
-			replicas = append(replicas, r)
-		}
-		// Shuffle and track honest membership by pointer.
-		honestPtr := make(map[*float64]bool)
-		for i := 0; i < honest; i++ {
-			honestPtr[&replicas[i][0]] = true
-		}
-		rng.Shuffle(len(replicas), func(i, j int) {
-			replicas[i], replicas[j] = replicas[j], replicas[i]
-		})
-		res, err := MajorityWithTolerance(replicas, tol)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !honestPtr[&res.Winner[0]] {
-			t.Fatalf("trial %d: elected an outlier (honest=%d outliers=%d)", trial, honest, outliers)
-		}
-		if res.Count != honest {
-			t.Fatalf("trial %d: honest cluster counted %d, want %d", trial, res.Count, honest)
-		}
-		if res.Unanimous != (outliers == 0) {
-			t.Fatalf("trial %d: unanimous=%v with %d outliers", trial, res.Unanimous, outliers)
-		}
-		// Exact voting sees jittered replicas as all-distinct: count 1.
-		eres, err := Majority(replicas)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if eres.Count != 1 {
-			t.Fatalf("trial %d: exact vote count %d on jittered replicas", trial, eres.Count)
 		}
 	}
 }

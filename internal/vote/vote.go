@@ -3,13 +3,9 @@
 // gradients for each file and outputs the value returned by the largest
 // number of workers.
 //
-// Two modes are provided. Exact mode matches the paper's implementation
-// note — honest workers return bit-identical gradients for the same
-// file, so votes can be counted by hashing the raw IEEE-754 bytes
-// (using the linear-time Boyer–Moore MJRTY pass first, then a counting
-// verification). Tolerance mode handles the "potential precision
-// issues" the paper mentions by clustering returned gradients whose
-// pairwise L∞ distance is within Tol and voting over clusters.
+// The vote is exact, as in the paper's implementation note: honest
+// workers return bit-identical gradients for the same file, so votes
+// are counted on the raw IEEE-754 bytes.
 //
 // The exact vote is written once over linalg.Float — honest replicas of
 // one file are bit-identical at either training width — and names.go
@@ -20,7 +16,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"math"
 
 	"byzshield/internal/linalg"
 )
@@ -154,73 +149,6 @@ func majoritySmall[T linalg.Float](replicas [][]T) ResultOf[T] {
 	}
 }
 
-// MajorityWithToleranceOf clusters replicas by L∞ proximity (two replicas
-// belong to one cluster when within tol of the cluster's representative)
-// and elects the largest cluster, returning its representative. This is
-// the paper's suggested handling for floating-point jitter between
-// honest replicas.
-func MajorityWithToleranceOf[T linalg.Float](replicas [][]T, tol float64) (ResultOf[T], error) {
-	n := len(replicas)
-	if n == 0 {
-		return ResultOf[T]{}, fmt.Errorf("vote: no replicas")
-	}
-	if tol < 0 {
-		return ResultOf[T]{}, fmt.Errorf("vote: negative tolerance %v", tol)
-	}
-	d := len(replicas[0])
-	for i, r := range replicas {
-		if len(r) != d {
-			return ResultOf[T]{}, fmt.Errorf("vote: replica %d has dim %d, want %d", i, len(r), d)
-		}
-	}
-	// Clusters are (representative index, count) pairs; the
-	// representative is the first replica that opened the cluster, so
-	// the lowest-first-index tie-break is an index comparison. The
-	// cluster table lives on the stack for realistic replica counts.
-	type tolCluster struct {
-		rep   int
-		count int
-	}
-	var stack [smallN]tolCluster
-	clusters := stack[:0]
-	if n > smallN {
-		clusters = make([]tolCluster, 0, n)
-	}
-	for i, r := range replicas {
-		placed := false
-		for k := range clusters {
-			if maxAbsDiff(replicas[clusters[k].rep], r) <= tol {
-				clusters[k].count++
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			clusters = append(clusters, tolCluster{rep: i, count: 1})
-		}
-	}
-	best := 0
-	for k := 1; k < len(clusters); k++ {
-		// Representatives appear in first-index order, so a strictly
-		// greater count is the only way to displace an earlier cluster.
-		if clusters[k].count > clusters[best].count {
-			best = k
-		}
-	}
-	tied := false
-	for k := range clusters {
-		if k != best && clusters[k].count == clusters[best].count {
-			tied = true
-		}
-	}
-	return ResultOf[T]{
-		Winner:    replicas[clusters[best].rep],
-		Count:     clusters[best].count,
-		Unanimous: clusters[best].count == n,
-		Tied:      tied,
-	}, nil
-}
-
 // hashVec hashes the raw IEEE-754 bytes of v (sizeof(T) per value,
 // little-endian) with FNV-1a.
 func hashVec[T linalg.Float](v []T) uint64 {
@@ -232,16 +160,4 @@ func hashVec[T linalg.Float](v []T) uint64 {
 		h.Write(buf[:w])
 	}
 	return h.Sum64()
-}
-
-// maxAbsDiff returns the L∞ distance between a and b.
-func maxAbsDiff[T linalg.Float](a, b []T) float64 {
-	var m float64
-	for i := range a {
-		d := math.Abs(float64(a[i] - b[i]))
-		if d > m {
-			m = d
-		}
-	}
-	return m
 }

@@ -102,54 +102,6 @@ func TestMajorityNaNHandling(t *testing.T) {
 	}
 }
 
-func TestMajorityWithToleranceAbsorbsJitter(t *testing.T) {
-	g1 := []float64{1.0, 2.0}
-	g2 := []float64{1.0 + 1e-12, 2.0 - 1e-12} // same gradient, float jitter
-	byz := []float64{5, 5}
-	res, err := MajorityWithTolerance([][]float64{g1, g2, byz}, 1e-9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Count != 2 {
-		t.Errorf("jittered replicas not clustered: %+v", res)
-	}
-	if res.Winner[0] != 1.0 {
-		t.Errorf("winner = %v", res.Winner)
-	}
-	// Exact mode must NOT cluster them.
-	resExact, err := Majority([][]float64{g1, g2, byz})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resExact.Count != 1 {
-		t.Errorf("exact mode clustered jitter: %+v", resExact)
-	}
-}
-
-func TestMajorityWithToleranceErrors(t *testing.T) {
-	if _, err := MajorityWithTolerance(nil, 0.1); err == nil {
-		t.Error("empty accepted")
-	}
-	if _, err := MajorityWithTolerance([][]float64{{1}}, -1); err == nil {
-		t.Error("negative tol accepted")
-	}
-	if _, err := MajorityWithTolerance([][]float64{{1}, {1, 2}}, 0.1); err == nil {
-		t.Error("ragged accepted")
-	}
-}
-
-func TestMajorityWithToleranceZeroTolIsExactish(t *testing.T) {
-	a := []float64{1}
-	b := []float64{2}
-	res, err := MajorityWithTolerance([][]float64{a, a, b}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Count != 2 || res.Winner[0] != 1 {
-		t.Errorf("result = %+v", res)
-	}
-}
-
 // Property: when strictly more than half the replicas are the identical
 // honest vector, the honest vector always wins — the invariant that
 // makes r' = ⌊r/2⌋+1 the distortion threshold.
@@ -181,27 +133,6 @@ func TestQuickHonestMajorityAlwaysWins(t *testing.T) {
 		return res.Winner[0] == hv && res.Count == honestCount && !res.Tied
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 1000}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: Majority and MajorityWithTolerance(0-ish) agree when all
-// replicas are exact duplicates from a small candidate set.
-func TestQuickExactVsToleranceAgree(t *testing.T) {
-	prop := func(pattern uint16) bool {
-		candidates := [][]float64{{0}, {1}, {2}}
-		var replicas [][]float64
-		for i := 0; i < 5; i++ {
-			replicas = append(replicas, candidates[int(pattern>>(2*i))%3])
-		}
-		a, err1 := Majority(replicas)
-		b, err2 := MajorityWithTolerance(replicas, 1e-12)
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		return a.Count == b.Count
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
 }

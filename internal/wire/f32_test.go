@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -138,56 +137,8 @@ func TestDecodeParams32RejectsF64Lengths(t *testing.T) {
 	}
 }
 
-// TestUplink32DeltaStream drives the f32 streaming codec over several
-// rounds and checks encoder and decoder stay in lockstep bit for bit.
-func TestUplink32DeltaStream(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	enc := &UplinkEncoder32{Tier: TierDelta}
-	dec := &UplinkDecoder32{Tier: TierDelta}
-	files := []int{4, 9}
-	grads := randGrads32(rng, 2, 17)
-	sawDelta := false
-	for round := 0; round < 6; round++ {
-		if round > 0 {
-			// Perturb a few coordinates, leaving most unchanged so the
-			// delta encoding wins.
-			for k := 0; k < 3; k++ {
-				grads[rng.Intn(2)][rng.Intn(17)] += float32(rng.NormFloat64()) * 1e-3
-			}
-		}
-		buf, mode, rawSize, err := enc.Encode(nil, 7, files, grads)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rawSize != UplinkRaw32Size(2, 17) {
-			t.Fatalf("rawSize %d, want %d", rawSize, UplinkRaw32Size(2, 17))
-		}
-		if round > 0 && mode == UplinkDelta {
-			sawDelta = true
-		}
-		var f GradFrame32
-		gotMode, consumed, err := dec.Decode(buf, &f)
-		if err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
-		if gotMode != mode || consumed != len(buf) {
-			t.Fatalf("round %d: mode %d/%d consumed %d/%d", round, gotMode, mode, consumed, len(buf))
-		}
-		for i := range grads {
-			for j := range grads[i] {
-				if math.Float32bits(f.Grads[i][j]) != math.Float32bits(grads[i][j]) {
-					t.Fatalf("round %d: value %d/%d not bit-identical", round, i, j)
-				}
-			}
-		}
-	}
-	if !sawDelta {
-		t.Fatal("delta mode never chosen on a sparse stream")
-	}
-}
-
 // TestUplink32TierGating checks decoders reject modes outside their
-// negotiated tier.
+// tier.
 func TestUplink32TierGating(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	grads := randGrads32(rng, 1, 5)
@@ -209,10 +160,10 @@ func TestUplink32TierGating(t *testing.T) {
 	if err != nil || mode != UplinkSign {
 		t.Fatalf("sign encode: mode=%d err=%v", mode, err)
 	}
-	dec := &UplinkDecoder32{Tier: TierDelta}
+	dec := &UplinkDecoder32{Tier: TierRaw}
 	var f GradFrame32
 	if _, _, err := dec.Decode(sbuf, &f); err == nil {
-		t.Fatal("delta tier accepted a sign frame")
+		t.Fatal("raw tier accepted a sign frame")
 	}
 }
 
@@ -337,23 +288,13 @@ func FuzzDecodeParams32(f *testing.F) {
 	})
 }
 
+// FuzzDecodeUplink32 is FuzzDecodeUplink at float32.
 func FuzzDecodeUplink32(f *testing.F) {
-	enc := &UplinkEncoder32{Tier: TierDelta}
-	seed, _, _, _ := enc.Encode(nil, 1, []int{2}, [][]float32{{1, 2, 3}})
-	f.Add(seed, uint8(TierDelta))
-	f.Add([]byte{UplinkDelta, 0, 0, 0, 0}, uint8(TierDelta))
-	f.Fuzz(func(t *testing.T, data []byte, tier uint8) {
-		dec := &UplinkDecoder32{Tier: UplinkTier(tier % 4)}
-		// Feed a valid raw frame first so delta frames have a base.
-		base, _, _, _ := (&UplinkEncoder32{Tier: TierDelta}).Encode(nil, 0, []int{1, 2}, [][]float32{{1, 2}, {3, 4}})
-		var g GradFrame32
-		dec.Decode(base, &g)
-		consumed, _, err := dec.Decode(data, &g)
-		_ = consumed
-		if err == nil && !bytes.Equal(data[:0], nil) && len(data) == 0 {
-			t.Fatal("decoded an empty frame")
-		}
-	})
+	for _, tier := range allTiers {
+		seed, _, _, _ := (&UplinkEncoder32{Tier: tier}).Encode(nil, 1, []int{2}, [][]float32{{1, 2, 3}})
+		f.Add(seed)
+	}
+	f.Fuzz(fuzzDecodeUplink[float32])
 }
 
 func FuzzUplinkQuant32RoundTrip(f *testing.F) {

@@ -45,6 +45,10 @@ const (
 	// ProtocolVersion is the current control-plane protocol version.
 	// Hello/Welcome carry it explicitly for negotiation; every frame
 	// header repeats it so a version skew fails fast on any message.
+	// v9 made every uplink frame self-contained: the XOR-delta uplink
+	// mode (2) is unassigned, the Hello carries no tier mask — the PS
+	// names the tier in Welcome.Uplink — and the Welcome's unread
+	// full-broadcast cadence is gone.
 	// v8 stopped shipping each round's file→samples table, which every
 	// process derives from the Spec's seed (data.FileStream): the
 	// RoundStart's file section, the round-prep message (type 7) and the
@@ -69,7 +73,7 @@ const (
 	// the compressed uplink gradient codec (uplink.go) and the Welcome's
 	// uplink-delta flag. Older peers are rejected at the first frame
 	// (and at Hello/Welcome negotiation) with a typed version Reject.
-	ProtocolVersion = 8
+	ProtocolVersion = 9
 	// FrameHeaderSize is the fixed byte size of the frame header.
 	FrameHeaderSize = 8
 	// MaxFramePayload bounds the declared payload length a receiver will

@@ -40,7 +40,7 @@ type goldenCodec[T linalg.Float] struct {
 	fullSize     func(d int) int
 	decodeParams func(src []byte, params []T) (mode, consumed int, err error)
 	tierSize     map[UplinkTier]func(n, d int) int
-	// newStream returns one connection's encoder and decoder at tier.
+	// newStream returns an encoder and a decoder at tier.
 	newStream func(tier UplinkTier) (
 		enc func(dst []byte, worker int, files []int, grads [][]T) ([]byte, int, int, error),
 		dec func(src []byte) (mode, consumed, worker int, files []int, grads [][]T, err error))
@@ -184,7 +184,7 @@ func goldenCases[T linalg.Float](t *testing.T, c goldenCodec[T], out map[string]
 		{1.5, -2.25, 0, negZero, inf},
 		{goldenNaN[T](), goldenSubnormal[T](), T(math.MaxFloat32), 1e-3, -7},
 	}
-	// The stream's second report: low-mantissa changes, unchanged
+	// The params delta's target: low-mantissa changes, unchanged
 	// coordinates, and one full-width flip, so delta lengths span 0..max.
 	next := [][]T{
 		{1.5000001, -2.25, 0, 0, inf},
@@ -247,41 +247,34 @@ func goldenCases[T linalg.Float](t *testing.T, c goldenCodec[T], out map[string]
 	}
 	put("params-delta", delta, valuesHex(got))
 
-	// Uplink tiers. The delta tier is a two-frame stream: a raw first
-	// frame (no base yet), then the XOR patch against it.
+	// Uplink tiers, one frame each.
 	for _, uc := range []struct {
-		name   string
-		tier   UplinkTier
-		files  []int
-		stream [][][]T
-		modes  []int
+		name  string
+		tier  UplinkTier
+		files []int
+		grads [][]T
+		mode  int
 	}{
-		{"uplink-raw", TierRaw, files2, [][][]T{special}, []int{UplinkRaw}},
-		{"uplink-delta", TierDelta, files2, [][][]T{special, next}, []int{UplinkRaw, UplinkDelta}},
-		{"uplink-sign", TierSign, files3, [][][]T{finite}, []int{UplinkSign}},
-		{"uplink-int8", TierInt8, files3, [][][]T{finite}, []int{UplinkInt8}},
+		{"uplink-raw-0", TierRaw, files2, special, UplinkRaw},
+		{"uplink-sign-0", TierSign, files3, finite, UplinkSign},
+		{"uplink-int8-0", TierInt8, files3, finite, UplinkInt8},
 	} {
 		enc, dec := c.newStream(uc.tier)
-		for k, grads := range uc.stream {
-			frame, mode, rawSize, err := enc(nil, 12, uc.files, grads)
-			must(err)
-			n, d := len(uc.files), len(grads[0])
-			if mode != uc.modes[k] || rawSize != c.tierSize[TierRaw](n, d) {
-				t.Fatalf("%s %s[%d]: mode %d rawSize %d", c.width, uc.name, k, mode, rawSize)
-			}
-			if size, ok := c.tierSize[uc.tier]; ok && len(frame) != size(n, d) {
-				t.Fatalf("%s %s: %d bytes, size helper says %d", c.width, uc.name, len(frame), size(n, d))
-			}
-			gotMode, consumed, worker, files, got, err := dec(frame)
-			must(err)
-			if gotMode != mode || consumed != len(frame) || worker != 12 || fmt.Sprint(files) != fmt.Sprint(uc.files) {
-				t.Fatalf("%s %s[%d]: mode %d consumed %d worker %d files %v", c.width, uc.name, k, gotMode, consumed, worker, files)
-			}
-			if !uc.tier.Lossy() && valuesHex(got...) != valuesHex(grads...) {
-				t.Fatalf("%s %s[%d]: lossless tier did not round-trip bit-exactly", c.width, uc.name, k)
-			}
-			put(fmt.Sprintf("%s-%d", uc.name, k), frame, valuesHex(got...))
+		frame, mode, rawSize, err := enc(nil, 12, uc.files, uc.grads)
+		must(err)
+		n, d := len(uc.files), len(uc.grads[0])
+		if mode != uc.mode || rawSize != c.tierSize[TierRaw](n, d) || len(frame) != c.tierSize[uc.tier](n, d) {
+			t.Fatalf("%s %s: mode %d rawSize %d, %d bytes", c.width, uc.name, mode, rawSize, len(frame))
 		}
+		gotMode, consumed, worker, files, got, err := dec(frame)
+		must(err)
+		if gotMode != mode || consumed != len(frame) || worker != 12 || fmt.Sprint(files) != fmt.Sprint(uc.files) {
+			t.Fatalf("%s %s: mode %d consumed %d worker %d files %v", c.width, uc.name, gotMode, consumed, worker, files)
+		}
+		if !uc.tier.Lossy() && valuesHex(got...) != valuesHex(uc.grads...) {
+			t.Fatalf("%s %s: lossless tier did not round-trip bit-exactly", c.width, uc.name)
+		}
+		put(uc.name, frame, valuesHex(got...))
 	}
 }
 

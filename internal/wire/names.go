@@ -8,6 +8,9 @@ package wire
 // codec fix or optimisation is written once and both widths get it.
 // Code that is itself generic over the width calls the XOf forms.
 
+// TierDelta names TierRaw for bench/adapter_engine.go:194 until ROADMAP item 1a.
+const TierDelta = TierRaw
+
 type (
 	GradFrame       = GradFrameOf[float64]
 	GradFrame32     = GradFrameOf[float32]

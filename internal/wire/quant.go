@@ -1,7 +1,7 @@
-// Quantized uplink gradient frames (protocol v6). The lossless XOR
-// uplink (uplink.go) realizes only ≈2% on real training rounds because
-// consecutive gradient reports decorrelate; the two lossy tiers in this
-// file cut the dominant worker→PS direction by construction instead:
+// Quantized uplink gradient frames (protocol v6). Consecutive gradient
+// reports decorrelate, so no lossless scheme saves much on the dominant
+// worker→PS direction; the two lossy tiers in this file cut it by
+// construction instead:
 //
 //   - sign: one bit per coordinate plus one scale per row — the
 //     1-bit SGD shape. The scale is the row's mean absolute value, so
@@ -10,10 +10,8 @@
 //     quantization onto the 256-point grid [min, min+255·scale] with
 //     scale = (max−min)/255.
 //
-// Both tiers are stateless: a frame is self-contained, no delta base is
-// held on either side, so a reconnect resumes mid-stream with no
-// resynchronization (and a kill+rejoin under a lossy tier is
-// bit-identical to an uninterrupted run).
+// Like every uplink frame, a quantized frame is self-contained (see
+// uplink.go).
 //
 // Determinism is the load-bearing property, not accuracy: the PS votes
 // gradient replicas by bit-equality, so every honest replica of a file
@@ -26,9 +24,9 @@
 // file's shard coordinate range independently, and the engine mirrors
 // that by quantizing per (file, shard range).
 //
-// Frame layouts, little-endian (header fields as the delta frame's;
-// scale fields are T bit patterns, sizeof(T) bytes each, and all
-// quantization arithmetic runs at T's width):
+// Frame layouts, little-endian (scale fields are T bit patterns,
+// sizeof(T) bytes each, and all quantization arithmetic runs at T's
+// width):
 //
 //	u8  mode (3 = sign, 4 = int8)
 //	u32 worker, u32 n, u32 d, n × u32 file id
@@ -56,24 +54,17 @@ import (
 )
 
 // UplinkTier selects the uplink gradient codec a connection (or the
-// in-process engine's measured-communication mode) runs. The zero
-// value is the lossless self-selecting raw/XOR-delta codec that
-// protocol v3–v5 always used, so zero-valued configs keep their
-// pre-v6 behavior.
+// in-process engine) runs. The zero value is the lossless raw tier.
 type UplinkTier uint8
 
 const (
-	// TierDelta is the lossless tier: the encoder self-selects per
-	// frame between a raw gradient frame and an XOR patch against the
-	// sender's previous report (uplink.go). The default.
-	TierDelta UplinkTier = 0
-	// TierRaw forces self-contained raw frames and keeps no base.
-	TierRaw UplinkTier = 1
+	// TierRaw ships self-contained raw gradient frames. The default.
+	TierRaw UplinkTier = iota
 	// TierSign is the 1-bit tier: sign bits plus a per-row scale.
-	TierSign UplinkTier = 2
+	TierSign
 	// TierInt8 is the linear-quantized tier: one byte per coordinate
 	// plus per-row (min, scale).
-	TierInt8 UplinkTier = 3
+	TierInt8
 )
 
 // Lossy reports whether the tier discards information (sign or int8).
@@ -82,16 +73,26 @@ func (t UplinkTier) Lossy() bool { return t == TierSign || t == TierInt8 }
 // Valid reports whether t names a defined tier.
 func (t UplinkTier) Valid() bool { return t <= TierInt8 }
 
-// Mask returns the tier's bit in the Hello supported-tiers bitmask.
-func (t UplinkTier) Mask() uint8 { return 1 << t }
+// mode returns the frame mode the tier emits and accepts (-1, which no
+// mode byte can equal, for an undefined tier).
+func (t UplinkTier) mode() int {
+	switch t {
+	case TierRaw:
+		return UplinkRaw
+	case TierSign:
+		return UplinkSign
+	case TierInt8:
+		return UplinkInt8
+	default:
+		return -1
+	}
+}
 
 // String returns the flag spelling of the tier.
 func (t UplinkTier) String() string {
 	switch t {
 	case TierRaw:
 		return "raw"
-	case TierDelta:
-		return "delta"
 	case TierSign:
 		return "sign"
 	case TierInt8:
@@ -103,23 +104,16 @@ func (t UplinkTier) String() string {
 
 // ParseUplinkTier parses the flag spelling of a tier.
 func ParseUplinkTier(s string) (UplinkTier, error) {
-	switch s {
-	case "raw":
-		return TierRaw, nil
-	case "delta":
-		return TierDelta, nil
-	case "sign":
-		return TierSign, nil
-	case "int8":
-		return TierInt8, nil
-	default:
-		return 0, fmt.Errorf("wire: unknown uplink tier %q (want raw, delta, sign, or int8)", s)
+	for t := TierRaw; t.Valid(); t++ {
+		if s == t.String() {
+			return t, nil
+		}
 	}
+	return 0, fmt.Errorf("wire: unknown uplink tier %q (want raw, sign, or int8)", s)
 }
 
-// AllTiersMask is the supported-tiers bitmask of a peer implementing
-// every tier (what the v6 worker advertises in its Hello).
-const AllTiersMask = uint8(1<<TierDelta | 1<<TierRaw | 1<<TierSign | 1<<TierInt8)
+// quantHeader is the mode byte plus worker, n, and d.
+const quantHeader = 13
 
 // signBytesPerRow returns the packed sign-bit bytes of one d-wide row.
 func signBytesPerRow(d int) int { return (d + 7) / 8 }
@@ -128,13 +122,13 @@ func signBytesPerRow(d int) int { return (d + 7) / 8 }
 // n files of dimension d: the sign bits are width-independent, only the
 // row scale follows sizeof(T).
 func UplinkSignSizeOf[T linalg.Float](n, d int) int {
-	return uplinkDeltaHeader + n*4 + n*linalg.Width[T]() + n*signBytesPerRow(d)
+	return quantHeader + n*4 + n*linalg.Width[T]() + n*signBytesPerRow(d)
 }
 
 // UplinkInt8SizeOf returns the encoded size of an int8 uplink frame
 // with n files of dimension d (per-row min and scale at T's width).
 func UplinkInt8SizeOf[T linalg.Float](n, d int) int {
-	return uplinkDeltaHeader + n*4 + n*2*linalg.Width[T]() + n*d
+	return quantHeader + n*4 + n*2*linalg.Width[T]() + n*d
 }
 
 // signBit reports whether v's sign bit is set (−0 and negative NaNs
@@ -283,13 +277,13 @@ func appendUplinkInt8[T linalg.Float](dst []byte, worker int, files []int, grads
 // overflow or trigger oversized allocations — everything is bounded by
 // len(src) before n and d are trusted.
 func decodeQuantHeader[T linalg.Float](src []byte, f *GradFrameOf[T], scaleBytes int, valueBytes func(d uint64) uint64) (n, d int, body []byte, err error) {
-	if len(src) < uplinkDeltaHeader {
+	if len(src) < quantHeader {
 		return 0, 0, nil, fmt.Errorf("wire: quantized uplink frame truncated at %d bytes", len(src))
 	}
 	worker := int(binary.LittleEndian.Uint32(src[1:]))
 	n64 := uint64(binary.LittleEndian.Uint32(src[5:]))
 	d64 := uint64(binary.LittleEndian.Uint32(src[9:]))
-	rem := uint64(len(src) - uplinkDeltaHeader)
+	rem := uint64(len(src) - quantHeader)
 	if n64 > 0 && n64 > rem/4 {
 		return 0, 0, nil, fmt.Errorf("wire: quantized frame declares %d files for %d bytes", n64, rem)
 	}
@@ -302,8 +296,8 @@ func decodeQuantHeader[T linalg.Float](src []byte, f *GradFrameOf[T], scaleBytes
 	}
 	n, d = int(n64), int(d64)
 	f.Worker = worker
-	f.setFiles(src[uplinkDeltaHeader:], n)
-	return n, d, src[uplinkDeltaHeader+n*4:], nil
+	f.setFiles(src[quantHeader:], n)
+	return n, d, src[quantHeader+n*4:], nil
 }
 
 // decodeUplinkSign parses one sign frame into f, returning the bytes
@@ -347,7 +341,7 @@ func decodeUplinkSign[T linalg.Float](src []byte, f *GradFrameOf[T]) (int, error
 			return 0, fmt.Errorf("wire: sign frame row %d has set padding bits", i)
 		}
 	}
-	return uplinkDeltaHeader + n*4 + n*w + n*int(bpr), nil
+	return quantHeader + n*4 + n*w + n*int(bpr), nil
 }
 
 // decodeUplinkInt8 parses one int8 frame into f, returning the bytes
@@ -374,5 +368,5 @@ func decodeUplinkInt8[T linalg.Float](src []byte, f *GradFrameOf[T]) (int, error
 			g[j] = min + scale*T(q[j])
 		}
 	}
-	return uplinkDeltaHeader + n*4 + n*2*w + n*d, nil
+	return quantHeader + n*4 + n*2*w + n*d, nil
 }

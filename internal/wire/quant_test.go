@@ -25,23 +25,25 @@ func quantizeReport(tier UplinkTier, grads [][]float64) [][]float64 {
 }
 
 // TestUplinkTierSpellings pins the flag spellings, the parse round
-// trip, and the negotiation bitmask bits.
+// trip, the zero value, and the deleted delta tier's spelling.
 func TestUplinkTierSpellings(t *testing.T) {
-	for _, tier := range []UplinkTier{TierRaw, TierDelta, TierSign, TierInt8} {
+	for _, tier := range allTiers {
 		got, err := ParseUplinkTier(tier.String())
 		if err != nil || got != tier {
 			t.Errorf("ParseUplinkTier(%q) = %v, %v", tier.String(), got, err)
 		}
-		if AllTiersMask&tier.Mask() == 0 {
-			t.Errorf("tier %s missing from AllTiersMask", tier)
+	}
+	for _, bad := range []string{"gzip", "delta"} {
+		if _, err := ParseUplinkTier(bad); err == nil {
+			t.Errorf("ParseUplinkTier accepted %q", bad)
 		}
 	}
-	if _, err := ParseUplinkTier("gzip"); err == nil {
-		t.Error("ParseUplinkTier accepted an unknown tier")
+	var zero UplinkTier
+	if zero != TierRaw {
+		t.Error("the zero tier is not raw")
 	}
-	if TierSign.Lossy() != true || TierInt8.Lossy() != true ||
-		TierRaw.Lossy() || TierDelta.Lossy() {
-		t.Error("Lossy() wrong for some tier")
+	if TierSign.Lossy() != true || TierInt8.Lossy() != true || TierRaw.Lossy() || UplinkTier(3).Valid() {
+		t.Error("Lossy() or Valid() wrong for some tier")
 	}
 }
 
@@ -118,7 +120,7 @@ func TestUplinkQuantTierStrict(t *testing.T) {
 	files := []int{1}
 	grads := [][]float64{{1, -2, 3}}
 	frames := map[UplinkTier][]byte{}
-	for _, tier := range []UplinkTier{TierRaw, TierSign, TierInt8} {
+	for _, tier := range allTiers {
 		enc := UplinkEncoder{Tier: tier}
 		frame, _, _, err := enc.Encode(nil, 0, files, grads)
 		if err != nil {
@@ -126,18 +128,12 @@ func TestUplinkQuantTierStrict(t *testing.T) {
 		}
 		frames[tier] = frame
 	}
-	accepts := map[UplinkTier][]UplinkTier{
-		TierRaw:   {TierRaw},
-		TierDelta: {TierRaw},
-		TierSign:  {TierSign},
-		TierInt8:  {TierInt8},
-	}
-	for decTier, ok := range accepts {
-		for _, encTier := range []UplinkTier{TierRaw, TierSign, TierInt8} {
+	for _, decTier := range allTiers {
+		for _, encTier := range allTiers {
 			dec := UplinkDecoder{Tier: decTier}
 			var f GradFrame
 			_, _, err := dec.Decode(frames[encTier], &f)
-			if want := slices.Contains(ok, encTier); (err == nil) != want {
+			if want := decTier == encTier; (err == nil) != want {
 				t.Errorf("tier %s decoder, %s frame: err=%v, want accept=%v", decTier, encTier, err, want)
 			}
 		}
@@ -152,7 +148,7 @@ func TestUplinkSignRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scaleAt := uplinkDeltaHeader + 4 // one file id, then the row scale
+	scaleAt := quantHeader + 4 // one file id, then the row scale
 	cases := map[string][]byte{
 		"truncated": frame[:len(frame)-1],
 		"neg scale": func() []byte {
@@ -284,34 +280,7 @@ func FuzzDecodeUplinkSign(f *testing.F) {
 		if mode != UplinkSign || consumed > len(data) {
 			t.Fatalf("mode %d consumed %d of %d", mode, consumed, len(data))
 		}
-		n := len(fr.Files)
-		d := 0
-		if n > 0 {
-			d = len(fr.Grads[0])
-		}
-		re := []byte{UplinkSign}
-		re = append32(re, uint32(fr.Worker))
-		re = append32(re, uint32(n))
-		re = append32(re, uint32(d))
-		for _, v := range fr.Files {
-			re = append32(re, uint32(v))
-		}
-		for _, g := range fr.Grads {
-			s := 0.0
-			if len(g) > 0 {
-				s = math.Abs(g[0])
-			}
-			re = AppendF64(re, s)
-		}
-		for _, g := range fr.Grads {
-			at := len(re)
-			re = append(re, make([]byte, signBytesPerRow(d))...)
-			for j, v := range g {
-				if !math.Signbit(v) {
-					re[at+j/8] |= 1 << (j % 8)
-				}
-			}
-		}
+		re := reencodeSign(&fr)
 		if !bytes.Equal(re, data[:consumed]) {
 			t.Fatalf("re-encode differs from consumed bytes:\n got %x\nwant %x", re, data[:consumed])
 		}
