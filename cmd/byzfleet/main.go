@@ -1,10 +1,9 @@
 // Command byzfleet runs the fleet-scaling sweep of the aggregation
 // plane: for each worker count it drives a loopback fleet through the
-// serial, sharded, and quantized (sharded plane on the lossy int8
-// uplink tier) planes over the identical spec, checks
-// every mode's final parameters bit-for-bit against the in-process
-// engine — the quantized mode against an engine pinned to the same tier
-// and shard count — and reports rounds/sec per plane. It is a
+// serial (raw uplink) and quantized (lossy int8 uplink tier) planes over
+// the identical spec, checks every mode's final parameters bit-for-bit
+// against the in-process engine — the quantized mode against an engine
+// pinned to the same tier — and reports rounds/sec per plane. It is a
 // correctness sweep and a profiling harness; the repository's recorded
 // numbers come from bench/ (bash bench/run.sh). -json emits the points
 // as a JSON array; -modes isolates one plane for profiling with
@@ -47,10 +46,9 @@ func main() {
 		reps      = flag.Int("reps", 3, "repetitions per point (best kept)")
 		dim       = flag.Int("input-dim", 256, "input feature dimension")
 		classes   = flag.Int("classes", 8, "classes")
-		shards    = flag.Int("shards", 2, "shard count")
 		modes     = flag.String("modes", "", "comma-separated mode filter (default all)")
 		precision = flag.String("precision", "f64",
-			"numeric precision tier the whole sweep runs at: f64 or f32 (the same three planes; f32 rows are reported with an -f32 suffix)")
+			"numeric precision tier the whole sweep runs at: f64 or f32 (the same two planes; f32 rows are reported with an -f32 suffix)")
 		jsonOut  = flag.Bool("json", false, "emit the points as JSON on stdout")
 		prof     = flag.String("cpuprofile", "", "write cpu profile")
 		memProf  = flag.String("memprofile", "", "write heap profile at sweep end (live servers: prefer byzps /debug/pprof/heap)")
@@ -116,7 +114,6 @@ func main() {
 		Reps:         *reps,
 		InputDim:     *dim,
 		Classes:      *classes,
-		Shards:       *shards,
 		Modes:        modeList,
 		Precision:    prec,
 		Tracer:       tracer,

@@ -34,9 +34,9 @@
 //
 //	-uplink raw     uncompressed frames (bit-exact; the default)
 //	-uplink sign    lossy 1-bit sign quantization, one scale per
-//	                (file, shard) row — ~64x fewer gradient bytes
+//	                file row — ~64x fewer gradient bytes
 //	-uplink int8    lossy 8-bit linear quantization, min/scale per
-//	                (file, shard) row — ~8x fewer gradient bytes
+//	                file row — ~8x fewer gradient bytes
 //
 // The lossy tiers trade exactness for bandwidth: the PS aggregates the
 // dequantized values, so the trajectory is deterministic (and matches
@@ -45,13 +45,6 @@
 // per-round participation and wire-volume stats, and the lifecycle
 // counters (joins, rejoins, evictions, stale frames retired) print at
 // shutdown.
-//
-// The aggregation plane itself is configurable: -shards N splits the
-// parameter vector into N contiguous coordinate ranges that vote and
-// aggregate independently as their report frames land, bit-identical to
-// the unsharded plane:
-//
-//	byzps ... -shards 4
 //
 // Live observability (see DESIGN.md "Observability"): -metrics-addr
 // serves /metrics (Prometheus text), /statusz (human-readable fleet
@@ -120,8 +113,6 @@ func main() {
 			"worker→PS report codec tier: raw (bit-exact), sign or int8 (lossy quantization)")
 		precision = flag.String("precision", "f64",
 			"numeric precision tier: f64 or f32 (float32 kernels and frames; the same protocol, for the models and coordinate-wise aggregators that have float32 kernels)")
-		shardCount = flag.Int("shards", 0,
-			"aggregation shards: split the parameter vector into N coordinate ranges that vote/aggregate independently (0 or 1 = single loop; bit-identical either way)")
 		verbose = flag.Bool("v", false,
 			"log every round: missing workers, rejoins/evictions/stale frames, up/down wire bytes")
 		quorum     = flag.Int("quorum", 0, "minimum surviving replicas per file vote (0 = r/2+1)")
@@ -181,7 +172,6 @@ func main() {
 		RoundTimeout:       *roundTimeout,
 		FullBroadcastEvery: *fullEvery,
 		Uplink:             tier,
-		Shards:             *shardCount,
 		Quorum:             *quorum,
 	}
 	// Observability plane: the registry and tracer are created whenever

@@ -71,11 +71,6 @@ type roundArena[T linalg.Float] struct {
 	rxFrame wire.GradFrameOf[T]
 	upEnc   wire.UplinkEncoderOf[T]
 	upDec   wire.UplinkDecoderOf[T]
-	// txRows/rxRows are the row-view scratch of the measured round trip,
-	// one view per slot of the range being framed (sized to the widest
-	// worker's slot count, allocated only when MeasureComm is set).
-	txRows [][]T
-	rxRows [][]T
 	// quantSeen dedupes shared Byzantine payload buffers inside the
 	// lossy quantize-in-place pass (quantization is not idempotent, so
 	// each distinct buffer must pass exactly once). Grows on first use.
@@ -128,14 +123,6 @@ func newRoundArena[T linalg.Float](a *assign.Assignment, dim int, byzSet map[int
 				rxBacking = rxBacking[dim:]
 			}
 		}
-		maxSlots := 0
-		for u := 0; u < a.K; u++ {
-			if n := len(ar.workerFiles[u]); n > maxSlots {
-				maxSlots = n
-			}
-		}
-		ar.txRows = make([][]T, maxSlots)
-		ar.rxRows = make([][]T, maxSlots)
 	}
 
 	ar.fileReplicas = make([][]slotRef, a.F)

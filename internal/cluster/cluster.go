@@ -98,10 +98,9 @@ type ConfigOf[T linalg.Float] struct {
 	SignMessages bool
 	// UplinkTier pins the in-process engine to one worker→PS codec tier
 	// (wire.UplinkTier). The lossless TierRaw, the zero value, is a
-	// no-op here, but a lossy tier (TierSign, TierInt8)
-	// makes every collected gradient pass through the exact
-	// quantize→dequantize float operations of the wire codec, per
-	// aggregation-shard coordinate range, so the engine reproduces a
+	// no-op here, but a lossy tier (TierSign, TierInt8) makes every
+	// collected gradient row pass through the exact quantize→dequantize
+	// float operations of the wire codec, so the engine reproduces a
 	// lossy-tier TCP run bit-for-bit (the loopback==engine pinning the
 	// transport tests rely on). Mutually exclusive with SignMessages
 	// (two different message semantics) and with Source (a network
@@ -118,12 +117,11 @@ type ConfigOf[T linalg.Float] struct {
 	// calling goroutine. Any width produces bit-identical parameter
 	// trajectories for a fixed seed.
 	Parallelism int
-	// Shards splits the parameter vector into N contiguous coordinate
-	// ranges (wire.ShardRange) and gives each range its own vote and
-	// aggregate state, so a network source can stream per-shard report
-	// frames and vote a shard early while other shards still collect.
-	// Any shard count produces bit-identical trajectories to the serial
-	// engine (see shard.go for why); 0 or 1 disables the plane.
+	// Shards is inert: nothing reads it. It sized the sharded
+	// aggregation plane protocol v10 deleted, and stays only because
+	// bench/adapter_engine.go sets it and that module is not this
+	// package's to edit; ROADMAP item 1a deletes it with the names.go
+	// aliases.
 	Shards int
 	// Fault injects worker participation faults (crash, flaky skips)
 	// into the in-process source; nil runs fault-free. Incompatible with
@@ -288,8 +286,6 @@ type EngineOf[T linalg.Float] struct {
 	// detection is off (detect.None or unset).
 	det   detect.Detector
 	detSt *detect.State
-	// plane is the sharded aggregation plane (nil when Shards <= 1).
-	plane *shardPlane
 	// ins holds the preallocated metric instruments (nil when
 	// Config.Metrics is unset); tracer and trace are the round tracer
 	// and its engine-owned scratch record (trace's worker-set slices are
@@ -297,12 +293,10 @@ type EngineOf[T linalg.Float] struct {
 	ins    *engineInstruments
 	tracer *obs.Tracer
 	trace  obs.RoundTrace
-	// phase holds the pool task bodies; scale and the agg* fields are
-	// the per-round inputs the scale and aggregate bodies read (the
-	// per-sample factor; the rule, its operands, the chunk length and
-	// the per-chunk error slots).
+	// phase holds the pool task bodies; the agg* fields are the
+	// per-round inputs the aggregate body reads (the rule, its operands,
+	// the chunk length and the per-chunk error slots).
 	phase      phases
-	scale      T
 	aggRule    *aggregate.Bound[T]
 	aggWinners [][]T
 	aggPer     int
@@ -357,9 +351,6 @@ func NewOf[T linalg.Float](cfg ConfigOf[T]) (*EngineOf[T], error) {
 	}
 	if cfg.Parallelism < 0 {
 		return nil, fmt.Errorf("cluster: parallelism %d < 0", cfg.Parallelism)
-	}
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("cluster: shards %d < 0", cfg.Shards)
 	}
 	quorum := cfg.Quorum
 	if quorum == 0 {
@@ -441,10 +432,6 @@ func NewOf[T linalg.Float](cfg ConfigOf[T]) (*EngineOf[T], error) {
 	e.arena.upEnc.Tier = cfg.UplinkTier
 	e.arena.upDec.Tier = cfg.UplinkTier
 	e.aggErrs = make([]error, width)
-	if n := wire.ShardCount(cfg.Shards, dim); n > 1 {
-		e.plane = newShardPlane(n, dim, cfg.Assignment.F, cfg.Assignment.K)
-		e.aggErrs = make([]error, n)
-	}
 	e.rd = RoundOf[T]{eng: e}
 	// Probe indices are initialized eagerly so snapshot evaluation
 	// (EvalLossParams) is safe from a background goroutine while the
@@ -625,9 +612,6 @@ func (e *EngineOf[T]) StepOnce(ctx context.Context) (RoundStats, error) {
 			ar.missing[u] = true
 		}
 	}
-	if e.plane != nil {
-		e.plane.beginRound()
-	}
 
 	// --- Prep: this round's file→samples table, derived from the seed
 	// (after a Restore, by seeking the fresh stream to the round).
@@ -660,7 +644,7 @@ func (e *EngineOf[T]) StepOnce(ctx context.Context) (RoundStats, error) {
 	}
 
 	// --- Detection: between collection and aggregation, sum each live
-	// worker's replicas into its report row (sharded across the pool;
+	// worker's replicas into its report row (spread across the pool;
 	// each task owns one row, so any width observes identical features),
 	// derive the round's robust features, and let the detector update
 	// reputations. Workers blacklisted this round are removed before
@@ -678,7 +662,7 @@ func (e *EngineOf[T]) StepOnce(ctx context.Context) (RoundStats, error) {
 	}
 
 	// --- Aggregation phase: per-file majority votes over the surviving
-	// replicas, sharded across the pool, then the robust aggregation
+	// replicas, spread across the pool, then the robust aggregation
 	// rule over the winners (coordinate-wise rules reduce in parallel
 	// chunks). Files below the survivor quorum are dropped; files
 	// between quorum and R vote degraded over the survivors.
@@ -689,11 +673,7 @@ func (e *EngineOf[T]) StepOnce(ctx context.Context) (RoundStats, error) {
 		ar.dropped[w] = 0
 		ar.voteErrs[w] = nil
 	}
-	if e.plane != nil {
-		e.shardedVotePhase()
-	} else {
-		e.runPhase(a.F, e.phase.vote)
-	}
+	e.runPhase(a.F, e.phase.vote)
 	// voteDur splits the aggregation span for the tracer/metrics; the
 	// accumulated Times.Aggregation keeps its historical meaning
 	// (vote + aggregate + scale).
@@ -743,26 +723,14 @@ func (e *EngineOf[T]) StepOnce(ctx context.Context) (RoundStats, error) {
 		// factor is narrowed to T once, so every coordinate sees the same
 		// multiplier.
 		scale := T(data.PerSampleScale(a.F, e.cfg.BatchSize))
-		if pl := e.plane; pl != nil {
-			e.scale = scale
-			e.runPhase(pl.n, e.phase.scale)
-		} else {
-			for i := range ar.update {
-				ar.update[i] *= scale
-			}
+		for i := range ar.update {
+			ar.update[i] *= scale
 		}
 	}
 	aggTime := time.Since(aggStart)
 
 	lr := e.cfg.Schedule.At(e.iter)
-	if pl := e.plane; pl != nil {
-		// Each shard steps its own coordinate range; momentum SGD is
-		// coordinate-wise, so any shard partition performs the identical
-		// per-coordinate floating-point operations as the serial step.
-		e.runPhase(pl.n, e.phase.step)
-	} else {
-		e.opt.Step(e.params, ar.update, e.iter)
-	}
+	e.opt.Step(e.params, ar.update, e.iter)
 
 	var missing []int
 	for u := 0; u < a.K; u++ {
@@ -817,7 +785,6 @@ func (e *EngineOf[T]) StepOnce(ctx context.Context) (RoundStats, error) {
 func (e *EngineOf[T]) recordTrace(stats *RoundStats, prep, collect, vote, aggTotal time.Duration, broadcast time.Duration) {
 	rt := &e.trace
 	rt.Round = stats.Iteration
-	rt.Shards = e.rd.Shards()
 	rt.PhaseNS[obs.PhasePrep] = int64(prep)
 	rt.PhaseNS[obs.PhaseBroadcast] = int64(broadcast)
 	rt.PhaseNS[obs.PhaseCollect] = int64(collect)
@@ -846,8 +813,7 @@ func (e *EngineOf[T]) recordTrace(stats *RoundStats, prep, collect, vote, aggTot
 
 // voteFile runs the exact serial majority vote for file v using the
 // width-w scratch rows, writing the winner and the per-slot
-// degraded/dropped/distorted counters. It is both the pooled vote-phase
-// task body and the sharded plane's per-file fallback (slot 0).
+// degraded/dropped/distorted counters. It is the vote phase's task body.
 func (e *EngineOf[T]) voteFile(w, v int) {
 	ar := e.arena
 	repl := ar.replicas[w][:0]
@@ -1004,21 +970,16 @@ func (e *EngineOf[T]) aggregate(agg *aggregate.Bound[T], winners [][]T) error {
 		copy(ar.update, update)
 		return nil
 	}
-	if e.plane == nil && e.pool == nil {
+	if e.pool == nil {
 		return agg.Chunk(winners, ar.update, 0, ar.dim)
 	}
-	// The sharded plane aggregates along its own coordinate ranges so a
-	// shard's reduce can later move out of process; the pooled engine
-	// otherwise cuts [0, dim) into one chunk per pool goroutine. Errors
-	// are recorded per chunk index, not per pool worker: the pool's
-	// worker→chunk mapping is scheduling-dependent, so keying by worker
-	// slot would surface a different error run to run. Keying by chunk
-	// and scanning ascending makes serial and pooled failing runs report
-	// the same (lowest-range) error.
+	// The pooled engine cuts [0, dim) into one chunk per pool goroutine.
+	// Errors are recorded per chunk index, not per pool worker: the
+	// pool's worker→chunk mapping is scheduling-dependent, so keying by
+	// worker slot would surface a different error run to run. Keying by
+	// chunk and scanning ascending makes serial and pooled failing runs
+	// report the same (lowest-range) error.
 	chunks := min(e.width, ar.dim)
-	if e.plane != nil {
-		chunks = e.plane.n
-	}
 	e.aggRule, e.aggWinners = agg, winners
 	e.aggPer = (ar.dim + chunks - 1) / chunks
 	errs := e.aggErrs[:chunks]
@@ -1037,7 +998,7 @@ func (e *EngineOf[T]) aggregate(agg *aggregate.Bound[T], winners [][]T) error {
 // value or a capturing literal handed to the pool escapes to the heap).
 // Each reads its per-round inputs from engine fields.
 type phases struct {
-	compute, report, vote, voteShard, aggregate, scale, step func(worker, task int)
+	compute, report, vote, aggregate func(worker, task int)
 }
 
 // bindPhases builds the phase bodies the configuration can reach.
@@ -1046,23 +1007,8 @@ func (e *EngineOf[T]) bindPhases() {
 	e.phase.vote = e.voteFile
 	e.phase.aggregate = func(_, c int) {
 		lo, hi := c*e.aggPer, min((c+1)*e.aggPer, ar.dim)
-		if pl := e.plane; pl != nil {
-			lo, hi = pl.ranges[c][0], pl.ranges[c][1]
-		}
 		if lo < hi {
 			e.aggErrs[c] = e.aggRule.Chunk(e.aggWinners, ar.update, lo, hi)
-		}
-	}
-	if pl := e.plane; pl != nil {
-		e.phase.voteShard = e.finishShardVote
-		e.phase.scale = func(_, s int) {
-			scale := e.scale
-			for i := pl.ranges[s][0]; i < pl.ranges[s][1]; i++ {
-				ar.update[i] *= scale
-			}
-		}
-		e.phase.step = func(_, s int) {
-			e.opt.StepChunk(e.params, ar.update, e.iter, pl.ranges[s][0], pl.ranges[s][1])
 		}
 	}
 	if e.detSt != nil {
@@ -1135,24 +1081,15 @@ func (e *EngineOf[T]) EvalLossParams(params []T) float64 {
 
 // quantizeUplink applies the configured lossy uplink tier's exact
 // quantize→dequantize float operations to one full-dimension gradient
-// row — per aggregation-shard coordinate range, because a sharded wire
-// worker frames each shard independently and every lossy row carries
-// its own scale parameters, so the quantization granularity must match
-// the wire's framing for the engine to reproduce a TCP run bit for
-// bit. Not idempotent in floating point: callers apply it exactly once
-// per distinct buffer.
+// row — whole, as a wire worker frames it, since every lossy row carries
+// its own scale parameters. Not idempotent in floating point: callers
+// apply it exactly once per distinct buffer.
 func (e *EngineOf[T]) quantizeUplink(g []T) {
-	quant := wire.SignQuantizeInPlaceOf[T]
 	if e.cfg.UplinkTier == wire.TierInt8 {
-		quant = wire.Int8QuantizeInPlaceOf[T]
-	}
-	if pl := e.plane; pl != nil {
-		for s := 0; s < pl.n; s++ {
-			quant(g[pl.ranges[s][0]:pl.ranges[s][1]])
-		}
+		wire.Int8QuantizeInPlaceOf(g)
 		return
 	}
-	quant(g)
+	wire.SignQuantizeInPlaceOf(g)
 }
 
 // signInPlace maps a vector to coordinate signs in {−1, 0, 1}.

@@ -65,51 +65,43 @@ func run32(t *testing.T, cfg Config32, rounds int) []float32 {
 	return e.Params()
 }
 
-// TestEngine32SerialPooledShardedIdentical pins the bit-identity
-// discipline at float32: every pool width × shard count — the pooled
-// engine cuts the aggregate into one chunk per pool goroutine when the
-// plane is off and along the shard ranges when it is on — produces the
-// serial engine's parameter bits.
-func TestEngine32SerialPooledShardedIdentical(t *testing.T) {
+// TestEngine32SerialPooledIdentical pins the bit-identity discipline at
+// float32: every pool width — the pooled engine cuts the aggregate into
+// one chunk per pool goroutine — produces the serial engine's parameter
+// bits.
+func TestEngine32SerialPooledIdentical(t *testing.T) {
 	base := testSetup32(t)
 	base.Parallelism = 1
 	serial := run32(t, base, 8)
 
-	for _, par := range []int{1, 2, 4} {
-		for _, shards := range []int{0, 1, 3} {
-			cfg := testSetup32(t)
-			cfg.Parallelism, cfg.Shards = par, shards
-			if got := run32(t, cfg, 8); !equalBits32(serial, got) {
-				t.Errorf("parallelism %d, %d shards: diverged from serial at f32", par, shards)
-			}
+	for _, par := range []int{2, 4} {
+		cfg := testSetup32(t)
+		cfg.Parallelism = par
+		if got := run32(t, cfg, 8); !equalBits32(serial, got) {
+			t.Errorf("parallelism %d: diverged from serial at f32", par)
 		}
 	}
 }
 
 // TestEngine32LossyTierMatchesWireQuant checks a lossy f32 run differs
 // from the lossless run (the quantization is real) while remaining
-// bit-deterministic across pool widths at a fixed shard count (the
-// quantization granularity is per (file, shard range), so only runs
-// with equal shard counts are comparable — exactly as at f64).
+// bit-deterministic across pool widths.
 func TestEngine32LossyTierMatchesWireQuant(t *testing.T) {
 	for _, tier := range []wire.UplinkTier{wire.TierSign, wire.TierInt8} {
 		base := testSetup32(t)
 		base.UplinkTier = tier
 		base.Parallelism = 1
-		base.Shards = 3
 		serial := run32(t, base, 5)
 
 		pooled := testSetup32(t)
 		pooled.UplinkTier = tier
 		pooled.Parallelism = 4
-		pooled.Shards = 3
 		if got := run32(t, pooled, 5); !equalBits32(serial, got) {
-			t.Errorf("tier %s: pooled lossy run diverged from serial at equal shard count", tier)
+			t.Errorf("tier %s: pooled lossy run diverged from serial", tier)
 		}
 
 		lossless := testSetup32(t)
 		lossless.Parallelism = 1
-		lossless.Shards = 3
 		if got := run32(t, lossless, 5); equalBits32(serial, got) {
 			t.Errorf("tier %s: lossy run identical to lossless (quantization not applied)", tier)
 		}

@@ -87,41 +87,19 @@ func TestLossyUplinkDeterministicAndLossy(t *testing.T) {
 // TestLossyUplinkMeasureCommBitIdentical: the measured-communication
 // path physically round-trips every report through the wire codec, so
 // for a lossy tier it must reproduce the in-place quantization of the
-// unmeasured engine bit for bit — including under a sharded plane,
-// where quantization (and therefore framing) happens per shard range.
+// unmeasured engine bit for bit.
 func TestLossyUplinkMeasureCommBitIdentical(t *testing.T) {
 	const rounds = 6
 	byz := []int{2, 7}
 	for _, tier := range []wire.UplinkTier{wire.TierSign, wire.TierInt8} {
-		for _, shards := range []int{0, 3} {
-			cfg := testSetup(t, byz, attack.ALIE{}, aggregate.Median{})
-			cfg.UplinkTier = tier
-			cfg.Shards = shards
-			plain := runParams(t, cfg, rounds)
-			cfg.MeasureComm = true
-			measured := runParams(t, cfg, rounds)
-			if !paramsEqual(plain, measured) {
-				t.Errorf("tier %s shards %d: measured-communication trajectory diverged from the in-place quantization",
-					tier, shards)
-			}
+		cfg := testSetup(t, byz, attack.ALIE{}, aggregate.Median{})
+		cfg.UplinkTier = tier
+		plain := runParams(t, cfg, rounds)
+		cfg.MeasureComm = true
+		measured := runParams(t, cfg, rounds)
+		if !paramsEqual(plain, measured) {
+			t.Errorf("tier %s: measured-communication trajectory diverged from the in-place quantization", tier)
 		}
-	}
-}
-
-// TestLossyUplinkShardGranularity: the quantization granularity is the
-// aggregation shard range — a sharded worker frames each shard with
-// its own scale parameters — so a sharded lossy engine must NOT land
-// on the unsharded lossy engine's bits. (The raw tier is
-// shard-invariant; the lossy tiers are deliberately not.)
-func TestLossyUplinkShardGranularity(t *testing.T) {
-	const rounds = 6
-	cfg := testSetup(t, nil, attack.Benign{}, aggregate.Median{})
-	cfg.UplinkTier = wire.TierInt8
-	unsharded := runParams(t, cfg, rounds)
-	cfg.Shards = 3
-	sharded := runParams(t, cfg, rounds)
-	if paramsEqual(unsharded, sharded) {
-		t.Error("sharded int8 trajectory matches unsharded — per-shard scale parameters had no effect")
 	}
 }
 

@@ -98,27 +98,6 @@ func (rd *RoundOf[T]) Deliver(u, slot int, g []T) error {
 // affected files degrade or drop.
 func (rd *RoundOf[T]) MarkMissing(u int) { rd.eng.arena.missing[u] = true }
 
-// Shards returns the number of aggregation shards the engine's plane
-// splits the parameter vector into (1 when sharding is off). Sources
-// that stream per-shard report frames derive the coordinate split from
-// wire.ShardRange with this count.
-func (rd *RoundOf[T]) Shards() int {
-	if rd.eng.plane == nil {
-		return 1
-	}
-	return rd.eng.plane.n
-}
-
-// VoteShardEarly runs shard s's per-file range votes now, against the
-// current missing set — the early-aggregation seam: a source calls this
-// from its collecting goroutine the moment every live worker's shard-s
-// frame has been delivered, so the shard votes while other shards still
-// collect. The engine revalidates the participation snapshot when
-// collection closes and silently recomputes the shard if workers went
-// missing after the early vote, so a mistimed call costs only the
-// wasted early work. No-op without a sharded plane.
-func (rd *RoundOf[T]) VoteShardEarly(s int) { rd.eng.voteShardEarly(s) }
-
 // localSource is the default GradientSourceOf: the in-process cluster of
 // Algorithm 1. Honest workers compute their file gradient sums across
 // the engine's persistent pool, Byzantine workers substitute crafted
@@ -252,40 +231,22 @@ func (s localSource[T]) Collect(context.Context, *RoundOf[T]) (CollectStats, err
 	commStart := time.Now()
 	var commBytes, rawBytes int64
 	if e.cfg.MeasureComm {
-		// One frame carries a worker's whole rows — except that a sharded
-		// wire worker frames each shard range as its own report, and lossy
-		// rows carry per-(file, shard) scale parameters, so under a lossy
-		// tier the round trip must quantize at that granularity for the
-		// trajectory to stay bit-identical to the unmeasured engine and
-		// the wire.
-		whole := [1][2]int{{0, ar.dim}}
-		ranges := whole[:]
-		if pl := e.plane; pl != nil && e.cfg.UplinkTier.Lossy() {
-			ranges = pl.ranges
-		}
+		// One frame carries a worker's whole rows, as on the wire.
 		for u := 0; u < a.K; u++ {
 			if ar.missing[u] {
 				continue
 			}
-			rows := ar.cur[u]
-			for _, r := range ranges {
-				lo, hi := r[0], r[1]
-				for j := range rows {
-					ar.txRows[j] = rows[j][lo:hi]
-					ar.rxRows[j] = ar.rx[u][j][lo:hi:hi]
-				}
-				buf, _, rawSize, err := ar.upEnc.Encode(ar.encBuf[:0], u, ar.workerFiles[u], ar.txRows[:len(rows)])
-				if err != nil {
-					return CollectStats{}, fmt.Errorf("cluster: worker %d message: %w", u, err)
-				}
-				ar.encBuf = buf
-				ar.rxFrame.Grads = ar.rxRows[:len(rows)]
-				if _, _, err := ar.upDec.Decode(buf, &ar.rxFrame); err != nil {
-					return CollectStats{}, fmt.Errorf("cluster: worker %d message: %w", u, err)
-				}
-				commBytes += int64(len(buf))
-				rawBytes += int64(rawSize)
+			buf, _, rawSize, err := ar.upEnc.Encode(ar.encBuf[:0], u, ar.workerFiles[u], ar.cur[u])
+			if err != nil {
+				return CollectStats{}, fmt.Errorf("cluster: worker %d message: %w", u, err)
 			}
+			ar.encBuf = buf
+			ar.rxFrame.Grads = ar.rx[u]
+			if _, _, err := ar.upDec.Decode(buf, &ar.rxFrame); err != nil {
+				return CollectStats{}, fmt.Errorf("cluster: worker %d message: %w", u, err)
+			}
+			commBytes += int64(len(buf))
+			rawBytes += int64(rawSize)
 			// Decode filled the rx buffers in place (capacities always
 			// suffice); repoint the PS's view at them.
 			copy(ar.cur[u], ar.rx[u])

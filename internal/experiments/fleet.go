@@ -21,8 +21,7 @@ import (
 // FleetMode names one aggregation-plane configuration of the scaling
 // sweep.
 type FleetMode struct {
-	Name   string
-	Shards int
+	Name string
 	// Uplink is the report codec tier the server names for this mode.
 	Uplink wire.UplinkTier
 }
@@ -31,18 +30,15 @@ type FleetMode struct {
 //
 //   - serial: one aggregation pass over the whole vector after every
 //     report lands, raw uplink.
-//   - sharded: per-shard report streams and early shard votes, raw
-//     uplink.
-//   - quantized: the sharded plane on the lossy int8 uplink tier —
-//     every report row ships 8-bit linear-quantized with per-(file,
-//     shard) scale parameters. Its trajectory is checked bit-for-bit
-//     against an in-process engine running the same tier and shard
-//     count, not against the lossless reference.
-func FleetModes(shards int) []FleetMode {
+//   - quantized: the same plane on the lossy int8 uplink tier — every
+//     report row ships whole, 8-bit linear-quantized with its own
+//     min/scale parameters. Its trajectory is checked bit-for-bit
+//     against an in-process engine running the same tier, not against
+//     the lossless reference.
+func FleetModes() []FleetMode {
 	return []FleetMode{
 		{Name: "serial", Uplink: wire.TierRaw},
-		{Name: "sharded", Shards: shards, Uplink: wire.TierRaw},
-		{Name: "quantized", Shards: shards, Uplink: wire.TierInt8},
+		{Name: "quantized", Uplink: wire.TierInt8},
 	}
 }
 
@@ -85,13 +81,10 @@ type FleetConfig struct {
 	// dimension is InputDim*Classes + Classes. Defaults 256 and 8
 	// (dim 2056).
 	InputDim, Classes int
-	// Shards is the shard count for the sharded and quantized modes
-	// (default 2).
-	Shards int
 	// Modes restricts the sweep to the named planes (default all), by
 	// FleetMode.Name or by the name the point is reported under
-	// ("sharded" and "sharded-f32" both select the f32 sharded plane);
-	// a filter that selects no plane is an error.
+	// ("quantized" and "quantized-f32" both select the f32 quantized
+	// plane); a filter that selects no plane is an error.
 	Modes []string
 	// Precision selects the width the whole sweep runs at — servers,
 	// workers and the reference engines; the planes are the same
@@ -111,7 +104,7 @@ type FleetConfig struct {
 // fleetSpec builds the sweep's Spec for one worker count: FRC(K, 3) —
 // one file per worker, K/3 files — with a one-sample-per-file batch, so
 // the per-round cost is wire- and plane-dominated rather than
-// compute-dominated, which is the regime the sharded plane targets.
+// compute-dominated.
 //
 // The data seed is deliberately not the model seed. data.Synthetic draws
 // the class means from the head of the very random stream
@@ -160,17 +153,15 @@ func specEngineConfig[T linalg.Float](spec transport.Spec) (cluster.ConfigOf[T],
 // engineFinalParams runs the in-process engine of width T over spec and
 // returns its final parameters — the reference trajectory a wire mode
 // must reproduce bit-for-bit. Lossless modes all share one reference
-// (shards and codec choice cannot move a bit); a lossy mode needs the
-// engine pinned to its own tier AND shard count, because lossy
-// quantization happens per shard range. A run that leaves the parameters
-// where they started is an error: bit-identity between vectors that
-// never moved checks nothing.
-func engineFinalParams[T linalg.Float](spec transport.Spec, shards int, tier wire.UplinkTier) ([]T, error) {
+// (the codec choice cannot move a bit); a lossy mode needs the engine
+// pinned to its own tier. A run that leaves the parameters where they
+// started is an error: bit-identity between vectors that never moved
+// checks nothing.
+func engineFinalParams[T linalg.Float](spec transport.Spec, tier wire.UplinkTier) ([]T, error) {
 	cfg, err := specEngineConfig[T](spec)
 	if err != nil {
 		return nil, err
 	}
-	cfg.Shards = shards
 	cfg.UplinkTier = tier
 	eng, err := cluster.NewOf(cfg)
 	if err != nil {
@@ -211,7 +202,6 @@ func runFleetPoint[T linalg.Float](ctx context.Context, c FleetConfig, spec tran
 	var windowStart, windowEnd time.Time
 	srvCfg := transport.ServerConfig{
 		Spec:               spec,
-		Shards:             mode.Shards,
 		EvalEvery:          spec.Rounds + 1,
 		RoundTimeout:       5 * time.Minute,
 		Uplink:             mode.Uplink,
@@ -273,13 +263,12 @@ func runFleetPoint[T linalg.Float](ctx context.Context, c FleetConfig, spec tran
 }
 
 // FleetScaling runs the rounds/sec-vs-worker-count scaling sweep: for
-// each worker count, the serial, sharded, and quantized planes drive the
-// same loopback fleet over the identical Spec, and every mode's final
+// each worker count, the serial and quantized planes drive the same
+// loopback fleet over the identical Spec, and every mode's final
 // parameters are checked bit-for-bit against an in-process engine — the
-// lossless modes against one shared reference (the plane cannot move a
-// bit, so both must land on the same bits), the quantized mode against an engine pinned to its own
-// uplink tier and shard count. The returned points are grouped by
-// worker count in mode order (serial first).
+// serial mode against the lossless reference, the quantized mode against
+// an engine pinned to its own uplink tier. The returned points are
+// grouped by worker count in mode order (serial first).
 func FleetScaling(ctx context.Context, cfg FleetConfig) ([]FleetPoint, error) {
 	if cfg.Rounds < 1 {
 		cfg.Rounds = 20
@@ -295,9 +284,6 @@ func FleetScaling(ctx context.Context, cfg FleetConfig) ([]FleetPoint, error) {
 	}
 	if cfg.Classes == 0 {
 		cfg.Classes = 8
-	}
-	if cfg.Shards == 0 {
-		cfg.Shards = 2
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -315,7 +301,7 @@ func FleetScaling(ctx context.Context, cfg FleetConfig) ([]FleetPoint, error) {
 // are filled; suffix marks the width in every point's Mode.
 func fleetScaling[T linalg.Float](ctx context.Context, cfg FleetConfig, suffix string) ([]FleetPoint, error) {
 	var modes []FleetMode
-	for _, mode := range FleetModes(cfg.Shards) {
+	for _, mode := range FleetModes() {
 		if len(cfg.Modes) == 0 || slices.Contains(cfg.Modes, mode.Name) || slices.Contains(cfg.Modes, mode.Name+suffix) {
 			modes = append(modes, mode)
 		}
@@ -329,7 +315,7 @@ func fleetScaling[T linalg.Float](ctx context.Context, cfg FleetConfig, suffix s
 			return nil, fmt.Errorf("fleet: worker count %d is not a positive multiple of 3 (FRC r=3)", k)
 		}
 		spec := cfg.fleetSpec(k)
-		losslessRef, err := engineFinalParams[T](spec, 0, wire.TierRaw)
+		losslessRef, err := engineFinalParams[T](spec, wire.TierRaw)
 		if err != nil {
 			return nil, fmt.Errorf("fleet K=%d reference: %w", k, err)
 		}
@@ -340,9 +326,9 @@ func fleetScaling[T linalg.Float](ctx context.Context, cfg FleetConfig, suffix s
 			}
 			ref := losslessRef
 			if mode.Uplink.Lossy() {
-				// A lossy mode's reference engine must quantize at the
-				// same granularity the wire does: same tier, same shards.
-				if ref, err = engineFinalParams[T](spec, mode.Shards, mode.Uplink); err != nil {
+				// A lossy mode's reference engine must quantize as the
+				// wire does: same tier.
+				if ref, err = engineFinalParams[T](spec, mode.Uplink); err != nil {
 					return nil, fmt.Errorf("fleet %s K=%d reference: %w", name, k, err)
 				}
 			}

@@ -10,9 +10,9 @@ import (
 )
 
 // TestFleetScalingSmoke drives the scaling sweep end to end at the
-// smallest fleet, at both precisions: all three planes over one worker
+// smallest fleet, at both precisions: both planes over one worker
 // count, serial first, asserting every mode reproduces its in-process
-// engine reference bit-for-bit (the lossless modes sharing one
+// engine reference bit-for-bit (the serial mode the lossless
 // trajectory, the quantized mode its own tier-pinned one — which must
 // land off the lossless bits, so the sweep is known to train).
 func TestFleetScalingSmoke(t *testing.T) {
@@ -36,9 +36,9 @@ func fleetScalingSmoke(t *testing.T, prec wire.Precision, suffix string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	modes := FleetModes(2)
-	if len(modes) != 3 || modes[0].Name != "serial" {
-		t.Fatalf("FleetModes = %+v, want three planes with serial first", modes)
+	modes := FleetModes()
+	if len(modes) != 2 || modes[0].Name != "serial" {
+		t.Fatalf("FleetModes = %+v, want two planes with serial first", modes)
 	}
 	if len(points) != len(modes) {
 		t.Fatalf("got %d points, want %d", len(points), len(modes))
@@ -85,17 +85,17 @@ func TestFleetScalingModeFilter(t *testing.T) {
 		WorkerCounts: []int{15}, Rounds: 2, Warmup: 1, Reps: 1,
 		InputDim: 8, Classes: 4, Precision: wire.PrecisionF32,
 	}
-	for _, filter := range []string{"sharded", "sharded-f32"} {
+	for _, filter := range []string{"quantized", "quantized-f32"} {
 		cfg.Modes = []string{filter}
 		points, err := FleetScaling(context.Background(), cfg)
 		if err != nil {
 			t.Fatalf("filter %q: %v", filter, err)
 		}
-		if len(points) != 1 || points[0].Mode != "sharded-f32" || !points[0].BitIdentical {
-			t.Errorf("filter %q selected %+v, want one bit-identical sharded-f32 point", filter, points)
+		if len(points) != 1 || points[0].Mode != "quantized-f32" || !points[0].BitIdentical {
+			t.Errorf("filter %q selected %+v, want one bit-identical quantized-f32 point", filter, points)
 		}
 	}
-	cfg.Modes = []string{"sharded-f64"}
+	cfg.Modes = []string{"quantized-f64"}
 	if _, err := FleetScaling(context.Background(), cfg); err == nil {
 		t.Error("a filter naming no plane returned an empty sweep, want error")
 	}
@@ -109,11 +109,11 @@ func TestFleetScalingModeFilter(t *testing.T) {
 // initial bits.
 func TestSweepReferenceMustTrain(t *testing.T) {
 	spec := FleetConfig{InputDim: 256, Classes: 8, Rounds: 6, Warmup: 2, Seed: 0}.fleetSpec(15)
-	if _, err := engineFinalParams[float32](spec, 0, wire.TierRaw); err != nil {
+	if _, err := engineFinalParams[float32](spec, wire.TierRaw); err != nil {
 		t.Fatalf("the sweep's own spec: %v", err)
 	}
 	spec.DataSeed = spec.Seed
-	_, err := engineFinalParams[float32](spec, 0, wire.TierRaw)
+	_, err := engineFinalParams[float32](spec, wire.TierRaw)
 	if err == nil || !strings.Contains(err.Error(), "does not train") {
 		t.Fatalf("aliased seeds: err = %v, want the does-not-train refusal", err)
 	}

@@ -121,6 +121,7 @@ func (m *MLP) forward(params, x []float64, s *mlpScratch) {
 		pre := s.preacts[layer]
 		for o := 0; o < outDim; o++ {
 			row := w[o*inDim : (o+1)*inDim]
+			row = row[:len(in)] // one check per row, none per element
 			var v float64
 			for j, xv := range in {
 				v += row[j] * xv
@@ -193,6 +194,7 @@ func (m *MLP) SumGradient(params []float64, ds *data.Dataset, idx []int, out []f
 					continue
 				}
 				row := wGrad[o*inDim : (o+1)*inDim]
+				row = row[:len(in)]
 				for j, xv := range in {
 					row[j] += dv * xv
 				}
@@ -209,11 +211,12 @@ func (m *MLP) SumGradient(params []float64, ds *data.Dataset, idx []int, out []f
 						continue
 					}
 					row := w[o*inDim : (o+1)*inDim]
+					row = row[:len(newDelta)]
 					for j := range newDelta {
 						newDelta[j] += dv * row[j]
 					}
 				}
-				pre := s.preacts[layer-1]
+				pre := s.preacts[layer-1][:len(newDelta)]
 				for j := range newDelta {
 					if pre[j] <= 0 {
 						newDelta[j] = 0

@@ -88,7 +88,7 @@ func TestTracerJSONL(t *testing.T) {
 	tr.SetSink(&b)
 	tr.SetLabel("unit")
 	rt := RoundTrace{
-		Round: 5, Shards: 2,
+		Round:       5,
 		ReportBytes: 100, BroadcastBytes: 200,
 		Missing: []int{1, 3}, Flagged: []int{2},
 		MeanReputation: 0.75,
@@ -114,6 +114,9 @@ func TestTracerJSONL(t *testing.T) {
 	}
 	if round.Event != "round" || round.Label != "unit" || round.Round != 5 {
 		t.Errorf("round line = %+v", round)
+	}
+	if strings.Contains(lines[0], `"shards"`) {
+		t.Errorf("round line carries the deleted shards key: %s", lines[0])
 	}
 	if round.Phases["vote"] != 1234 {
 		t.Errorf("vote span = %d, want 1234", round.Phases["vote"])

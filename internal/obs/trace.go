@@ -51,7 +51,6 @@ func (p Phase) Name() string { return phaseNames[p] }
 // its largest set.
 type RoundTrace struct {
 	Round          int
-	Shards         int
 	PhaseNS        [NumPhases]int64
 	ReportBytes    int64
 	ReportRawBytes int64
@@ -205,8 +204,6 @@ func (t *Tracer) writeRoundLocked(rt *RoundTrace) {
 	}
 	b = append(b, `,"round":`...)
 	b = strconv.AppendInt(b, int64(rt.Round), 10)
-	b = append(b, `,"shards":`...)
-	b = strconv.AppendInt(b, int64(rt.Shards), 10)
 	b = append(b, `,"phases_ns":{`...)
 	for p := Phase(0); p < NumPhases; p++ {
 		if p > 0 {

@@ -75,25 +75,8 @@ func (o *SGDOf[T]) Step(params, grad []T, t int) {
 		panic(fmt.Sprintf("trainer: dim mismatch params=%d grad=%d velocity=%d",
 			len(params), len(grad), len(o.velocity)))
 	}
-	o.StepChunk(params, grad, t, 0, len(params))
-}
-
-// StepChunk applies the iteration-t update to the coordinate range
-// [lo, hi) only. Momentum SGD is coordinate-wise, so a full Step and
-// any partition of [0, dim) into StepChunk calls perform the identical
-// floating-point operations per coordinate — the sharded aggregation
-// plane steps each shard's range independently and stays bit-identical
-// to the serial optimizer. Chunks must not overlap within an iteration.
-func (o *SGDOf[T]) StepChunk(params, grad []T, t, lo, hi int) {
-	if len(params) != len(o.velocity) || len(grad) != len(o.velocity) {
-		panic(fmt.Sprintf("trainer: dim mismatch params=%d grad=%d velocity=%d",
-			len(params), len(grad), len(o.velocity)))
-	}
-	if lo < 0 || hi > len(params) || lo > hi {
-		panic(fmt.Sprintf("trainer: chunk [%d,%d) outside [0,%d)", lo, hi, len(params)))
-	}
 	lr := T(o.Schedule.At(t))
-	for i := lo; i < hi; i++ {
+	for i := range params {
 		o.velocity[i] = o.Momentum*o.velocity[i] + grad[i]
 		params[i] -= lr * o.velocity[i]
 	}

@@ -5,36 +5,6 @@ import (
 	"testing"
 )
 
-func TestSGD32StepChunkMatchesStep(t *testing.T) {
-	// Coordinate-wise update: any chunk partition must be bit-identical
-	// to a full step — the property the sharded f32 plane relies on.
-	sched := Schedule{Base: 0.1, Decay: 0.5, Every: 3}
-	a, err := NewSGD32(sched, 0.9, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _ := NewSGD32(sched, 0.9, 10)
-	pa := make([]float32, 10)
-	pb := make([]float32, 10)
-	g := make([]float32, 10)
-	for i := range pa {
-		pa[i] = float32(i) * 0.25
-		pb[i] = pa[i]
-		g[i] = float32(10-i) * 0.125
-	}
-	for it := 0; it < 8; it++ {
-		a.Step(pa, g, it)
-		b.StepChunk(pb, g, it, 0, 4)
-		b.StepChunk(pb, g, it, 4, 9)
-		b.StepChunk(pb, g, it, 9, 10)
-		for i := range pa {
-			if math.Float32bits(pa[i]) != math.Float32bits(pb[i]) {
-				t.Fatalf("iter %d: chunked step diverged at %d", it, i)
-			}
-		}
-	}
-}
-
 func TestSGD32VelocityRoundTrip(t *testing.T) {
 	o, _ := NewSGD32(Schedule{Base: 0.1}, 0.5, 4)
 	p := []float32{1, 2, 3, 4}

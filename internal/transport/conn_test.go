@@ -31,7 +31,7 @@ func readPathMessages() []Message {
 	return []Message{
 		GradientReport{WorkerID: 3, Iteration: 1, Frame: []byte{1, 2, 3, 4, 5}},
 		Shutdown{FinalAccuracy: 0.75},
-		GradientReport{WorkerID: 3, Iteration: 2, Shard: 1, Frame: big},
+		GradientReport{WorkerID: 3, Iteration: 2, Frame: big},
 		RoundStart{Iteration: 4, BaseIteration: 3, ParamsFrame: []byte{8, 6, 4}},
 		GradientReport{WorkerID: 3, Iteration: 3, Frame: []byte{9}},
 	}
@@ -219,7 +219,7 @@ func TestConnRecvBufferTracksLargestFrame(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if want := wire.FrameHeaderSize + 12 + 100_000; len(rx.rbuf) != want {
+	if want := wire.FrameHeaderSize + 8 + 100_000; len(rx.rbuf) != want {
 		t.Errorf("receive buffer is %d bytes after a largest frame of %d", len(rx.rbuf), want)
 	}
 }
@@ -244,8 +244,8 @@ func TestConnSendsByteIdenticalStreams(t *testing.T) {
 	params := bytes.Repeat([]byte{0xAB, 0xCD}, 700)
 	var err error
 	reports := []Message{
-		GradientReport{WorkerID: 1, Iteration: 7, Shard: 0, Frame: []byte{1, 2, 3}},
-		GradientReport{WorkerID: 1, Iteration: 7, Shard: 1, Frame: bytes.Repeat([]byte{9}, 4000)},
+		GradientReport{WorkerID: 1, Iteration: 7, Frame: []byte{1, 2, 3}},
+		GradientReport{WorkerID: 2, Iteration: 7, Frame: bytes.Repeat([]byte{9}, 4000)},
 		GradientReport{WorkerID: 1, Iteration: 7}, // a skip: no frame bytes
 		Shutdown{FinalAccuracy: 1},
 	}
@@ -483,6 +483,91 @@ func TestOversizedReportEvicts(t *testing.T) {
 	}
 }
 
+// TestMisshapenReportEvicts: a report whose rows cover fewer
+// coordinates than the model dimension — or more — is ErrBadReport, its
+// sender is evicted, and the decode never writes outside the sender's
+// rows: a narrow frame lands in the head of each row before the width
+// check fires, a wide one is decoded into fresh memory (the arena rows
+// are capped at the dimension), and every other arena coordinate keeps
+// its bits.
+func TestMisshapenReportEvicts(t *testing.T) {
+	const victim = 2
+	const sentinel = -7.25
+	var logMu sync.Mutex
+	var reasons []error
+	srv, err := NewServer("127.0.0.1:0", ServerConfig{Spec: testSpec(1), Logf: func(f string, args ...any) {
+		if len(args) == 3 {
+			if err, ok := args[2].(error); ok {
+				logMu.Lock()
+				reasons = append(reasons, err)
+				logMu.Unlock()
+			}
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ws := srv.src
+	ws.curRound.Store(0)
+	ws.retireBelow.Store(0)
+	for i, width := range []int{ws.dim - 1, ws.dim + 1} {
+		for u := range ws.files {
+			for j := range ws.files[u] {
+				for c := range ws.eng.GradBuffer(u, j) {
+					ws.eng.GradBuffer(u, j)[c] = sentinel
+				}
+			}
+		}
+		grads := make([][]float64, len(ws.files[victim]))
+		for j := range grads {
+			grads[j] = make([]float64, width)
+			for c := range grads[j] {
+				grads[j][c] = 1
+			}
+		}
+		frame, _, _, err := (&wire.UplinkEncoder{}).Encode(nil, victim, ws.files[victim], grads)
+		if err != nil {
+			t.Fatal(err)
+		}
+		report, err := appendMessageFrame(nil, GradientReport{WorkerID: victim, Frame: frame})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, b := net.Pipe()
+		conn := NewConn(a)
+		ws.mu.Lock()
+		ws.workers[victim].conn = conn
+		ws.startPump(victim, conn)
+		ws.mu.Unlock()
+		b.Write(report)
+		ws.pumps.Wait()
+		b.Close()
+
+		if got := srv.Counters().Evictions; got != int64(i+1) {
+			t.Fatalf("width %d: %d evictions, want %d", width, got, i+1)
+		}
+		logMu.Lock()
+		if len(reasons) != i+1 || !errors.Is(reasons[i], ErrBadReport) {
+			t.Errorf("width %d: eviction reasons %v, want ErrBadReport", width, reasons)
+		}
+		logMu.Unlock()
+		for u := range ws.files {
+			for j := range ws.files[u] {
+				for c, x := range ws.eng.GradBuffer(u, j) {
+					want := sentinel
+					if u == victim && width < ws.dim && c < width {
+						want = 1 // the narrow frame's own coordinates
+					}
+					if x != want {
+						t.Fatalf("width %d: worker %d row %d coordinate %d is %v, outside the frame's rows", width, u, j, c, x)
+					}
+				}
+			}
+		}
+	}
+}
+
 // openConns counts the connections the server still references: those
 // mid-handshake plus every worker's live and parked one.
 func openConns[T linalg.Float](s *ServerOf[T]) int {
@@ -688,7 +773,7 @@ func TestServeCancelCountsNoEvictions(t *testing.T) {
 // per-send Files map, its sorted id slice and the per-write net.Buffers;
 // what is left is the worker's decoded RoundStart (its Files map and one
 // sample list per file), the two messages boxed by Recv, the report
-// boxed for SendMany, and the broadcast's goroutine per worker.
+// boxed for Send, and the broadcast's goroutine per worker.
 func TestLoopbackSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")

@@ -44,8 +44,8 @@ func TestDetectorLoopbackBitIdentical(t *testing.T) {
 // engine's own adversary on its own replica of the round, so for every
 // attack of the registry a loopback fleet whose coalition — two workers
 // holding a majority of one file's replicas — runs it ends on the
-// engine's final parameters bit for bit: at both widths, with sharded
-// report frames and pipelined prep, and with one member skipping rounds.
+// engine's final parameters bit for bit: at both widths, and with one
+// member skipping rounds.
 // No byte passes between the members.
 func TestWireAdversaryMatchesEngine(t *testing.T) {
 	t.Run("f64", wireAdversaryMatchesEngine[float64])
@@ -69,11 +69,9 @@ func wireAdversaryMatchesEngine[T linalg.Float](t *testing.T) {
 	}
 	planes := []struct {
 		name   string
-		cfg    ServerConfig
 		faults []FaultSpec
 	}{
 		{name: "plain"},
-		{name: "sharded-pipelined", cfg: ServerConfig{Shards: 2, Pipeline: true}},
 		{name: "flaky-member", faults: []FaultSpec{
 			{Name: "flaky", Params: byzregistry.FaultParams{Workers: coalition[1:], P: 0.4, Seed: 5}},
 		}},
@@ -92,8 +90,7 @@ func wireAdversaryMatchesEngine[T linalg.Float](t *testing.T) {
 				if name != "benign" && pl.faults == nil && linalg.EqualBits(want, clean) {
 					t.Fatal("the attack leaves the trajectory where an honest fleet puts it: the case checks nothing")
 				}
-				pl.cfg.RoundTimeout = 30 * time.Second
-				f := runFleetOf[T](t, spec, pl.cfg, byzantine(atk), nil).healthy(t)
+				f := runFleetOf[T](t, spec, ServerConfig{RoundTimeout: 30 * time.Second}, byzantine(atk), nil).healthy(t)
 				if !linalg.EqualBits(f.params, want) {
 					t.Fatal("the wire coalition's trajectory diverged from the engine's")
 				}

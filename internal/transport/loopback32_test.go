@@ -19,9 +19,9 @@ import (
 
 // engineParams32 runs the in-process f32 engine over the experiment
 // described by spec and returns the final parameters.
-func engineParams32(t *testing.T, spec Spec, parallelism, shards int, tier wire.UplinkTier) []float32 {
+func engineParams32(t *testing.T, spec Spec, parallelism int, tier wire.UplinkTier) []float32 {
 	t.Helper()
-	return engineParamsOf[float32](t, spec, enginePlane{parallelism: parallelism, shards: shards, tier: tier})
+	return engineParamsOf[float32](t, spec, enginePlane{parallelism: parallelism, tier: tier})
 }
 
 // wireParams32 runs the same experiment over loopback TCP at f32
@@ -40,7 +40,7 @@ func expectBits32(t *testing.T, got, want []float32, label string) {
 }
 
 // TestLoopback32BitIdenticalToEngine32: for a fixed seed, the serial
-// in-process f32 engine, the pooled+sharded f32 engine, and the f32 TCP
+// in-process f32 engine, the pooled f32 engine, and the f32 TCP
 // loopback cluster must produce bit-identical final parameters — at
 // reduced precision exactly as at full, the wire is a transparent
 // gradient source, not a second implementation of the round. The lossy
@@ -48,13 +48,13 @@ func expectBits32(t *testing.T, got, want []float32, label string) {
 // engine's quantize round-trip.
 func TestLoopback32BitIdenticalToEngine32(t *testing.T) {
 	spec := testSpec(8)
-	serial := engineParams32(t, spec, 1, 0, 0)
-	pooled := engineParams32(t, spec, 4, 3, 0)
-	wired := wireParams32(t, spec, ServerConfig32{Shards: 3})
-	expectBits32(t, pooled, serial, "pooled+sharded engine")
+	serial := engineParams32(t, spec, 1, 0)
+	pooled := engineParams32(t, spec, 4, 0)
+	wired := wireParams32(t, spec, ServerConfig32{})
+	expectBits32(t, pooled, serial, "pooled engine")
 	expectBits32(t, wired, serial, "wire path")
 
-	signEng := engineParams32(t, spec, 1, 0, wire.TierSign)
+	signEng := engineParams32(t, spec, 1, wire.TierSign)
 	signWire := wireParams32(t, spec, ServerConfig32{Uplink: wire.TierSign})
 	expectBits32(t, signWire, signEng, "sign-tier wire path")
 }
@@ -194,11 +194,10 @@ func TestWorker32RejoinRenegotiation(t *testing.T) {
 
 // TestLoopback32Planes runs, at float32, every plane the f32 tier could
 // not reach while it was a second stack — a crash fault, the z-score
-// detector blacklisting a Byzantine worker, sharded report frames with
-// pipelined prep, an ALIE coalition, and the metrics/tracer plane — each
-// against the in-process
-// float32 engine of the same experiment: final parameters bit for bit,
-// lifecycle counters counted once.
+// detector blacklisting a Byzantine worker, an ALIE coalition, and the
+// metrics/tracer plane — each against the in-process float32 engine of
+// the same experiment: final parameters bit for bit, lifecycle counters
+// counted once.
 func TestLoopback32Planes(t *testing.T) {
 	type plane struct {
 		name   string
@@ -229,11 +228,6 @@ func TestLoopback32Planes(t *testing.T) {
 			engine:    enginePlane{attack: attack.SignFlip{}, byz: []int{6}},
 			workerErr: map[int]error{6: ErrBlacklisted},
 			want:      Counters{Joins: 15, BlacklistRejections: 1},
-		},
-		{
-			name: "sharded-pipelined", rounds: 8, blacklists: -1,
-			cfg:  ServerConfig{Shards: 2, Pipeline: true},
-			want: Counters{Joins: 15},
 		},
 		{
 			name: "alie", rounds: 8, blacklists: -1,

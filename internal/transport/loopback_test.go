@@ -24,10 +24,10 @@ type workerState = workerStateOf[float64]
 // enginePlane configures the in-process reference of a loopback
 // comparison: everything about the engine a Spec does not say.
 type enginePlane struct {
-	parallelism, shards int
-	tier                wire.UplinkTier
-	attack              attack.Attack
-	byz                 []int
+	parallelism int
+	tier        wire.UplinkTier
+	attack      attack.Attack
+	byz         []int
 }
 
 // engineParamsOf runs the in-process engine of width T over the
@@ -51,7 +51,7 @@ func engineParamsOf[T linalg.Float](t *testing.T, spec Spec, ep enginePlane) []T
 		Assignment: b.Assignment, Model: b.Model, Train: b.Train, Test: b.Test,
 		BatchSize: spec.BatchSize, Aggregator: agg,
 		Schedule: spec.Schedule, Momentum: spec.Momentum, Seed: spec.Seed,
-		Parallelism: ep.parallelism, Shards: ep.shards, UplinkTier: ep.tier,
+		Parallelism: ep.parallelism, UplinkTier: ep.tier,
 		Attack: ep.attack, Byzantines: ep.byz, Fault: b.Fault,
 		Detector: det, Detection: spec.DetectorParams.Policy(),
 	})
@@ -430,12 +430,12 @@ func TestEvictedWorkerRejoinsAfterMissedRounds(t *testing.T) {
 				victimConn.Close() // crash mid-round, report never sent
 				return
 			}
-			msgs, err := st.computeReport(m.Iteration)
+			rep, err := st.computeReport(m.Iteration)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			if _, err := victimConn.SendMany(msgs...); err != nil {
+			if _, err := victimConn.Send(rep); err != nil {
 				t.Errorf("victim send: %v", err)
 				return
 			}
@@ -761,4 +761,31 @@ func TestStragglerPastDeadlineMissesRoundsButSurvives(t *testing.T) {
 			t.Errorf("round %d: missing %v, want [3]", rs.Iteration, rs.MissingWorkers)
 		}
 	}
+}
+
+// TestShardedPipelinedTrajectoryIdentity (the name and its one subtest
+// predate protocols v8 and v10, which deleted the pipelined and sharded
+// planes it once covered): a straggler whose reports always trail the
+// rest of the fleet but land inside the collection window is never
+// missing, and the wire run ends on the serial in-process engine's final
+// parameters bit for bit — the engine treats a pure delay as full
+// participation, and the wire path must agree.
+func TestShardedPipelinedTrajectoryIdentity(t *testing.T) {
+	spec := testSpec(10)
+	spec.Faults = []FaultSpec{{Name: "straggler", Params: registry.FaultParams{Workers: []int{1}, Delay: 20 * time.Millisecond}}}
+	base := engineParams(t, spec, 1)
+	t.Run("sharded", func(t *testing.T) {
+		_, params, stats := runLoopback(t, spec, ServerConfig{})
+		for _, rs := range stats {
+			if len(rs.MissingWorkers) != 0 {
+				t.Errorf("round %d: missing %v — the straggler fell out of the window",
+					rs.Iteration, rs.MissingWorkers)
+			}
+		}
+		for i := range base {
+			if math.Float64bits(base[i]) != math.Float64bits(params[i]) {
+				t.Fatalf("param %d diverged from the serial engine: %v vs %v", i, base[i], params[i])
+			}
+		}
+	})
 }

@@ -74,19 +74,12 @@ func newWorkerInstruments(r *obs.Registry) *workerInstruments {
 // All workerInstruments methods are nil-safe: a worker without
 // -metrics-addr carries a nil pointer and every call is a no-op.
 
-// reportSent counts one sent gradient report and its frame bytes.
-func (wi *workerInstruments) reportSent(msgs []Message) {
-	if wi == nil {
-		return
+// reportSent counts one sent gradient report of frameBytes frame bytes.
+func (wi *workerInstruments) reportSent(frameBytes int) {
+	if wi != nil {
+		wi.rounds.Inc()
+		wi.reportBytes.Add(int64(frameBytes))
 	}
-	wi.rounds.Inc()
-	var n int64
-	for _, m := range msgs {
-		if rep, ok := m.(GradientReport); ok {
-			n += int64(len(rep.Frame))
-		}
-	}
-	wi.reportBytes.Add(n)
 }
 
 // skipSent counts one explicit empty report.

@@ -144,11 +144,12 @@ func TestStaleReportRetiredEagerly(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				msgs, err := st.computeReport(m.Iteration)
+				rep, err := st.computeReport(m.Iteration)
 				if err != nil {
 					t.Error(err)
 					return
 				}
+				msgs := []Message{rep}
 				if m.Iteration == 0 {
 					<-sendStale // wait for the serve loop to park
 					garbage := GradientReport{WorkerID: victim, Frame: []byte{wire.UplinkRaw, 0xde, 0xad}}
@@ -287,12 +288,12 @@ func TestLifecycleCountersOnEviction(t *testing.T) {
 				conn.Close()
 				return
 			}
-			msgs, err := st.computeReport(m.Iteration)
+			rep, err := st.computeReport(m.Iteration)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			if _, err := conn.SendMany(msgs...); err != nil {
+			if _, err := conn.Send(rep); err != nil {
 				t.Errorf("victim send: %v", err)
 				return
 			}
@@ -319,6 +320,200 @@ func TestLifecycleCountersOnEviction(t *testing.T) {
 		if rs.Iteration >= 1 && (len(rs.MissingWorkers) != 1 || rs.MissingWorkers[0] != victim) {
 			t.Errorf("round %d: missing %v, want [%d]", rs.Iteration, rs.MissingWorkers, victim)
 		}
+	}
+}
+
+// TestRejoinCountersSingleCount: a worker that reports round t,
+// drops its connection at the t/t+1 boundary — where the next round's
+// broadcast writer and its reader pump may both observe the dead
+// connection — and rejoins must be counted exactly once everywhere:
+// one eviction, one rejoin, and one round's worth of degraded votes.
+func TestRejoinCountersSingleCount(t *testing.T) {
+	const victim = 2
+	const dropRound = 2
+	spec := testSpec(7)
+	asn, err := spec.BuildAssignment()
+	if err != nil {
+		t.Fatal(err)
+	}
+	victimFiles := len(asn.WorkerFiles(victim))
+
+	release := make(chan struct{})  // closed after round dropRound+1 completes
+	rejoined := make(chan struct{}) // closed once the victim's rejoin handshake is done
+
+	srvCfg := ServerConfig{
+		Spec:         spec,
+		RoundTimeout: 10 * time.Second,
+	}
+	var mu sync.Mutex
+	var stats []cluster.RoundStats
+	srvCfg.OnRound = func(rs cluster.RoundStats) {
+		mu.Lock()
+		stats = append(stats, rs)
+		mu.Unlock()
+		if rs.Iteration == dropRound+1 {
+			// The victim missed this round; release its redial and park
+			// the serve loop until the rejoin handshake is pending, so
+			// the next round's boundary deterministically admits it.
+			close(release)
+			<-rejoined
+		}
+	}
+	srv, err := NewServer("127.0.0.1:0", srvCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	serveDone := make(chan error, 1)
+	go func() {
+		_, err := srv.Serve(context.Background())
+		serveDone <- err
+	}()
+
+	var wg sync.WaitGroup
+	for u := 0; u < asn.K; u++ {
+		if u == victim {
+			continue
+		}
+		wg.Add(1)
+		go func(u int) {
+			defer wg.Done()
+			if _, err := RunWorker(context.Background(), srv.Addr(), WorkerConfig{ID: u}); err != nil {
+				t.Errorf("worker %d: %v", u, err)
+			}
+		}(u)
+	}
+
+	// The victim participates manually so the drop lands at a precise
+	// point: right after its round-dropRound report, while the server is
+	// about to broadcast round dropRound+1 to it.
+	handshake := func(resume bool, token uint64) (*Conn, Welcome, error) {
+		raw, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			return nil, Welcome{}, err
+		}
+		conn := NewConn(raw)
+		if _, err := conn.Send(Hello{WorkerID: victim, Version: wire.ProtocolVersion, Token: token, Resume: resume, Precisions: wire.PrecisionF64.Mask()}); err != nil {
+			conn.Close()
+			return nil, Welcome{}, err
+		}
+		msg, err := conn.Recv()
+		if err != nil {
+			conn.Close()
+			return nil, Welcome{}, err
+		}
+		w, ok := msg.(Welcome)
+		if !ok {
+			conn.Close()
+			return nil, Welcome{}, err
+		}
+		return conn, w, nil
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		conn, welcome, err := handshake(false, 0)
+		if err != nil {
+			t.Errorf("victim handshake: %v", err)
+			return
+		}
+		defer func() { conn.Close() }()
+		st, err := manualWorker(victim, welcome)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		dropped := false
+		for {
+			msg, err := conn.Recv()
+			if err != nil {
+				t.Errorf("victim recv: %v", err)
+				return
+			}
+			switch m := msg.(type) {
+			case RoundStart:
+				if err := st.applyParams(&m); err != nil {
+					t.Error(err)
+					return
+				}
+				rep, err := st.computeReport(m.Iteration)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := conn.Send(rep); err != nil {
+					t.Errorf("victim send: %v", err)
+					return
+				}
+				if m.Iteration == dropRound && !dropped {
+					dropped = true
+					// Drop at the boundary: the report is on the wire.
+					conn.Close()
+					<-release
+					conn, welcome, err = handshake(true, st.token)
+					if err == nil {
+						err = st.adopt(welcome)
+					}
+					if err != nil {
+						t.Errorf("victim rejoin: %v", err)
+						return
+					}
+					// The server parks the rejoin only after its Welcome is
+					// on the wire, so reading the Welcome does not yet mean
+					// the next boundary will admit it: wait for the slot.
+					for deadline, parked := time.Now().Add(10*time.Second), false; !parked; time.Sleep(time.Millisecond) {
+						if time.Now().After(deadline) {
+							t.Error("the server never parked the victim's rejoin")
+							break
+						}
+						srv.src.mu.Lock()
+						parked = srv.src.workers[victim].pending != nil
+						srv.src.mu.Unlock()
+					}
+					close(rejoined)
+				}
+			case Shutdown:
+				return
+			default:
+				t.Errorf("victim got %T", msg)
+				return
+			}
+		}
+	}()
+
+	if err := <-serveDone; err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	wg.Wait()
+
+	evictions, rejoins, degraded, missingRounds := 0, 0, 0, 0
+	for _, rs := range stats {
+		evictions += rs.Evictions
+		rejoins += rs.Rejoins
+		degraded += rs.DegradedFiles
+		if len(rs.MissingWorkers) > 0 {
+			missingRounds++
+			if rs.Iteration != dropRound+1 || len(rs.MissingWorkers) != 1 || rs.MissingWorkers[0] != victim {
+				t.Errorf("round %d missing %v, want [%d] only at round %d",
+					rs.Iteration, rs.MissingWorkers, victim, dropRound+1)
+			}
+		}
+	}
+	if missingRounds != 1 {
+		t.Errorf("victim missing in %d rounds, want exactly 1", missingRounds)
+	}
+	if evictions != 1 {
+		t.Errorf("per-round eviction deltas sum to %d, want 1 — the round boundary double-counted", evictions)
+	}
+	if rejoins != 1 {
+		t.Errorf("per-round rejoin deltas sum to %d, want 1", rejoins)
+	}
+	if degraded != victimFiles {
+		t.Errorf("degraded votes total %d, want %d (one per victim file, once)", degraded, victimFiles)
+	}
+	c := srv.Counters()
+	if c.Evictions != 1 || c.Rejoins != 1 {
+		t.Errorf("counters = %+v, want exactly 1 eviction and 1 rejoin", c)
 	}
 }
 
@@ -372,9 +567,9 @@ func TestServeJoinsAllPumpGoroutines(t *testing.T) {
 // TestV2PeerRejected: an old-version peer is refused with a typed
 // Reject{RejectVersion} at both negotiation layers — a Hello declaring
 // an old version inside a valid frame, and any frame whose header is
-// stamped with an old version (how a real v5 or v7 peer looks on the
-// wire: its very first frame header fails the version check, before any
-// payload parses).
+// stamped with an old version (how a real v5, v7 or v9 peer looks on
+// the wire: its very first frame header fails the version check, before
+// any payload parses).
 func TestV2PeerRejected(t *testing.T) {
 	spec := testSpec(3)
 	srv, err := NewServer("127.0.0.1:0", ServerConfig{Spec: spec})
@@ -414,12 +609,13 @@ func TestV2PeerRejected(t *testing.T) {
 	c.Close()
 
 	// A frame stamped with an old version in its header, as a real old
-	// peer would send — a v5, a v7 and a v8 one: rejected before the
+	// peer would send — a v5, a v7, a v8 and a v9 one (the last protocol
+	// with shard fields): rejected before the
 	// payload is even interpreted. The peer cannot parse the Reject frame
 	// it gets back, but the bytes on its socket are deterministic — a
 	// framed Reject carrying RejectVersion, then EOF — so the refusal is
 	// diagnosable.
-	for _, old := range []byte{5, 7, 8} {
+	for _, old := range []byte{5, 7, 8, 9} {
 		raw, err = net.Dial("tcp", srv.Addr())
 		if err != nil {
 			t.Fatal(err)

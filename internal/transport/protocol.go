@@ -1,6 +1,6 @@
 // Package transport implements a real network transport for the
 // training protocol: a TCP parameter server and worker clients speaking
-// the framed v9 control protocol over net.Conn. This is the repository's
+// the framed v10 control protocol over net.Conn. This is the repository's
 // substitute for the paper's MPICH deployment — cmd/byzps and
 // cmd/byzworker run the same synchronous rounds as the in-process engine
 // across OS processes (or machines). The server executes every round
@@ -9,16 +9,20 @@
 // aggregates, and steps exactly like the in-process engine and
 // reproduces its parameter trajectory bit-for-bit for the same Spec.
 //
-// Wire protocol v9 (every message one self-delimiting frame, see
+// Wire protocol v10 (every message one self-delimiting frame, see
 // internal/wire: magic, version, type, length header + canonical
 // little-endian binary payload):
 //
 //	worker → PS:  Hello{WorkerID, Version, Token, Resume, Precisions}
-//	PS → worker:  Welcome{Version, Token, Uplink, Spec, Shards, Precision}
+//	PS → worker:  Welcome{Version, Token, Uplink, Spec, Precision}
 //	PS → worker:  Reject{Code, Reason}
 //	PS → worker:  RoundStart{Iteration, BaseIteration, ParamsFrame}
-//	worker → PS:  GradientReport{WorkerID, Iteration, Shard, Frame}
+//	worker → PS:  GradientReport{WorkerID, Iteration, Frame}
 //	PS → worker:  Shutdown{FinalAccuracy}
+//
+// v10 deleted the sharded aggregation plane v5 added: a worker's round
+// is one GradientReport carrying its whole rows, so the report lost its
+// shard index and the Welcome its shard count.
 //
 // v9 made every uplink frame self-contained (wire/uplink.go). Both ends
 // of a connection run the same binary — the handshake checks the
@@ -46,11 +50,7 @@
 // frame-header version check on its Hello and is refused with a typed
 // Reject{RejectVersion} naming both versions.
 //
-// v5 added the sharded aggregation plane: GradientReport carries a shard
-// index so a worker's report travels as one frame per contiguous
-// coordinate range (wire.ShardRange) and the PS can vote a shard as soon
-// as its last frame lands; the Welcome announces the shard count. v4
-// added the detector configuration to the Spec payload (the PS-side detection/reputation layer of internal/detect is part of
+// v4 added the detector configuration to the Spec payload (the PS-side detection/reputation layer of internal/detect is part of
 // the experiment description, so observers evaluating the same Spec
 // agree on it) and the typed Reject frame: a blacklisted worker
 // presenting a valid session token is refused with
@@ -455,12 +455,6 @@ type Welcome struct {
 	// deterministically, so every honest replica still votes equal.
 	Uplink wire.UplinkTier
 	Spec   Spec
-	// Shards is the server's aggregation-shard count: with Shards > 1
-	// the worker splits each report into one GradientReport frame per
-	// shard (coordinate ranges from wire.ShardRange) so the PS can vote
-	// a shard as soon as its last frame lands. 0 or 1 = whole-vector
-	// reports.
-	Shards int
 	// Precision is the connection's negotiated numeric width: every
 	// params and gradient frame on the connection from here on carries
 	// values of this precision (wire.PrecisionF64, the zero value, keeps
@@ -479,7 +473,6 @@ func (m Welcome) appendPayload(dst []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	dst = wire.AppendU32(dst, uint32(m.Shards))
 	return wire.AppendU8(dst, uint8(m.Precision)), nil
 }
 
@@ -489,7 +482,6 @@ func (m *Welcome) decodePayload(src []byte) error {
 	m.Token = d.U64()
 	m.Uplink = wire.UplinkTier(d.U8())
 	decodeSpec(d, &m.Spec)
-	m.Shards = d.Int()
 	m.Precision = wire.Precision(d.U8())
 	return d.Done()
 }
@@ -565,28 +557,27 @@ func (m *RoundStart) decodePayload(src []byte) error {
 	return nil
 }
 
-// GradientReport returns the worker's per-file gradient sums. The
-// gradients travel as one self-contained binary uplink frame (see
-// internal/wire/uplink.go) in the tier the PS named.
+// ErrBadReport marks a GradientReport frame no honest worker of this run
+// sends: one that fails to decode, or whose worker, files or row width
+// disagree with the run. The PS evicts its sender.
+var ErrBadReport = errors.New("transport: malformed gradient report")
+
+// GradientReport returns the worker's per-file gradient sums for one
+// round. The gradients travel whole, as one self-contained binary uplink
+// frame (see internal/wire/uplink.go) in the tier the PS named; a worker
+// sends exactly one report per round.
 type GradientReport struct {
 	WorkerID  int
 	Iteration int
-	// Shard is the aggregation shard this frame's gradient coordinates
-	// belong to (the [lo, hi) range wire.ShardRange(dim, shards, Shard)
-	// names). Always 0 on unsharded runs, where the frame carries whole
-	// vectors. A sharded worker sends one frame per shard each round,
-	// and the PS counts a worker delivered once all of them landed.
-	Shard int
 	// Frame is the wire-encoded uplink frame (worker, files,
 	// gradients); decode with a wire.UplinkDecoder of the connection's
 	// tier. Its embedded worker id must match WorkerID.
 	// A decoded Frame aliases the connection's receive buffer and is
 	// valid only until the next Recv on that Conn — the PS pump runs it
 	// through the uplink decoder before reading again.
-	// An empty Frame (sent with Shard 0 only) is an explicit skip: the
-	// worker is alive but reports no gradients this round (flaky-fault
-	// injection), so the PS counts it missing for the round without
-	// evicting it.
+	// An empty Frame is an explicit skip: the worker is alive but
+	// reports no gradients this round (flaky-fault injection), so the PS
+	// counts it missing for the round without evicting it.
 	Frame []byte
 }
 
@@ -599,15 +590,13 @@ func (m GradientReport) appendPayload(dst []byte) ([]byte, error) {
 // appendHead appends the payload up to where Frame's bytes begin.
 func (m GradientReport) appendHead(dst []byte) []byte {
 	dst = wire.AppendU32(dst, uint32(m.WorkerID))
-	dst = wire.AppendU32(dst, uint32(m.Iteration))
-	return wire.AppendU32(dst, uint32(m.Shard))
+	return wire.AppendU32(dst, uint32(m.Iteration))
 }
 
 func (m *GradientReport) decodePayload(src []byte) error {
 	d := wire.NewDec(src)
 	m.WorkerID = d.Int()
 	m.Iteration = d.Int()
-	m.Shard = d.Int()
 	m.Frame = d.Rest()
 	return d.Err()
 }
@@ -701,9 +690,9 @@ var ErrFrameTooLarge = errors.New("transport: frame exceeds the connection's pay
 
 // reportPayloadLimit is the largest GradientReport payload a worker
 // holding `files` files of a dim-coordinate model may legally send, in
-// any uplink tier (a shard's frame is narrower still), plus slack.
+// any uplink tier, behind its 8-byte header, plus slack.
 func reportPayloadLimit[T linalg.Float](files, dim int) int {
-	return 12 + max(wire.UplinkRawSizeOf[T](files, dim), wire.UplinkSignSizeOf[T](files, dim),
+	return 8 + max(wire.UplinkRawSizeOf[T](files, dim), wire.UplinkSignSizeOf[T](files, dim),
 		wire.UplinkInt8SizeOf[T](files, dim)) + payloadSlack
 }
 
@@ -716,11 +705,11 @@ func roundPayloadLimit[T linalg.Float](dim int) int {
 
 // welcomeFits rejects a Spec whose Welcome no worker could read: the
 // Welcome arrives before the worker's handshake completes, so it is
-// read under preHandshakePayload (15 bytes of it are not the Spec).
+// read under preHandshakePayload (11 bytes of it are not the Spec).
 func welcomeFits(s *Spec) error {
 	b, err := appendSpec(nil, s)
-	if err == nil && len(b)+15 > preHandshakePayload {
-		err = fmt.Errorf("transport: spec encodes to %d bytes, a Welcome carries at most %d", len(b), preHandshakePayload-15)
+	if err == nil && len(b)+11 > preHandshakePayload {
+		err = fmt.Errorf("transport: spec encodes to %d bytes, a Welcome carries at most %d", len(b), preHandshakePayload-11)
 	}
 	return err
 }
@@ -776,10 +765,9 @@ func (c *Conn) setPayloadLimit(n int) { c.limit = min(n, wire.MaxFramePayload) }
 func (c *Conn) Send(msg Message) (int, error) { return c.SendMany(msg) }
 
 // SendMany transmits several messages in one write — one frame each —
-// and reports the total byte count. Sharded workers use this to ship a
-// round's per-shard report frames as one syscall. A GradientReport's
-// Frame is already encoded, so it is not copied behind its header: the
-// write is vectored over {headers, frame, headers, frame, …}.
+// and reports the total byte count. A GradientReport's Frame is already
+// encoded, so it is not copied behind its header: the write is vectored
+// over {headers, frame, headers, frame, …}.
 func (c *Conn) SendMany(msgs ...Message) (int, error) {
 	b := c.wbuf[:0]
 	c.iov = c.iov[:0]

@@ -81,14 +81,11 @@ type ServerConfig struct {
 	// (0 → majority of the nominal replication, R/2+1); see
 	// cluster.Config.Quorum.
 	Quorum int
-	// Shards splits the aggregation plane into N contiguous coordinate
-	// ranges (wire.ShardRange): each worker ships one report frame per
-	// shard, and the PS votes a shard the moment the last live worker's
-	// frame for it lands — while other shards still collect. 0 or 1
-	// keeps whole-vector reports. Counts above the model dimension clamp
-	// to it; counts above 64 are rejected (the per-frame overhead
-	// dominates long before that). The parameter trajectory is
-	// bit-identical to the unsharded plane (see internal/cluster).
+	// Shards is inert: nothing reads it. It sized the sharded
+	// aggregation plane protocol v10 deleted, and stays only because
+	// bench/adapter_fleet.go sets it and that module is not this
+	// package's to edit; ROADMAP item 1a deletes it with the names.go
+	// aliases.
 	Shards int
 	// Pipeline is inert: nothing reads it. It selected the pipelined-prep
 	// plane protocol v8 deleted, and stays only because
@@ -143,7 +140,7 @@ type Counters struct {
 // protocol itself — majority vote with quorum, robust aggregation,
 // momentum step — executes in the shared cluster round core; the server
 // merely installs a network GradientSource, so the wire path inherits
-// the gradient arena, the parallel vote sharding, and the chunked
+// the gradient arena, the pooled vote, and the chunked
 // aggregation of the in-process engine and reproduces its parameter
 // trajectory bit-for-bit for the same Spec.
 //
@@ -216,17 +213,10 @@ func NewServerOf[T linalg.Float](addr string, cfg ServerConfig) (*ServerOf[T], e
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("transport: shard count %d < 0", cfg.Shards)
-	}
-	if cfg.Shards > 64 {
-		return nil, fmt.Errorf("transport: shard count %d > 64", cfg.Shards)
-	}
 	if !cfg.Uplink.Valid() {
 		return nil, fmt.Errorf("transport: unknown uplink tier %d", cfg.Uplink)
 	}
-	shards := wire.ShardCount(cfg.Shards, mdl.NumParams())
-	src := newWireSource[T](asn, cfg.RoundTimeout, cfg.FullBroadcastEvery, shards, cfg.Logf)
+	src := newWireSource[T](asn, cfg.RoundTimeout, cfg.FullBroadcastEvery, cfg.Logf)
 	src.uplink = cfg.Uplink
 	eng, err := cluster.NewOf(cluster.ConfigOf[T]{
 		Assignment: asn,
@@ -239,7 +229,6 @@ func NewServerOf[T linalg.Float](addr string, cfg ServerConfig) (*ServerOf[T], e
 		Momentum:   cfg.Spec.Momentum,
 		Seed:       cfg.Spec.Seed,
 		Quorum:     cfg.Quorum,
-		Shards:     shards,
 		Detector:   det,
 		Detection:  cfg.Spec.DetectorParams.Policy(),
 		Source:     src,
@@ -251,7 +240,7 @@ func NewServerOf[T linalg.Float](addr string, cfg ServerConfig) (*ServerOf[T], e
 	}
 	// Bind the engine's stable gradient buffers to the source: the
 	// reader pumps decode current-round reports straight into them.
-	src.bind(eng, mdl.NumParams())
+	src.eng, src.dim = eng, mdl.NumParams()
 	// The fleet table exists unconditionally (it backs /statusz and the
 	// per-worker /metrics series, and its updates are single atomic
 	// stores); the registry families are only added when metrics are on.
@@ -461,7 +450,6 @@ func (s *ServerOf[T]) handshake(ctx context.Context, conn *Conn) {
 		Token:     token,
 		Uplink:    ws.uplink,
 		Spec:      s.cfg.Spec,
-		Shards:    ws.shards,
 		Precision: wire.PrecisionOf[T](),
 	}); err != nil {
 		if !hello.Resume {
@@ -755,9 +743,6 @@ type pumpItem struct {
 	u    int
 	conn *Conn
 	iter int
-	// shard is the aggregation shard the report frame covers
-	// (pumpReport only; always 0 on unsharded runs).
-	shard int
 	// wireBytes/rawBytes are the report's actual frame size and its
 	// raw-equivalent size (pumpReport only).
 	wireBytes, rawBytes int
@@ -779,14 +764,12 @@ type pump[T linalg.Float] struct {
 	// frame is the decode target; its Grads point at the engine's arena
 	// buffers.
 	frame wire.GradFrameOf[T]
-	// deliveredIter/deliveredMask bound the inbox: at most one report
-	// frame enters it per (connection, round, shard), which keeps a
-	// duplicate frame from being decoded into an arena buffer the
-	// engine is reading. The mask bit s marks shard s delivered for
-	// deliveredIter (a skip sets every bit — one frame stands for the
-	// whole worker).
+	// deliveredIter/delivered bound the inbox: at most one report frame
+	// (or skip) enters it per (connection, round), which keeps a
+	// duplicate frame from being decoded into an arena buffer the engine
+	// is reading. delivered marks deliveredIter's frame as forwarded.
 	deliveredIter int
-	deliveredMask uint64
+	delivered     bool
 }
 
 // run pumps frames until the connection dies or misbehaves.
@@ -820,12 +803,6 @@ func (p *pump[T]) handle(rep GradientReport) error {
 	if rep.WorkerID != p.u {
 		return fmt.Errorf("report claims worker %d", rep.WorkerID)
 	}
-	if rep.Shard < 0 || rep.Shard >= ws.shards {
-		return fmt.Errorf("report shard %d outside [0,%d)", rep.Shard, ws.shards)
-	}
-	if len(rep.Frame) == 0 && rep.Shard != 0 {
-		return fmt.Errorf("skip frame carries shard %d", rep.Shard)
-	}
 	it := rep.Iteration
 	cur := int(ws.curRound.Load())
 	if it > cur || it < 0 {
@@ -833,20 +810,18 @@ func (p *pump[T]) handle(rep GradientReport) error {
 	}
 	if it > p.deliveredIter {
 		p.deliveredIter = it
-		p.deliveredMask = 0
+		p.delivered = false
 	}
 	retire := int(ws.retireBelow.Load())
-	if it < retire || it < p.deliveredIter || p.deliveredMask&(1<<rep.Shard) != 0 {
-		// Too late for its round, or a duplicate shard frame: retire it
+	if it < retire || it < p.deliveredIter || p.delivered {
+		// Too late for its round, or a duplicate frame: retire it
 		// unread.
 		ws.staleFrames.Add(1)
 		return nil
 	}
-	p.deliveredMask |= 1 << rep.Shard
+	p.delivered = true
 	if len(rep.Frame) == 0 {
-		// Explicit whole-worker skip: the one empty frame stands for
-		// every shard of the round.
-		p.deliveredMask = ^uint64(0)
+		// Explicit skip: alive, no gradients this round.
 		p.push(pumpItem{kind: pumpSkip, u: p.u, conn: p.conn, iter: it})
 		return nil
 	}
@@ -862,29 +837,26 @@ func (p *pump[T]) handle(rep GradientReport) error {
 		ws.staleFrames.Add(1)
 		return nil
 	}
-	err := p.decode(rep.Frame, rep.Shard)
+	err := p.decode(rep.Frame)
 	ws.arenaMu[p.u].Unlock()
 	if err != nil {
-		return err
+		return fmt.Errorf("%w: %w", ErrBadReport, err)
 	}
-	lo, hi := ws.shardRanges[rep.Shard][0], ws.shardRanges[rep.Shard][1]
 	p.push(pumpItem{
-		kind: pumpReport, u: p.u, conn: p.conn, iter: it, shard: rep.Shard,
+		kind: pumpReport, u: p.u, conn: p.conn, iter: it,
 		wireBytes: len(rep.Frame),
-		rawBytes:  wire.UplinkRawSizeOf[T](len(wf), hi-lo),
+		rawBytes:  wire.UplinkRawSizeOf[T](len(wf), ws.dim),
 	})
 	return nil
 }
 
 // decode runs one report frame through the uplink decoder into the
-// shard's range of the worker's arena buffers and validates its
-// structure against the worker's static file assignment and the shard's
-// coordinate width.
-func (p *pump[T]) decode(frameBytes []byte, shard int) error {
+// worker's arena buffers and validates its structure against the
+// worker's static file assignment and the model dimension.
+func (p *pump[T]) decode(frameBytes []byte) error {
 	ws := p.ws
 	wf := ws.files[p.u]
-	want := ws.shardRanges[shard][1] - ws.shardRanges[shard][0]
-	p.frame.Grads = p.arenaBufs(shard)
+	p.frame.Grads = p.arenaBufs()
 	_, consumed, err := p.dec.Decode(frameBytes, &p.frame)
 	switch {
 	case err != nil:
@@ -897,32 +869,28 @@ func (p *pump[T]) decode(frameBytes []byte, shard int) error {
 		return fmt.Errorf("frame files %v, want %v", p.frame.Files, wf)
 	}
 	for j := range wf {
-		if len(p.frame.Grads[j]) != want {
-			return fmt.Errorf("frame gradient %d has dim %d, want %d", j, len(p.frame.Grads[j]), want)
+		if len(p.frame.Grads[j]) != ws.dim {
+			return fmt.Errorf("frame gradient %d has dim %d, want %d", j, len(p.frame.Grads[j]), ws.dim)
 		}
 	}
 	return nil
 }
 
-// arenaBufs points the decode at the shard's coordinate range of the
-// engine's stable slot buffers for this worker — delivering a report
-// frame is decoding it in place. Distinct shards write disjoint ranges
-// of the same rows, so a shard that already landed can be under read
-// by an early vote while later shards still decode.
-func (p *pump[T]) arenaBufs(shard int) [][]T {
+// arenaBufs points the decode at the engine's stable slot buffers for
+// this worker — delivering a report frame is decoding it in place.
+func (p *pump[T]) arenaBufs() [][]T {
 	ws := p.ws
 	wf := ws.files[p.u]
-	lo, hi := ws.shardRanges[shard][0], ws.shardRanges[shard][1]
 	if cap(p.frame.Grads) < len(wf) {
 		p.frame.Grads = make([][]T, len(wf))
 	}
 	bufs := p.frame.Grads[:len(wf)]
 	for j := range wf {
-		// The full slice expression caps the target at the shard
-		// boundary: a hostile frame declaring a wider dimension makes
-		// the decoder allocate instead of scribbling into a neighboring
-		// shard's coordinates, and the width check above then evicts.
-		bufs[j] = ws.eng.GradBuffer(p.u, j)[lo:hi:hi]
+		// The full slice expression caps the target at the row's end: a
+		// hostile frame declaring a wider dimension makes the decoder
+		// allocate instead of scribbling past the row into the arena's
+		// next buffer, and the width check above then evicts.
+		bufs[j] = ws.eng.GradBuffer(p.u, j)[:ws.dim:ws.dim]
 	}
 	return bufs
 }
@@ -965,10 +933,6 @@ type wireSource[T linalg.Float] struct {
 	// atomic stores.
 	fleet *obs.FleetTable
 
-	// shards is the aggregation-plane shard count (1 = whole-vector);
-	// shardRanges[s] the [lo, hi) coordinate range of shard s.
-	shards      int
-	shardRanges [][2]int
 	// uplink is the run's codec tier (ServerConfig.Uplink), named in
 	// every Welcome.
 	uplink wire.UplinkTier
@@ -987,8 +951,8 @@ type wireSource[T linalg.Float] struct {
 	// inbox is the bounded fan-in of every reader pump. Capacity covers
 	// the worst case of one report per worker per round (the pumps'
 	// delivered guard), leftovers of one previous round, and a death
-	// notice per worker, so pumps block only when the collector is
-	// about to drain.
+	// notice per worker, plus a worker's worth of margin (4·K + 8), so
+	// pumps block only when the collector is about to drain.
 	inbox  chan pumpItem
 	stopCh chan struct{}
 	// pumps joins every reader goroutine at shutdown. Adds happen under
@@ -1024,12 +988,6 @@ type wireSource[T linalg.Float] struct {
 	roundConns []*Conn
 	roundAcks  []int
 	done       []bool
-	// Sharded collection scratch: gotShards[u] is the round's delivered
-	// shard mask per worker, shardLeft[s] the number of live workers
-	// whose shard-s frame is still outstanding — reaching zero triggers
-	// the early shard vote while other shards still collect.
-	gotShards []uint64
-	shardLeft []int
 	// prevParams is the parameter vector broadcast last round (the
 	// delta base); prevIter the iteration it belongs to (-1 = none).
 	prevParams []T
@@ -1048,29 +1006,21 @@ type wireSource[T linalg.Float] struct {
 	collectTimer *time.Timer
 }
 
-// newWireSource prepares the per-worker state tables. shards must
-// already be clamped to [1, dim] (wire.ShardCount).
-func newWireSource[T linalg.Float](asn *assign.Assignment, timeout time.Duration, fullEvery, shards int, logf func(string, ...any)) *wireSource[T] {
+// newWireSource prepares the per-worker state tables.
+func newWireSource[T linalg.Float](asn *assign.Assignment, timeout time.Duration, fullEvery int, logf func(string, ...any)) *wireSource[T] {
 	ws := &wireSource[T]{
-		timeout:   timeout,
-		fullEvery: fullEvery,
-		logf:      logf,
-		shards:    shards,
-		workers:   make([]workerEntry, asn.K),
-		joinedCh:  make(chan struct{}, 1),
-		// The inbox covers the worst case of one report frame per shard
-		// per worker per round, leftovers of one previous round, and a
-		// death notice per worker, so pumps block only when the
-		// collector is about to drain.
-		inbox:      make(chan pumpItem, (2+2*shards)*asn.K+8),
+		timeout:    timeout,
+		fullEvery:  fullEvery,
+		logf:       logf,
+		workers:    make([]workerEntry, asn.K),
+		joinedCh:   make(chan struct{}, 1),
+		inbox:      make(chan pumpItem, 4*asn.K+8),
 		stopCh:     make(chan struct{}),
 		files:      make([][]int, asn.K),
 		arenaMu:    make([]sync.Mutex, asn.K),
 		roundConns: make([]*Conn, asn.K),
 		roundAcks:  make([]int, asn.K),
 		done:       make([]bool, asn.K),
-		gotShards:  make([]uint64, asn.K),
-		shardLeft:  make([]int, shards),
 		prevIter:   -1,
 	}
 	ws.curRound.Store(-1)
@@ -1079,18 +1029,6 @@ func newWireSource[T linalg.Float](asn *assign.Assignment, timeout time.Duration
 		ws.files[u] = asn.WorkerFiles(u)
 	}
 	return ws
-}
-
-// bind attaches the engine whose arena the pumps decode into and
-// derives the shard coordinate ranges from the model dimension.
-func (ws *wireSource[T]) bind(eng *cluster.EngineOf[T], dim int) {
-	ws.eng = eng
-	ws.dim = dim
-	ws.shardRanges = make([][2]int, ws.shards)
-	for s := range ws.shardRanges {
-		lo, hi := wire.ShardRange(dim, ws.shards, s)
-		ws.shardRanges[s] = [2]int{lo, hi}
-	}
 }
 
 // startPump launches worker u's reader goroutine for conn. Callers
@@ -1254,7 +1192,6 @@ func (ws *wireSource[T]) Collect(ctx context.Context, rd *cluster.RoundOf[T]) (c
 		ws.roundConns[u] = w.conn
 		ws.roundAcks[u] = w.lastAck
 		ws.done[u] = false
-		ws.gotShards[u] = 0
 		if w.conn == nil {
 			rd.MarkMissing(u)
 		} else {
@@ -1262,9 +1199,6 @@ func (ws *wireSource[T]) Collect(ctx context.Context, rd *cluster.RoundOf[T]) (c
 		}
 	}
 	ws.mu.Unlock()
-	for s := range ws.shardLeft {
-		ws.shardLeft[s] = outstanding
-	}
 
 	// Parallel broadcast: one send goroutine per live worker, so one
 	// slow socket costs the round a write deadline, not a serial sum.
@@ -1296,27 +1230,7 @@ func (ws *wireSource[T]) Collect(ctx context.Context, rd *cluster.RoundOf[T]) (c
 
 	// Collection: a single select over the inbox and one deadline
 	// timer. No per-worker socket reads, no per-worker deadlines.
-	// retireShards removes a worker's undelivered shard frames from the
-	// per-shard outstanding counts when it leaves the round (skip,
-	// death, eviction); a shard whose count reaches zero is voted right
-	// here, on the collecting goroutine, while the others still collect.
 	var reportBytes, rawBytes int64
-	// fullMask has one bit per shard (explicit all-ones at 64 shards
-	// rather than leaning on shift-wrap semantics).
-	fullMask := uint64(1)<<ws.shards - 1
-	if ws.shards == 64 {
-		fullMask = ^uint64(0)
-	}
-	retireShards := func(u int) {
-		for s := range ws.shardLeft {
-			if ws.gotShards[u]&(1<<s) == 0 {
-				ws.shardLeft[s]--
-				if ws.shardLeft[s] == 0 {
-					rd.VoteShardEarly(s)
-				}
-			}
-		}
-	}
 	handleItem := func(item pumpItem) {
 		u := item.u
 		if ws.roundConns[u] != item.conn || ws.done[u] {
@@ -1333,18 +1247,8 @@ func (ws *wireSource[T]) Collect(ctx context.Context, rd *cluster.RoundOf[T]) (c
 				ws.staleFrames.Add(1)
 				return
 			}
-			ws.gotShards[u] |= 1 << item.shard
 			reportBytes += int64(item.wireBytes)
 			rawBytes += int64(item.rawBytes)
-			ws.shardLeft[item.shard]--
-			if ws.shardLeft[item.shard] == 0 {
-				rd.VoteShardEarly(item.shard)
-			}
-			if ws.gotShards[u] != fullMask {
-				// More shard frames outstanding: the worker is not yet
-				// accounted for this round.
-				return
-			}
 			for j := range ws.files[u] {
 				if err := rd.Deliver(u, j, ws.eng.GradBuffer(u, j)); err != nil {
 					ws.evict(u, item.conn, err)
@@ -1369,10 +1273,8 @@ func (ws *wireSource[T]) Collect(ctx context.Context, rd *cluster.RoundOf[T]) (c
 			ws.ack(u, t)
 			ws.fleet.Touch(u, time.Now())
 			rd.MarkMissing(u)
-			retireShards(u)
 		case pumpDeath:
 			rd.MarkMissing(u)
-			retireShards(u)
 		}
 		ws.done[u] = true
 		outstanding--

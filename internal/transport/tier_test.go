@@ -18,53 +18,49 @@ import (
 )
 
 // engineParamsTier is engineParams with the engine pinned to an uplink
-// tier and shard count — the reference for lossy wire runs, whose
-// quantization granularity is the aggregation shard range.
-func engineParamsTier(t *testing.T, spec Spec, shards int, tier wire.UplinkTier) []float64 {
+// tier — the reference for lossy wire runs.
+func engineParamsTier(t *testing.T, spec Spec, tier wire.UplinkTier) []float64 {
 	t.Helper()
-	return engineParamsOf[float64](t, spec, enginePlane{shards: shards, tier: tier})
+	return engineParamsOf[float64](t, spec, enginePlane{tier: tier})
 }
 
 // sameBits is the protocol's one bit-equality (NaN == NaN, +0 ≠ −0).
 var sameBits = linalg.EqualBits[float64]
 
 // TestUplinkTierLoopbackMatchesEngine pins every tier's wire trajectory
-// to the in-process engine, unsharded and sharded: the lossless tiers
-// against the plain engine (codec choice cannot move a bit), the lossy
-// tiers against an engine running the same tier and shard count (the
-// engine applies the codec's exact quantize→dequantize operations per
-// shard range). The lossy runs must also move fewer uplink bytes than
-// their raw equivalent and land off the lossless bits.
+// to the in-process engine: the lossless tiers against the plain engine
+// (codec choice cannot move a bit), the lossy tiers against an engine
+// running the same tier (the engine applies the codec's exact
+// quantize→dequantize operations to every row). The lossy runs must also
+// move fewer uplink bytes than their raw equivalent and land off the
+// lossless bits.
 func TestUplinkTierLoopbackMatchesEngine(t *testing.T) {
 	spec := testSpec(6)
-	lossless := engineParamsTier(t, spec, 0, wire.TierRaw)
-	for _, shards := range []int{0, 2} {
-		for _, tier := range []wire.UplinkTier{wire.TierRaw, wire.TierSign, wire.TierInt8} {
-			_, params, stats := runLoopback(t, spec, ServerConfig{Uplink: tier, Shards: shards})
-			ref := lossless
-			if tier.Lossy() {
-				ref = engineParamsTier(t, spec, shards, tier)
+	lossless := engineParamsTier(t, spec, wire.TierRaw)
+	for _, tier := range []wire.UplinkTier{wire.TierRaw, wire.TierSign, wire.TierInt8} {
+		_, params, stats := runLoopback(t, spec, ServerConfig{Uplink: tier})
+		ref := lossless
+		if tier.Lossy() {
+			ref = engineParamsTier(t, spec, tier)
+		}
+		if !sameBits(params, ref) {
+			t.Errorf("tier %s: wire trajectory diverged from the engine", tier)
+		}
+		var up, raw int64
+		for _, rs := range stats {
+			up += rs.Times.ReportBytes
+			raw += rs.Times.ReportRawBytes
+		}
+		if tier.Lossy() {
+			// The ≥4x acceptance gate is benchmarked on the quickstart
+			// config, whose rows are wide; this spec's 18–36-value rows
+			// pay proportionally more per-row scale/header overhead, so
+			// the structural check here is 3x.
+			if up*3 > raw {
+				t.Errorf("tier %s: moved %d uplink bytes, raw equivalent %d — want ≥3x reduction", tier, up, raw)
 			}
-			if !sameBits(params, ref) {
-				t.Errorf("tier %s shards %d: wire trajectory diverged from the engine", tier, shards)
-			}
-			var up, raw int64
-			for _, rs := range stats {
-				up += rs.Times.ReportBytes
-				raw += rs.Times.ReportRawBytes
-			}
-			if tier.Lossy() {
-				// The ≥4x acceptance gate is benchmarked on the quickstart
-				// config, whose rows are wide; this spec's 18–36-value rows
-				// pay proportionally more per-row scale/header overhead, so
-				// the structural check here is 3x.
-				if up*3 > raw {
-					t.Errorf("tier %s shards %d: moved %d uplink bytes, raw equivalent %d — want ≥3x reduction",
-						tier, shards, up, raw)
-				}
-				if sameBits(params, lossless) {
-					t.Errorf("tier %s shards %d: landed on the lossless bits — quantization never ran", tier, shards)
-				}
+			if sameBits(params, lossless) {
+				t.Errorf("tier %s: landed on the lossless bits — quantization never ran", tier)
 			}
 		}
 	}
@@ -108,7 +104,7 @@ func TestWorkerRejectsUnknownUplinkTier(t *testing.T) {
 func TestUplinkTierRejoinFreshEncoderState(t *testing.T) {
 	const victim = 4
 	spec := testSpec(8)
-	ref := engineParamsTier(t, spec, 0, wire.TierInt8)
+	ref := engineParamsTier(t, spec, wire.TierInt8)
 
 	var srv *Server
 	restarted := make(chan error, 1)

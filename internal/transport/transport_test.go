@@ -456,11 +456,11 @@ func driveWorker(t *testing.T, c *Conn, id int, spec Spec) error {
 			if err := st.applyParams(&m); err != nil {
 				return err
 			}
-			msgs, err := st.computeReport(m.Iteration)
+			rep, err := st.computeReport(m.Iteration)
 			if err != nil {
 				return err
 			}
-			if _, err := c.SendMany(msgs...); err != nil {
+			if _, err := c.Send(rep); err != nil {
 				return err
 			}
 		case Shutdown:

@@ -143,17 +143,10 @@ type workerStateOf[T linalg.Float] struct {
 	// it reflects (-1 before any).
 	params      []T
 	lastApplied int
-	// shards/ranges mirror the Welcome's shard plane: the worker ships
-	// one report frame per shard, each covering its contiguous
-	// coordinate range of every assigned file's gradient. enc is the
-	// uplink encoder in the tier the last Welcome named, and
-	// frames/reps/msgs are the per-shard send scratch.
-	shards int
-	ranges [][2]int
-	enc    wire.UplinkEncoderOf[T]
-	frames [][]byte
-	reps   []GradientReport
-	msgs   []Message
+	// enc is the uplink encoder in the tier the last Welcome named, and
+	// frame the report's encode scratch.
+	enc   wire.UplinkEncoderOf[T]
+	frame []byte
 	// filesStatic is this worker's assignment in static slot order and
 	// stream its own replica of the run's file→samples table — the PS
 	// sends neither — both set, with asn, by the first handshake.
@@ -162,12 +155,9 @@ type workerStateOf[T linalg.Float] struct {
 	filesStatic []int
 	stream      *data.FileStream
 	nextRound   int
-	// grads/shardGrads are the per-round report scratch, reused across
-	// rounds; shardGrads holds per-shard subslice headers over grads'
-	// full-dimension rows.
-	grads      [][]T
-	shardGrads [][]T
-	asn        *assign.Assignment
+	// grads is the per-round report scratch, reused across rounds.
+	grads [][]T
+	asn   *assign.Assignment
 	// adv is the adversary a Byzantine worker crafts through (nil when
 	// honest), from trueGrads: every file's honest gradient this round.
 	adv       *attack.AdversaryOf[T]
@@ -368,8 +358,6 @@ func runWorkerConn[T linalg.Float](ctx context.Context, addr string, st *workerS
 			}
 			if d.Skip {
 				cfg.Logf("worker %d: injected skip at round %d", cfg.ID, m.Iteration)
-				// A single empty frame stands for every shard of the
-				// round.
 				if _, err := conn.Send(GradientReport{WorkerID: cfg.ID, Iteration: m.Iteration}); err != nil {
 					return 0, retryable(ctxErr(ctx, err))
 				}
@@ -377,15 +365,15 @@ func runWorkerConn[T linalg.Float](ctx context.Context, addr string, st *workerS
 				continue
 			}
 			computeStart := time.Now()
-			msgs, err := st.computeReport(m.Iteration)
+			rep, err := st.computeReport(m.Iteration)
 			if err != nil {
 				return 0, err
 			}
 			st.ins.computeObserved(time.Since(computeStart).Seconds())
-			if _, err := conn.SendMany(msgs...); err != nil {
+			if _, err := conn.Send(rep); err != nil {
 				return 0, retryable(ctxErr(ctx, err))
 			}
-			st.ins.reportSent(msgs)
+			st.ins.reportSent(len(rep.Frame))
 		case Shutdown:
 			cfg.Logf("worker %d: shutdown, final accuracy %.4f", cfg.ID, m.FinalAccuracy)
 			return m.FinalAccuracy, nil
@@ -408,16 +396,6 @@ func (st *workerStateOf[T]) adopt(welcome Welcome) error {
 	st.token = welcome.Token
 	st.enc.Tier = welcome.Uplink
 	st.ins.tierNamed(int32(welcome.Uplink))
-	shards := welcome.Shards
-	if shards == 0 {
-		shards = 1
-	}
-	if shards < 1 || shards > 64 {
-		return fmt.Errorf("transport: server announced %d shards, want 1..64", shards)
-	}
-	if st.shards != 0 && shards != st.shards {
-		return fmt.Errorf("transport: server changed shard count %d → %d across rejoin", st.shards, shards)
-	}
 	if st.mdl == nil {
 		// First successful handshake: adopt the process-shared state, or
 		// build this worker's own from the Spec the Welcome carried.
@@ -446,14 +424,6 @@ func (st *workerStateOf[T]) adopt(welcome Welcome) error {
 				return err
 			}
 		}
-		st.shards = shards
-		st.ranges = make([][2]int, shards)
-		for s := range st.ranges {
-			st.ranges[s][0], st.ranges[s][1] = wire.ShardRange(len(st.params), shards, s)
-		}
-		st.frames = make([][]byte, shards)
-		st.reps = make([]GradientReport, shards)
-		st.msgs = make([]Message, shards)
 	}
 	// A (re)connected worker holds no acknowledged vector: the server
 	// sends a full broadcast first, so stale params are never patched.
@@ -502,11 +472,10 @@ func (st *workerStateOf[T]) startRound(iter int) error {
 
 // computeReport produces the worker's gradients for one round — of its
 // files' samples, which it draws from its own stream, when honest; what
-// the adversary crafts for its files when Byzantine — sliced into one
-// report per shard, each encoded in the named uplink tier. The returned
-// messages alias the state's scratch and are valid until the next
-// computeReport call.
-func (st *workerStateOf[T]) computeReport(iter int) ([]Message, error) {
+// the adversary crafts for its files when Byzantine — as one report
+// encoded in the named uplink tier. The returned report's Frame aliases
+// the state's scratch and is valid until the next computeReport call.
+func (st *workerStateOf[T]) computeReport(iter int) (GradientReport, error) {
 	cfg := st.cfg
 	files := st.filesStatic
 	dim := st.mdl.NumParams()
@@ -515,7 +484,7 @@ func (st *workerStateOf[T]) computeReport(iter int) ([]Message, error) {
 	// always sees the engine's batch r.
 	samples, err := st.stream.Round(iter)
 	if err != nil {
-		return nil, err
+		return GradientReport{}, err
 	}
 	if cap(st.grads) < len(files) {
 		st.grads = make([][]T, len(files))
@@ -538,25 +507,12 @@ func (st *workerStateOf[T]) computeReport(iter int) ([]Message, error) {
 			st.kern.SumGradient(st.params, samples[v], g)
 		}
 	}
-	if cap(st.shardGrads) < len(files) {
-		st.shardGrads = make([][]T, len(files))
+	frame, _, _, err := st.enc.Encode(st.frame[:0], cfg.ID, files, grads)
+	if err != nil {
+		return GradientReport{}, err
 	}
-	sg := st.shardGrads[:len(files)]
-	st.shardGrads = sg
-	for s := 0; s < st.shards; s++ {
-		lo, hi := st.ranges[s][0], st.ranges[s][1]
-		for i := range grads {
-			sg[i] = grads[i][lo:hi]
-		}
-		frame, _, _, err := st.enc.Encode(st.frames[s][:0], cfg.ID, files, sg)
-		if err != nil {
-			return nil, err
-		}
-		st.frames[s] = frame
-		st.reps[s] = GradientReport{WorkerID: cfg.ID, Iteration: iter, Shard: s, Frame: frame}
-		st.msgs[s] = st.reps[s]
-	}
-	return st.msgs, nil
+	st.frame = frame
+	return GradientReport{WorkerID: cfg.ID, Iteration: iter, Frame: frame}, nil
 }
 
 // initAdversary builds the adversary of a Byzantine worker, once the

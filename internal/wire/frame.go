@@ -45,6 +45,9 @@ const (
 	// ProtocolVersion is the current control-plane protocol version.
 	// Hello/Welcome carry it explicitly for negotiation; every frame
 	// header repeats it so a version skew fails fast on any message.
+	// v10 deleted the sharded aggregation plane: a GradientReport
+	// carries no shard index (one whole-vector frame per worker per
+	// round) and the Welcome no shard count.
 	// v9 made every uplink frame self-contained: the XOR-delta uplink
 	// mode (2) is unassigned, the Hello carries no tier mask — the PS
 	// names the tier in Welcome.Uplink — and the Welcome's unread
@@ -67,13 +70,13 @@ const (
 	// modes (sign, int8 — quant.go) joined raw and XOR-delta.
 	// v5 added the sharded aggregation plane: per-shard gradient
 	// report frames (GradientReport.Shard over ShardRange coordinate
-	// ranges) and the Welcome's shard count.
+	// ranges) and the Welcome's shard count; v10 removed both.
 	// v4 extended the Spec payload with the detector configuration and
 	// added the typed Reject frame (blacklisted-rejoin refusal); v3 added
 	// the compressed uplink gradient codec (uplink.go) and the Welcome's
 	// uplink-delta flag. Older peers are rejected at the first frame
 	// (and at Hello/Welcome negotiation) with a typed version Reject.
-	ProtocolVersion = 9
+	ProtocolVersion = 10
 	// FrameHeaderSize is the fixed byte size of the frame header.
 	FrameHeaderSize = 8
 	// MaxFramePayload bounds the declared payload length a receiver will

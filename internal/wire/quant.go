@@ -19,10 +19,9 @@
 // in-place helpers (SignQuantizeInPlace, Int8QuantizeInPlace) perform
 // the identical sequence of float operations, so the in-process engine
 // pinned to a tier reproduces the wire path bit-for-bit — including the
-// vote and everything downstream of it. A "row" here is whatever slice
-// the caller hands the codec: per-shard report frames quantize each
-// file's shard coordinate range independently, and the engine mirrors
-// that by quantizing per (file, shard range).
+// vote and everything downstream of it. A row is one file's whole
+// gradient, as a worker's report frames it, and the engine quantizes
+// the same whole rows.
 //
 // Frame layouts, little-endian (scale fields are T bit patterns,
 // sizeof(T) bytes each, and all quantization arithmetic runs at T's

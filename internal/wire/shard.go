@@ -3,11 +3,9 @@ package wire
 // ShardRange returns the contiguous coordinate range [lo, hi) owned by
 // shard s of n balanced shards over a dim-dimensional vector. The first
 // dim%n shards hold one extra coordinate, so widths differ by at most
-// one. Every layer that shards the parameter plane — the cluster
-// engine's vote/aggregate shards, the transport server's per-connection
-// shard decoders, and the workers' per-shard report encoders — derives
-// its ranges from this single function, which is what keeps the three
-// views of the split bit-compatible.
+// one. Nothing in this module calls it since protocol v10 deleted the
+// sharded aggregation plane: bench/adapter_layers.go is its only caller,
+// and ROADMAP item 1a deletes it with the benchmark's other leftovers.
 func ShardRange(dim, n, s int) (lo, hi int) {
 	if n <= 1 {
 		return 0, dim
@@ -19,17 +17,4 @@ func ShardRange(dim, n, s int) (lo, hi int) {
 		hi++
 	}
 	return lo, hi
-}
-
-// ShardCount clamps a requested shard count to the usable range for a
-// dim-dimensional vector: at least 1, at most dim (an empty shard would
-// own no coordinates).
-func ShardCount(requested, dim int) int {
-	if requested < 1 {
-		return 1
-	}
-	if requested > dim {
-		return dim
-	}
-	return requested
 }
