@@ -1,15 +1,18 @@
-// Command byzbench measures the per-iteration wall-clock split of the
-// training pipeline into computation, communication (every worker
-// message encoded and decoded through the uplink gradient codec), and
-// aggregation, regenerating Figure 12 of the paper for baseline median,
-// ByzShield, and DETOX-MoM under the ALIE attack. The upB/upRawB columns
-// report the worker→PS volume as moved vs its raw-frame equivalent (the
-// realized uplink compression ratio); the PS→worker broadcast exists on
-// real sockets only (byzps -v). The rep/blk columns show the detection
-// layer's view (mean reputation, blacklist size) when a -detector is
-// timed. -uplink selects the report codec tier the communication phase
-// times: raw (the bit-exact default) or the lossy sign/int8 quantized
-// tiers, whose upRatio shows the realized lossy saving.
+// Command byzbench regenerates Figure 12 of the paper: the per-iteration
+// wall-clock split into computation, communication and aggregation of
+// baseline median, ByzShield and DETOX-MoM under the ALIE attack (q = 3,
+// K = 25), each taken on a loopback TCP fleet whose Byzantine workers
+// run the attack themselves. Computation is the median worker's mean
+// gradient span (byzworker_compute_seconds); communication is the PS's
+// broadcast-plus-collection span less the slowest worker's mean compute
+// span, so a Byzantine worker replaying every file stays out of it. The
+// upB/upRawB columns report the worker→PS volume the sockets carried vs
+// its raw-frame equivalent (the realized uplink compression ratio), and
+// downB the PS→worker broadcast. The rep/blk columns show the detection
+// layer's view (mean reputation, blacklist size) when a -detector runs.
+// -uplink selects the report codec tier the PS names: raw (the bit-exact
+// default) or the lossy sign/int8 quantized tiers, whose upRatio shows
+// the realized lossy saving.
 //
 // Usage:
 //
@@ -51,8 +54,8 @@ func main() {
 		batch     = flag.Int("batch", 500, "batch size")
 		seed      = flag.Int64("seed", 42, "experiment seed")
 		budget    = flag.Duration("budget", 10*time.Second, "Byzantine-set search budget")
-		detector  = flag.String("detector", "", "PS-side Byzantine detector to time (none, zscore, cluster)")
-		uplink    = flag.String("uplink", "raw", "report codec tier to time: raw, sign, int8")
+		detector  = flag.String("detector", "", "PS-side Byzantine detector the fleets run (none, zscore, cluster)")
+		uplink    = flag.String("uplink", "raw", "report codec tier the fleets use: raw, sign, int8")
 		precision = flag.String("precision", "f64",
 			"f64 = the Figure 12 timing split; f32 = the f64-vs-f32 precision-scaling dim sweep")
 		dims = flag.String("dims", "",

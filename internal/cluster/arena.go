@@ -3,7 +3,6 @@ package cluster
 import (
 	"byzshield/internal/assign"
 	"byzshield/internal/linalg"
-	"byzshield/internal/wire"
 )
 
 // slotRef addresses one (worker, slot) gradient buffer: worker u's
@@ -22,13 +21,10 @@ type roundArena[T linalg.Float] struct {
 	// file (views into one flat backing array).
 	grads [][][]T
 	// cur[u][j] is the gradient the PS sees for (u, j) this round:
-	// worker u's own compute buffer for honest workers, the crafted
-	// payload for Byzantine workers, or the decoded receive buffer when
-	// communication measurement is on.
+	// worker u's own compute buffer for honest workers in process, the
+	// crafted payload for Byzantine workers, or whatever a network
+	// source delivered.
 	cur [][][]T
-	// rx[u][j] is the decode-side buffer of the measured communication
-	// round-trip (allocated only when MeasureComm is set).
-	rx [][][]T
 	// fileReplicas[v] lists the (worker, slot) pairs holding file v, in
 	// assignment FileWorkers order.
 	fileReplicas [][]slotRef
@@ -64,13 +60,6 @@ type roundArena[T linalg.Float] struct {
 	voteErrs  []error
 	// probe caches the deterministic loss-evaluation indices.
 	probe []int
-	// encBuf and rxFrame are the communication round-trip scratch, and
-	// upEnc/upDec the uplink codec pair every worker's frame passes
-	// through (the codec is stateless, so one pair serves all workers).
-	encBuf  []byte
-	rxFrame wire.GradFrameOf[T]
-	upEnc   wire.UplinkEncoderOf[T]
-	upDec   wire.UplinkDecoderOf[T]
 	// quantSeen dedupes shared Byzantine payload buffers inside the
 	// lossy quantize-in-place pass (quantization is not idempotent, so
 	// each distinct buffer must pass exactly once). Grows on first use.
@@ -83,7 +72,7 @@ type roundArena[T linalg.Float] struct {
 // when worker faults are injected, because any file's live honest
 // replicas can then vanish mid-run, leaving the attack oracle (and the
 // distorted-vote count) without a borrowed honest buffer to point at.
-func newRoundArena[T linalg.Float](a *assign.Assignment, dim int, byzSet map[int]bool, measureComm, fullOracle bool, poolWidth int) *roundArena[T] {
+func newRoundArena[T linalg.Float](a *assign.Assignment, dim int, byzSet map[int]bool, fullOracle bool, poolWidth int) *roundArena[T] {
 	ar := &roundArena[T]{dim: dim}
 	ar.workerFiles = make([][]int, a.K)
 	totalSlots := 0
@@ -106,21 +95,9 @@ func newRoundArena[T linalg.Float](a *assign.Assignment, dim int, byzSet map[int
 		for j := 0; j < n; j++ {
 			ar.grads[u][j] = carve()
 			if !byzSet[u] {
-				// Honest workers always report their own buffer; the
-				// pointer only changes under measured communication.
+				// In process, honest workers always report their own
+				// buffer; only a network source's Deliver repoints it.
 				ar.cur[u][j] = ar.grads[u][j]
-			}
-		}
-	}
-	if measureComm {
-		rxBacking := make([]T, totalSlots*dim)
-		ar.rx = make([][][]T, a.K)
-		for u := 0; u < a.K; u++ {
-			n := len(ar.workerFiles[u])
-			ar.rx[u] = make([][]T, n)
-			for j := 0; j < n; j++ {
-				ar.rx[u][j] = rxBacking[:dim:dim]
-				rxBacking = rxBacking[dim:]
 			}
 		}
 	}

@@ -1,7 +1,7 @@
-// Round-engine benchmarks: latency, allocations, and communication
-// bytes per protocol round on the quickstart configuration (MOLS(5,3):
-// K = 15 workers, f = 25 files; softmax 32×10, dim = 330; batch 500;
-// ALIE with the worst-case q = 3 Byzantine set; coordinate-wise median).
+// Round-engine benchmarks: latency and allocations per protocol round
+// on the quickstart configuration (MOLS(5,3): K = 15 workers, f = 25
+// files; softmax 32×10, dim = 330; batch 500; ALIE with the worst-case
+// q = 3 Byzantine set; coordinate-wise median).
 //
 // Run with:
 //
@@ -27,7 +27,6 @@ import (
 	"byzshield/internal/obs"
 	"byzshield/internal/trainer"
 	"byzshield/internal/vote"
-	"byzshield/internal/wire"
 )
 
 // quickstartConfig mirrors examples/quickstart at full scale.
@@ -71,30 +70,19 @@ func benchRounds(b *testing.B, cfg Config) {
 		b.Fatal(err)
 	}
 	defer e.Close()
-	var upBytes, upRawBytes int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		stats, err := e.RunRound()
-		if err != nil {
+		if _, err := e.RunRound(); err != nil {
 			b.Fatal(err)
 		}
-		upBytes = stats.Times.ReportBytes
-		upRawBytes = stats.Times.ReportRawBytes
-	}
-	b.StopTimer()
-	if upBytes > 0 {
-		b.ReportMetric(float64(upBytes), "upB/round")
-	}
-	if upRawBytes > 0 {
-		b.ReportMetric(float64(upRawBytes), "upRawB/round")
 	}
 }
 
 // BenchmarkRound measures one protocol round: the parallel engine
-// (persistent pool, GOMAXPROCS wide), the serial engine, and the
-// physically measured communication variant. allocs/op is the headline
-// number the arena design targets.
+// (persistent pool, GOMAXPROCS wide), the serial engine, a fixed
+// four-wide pool, and the serial engine with detection on. allocs/op is
+// the headline number the arena design targets.
 func BenchmarkRound(b *testing.B) {
 	b.Run("parallel", func(b *testing.B) {
 		benchRounds(b, quickstartConfig(b))
@@ -107,28 +95,6 @@ func BenchmarkRound(b *testing.B) {
 	b.Run("pool-4", func(b *testing.B) {
 		cfg := quickstartConfig(b)
 		cfg.Parallelism = 4
-		benchRounds(b, cfg)
-	})
-	b.Run("measure-comm", func(b *testing.B) {
-		cfg := quickstartConfig(b)
-		cfg.MeasureComm = true
-		benchRounds(b, cfg)
-	})
-	// Lossy uplink tiers through the physically measured codec path:
-	// upB/round against the raw-equivalent upRawB/round is the realized
-	// lossy saving on the quickstart config — the acceptance gate for
-	// the quantized tiers is ≥4x under int8 or sign with round_ns no
-	// worse than the measure-comm row above (the raw tier).
-	b.Run("measure-comm-int8", func(b *testing.B) {
-		cfg := quickstartConfig(b)
-		cfg.MeasureComm = true
-		cfg.UplinkTier = wire.TierInt8
-		benchRounds(b, cfg)
-	})
-	b.Run("measure-comm-sign", func(b *testing.B) {
-		cfg := quickstartConfig(b)
-		cfg.MeasureComm = true
-		cfg.UplinkTier = wire.TierSign
 		benchRounds(b, cfg)
 	})
 	// PS-side detection on the hot path: per-worker feature extraction

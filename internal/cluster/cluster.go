@@ -17,11 +17,9 @@
 // DESIGN.md "Performance architecture"). The serial engine
 // (Parallelism = 1) and the pooled engine produce bit-identical
 // parameter trajectories for a fixed seed. The redundant computation
-// cost of replication is real, not simulated, and the communication
-// phase can be physically measured by encoding and decoding every
-// worker→PS message through the compact binary gradient-frame codec of
-// internal/wire, so the Figure 12
-// computation/communication/aggregation split is observed, not modelled.
+// cost of replication is real, not simulated. Nothing is sent in
+// process, so the in-process source reports no communication time:
+// Figure 12's split is taken on loopback fleets (internal/experiments).
 //
 // Rounds tolerate partial participation: a fault model (internal/fault)
 // or a network source may remove workers mid-run; files whose surviving
@@ -106,12 +104,6 @@ type ConfigOf[T linalg.Float] struct {
 	// (two different message semantics) and with Source (a network
 	// source's workers quantize on their own side of the wire).
 	UplinkTier wire.UplinkTier
-	// MeasureComm pushes every surviving worker's message through the
-	// uplink gradient codec (encode, then decode into the PS's receive
-	// buffers), so Figure 12's communication phase is physically
-	// executed and its bytes counted. The PS→worker broadcast is not
-	// simulated: internal/transport owns its policy and accounting.
-	MeasureComm bool
 	// Parallelism is the width of the engine's persistent goroutine
 	// pool: 0 selects GOMAXPROCS, 1 runs every phase serially on the
 	// calling goroutine. Any width produces bit-identical parameter
@@ -149,7 +141,7 @@ type ConfigOf[T linalg.Float] struct {
 	// in-process compute source (Algorithm 1's simulated cluster); the
 	// TCP parameter server installs its network collector here. When
 	// Source is set, the in-process-only knobs (Attack, Byzantines,
-	// SignMessages, MeasureComm, Fault, UplinkTier) must be unset —
+	// SignMessages, Fault, UplinkTier) must be unset —
 	// in a real deployment those behaviors belong to the workers, not
 	// the PS.
 	Source GradientSourceOf[T]
@@ -182,8 +174,8 @@ type PhaseTimes struct {
 	// from Aggregation so the Figure-12 phase split stays honest.
 	Detect time.Duration
 	// ReportBytes counts the serialized worker→PS gradient-report bytes
-	// as they move (or are measured) on the wire, in the uplink tier's
-	// frames.
+	// a network source received, in the uplink tier's frames; zero for
+	// the in-process source.
 	ReportBytes int64
 	// ReportRawBytes is what the same reports would have cost as raw
 	// frames; ReportBytes/ReportRawBytes is the realized uplink
@@ -320,8 +312,8 @@ func NewOf[T linalg.Float](cfg ConfigOf[T]) (*EngineOf[T], error) {
 	}
 	if cfg.Source != nil {
 		if cfg.Attack != nil || len(cfg.Byzantines) > 0 || cfg.SignMessages ||
-			cfg.MeasureComm || cfg.Fault != nil || cfg.UplinkTier != wire.TierRaw {
-			return nil, fmt.Errorf("cluster: Attack/Byzantines/SignMessages/MeasureComm/Fault/UplinkTier " +
+			cfg.Fault != nil || cfg.UplinkTier != wire.TierRaw {
+			return nil, fmt.Errorf("cluster: Attack/Byzantines/SignMessages/Fault/UplinkTier " +
 				"are in-process source knobs; they must be unset when Source is provided")
 		}
 	}
@@ -428,9 +420,7 @@ func NewOf[T linalg.Float](cfg ConfigOf[T]) (*EngineOf[T], error) {
 	// A fault model or a live detector can both remove workers mid-run
 	// (faults by plan, detection by blacklist), so either forces the
 	// full-oracle arena: any file's live honest replicas may vanish.
-	e.arena = newRoundArena[T](cfg.Assignment, dim, byzSet, cfg.MeasureComm, cfg.Fault != nil || e.det != nil, width)
-	e.arena.upEnc.Tier = cfg.UplinkTier
-	e.arena.upDec.Tier = cfg.UplinkTier
+	e.arena = newRoundArena[T](cfg.Assignment, dim, byzSet, cfg.Fault != nil || e.det != nil, width)
 	e.aggErrs = make([]error, width)
 	e.rd = RoundOf[T]{eng: e}
 	// Probe indices are initialized eagerly so snapshot evaluation

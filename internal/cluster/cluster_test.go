@@ -226,26 +226,32 @@ func TestSignMessagesPipeline(t *testing.T) {
 	}
 }
 
-func TestMeasureCommRoundTrip(t *testing.T) {
+// TestInProcessPhaseTimes: the in-process source times compute, the
+// core times aggregation, and nothing is sent — communication and the
+// byte counters stay exactly zero — while Times accumulates every round.
+func TestInProcessPhaseTimes(t *testing.T) {
 	cfg := testSetup(t, []int{0}, attack.Reversed{}, aggregate.Median{})
-	cfg.MeasureComm = true
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := e.RunRound()
-	if err != nil {
-		t.Fatal(err)
+	defer e.Close()
+	var sum PhaseTimes
+	for i := 0; i < 3; i++ {
+		stats, err := e.RunRound()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Times.Compute <= 0 || stats.Times.Aggregation <= 0 {
+			t.Errorf("round %d: phase times missing: %+v", i, stats.Times)
+		}
+		if stats.Times.Communication != 0 || stats.Times.ReportBytes != 0 || stats.Times.BroadcastBytes != 0 {
+			t.Errorf("round %d: in-process round reports communication: %+v", i, stats.Times)
+		}
+		sum.Add(stats.Times)
 	}
-	if stats.Times.Communication <= 0 {
-		t.Error("communication phase not measured")
-	}
-	if stats.Times.Compute <= 0 || stats.Times.Aggregation <= 0 {
-		t.Error("phase times missing")
-	}
-	total := e.Times()
-	if total.Communication < stats.Times.Communication {
-		t.Error("accumulated times inconsistent")
+	if total := e.Times(); total != sum {
+		t.Errorf("Times() = %+v, want the sum of the rounds %+v", total, sum)
 	}
 }
 

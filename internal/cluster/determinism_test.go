@@ -66,35 +66,6 @@ func TestSerialParallelBitIdentical(t *testing.T) {
 	}
 }
 
-// TestMeasureCommPreservesTrajectory asserts that the physically
-// measured communication round-trip (binary codec encode/decode of every
-// worker message) does not perturb training: parameters after 10 rounds
-// are bit-identical with and without MeasureComm.
-func TestMeasureCommPreservesTrajectory(t *testing.T) {
-	run := func(measure bool) []float64 {
-		cfg := testSetup(t, []int{0, 5}, attack.Reversed{C: 2}, mustAggregator(t, "median"))
-		cfg.MeasureComm = measure
-		e, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer e.Close()
-		for i := 0; i < 10; i++ {
-			if _, err := e.RunRound(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return e.Params()
-	}
-	plain := run(false)
-	measured := run(true)
-	for i := range plain {
-		if math.Float64bits(plain[i]) != math.Float64bits(measured[i]) {
-			t.Fatalf("param %d diverged under MeasureComm: %v vs %v", i, plain[i], measured[i])
-		}
-	}
-}
-
 func mustAggregator(t *testing.T, name string) aggregate.Aggregator {
 	t.Helper()
 	agg, err := registry.Default.Aggregator(name, aggParams[name])

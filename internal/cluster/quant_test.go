@@ -84,25 +84,6 @@ func TestLossyUplinkDeterministicAndLossy(t *testing.T) {
 	}
 }
 
-// TestLossyUplinkMeasureCommBitIdentical: the measured-communication
-// path physically round-trips every report through the wire codec, so
-// for a lossy tier it must reproduce the in-place quantization of the
-// unmeasured engine bit for bit.
-func TestLossyUplinkMeasureCommBitIdentical(t *testing.T) {
-	const rounds = 6
-	byz := []int{2, 7}
-	for _, tier := range []wire.UplinkTier{wire.TierSign, wire.TierInt8} {
-		cfg := testSetup(t, byz, attack.ALIE{}, aggregate.Median{})
-		cfg.UplinkTier = tier
-		plain := runParams(t, cfg, rounds)
-		cfg.MeasureComm = true
-		measured := runParams(t, cfg, rounds)
-		if !paramsEqual(plain, measured) {
-			t.Errorf("tier %s: measured-communication trajectory diverged from the in-place quantization", tier)
-		}
-	}
-}
-
 // TestLossyUplinkConvergenceParity runs the attack × aggregator matrix
 // on both lossy tiers and requires convergence parity with the
 // lossless baseline: the quantized run's final accuracy must stay

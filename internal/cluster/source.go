@@ -11,8 +11,8 @@ import (
 
 // CollectStats reports the measurable cost of one gradient collection:
 // the compute and communication wall-clock split plus the exact number
-// of serialized worker→PS bytes (when the source physically moves
-// bytes).
+// of serialized worker→PS bytes (network sources only; the in-process
+// source sends nothing).
 type CollectStats struct {
 	Compute       time.Duration
 	Communication time.Duration
@@ -101,9 +101,8 @@ func (rd *RoundOf[T]) MarkMissing(u int) { rd.eng.arena.missing[u] = true }
 // localSource is the default GradientSourceOf: the in-process cluster of
 // Algorithm 1. Honest workers compute their file gradient sums across
 // the engine's persistent pool, Byzantine workers substitute crafted
-// payloads from the attack oracle, the optional fault model removes
-// workers from the round, and measured-communication mode pushes every
-// surviving message through the binary gradient-frame codec.
+// payloads from the attack oracle, and the optional fault model removes
+// workers from the round.
 type localSource[T linalg.Float] struct {
 	e *EngineOf[T]
 }
@@ -201,9 +200,8 @@ func (s localSource[T]) Collect(context.Context, *RoundOf[T]) (CollectStats, err
 	// coordinated attacks may share one payload buffer across files,
 	// hence the seen-pointer dedupe. Sharing stays consistent with the
 	// wire because replicas quantizing identical input bits produce
-	// identical output bits. Skipped under measured communication, where
-	// the physical codec round-trip performs the same operations.
-	if tier := e.cfg.UplinkTier; tier.Lossy() && !e.cfg.MeasureComm {
+	// identical output bits.
+	if e.cfg.UplinkTier.Lossy() {
 		for _, u := range e.honest {
 			if ar.missing[u] {
 				continue
@@ -224,42 +222,8 @@ func (s localSource[T]) Collect(context.Context, *RoundOf[T]) (CollectStats, err
 		ar.quantSeen = seen
 	}
 
-	// --- Communication phase: move every surviving worker's message to
-	// the PS through the uplink gradient codec, so the realized ratio is
-	// measured, not modelled. The decoded receive buffers become the PS's
-	// working set, as bytes off a wire would.
-	commStart := time.Now()
-	var commBytes, rawBytes int64
-	if e.cfg.MeasureComm {
-		// One frame carries a worker's whole rows, as on the wire.
-		for u := 0; u < a.K; u++ {
-			if ar.missing[u] {
-				continue
-			}
-			buf, _, rawSize, err := ar.upEnc.Encode(ar.encBuf[:0], u, ar.workerFiles[u], ar.cur[u])
-			if err != nil {
-				return CollectStats{}, fmt.Errorf("cluster: worker %d message: %w", u, err)
-			}
-			ar.encBuf = buf
-			ar.rxFrame.Grads = ar.rx[u]
-			if _, _, err := ar.upDec.Decode(buf, &ar.rxFrame); err != nil {
-				return CollectStats{}, fmt.Errorf("cluster: worker %d message: %w", u, err)
-			}
-			commBytes += int64(len(buf))
-			rawBytes += int64(rawSize)
-			// Decode filled the rx buffers in place (capacities always
-			// suffice); repoint the PS's view at them.
-			copy(ar.cur[u], ar.rx[u])
-		}
-	}
-	commTime := time.Since(commStart)
-
-	return CollectStats{
-		Compute:        computeTime,
-		Communication:  commTime,
-		ReportBytes:    commBytes,
-		ReportRawBytes: rawBytes,
-	}, nil
+	// Nothing crosses a wire in process: no communication, no bytes.
+	return CollectStats{Compute: computeTime}, nil
 }
 
 // computeWorker is the compute phase's pool task: honest worker
@@ -275,8 +239,5 @@ func (e *EngineOf[T]) computeWorker(_, t int) {
 		g := ar.grads[u][j]
 		clear(g)
 		e.train.SumGradient(e.params, e.files[v], g)
-		// Repoint the PS's view at the fresh compute buffer (a
-		// measured-communication round leaves it on the rx side).
-		ar.cur[u][j] = g
 	}
 }

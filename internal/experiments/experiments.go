@@ -45,12 +45,12 @@ type TrainOpts struct {
 	Seed       int64
 	// SearchBudget bounds the worst-case Byzantine search per run.
 	SearchBudget time.Duration
-	// Detector names the registry detector the PS runs during timed
-	// experiments ("" or "none" = detection off) — how the timing suite
-	// measures the detection layer's overhead.
+	// Detector names the registry detector the PS of each Figure 12
+	// fleet runs ("" or "none" = detection off) — how Figure 12 times the
+	// detection layer.
 	Detector string
-	// Uplink is the worker→PS report codec tier the timing suite
-	// measures: raw (the zero value) or the lossy sign/int8 quantized
+	// Uplink is the worker→PS report codec tier the PS of each Figure 12
+	// fleet names: raw (the zero value) or the lossy sign/int8 quantized
 	// tiers.
 	Uplink wire.UplinkTier
 	// Distribution names the registry data distribution the training
@@ -157,7 +157,6 @@ type Curve struct {
 	Epsilon  float64 // realized distortion fraction ε̂
 	Points   []trainer.Point
 	Err      string // non-empty when the pipeline is infeasible or failed
-	Times    cluster.PhaseTimes
 	Rounds   int
 	Schedule trainer.Schedule
 }
@@ -260,7 +259,6 @@ func RunOne(ctx context.Context, spec RunSpec, opts TrainOpts) Curve {
 	}
 	h, err := eng.Run(ctx, opts.Iterations, opts.EvalEvery)
 	curve.Points = h.Points
-	curve.Times = eng.Times()
 	curve.Rounds = opts.Iterations
 	if err != nil {
 		curve.Err = err.Error()

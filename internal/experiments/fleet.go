@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"runtime"
@@ -194,13 +195,76 @@ func hashParams[T linalg.Float](p []T) uint64 {
 	return h.Sum64()
 }
 
-// runFleetPoint drives one loopback fleet — K RunWorker goroutines
-// sharing one SharedWorkerState against one server — and times the
+// runFleet serves srvCfg.Spec to a loopback fleet at width T — one
+// server on 127.0.0.1 and the Spec's K workers (srvCfg.Spec.K must be
+// set) as goroutines sharing one SharedWorkerState — and returns the
+// server's final parameters once Serve has returned and every worker has
+// exited. worker, when non-nil, configures worker u; its ID and shared
+// state are filled in. A worker the detector blacklisted ends with
+// ErrBlacklisted: that is the server's verdict, not a fleet failure. So
+// that it does end that way, and not in a reconnect loop against a
+// closed listener, the serve loop waits after every blacklisting round
+// until the server has refused each blacklisted worker's rejoin.
+func runFleet[T linalg.Float](ctx context.Context, srvCfg transport.ServerConfig, worker func(u int) transport.WorkerConfig) ([]T, error) {
+	k := srvCfg.Spec.K
+	var srv *transport.ServerOf[T]
+	onRound, blacklisted := srvCfg.OnRound, int64(0)
+	srvCfg.OnRound = func(rs cluster.RoundStats) {
+		if onRound != nil {
+			onRound(rs)
+		}
+		blacklisted += int64(len(rs.BlacklistedWorkers))
+		for deadline := time.Now().Add(10 * time.Second); srv.Counters().BlacklistRejections < blacklisted && time.Now().Before(deadline); {
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
+	srv, err := transport.NewServerOf[T]("127.0.0.1:0", srvCfg)
+	if err != nil {
+		return nil, err
+	}
+	defer srv.Close()
+	shared, err := transport.NewSharedWorkerState(srvCfg.Spec)
+	if err != nil {
+		return nil, err
+	}
+	// Workers reconnect without limit; on a failed run, cancelling their
+	// context is what ends those left dialling a closed listener.
+	workerCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var wg sync.WaitGroup
+	errs := make([]error, k)
+	for u := 0; u < k; u++ {
+		var wcfg transport.WorkerConfig
+		if worker != nil {
+			wcfg = worker(u)
+		}
+		wcfg.ID, wcfg.Shared, wcfg.ReconnectAttempts = u, shared, -1
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[wcfg.ID] = transport.RunWorkerOf[T](workerCtx, srv.Addr(), wcfg)
+		}()
+	}
+	if _, err := srv.Serve(ctx); err != nil {
+		cancel()
+		wg.Wait()
+		return nil, err
+	}
+	wg.Wait()
+	for u, err := range errs {
+		if err != nil && !errors.Is(err, transport.ErrBlacklisted) {
+			return nil, fmt.Errorf("worker %d: %w", u, err)
+		}
+	}
+	return srv.Params(), nil
+}
+
+// runFleetPoint drives one sweep point's fleet and times the
 // post-warmup rounds.
 func runFleetPoint[T linalg.Float](ctx context.Context, c FleetConfig, spec transport.Spec, mode FleetMode) (FleetPoint, []T, error) {
 	pt := FleetPoint{Workers: spec.K, Files: spec.K / 3, Mode: mode.Name, Rounds: c.Rounds}
 	var windowStart, windowEnd time.Time
-	srvCfg := transport.ServerConfig{
+	params, err := runFleet[T](ctx, transport.ServerConfig{
 		Spec:               spec,
 		EvalEvery:          spec.Rounds + 1,
 		RoundTimeout:       5 * time.Minute,
@@ -215,40 +279,9 @@ func runFleetPoint[T linalg.Float](ctx context.Context, c FleetConfig, spec tran
 				windowEnd = time.Now()
 			}
 		},
-	}
-	srv, err := transport.NewServerOf[T]("127.0.0.1:0", srvCfg)
+	}, nil)
 	if err != nil {
 		return pt, nil, err
-	}
-	defer srv.Close()
-	shared, err := transport.NewSharedWorkerState(spec)
-	if err != nil {
-		return pt, nil, err
-	}
-	var wg sync.WaitGroup
-	workerErr := make(chan error, spec.K)
-	for u := 0; u < spec.K; u++ {
-		wg.Add(1)
-		go func(u int) {
-			defer wg.Done()
-			_, err := transport.RunWorkerOf[T](ctx, srv.Addr(), transport.WorkerConfig{
-				ID: u, Shared: shared, ReconnectAttempts: -1,
-			})
-			if err != nil {
-				workerErr <- fmt.Errorf("worker %d: %w", u, err)
-			}
-		}(u)
-	}
-	if _, err := srv.Serve(ctx); err != nil {
-		srv.Close()
-		wg.Wait()
-		return pt, nil, err
-	}
-	wg.Wait()
-	select {
-	case err := <-workerErr:
-		return pt, nil, err
-	default:
 	}
 	if windowStart.IsZero() || windowEnd.IsZero() {
 		return pt, nil, fmt.Errorf("fleet %s K=%d: timing window never closed", mode.Name, spec.K)
@@ -257,7 +290,6 @@ func runFleetPoint[T linalg.Float](ctx context.Context, c FleetConfig, spec tran
 	if pt.Elapsed > 0 {
 		pt.RoundsPerSec = float64(c.Rounds) / pt.Elapsed.Seconds()
 	}
-	params := srv.Params()
 	pt.ParamsHash = hashParams(params)
 	return pt, params, nil
 }

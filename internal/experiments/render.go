@@ -109,24 +109,19 @@ func RenderFigureCSV(w io.Writer, fig Figure) {
 }
 
 // RenderTiming writes the Figure 12 per-iteration phase split, plus the
-// measured worker→PS gradient-frame volume, both as moved by the uplink
-// codec and raw-equivalent.
+// per-iteration message volume: the worker→PS reports as moved by the
+// uplink codec and raw-equivalent, and the PS→worker broadcast.
 func RenderTiming(w io.Writer, rows []TimingRow) {
-	fmt.Fprintf(w, "%-12s %14s %14s %14s %14s %12s %12s %8s %6s %4s\n",
-		"scheme", "compute/iter", "comm/iter", "agg/iter", "detect/iter", "upB/iter", "upRawB/iter", "upRatio", "rep", "blk")
+	fmt.Fprintf(w, "%-12s %14s %14s %14s %14s %12s %12s %8s %12s %6s %4s\n",
+		"scheme", "compute/iter", "comm/iter", "agg/iter", "detect/iter", "upB/iter", "upRawB/iter", "upRatio", "downB/iter", "rep", "blk")
 	for _, r := range rows {
-		c, m, a, d := r.PerIteration()
-		up, raw := r.ReportBytes, r.ReportRawBytes
-		if r.Rounds > 0 {
-			up /= int64(r.Rounds)
-			raw /= int64(r.Rounds)
-		}
 		ratio := 1.0
-		if raw > 0 {
-			ratio = float64(up) / float64(raw)
+		if r.ReportRawBytes > 0 {
+			ratio = float64(r.ReportBytes) / float64(r.ReportRawBytes)
 		}
-		fmt.Fprintf(w, "%-12s %14s %14s %14s %14s %12d %12d %8.2f %6.3f %4d\n",
-			r.Scheme, round(c), round(m), round(a), round(d), up, raw, ratio, r.MeanReputation, r.Blacklisted)
+		fmt.Fprintf(w, "%-12s %14s %14s %14s %14s %12d %12d %8.2f %12d %6.3f %4d\n",
+			r.Scheme, round(r.Compute), round(r.Communication), round(r.Aggregation), round(r.Detect),
+			r.ReportBytes, r.ReportRawBytes, ratio, r.BroadcastBytes, r.MeanReputation, r.Blacklisted)
 	}
 }
 

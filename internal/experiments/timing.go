@@ -3,19 +3,28 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
-	"byzshield/internal/aggregate"
 	"byzshield/internal/attack"
 	"byzshield/internal/cluster"
+	"byzshield/internal/obs"
+	"byzshield/internal/registry"
+	"byzshield/internal/transport"
+	"byzshield/internal/wire"
 )
 
-// TimingRow is one bar group of Figure 12: the per-iteration wall-clock
-// split of a scheme into computation, communication, aggregation, and
-// detection, plus the exact serialized message volume.
+// TimingRow is one bar group of Figure 12: a scheme's per-iteration
+// wall-clock split into computation, communication, aggregation and
+// detection, and its per-iteration message volume, all taken on a
+// loopback fleet.
 type TimingRow struct {
-	Scheme        string
-	Compute       time.Duration
+	Scheme string
+	// Compute is the median worker's mean local gradient span, read off
+	// each worker's byzworker_compute_seconds histogram.
+	Compute time.Duration
+	// Communication is the PS's broadcast-plus-collection span less the
+	// slowest worker's mean compute span, floored at zero (see Figure12).
 	Communication time.Duration
 	// Aggregation covers vote + robust aggregation + optimizer step;
 	// Detect is the detection/reputation pass, reported as its own
@@ -23,13 +32,13 @@ type TimingRow struct {
 	// shows what the Byzantine defense itself costs per iteration.
 	Aggregation time.Duration
 	Detect      time.Duration
-	// ReportBytes is the measured worker→PS gradient-report volume as
-	// the uplink codec moved it; ReportRawBytes what raw frames would
-	// have cost — the two together give the realized uplink compression
-	// ratio.
+	// ReportBytes is the worker→PS gradient-report volume the sockets
+	// carried, ReportRawBytes what raw frames would have cost — the two
+	// together give the realized uplink compression ratio — and
+	// BroadcastBytes the PS→worker parameter volume.
 	ReportBytes    int64
 	ReportRawBytes int64
-	Rounds         int
+	BroadcastBytes int64
 	// MeanReputation is the fleet's mean reputation after the last
 	// round (1 when detection is off); Blacklisted the final blacklist
 	// size.
@@ -37,93 +46,116 @@ type TimingRow struct {
 	Blacklisted    int
 }
 
-// PerIteration returns the phase times divided by the round count.
-func (r TimingRow) PerIteration() (compute, comm, agg, det time.Duration) {
-	n := time.Duration(r.Rounds)
-	if n == 0 {
-		n = 1
-	}
-	return r.Compute / n, r.Communication / n, r.Aggregation / n, r.Detect / n
-}
-
 // Figure12 measures the per-iteration time split for the three
-// median-family schemes of the paper's timing comparison (baseline
-// median, ByzShield, DETOX-MoM) under the ALIE attack with q = 3,
-// K = 25. Communication is physically exercised: every worker message
-// makes the uplink gradient codec's encode→decode round trip
-// (MeasureComm).
+// median-family schemes of the paper's timing comparison — baseline
+// median, ByzShield (Ramanujan Case 2, l = r = 5) and DETOX-MoM (FRC,
+// r = 5) — under the ALIE attack with q = 3, K = 25, each on a loopback
+// fleet of 25 workers whose worst-case q run the attack themselves.
+// opts.Detector names the PS's detector and opts.Uplink the report codec
+// tier.
+//
+// Computation is the median worker's mean gradient span. Communication
+// is the PS's broadcast-plus-collection span less the slowest worker's
+// mean compute span: a wire Byzantine replays every file of the round to
+// craft its payload (25× an honest worker's work on the baseline), the
+// PS waits for it, and subtracting its compute keeps the adversary's own
+// cost out of the communication bar.
 func Figure12(ctx context.Context, opts TrainOpts, rounds int) ([]TimingRow, error) {
 	if rounds < 1 {
 		rounds = 10
 	}
-	specs := []RunSpec{
-		baselineMedianSpec(25, 3, attack.ALIE{}),
-		byzShieldSpec(25, 3, attack.ALIE{}),
-		detoxMoMSpec(25, 5, 3, attack.ALIE{}),
+	base := transport.Spec{
+		K:      25,
+		TrainN: opts.TrainN, TestN: opts.TestN, Dim: opts.Dim, Classes: opts.Classes,
+		DataSeed: opts.Seed, ClassSep: opts.ClassSep, Hidden: opts.Hidden,
+		BatchSize: opts.BatchSize, Schedule: defaultSchedule, Momentum: 0.9,
+		Seed: opts.Seed, Rounds: rounds, Detector: opts.Detector,
 	}
-	names := []string{"Median", "ByzShield", "DETOX-MoM"}
+	median, byzShield, detox := base, base, base
+	median.Scheme, median.Aggregator = "baseline", "median"
+	byzShield.Scheme, byzShield.L, byzShield.R, byzShield.Aggregator = "ramanujan2", 5, 5, "median"
+	detox.Scheme, detox.R, detox.Aggregator = "frc", 5, "median-of-means"
+	detox.AggParams = registry.AggregatorParams{Groups: 3}
 	var rows []TimingRow
-	for i, spec := range specs {
-		row, err := timeOne(ctx, names[i], spec, opts, rounds)
+	for _, s := range []struct {
+		name string
+		spec transport.Spec
+	}{{"Median", median}, {"ByzShield", byzShield}, {"DETOX-MoM", detox}} {
+		row, err := timeFleet(ctx, s.name, s.spec, opts.Uplink, opts.SearchBudget)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: timing %s: %w", names[i], err)
+			return nil, fmt.Errorf("experiments: timing %s: %w", s.name, err)
 		}
 		rows = append(rows, row)
 	}
 	return rows, nil
 }
 
-// timeOne runs `rounds` protocol rounds with communication measurement
-// enabled and reports the accumulated phase times.
-func timeOne(ctx context.Context, name string, spec RunSpec, opts TrainOpts, rounds int) (TimingRow, error) {
-	asn, err := buildAssignment(&spec)
+// timeFleet runs one Figure 12 row: spec's fleet with its worst-case
+// q = 3 workers running ALIE as one coalition.
+func timeFleet(ctx context.Context, name string, spec transport.Spec, uplink wire.UplinkTier, budget time.Duration) (TimingRow, error) {
+	asn, err := spec.BuildAssignment()
 	if err != nil {
 		return TimingRow{}, err
 	}
-	byz, _ := selectByzantines(ctx, asn, spec.Q, opts.SearchBudget)
-	cfg, err := opts.engineConfig()
+	byz, _ := selectByzantines(ctx, asn, 3, budget)
+	row := TimingRow{Scheme: name}
+	var times cluster.PhaseTimes
+	regs := make([]*obs.Registry, spec.K)
+	_, err = runFleet[float64](ctx, transport.ServerConfig{
+		Spec:         spec,
+		EvalEvery:    spec.Rounds + 1,
+		RoundTimeout: 5 * time.Minute,
+		Uplink:       uplink,
+		OnRound: func(rs cluster.RoundStats) {
+			times.Add(rs.Times)
+			row.MeanReputation, row.Blacklisted = rs.MeanReputation, rs.Blacklisted
+		},
+	}, func(u int) transport.WorkerConfig {
+		regs[u] = obs.NewRegistry()
+		cfg := transport.WorkerConfig{Metrics: regs[u]}
+		if slices.Contains(byz, u) {
+			cfg.Attack, cfg.Coalition = attack.ALIE{}, byz
+		}
+		return cfg
+	})
 	if err != nil {
 		return TimingRow{}, err
 	}
-	cfg.Assignment = asn
-	cfg.Attack = spec.Attack
-	cfg.Byzantines = byz
-	cfg.Aggregator = spec.Aggregator
-	if cfg.Aggregator == nil {
-		cfg.Aggregator = aggregate.Median{}
-	}
-	if opts.Detector != "" {
-		if cfg.Detector, err = components.Detector(opts.Detector); err != nil {
-			return TimingRow{}, err
+	var spans []time.Duration
+	for _, r := range regs {
+		if span, ok := meanComputeSpan(r); ok {
+			spans = append(spans, span)
 		}
 	}
-	cfg.MeasureComm = true
-	cfg.UplinkTier = opts.Uplink
-	eng, err := cluster.New(cfg)
-	if err != nil {
-		return TimingRow{}, err
+	if len(spans) == 0 {
+		return TimingRow{}, fmt.Errorf("no worker observed a compute span")
 	}
-	defer eng.Close()
-	meanRep, blacklisted := 1.0, 0
-	for t := 0; t < rounds; t++ {
-		stats, err := eng.StepOnce(ctx)
-		if err != nil {
-			return TimingRow{}, err
+	slices.Sort(spans)
+	n := time.Duration(spec.Rounds)
+	row.Compute = spans[len(spans)/2]
+	row.Communication = max(0, times.Communication/n-spans[len(spans)-1])
+	row.Aggregation = times.Aggregation / n
+	row.Detect = times.Detect / n
+	row.ReportBytes = times.ReportBytes / int64(n)
+	row.ReportRawBytes = times.ReportRawBytes / int64(n)
+	row.BroadcastBytes = times.BroadcastBytes / int64(n)
+	return row, nil
+}
+
+// meanComputeSpan reads a worker's mean byzworker_compute_seconds
+// observation off its registry, as a scrape of the worker would.
+func meanComputeSpan(r *obs.Registry) (time.Duration, bool) {
+	var sum, count float64
+	for _, s := range r.Gather() {
+		switch s.Name {
+		case "byzworker_compute_seconds_sum":
+			sum = s.Value
+		case "byzworker_compute_seconds_count":
+			count = s.Value
 		}
-		meanRep = stats.MeanReputation
-		blacklisted = stats.Blacklisted
 	}
-	times := eng.Times()
-	return TimingRow{
-		Scheme:         name,
-		Compute:        times.Compute,
-		Communication:  times.Communication,
-		Aggregation:    times.Aggregation,
-		Detect:         times.Detect,
-		ReportBytes:    times.ReportBytes,
-		ReportRawBytes: times.ReportRawBytes,
-		Rounds:         rounds,
-		MeanReputation: meanRep,
-		Blacklisted:    blacklisted,
-	}, nil
+	if count == 0 {
+		return 0, false
+	}
+	return time.Duration(sum / count * float64(time.Second)), true
 }

@@ -13,6 +13,7 @@ import (
 	"byzshield/internal/cluster"
 	"byzshield/internal/linalg"
 	byzregistry "byzshield/internal/registry"
+	"byzshield/internal/wire"
 )
 
 // TestDetectorLoopbackBitIdentical: an active detector observes the
@@ -44,8 +45,8 @@ func TestDetectorLoopbackBitIdentical(t *testing.T) {
 // engine's own adversary on its own replica of the round, so for every
 // attack of the registry a loopback fleet whose coalition — two workers
 // holding a majority of one file's replicas — runs it ends on the
-// engine's final parameters bit for bit: at both widths, and with one
-// member skipping rounds.
+// engine's final parameters bit for bit: at both widths, with one
+// member skipping rounds, and on the lossy uplink tiers.
 // No byte passes between the members.
 func TestWireAdversaryMatchesEngine(t *testing.T) {
 	t.Run("f64", wireAdversaryMatchesEngine[float64])
@@ -93,6 +94,31 @@ func wireAdversaryMatchesEngine[T linalg.Float](t *testing.T) {
 				f := runFleetOf[T](t, spec, ServerConfig{RoundTimeout: 30 * time.Second}, byzantine(atk), nil).healthy(t)
 				if !linalg.EqualBits(f.params, want) {
 					t.Fatal("the wire coalition's trajectory diverged from the engine's")
+				}
+			})
+		}
+	}
+
+	// Lossy tiers under a coalition: the engine quantizes each distinct
+	// payload buffer once — one vector ALIE shares across its files, one
+	// row per file under reversed — while every member quantizes each row
+	// it sends through the real codec. Identical input bits quantize to
+	// identical output bits, so the two planes still agree bit for bit.
+	for _, name := range []string{"alie", "reversed"} {
+		atk, err := byzregistry.Default.Attack(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw := engineParamsOf[T](t, spec, enginePlane{attack: atk, byz: coalition})
+		for _, tier := range []wire.UplinkTier{wire.TierInt8, wire.TierSign} {
+			t.Run(name+"/"+tier.String(), func(t *testing.T) {
+				want := engineParamsOf[T](t, spec, enginePlane{tier: tier, attack: atk, byz: coalition})
+				if linalg.EqualBits(want, raw) {
+					t.Fatal("the tier leaves the trajectory on the raw bits: quantization never ran")
+				}
+				f := runFleetOf[T](t, spec, ServerConfig{RoundTimeout: 30 * time.Second, Uplink: tier}, byzantine(atk), nil).healthy(t)
+				if !linalg.EqualBits(f.params, want) {
+					t.Fatalf("the wire coalition's %s trajectory diverged from the engine's", tier)
 				}
 			})
 		}

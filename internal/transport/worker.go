@@ -364,12 +364,10 @@ func runWorkerConn[T linalg.Float](ctx context.Context, addr string, st *workerS
 				st.ins.skipSent()
 				continue
 			}
-			computeStart := time.Now()
 			rep, err := st.computeReport(m.Iteration)
 			if err != nil {
 				return 0, err
 			}
-			st.ins.computeObserved(time.Since(computeStart).Seconds())
 			if _, err := conn.Send(rep); err != nil {
 				return 0, retryable(ctxErr(ctx, err))
 			}
@@ -475,7 +473,10 @@ func (st *workerStateOf[T]) startRound(iter int) error {
 // the adversary crafts for its files when Byzantine — as one report
 // encoded in the named uplink tier. The returned report's Frame aliases
 // the state's scratch and is valid until the next computeReport call.
+// The compute histogram observes the gradients alone: encoding is
+// communication.
 func (st *workerStateOf[T]) computeReport(iter int) (GradientReport, error) {
+	computeStart := time.Now()
 	cfg := st.cfg
 	files := st.filesStatic
 	dim := st.mdl.NumParams()
@@ -507,6 +508,7 @@ func (st *workerStateOf[T]) computeReport(iter int) (GradientReport, error) {
 			st.kern.SumGradient(st.params, samples[v], g)
 		}
 	}
+	st.ins.computeObserved(time.Since(computeStart).Seconds())
 	frame, _, _, err := st.enc.Encode(st.frame[:0], cfg.ID, files, grads)
 	if err != nil {
 		return GradientReport{}, err

@@ -2,10 +2,11 @@
 // wire format for a worker's per-round gradient report, replacing the
 // gob round-trip on the hot path. The layout is canonical (one valid
 // encoding per frame) and allocation-free on both sides when buffers
-// are reused, which is what the cluster engine's MeasureComm mode and
-// the TCP GradientReport message use. The codec lives below both
-// internal/cluster and internal/transport so that the transport server
-// can drive the cluster round core without an import cycle.
+// are reused, as the TCP GradientReport message uses them. The codec
+// lives below both internal/cluster and internal/transport so that the
+// cluster engine can mirror the lossy tiers' quantization and the
+// transport server can drive the cluster round core without an import
+// cycle.
 //
 // Frame layout, all little-endian:
 //

@@ -14,8 +14,9 @@ import (
 )
 
 // PhaseTimes is the per-phase wall-clock split of one or more protocol
-// rounds (compute / communication / aggregation, plus exact serialized
-// bytes when communication measurement is enabled).
+// rounds (compute / communication / aggregation / detection, plus exact
+// serialized bytes). A Session runs in process, where nothing is sent:
+// its communication time and byte counts are zero.
 type PhaseTimes = cluster.PhaseTimes
 
 // Checkpoint is the complete restartable training state of a Session:
