@@ -147,7 +147,8 @@ func Krum(c int) Aggregator { return aggregate.Krum{C: c} }
 // assuming at most c corruptions (requires n ≥ 4c + 3 inputs).
 func Bulyan(c int) Aggregator { return aggregate.Bulyan{C: c} }
 
-// SignSGD outputs the coordinate-wise majority sign.
+// SignSGD outputs the coordinate-wise majority sign. Training steps by
+// the learning rate times that sign vector, with no per-sample rescale.
 func SignSGD() Aggregator { return aggregate.SignSGD{} }
 
 // GeometricMedian computes the Weiszfeld geometric median.

@@ -124,8 +124,10 @@ func (m MedianOfMeans) Aggregate(grads [][]float64) ([]float64, error) {
 
 // SignSGD reduces each input to its coordinate-wise sign and outputs the
 // majority sign per coordinate (±1, or 0 on ties), as in signSGD with
-// majority vote. The trainer applies the learning rate to the sign
-// vector directly.
+// majority vote. It is the one sign semantics of the system: workers
+// send ordinary gradients, and the engine applies the learning rate to
+// the voted sign vector directly, with no per-sample rescale, on every
+// plane (in process, public API, TCP fleet).
 type SignSGD struct{}
 
 // Name implements Aggregator.

@@ -33,7 +33,8 @@ type roundArena[T linalg.Float] struct {
 	trueGrads [][]T
 	// oracle[v] is a compute buffer for the files all of whose replicas
 	// are Byzantine (nil elsewhere); static per run because the
-	// Byzantine set is.
+	// Byzantine set is. Under a lossy tier, a row that is its file's
+	// true gradient passes the quantizer once per round, after crafting.
 	oracle [][]T
 	// winners[v] is file v's vote winner this round (nil when the file
 	// was dropped for lack of quorum).

@@ -85,24 +85,22 @@ type ConfigOf[T linalg.Float] struct {
 	// the caller, typically via distort.WorstCaseByzantines).
 	Byzantines []int
 	// Aggregator is applied to the vote winners (or directly to worker
-	// gradients when the assignment has r = 1).
+	// gradients when the assignment has r = 1). Under aggregate.SignSGD
+	// the voted sign vector is applied directly, scaled only by the
+	// learning rate; every other rule's output is rescaled to per-sample
+	// magnitude first.
 	Aggregator aggregate.Aggregator
 	Schedule   trainer.Schedule
 	Momentum   float64
 	Seed       int64
-	// SignMessages makes workers transmit coordinate signs instead of
-	// gradient values (the signSGD pipeline). The aggregated sign vector
-	// is applied directly (scaled only by the learning rate).
-	SignMessages bool
 	// UplinkTier pins the in-process engine to one worker→PS codec tier
 	// (wire.UplinkTier). The lossless TierRaw, the zero value, is a
 	// no-op here, but a lossy tier (TierSign, TierInt8) makes every
 	// collected gradient row pass through the exact quantize→dequantize
 	// float operations of the wire codec, so the engine reproduces a
 	// lossy-tier TCP run bit-for-bit (the loopback==engine pinning the
-	// transport tests rely on). Mutually exclusive with SignMessages
-	// (two different message semantics) and with Source (a network
-	// source's workers quantize on their own side of the wire).
+	// transport tests rely on). Mutually exclusive with Source (a
+	// network source's workers quantize on their own side of the wire).
 	UplinkTier wire.UplinkTier
 	// Parallelism is the width of the engine's persistent goroutine
 	// pool: 0 selects GOMAXPROCS, 1 runs every phase serially on the
@@ -141,7 +139,7 @@ type ConfigOf[T linalg.Float] struct {
 	// in-process compute source (Algorithm 1's simulated cluster); the
 	// TCP parameter server installs its network collector here. When
 	// Source is set, the in-process-only knobs (Attack, Byzantines,
-	// SignMessages, Fault, UplinkTier) must be unset —
+	// Fault, UplinkTier) must be unset —
 	// in a real deployment those behaviors belong to the workers, not
 	// the PS.
 	Source GradientSourceOf[T]
@@ -295,6 +293,10 @@ type EngineOf[T linalg.Float] struct {
 	aggErrs    []error
 	closeOnce  sync.Once
 	closed     bool
+	// signStep is set when the rule is aggregate.SignSGD: the voted sign
+	// vector is the update, stepped by the learning rate alone, so the
+	// per-sample rescale is skipped.
+	signStep bool
 }
 
 // NewOf validates the configuration and initializes the engine of width
@@ -311,17 +313,14 @@ func NewOf[T linalg.Float](cfg ConfigOf[T]) (*EngineOf[T], error) {
 		return nil, fmt.Errorf("cluster: aggregator is required")
 	}
 	if cfg.Source != nil {
-		if cfg.Attack != nil || len(cfg.Byzantines) > 0 || cfg.SignMessages ||
+		if cfg.Attack != nil || len(cfg.Byzantines) > 0 ||
 			cfg.Fault != nil || cfg.UplinkTier != wire.TierRaw {
-			return nil, fmt.Errorf("cluster: Attack/Byzantines/SignMessages/Fault/UplinkTier " +
+			return nil, fmt.Errorf("cluster: Attack/Byzantines/Fault/UplinkTier " +
 				"are in-process source knobs; they must be unset when Source is provided")
 		}
 	}
 	if !cfg.UplinkTier.Valid() {
 		return nil, fmt.Errorf("cluster: unknown uplink tier %d", cfg.UplinkTier)
-	}
-	if cfg.UplinkTier.Lossy() && cfg.SignMessages {
-		return nil, fmt.Errorf("cluster: SignMessages and a lossy uplink tier are mutually exclusive message semantics")
 	}
 	if cfg.Attack == nil {
 		cfg.Attack = attack.Benign{}
@@ -408,6 +407,7 @@ func NewOf[T linalg.Float](cfg ConfigOf[T]) (*EngineOf[T], error) {
 		quorum:      quorum,
 		width:       width,
 	}
+	_, e.signStep = cfg.Aggregator.(aggregate.SignSGD)
 	for u := 0; u < cfg.Assignment.K; u++ {
 		if !byzSet[u] {
 			e.honest = append(e.honest, u)
@@ -707,7 +707,7 @@ func (e *EngineOf[T]) StepOnce(ctx context.Context) (RoundStats, error) {
 	if err := e.aggregate(agg, live); err != nil {
 		return RoundStats{}, fmt.Errorf("cluster: aggregation: %w", err)
 	}
-	if !e.cfg.SignMessages {
+	if !e.signStep {
 		// Winners are gradient sums over ~batch/f samples; normalize to
 		// per-sample scale for the update (Algorithm 1, line 17). The
 		// factor is narrowed to T once, so every coordinate sees the same
@@ -859,11 +859,11 @@ func (e *EngineOf[T]) voteFile(w, v int) {
 		ar.degraded[w]++
 	}
 	ar.winners[v] = res.Winner
-	// Distorted-file accounting compares winners against the unquantized
-	// true gradients, so it is meaningless (every file would differ)
-	// when a lossy uplink tier quantized the collected replicas.
-	if !e.cfg.SignMessages && !e.cfg.UplinkTier.Lossy() &&
-		ar.trueGrads[v] != nil && !linalg.EqualBits(res.Winner, ar.trueGrads[v]) {
+	// A winner that differs from the file's true gradient is a vote the
+	// Byzantines won. Under a lossy tier both sides went through the
+	// same quantizer (honest rows in place, the oracle row once after
+	// crafting), so the count holds at every tier.
+	if ar.trueGrads[v] != nil && !linalg.EqualBits(res.Winner, ar.trueGrads[v]) {
 		ar.distorted[w]++
 	}
 }
@@ -1080,18 +1080,4 @@ func (e *EngineOf[T]) quantizeUplink(g []T) {
 		return
 	}
 	wire.SignQuantizeInPlaceOf(g)
-}
-
-// signInPlace maps a vector to coordinate signs in {−1, 0, 1}.
-func signInPlace[T linalg.Float](g []T) {
-	for i, v := range g {
-		switch {
-		case v > 0:
-			g[i] = 1
-		case v < 0:
-			g[i] = -1
-		default:
-			g[i] = 0
-		}
-	}
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"byzshield/internal/aggregate"
@@ -13,6 +14,7 @@ import (
 	"byzshield/internal/linalg"
 	"byzshield/internal/model"
 	"byzshield/internal/trainer"
+	"byzshield/internal/wire"
 )
 
 // testSetup builds a small but realistic experiment: MOLS(5,3) → K=15
@@ -126,21 +128,79 @@ func TestBenignTrainingConverges(t *testing.T) {
 	}
 }
 
+// TestRoundStatsDistortionMatchesStaticAnalysis: the Byzantines win
+// exactly c_max file votes a round (Table 3: q = 3 → 3) on every uplink
+// tier and at either engine width. Under a lossy tier the true gradients
+// the winners are judged against pass the same quantizer as the honest
+// replicas, so the count does not depend on the tier. The oracle case
+// crashes every honest holder of one corruptible file, so that file's
+// true gradient is the engine's own oracle row: a benign coalition must
+// still win nothing, which holds only if that row is quantized too.
 func TestRoundStatsDistortionMatchesStaticAnalysis(t *testing.T) {
-	an := distort.NewAnalyzer(mustMOLS(t))
+	asn := mustMOLS(t)
+	an := distort.NewAnalyzer(asn)
 	byz := an.WorstCaseByzantines(context.Background(), 3)
-	cfg := testSetup(t, byz, attack.Constant{Value: 7, ScaleByFileSize: true}, aggregate.Median{})
-	e, err := New(cfg)
+	var crashed []int
+	for _, v := range an.DistortedFiles(byz) {
+		for _, u := range asn.FileWorkers(v) {
+			if !slices.Contains(byz, u) {
+				crashed = append(crashed, u)
+			}
+		}
+		if len(crashed) > 0 {
+			break
+		}
+	}
+	if len(crashed) == 0 {
+		t.Fatal("every corruptible file is all-Byzantine: the oracle case checks nothing")
+	}
+	cases := []struct {
+		name   string
+		atk    attack.Attack
+		fault  fault.Fault
+		quorum int
+		tiers  []wire.UplinkTier
+		want   int
+	}{
+		{"constant", attack.Constant{Value: 7, ScaleByFileSize: true}, nil, 0,
+			[]wire.UplinkTier{wire.TierRaw, wire.TierSign, wire.TierInt8}, 3},
+		{"benign-oracle", attack.Benign{}, fault.Crash{Workers: crashed}, 1,
+			[]wire.UplinkTier{wire.TierSign, wire.TierInt8}, 0},
+	}
+	for _, tc := range cases {
+		for _, tier := range tc.tiers {
+			name := tc.name + "/" + tier.String()
+			t.Run(name+"/f64", func(t *testing.T) {
+				cfg := testSetup(t, byz, tc.atk, aggregate.Median{})
+				cfg.UplinkTier, cfg.Fault, cfg.Quorum = tier, tc.fault, tc.quorum
+				expectDistorted(t, cfg, 2, tc.want)
+			})
+			t.Run(name+"/f32", func(t *testing.T) {
+				cfg := testSetupOf[float32](t, byz, tc.atk, aggregate.Median{})
+				cfg.UplinkTier, cfg.Fault, cfg.Quorum = tier, tc.fault, tc.quorum
+				expectDistorted(t, cfg, 2, tc.want)
+			})
+		}
+	}
+}
+
+// expectDistorted runs cfg for rounds rounds and requires every round to
+// report want distorted files.
+func expectDistorted[T linalg.Float](t *testing.T, cfg ConfigOf[T], rounds, want int) {
+	t.Helper()
+	e, err := NewOf(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := e.RunRound()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Table 3: q=3 → c_max=3 distorted votes per round.
-	if stats.DistortedFiles != 3 {
-		t.Errorf("distorted = %d, want 3", stats.DistortedFiles)
+	defer e.Close()
+	for i := 0; i < rounds; i++ {
+		stats, err := e.RunRound()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.DistortedFiles != want {
+			t.Errorf("round %d: distorted = %d, want %d", i, stats.DistortedFiles, want)
+		}
 	}
 }
 
@@ -209,9 +269,12 @@ func TestByzShieldBeatsUndefendedMeanUnderAttack(t *testing.T) {
 	}
 }
 
+// TestSignMessagesPipeline trains the signSGD pipeline under a sign-flip
+// coalition. Its name predates the deletion of the engine's sign-message
+// mode: signSGD is now the aggregation rule alone, voting raw replicas
+// and counting their signs.
 func TestSignMessagesPipeline(t *testing.T) {
 	cfg := testSetup(t, []int{0, 5}, attack.SignFlip{}, aggregate.SignSGD{})
-	cfg.SignMessages = true
 	cfg.Schedule = trainer.Schedule{Base: 0.005, Decay: 0.9, Every: 20}
 	e, err := New(cfg)
 	if err != nil {
@@ -223,6 +286,47 @@ func TestSignMessagesPipeline(t *testing.T) {
 	}
 	if h.FinalAccuracy() < 0.3 {
 		t.Errorf("signSGD accuracy %.2f too low", h.FinalAccuracy())
+	}
+}
+
+// TestSignSGDStepsByLearningRate: under the signsgd rule one momentum-free
+// round moves every parameter by exactly lr × the voted sign — −lr, 0 or
+// +lr — with no per-sample rescale, at either engine width.
+func TestSignSGDStepsByLearningRate(t *testing.T) {
+	t.Run("f64", func(t *testing.T) { checkSignStep(t, testSetup(t, nil, attack.Benign{}, aggregate.SignSGD{})) })
+	t.Run("f32", func(t *testing.T) {
+		checkSignStep(t, testSetupOf[float32](t, nil, attack.Benign{}, aggregate.SignSGD{}))
+	})
+}
+
+func checkSignStep[T linalg.Float](t *testing.T, cfg ConfigOf[T]) {
+	t.Helper()
+	cfg.Momentum = 0
+	e, err := NewOf(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	before := e.Params()
+	stats, err := e.RunRound()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lr := T(stats.LR)
+	moved := 0
+	for i, p := range e.Params() {
+		switch p {
+		case before[i] - lr:
+			moved++
+		case before[i] + lr:
+			moved++
+		case before[i]:
+		default:
+			t.Fatalf("param %d moved %v → %v, not by ±lr = %v", i, before[i], p, lr)
+		}
+	}
+	if moved == 0 {
+		t.Fatal("no parameter moved: the case checks nothing")
 	}
 }
 

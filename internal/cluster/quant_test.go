@@ -8,6 +8,7 @@ import (
 	"byzshield/internal/aggregate"
 	"byzshield/internal/attack"
 	"byzshield/internal/distort"
+	"byzshield/internal/registry"
 	"byzshield/internal/wire"
 )
 
@@ -42,22 +43,13 @@ func paramsEqual(a, b []float64) bool {
 	return true
 }
 
-// TestUplinkTierValidation pins the config seams: an undefined tier is
-// rejected, and the lossy tiers are mutually exclusive with the
-// signSGD pipeline (sign compression of already-quantized values would
-// silently discard the tier's scale information).
+// TestUplinkTierValidation pins the config seam: an undefined tier is
+// rejected.
 func TestUplinkTierValidation(t *testing.T) {
 	cfg := testSetup(t, nil, attack.Benign{}, aggregate.Median{})
-	bad := cfg
-	bad.UplinkTier = wire.UplinkTier(9)
-	if _, err := New(bad); err == nil {
+	cfg.UplinkTier = wire.UplinkTier(9)
+	if _, err := New(cfg); err == nil {
 		t.Error("undefined uplink tier accepted")
-	}
-	bad = cfg
-	bad.UplinkTier = wire.TierInt8
-	bad.SignMessages = true
-	if _, err := New(bad); err == nil {
-		t.Error("lossy uplink tier + SignMessages accepted")
 	}
 }
 
@@ -139,6 +131,40 @@ func TestLossyUplinkConvergenceParity(t *testing.T) {
 						av.name, gv.name, tier, acc, base, tol)
 				}
 			}
+		}
+	}
+}
+
+// TestDistortedFilesBoundedAtEveryTier is the in-process half of the
+// paper's bound (Eq. 3): under every registry attack, on every uplink
+// tier and at either width, a full-participation round's vote loses
+// exactly the c_max files the static analysis says the worst-case q = 3
+// coalition controls — never more — and none under a benign coalition.
+func TestDistortedFilesBoundedAtEveryTier(t *testing.T) {
+	const rounds = 3
+	an := distort.NewAnalyzer(mustMOLS(t))
+	byz := an.WorstCaseByzantines(context.Background(), 3)
+	cmax := len(an.DistortedFiles(byz))
+	for _, name := range registry.Default.Attacks() {
+		atk, err := registry.Default.Attack(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := cmax
+		if name == "benign" {
+			want = 0
+		}
+		for _, tier := range []wire.UplinkTier{wire.TierRaw, wire.TierSign, wire.TierInt8} {
+			t.Run(name+"/"+tier.String()+"/f64", func(t *testing.T) {
+				cfg := testSetup(t, byz, atk, aggregate.Median{})
+				cfg.UplinkTier = tier
+				expectDistorted(t, cfg, rounds, want)
+			})
+			t.Run(name+"/"+tier.String()+"/f32", func(t *testing.T) {
+				cfg := testSetupOf[float32](t, byz, atk, aggregate.Median{})
+				cfg.UplinkTier = tier
+				expectDistorted(t, cfg, rounds, want)
+			})
 		}
 	}
 }

@@ -172,35 +172,20 @@ func (s localSource[T]) Collect(context.Context, *RoundOf[T]) (CollectStats, err
 		}
 	}
 
-	// Optional sign compression (signSGD pipeline), in place: honest
-	// buffers once per (worker, slot), crafted payloads once per file
-	// (signing is idempotent, so payload sharing across replicas is
-	// safe).
-	if e.cfg.SignMessages {
-		for _, u := range e.honest {
-			if ar.missing[u] {
-				continue
-			}
-			for _, g := range ar.grads[u] {
-				signInPlace(g)
-			}
-		}
-		for _, v := range byzFiles {
-			signInPlace(crafted[v])
-		}
-	}
-
 	// Lossy uplink tier, in place: apply the wire codec's exact
 	// quantize→dequantize float operations to every surviving message
 	// before any vote reads it, so the in-process trajectory is
-	// bit-identical to a TCP run on the same tier. Unlike signInPlace,
-	// quantization is NOT idempotent in floating point (re-encoding a
-	// quantized row lands on different bits), so every distinct buffer
-	// passes exactly once: honest buffers are per-(worker, slot), but
-	// coordinated attacks may share one payload buffer across files,
-	// hence the seen-pointer dedupe. Sharing stays consistent with the
-	// wire because replicas quantizing identical input bits produce
-	// identical output bits.
+	// bit-identical to a TCP run on the same tier. Quantization is NOT
+	// idempotent in floating point (re-encoding a quantized row lands on
+	// different bits), so every distinct buffer passes exactly once:
+	// honest buffers are per-(worker, slot), but coordinated attacks may
+	// share one payload buffer across files, hence the seen-pointer
+	// dedupe. Sharing stays consistent with the wire because replicas
+	// quantizing identical input bits produce identical output bits.
+	// The attack crafted from unquantized true gradients, as a wire
+	// Byzantine does; only then do the engine's own oracle rows pass the
+	// quantizer, so every file's true gradient is what an honest replica
+	// sends and the distorted-file count holds at every tier.
 	if e.cfg.UplinkTier.Lossy() {
 		for _, u := range e.honest {
 			if ar.missing[u] {
@@ -220,6 +205,11 @@ func (s localSource[T]) Collect(context.Context, *RoundOf[T]) (CollectStats, err
 			e.quantizeUplink(g)
 		}
 		ar.quantSeen = seen
+		for v, g := range ar.trueGrads {
+			if o := ar.oracle[v]; o != nil && &g[0] == &o[0] {
+				e.quantizeUplink(g)
+			}
+		}
 	}
 
 	// Nothing crosses a wire in process: no communication, no bytes.

@@ -143,8 +143,6 @@ type RunSpec struct {
 	// realized worst-case corruption count c (needed by Krum-family
 	// rules whose parameters depend on c).
 	AggregatorFor func(c int) aggregate.Aggregator
-	// SignMessages selects the signSGD transport.
-	SignMessages bool
 	// Schedule overrides the default learning-rate schedule.
 	Schedule *trainer.Schedule
 	// Momentum overrides the default momentum (NaN-free default 0.9).
@@ -227,16 +225,12 @@ func RunOne(ctx context.Context, spec RunSpec, opts TrainOpts) Curve {
 	cfg.Assignment = asn
 	cfg.Attack = spec.Attack
 	cfg.Byzantines = byz
-	cfg.SignMessages = spec.SignMessages
 	cfg.Aggregator = spec.Aggregator
 	if cfg.Aggregator == nil && spec.AggregatorFor != nil {
 		cfg.Aggregator = spec.AggregatorFor(cmax)
 	}
 	if cfg.Aggregator == nil {
 		cfg.Aggregator = aggregate.Median{}
-	}
-	if spec.SignMessages {
-		cfg.Schedule = signSGDSchedule
 	}
 	if spec.Schedule != nil {
 		cfg.Schedule = *spec.Schedule

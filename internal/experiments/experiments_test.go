@@ -3,6 +3,8 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"strings"
 	"testing"
@@ -344,6 +346,43 @@ func TestRunOneReportsBuildErrors(t *testing.T) {
 	c = RunOne(context.Background(), RunSpec{Label: "bad-frc", Pipeline: PipelineDETOX, K: 10, R: 3}, quickOpts())
 	if c.Err == "" {
 		t.Error("invalid FRC parameters accepted")
+	}
+}
+
+// TestFigure5SignSGDCurvesPinned pins Figure 5's four signSGD curves
+// (baseline and DETOX, q = 3 and 5) bit for bit: each curve's loss and
+// accuracy series hashes to a fixed FNV-1a value. signSGD is a property
+// of the aggregation rule — the engine votes raw replicas, the rule
+// counts their signs, and the update is lr × the voted sign — so any
+// change to that path shows here.
+func TestFigure5SignSGDCurvesPinned(t *testing.T) {
+	opts := DefaultTrainOpts()
+	opts.Iterations = 40
+	opts.EvalEvery = 5
+	opts.TrainN = 1500
+	opts.TestN = 300
+	atk := attack.Constant{ScaleByFileSize: true}
+	cases := []struct {
+		spec RunSpec
+		want string
+	}{
+		{signSGDSpec(25, 3, atk), "9607d04c3eade5a6"},
+		{signSGDSpec(25, 5, atk), "d9f40a0064e7067a"},
+		{detoxSignSGDSpec(25, 5, 3, atk), "5e044c95cd1b6289"},
+		{detoxSignSGDSpec(25, 5, 5, atk), "5e044c95cd1b6289"},
+	}
+	for _, tc := range cases {
+		c := RunOne(context.Background(), tc.spec, opts)
+		if c.Err != "" {
+			t.Fatalf("%s: %s", tc.spec.Label, c.Err)
+		}
+		h := fnv.New64a()
+		for _, p := range c.Points {
+			fmt.Fprintf(h, "%x %x ", math.Float64bits(p.Loss), math.Float64bits(p.Accuracy))
+		}
+		if got := fmt.Sprintf("%016x", h.Sum64()); got != tc.want {
+			t.Errorf("%s: curve hash %s, want %s", tc.spec.Label, got, tc.want)
+		}
 	}
 }
 

@@ -127,27 +127,27 @@ func detoxMultiKrumSpec(k, r, q int, atk attack.Attack) RunSpec {
 // signSGDSpec is the baseline signSGD majority-vote defense.
 func signSGDSpec(k, q int, atk attack.Attack) RunSpec {
 	return RunSpec{
-		Label:        fmt.Sprintf("signSGD, q = %d", q),
-		Pipeline:     PipelineBaseline,
-		K:            k,
-		Q:            q,
-		Attack:       atk,
-		Aggregator:   aggregate.SignSGD{},
-		SignMessages: true,
+		Label:      fmt.Sprintf("signSGD, q = %d", q),
+		Pipeline:   PipelineBaseline,
+		K:          k,
+		Q:          q,
+		Attack:     atk,
+		Aggregator: aggregate.SignSGD{},
+		Schedule:   &signSGDSchedule,
 	}
 }
 
 // detoxSignSGDSpec pairs DETOX's vote with coordinate-sign majority.
 func detoxSignSGDSpec(k, r, q int, atk attack.Attack) RunSpec {
 	return RunSpec{
-		Label:        fmt.Sprintf("DETOX-signSGD, q = %d", q),
-		Pipeline:     PipelineDETOX,
-		K:            k,
-		R:            r,
-		Q:            q,
-		Attack:       atk,
-		Aggregator:   aggregate.SignSGD{},
-		SignMessages: true,
+		Label:      fmt.Sprintf("DETOX-signSGD, q = %d", q),
+		Pipeline:   PipelineDETOX,
+		K:          k,
+		R:          r,
+		Q:          q,
+		Attack:     atk,
+		Aggregator: aggregate.SignSGD{},
+		Schedule:   &signSGDSchedule,
 	}
 }
 

@@ -136,17 +136,23 @@ func TestServerRejectsBadConfig(t *testing.T) {
 
 // TestServerResolvesAggregatorFromSpec: the server aggregates with the
 // registry rule the Spec names — the fleet ends where the engine running
-// that rule does, which is not where the default median ends.
+// that rule does, which is not where the default median ends. signsgd
+// is one of the rules: the fleet steps by lr × the voted sign exactly as
+// the engine does.
 func TestServerResolvesAggregatorFromSpec(t *testing.T) {
-	spec := testSpec(5)
-	median := engineParams(t, spec, 1)
-	spec.Aggregator = "median-of-means"
-	want := engineParams(t, spec, 1)
-	if linalg.EqualBits(want, median) {
-		t.Fatal("median-of-means and median end on the same parameters: the case checks nothing")
-	}
-	if got := wireParams(t, spec); !linalg.EqualBits(got, want) {
-		t.Error("the server did not aggregate with the rule its Spec names")
+	median := engineParams(t, testSpec(5), 1)
+	for _, rule := range []string{"median-of-means", "signsgd"} {
+		t.Run(rule, func(t *testing.T) {
+			spec := testSpec(5)
+			spec.Aggregator = rule
+			want := engineParams(t, spec, 1)
+			if linalg.EqualBits(want, median) {
+				t.Fatalf("%s and median end on the same parameters: the case checks nothing", rule)
+			}
+			if got := wireParams(t, spec); !linalg.EqualBits(got, want) {
+				t.Error("the server did not aggregate with the rule its Spec names")
+			}
+		})
 	}
 }
 
