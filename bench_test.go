@@ -29,13 +29,13 @@ import (
 // iteration stays ~100ms.
 func benchOpts() experiments.TrainOpts {
 	opts := experiments.DefaultTrainOpts()
-	opts.Iterations = 20
+	opts.Spec.Rounds = 20
 	opts.EvalEvery = 20
-	opts.TrainN = 800
-	opts.TestN = 200
-	opts.Dim = 16
-	opts.Hidden = 16
-	opts.BatchSize = 200
+	opts.Spec.TrainN = 800
+	opts.Spec.TestN = 200
+	opts.Spec.Dim = 16
+	opts.Spec.Hidden = 16
+	opts.Spec.BatchSize = 200
 	opts.SearchBudget = 5 * time.Second
 	return opts
 }

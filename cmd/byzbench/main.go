@@ -82,13 +82,13 @@ func main() {
 	}
 
 	opts := experiments.DefaultTrainOpts()
-	opts.TrainN = *trainN
-	opts.TestN = 200
-	opts.Dim = *dim
-	opts.BatchSize = *batch
-	opts.Seed = *seed
+	opts.Spec.TrainN = *trainN
+	opts.Spec.TestN = 200
+	opts.Spec.Dim = *dim
+	opts.Spec.BatchSize = *batch
+	opts.Spec.Seed, opts.Spec.DataSeed = *seed, *seed
 	opts.SearchBudget = *budget
-	opts.Detector = *detector
+	opts.Spec.Detector = *detector
 	opts.Uplink = tier
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

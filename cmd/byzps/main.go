@@ -154,6 +154,7 @@ func main() {
 		BatchSize: *batch,
 		Schedule:  trainer.Schedule{Base: *lr, Decay: *decay, Every: *every},
 		Momentum:  0.9, Seed: *seed, Rounds: *rounds,
+		Quorum:   *quorum,
 		Faults:   faults,
 		Detector: *detector,
 		DetectorParams: byzshield.DetectorParams{
@@ -172,7 +173,6 @@ func main() {
 		RoundTimeout:       *roundTimeout,
 		FullBroadcastEvery: *fullEvery,
 		Uplink:             tier,
-		Quorum:             *quorum,
 	}
 	// Observability plane: the registry and tracer are created whenever
 	// either output (HTTP scrape or JSONL stream) wants them; every

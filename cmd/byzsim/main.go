@@ -63,8 +63,8 @@ func main() {
 	}
 	if *faults {
 		opts := experiments.DefaultTrainOpts()
-		opts.Iterations = *iters
-		opts.Distribution, opts.DistParam = *dist, *distP
+		opts.Spec.Rounds = *iters
+		opts.Spec.Distribution, opts.Spec.DistParam = *dist, *distP
 		rows, err := experiments.FaultSweep(ctx, opts)
 		if err != nil {
 			fatal(err)
@@ -74,8 +74,8 @@ func main() {
 	}
 	if *detect {
 		opts := experiments.DefaultTrainOpts()
-		opts.Iterations = *iters
-		opts.Distribution, opts.DistParam = *dist, *distP
+		opts.Spec.Rounds = *iters
+		opts.Spec.Distribution, opts.Spec.DistParam = *dist, *distP
 		rows, err := experiments.DetectSweep(ctx, opts)
 		if err != nil {
 			fatal(err)

@@ -46,15 +46,15 @@ func main() {
 	}
 
 	opts := experiments.DefaultTrainOpts()
-	opts.Iterations = *iters
+	opts.Spec.Rounds = *iters
 	opts.EvalEvery = *eval
-	opts.TrainN = *trainN
-	opts.TestN = *testN
-	opts.Dim = *dim
-	opts.Hidden = *hidden
-	opts.ClassSep = *sep
-	opts.BatchSize = *batch
-	opts.Seed = *seed
+	opts.Spec.TrainN = *trainN
+	opts.Spec.TestN = *testN
+	opts.Spec.Dim = *dim
+	opts.Spec.Hidden = *hidden
+	opts.Spec.ClassSep = *sep
+	opts.Spec.BatchSize = *batch
+	opts.Spec.Seed, opts.Spec.DataSeed = *seed, *seed
 	opts.SearchBudget = *budget
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -380,7 +380,7 @@ func NewOf[T linalg.Float](cfg ConfigOf[T]) (*EngineOf[T], error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
-	stream, err := newFileStream(&cfg)
+	stream, err := data.NewRunStream(cfg.Train, cfg.BatchSize, cfg.Seed, cfg.Assignment.F, cfg.Distribution)
 	if err != nil {
 		return nil, err
 	}
@@ -463,22 +463,6 @@ func (e *EngineOf[T]) Close() error {
 	return nil
 }
 
-// newFileStream builds the config's file→samples stream: the IID
-// reshuffling sampler by default, the per-pool non-IID sampler under a
-// configured Distribution. Called identically at construction and on
-// every Restore, so a restored engine continues the exact stream of the
-// interrupted run.
-func newFileStream[T linalg.Float](cfg *ConfigOf[T]) (*data.FileStream, error) {
-	if cfg.Distribution == nil {
-		return data.NewFileStream(cfg.Train.Len(), cfg.BatchSize, cfg.Seed, cfg.Assignment.F)
-	}
-	pools, err := cfg.Distribution.Split(cfg.Train, cfg.Assignment.F)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: distribution %s: %w", cfg.Distribution.Name(), err)
-	}
-	return data.NewPoolFileStream(pools, cfg.BatchSize, cfg.Seed)
-}
-
 // runPhase executes fn(worker, task) for task in [0, n): inline on the
 // calling goroutine for the serial engine, across the persistent pool
 // otherwise. Tasks must be independent, which is also what makes the two
@@ -543,7 +527,9 @@ func (e *EngineOf[T]) Restore(params, velocity []T, iteration int) error {
 			return err
 		}
 	}
-	stream, err := newFileStream(&e.cfg)
+	// The stream is rebuilt exactly as NewOf built it, so a restored
+	// engine continues the interrupted run's stream.
+	stream, err := data.NewRunStream(e.cfg.Train, e.cfg.BatchSize, e.cfg.Seed, e.cfg.Assignment.F, e.cfg.Distribution)
 	if err != nil {
 		return err
 	}

@@ -251,19 +251,24 @@ type FileStream struct {
 // PoolSampler, each deterministic in its seed.
 type batchSource interface{ Next() []int }
 
-// NewFileStream is the stream of the IID reshuffling sampler
-// (BatchSampler) over n samples, each batch split into f files.
-func NewFileStream(n, batch int, seed int64, f int) (*FileStream, error) {
-	src, err := NewBatchSampler(n, batch, seed)
-	if err != nil {
-		return nil, err
+// NewRunStream is a run's stream over train, each batch split into f
+// files: the IID reshuffling sampler (BatchSampler) when dist is nil,
+// the non-IID PoolSampler over dist's split of train into f pools — file
+// v drawing from pool v alone — otherwise. The engine (at construction
+// and on every Restore) and every worker build their stream through it,
+// so each process of a run derives the same table.
+func NewRunStream(train *Dataset, batch int, seed int64, f int, dist Distributor) (*FileStream, error) {
+	if dist == nil {
+		src, err := NewBatchSampler(train.Len(), batch, seed)
+		if err != nil {
+			return nil, err
+		}
+		return newFileStream(src, batch, f)
 	}
-	return newFileStream(src, batch, f)
-}
-
-// NewPoolFileStream is the stream of the non-IID PoolSampler: one file
-// per pool, file v drawing from pools[v] alone.
-func NewPoolFileStream(pools [][]int, batch int, seed int64) (*FileStream, error) {
+	pools, err := dist.Split(train, f)
+	if err != nil {
+		return nil, fmt.Errorf("data: distribution %s: %w", dist.Name(), err)
+	}
 	src, err := NewPoolSampler(pools, batch, seed)
 	if err != nil {
 		return nil, err

@@ -282,13 +282,9 @@ func TestFileStreamRoundIsPositional(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pools, err := IID{Seed: 4}.Split(ds, f)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for name, open := range map[string]func() (*FileStream, error){
-		"iid":   func() (*FileStream, error) { return NewFileStream(n, batch, seed, f) },
-		"pools": func() (*FileStream, error) { return NewPoolFileStream(pools, batch, seed) },
+		"iid":   func() (*FileStream, error) { return NewRunStream(ds, batch, seed, f, nil) },
+		"pools": func() (*FileStream, error) { return NewRunStream(ds, batch, seed, f, IID{Seed: 4}) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			stepped, err := open()
@@ -345,7 +341,7 @@ func TestFileStreamRoundIsPositional(t *testing.T) {
 			}
 		})
 	}
-	if _, err := NewFileStream(n, batch, seed, batch+1); err == nil {
+	if _, err := NewRunStream(ds, batch, seed, batch+1, nil); err == nil {
 		t.Error("more files than samples in a batch accepted")
 	}
 }

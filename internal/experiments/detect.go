@@ -5,9 +5,8 @@ import (
 	"fmt"
 	"io"
 
-	"byzshield/internal/aggregate"
 	"byzshield/internal/cluster"
-	"byzshield/internal/registry"
+	"byzshield/internal/transport"
 )
 
 // DetectRow is one cell of the attack × detector arms-race sweep: a
@@ -56,43 +55,31 @@ func DetectSweep(ctx context.Context, opts TrainOpts) ([]DetectRow, error) {
 // runDetectCell executes one (attack, detector) cell.
 func runDetectCell(ctx context.Context, atkName, detName string, opts TrainOpts) DetectRow {
 	row := DetectRow{Attack: atkName, Detector: detName, MeanReputation: 1}
-	asn, err := components.Scheme("mols", registry.SchemeParams{L: 5, R: 3})
-	if err != nil {
-		row.Err = err.Error()
-		return row
-	}
-	byz, _ := selectByzantines(ctx, asn, 3, opts.SearchBudget)
-	byzSet := make(map[int]bool, len(byz))
-	for _, u := range byz {
-		byzSet[u] = true
-	}
 	atk, err := components.Attack(atkName)
 	if err != nil {
 		row.Err = err.Error()
 		return row
 	}
-	det, err := components.Detector(detName)
+	s := cellSpec(opts.Spec, transport.Spec{Scheme: "mols", L: 5, R: 3})
+	s.Detector = detName
+	cfg, err := transport.EngineConfigOf[float64](&s)
 	if err != nil {
 		row.Err = err.Error()
 		return row
 	}
-	cfg, err := opts.engineConfig()
-	if err != nil {
-		row.Err = err.Error()
-		return row
+	byz, _ := selectByzantines(ctx, cfg.Assignment, 3, opts.SearchBudget)
+	byzSet := make(map[int]bool, len(byz))
+	for _, u := range byz {
+		byzSet[u] = true
 	}
-	cfg.Assignment = asn
-	cfg.Attack = atk
-	cfg.Byzantines = byz
-	cfg.Aggregator = aggregate.Median{}
-	cfg.Detector = det
+	cfg.Attack, cfg.Byzantines = atk, byz
 	eng, err := cluster.New(cfg)
 	if err != nil {
 		row.Err = err.Error()
 		return row
 	}
 	defer eng.Close()
-	for t := 0; t < opts.Iterations; t++ {
+	for t := 0; t < s.Rounds; t++ {
 		stats, err := eng.StepOnce(ctx)
 		if err != nil {
 			row.Err = err.Error()

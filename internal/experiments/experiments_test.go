@@ -11,18 +11,19 @@ import (
 	"time"
 
 	"byzshield/internal/attack"
+	"byzshield/internal/transport"
 )
 
 // quickOpts returns heavily scaled-down options so the full figure suite
 // stays fast in unit tests; the shape assertions below still hold.
 func quickOpts() TrainOpts {
 	o := DefaultTrainOpts()
-	o.Iterations = 60
+	o.Spec.Rounds = 60
 	o.EvalEvery = 20
-	o.TrainN = 800
-	o.TestN = 300
-	o.Dim = 16
-	o.BatchSize = 200
+	o.Spec.TrainN = 800
+	o.Spec.TestN = 300
+	o.Spec.Dim = 16
+	o.Spec.BatchSize = 200
 	o.SearchBudget = 5 * time.Second
 	return o
 }
@@ -184,7 +185,7 @@ func TestFigure6DETOXBreaksAtQ9(t *testing.T) {
 
 func TestFigureByID(t *testing.T) {
 	opts := quickOpts()
-	opts.Iterations = 5
+	opts.Spec.Rounds = 5
 	opts.EvalEvery = 5
 	for _, id := range []string{"9", "10", "11"} {
 		fig, err := FigureByID(context.Background(), id, opts)
@@ -250,7 +251,7 @@ func TestFigure12Timing(t *testing.T) {
 	}
 	// With a detector the detect column is populated — carried apart
 	// from Aggregation, so detection cannot inflate the aggregation bar.
-	opts.Detector = "zscore"
+	opts.Spec.Detector = "zscore"
 	drows, err := Figure12(context.Background(), opts, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -284,7 +285,7 @@ func TestRenderers(t *testing.T) {
 	}
 
 	opts := quickOpts()
-	opts.Iterations = 5
+	opts.Spec.Rounds = 5
 	opts.EvalEvery = 5
 	fig := Figure10(context.Background(), opts)
 	buf.Reset()
@@ -306,10 +307,10 @@ func TestRenderers(t *testing.T) {
 
 func TestRunOneBenignDefault(t *testing.T) {
 	opts := quickOpts()
-	opts.Iterations = 30
+	opts.Spec.Rounds = 30
 	opts.EvalEvery = 30
 	c := RunOne(context.Background(), RunSpec{
-		Label: "attack-free", Pipeline: PipelineBaseline, K: 10, Q: 0,
+		Label: "attack-free", Spec: transport.Spec{Scheme: "baseline", K: 10},
 	}, opts)
 	if c.Err != "" {
 		t.Fatalf("benign run failed: %s", c.Err)
@@ -326,9 +327,9 @@ func TestRunOneBenignDefault(t *testing.T) {
 // curve error, not a panic on the empty history.
 func TestRunOneZeroIterations(t *testing.T) {
 	opts := quickOpts()
-	opts.Iterations = 0
+	opts.Spec.Rounds = 0
 	c := RunOne(context.Background(), RunSpec{
-		Label: "zero-iters", Pipeline: PipelineBaseline, K: 10,
+		Label: "zero-iters", Spec: transport.Spec{Scheme: "baseline", K: 10},
 	}, opts)
 	if c.Err == "" {
 		t.Error("zero iterations accepted")
@@ -339,11 +340,11 @@ func TestRunOneZeroIterations(t *testing.T) {
 }
 
 func TestRunOneReportsBuildErrors(t *testing.T) {
-	c := RunOne(context.Background(), RunSpec{Label: "bad", Pipeline: PipelineByzShield}, quickOpts())
+	c := RunOne(context.Background(), RunSpec{Label: "bad"}, quickOpts())
 	if c.Err == "" {
 		t.Error("missing scheme accepted")
 	}
-	c = RunOne(context.Background(), RunSpec{Label: "bad-frc", Pipeline: PipelineDETOX, K: 10, R: 3}, quickOpts())
+	c = RunOne(context.Background(), RunSpec{Label: "bad-frc", Spec: transport.Spec{Scheme: "frc", K: 10, R: 3}}, quickOpts())
 	if c.Err == "" {
 		t.Error("invalid FRC parameters accepted")
 	}
@@ -357,10 +358,10 @@ func TestRunOneReportsBuildErrors(t *testing.T) {
 // change to that path shows here.
 func TestFigure5SignSGDCurvesPinned(t *testing.T) {
 	opts := DefaultTrainOpts()
-	opts.Iterations = 40
+	opts.Spec.Rounds = 40
 	opts.EvalEvery = 5
-	opts.TrainN = 1500
-	opts.TestN = 300
+	opts.Spec.TrainN = 1500
+	opts.Spec.TestN = 300
 	atk := attack.Constant{ScaleByFileSize: true}
 	cases := []struct {
 		spec RunSpec
@@ -385,5 +386,3 @@ func TestFigure5SignSGDCurvesPinned(t *testing.T) {
 		}
 	}
 }
-
-var _ = attack.Benign{} // keep the import for spec examples above

@@ -5,10 +5,9 @@ import (
 	"fmt"
 	"io"
 
-	"byzshield/internal/aggregate"
 	"byzshield/internal/cluster"
-	"byzshield/internal/fault"
 	"byzshield/internal/registry"
+	"byzshield/internal/transport"
 )
 
 // FaultRow is one cell of the fault-tolerance sweep: an assignment
@@ -32,22 +31,20 @@ type FaultRow struct {
 
 // faultScenario names one injected fault pattern of the sweep.
 type faultScenario struct {
-	label string
-	build func(k int) fault.Fault
+	label  string
+	faults []transport.FaultSpec
 }
 
 // faultSweepScenarios returns the scenario column of the sweep, scaled
-// to the cluster size: fault-free control, a two-worker mid-run crash,
-// and three flaky workers dropping 30% of their rounds.
-func faultSweepScenarios(iterations int) []faultScenario {
+// to the cluster size k: fault-free control, a two-worker mid-run
+// crash, and three flaky workers dropping 30% of their rounds.
+func faultSweepScenarios(rounds, k int) []faultScenario {
 	return []faultScenario{
-		{label: "none", build: func(int) fault.Fault { return fault.None{} }},
-		{label: "crash-2", build: func(k int) fault.Fault {
-			return fault.Crash{Workers: []int{0, k / 2}, AtRound: iterations / 3}
-		}},
-		{label: "flaky-3", build: func(k int) fault.Fault {
-			return fault.Flaky{Workers: []int{1, k / 3, k - 1}, P: 0.3, Seed: 77}
-		}},
+		{label: "none"},
+		{"crash-2", []transport.FaultSpec{{Name: "crash",
+			Params: registry.FaultParams{Workers: []int{0, k / 2}, Round: rounds / 3}}}},
+		{"flaky-3", []transport.FaultSpec{{Name: "flaky",
+			Params: registry.FaultParams{Workers: []int{1, k / 3, k - 1}, P: 0.3, Seed: 77}}}},
 	}
 }
 
@@ -60,62 +57,41 @@ func faultSweepScenarios(iterations int) []faultScenario {
 func FaultSweep(ctx context.Context, opts TrainOpts) ([]FaultRow, error) {
 	schemes := []struct {
 		label string
-		build func() (*cluster.Config, error)
+		cell  transport.Spec
 	}{
-		{"mols(5,3)", func() (*cluster.Config, error) {
-			return faultSweepConfig(opts, "mols", registry.SchemeParams{L: 5, R: 3})
-		}},
-		{"frc(15,3)", func() (*cluster.Config, error) {
-			return faultSweepConfig(opts, "frc", registry.SchemeParams{K: 15, R: 3})
-		}},
-		{"baseline(15)", func() (*cluster.Config, error) {
-			return faultSweepConfig(opts, "baseline", registry.SchemeParams{K: 15})
-		}},
+		{"mols(5,3)", transport.Spec{Scheme: "mols", L: 5, R: 3, K: 15}},
+		{"frc(15,3)", transport.Spec{Scheme: "frc", K: 15, R: 3}},
+		{"baseline(15)", transport.Spec{Scheme: "baseline", K: 15}},
 	}
 	var rows []FaultRow
 	for _, sc := range schemes {
-		for _, fs := range faultSweepScenarios(opts.Iterations) {
+		for _, fs := range faultSweepScenarios(opts.Spec.Rounds, sc.cell.K) {
 			if err := ctx.Err(); err != nil {
 				return rows, err
 			}
-			cfg, err := sc.build()
+			s := cellSpec(opts.Spec, sc.cell)
+			s.Faults = fs.faults
+			cfg, err := transport.EngineConfigOf[float64](&s)
 			if err != nil {
 				return rows, err
 			}
-			cfg.Fault = fs.build(cfg.Assignment.K)
-			rows = append(rows, runFaultCell(ctx, sc.label, fs.label, cfg, opts.Iterations))
+			rows = append(rows, runFaultCell(ctx, sc.label, fs.label, cfg, s.Rounds))
 		}
 	}
 	return rows, nil
 }
 
-// faultSweepConfig assembles the shared training configuration for one
-// scheme cell.
-func faultSweepConfig(opts TrainOpts, scheme string, params registry.SchemeParams) (*cluster.Config, error) {
-	asn, err := components.Scheme(scheme, params)
-	if err != nil {
-		return nil, err
-	}
-	cfg, err := opts.engineConfig()
-	if err != nil {
-		return nil, err
-	}
-	cfg.Assignment = asn
-	cfg.Aggregator = aggregate.Median{}
-	return &cfg, nil
-}
-
 // runFaultCell executes one (scheme, fault) cell for the given horizon,
 // accumulating the per-round participation stats.
-func runFaultCell(ctx context.Context, scheme, fltLabel string, cfg *cluster.Config, iterations int) FaultRow {
+func runFaultCell(ctx context.Context, scheme, fltLabel string, cfg cluster.Config, rounds int) FaultRow {
 	row := FaultRow{Scheme: scheme, Fault: fltLabel}
-	eng, err := cluster.New(*cfg)
+	eng, err := cluster.New(cfg)
 	if err != nil {
 		row.Err = err.Error()
 		return row
 	}
 	defer eng.Close()
-	for t := 0; t < iterations; t++ {
+	for t := 0; t < rounds; t++ {
 		stats, err := eng.StepOnce(ctx)
 		if err != nil {
 			row.Err = err.Error()

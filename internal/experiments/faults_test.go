@@ -9,13 +9,13 @@ import (
 // faultSweepOpts shrinks the sweep to seconds.
 func faultSweepOpts() TrainOpts {
 	opts := DefaultTrainOpts()
-	opts.Iterations = 30
-	opts.TrainN = 400
-	opts.TestN = 150
-	opts.Dim = 12
-	opts.ClassSep = 2.5 // separable enough for a 30-round smoke horizon
-	opts.Hidden = 0
-	opts.BatchSize = 100
+	opts.Spec.Rounds = 30
+	opts.Spec.TrainN = 400
+	opts.Spec.TestN = 150
+	opts.Spec.Dim = 12
+	opts.Spec.ClassSep = 2.5 // separable enough for a 30-round smoke horizon
+	opts.Spec.Hidden = 0
+	opts.Spec.BatchSize = 100
 	return opts
 }
 

@@ -4,10 +4,9 @@ import (
 	"context"
 	"fmt"
 
-	"byzshield/internal/aggregate"
-	"byzshield/internal/assign"
 	"byzshield/internal/attack"
 	"byzshield/internal/registry"
+	"byzshield/internal/transport"
 )
 
 // The paper's K = 25 cluster uses the Ramanujan Case 2 construction with
@@ -20,135 +19,79 @@ import (
 // and under-reports the attack's strength on small clusters).
 func alieAttack() attack.Attack { return attack.ALIE{ZOverride: 1.0} }
 
-func byzShield25() (*assign.Assignment, error) {
-	return components.Scheme("ramanujan2", registry.SchemeParams{L: 5, R: 5})
-}
-
-func byzShield15() (*assign.Assignment, error) {
-	return components.Scheme("mols", registry.SchemeParams{L: 5, R: 3})
-}
-
-// detoxMoMFor returns DETOX's median-of-means over the K/r vote
-// winners: three groups (sizes ⌈w/3⌉...) so that group means are true
-// means — one corrupted winner pollutes its whole group, the weakness
-// ALIE exploits.
-func detoxMoMFor(winners int) aggregate.Aggregator {
-	g := 3
-	if g > winners {
-		g = winners
-	}
-	return aggregate.MedianOfMeans{Groups: g}
-}
-
 // byzShieldSpec builds the standard ByzShield curve at cluster size k.
 func byzShieldSpec(k, q int, atk attack.Attack) RunSpec {
-	scheme := byzShield25
+	cell := transport.Spec{Scheme: "ramanujan2", L: 5, R: 5, Aggregator: "median"}
 	if k == 15 {
-		scheme = byzShield15
+		cell.Scheme, cell.R = "mols", 3
 	}
+	return RunSpec{Label: fmt.Sprintf("ByzShield, q = %d", q), Spec: cell, Q: q, Attack: atk}
+}
+
+// baselineSpec is the un-replicated cluster of size k under rule.
+func baselineSpec(label string, k, q int, atk attack.Attack, rule string, params registry.AggregatorParams) RunSpec {
 	return RunSpec{
-		Label:      fmt.Sprintf("ByzShield, q = %d", q),
-		Pipeline:   PipelineByzShield,
-		Scheme:     scheme,
-		K:          k,
-		Q:          q,
-		Attack:     atk,
-		Aggregator: aggregate.Median{},
+		Label:  fmt.Sprintf("%s, q = %d", label, q),
+		Spec:   transport.Spec{Scheme: "baseline", K: k, Aggregator: rule, AggParams: params},
+		Q:      q,
+		Attack: atk,
+	}
+}
+
+// detoxSpec is DETOX (FRC grouping, r = 5 at K = 25; r = 3 at K = 15)
+// under rule on the K/r vote winners.
+func detoxSpec(label string, k, r, q int, atk attack.Attack, rule string) RunSpec {
+	return RunSpec{
+		Label:  fmt.Sprintf("DETOX-%s, q = %d", label, q),
+		Spec:   transport.Spec{Scheme: "frc", K: k, R: r, Aggregator: rule},
+		Q:      q,
+		Attack: atk,
 	}
 }
 
 // baselineMedianSpec is the un-replicated coordinate-wise median.
 func baselineMedianSpec(k, q int, atk attack.Attack) RunSpec {
-	return RunSpec{
-		Label:      fmt.Sprintf("Median, q = %d", q),
-		Pipeline:   PipelineBaseline,
-		K:          k,
-		Q:          q,
-		Attack:     atk,
-		Aggregator: aggregate.Median{},
-	}
+	return baselineSpec("Median", k, q, atk, "median", registry.AggregatorParams{})
 }
 
-// detoxMoMSpec is DETOX (FRC grouping, r = 5 at K = 25; r = 3 at K = 15)
-// with median-of-means on the vote winners.
+// detoxMoMSpec is DETOX with median-of-means on the vote winners: the
+// registry's three groups, so that group means are true means — one
+// corrupted winner pollutes its whole group, the weakness ALIE exploits.
 func detoxMoMSpec(k, r, q int, atk attack.Attack) RunSpec {
-	return RunSpec{
-		Label:      fmt.Sprintf("DETOX-MoM, q = %d", q),
-		Pipeline:   PipelineDETOX,
-		K:          k,
-		R:          r,
-		Q:          q,
-		Attack:     atk,
-		Aggregator: detoxMoMFor(k / r),
-	}
+	return detoxSpec("MoM", k, r, q, atk, "median-of-means")
 }
 
 // bulyanSpec is the baseline Bulyan defense with c = q.
 func bulyanSpec(k, q int, atk attack.Attack) RunSpec {
-	return RunSpec{
-		Label:      fmt.Sprintf("Bulyan, q = %d", q),
-		Pipeline:   PipelineBaseline,
-		K:          k,
-		Q:          q,
-		Attack:     atk,
-		Aggregator: aggregate.Bulyan{C: q},
-	}
+	return baselineSpec("Bulyan", k, q, atk, "bulyan", registry.AggregatorParams{C: q})
 }
 
 // multiKrumSpec is the baseline Multi-Krum defense with c = q.
 func multiKrumSpec(k, q int, atk attack.Attack) RunSpec {
-	return RunSpec{
-		Label:      fmt.Sprintf("Multi-Krum, q = %d", q),
-		Pipeline:   PipelineBaseline,
-		K:          k,
-		Q:          q,
-		Attack:     atk,
-		Aggregator: aggregate.MultiKrum{C: q},
-	}
+	return baselineSpec("Multi-Krum", k, q, atk, "multikrum", registry.AggregatorParams{C: q})
 }
 
 // detoxMultiKrumSpec pairs DETOX's vote with Multi-Krum over the K/r
 // winners; the corruption parameter is the number of stolen groups
-// ⌊q/r'⌋, and feasibility (winners ≥ 2c+3) mirrors the paper's limits.
+// (c_max), and feasibility (winners ≥ 2c+3) mirrors the paper's limits.
 func detoxMultiKrumSpec(k, r, q int, atk attack.Attack) RunSpec {
-	return RunSpec{
-		Label:    fmt.Sprintf("DETOX-Multi-Krum, q = %d", q),
-		Pipeline: PipelineDETOX,
-		K:        k,
-		R:        r,
-		Q:        q,
-		Attack:   atk,
-		AggregatorFor: func(c int) aggregate.Aggregator {
-			return aggregate.MultiKrum{C: c}
-		},
-	}
+	spec := detoxSpec("Multi-Krum", k, r, q, atk, "multikrum")
+	spec.CMaxC = true
+	return spec
 }
 
 // signSGDSpec is the baseline signSGD majority-vote defense.
 func signSGDSpec(k, q int, atk attack.Attack) RunSpec {
-	return RunSpec{
-		Label:      fmt.Sprintf("signSGD, q = %d", q),
-		Pipeline:   PipelineBaseline,
-		K:          k,
-		Q:          q,
-		Attack:     atk,
-		Aggregator: aggregate.SignSGD{},
-		Schedule:   &signSGDSchedule,
-	}
+	spec := baselineSpec("signSGD", k, q, atk, "signsgd", registry.AggregatorParams{})
+	spec.Spec.Schedule = signSGDSchedule
+	return spec
 }
 
 // detoxSignSGDSpec pairs DETOX's vote with coordinate-sign majority.
 func detoxSignSGDSpec(k, r, q int, atk attack.Attack) RunSpec {
-	return RunSpec{
-		Label:      fmt.Sprintf("DETOX-signSGD, q = %d", q),
-		Pipeline:   PipelineDETOX,
-		K:          k,
-		R:          r,
-		Q:          q,
-		Attack:     atk,
-		Aggregator: aggregate.SignSGD{},
-		Schedule:   &signSGDSchedule,
-	}
+	spec := detoxSpec("signSGD", k, r, q, atk, "signsgd")
+	spec.Spec.Schedule = signSGDSchedule
+	return spec
 }
 
 // Figure2 — ALIE attack, median-based defenses, K = 25 (paper Fig. 2):

@@ -132,25 +132,6 @@ func (c FleetConfig) fleetSpec(k int) transport.Spec {
 	}
 }
 
-// specEngineConfig is the in-process engine configuration of the
-// fault-free, attack-free experiment spec describes — what a wire run of
-// the same Spec must reproduce and what the precision sweep times.
-func specEngineConfig[T linalg.Float](spec transport.Spec) (cluster.ConfigOf[T], error) {
-	b, err := spec.Build()
-	if err != nil {
-		return cluster.ConfigOf[T]{}, err
-	}
-	agg, err := spec.BuildAggregator()
-	if err != nil {
-		return cluster.ConfigOf[T]{}, err
-	}
-	return cluster.ConfigOf[T]{
-		Assignment: b.Assignment, Model: b.Model, Train: b.Train, Test: b.Test,
-		BatchSize: spec.BatchSize, Aggregator: agg,
-		Schedule: spec.Schedule, Momentum: spec.Momentum, Seed: spec.Seed,
-	}, nil
-}
-
 // engineFinalParams runs the in-process engine of width T over spec and
 // returns its final parameters — the reference trajectory a wire mode
 // must reproduce bit-for-bit. Lossless modes all share one reference
@@ -159,7 +140,7 @@ func specEngineConfig[T linalg.Float](spec transport.Spec) (cluster.ConfigOf[T],
 // started is an error: bit-identity between vectors that never moved
 // checks nothing.
 func engineFinalParams[T linalg.Float](spec transport.Spec, tier wire.UplinkTier) ([]T, error) {
-	cfg, err := specEngineConfig[T](spec)
+	cfg, err := transport.EngineConfigOf[T](&spec)
 	if err != nil {
 		return nil, err
 	}

@@ -74,7 +74,7 @@ func (c PrecisionConfig) precisionSpec(inputDim int) transport.Spec {
 // whose parameters never leave their initial bits is an error: it would
 // time a round that computes gradients of zero.
 func timeRounds[T linalg.Float](ctx context.Context, c PrecisionConfig, spec transport.Spec) (int64, error) {
-	cfg, err := specEngineConfig[T](spec)
+	cfg, err := transport.EngineConfigOf[T](&spec)
 	if err != nil {
 		return 0, err
 	}

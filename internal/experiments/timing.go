@@ -51,8 +51,8 @@ type TimingRow struct {
 // median, ByzShield (Ramanujan Case 2, l = r = 5) and DETOX-MoM (FRC,
 // r = 5) — under the ALIE attack with q = 3, K = 25, each on a loopback
 // fleet of 25 workers whose worst-case q run the attack themselves.
-// opts.Detector names the PS's detector and opts.Uplink the report codec
-// tier.
+// opts.Spec supplies the dataset, model, schedule and detector, and
+// opts.Uplink the report codec tier.
 //
 // Computation is the median worker's mean gradient span. Communication
 // is the PS's broadcast-plus-collection span less the slowest worker's
@@ -64,26 +64,22 @@ func Figure12(ctx context.Context, opts TrainOpts, rounds int) ([]TimingRow, err
 	if rounds < 1 {
 		rounds = 10
 	}
-	base := transport.Spec{
-		K:      25,
-		TrainN: opts.TrainN, TestN: opts.TestN, Dim: opts.Dim, Classes: opts.Classes,
-		DataSeed: opts.Seed, ClassSep: opts.ClassSep, Hidden: opts.Hidden,
-		BatchSize: opts.BatchSize, Schedule: defaultSchedule, Momentum: 0.9,
-		Seed: opts.Seed, Rounds: rounds, Detector: opts.Detector,
-	}
-	median, byzShield, detox := base, base, base
-	median.Scheme, median.Aggregator = "baseline", "median"
-	byzShield.Scheme, byzShield.L, byzShield.R, byzShield.Aggregator = "ramanujan2", 5, 5, "median"
-	detox.Scheme, detox.R, detox.Aggregator = "frc", 5, "median-of-means"
-	detox.AggParams = registry.AggregatorParams{Groups: 3}
-	var rows []TimingRow
-	for _, s := range []struct {
+	base := opts.Spec
+	base.Rounds = rounds
+	cells := []struct {
 		name string
-		spec transport.Spec
-	}{{"Median", median}, {"ByzShield", byzShield}, {"DETOX-MoM", detox}} {
-		row, err := timeFleet(ctx, s.name, s.spec, opts.Uplink, opts.SearchBudget)
+		cell transport.Spec
+	}{
+		{"Median", transport.Spec{Scheme: "baseline", K: 25, Aggregator: "median"}},
+		{"ByzShield", transport.Spec{Scheme: "ramanujan2", L: 5, R: 5, K: 25, Aggregator: "median"}},
+		{"DETOX-MoM", transport.Spec{Scheme: "frc", R: 5, K: 25, Aggregator: "median-of-means",
+			AggParams: registry.AggregatorParams{Groups: 3}}},
+	}
+	var rows []TimingRow
+	for _, c := range cells {
+		row, err := timeFleet(ctx, c.name, cellSpec(base, c.cell), opts.Uplink, opts.SearchBudget)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: timing %s: %w", s.name, err)
+			return nil, fmt.Errorf("experiments: timing %s: %w", c.name, err)
 		}
 		rows = append(rows, row)
 	}

@@ -3,6 +3,7 @@ package transport
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"net"
 	"slices"
@@ -30,31 +31,18 @@ type enginePlane struct {
 	byz         []int
 }
 
-// engineParamsOf runs the in-process engine of width T over the
-// experiment described by spec — its detector and fault model included —
-// and returns the final parameters.
+// engineParamsOf runs the in-process engine of width T that spec lowers
+// to (EngineConfigOf) — its detector, fault model, distribution and
+// quorum included — and returns the final parameters.
 func engineParamsOf[T linalg.Float](t *testing.T, spec Spec, ep enginePlane) []T {
 	t.Helper()
-	b, err := spec.Build()
+	cfg, err := EngineConfigOf[T](&spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg, err := spec.BuildAggregator()
-	if err != nil {
-		t.Fatal(err)
-	}
-	det, err := spec.BuildDetector()
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := cluster.NewOf(cluster.ConfigOf[T]{
-		Assignment: b.Assignment, Model: b.Model, Train: b.Train, Test: b.Test,
-		BatchSize: spec.BatchSize, Aggregator: agg,
-		Schedule: spec.Schedule, Momentum: spec.Momentum, Seed: spec.Seed,
-		Parallelism: ep.parallelism, UplinkTier: ep.tier,
-		Attack: ep.attack, Byzantines: ep.byz, Fault: b.Fault,
-		Detector: det, Detection: spec.DetectorParams.Policy(),
-	})
+	cfg.Parallelism, cfg.UplinkTier = ep.parallelism, ep.tier
+	cfg.Attack, cfg.Byzantines = ep.attack, ep.byz
+	eng, err := cluster.NewOf(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -602,6 +590,76 @@ func TestCrashedWorkerDoesNotAbortTCPTraining(t *testing.T) {
 	}
 	if final < 0.5 {
 		t.Errorf("degraded training accuracy %.3f < 0.5", final)
+	}
+}
+
+// TestLoopbackNonIIDMatchesEngine: a Spec naming a non-IID distribution
+// trains on a loopback fleet exactly as on the engine it lowers to —
+// every worker builds the per-pool stream from the Spec it was sent — at
+// both widths.
+func TestLoopbackNonIIDMatchesEngine(t *testing.T) {
+	for _, d := range []struct {
+		name  string
+		param float64
+	}{{"dirichlet", 0.3}, {"label-skew", 2}} {
+		t.Run(d.name+"/f64", func(t *testing.T) { loopbackNonIIDMatchesEngine[float64](t, d.name, d.param) })
+		t.Run(d.name+"/f32", func(t *testing.T) { loopbackNonIIDMatchesEngine[float32](t, d.name, d.param) })
+	}
+}
+
+func loopbackNonIIDMatchesEngine[T linalg.Float](t *testing.T, dist string, param float64) {
+	spec := testSpec(8)
+	spec.Distribution, spec.DistParam = dist, param
+	want := engineParamsOf[T](t, spec, enginePlane{})
+	if linalg.EqualBits(want, engineParamsOf[T](t, testSpec(8), enginePlane{})) {
+		t.Fatalf("%s ends on the IID parameters: the case checks nothing", dist)
+	}
+	if got := runFleetOf[T](t, spec, ServerConfig{}, nil, nil).healthy(t).params; !linalg.EqualBits(got, want) {
+		t.Errorf("the %s fleet diverged from the engine its Spec lowers to", dist)
+	}
+}
+
+// TestLoopbackSpecQuorum: Spec.Quorum reaches the parameter server's
+// vote. Workers 0 and 5 of MOLS(5,3) share one file; once both crash it
+// has one replica left, which the default quorum of 2 drops and
+// Quorum: 1 votes. Either way the fleet ends on the engine's parameters.
+func TestLoopbackSpecQuorum(t *testing.T) {
+	const crashRound = 3
+	for _, tc := range []struct{ quorum, dropped int }{{0, 1}, {1, 0}} {
+		t.Run(fmt.Sprintf("quorum=%d", tc.quorum), func(t *testing.T) {
+			spec := testSpec(8)
+			spec.Quorum = tc.quorum
+			spec.Faults = []FaultSpec{{Name: "crash", Params: registry.FaultParams{Workers: []int{0, 5}, Round: crashRound}}}
+			asn, err := spec.BuildAssignment()
+			if err != nil {
+				t.Fatal(err)
+			}
+			shared := 0
+			for _, v := range asn.WorkerFiles(0) {
+				if slices.Contains(asn.WorkerFiles(5), v) {
+					shared++
+				}
+			}
+			if shared != 1 {
+				t.Fatalf("workers 0 and 5 share %d files, want 1", shared)
+			}
+			want := engineParamsOf[float64](t, spec, enginePlane{})
+			f := runFleetOf[float64](t, spec, ServerConfig{RoundTimeout: 10 * time.Second}, nil, nil)
+			for u, err := range f.errs {
+				if crashed := u == 0 || u == 5; crashed != errors.Is(err, ErrInjectedCrash) {
+					t.Errorf("worker %d returned %v", u, err)
+				}
+			}
+			for _, rs := range f.stats[crashRound:] {
+				if rs.DroppedFiles != tc.dropped || rs.DegradedFiles != 9-tc.dropped {
+					t.Errorf("round %d: dropped %d degraded %d, want %d/%d",
+						rs.Iteration, rs.DroppedFiles, rs.DegradedFiles, tc.dropped, 9-tc.dropped)
+				}
+			}
+			if !linalg.EqualBits(f.params, want) {
+				t.Error("the fleet diverged from the engine under the same quorum")
+			}
+		})
 	}
 }
 

@@ -567,7 +567,7 @@ func TestServeJoinsAllPumpGoroutines(t *testing.T) {
 // TestV2PeerRejected: an old-version peer is refused with a typed
 // Reject{RejectVersion} at both negotiation layers — a Hello declaring
 // an old version inside a valid frame, and any frame whose header is
-// stamped with an old version (how a real v5, v7 or v9 peer looks on
+// stamped with an old version (how a real v5, v7, v9 or v10 peer looks on
 // the wire: its very first frame header fails the version check, before
 // any payload parses).
 func TestV2PeerRejected(t *testing.T) {
@@ -609,13 +609,14 @@ func TestV2PeerRejected(t *testing.T) {
 	c.Close()
 
 	// A frame stamped with an old version in its header, as a real old
-	// peer would send — a v5, a v7, a v8 and a v9 one (the last protocol
-	// with shard fields): rejected before the
+	// peer would send — a v5, a v7, a v8, a v9 (the last protocol with
+	// shard fields) and a v10 one (the last whose Spec names no data
+	// distribution or quorum): rejected before the
 	// payload is even interpreted. The peer cannot parse the Reject frame
 	// it gets back, but the bytes on its socket are deterministic — a
 	// framed Reject carrying RejectVersion, then EOF — so the refusal is
 	// diagnosable.
-	for _, old := range []byte{5, 7, 8, 9} {
+	for _, old := range []byte{5, 7, 8, 9, 10} {
 		raw, err = net.Dial("tcp", srv.Addr())
 		if err != nil {
 			t.Fatal(err)

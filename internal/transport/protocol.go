@@ -1,6 +1,6 @@
 // Package transport implements a real network transport for the
 // training protocol: a TCP parameter server and worker clients speaking
-// the framed v10 control protocol over net.Conn. This is the repository's
+// the framed v11 control protocol over net.Conn. This is the repository's
 // substitute for the paper's MPICH deployment — cmd/byzps and
 // cmd/byzworker run the same synchronous rounds as the in-process engine
 // across OS processes (or machines). The server executes every round
@@ -9,7 +9,7 @@
 // aggregates, and steps exactly like the in-process engine and
 // reproduces its parameter trajectory bit-for-bit for the same Spec.
 //
-// Wire protocol v10 (every message one self-delimiting frame, see
+// Wire protocol v11 (every message one self-delimiting frame, see
 // internal/wire: magic, version, type, length header + canonical
 // little-endian binary payload):
 //
@@ -19,6 +19,10 @@
 //	PS → worker:  RoundStart{Iteration, BaseIteration, ParamsFrame}
 //	worker → PS:  GradientReport{WorkerID, Iteration, Frame}
 //	PS → worker:  Shutdown{FinalAccuracy}
+//
+// v11 made the Spec the one run description (spec.go): it names the
+// data distribution every process samples under and the vote quorum,
+// so a non-IID or quorum-tuned run has a wire twin.
 //
 // v10 deleted the sharded aggregation plane v5 added: a worker's round
 // is one GradientReport carrying its whole rows, so the report lost its
@@ -100,15 +104,7 @@ import (
 	"net"
 	"time"
 
-	"byzshield/internal/aggregate"
-	"byzshield/internal/assign"
-	"byzshield/internal/data"
-	"byzshield/internal/detect"
-	"byzshield/internal/fault"
 	"byzshield/internal/linalg"
-	"byzshield/internal/model"
-	"byzshield/internal/registry"
-	"byzshield/internal/trainer"
 	"byzshield/internal/wire"
 )
 
@@ -122,166 +118,6 @@ const (
 	msgShutdown
 	msgReject
 )
-
-// FaultSpec names one registry fault model with its parameters, so a
-// Spec can compose heterogeneous per-worker faults on the wire (each
-// model targets its own workers; see fault.Stack).
-type FaultSpec struct {
-	Name   string
-	Params registry.FaultParams
-}
-
-// Spec describes the experiment so every process builds identical
-// datasets, models, and assignments. Component names resolve through
-// internal/registry, so any scheme registered there ("mols",
-// "ramanujan1", "ramanujan2", "frc", "baseline", "random") is valid on
-// the wire.
-type Spec struct {
-	// Scheme is the registry name of the assignment scheme.
-	Scheme string
-	// L and R parameterize the scheme (load and replication; see
-	// registry.SchemeParams for the per-scheme field conventions).
-	L, R int
-	// K is the worker count (derived for mols/ramanujan1/2; explicit for
-	// frc/baseline/random).
-	K int
-	// F is the file count (random scheme only; derived elsewhere).
-	F int
-	// Aggregator is the registry name of the PS aggregation rule
-	// (default "median"); AggParams carries its knobs.
-	Aggregator string
-	AggParams  registry.AggregatorParams
-	// Dataset parameters.
-	TrainN, TestN, Dim, Classes int
-	DataSeed                    int64
-	ClassSep                    float64
-	// Hidden is the MLP hidden width; 0 selects softmax regression.
-	Hidden int
-	// Training parameters.
-	BatchSize int
-	Schedule  trainer.Schedule
-	Momentum  float64
-	Seed      int64
-	Rounds    int
-	// Faults names the registry fault models the workers apply to
-	// themselves (none = fault-free), each with the workers it targets,
-	// so different workers can fail in different ways at once (worker 2
-	// flaky AND worker 9 straggling); they stack via fault.Stack. Fault
-	// decisions are deterministic in (round, worker), so the worker
-	// processes and any observer evaluating the same Spec agree on the
-	// injected schedule without coordination.
-	Faults []FaultSpec
-	// Detector names the registry detector the PS runs between
-	// collection and aggregation ("" or "none" = detection off);
-	// DetectorParams carries the reputation policy knobs. Part of the
-	// Spec so every observer of the run agrees on the detection
-	// configuration.
-	Detector       string
-	DetectorParams registry.DetectorParams
-}
-
-// components is the shared catalog every Spec resolves names through;
-// custom components registered on it (byzshield.Registry is the same
-// object) are therefore valid on the wire.
-var components = registry.Default
-
-// Built is what every process of a run constructs from the Spec, each
-// to the identical result. The aggregation and detection rules are not
-// part of it: they are the parameter server's alone (a worker never
-// resolves either name).
-type Built struct {
-	Assignment  *assign.Assignment
-	Model       model.Model
-	Train, Test *data.Dataset
-	Fault       fault.Fault
-}
-
-// Build constructs the spec's shared components, cheapest first so a
-// bad name fails before the datasets are generated.
-func (s *Spec) Build() (*Built, error) {
-	var b Built
-	var err error
-	if b.Fault, err = s.BuildFault(); err != nil {
-		return nil, err
-	}
-	if b.Assignment, err = s.BuildAssignment(); err != nil {
-		return nil, err
-	}
-	if b.Model, err = s.BuildModel(); err != nil {
-		return nil, err
-	}
-	if b.Train, b.Test, err = s.BuildData(); err != nil {
-		return nil, err
-	}
-	return &b, nil
-}
-
-// BuildAssignment constructs the assignment described by the spec via
-// the component registry, guaranteeing that every process (and the
-// in-process engine) realizes the identical placement.
-func (s *Spec) BuildAssignment() (*assign.Assignment, error) {
-	return components.Scheme(s.Scheme, registry.SchemeParams{
-		L: s.L, R: s.R, K: s.K, F: s.F, Seed: s.Seed,
-	})
-}
-
-// BuildAggregator constructs the aggregation rule named by the spec
-// (coordinate-wise median when unset).
-func (s *Spec) BuildAggregator() (aggregate.Aggregator, error) {
-	name := s.Aggregator
-	if name == "" {
-		name = "median"
-	}
-	return components.Aggregator(name, s.AggParams)
-}
-
-// BuildModel constructs the model described by the spec.
-func (s *Spec) BuildModel() (model.Model, error) {
-	if s.Hidden > 0 {
-		return model.NewMLP(s.Dim, s.Hidden, s.Classes)
-	}
-	return model.NewSoftmax(s.Dim, s.Classes)
-}
-
-// BuildData constructs the train/test datasets described by the spec.
-func (s *Spec) BuildData() (train, test *data.Dataset, err error) {
-	return data.Synthetic(data.SyntheticConfig{
-		Train: s.TrainN, Test: s.TestN, Dim: s.Dim, Classes: s.Classes,
-		Seed: s.DataSeed, ClassSep: s.ClassSep,
-	})
-}
-
-// BuildDetector constructs the detection rule named by the spec
-// (detect.None when unset).
-func (s *Spec) BuildDetector() (detect.Detector, error) {
-	name := s.Detector
-	if name == "" {
-		name = "none"
-	}
-	return components.Detector(name, s.DetectorParams)
-}
-
-// BuildFault constructs the worker fault model named by the spec:
-// fault-free when nothing is named, the model itself when one is, and a
-// fault.Stack composing every Faults entry otherwise.
-func (s *Spec) BuildFault() (fault.Fault, error) {
-	var stack fault.Stack
-	for _, fs := range s.Faults {
-		f, err := components.Fault(fs.Name, fs.Params)
-		if err != nil {
-			return nil, err
-		}
-		stack = append(stack, f)
-	}
-	switch len(stack) {
-	case 0:
-		return fault.None{}, nil
-	case 1:
-		return stack[0], nil
-	default:
-		return stack, nil
-	}
-}
 
 // --- Spec payload codec --------------------------------------------
 
@@ -303,12 +139,15 @@ func appendSpec(dst []byte, s *Spec) ([]byte, error) {
 	var err error
 	dst = wire.AppendI64(dst, s.DataSeed)
 	dst = wire.AppendF64(dst, s.ClassSep)
+	dst = wire.AppendString(dst, s.Distribution)
+	dst = wire.AppendF64(dst, s.DistParam)
 	dst = wire.AppendF64(dst, s.Schedule.Base)
 	dst = wire.AppendF64(dst, s.Schedule.Decay)
 	dst = wire.AppendU32(dst, uint32(s.Schedule.Every))
 	dst = wire.AppendF64(dst, s.Momentum)
 	dst = wire.AppendI64(dst, s.Seed)
 	dst = wire.AppendU32(dst, uint32(s.Rounds))
+	dst = wire.AppendU32(dst, uint32(s.Quorum))
 	dst = wire.AppendU32(dst, uint32(len(s.Faults)))
 	for _, fs := range s.Faults {
 		if dst, err = appendFaultSpec(dst, &fs); err != nil {
@@ -350,12 +189,15 @@ func decodeSpec(d *wire.Dec, s *Spec) {
 	s.Classes, s.Hidden, s.BatchSize = d.Int(), d.Int(), d.Int()
 	s.DataSeed = d.I64()
 	s.ClassSep = d.F64()
+	s.Distribution = d.String()
+	s.DistParam = d.F64()
 	s.Schedule.Base = d.F64()
 	s.Schedule.Decay = d.F64()
 	s.Schedule.Every = d.Int()
 	s.Momentum = d.F64()
 	s.Seed = d.I64()
 	s.Rounds = d.Int()
+	s.Quorum = d.Int()
 	n := d.Int()
 	if d.Err() != nil {
 		return

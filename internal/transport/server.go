@@ -77,10 +77,6 @@ type ServerConfig struct {
 	// TierSign / TierInt8 ship 1-bit / 8-bit linear-quantized gradients
 	// (see internal/wire).
 	Uplink wire.UplinkTier
-	// Quorum is the minimum surviving replicas a file needs to be voted
-	// (0 → majority of the nominal replication, R/2+1); see
-	// cluster.Config.Quorum.
-	Quorum int
 	// Shards is inert: nothing reads it. It sized the sharded
 	// aggregation plane protocol v10 deleted, and stays only because
 	// bench/adapter_fleet.go sets it and that module is not this
@@ -178,18 +174,14 @@ type ServerOf[T linalg.Float] struct {
 // NewServerOf validates the config, builds the width-T round engine and
 // binds the listener on addr (e.g. "127.0.0.1:0" to pick a free port).
 func NewServerOf[T linalg.Float](addr string, cfg ServerConfig) (*ServerOf[T], error) {
-	agg, err := cfg.Spec.BuildAggregator()
-	if err != nil {
-		return nil, err
-	}
 	if cfg.Spec.Rounds < 1 {
 		return nil, fmt.Errorf("transport: rounds %d < 1", cfg.Spec.Rounds)
 	}
-	b, err := cfg.Spec.Build()
+	engCfg, err := EngineConfigOf[T](&cfg.Spec)
 	if err != nil {
 		return nil, err
 	}
-	asn, mdl := b.Assignment, b.Model
+	asn, mdl := engCfg.Assignment, engCfg.Model
 	cfg.Spec.K = asn.K
 	if err := welcomeFits(&cfg.Spec); err != nil {
 		return nil, err
@@ -209,32 +201,15 @@ func NewServerOf[T linalg.Float](addr string, cfg ServerConfig) (*ServerOf[T], e
 	if cfg.FullBroadcastEvery < 1 {
 		return nil, fmt.Errorf("transport: full-broadcast cadence %d < 1", cfg.FullBroadcastEvery)
 	}
-	det, err := cfg.Spec.BuildDetector()
-	if err != nil {
-		return nil, err
-	}
 	if !cfg.Uplink.Valid() {
 		return nil, fmt.Errorf("transport: unknown uplink tier %d", cfg.Uplink)
 	}
 	src := newWireSource[T](asn, cfg.RoundTimeout, cfg.FullBroadcastEvery, cfg.Logf)
 	src.uplink = cfg.Uplink
-	eng, err := cluster.NewOf(cluster.ConfigOf[T]{
-		Assignment: asn,
-		Model:      mdl,
-		Train:      b.Train,
-		Test:       b.Test,
-		BatchSize:  cfg.Spec.BatchSize,
-		Aggregator: agg,
-		Schedule:   cfg.Spec.Schedule,
-		Momentum:   cfg.Spec.Momentum,
-		Seed:       cfg.Spec.Seed,
-		Quorum:     cfg.Quorum,
-		Detector:   det,
-		Detection:  cfg.Spec.DetectorParams.Policy(),
-		Source:     src,
-		Metrics:    cfg.Metrics,
-		Tracer:     cfg.Tracer,
-	})
+	// Workers inject their own faults; the PS only sees who is missing.
+	engCfg.Fault = nil
+	engCfg.Source, engCfg.Metrics, engCfg.Tracer = src, cfg.Metrics, cfg.Tracer
+	eng, err := cluster.NewOf(engCfg)
 	if err != nil {
 		return nil, err
 	}

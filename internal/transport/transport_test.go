@@ -279,6 +279,8 @@ func TestSpecWireRoundTrip(t *testing.T) {
 	spec.Aggregator = "bulyan"
 	spec.AggParams = byzregistry.AggregatorParams{C: 2, Groups: 5, Threshold: 0.25}
 	spec.Hidden = 12
+	spec.Distribution, spec.DistParam = "dirichlet", 0.3
+	spec.Quorum = 1
 	spec.Faults = []FaultSpec{
 		{Name: "flaky", Params: byzregistry.FaultParams{Workers: []int{1, 4}, P: 0.3, Seed: 8}},
 		{Name: "straggler", Params: byzregistry.FaultParams{Workers: []int{9}, Delay: 2 * time.Second}},

@@ -73,9 +73,10 @@ type WorkerConfig struct {
 	// operator scrapes per worker process (byzworker -metrics-addr).
 	Metrics *obs.Registry
 	// Shared, when non-nil, supplies the heavyweight Spec-derived state
-	// (dataset, model, fault plan, assignment) from a pool shared by
-	// every worker in the process — what lets a loopback fleet run
-	// thousands of workers without K copies of the training set. It must
+	// (dataset and its distribution, model, fault plan, assignment) from
+	// a pool shared by every worker in the process — what lets a loopback
+	// fleet run thousands of workers without K copies of the training
+	// set. It must
 	// be built (NewSharedWorkerState) from the same Spec the server
 	// serves; the models' gradient scratch is sync.Pool-backed, so
 	// concurrent SumGradient calls across workers are safe.
@@ -89,6 +90,7 @@ type WorkerConfig struct {
 type SharedWorkerState struct {
 	mdl   model.Model
 	train *data.Dataset
+	dist  data.Distributor
 	flt   fault.Fault
 	asn   *assign.Assignment
 	// bind32 is the float32 binding of mdl over train — the narrowed copy
@@ -103,7 +105,7 @@ func NewSharedWorkerState(spec Spec) (*SharedWorkerState, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &SharedWorkerState{mdl: b.Model, train: b.Train, flt: b.Fault, asn: b.Assignment}
+	s := &SharedWorkerState{mdl: b.Model, train: b.Train, dist: b.Distribution, flt: b.Fault, asn: b.Assignment}
 	s.bind32 = sync.OnceValues(func() (model.Bound[float32], error) {
 		return model.BindOf[float32](s.mdl, s.train)
 	})
@@ -410,7 +412,7 @@ func (st *workerStateOf[T]) adopt(welcome Welcome) error {
 			return err
 		}
 		st.filesStatic = st.asn.WorkerFiles(st.cfg.ID)
-		if st.stream, err = data.NewFileStream(st.train.Len(), st.spec.BatchSize, st.spec.Seed, st.asn.F); err != nil {
+		if st.stream, err = data.NewRunStream(st.train, st.spec.BatchSize, st.spec.Seed, st.asn.F, sh.dist); err != nil {
 			return err
 		}
 		if linalg.Width[T]() != 8 {
