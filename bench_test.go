@@ -7,7 +7,7 @@
 // Table benches measure the worst-case distortion search that generates
 // the table; figure benches measure a scaled-down end-to-end training
 // run with the figure's lead configuration (full-size runs live behind
-// cmd/byztrain). Reported values are wall-clock per experiment
+// cmd/byzsim -figure). Reported values are wall-clock per experiment
 // regeneration.
 package byzshield_test
 

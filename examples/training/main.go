@@ -89,5 +89,5 @@ func main() {
 	fmt.Println("\nExpected shape (paper Fig. 2): ByzShield's small ε̂ (0.08) keeps it near")
 	fmt.Println("attack-free accuracy while the baseline median (ε̂=0.20) decays under ALIE.")
 	fmt.Println("DETOX's larger ε̂ penalty becomes catastrophic at q=9 — run")
-	fmt.Println("`go run ./cmd/byztrain -figure 6` for its collapse to chance accuracy.")
+	fmt.Println("`go run ./cmd/byzsim -figure 6` for its collapse to chance accuracy.")
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -11,85 +12,56 @@ import (
 )
 
 func TestAblationSchemes(t *testing.T) {
-	rows, err := AblationSchemes(context.Background(), 2, 4, 20*time.Second)
+	specs, err := AblationTables(2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 4 schemes × 3 q values.
-	if len(rows) != 12 {
-		t.Fatalf("%d rows, want 12", len(rows))
+	if len(specs) != 4 {
+		t.Fatalf("%d tables, want 4", len(specs))
 	}
-	byScheme := make(map[string][]AblationRow)
-	for _, r := range rows {
-		byScheme[r.Scheme] = append(byScheme[r.Scheme], r)
+	bySchemeSpec := make(map[string]TableSpec)
+	byScheme := make(map[string][]TableRow)
+	for _, spec := range specs {
+		rows, err := RunTable(context.Background(), spec, 20*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// 3 q values per scheme.
+		if len(rows) != 3 {
+			t.Fatalf("%s: %d rows, want 3", spec.ID, len(rows))
+		}
+		if !strings.Contains(spec.Title, fmt.Sprintf("mu1=%.4f", spec.GammaMu)) {
+			t.Errorf("%s: title %q does not report mu1", spec.ID, spec.Title)
+		}
+		bySchemeSpec[spec.ID], byScheme[spec.ID] = spec, rows
 	}
-	mols := byScheme["mols(5,3)"]
-	frc := byScheme["frc(15,3)"]
+	mols, frc := byScheme["mols"], byScheme["frc"]
 	if len(mols) != 3 || len(frc) != 3 {
 		t.Fatalf("schemes missing: %v", byScheme)
 	}
 	// Spectral gaps: MOLS 1/3, FRC 1 (no expansion).
-	if mols[0].Mu1 > 0.34 || mols[0].Mu1 < 0.33 {
-		t.Errorf("MOLS µ1 = %v", mols[0].Mu1)
+	if mu := bySchemeSpec["mols"].GammaMu; mu > 0.34 || mu < 0.33 {
+		t.Errorf("MOLS µ1 = %v", mu)
 	}
-	if frc[0].Mu1 < 0.99 {
-		t.Errorf("FRC µ1 = %v, want ≈1", frc[0].Mu1)
+	if mu := bySchemeSpec["frc"].GammaMu; mu < 0.99 {
+		t.Errorf("FRC µ1 = %v, want ≈1", mu)
 	}
 	// Distortion: MOLS never worse than FRC at any q here, and strictly
-	// better at q = 2 and 4 (Table 3 vs ε̂_FRC).
+	// better at q = 2 (Table 3 vs ε̂_FRC).
 	for i := range mols {
-		if mols[i].Epsilon > frc[i].Epsilon+1e-9 {
-			t.Errorf("q=%d: MOLS ε̂ %v worse than FRC %v", mols[i].Q, mols[i].Epsilon, frc[i].Epsilon)
+		if mols[i].EpsByz > frc[i].EpsByz+1e-9 {
+			t.Errorf("q=%d: MOLS ε̂ %v worse than FRC %v", mols[i].Q, mols[i].EpsByz, frc[i].EpsByz)
 		}
 	}
-	if !(mols[0].Epsilon < frc[0].Epsilon) {
-		t.Errorf("q=2: expected strict MOLS advantage (%v vs %v)", mols[0].Epsilon, frc[0].Epsilon)
+	if !(mols[0].EpsByz < frc[0].EpsByz) {
+		t.Errorf("q=2: expected strict MOLS advantage (%v vs %v)", mols[0].EpsByz, frc[0].EpsByz)
 	}
 	// Ramanujan Case 1 must match MOLS c_max exactly (the paper's
 	// "simulations ... were identical across the two" observation).
-	ram := byScheme["ramanujan1(5,3)"]
+	ram := byScheme["ramanujan1"]
 	for i := range mols {
 		if ram[i].CMax != mols[i].CMax {
 			t.Errorf("q=%d: Ramanujan1 c_max %d != MOLS %d", mols[i].Q, ram[i].CMax, mols[i].CMax)
-		}
-	}
-}
-
-func TestRenderAblation(t *testing.T) {
-	rows := []AblationRow{
-		{Scheme: "mols(5,3)", Q: 2, Mu1: 1.0 / 3, CMax: 1, Exact: true, Epsilon: 0.04, Gamma: 2.11},
-		{Scheme: "frc(15,3)", Q: 2, Mu1: 1, CMax: 5, Exact: false, Epsilon: 1, Gamma: 5},
-	}
-	var buf bytes.Buffer
-	RenderAblation(&buf, rows)
-	out := buf.String()
-	if !strings.Contains(out, "mols(5,3)") || !strings.Contains(out, "mu1") {
-		t.Errorf("rendering:\n%s", out)
-	}
-	if !strings.Contains(out, "5*") {
-		t.Errorf("inexact marker missing:\n%s", out)
-	}
-}
-
-func TestTable7Complete(t *testing.T) {
-	entries := Table7()
-	if len(entries) != 22 {
-		t.Fatalf("Table 7 has %d entries, want 22 (paper rows)", len(entries))
-	}
-	figures := make(map[int]bool)
-	for _, e := range entries {
-		if e.Figure < 2 || e.Figure > 11 {
-			t.Errorf("entry for figure %d outside 2..11", e.Figure)
-		}
-		figures[e.Figure] = true
-		s := trainer.Schedule{Base: e.Schedule[0], Decay: e.Schedule[1], Every: int(e.Schedule[2])}
-		if err := s.Validate(); err != nil {
-			t.Errorf("figure %d schedule %v invalid: %v", e.Figure, e.Schedule, err)
-		}
-	}
-	for _, f := range []int{2, 3, 4, 5, 6, 7, 8, 9, 10, 11} {
-		if !figures[f] {
-			t.Errorf("figure %d missing from Table 7", f)
 		}
 	}
 }

@@ -274,6 +274,13 @@ func TestRenderers(t *testing.T) {
 	if !strings.Contains(out, "c_max") || !strings.Contains(out, "gamma") {
 		t.Errorf("table rendering missing headers:\n%s", out)
 	}
+	// A budget-exhausted row carries the * lower-bound marker and the
+	// footnote explaining it.
+	buf.Reset()
+	RenderTable(&buf, Table3Spec(), []TableRow{{Q: 2, CMax: 5, Exact: false, EpsByz: 0.2}})
+	if out := buf.String(); !strings.Contains(out, "5*") || !strings.Contains(out, "greedy lower bound") {
+		t.Errorf("inexact marker missing:\n%s", out)
+	}
 	buf.Reset()
 	RenderTableCSV(&buf, rows)
 	if !strings.HasPrefix(buf.String(), "q,c_max,exact") {

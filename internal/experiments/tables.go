@@ -7,6 +7,7 @@ import (
 
 	"byzshield/internal/assign"
 	"byzshield/internal/distort"
+	"byzshield/internal/graph"
 	"byzshield/internal/registry"
 )
 
@@ -97,6 +98,59 @@ func TableByID(id string) (TableSpec, error) {
 	default:
 		return TableSpec{}, fmt.Errorf("experiments: unknown table %q", id)
 	}
+}
+
+// SchemeTable describes the distortion table of any registry scheme
+// over q in [qmin, qmax]. The construction is probed once so parameter
+// errors surface early, and the γ column uses the scheme's measured
+// spectral gap μ1 (1/r for the ByzShield constructions, 1 for FRC),
+// which the title also reports.
+func SchemeTable(name string, params registry.SchemeParams, qmin, qmax int) (TableSpec, error) {
+	build := func() (*assign.Assignment, error) { return components.Scheme(name, params) }
+	a, err := build()
+	if err != nil {
+		return TableSpec{}, err
+	}
+	spec, err := graph.ComputeSpectrum(a.Graph, 1e-6)
+	if err != nil {
+		return TableSpec{}, err
+	}
+	mu1 := spec.Mu1()
+	return TableSpec{
+		ID:      name,
+		Title:   fmt.Sprintf("Distortion fraction, %s (K=%d, f=%d, l=%d, r=%d), mu1=%.4f", name, a.K, a.F, a.L, a.R, mu1),
+		Scheme:  build,
+		QMin:    qmin,
+		QMax:    qmax,
+		BaseK:   a.K,
+		BaseR:   a.R,
+		GammaMu: mu1,
+	}, nil
+}
+
+// AblationTables is the assignment-scheme ablation at K = 15, r = 3 —
+// MOLS vs Ramanujan Case 1 vs FRC vs a seeded random placement — one
+// SchemeTable each over q in [qmin, qmax]: why expander placements beat
+// grouped and random ones (DESIGN.md §5).
+func AblationTables(qmin, qmax int) ([]TableSpec, error) {
+	schemes := []struct {
+		name   string
+		params registry.SchemeParams
+	}{
+		{"mols", registry.SchemeParams{L: 5, R: 3}},
+		{"ramanujan1", registry.SchemeParams{L: 5, R: 3}},
+		{"frc", registry.SchemeParams{K: 15, R: 3}},
+		{"random", registry.SchemeParams{K: 15, F: 25, R: 3, Seed: 7}},
+	}
+	specs := make([]TableSpec, len(schemes))
+	for i, s := range schemes {
+		spec, err := SchemeTable(s.name, s.params, qmin, qmax)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: ablation %s: %w", s.name, err)
+		}
+		specs[i] = spec
+	}
+	return specs, nil
 }
 
 // RunTable computes the table rows: exact c_max by branch-and-bound
