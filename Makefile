@@ -22,7 +22,8 @@ bench:
 # because several f32 names extend an f64 name by suffix). The list is
 # whatever the package declares; fewer than the 16 that exist means a
 # target was deleted or renamed, which fails the run instead of
-# shrinking it.
+# shrinking it. The chunked median/trimmed-mean kernels' bit-identity
+# target runs after them for the same time.
 fuzz: build
 	@targets=$$($(GO) test -list '^Fuzz' ./internal/wire | grep '^Fuzz') || exit 1; \
 	n=$$(echo "$$targets" | wc -l); \
@@ -32,6 +33,7 @@ fuzz: build
 	for t in $$targets; do \
 		$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime $(FUZZTIME) ./internal/wire || exit 1; \
 	done
+	$(GO) test -run '^$$' -fuzz '^FuzzMedianChunk$$' -fuzztime $(FUZZTIME) ./internal/aggregate
 
 # bench/ is its own module (replace byzshield => ../) importing the
 # per-width names from internal/; the root ./... never compiles it.

@@ -385,6 +385,9 @@ func benchGrads(n, d int) [][]float64 {
 	return grads
 }
 
+// BenchmarkMedian25x1000 draws from 13 distinct values, which lets
+// quickselect's equal run exit early; BenchmarkMedianChunk times the
+// median kernel on Gaussian columns, as real gradients are.
 func BenchmarkMedian25x1000(b *testing.B) {
 	grads := benchGrads(25, 1000)
 	b.ResetTimer()

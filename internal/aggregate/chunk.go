@@ -65,6 +65,7 @@ func BindOf[T linalg.Float](agg Aggregator) (Bound[T], error) {
 // One pool exists per element width (see getScratch).
 type chunkScratch[T linalg.Float] struct {
 	col    []T
+	rank   linalg.RangeScratch
 	med    []T
 	means  []T
 	bounds []int
@@ -137,27 +138,21 @@ func newOut(ca ChunkAggregator, grads [][]float64) ([]float64, error) {
 	return out, nil
 }
 
-// gatherCol copies coordinate i of every gradient into s.col in input
-// order and returns the column.
-func (s *chunkScratch[T]) gatherCol(grads [][]T, i int) []T {
-	col := s.col[:len(grads)]
-	for j, g := range grads {
-		col[j] = g[i]
-	}
-	return col
-}
-
 // --- Generic kernel bodies ------------------------------------------
 //
 // Each rule's AggregateChunk and AggregateChunk32 call one generic body,
 // so the two precision tiers run the same reduction with only the
-// element width changed. The per-coordinate order statistics run on
-// scratch-reusing quickselect (linalg.SelectKth and friends) instead of
-// per-coordinate full sorts: selection is expected O(n) per coordinate
-// against O(n log n), and the selected values are exactly the sorted
-// order statistics, so results stay bit-identical to the sort-based
-// kernels (linalg's BenchmarkMedian against BenchmarkMedianSortBaseline
-// is the before/after).
+// element width changed. Median and TrimmedMean reduce tiles of
+// linalg.Lanes coordinates through a pruned comparator network
+// (linalg.MedianRange, linalg.TrimmedMeanRange): per-column quickselect
+// spent its time in branch mispredicts on random gradients, not in the
+// strided gather (DESIGN §9.6 has the measurements). The network's
+// values are exactly the sorted order statistics, and the columns where
+// a ±0 or NaN could make the bits depend on the selection order are
+// redone with quickselect, so results stay bit-identical to
+// linalg.MedianSelect and linalg.TrimmedMeanSelect per column. The other
+// order-statistic rules gather each column and run quickselect
+// (linalg.SelectKth and friends) or a sort.
 
 func meanChunk[T linalg.Float](grads [][]T, out []T, lo, hi int) {
 	inv := 1 / T(len(grads))
@@ -173,17 +168,13 @@ func meanChunk[T linalg.Float](grads [][]T, out []T, lo, hi int) {
 func medianChunk[T linalg.Float](grads [][]T, out []T, lo, hi int) {
 	s := getScratch[T](len(grads))
 	defer putScratch(s)
-	for i := lo; i < hi; i++ {
-		out[i] = linalg.MedianSelect(s.gatherCol(grads, i))
-	}
+	linalg.MedianRange(out, grads, lo, hi, s.col, &s.rank)
 }
 
 func trimmedMeanChunk[T linalg.Float](grads [][]T, out []T, lo, hi, trim int) {
 	s := getScratch[T](len(grads))
 	defer putScratch(s)
-	for i := lo; i < hi; i++ {
-		out[i] = linalg.TrimmedMeanSelect(s.gatherCol(grads, i), trim)
-	}
+	linalg.TrimmedMeanRange(out, grads, lo, hi, trim, s.col, &s.rank)
 }
 
 // medianOfMeansChunk reduces with the same ceil-sized-prefix group
@@ -256,7 +247,7 @@ func meanAroundMedianChunk[T linalg.Float](grads [][]T, out []T, lo, hi, near in
 	}
 	vd := s.vd[:n]
 	for i := lo; i < hi; i++ {
-		col := s.gatherCol(grads, i)
+		col := linalg.GatherCol(s.col, grads, i)
 		medBuf := s.med[:n]
 		copy(medBuf, col)
 		med := linalg.MedianSelect(medBuf)
@@ -285,7 +276,7 @@ func aurorChunk[T linalg.Float](grads [][]T, out []T, lo, hi int, threshold floa
 		s.sq = make([]T, n+1)
 	}
 	for i := lo; i < hi; i++ {
-		col := s.gatherCol(grads, i)
+		col := linalg.GatherCol(s.col, grads, i)
 		linalg.SortAscending(col)
 		out[i] = aurorSorted(col, threshold, s.prefix[:n+1], s.sq[:n+1])
 	}

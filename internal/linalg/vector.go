@@ -218,18 +218,12 @@ func StdVecInto[T Float](out, mean []T, vs [][]T) []T {
 	return out
 }
 
-// MedianVec returns the coordinate-wise median. For even counts the
-// average of the two central order statistics is used.
+// MedianVec returns the coordinate-wise median (MedianRange over every
+// coordinate). For even counts the average of the two central order
+// statistics is used.
 func MedianVec[T Float](vs [][]T) []T {
-	d := checkSameLen(vs)
-	out := make([]T, d)
-	col := make([]T, len(vs))
-	for i := 0; i < d; i++ {
-		for j, v := range vs {
-			col[j] = v[i]
-		}
-		out[i] = MedianSelect(col)
-	}
+	out := make([]T, checkSameLen(vs))
+	MedianRange(out, vs, 0, len(out), make([]T, len(vs)), new(RangeScratch))
 	return out
 }
 

@@ -2,6 +2,7 @@ package model
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -72,6 +73,75 @@ func TestModel32GradientDeterministic(t *testing.T) {
 			if math.Float32bits(g1[i]) != math.Float32bits(g2[i]) {
 				t.Fatalf("%s: f32 gradient not bit-deterministic at %d", m.Name(), i)
 			}
+		}
+	}
+}
+
+// TestSoftmaxGradient32SubnormalBits drives the f32 softmax gradient
+// into class probabilities below float32's normal range, where it forms
+// the products in float64, and checks the gradient's bits against the
+// plain float32 loop. The last class's bias sinks its probability to
+// ~1e-41 and no sample carries its label, so its weight row sums only
+// subnormal products.
+func TestSoftmaxGradient32SubnormalBits(t *testing.T) {
+	const dim, classes = 16, 4
+	sm, err := NewSoftmax(dim, classes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds32 := smallDataset(t, 48, dim, classes).To32()
+	params := InitParams32(sm, 3)
+	params[classes*dim+classes-1] = -95
+	var idx []int
+	for i, y := range ds32.Y {
+		if y != classes-1 {
+			idx = append(idx, i)
+		}
+	}
+	got := make([]float32, sm.NumParams())
+	sm.SumGradient32(params, ds32, idx, got)
+
+	want := make([]float32, sm.NumParams())
+	probs := make([]float32, classes)
+	subnormal := 0
+	for _, i := range idx {
+		softmaxLogitsT(dim, classes, params, ds32.X[i], probs)
+		softmaxT(probs)
+		for c, diff := range probs {
+			if c == ds32.Y[i] {
+				diff -= 1
+			}
+			if diff != 0 && math.Abs(float64(diff)) < 0x1p-126 {
+				subnormal++
+			}
+			for j, xv := range ds32.X[i] {
+				want[c*dim+j] += diff * xv
+			}
+			want[classes*dim+c] += diff
+		}
+	}
+	if subnormal < len(idx)/2 {
+		t.Fatalf("%d of %d samples have a class probability below float32's normal range", subnormal, len(idx))
+	}
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("grad[%d] = %v (%#x), want %v (%#x)", i, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+		}
+	}
+
+	// The product identity itself, over subnormal factors and every kind
+	// of float32 partner.
+	rng := rand.New(rand.NewSource(9))
+	partners := []float32{0, float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)),
+		float32(math.NaN()), math.MaxFloat32, math.SmallestNonzeroFloat32, 0x1p-126, 1e30}
+	for trial := 0; trial < 100000; trial++ {
+		d := math.Float32frombits(uint32(1+rng.Intn(1<<23-1)) | uint32(rng.Intn(2))<<31)
+		x := math.Float32frombits(rng.Uint32())
+		if trial < len(partners) {
+			x = partners[trial]
+		}
+		if got, want := float32(float64(d)*float64(x)), d*x; math.Float32bits(got) != math.Float32bits(want) {
+			t.Fatalf("%v * %v: float64 product rounds to %#x, float32 product is %#x", d, x, math.Float32bits(got), math.Float32bits(want))
 		}
 	}
 }
