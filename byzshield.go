@@ -505,6 +505,8 @@ func NewConvNetModel(dim, kernel, numFilters, classes int) (Model, error) {
 }
 
 // EvaluateAccuracy returns the top-1 accuracy of a model/parameter pair.
+// It panics when params or ds does not match the model's shape, as
+// Model.Loss and Model.SumGradient do.
 func EvaluateAccuracy(m Model, params []float64, ds *Dataset) float64 {
 	return model.Accuracy(m, params, ds)
 }

@@ -2,14 +2,10 @@ package model
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"byzshield/internal/data"
 )
-
-// ln is a local alias making the loss code read like the math.
-func ln(x float64) float64 { return math.Log(x) }
 
 // MLP is a fully connected network with ReLU hidden layers and a softmax
 // output, trained with cross-entropy. The flat parameter layout
@@ -119,19 +115,11 @@ func (m *MLP) forward(params, x []float64, s *mlpScratch) {
 		w := params[off : off+inDim*outDim]
 		b := params[off+inDim*outDim : off+inDim*outDim+outDim]
 		pre := s.preacts[layer]
-		for o := 0; o < outDim; o++ {
-			row := w[o*inDim : (o+1)*inDim]
-			row = row[:len(in)] // one check per row, none per element
-			var v float64
-			for j, xv := range in {
-				v += row[j] * xv
-			}
-			pre[o] = v + b[o]
-		}
+		affine(w, b, in, pre)
 		act := s.acts[layer+1]
 		copy(act, pre)
 		if layer == nLayers-1 {
-			softmaxInPlace(act)
+			softmaxT(act)
 		} else {
 			for i, v := range act {
 				if v < 0 {
@@ -153,11 +141,7 @@ func (m *MLP) Loss(params []float64, ds *data.Dataset, idx []int) float64 {
 	var total float64
 	for _, i := range idx {
 		m.forward(params, ds.X[i], s)
-		p := s.acts[len(s.acts)-1][ds.Y[i]]
-		if p < 1e-300 {
-			p = 1e-300
-		}
-		total += -ln(p)
+		total += nllClamp(s.acts[len(s.acts)-1][ds.Y[i]])
 	}
 	return total / float64(len(idx))
 }
@@ -165,9 +149,7 @@ func (m *MLP) Loss(params []float64, ds *data.Dataset, idx []int) float64 {
 // SumGradient implements Model via backpropagation.
 func (m *MLP) SumGradient(params []float64, ds *data.Dataset, idx []int, out []float64) {
 	checkShapes(m, params, ds)
-	if len(out) != m.NumParams() {
-		panic(fmt.Sprintf("model: gradient buffer %d, want %d", len(out), m.NumParams()))
-	}
+	checkGradLen(m, len(out))
 	nLayers := len(m.dims) - 1
 	s := m.getScratch()
 	defer m.scratch.Put(s)
@@ -231,15 +213,9 @@ func (m *MLP) SumGradient(params []float64, ds *data.Dataset, idx []int, out []f
 
 // Predict implements Model.
 func (m *MLP) Predict(params []float64, x []float64) int {
+	checkInputLen(m, len(x))
 	s := m.getScratch()
 	defer m.scratch.Put(s)
 	m.forward(params, x, s)
-	probs := s.acts[len(s.acts)-1]
-	best := 0
-	for c := 1; c < len(probs); c++ {
-		if probs[c] > probs[best] {
-			best = c
-		}
-	}
-	return best
+	return argmaxT(s.acts[len(s.acts)-1])
 }

@@ -9,10 +9,14 @@
 //
 // Parameters are flat []float64 vectors, which is what the parameter
 // server broadcasts and the aggregation rules consume. Gradient
-// computation iterates samples in caller-given order with no
-// parallelism, so two honest workers computing the same file produce
-// bit-identical gradients — the property the exact majority vote relies
-// on.
+// computation runs with no parallelism and a fixed order per value:
+// every logit and hidden unit sums its products j = 0…n−1 from zero
+// and then adds its bias, and every gradient coordinate receives the
+// file's samples' terms one at a time in caller-given order. The kernels
+// may compute several rows and samples per pass (kernels.go), but no
+// value's operations change, so two honest workers computing the same
+// file produce bit-identical gradients — the property the exact
+// majority vote relies on.
 package model
 
 import (
@@ -72,6 +76,7 @@ func Accuracy(m Model, params []float64, ds *data.Dataset) float64 {
 	if ds.Len() == 0 {
 		return 0
 	}
+	checkShapes(m, params, ds)
 	correct := 0
 	for i, x := range ds.X {
 		if m.Predict(params, x) == ds.Y[i] {
@@ -79,26 +84,6 @@ func Accuracy(m Model, params []float64, ds *data.Dataset) float64 {
 		}
 	}
 	return float64(correct) / float64(ds.Len())
-}
-
-// softmaxInPlace converts logits to probabilities with the max-shift
-// trick for numerical stability.
-func softmaxInPlace(logits []float64) {
-	maxV := logits[0]
-	for _, v := range logits[1:] {
-		if v > maxV {
-			maxV = v
-		}
-	}
-	var sum float64
-	for i, v := range logits {
-		e := math.Exp(v - maxV)
-		logits[i] = e
-		sum += e
-	}
-	for i := range logits {
-		logits[i] /= sum
-	}
 }
 
 // checkShapes panics on dimension violations shared by the models.
@@ -111,5 +96,13 @@ func checkShapes(m Model, params []float64, ds *data.Dataset) {
 	}
 	if ds.Classes != m.Classes() {
 		panic(fmt.Sprintf("model: dataset classes %d, want %d", ds.Classes, m.Classes()))
+	}
+}
+
+// checkInputLen panics when a sample's feature count is not the
+// model's input dimension.
+func checkInputLen(m Model, n int) {
+	if n != m.InputDim() {
+		panic(fmt.Sprintf("model: sample has %d features, want %d", n, m.InputDim()))
 	}
 }

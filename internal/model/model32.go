@@ -12,9 +12,9 @@ import (
 // pass entirely in float32 — the compute side of the negotiated
 // reduced-precision tier. The f32 methods mirror the f64 ones
 // one-for-one over float32 parameter vectors and a Dataset32 view;
-// like the f64 path they iterate samples in caller-given order with no
-// parallelism, so two honest workers computing the same file produce
-// bit-identical float32 gradients.
+// like the f64 path they fix every value's operation order (see the
+// package doc) and run with no parallelism, so two honest workers
+// computing the same file produce bit-identical float32 gradients.
 //
 // Softmax and ConvNet implement Model32; the MLP stays f64-only (the
 // precision tier targets the convolutional workload).
@@ -72,6 +72,7 @@ func Accuracy32(m Model32, params []float32, ds *data.Dataset32) float64 {
 	if ds.Len() == 0 {
 		return 0
 	}
+	checkShapes32(m, params, ds)
 	correct := 0
 	for i, x := range ds.X {
 		if m.Predict32(params, x) == ds.Y[i] {
@@ -111,7 +112,7 @@ func nllClamp[T linalg.Float](p T) float64 {
 	if pf < 1e-300 {
 		pf = 1e-300
 	}
-	return -ln(pf)
+	return -math.Log(pf)
 }
 
 // argmaxT returns the index of the largest value (ties to the lowest
