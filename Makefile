@@ -20,15 +20,15 @@ bench:
 # Each wire-codec fuzz target runs for FUZZTIME (go test allows one
 # -fuzz pattern per invocation, hence the loop; the pattern is anchored
 # because several f32 names extend an f64 name by suffix). The list is
-# whatever the package declares; fewer than the 16 that exist means a
+# whatever the package declares; fewer than the 18 that exist means a
 # target was deleted or renamed, which fails the run instead of
 # shrinking it. The chunked median/trimmed-mean kernels' bit-identity
 # target runs after them for the same time.
 fuzz: build
 	@targets=$$($(GO) test -list '^Fuzz' ./internal/wire | grep '^Fuzz') || exit 1; \
 	n=$$(echo "$$targets" | wc -l); \
-	if [ "$$n" -lt 16 ]; then \
-		echo "found $$n wire fuzz targets, want at least 16"; exit 1; \
+	if [ "$$n" -lt 18 ]; then \
+		echo "found $$n wire fuzz targets, want at least 18"; exit 1; \
 	fi; \
 	for t in $$targets; do \
 		$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime $(FUZZTIME) ./internal/wire || exit 1; \

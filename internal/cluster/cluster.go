@@ -894,13 +894,6 @@ func (e *EngineOf[T]) resolveDegradedTie(repl [][]T, workers []int) ([]T, bool) 
 	return nil, false
 }
 
-// BlacklistedWorker reports whether the detection layer has blacklisted
-// worker u; always false when detection is off. The TCP server consults
-// this to refuse rejoin tokens of evicted outliers.
-func (e *EngineOf[T]) BlacklistedWorker(u int) bool {
-	return e.detSt != nil && e.detSt.Blacklisted(u)
-}
-
 // MeanReputation returns the fleet-wide mean reputation (1 when
 // detection is off).
 func (e *EngineOf[T]) MeanReputation() float64 {

@@ -31,11 +31,23 @@
 // The encoding is canonical: each delta length is minimal (the highest
 // included byte is nonzero), and the decoder rejects padded lengths, so
 // any accepted frame re-encodes to exactly the consumed bytes.
+//
+// Cost. Both directions run a word at a time (DESIGN §9.8): the encoder
+// stores each XOR value as one 8-byte word and advances by its length,
+// and the decoder loads each as one word masked to its length, two
+// coordinates per nibble byte, leaving the frame's last coordinates and
+// any pair it cannot settle to a per-byte loop that owns every error.
+// At fleet-k60-int8's shape (d = 16 008, an SGD-step delta) that is
+// ≥ 3× the per-byte encoder and ≥ 2× the per-byte decoder kept in the
+// tests.
 package wire
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 
 	"byzshield/internal/linalg"
 )
@@ -67,6 +79,12 @@ func AppendParamsFullOf[T linalg.Float](dst []byte, params []T) ([]byte, error) 
 
 // AppendParamsDeltaOf appends a delta frame encoding cur against base.
 // The receiver must hold exactly base to apply it.
+//
+// The loop is word-at-a-time: dst grows once to the worst case plus
+// eight bytes of slack, each XOR value goes out as one 8-byte store,
+// and the write offset advances by its significant byte count, so the
+// next store overwrites the zero high bytes. Two coordinates share a
+// nibble byte, written whole.
 func AppendParamsDeltaOf[T linalg.Float](dst []byte, base, cur []T) ([]byte, error) {
 	if len(base) != len(cur) {
 		return nil, fmt.Errorf("wire: delta base has %d params, cur %d", len(base), len(cur))
@@ -77,39 +95,50 @@ func AppendParamsDeltaOf[T linalg.Float](dst []byte, base, cur []T) ([]byte, err
 	d := len(cur)
 	dst = append(dst, ParamsDelta)
 	dst = AppendU32(dst, uint32(d))
-	nibbleAt := len(dst)
-	dst = append(dst, make([]byte, (d+1)/2)...)
-	for i, v := range cur {
-		// Bit patterns travel zero-extended to uint64 (linalg.Bits), so
-		// a length never exceeds sizeof(T); the decoder enforces it.
-		x := linalg.Bits(base[i]) ^ linalg.Bits(v)
-		n := xorLen(x)
-		orNibbleLen(dst[nibbleAt:], i, n)
-		dst = appendXORBytes(dst, x, n)
+	nb := (d + 1) / 2
+	start := len(dst)
+	worst := nb + linalg.Width[T]()*d + 8
+	dst = slices.Grow(dst, worst)
+	out := dst[start : start+worst]
+	// Bit patterns travel zero-extended to uint64 (linalg.Bits), so a
+	// length never exceeds sizeof(T); the decoder enforces it.
+	off := nb
+	for pair := 0; pair < d/2; pair++ {
+		x0 := linalg.Bits(base[2*pair]) ^ linalg.Bits(cur[2*pair])
+		x1 := linalg.Bits(base[2*pair+1]) ^ linalg.Bits(cur[2*pair+1])
+		n0, n1 := xorLen(x0), xorLen(x1)
+		out[pair] = byte(n0) | byte(n1)<<4
+		binary.LittleEndian.PutUint64(out[off:], x0)
+		off += n0
+		binary.LittleEndian.PutUint64(out[off:], x1)
+		off += n1
 	}
-	return dst, nil
+	if d%2 == 1 {
+		x := linalg.Bits(base[d-1]) ^ linalg.Bits(cur[d-1])
+		n := xorLen(x)
+		out[nb-1] = byte(n) // the high nibble is the zero padding
+		binary.LittleEndian.PutUint64(out[off:], x)
+		off += n
+	}
+	return dst[:start+off], nil
 }
 
 // xorLen returns the minimal number of low-order bytes needed to
 // represent x (0 for x == 0).
-func xorLen(x uint64) int {
-	n := 0
-	for x != 0 {
-		n++
-		x >>= 8
-	}
-	return n
-}
+func xorLen(x uint64) int { return (bits.Len64(x) + 7) >> 3 }
 
-// orNibbleLen stores length n in the i-th nibble slot (low nibble =
-// even index); the slot must still be zero.
-func orNibbleLen(nibbles []byte, i, n int) {
-	if i%2 == 0 {
-		nibbles[i/2] |= byte(n)
-	} else {
-		nibbles[i/2] |= byte(n) << 4
+// deltaMask[n] keeps the low n bytes of a word, and deltaFloor[n] is
+// the least n-byte value whose top byte is nonzero (0 for n = 0): the
+// decoder's fast path masks and checks a length with one load each.
+// Lengths 9–15 are never looked up (the decoder rejects them first);
+// the tables cover every nibble so the index needs no bounds check.
+var deltaMask, deltaFloor = func() (mask, floor [16]uint64) {
+	for n := 1; n <= 8; n++ {
+		mask[n] = 1<<(8*n) - 1
+		floor[n] = 1 << (8*n - 8)
 	}
-}
+	return mask, floor
+}()
 
 // nibbleLen reads the i-th nibble-packed length.
 func nibbleLen(nibbles []byte, i int) int {
@@ -118,14 +147,6 @@ func nibbleLen(nibbles []byte, i int) int {
 		return n & 0x0f
 	}
 	return n >> 4
-}
-
-// appendXORBytes appends x's n significant low-order bytes.
-func appendXORBytes(dst []byte, x uint64, n int) []byte {
-	for b := 0; b < n; b++ {
-		dst = append(dst, byte(x>>(8*b)))
-	}
-	return dst
 }
 
 // xorFromBytes reassembles a length-n little-endian XOR value from the
@@ -137,6 +158,37 @@ func xorFromBytes(payload []byte, n int) uint64 {
 		x = x<<8 | uint64(payload[b])
 	}
 	return x
+}
+
+// applyDeltaPairs is DecodeParamsOf's fast path. It applies the
+// delta's coordinates two per nibble byte while 16 payload bytes remain
+// (so once both lengths are at most sizeof(T), both loads stay in
+// bounds), each XOR value one 8-byte load masked to its length. A
+// masked value is canonical exactly when it reaches its length's floor:
+// its top byte is nonzero (any value for n = 0). It stops, leaving the
+// pair unapplied, at the first length above sizeof(T) or non-canonical
+// one, and returns the coordinates applied and payload bytes consumed;
+// the per-byte loop goes on from there and reports the pair's error.
+func applyDeltaPairs[T linalg.Float](params []T, nibbles, payload []byte) (applied, consumed int) {
+	w := byte(linalg.Width[T]())
+	rest, pair := payload, 0
+	for ; pair < len(params)/2 && len(rest) >= 16; pair++ {
+		nn := nibbles[pair]
+		n0, n1 := nn&0x0f, nn>>4
+		if n0 > w || n1 > w {
+			break
+		}
+		x0 := binary.LittleEndian.Uint64(rest) & deltaMask[n0]
+		x1 := binary.LittleEndian.Uint64(rest[n0:]) & deltaMask[n1]
+		if x0 < deltaFloor[n0] || x1 < deltaFloor[n1] {
+			break
+		}
+		rest = rest[n0+n1:]
+		v := params[2*pair : 2*pair+2]
+		v[0] = linalg.FromBits[T](linalg.Bits(v[0]) ^ x0)
+		v[1] = linalg.FromBits[T](linalg.Bits(v[1]) ^ x1)
+	}
+	return 2 * pair, len(payload) - len(rest)
 }
 
 // DecodeParamsOf parses one params frame from the front of src and
@@ -175,8 +227,8 @@ func DecodeParamsOf[T linalg.Float](src []byte, params []T) (mode, consumed int,
 			return 0, 0, fmt.Errorf("wire: delta frame needs %d length bytes, have %d", nb, len(body))
 		}
 		nibbles, payload := body[:nb], body[nb:]
-		off := 0
-		for i := 0; i < d; i++ {
+		i, off := applyDeltaPairs(params, nibbles, payload)
+		for ; i < d; i++ {
 			n := nibbleLen(nibbles, i)
 			if n > w {
 				return 0, 0, fmt.Errorf("wire: delta length %d > %d at coordinate %d", n, w, i)
