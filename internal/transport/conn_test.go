@@ -5,11 +5,13 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"net"
 	"os"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -236,18 +238,18 @@ func appendMessageFrame(dst []byte, msg Message) ([]byte, error) {
 }
 
 // TestConnSendsByteIdenticalStreams: the senders that do not encode a
-// message whole — SendMany scattering a report's Frame, the round's
-// shared RoundStart built around params encoded in place
+// message whole — sendReport scattering a report's Frame (a short one, a
+// long one, and the empty skip), Send routing a report to it, the
+// round's shared RoundStart built around params encoded in place
 // (beginRoundStart/endRoundStart) and written raw — put exactly the
 // bytes on the wire that appendMessageFrame does.
 func TestConnSendsByteIdenticalStreams(t *testing.T) {
 	params := bytes.Repeat([]byte{0xAB, 0xCD}, 700)
 	var err error
-	reports := []Message{
-		GradientReport{WorkerID: 1, Iteration: 7, Frame: []byte{1, 2, 3}},
-		GradientReport{WorkerID: 2, Iteration: 7, Frame: bytes.Repeat([]byte{9}, 4000)},
-		GradientReport{WorkerID: 1, Iteration: 7}, // a skip: no frame bytes
-		Shutdown{FinalAccuracy: 1},
+	reports := []GradientReport{
+		{WorkerID: 1, Iteration: 7, Frame: []byte{1, 2, 3}},
+		{WorkerID: 2, Iteration: 7, Frame: bytes.Repeat([]byte{9}, 4000)},
+		{WorkerID: 1, Iteration: 7}, // a skip: no frame bytes
 	}
 	whole := func(msgs ...Message) []byte {
 		var out []byte
@@ -263,8 +265,19 @@ func TestConnSendsByteIdenticalStreams(t *testing.T) {
 		send func(c *Conn) (int, error)
 		want []byte
 	}{
-		{"SendMany", func(c *Conn) (int, error) { return c.SendMany(reports...) }, whole(reports...)},
+		{"sendReport", func(c *Conn) (int, error) {
+			total := 0
+			for _, rep := range reports {
+				n, err := c.sendReport(rep)
+				if err != nil {
+					return 0, err
+				}
+				total += n
+			}
+			return total, nil
+		}, whole(reports[0], reports[1], reports[2])},
 		{"Send", func(c *Conn) (int, error) { return c.Send(reports[1]) }, whole(reports[1])},
+		{"Send Shutdown", func(c *Conn) (int, error) { return c.Send(Shutdown{FinalAccuracy: 1}) }, whole(Shutdown{FinalAccuracy: 1})},
 		{"shared RoundStart", func(c *Conn) (int, error) {
 			// Behind a frame already in the buffer, as the offset must allow.
 			b, at := beginRoundStart([]byte{1, 2, 3}, 7, 6)
@@ -767,13 +780,15 @@ func TestServeCancelCountsNoEvictions(t *testing.T) {
 
 // TestLoopbackSteadyStateAllocs pins the heap allocations of one
 // worker-round of the loopback wire path — PS and worker side together:
-// broadcast, worker decode and report, pump decode, collection — at
-// K=12 (four files per worker) over 20 steady-state rounds. The change
-// that introduced this pin took it from 15.6 to 11.5 by dropping the
-// per-send Files map, its sorted id slice and the per-write net.Buffers;
-// what is left is the worker's decoded RoundStart (its Files map and one
-// sample list per file), the two messages boxed by Recv, the report
-// boxed for Send, and the broadcast's goroutine per worker.
+// broadcast, worker decode and report, pump decode, collection — over 20
+// steady-state rounds, at 1.0 mallocs per worker-round. The wire round
+// itself allocates nothing per worker: the broadcast queues to long-lived
+// per-slot senders, the pump and the worker decode frames into stack
+// values, and the report goes out unboxed (5.35 per worker-round before
+// those three changes, 0.2 after). What is left is the engine's own few
+// allocations per round, so the pin also holds them to the small fleet's
+// budget on a fleet four times as large: MOLS(4,3), K = 12 with four
+// files per worker, and FRC(48,3), K = 48 with one.
 func TestLoopbackSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -783,33 +798,48 @@ func TestLoopbackSteadyStateAllocs(t *testing.T) {
 }
 
 func loopbackSteadyStateAllocs[T linalg.Float](t *testing.T) {
-	const warm, timed, limit = 5, 20, 12.0
-	spec := testSpec(warm + timed)
-	spec.L, spec.R = 4, 3 // MOLS(4,3): K = 12
-	const k = 12
-	shared, err := NewSharedWorkerState(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var begin, end runtime.MemStats
-	f := runFleetOf[T](t, spec, ServerConfig{
-		Uplink: wire.TierRaw, FullBroadcastEvery: 1, EvalEvery: 1 << 20,
-		OnRound: func(rs cluster.RoundStats) {
-			switch rs.Iteration {
-			case warm - 1:
-				runtime.ReadMemStats(&begin)
-			case warm + timed - 1:
-				runtime.ReadMemStats(&end)
+	const warm, timed, limit = 5, 20, 1.0
+	const smallK = 12
+	for _, fleet := range []struct {
+		scheme  string
+		l, r, k int
+	}{
+		{"mols", 4, 3, smallK},
+		{"frc", 0, 3, 48},
+	} {
+		t.Run(fmt.Sprintf("%s-k%d", fleet.scheme, fleet.k), func(t *testing.T) {
+			spec := testSpec(warm + timed)
+			spec.Scheme, spec.L, spec.R, spec.K = fleet.scheme, fleet.l, fleet.r, fleet.k
+			shared, err := NewSharedWorkerState(spec)
+			if err != nil {
+				t.Fatal(err)
 			}
-		},
-	}, func(int) WorkerConfig { return WorkerConfig{Shared: shared} }, nil).healthy(t)
-	if len(f.errs) != k {
-		t.Fatalf("K = %d, want %d", len(f.errs), k)
-	}
-	per := float64(end.Mallocs-begin.Mallocs) / float64(timed*k)
-	t.Logf("%.2f mallocs per worker-round", per)
-	if per > limit {
-		t.Errorf("%.2f mallocs per worker-round, pinned at %.1f", per, limit)
+			var begin, end runtime.MemStats
+			f := runFleetOf[T](t, spec, ServerConfig{
+				Uplink: wire.TierRaw, FullBroadcastEvery: 1, EvalEvery: 1 << 20,
+				OnRound: func(rs cluster.RoundStats) {
+					switch rs.Iteration {
+					case warm - 1:
+						runtime.ReadMemStats(&begin)
+					case warm + timed - 1:
+						runtime.ReadMemStats(&end)
+					}
+				},
+			}, func(int) WorkerConfig { return WorkerConfig{Shared: shared} }, nil).healthy(t)
+			if len(f.errs) != fleet.k {
+				t.Fatalf("K = %d, want %d", len(f.errs), fleet.k)
+			}
+			perRound := float64(end.Mallocs-begin.Mallocs) / timed
+			per := perRound / float64(fleet.k)
+			t.Logf("%.2f mallocs per worker-round, %.1f per round", per, perRound)
+			if per > limit {
+				t.Errorf("%.2f mallocs per worker-round, pinned at %.1f", per, limit)
+			}
+			if perRound > limit*smallK {
+				t.Errorf("%.1f mallocs per round at K = %d, over the K = %d fleet's budget of %.0f",
+					perRound, fleet.k, smallK, limit*smallK)
+			}
+		})
 	}
 }
 
@@ -897,4 +927,163 @@ func TestHostileRoundStartFailsWorker(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestWorkerUnexpectedFrameIsFatal: a worker decodes its round loop's
+// frames by type, and a frame no PS sends mid-run — a GradientReport, or
+// a second Welcome — ends its run with the "unexpected message" error,
+// naming the type, without a reconnect.
+func TestWorkerUnexpectedFrameIsFatal(t *testing.T) {
+	const id = 3
+	spec := testSpec(4)
+	asn, err := spec.BuildAssignment()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.K = asn.K
+	mdl, err := spec.BuildModel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	params, err := wire.AppendParamsFullOf(nil, make([]float64, mdl.NumParams()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		msg  Message
+	}{
+		{"GradientReport", GradientReport{WorkerID: id, Iteration: 0, Frame: []byte{1, 2, 3}}},
+		{"Welcome", Welcome{Version: wire.ProtocolVersion, Token: 8, Uplink: wire.TierRaw, Spec: spec}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			dials := make(chan int, 1)
+			go func() {
+				n := 0
+				defer func() { dials <- n }()
+				for {
+					raw, err := ln.Accept()
+					if err != nil {
+						return
+					}
+					n++
+					c := NewConn(raw)
+					c.Recv() // the Hello
+					c.Send(Welcome{Version: wire.ProtocolVersion, Token: 7, Uplink: wire.TierRaw, Spec: spec})
+					// Round 0 runs as usual; then the unexpected frame.
+					c.Send(RoundStart{Iteration: 0, ParamsFrame: params})
+					c.Recv() // the round-0 report
+					c.Send(tc.msg)
+					for err == nil { // until the worker hangs up
+						_, err = c.Recv()
+					}
+					raw.Close()
+				}
+			}()
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+			defer cancel()
+			_, err = RunWorker(ctx, ln.Addr().String(), WorkerConfig{ID: id})
+			if want := "unexpected message transport." + tc.name; err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("worker returned %v, want %q", err, want)
+			}
+			ln.Close()
+			if n := <-dials; n != 1 {
+				t.Errorf("worker dialed %d times: the error was retried", n)
+			}
+		})
+	}
+}
+
+// TestPumpEvictsUnexpectedFrame: the reader pump decodes only gradient
+// reports. A worker that sends a Hello after its handshake is evicted by
+// its pump with an error naming the frame type, and the others finish
+// the run without it.
+func TestPumpEvictsUnexpectedFrame(t *testing.T) {
+	const victim = 2
+	spec := testSpec(4)
+	asn, err := spec.BuildAssignment()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var logs []string
+	srv, err := NewServer("127.0.0.1:0", ServerConfig{Spec: spec, RoundTimeout: 10 * time.Second,
+		Logf: func(format string, args ...any) {
+			mu.Lock()
+			logs = append(logs, fmt.Sprintf(format, args...))
+			mu.Unlock()
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	serveDone := make(chan error, 1)
+	go func() {
+		_, err := srv.Serve(context.Background())
+		serveDone <- err
+	}()
+	var wg sync.WaitGroup
+	for u := 0; u < asn.K; u++ {
+		if u == victim {
+			continue
+		}
+		wg.Add(1)
+		go func(u int) {
+			defer wg.Done()
+			if _, err := RunWorker(context.Background(), srv.Addr(), WorkerConfig{ID: u}); err != nil {
+				t.Errorf("worker %d: %v", u, err)
+			}
+		}(u)
+	}
+
+	// The victim joins by hand, reads round 0's RoundStart and answers it
+	// with a second Hello; the PS then closes its connection.
+	raw, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	c := NewConn(raw)
+	hello := Hello{WorkerID: victim, Version: wire.ProtocolVersion, Precisions: wire.PrecisionF64.Mask()}
+	if _, err := c.Send(hello); err != nil {
+		t.Fatal(err)
+	}
+	if msg, err := c.Recv(); err != nil {
+		t.Fatal(err)
+	} else if _, ok := msg.(Welcome); !ok {
+		t.Fatalf("expected Welcome, got %T", msg)
+	}
+	if msg, err := c.Recv(); err != nil {
+		t.Fatal(err)
+	} else if _, ok := msg.(RoundStart); !ok {
+		t.Fatalf("expected RoundStart, got %T", msg)
+	}
+	if _, err := c.Send(hello); err != nil {
+		t.Fatal(err)
+	}
+	for err == nil { // until the PS hangs up
+		_, err = c.Recv()
+	}
+
+	if err := <-serveDone; err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	wg.Wait()
+	if c := srv.Counters(); c.Evictions != 1 {
+		t.Errorf("counters %+v, want exactly one eviction", c)
+	}
+	want := fmt.Sprintf("evicting worker %d: expected GradientReport, got transport.Hello", victim)
+	mu.Lock()
+	defer mu.Unlock()
+	for _, line := range logs {
+		if strings.Contains(line, want) {
+			return
+		}
+	}
+	t.Errorf("no log line contains %q; log:\n%s", want, strings.Join(logs, "\n"))
 }

@@ -4,8 +4,10 @@
 package transport
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"io"
 	"net"
 	"runtime"
@@ -149,13 +151,19 @@ func TestStaleReportRetiredEagerly(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				msgs := []Message{rep}
-				if m.Iteration == 0 {
+				b, err := appendMessageFrame(nil, rep)
+				if err == nil && m.Iteration == 0 {
 					<-sendStale // wait for the serve loop to park
+					// The good report and its garbage twin go out in one
+					// write, coalesced.
 					garbage := GradientReport{WorkerID: victim, Frame: []byte{wire.UplinkRaw, 0xde, 0xad}}
-					msgs = append(msgs, garbage)
+					b, err = appendMessageFrame(b, garbage)
 				}
-				if _, err := conn.SendMany(msgs...); err != nil {
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := conn.raw.Write(b); err != nil {
 					t.Errorf("victim send: %v", err)
 					return
 				}
@@ -520,7 +528,7 @@ func TestRejoinCountersSingleCount(t *testing.T) {
 // TestServeJoinsAllPumpGoroutines: Serve's teardown must close every
 // reader pump deterministically — after a full training run plus Close,
 // the process is back to its pre-server goroutine count (no leaked
-// pumps, send goroutines, or eval workers).
+// pumps, broadcast senders, or eval workers).
 func TestServeJoinsAllPumpGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	spec := testSpec(5)
@@ -561,6 +569,95 @@ func TestServeJoinsAllPumpGoroutines(t *testing.T) {
 		}
 		runtime.Gosched()
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// countSenders counts the broadcast sender goroutines alive in the
+// process, by their stacks.
+func countSenders() int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return bytes.Count(buf[:n], []byte(").sender("))
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// TestServeJoinsAllSenders: the broadcast runs on one sender goroutine
+// per worker slot for the whole run — K of them at every round however
+// often a worker's connection is evicted and replaced, not K per
+// connection — and Serve joins them on every exit path: a normal end, a
+// mid-run cancel (which evicts nobody), and a run in which a worker is
+// evicted and rejoins three times.
+func TestServeJoinsAllSenders(t *testing.T) {
+	const victim, rejoins = 2, 3
+	spec := testSpec(2*rejoins + 2)
+	asn, err := spec.BuildAssignment()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []string{"normal", "cancel", "rejoin"} {
+		t.Run(mode, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var srv *Server
+			srv, err := NewServer("127.0.0.1:0", ServerConfig{Spec: spec, OnRound: func(rs cluster.RoundStats) {
+				if n := countSenders(); n != asn.K {
+					t.Errorf("round %d: %d broadcast senders, want K = %d", rs.Iteration, n, asn.K)
+				}
+				switch {
+				case mode == "cancel" && rs.Iteration == 2:
+					cancel()
+				case mode == "rejoin" && rs.Iteration%2 == 1 && rs.Iteration < 2*rejoins:
+					// Break the victim's connection between rounds; it
+					// redials by itself and is re-admitted next round.
+					srv.src.liveConn(victim).Close()
+					waitRejoinPending(t, srv, victim)
+				}
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			for u := 0; u < asn.K; u++ {
+				wg.Add(1)
+				go func(u int) {
+					defer wg.Done()
+					_, err := RunWorker(ctx, srv.Addr(), WorkerConfig{ID: u})
+					if mode == "cancel" && !errors.Is(err, context.Canceled) {
+						t.Errorf("worker %d: %v, want context.Canceled", u, err)
+					} else if mode != "cancel" && err != nil {
+						t.Errorf("worker %d: %v", u, err)
+					}
+				}(u)
+			}
+			_, err = srv.Serve(ctx)
+			if mode == "cancel" && !errors.Is(err, context.Canceled) {
+				t.Errorf("Serve: %v, want context.Canceled", err)
+			} else if mode != "cancel" && err != nil {
+				t.Errorf("Serve: %v", err)
+			}
+			wg.Wait()
+			srv.Close()
+			c := srv.Counters()
+			switch mode {
+			case "cancel":
+				if c.Evictions != 0 {
+					t.Errorf("counters after cancel %+v, want no evictions", c)
+				}
+			case "rejoin":
+				if c.Evictions != rejoins || c.Rejoins != rejoins {
+					t.Errorf("counters %+v, want %d evictions and %d rejoins", c, rejoins, rejoins)
+				}
+			}
+			if n := countSenders(); n != 0 {
+				t.Errorf("%d broadcast senders outlive Serve", n)
+			}
+			waitGoroutines(t, base)
+		})
 	}
 }
 

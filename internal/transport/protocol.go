@@ -572,8 +572,8 @@ func welcomeFits(s *Spec) error {
 type Conn struct {
 	raw net.Conn
 	// wbuf is the encode scratch of every send; iov and vec are the
-	// vectored-write scratch (vec is consumed by each write, iov keeps
-	// the backing array).
+	// report's vectored-write scratch (vec is consumed by each write, iov
+	// keeps the backing array).
 	wbuf []byte
 	iov  [][]byte
 	vec  net.Buffers
@@ -603,97 +603,93 @@ func newHandshakeConn(raw net.Conn) *Conn {
 func (c *Conn) setPayloadLimit(n int) { c.limit = min(n, wire.MaxFramePayload) }
 
 // Send transmits one message as a single frame and reports the frame's
-// size in bytes (the exact wire cost of the message).
-func (c *Conn) Send(msg Message) (int, error) { return c.SendMany(msg) }
-
-// SendMany transmits several messages in one write — one frame each —
-// and reports the total byte count. A GradientReport's Frame is already
-// encoded, so it is not copied behind its header: the write is vectored
-// over {headers, frame, headers, frame, …}.
-func (c *Conn) SendMany(msgs ...Message) (int, error) {
-	b := c.wbuf[:0]
-	c.iov = c.iov[:0]
-	for _, msg := range msgs {
-		start := len(b)
-		var at int
-		b, at = wire.BeginFrame(b, msg.wireType())
-		var tail []byte
-		var err error
-		if rep, ok := msg.(GradientReport); ok {
-			b, tail = rep.appendHead(b), rep.Frame
-		} else {
-			b, err = msg.appendPayload(b)
-		}
-		if err == nil {
-			b, err = wire.EndFrameWith(b, at, len(tail))
-		}
-		if err != nil {
-			c.wbuf = b
-			return 0, err
-		}
-		c.iov = append(c.iov, b[start:], tail)
+// size in bytes (the exact wire cost of the message). A GradientReport
+// goes through sendReport, so its Frame is not copied behind its header.
+func (c *Conn) Send(msg Message) (int, error) {
+	if rep, ok := msg.(GradientReport); ok {
+		return c.sendReport(rep)
+	}
+	b, at := wire.BeginFrame(c.wbuf[:0], msg.wireType())
+	b, err := msg.appendPayload(b)
+	if err == nil {
+		b, err = wire.EndFrame(b, at)
+	}
+	if err != nil {
+		return 0, err
 	}
 	c.wbuf = b
-	// b may have moved while it grew: re-point every head at its final
-	// place (their lengths are right, and they are contiguous in b).
-	for i, off := 0, 0; i < len(c.iov); i += 2 {
-		n := len(c.iov[i])
-		c.iov[i] = b[off : off+n]
-		off += n
+	if _, err := c.raw.Write(b); err != nil {
+		return 0, err
 	}
-	return c.writev()
+	return len(b), nil
 }
 
-// writev writes the non-empty buffers of c.iov as one vectored write
-// (writev on TCP) and reports the bytes written.
-func (c *Conn) writev() (int, error) {
-	n, k := 0, 0
-	for _, b := range c.iov {
-		if len(b) > 0 {
-			c.iov[k] = b
-			k++
-			n += len(b)
-		}
+// sendReport transmits one GradientReport without boxing it: its Frame
+// is already encoded, so the write is vectored over {frame header and
+// report header, Frame} and the Frame is not copied. A skip's empty
+// Frame is left out of the vector.
+func (c *Conn) sendReport(rep GradientReport) (int, error) {
+	b, at := wire.BeginFrame(c.wbuf[:0], msgGradientReport)
+	b, err := wire.EndFrameWith(rep.appendHead(b), at, len(rep.Frame))
+	c.wbuf = b
+	if err != nil {
+		return 0, err
 	}
-	c.vec = c.iov[:k]
+	c.iov = append(c.iov[:0], b)
+	if len(rep.Frame) > 0 {
+		c.iov = append(c.iov, rep.Frame)
+	}
+	c.vec = c.iov
 	if _, err := c.vec.WriteTo(c.raw); err != nil {
 		return 0, err
 	}
-	return n, nil
+	return len(b) + len(rep.Frame), nil
 }
 
-// Recv receives the next message. Decoded messages own their fields,
-// with two documented exceptions — RoundStart.ParamsFrame and
+// Recv receives and decodes the next message. Decoded messages own their
+// fields, with two documented exceptions — RoundStart.ParamsFrame and
 // GradientReport.Frame alias the Conn's receive buffer and must be
 // consumed before the next Recv (a frame already buffered behind the
 // returned one does not disturb it: the buffer is only compacted by a
 // later Recv that has to read). On a timeout error the partial frame
 // remains buffered and the next Recv resumes it; any other error (or a
-// malformed or over-limit frame) is fatal for the stream.
+// malformed or over-limit frame) is fatal for the stream. The round
+// loops read with next instead and decode into typed values, so a
+// steady-state frame is not boxed.
 func (c *Conn) Recv() (any, error) {
+	typ, body, err := c.next()
+	if err != nil {
+		return nil, err
+	}
+	return decodeMessage(typ, body)
+}
+
+// next receives the next frame undecoded: its type byte and its body,
+// which aliases the receive buffer under Recv's rules.
+func (c *Conn) next() (typ byte, body []byte, err error) {
 	for {
 		need := wire.FrameHeaderSize
 		if c.rlen-c.rpos >= need {
 			typ, length, err := wire.ParseFrameHeader(c.rbuf[c.rpos:c.rlen])
 			if err != nil {
-				return nil, err
+				return 0, nil, err
 			}
 			if length > c.limit {
-				return nil, fmt.Errorf("transport: frame declares %d payload bytes, connection admits %d: %w",
+				return 0, nil, fmt.Errorf("transport: frame declares %d payload bytes, connection admits %d: %w",
 					length, c.limit, ErrFrameTooLarge)
 			}
 			need += length
 			if end := c.rpos + need; end <= c.rlen {
 				body := c.rbuf[c.rpos+wire.FrameHeaderSize : end : end]
 				c.rpos = end
-				return decodeMessage(typ, body)
+				return typ, body, nil
 			}
 		}
 		c.makeRoom(need)
 		n, err := c.raw.Read(c.rbuf[c.rlen:])
 		c.rlen += n
 		if err != nil {
-			return nil, err
+			return 0, nil, err
 		}
 	}
 }

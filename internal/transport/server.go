@@ -582,6 +582,13 @@ func (s *ServerOf[T]) Serve(ctx context.Context) (float64, error) {
 			return 0, ctx.Err()
 		}
 	}
+	// The broadcast senders, one per worker slot, live until Serve
+	// unwinds. Only this goroutine queues their jobs (Collect runs on it),
+	// and every Collect waits out its round's sends, so when the deferred
+	// stop closes the queues every sender is idle and exits at once —
+	// before src.shutdown joins the pumps.
+	s.src.startSenders()
+	defer s.src.stopSenders()
 
 	// Background evaluation: snapshots stream through evalCh in round
 	// order; the goroutine appends to the history, so the serve loop
@@ -751,20 +758,11 @@ type pump[T linalg.Float] struct {
 func (p *pump[T]) run() {
 	defer p.ws.pumps.Done()
 	for {
-		msg, err := p.conn.Recv()
+		typ, body, err := p.conn.next()
+		if err == nil {
+			err = p.handleFrame(typ, body)
+		}
 		if err != nil {
-			p.ws.evict(p.u, p.conn, err)
-			p.notifyDeath(err)
-			return
-		}
-		rep, ok := msg.(GradientReport)
-		if !ok {
-			err := fmt.Errorf("expected GradientReport, got %T", msg)
-			p.ws.evict(p.u, p.conn, err)
-			p.notifyDeath(err)
-			return
-		}
-		if err := p.handle(rep); err != nil {
 			p.ws.evict(p.u, p.conn, err)
 			p.notifyDeath(err)
 			return
@@ -772,8 +770,26 @@ func (p *pump[T]) run() {
 	}
 }
 
+// handleFrame decodes one frame into a stack GradientReport and handles
+// it. Any other frame type is a protocol violation: the error names it
+// (or is the decode error of a frame that is not even well formed).
+func (p *pump[T]) handleFrame(typ byte, body []byte) error {
+	if typ != msgGradientReport {
+		msg, err := decodeMessage(typ, body)
+		if err != nil {
+			return err
+		}
+		return fmt.Errorf("expected GradientReport, got %T", msg)
+	}
+	var rep GradientReport
+	if err := rep.decodePayload(body); err != nil {
+		return err
+	}
+	return p.handle(&rep)
+}
+
 // handle processes one gradient report frame in stream order.
-func (p *pump[T]) handle(rep GradientReport) error {
+func (p *pump[T]) handle(rep *GradientReport) error {
 	ws := p.ws
 	if rep.WorkerID != p.u {
 		return fmt.Errorf("report claims worker %d", rep.WorkerID)
@@ -886,14 +902,22 @@ func (p *pump[T]) notifyDeath(err error) {
 	p.push(pumpItem{kind: pumpDeath, u: p.u, conn: p.conn, err: err})
 }
 
+// sendJob is one worker slot's RoundStart send of a round: the
+// connection the round's snapshot found live, the round, and the
+// worker's broadcast acknowledgement at the snapshot.
+type sendJob struct {
+	conn       *Conn
+	t, lastAck int
+}
+
 // wireSource is the network GradientSource: it broadcasts RoundStart
 // (full parameters or XOR deltas, by acknowledgement state) to the
-// connected workers, then collects their gradient reports from the
-// reader pumps' inbox under a single round deadline. Reports are
-// already parsed and decoded into the engine's arena buffers when they
-// reach the collection loop; absent or misbehaving workers are marked
-// missing so the round core's quorum rule decides the fate of their
-// files.
+// connected workers through one sender goroutine per worker slot, then
+// collects their gradient reports from the reader pumps' inbox under a
+// single round deadline. Reports are already parsed and decoded into the
+// engine's arena buffers when they reach the collection loop; absent or
+// misbehaving workers are marked missing so the round core's quorum rule
+// decides the fate of their files.
 type wireSource[T linalg.Float] struct {
 	timeout   time.Duration
 	fullEvery int
@@ -970,8 +994,19 @@ type wireSource[T linalg.Float] struct {
 	// fullFrame/deltaFrame are the round's two RoundStart frames, complete
 	// and encoded once — the whole vector, and (empty when no worker can
 	// use it) the XOR delta against prevParams — shared read-only by
-	// every send goroutine of the round.
+	// every slot sender while the round's sends are in flight.
 	fullFrame, deltaFrame []byte
+
+	// sendQ[u] is worker slot u's 1-deep broadcast queue, read by the
+	// slot's sender goroutine (startSenders). Collect is its only writer
+	// and queues at most one job per slot per round; stopSenders closes
+	// the queues. senders joins the sender goroutines; sends joins one
+	// round's sends and bcastBytes sums their bytes (both reset every
+	// round).
+	sendQ      []chan sendJob
+	senders    sync.WaitGroup
+	sends      sync.WaitGroup
+	bcastBytes atomic.Int64
 
 	// collectTimer is the reused collection deadline timer; it is
 	// stopped and drained before every Reset so a tick left over from
@@ -1016,6 +1051,46 @@ func (ws *wireSource[T]) startPump(u int, conn *Conn) {
 	ws.pumps.Add(1)
 	p := &pump[T]{ws: ws, u: u, conn: conn, deliveredIter: -1, dec: wire.UplinkDecoderOf[T]{Tier: ws.uplink}}
 	go p.run()
+}
+
+// startSenders starts one broadcast sender per worker slot. A slot
+// outlives its connections, so a sender needs no lifecycle of its own
+// across evictions, rejoins or blacklisting: each job names the
+// connection to write.
+func (ws *wireSource[T]) startSenders() {
+	ws.sendQ = make([]chan sendJob, len(ws.workers))
+	for u := range ws.sendQ {
+		ws.sendQ[u] = make(chan sendJob, 1)
+		ws.senders.Add(1)
+		go ws.sender(u, ws.sendQ[u])
+	}
+}
+
+// stopSenders closes the broadcast queues and joins the senders. The
+// senders do not watch stopCh: one that quit with a job still queued
+// would leave Collect waiting on its round's sends forever.
+func (ws *wireSource[T]) stopSenders() {
+	for _, q := range ws.sendQ {
+		close(q)
+	}
+	ws.senders.Wait()
+}
+
+// sender writes slot u's RoundStart of every round queued to it. A
+// failed or partial send poisons the outbound stream — unlike reads it
+// cannot be resumed — so the worker is evicted (its pump notices the
+// closed conn and posts the death notice).
+func (ws *wireSource[T]) sender(u int, q <-chan sendJob) {
+	defer ws.senders.Done()
+	for job := range q {
+		n, err := sendRoundStart(job.conn, ws.timeout, job.t, job.lastAck, ws.fullFrame, ws.deltaFrame)
+		if err != nil {
+			ws.evict(u, job.conn, fmt.Errorf("send: %w", err))
+		} else {
+			ws.bcastBytes.Add(int64(n))
+		}
+		ws.sends.Done()
+	}
 }
 
 // liveConn returns worker u's current live connection (nil when down).
@@ -1142,11 +1217,12 @@ func (ws *wireSource[T]) admitPending(t int) int {
 }
 
 // Collect implements cluster.GradientSourceOf over TCP: broadcast
-// RoundStart to every live worker (parallel sends), then drain the
-// pumps' inbox under one deadline timer until every live worker is
-// accounted for — delivered, explicitly skipping, or dead. The pumps
-// have already decoded deliverable reports into the engine's arena, so
-// this loop only attributes results; it never touches a socket.
+// RoundStart to every live worker (through the slot senders, in
+// parallel), then drain the pumps' inbox under one deadline timer until
+// every live worker is accounted for — delivered, explicitly skipping,
+// or dead. The pumps have already decoded deliverable reports into the
+// engine's arena, so this loop only attributes results; it never
+// touches a socket.
 func (ws *wireSource[T]) Collect(ctx context.Context, rd *cluster.RoundOf[T]) (cluster.CollectStats, error) {
 	t := rd.Iteration()
 	rejoins := ws.admitPending(t)
@@ -1175,32 +1251,20 @@ func (ws *wireSource[T]) Collect(ctx context.Context, rd *cluster.RoundOf[T]) (c
 	}
 	ws.mu.Unlock()
 
-	// Parallel broadcast: one send goroutine per live worker, so one
-	// slow socket costs the round a write deadline, not a serial sum.
+	// Parallel broadcast: each live worker's send goes to its slot's
+	// sender, so one slow socket holds one sender for a write deadline
+	// and costs the round that deadline, not a serial sum. Every queue is
+	// empty here — last round's sends were waited out — so no queueing
+	// blocks.
 	bcastStart := time.Now()
-	var bcastBytes atomic.Int64
-	var sends sync.WaitGroup
-	for u := range ws.roundConns {
-		conn := ws.roundConns[u]
-		if conn == nil {
-			continue
+	ws.bcastBytes.Store(0)
+	for u, conn := range ws.roundConns {
+		if conn != nil {
+			ws.sends.Add(1)
+			ws.sendQ[u] <- sendJob{conn: conn, t: t, lastAck: ws.roundAcks[u]}
 		}
-		sends.Add(1)
-		go func(u int, conn *Conn, lastAck int) {
-			defer sends.Done()
-			n, err := sendRoundStart(conn, ws.timeout, t, lastAck, ws.fullFrame, ws.deltaFrame)
-			if err != nil {
-				// A failed or partial send poisons the outbound stream —
-				// unlike reads it cannot be resumed, so the worker is
-				// evicted (its pump notices the closed conn and posts
-				// the death notice).
-				ws.evict(u, conn, fmt.Errorf("send: %w", err))
-				return
-			}
-			bcastBytes.Add(int64(n))
-		}(u, conn, ws.roundAcks[u])
 	}
-	sends.Wait()
+	ws.sends.Wait()
 	bcastDur := time.Since(bcastStart)
 
 	// Collection: a single select over the inbox and one deadline
@@ -1305,7 +1369,7 @@ func (ws *wireSource[T]) Collect(ctx context.Context, rd *cluster.RoundOf[T]) (c
 		Broadcast:      bcastDur,
 		ReportBytes:    reportBytes,
 		ReportRawBytes: rawBytes,
-		BroadcastBytes: bcastBytes.Load(),
+		BroadcastBytes: ws.bcastBytes.Load(),
 		Rejoins:        rejoins,
 		Evictions:      int(ev - ws.lastEvictions),
 		StaleFrames:    int(st - ws.lastStaleFrames),

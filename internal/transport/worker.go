@@ -322,16 +322,26 @@ func runWorkerConn[T linalg.Float](ctx context.Context, addr string, st *workerS
 			delayTimer.Stop()
 		}
 	}()
+	// recvErr marks a broken stream, or a frame that fails to decode, as
+	// retryable: a fresh connection starts from a fresh stream.
+	recvErr := func(err error) error {
+		return retryable(fmt.Errorf("transport: worker %d recv: %w", cfg.ID, ctxErr(ctx, err)))
+	}
+	// The round loop decodes each frame by its type into a stack value,
+	// so a steady-state round boxes no message.
 	for {
-		msg, err := conn.Recv()
-		if errors.Is(err, ErrBadRoundStart) {
-			return 0, fmt.Errorf("transport: worker %d recv: %w", cfg.ID, err)
-		}
+		typ, body, err := conn.next()
 		if err != nil {
-			return 0, retryable(fmt.Errorf("transport: worker %d recv: %w", cfg.ID, ctxErr(ctx, err)))
+			return 0, recvErr(err)
 		}
-		switch m := msg.(type) {
-		case RoundStart:
+		switch typ {
+		case msgRoundStart:
+			var m RoundStart
+			if err := m.decodePayload(body); err != nil {
+				// ErrBadRoundStart: no honest server of this run sends
+				// it, so reconnecting cannot help.
+				return 0, fmt.Errorf("transport: worker %d recv: %w", cfg.ID, err)
+			}
 			if err := st.startRound(m.Iteration); err != nil {
 				return 0, err
 			}
@@ -360,7 +370,7 @@ func runWorkerConn[T linalg.Float](ctx context.Context, addr string, st *workerS
 			}
 			if d.Skip {
 				cfg.Logf("worker %d: injected skip at round %d", cfg.ID, m.Iteration)
-				if _, err := conn.Send(GradientReport{WorkerID: cfg.ID, Iteration: m.Iteration}); err != nil {
+				if _, err := conn.sendReport(GradientReport{WorkerID: cfg.ID, Iteration: m.Iteration}); err != nil {
 					return 0, retryable(ctxErr(ctx, err))
 				}
 				st.ins.skipSent()
@@ -370,19 +380,31 @@ func runWorkerConn[T linalg.Float](ctx context.Context, addr string, st *workerS
 			if err != nil {
 				return 0, err
 			}
-			if _, err := conn.Send(rep); err != nil {
+			if _, err := conn.sendReport(rep); err != nil {
 				return 0, retryable(ctxErr(ctx, err))
 			}
 			st.ins.reportSent(len(rep.Frame))
-		case Shutdown:
+		case msgShutdown:
+			var m Shutdown
+			if err := m.decodePayload(body); err != nil {
+				return 0, recvErr(err)
+			}
 			cfg.Logf("worker %d: shutdown, final accuracy %.4f", cfg.ID, m.FinalAccuracy)
 			return m.FinalAccuracy, nil
-		case Reject:
+		case msgReject:
+			var m Reject
+			if err := m.decodePayload(body); err != nil {
+				return 0, recvErr(err)
+			}
 			if m.Code == RejectBlacklisted {
 				return 0, fmt.Errorf("transport: worker %d: %s: %w", cfg.ID, m.Reason, ErrBlacklisted)
 			}
 			return 0, fmt.Errorf("transport: worker %d rejected: %s", cfg.ID, m.Reason)
 		default:
+			msg, err := decodeMessage(typ, body)
+			if err != nil {
+				return 0, recvErr(err)
+			}
 			return 0, fmt.Errorf("transport: worker %d: unexpected message %T", cfg.ID, msg)
 		}
 	}
