@@ -3,6 +3,8 @@ package distort
 import (
 	"context"
 	"math"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -284,6 +286,63 @@ func TestDistortedFilesConsistent(t *testing.T) {
 		}
 		if byzCopies < MajorityThreshold(an.Assignment().R) {
 			t.Errorf("file %d reported distorted with only %d Byzantine copies", v, byzCopies)
+		}
+	}
+}
+
+// TestMaxDistortedCanonical: when branch-and-bound improves on the
+// greedy seed, several sets can reach c_max, and which one the parallel
+// search keeps depends on scheduling. MaxDistorted names the
+// lexicographically first maximizer — the one an exhaustive scan in
+// lexicographic order finds first — on every call at every GOMAXPROCS.
+// Ramanujan2(5,5) at q = 5 is such a case (greedy picks [0 1 2 3 4]).
+func TestMaxDistortedCanonical(t *testing.T) {
+	const q = 5
+	an := ram2Analyzer(t, 5, 5)
+	want := []int{0, 1, 5, 6, 18}
+	if greedy := an.MaxDistortedGreedy(q); slices.Equal(greedy.Byzantines, want) {
+		t.Fatalf("greedy already picks %v: the case no longer exercises the canonical pass", want)
+	}
+	if first, cmax := firstMaximizerByScan(an, q); !slices.Equal(first, want) {
+		t.Fatalf("exhaustive scan: first maximizer %v (c_max %d), want %v", first, cmax, want)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		for i := 0; i < 10; i++ {
+			res := an.MaxDistorted(context.Background(), q)
+			if !res.Exact || !slices.Equal(res.Byzantines, want) {
+				t.Fatalf("GOMAXPROCS %d call %d: %v (exact %v), want %v", procs, i, res.Byzantines, res.Exact, want)
+			}
+		}
+	}
+}
+
+// firstMaximizerByScan enumerates every q-subset of the workers in
+// lexicographic order and returns the first that distorts the most
+// files, with that count.
+func firstMaximizerByScan(an *Analyzer, q int) ([]int, int) {
+	k := an.Assignment().K
+	set := make([]int, q)
+	for i := range set {
+		set[i] = i
+	}
+	var best []int
+	cmax := -1
+	for {
+		if c := an.DistortedCount(set); c > cmax {
+			cmax, best = c, slices.Clone(set)
+		}
+		i := q - 1
+		for i >= 0 && set[i] == k-q+i {
+			i--
+		}
+		if i < 0 {
+			return best, cmax
+		}
+		set[i]++
+		for j := i + 1; j < q; j++ {
+			set[j] = set[j-1] + 1
 		}
 	}
 }

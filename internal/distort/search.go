@@ -188,10 +188,51 @@ func (an *Analyzer) MaxDistorted(ctx context.Context, q int) SearchResult {
 	wg.Wait()
 
 	best, bestSet := shared.snapshot()
+	exact := ctx.Err() == nil
+	if exact && best > seed.CMax {
+		// Which of several maximizing sets the parallel search kept
+		// depends on scheduling; name the canonical one instead.
+		var extra int64
+		bestSet, extra = an.firstMaximizer(q, best)
+		nodes += extra
+	}
 	return SearchResult{
 		Q: q, CMax: best, Epsilon: float64(best) / float64(an.asn.F),
-		Byzantines: bestSet, Nodes: nodes, Exact: ctx.Err() == nil,
+		Byzantines: bestSet, Nodes: nodes, Exact: exact,
 	}
+}
+
+// firstMaximizer returns the lexicographically first q-set of workers
+// that distorts cmax files, the proved maximum, and the nodes it
+// visited. It is one sequential depth-first search in lexicographic
+// order whose bound prunes only the branches that cannot reach cmax
+// (<, where branch-and-bound prunes ties with ≤), and it stops at the
+// first set that reaches it.
+func (an *Analyzer) firstMaximizer(q, cmax int) ([]int, int64) {
+	st := an.newDFSState(q)
+	k := an.asn.K
+	var walk func(start, rem int) bool
+	walk = func(start, rem int) bool {
+		st.nodes++
+		if rem == 0 {
+			return st.distorted >= cmax
+		}
+		if st.distorted+an.optimisticExtra(st, rem) < cmax {
+			return false
+		}
+		for next := start; next <= k-rem; next++ {
+			st.push(next)
+			st.pushFiles(an, next)
+			if walk(next+1, rem-1) {
+				return true
+			}
+			st.popFiles(an, next)
+			st.pop()
+		}
+		return false
+	}
+	walk(0, q)
+	return append([]int(nil), st.chosen...), st.nodes
 }
 
 // sharedBest is the cross-goroutine incumbent.

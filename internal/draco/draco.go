@@ -8,9 +8,9 @@
 //
 //   - Fractional repetition (group) code: workers are split into K/r
 //     clone groups; the decoder majority-votes within each group. This
-//     is the same placement DETOX uses (assign.FRC), but DRACO's
-//     guarantee is exact recovery, hence the stronger r ≥ 2q+1
-//     requirement.
+//     is the same placement DETOX uses, so the scheme is a Scheme with
+//     Code CodeFractional over assign.FRC; DRACO's guarantee is exact
+//     recovery, hence the stronger r ≥ 2q+1 requirement.
 //
 //   - Cyclic repetition code: worker i holds files i, i+1, ..., i+r−1
 //     (mod f) and returns a single linear combination; the decoder
@@ -60,16 +60,6 @@ func (s *Scheme) Feasible(q int) error {
 			2*q+1, s.Assignment.R)
 	}
 	return nil
-}
-
-// NewFractional builds the fractional-repetition DRACO scheme over K
-// workers with replication r (r | K).
-func NewFractional(k, r int) (*Scheme, error) {
-	a, err := assign.FRC(k, r)
-	if err != nil {
-		return nil, err
-	}
-	return &Scheme{Code: CodeFractional, Assignment: a}, nil
 }
 
 // NewCyclic builds the cyclic-repetition DRACO scheme: K workers, f = K

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"byzshield/internal/assign"
 	"byzshield/internal/distort"
 )
 
@@ -37,19 +38,6 @@ func makeTruth(f, d int) [][]float64 {
 		truth[v] = row
 	}
 	return truth
-}
-
-func TestFractionalConstruction(t *testing.T) {
-	s, err := NewFractional(15, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Assignment.K != 15 || s.Assignment.F != 5 || s.Assignment.R != 3 {
-		t.Errorf("params: %v", s.Assignment)
-	}
-	if _, err := NewFractional(10, 3); err == nil {
-		t.Error("r∤K accepted")
-	}
 }
 
 func TestCyclicConstruction(t *testing.T) {
@@ -145,10 +133,11 @@ func TestRecoveryFailsBeyondGuarantee(t *testing.T) {
 }
 
 func TestFractionalExactRecovery(t *testing.T) {
-	s, err := NewFractional(15, 5)
+	a, err := assign.FRC(15, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := &Scheme{Code: CodeFractional, Assignment: a}
 	truth := makeTruth(s.Assignment.F, 2)
 	adversarial := []float64{1e9, 1e9}
 	// q = 2 < r' = 3 in every group: exact.

@@ -21,7 +21,7 @@ import (
 )
 
 // Field is a finite field GF(p^k) with elements encoded as integers in
-// [0, Order()). The zero value is not usable; construct fields with New.
+// [0, p^k). The zero value is not usable; construct fields with New.
 type Field struct {
 	p     int // characteristic (prime)
 	k     int // extension degree
@@ -94,27 +94,6 @@ func IsPrime(n int) bool {
 	return true
 }
 
-// Order returns the number of elements p^k of the field.
-func (f *Field) Order() int { return f.order }
-
-// Char returns the characteristic p of the field.
-func (f *Field) Char() int { return f.p }
-
-// Degree returns the extension degree k of the field over GF(p).
-func (f *Field) Degree() int { return f.k }
-
-// Irreducible returns a copy of the coefficients (constant term first)
-// of the irreducible polynomial defining the extension, or nil for a
-// prime field.
-func (f *Field) Irreducible() []int {
-	if f.irreducible == nil {
-		return nil
-	}
-	out := make([]int, len(f.irreducible))
-	copy(out, f.irreducible)
-	return out
-}
-
 // valid panics if a is not a field element.
 func (f *Field) valid(a int) {
 	if a < 0 || a >= f.order {
@@ -171,11 +150,6 @@ func (f *Field) Inv(a int) int {
 	return modInverse(a, f.p)
 }
 
-// Div returns a / b in the field. It panics if b == 0.
-func (f *Field) Div(a, b int) int {
-	return f.Mul(a, f.Inv(b))
-}
-
 // Pow returns a^e for e >= 0 (a^0 == 1, including 0^0 by convention).
 func (f *Field) Pow(a, e int) int {
 	f.valid(a)
@@ -192,15 +166,6 @@ func (f *Field) Pow(a, e int) int {
 		e >>= 1
 	}
 	return result
-}
-
-// Elements returns all field elements in encoding order 0..order-1.
-func (f *Field) Elements() []int {
-	out := make([]int, f.order)
-	for i := range out {
-		out[i] = i
-	}
-	return out
 }
 
 // buildPrimeTables precomputes negation and inverse tables for GF(p).

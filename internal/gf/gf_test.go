@@ -72,7 +72,7 @@ func TestMustNewPanicsOnBadOrder(t *testing.T) {
 // fieldAxioms verifies the full set of field axioms by enumeration.
 func fieldAxioms(t *testing.T, f *Field) {
 	t.Helper()
-	n := f.Order()
+	n := f.order
 	for a := 0; a < n; a++ {
 		if f.Add(a, 0) != a {
 			t.Fatalf("order %d: %d + 0 != %d", n, a, a)
@@ -209,35 +209,18 @@ func TestOutOfRangePanics(t *testing.T) {
 	MustNew(5).Add(5, 0)
 }
 
-func TestElements(t *testing.T) {
-	f := MustNew(9)
-	elems := f.Elements()
-	if len(elems) != 9 {
-		t.Fatalf("Elements() length = %d, want 9", len(elems))
-	}
-	for i, e := range elems {
-		if e != i {
-			t.Errorf("Elements()[%d] = %d, want %d", i, e, i)
-		}
-	}
-}
-
+// TestAccessors: New records GF(25)'s order, characteristic, degree
+// and a monic degree-2 modulus, and no modulus for a prime field.
 func TestAccessors(t *testing.T) {
 	f := MustNew(25)
-	if f.Order() != 25 || f.Char() != 5 || f.Degree() != 2 {
-		t.Errorf("GF(25) accessors = (%d,%d,%d), want (25,5,2)", f.Order(), f.Char(), f.Degree())
+	if f.order != 25 || f.p != 5 || f.k != 2 {
+		t.Errorf("GF(25) parameters = (%d,%d,%d), want (25,5,2)", f.order, f.p, f.k)
 	}
-	irr := f.Irreducible()
-	if len(irr) != 3 || irr[2] != 1 {
+	if irr := f.irreducible; len(irr) != 3 || irr[2] != 1 {
 		t.Errorf("GF(25) irreducible = %v, want monic degree 2", irr)
 	}
-	// Mutating the returned slice must not affect the field.
-	irr[0] = 99
-	if f.Irreducible()[0] == 99 {
-		t.Error("Irreducible() returned internal slice")
-	}
-	if MustNew(7).Irreducible() != nil {
-		t.Error("prime field Irreducible() != nil")
+	if MustNew(7).irreducible != nil {
+		t.Error("prime field has an irreducible polynomial")
 	}
 }
 
@@ -308,7 +291,7 @@ func TestQuickFieldClosure(t *testing.T) {
 		if f.Sub(s, b) != a {
 			return false
 		}
-		if b != 0 && f.Div(m, b) != a {
+		if b != 0 && f.Mul(m, f.Inv(b)) != a {
 			return false
 		}
 		return true
@@ -321,7 +304,7 @@ func TestQuickFieldClosure(t *testing.T) {
 // Property-based: Frobenius endomorphism (a+b)^p == a^p + b^p in GF(p^k).
 func TestQuickFrobenius(t *testing.T) {
 	f := MustNew(27)
-	p := f.Char()
+	p := f.p
 	prop := func(x, y uint8) bool {
 		a := int(x) % 27
 		b := int(y) % 27

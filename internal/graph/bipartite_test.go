@@ -232,8 +232,13 @@ func TestQuickDegreeConsistency(t *testing.T) {
 			}
 		}
 		h := g.BiAdjacency()
-		rs := h.RowSums()
-		cs := h.ColSums()
+		rs, cs := make([]float64, m), make([]float64, n)
+		for u := 0; u < m; u++ {
+			for v := 0; v < n; v++ {
+				rs[u] += h.At(u, v)
+				cs[v] += h.At(u, v)
+			}
+		}
 		for u := 0; u < m; u++ {
 			if int(rs[u]) != g.LeftDegree(u) {
 				return false

@@ -98,31 +98,6 @@ func offDiagonalNorm(a *Matrix) float64 {
 	return math.Sqrt(s)
 }
 
-// SingularValues returns the singular values of m (decreasing order),
-// computed as the square roots of the eigenvalues of the smaller Gram
-// matrix. Small negative eigenvalues produced by roundoff are clamped to
-// zero before the square root.
-func SingularValues(m *Matrix) ([]float64, error) {
-	var gram *Matrix
-	if m.Rows <= m.Cols {
-		gram = m.Gram()
-	} else {
-		gram = m.Transpose().Gram()
-	}
-	eig, err := SymmetricEigen(gram)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(eig))
-	for i, v := range eig {
-		if v < 0 {
-			v = 0
-		}
-		out[i] = math.Sqrt(v)
-	}
-	return out, nil
-}
-
 // EigenvalueMultiplicity groups eigenvalues that are equal up to tol and
 // returns (value, multiplicity) pairs sorted by decreasing value. The
 // representative value of each group is the group mean, which suppresses

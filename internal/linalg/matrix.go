@@ -48,15 +48,6 @@ func NewMatrixFromRows(rows [][]float64) *Matrix {
 	return m
 }
 
-// Identity returns the n x n identity matrix.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
 // At returns element (i, j).
 func (m *Matrix) At(i, j int) float64 {
 	m.check(i, j)
@@ -79,22 +70,6 @@ func (m *Matrix) check(i, j int) {
 func (m *Matrix) Clone() *Matrix {
 	out := NewMatrix(m.Rows, m.Cols)
 	copy(out.Data, m.Data)
-	return out
-}
-
-// Row returns a copy of row i.
-func (m *Matrix) Row(i int) []float64 {
-	out := make([]float64, m.Cols)
-	copy(out, m.Data[i*m.Cols:(i+1)*m.Cols])
-	return out
-}
-
-// Col returns a copy of column j.
-func (m *Matrix) Col(j int) []float64 {
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		out[i] = m.Data[i*m.Cols+j]
-	}
 	return out
 }
 
@@ -185,30 +160,6 @@ func (m *Matrix) Equal(b *Matrix, tol float64) bool {
 		}
 	}
 	return true
-}
-
-// RowSums returns the per-row sums (left degrees for a 0/1 bi-adjacency).
-func (m *Matrix) RowSums() []float64 {
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		var s float64
-		for j := 0; j < m.Cols; j++ {
-			s += m.Data[i*m.Cols+j]
-		}
-		out[i] = s
-	}
-	return out
-}
-
-// ColSums returns the per-column sums (right degrees for a 0/1 bi-adjacency).
-func (m *Matrix) ColSums() []float64 {
-	out := make([]float64, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			out[j] += m.Data[i*m.Cols+j]
-		}
-	}
-	return out
 }
 
 // String renders the matrix for debugging.

@@ -37,21 +37,6 @@ func TestNewMatrixFromRowsRaggedPanics(t *testing.T) {
 	NewMatrixFromRows([][]float64{{1, 2}, {3}})
 }
 
-func TestIdentity(t *testing.T) {
-	m := Identity(4)
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 4; j++ {
-			want := 0.0
-			if i == j {
-				want = 1
-			}
-			if m.At(i, j) != want {
-				t.Fatalf("Identity(4)[%d][%d] = %v", i, j, m.At(i, j))
-			}
-		}
-	}
-}
-
 func TestMulKnown(t *testing.T) {
 	a := NewMatrixFromRows([][]float64{{1, 2}, {3, 4}})
 	b := NewMatrixFromRows([][]float64{{5, 6}, {7, 8}})
@@ -62,12 +47,21 @@ func TestMulKnown(t *testing.T) {
 	}
 }
 
+// identity returns the n x n identity matrix.
+func identity(n int) *Matrix {
+	m := NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		m.Set(i, i, 1)
+	}
+	return m
+}
+
 func TestMulIdentity(t *testing.T) {
 	a := NewMatrixFromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	if !a.Mul(Identity(3)).Equal(a, 0) {
+	if !a.Mul(identity(3)).Equal(a, 0) {
 		t.Error("A*I != A")
 	}
-	if !Identity(2).Mul(a).Equal(a, 0) {
+	if !identity(2).Mul(a).Equal(a, 0) {
 		t.Error("I*A != A")
 	}
 }
@@ -104,32 +98,6 @@ func TestGramMatchesExplicitProduct(t *testing.T) {
 	}
 	if !gram.IsSymmetric(0) {
 		t.Error("Gram not symmetric")
-	}
-}
-
-func TestRowColSums(t *testing.T) {
-	a := NewMatrixFromRows([][]float64{{1, 0, 1}, {0, 1, 1}})
-	rs := a.RowSums()
-	cs := a.ColSums()
-	if rs[0] != 2 || rs[1] != 2 {
-		t.Errorf("RowSums = %v", rs)
-	}
-	if cs[0] != 1 || cs[1] != 1 || cs[2] != 2 {
-		t.Errorf("ColSums = %v", cs)
-	}
-}
-
-func TestRowColCopies(t *testing.T) {
-	a := NewMatrixFromRows([][]float64{{1, 2}, {3, 4}})
-	r := a.Row(0)
-	r[0] = 99
-	if a.At(0, 0) == 99 {
-		t.Error("Row returned a view, want copy")
-	}
-	c := a.Col(1)
-	c[0] = 98
-	if a.At(0, 1) == 98 {
-		t.Error("Col returned a view, want copy")
 	}
 }
 
@@ -222,35 +190,6 @@ func TestSymmetricEigenRejectsNonSymmetric(t *testing.T) {
 	}
 	if _, err := SymmetricEigen(NewMatrix(2, 3)); err == nil {
 		t.Error("non-square matrix accepted")
-	}
-}
-
-func TestSingularValuesKnown(t *testing.T) {
-	// diag-ish rectangular matrix: singular values are 3 and 2.
-	m := NewMatrixFromRows([][]float64{{3, 0, 0}, {0, 2, 0}})
-	sv, err := SingularValues(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(sv[0]-3) > 1e-9 || math.Abs(sv[1]-2) > 1e-9 {
-		t.Errorf("singular values = %v, want [3 2]", sv)
-	}
-}
-
-func TestSingularValuesTransposeInvariant(t *testing.T) {
-	m := NewMatrixFromRows([][]float64{{1, 2, 0}, {0, 1, 1}})
-	a, err := SingularValues(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := SingularValues(m.Transpose())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		if math.Abs(a[i]-b[i]) > 1e-9 {
-			t.Errorf("sv mismatch at %d: %v vs %v", i, a[i], b[i])
-		}
 	}
 }
 

@@ -5,51 +5,6 @@ import (
 	"math"
 )
 
-// PowerIteration estimates the largest eigenvalue (in magnitude) of a
-// symmetric matrix and its eigenvector via power iteration with a
-// deterministic start vector. For the PSD co-assignment matrices used in
-// the spectral analysis the dominant eigenvalue is also the largest.
-func PowerIteration(m *Matrix, maxIter int, tol float64) (value float64, vector []float64, err error) {
-	if m.Rows != m.Cols {
-		return 0, nil, fmt.Errorf("linalg: power iteration on non-square %dx%d", m.Rows, m.Cols)
-	}
-	n := m.Rows
-	if n == 0 {
-		return 0, nil, fmt.Errorf("linalg: power iteration on empty matrix")
-	}
-	if maxIter <= 0 {
-		maxIter = 1000
-	}
-	if tol <= 0 {
-		tol = 1e-12
-	}
-	// Deterministic pseudo-random start avoids orthogonality to the
-	// dominant eigenvector for the structured matrices seen here.
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = 1 + 0.001*float64((i*2654435761)%97)
-	}
-	normalize(v)
-	w := make([]float64, n)
-	prev := 0.0
-	for iter := 0; iter < maxIter; iter++ {
-		matVec(m, v, w)
-		lambda := Dot(v, w)
-		nw := Norm2(w)
-		if nw == 0 {
-			return 0, v, nil // v is in the null space: eigenvalue 0
-		}
-		for i := range w {
-			v[i] = w[i] / nw
-		}
-		if math.Abs(lambda-prev) < tol*math.Max(1, math.Abs(lambda)) {
-			return lambda, v, nil
-		}
-		prev = lambda
-	}
-	return prev, v, nil
-}
-
 // SecondEigenvaluePSD estimates µ1, the second-largest eigenvalue of a
 // symmetric PSD matrix whose largest eigenpair is known, by deflating
 // (A − λ0·v0·v0ᵀ) and running power iteration. For the normalized

@@ -129,27 +129,3 @@ func (h *History) FinalAccuracy() float64 {
 	}
 	return h.Points[len(h.Points)-1].Accuracy
 }
-
-// BestAccuracy returns the maximum recorded accuracy.
-func (h *History) BestAccuracy() float64 {
-	best := 0.0
-	for _, p := range h.Points {
-		if p.Accuracy > best {
-			best = p.Accuracy
-		}
-	}
-	return best
-}
-
-// MeanAccuracy returns the average recorded accuracy — used for the
-// paper's "average advantage" comparisons.
-func (h *History) MeanAccuracy() float64 {
-	if len(h.Points) == 0 {
-		return 0
-	}
-	var s float64
-	for _, p := range h.Points {
-		s += p.Accuracy
-	}
-	return s / float64(len(h.Points))
-}

@@ -117,7 +117,7 @@ func TestSGDConvergesOnQuadratic(t *testing.T) {
 
 func TestHistory(t *testing.T) {
 	var h History
-	if h.FinalAccuracy() != 0 || h.BestAccuracy() != 0 || h.MeanAccuracy() != 0 {
+	if h.FinalAccuracy() != 0 {
 		t.Error("empty history not zero")
 	}
 	h.Add(0, 2.3, 0.1)
@@ -125,12 +125,6 @@ func TestHistory(t *testing.T) {
 	h.Add(200, 0.9, 0.5)
 	if h.FinalAccuracy() != 0.5 {
 		t.Errorf("final = %v", h.FinalAccuracy())
-	}
-	if h.BestAccuracy() != 0.6 {
-		t.Errorf("best = %v", h.BestAccuracy())
-	}
-	if math.Abs(h.MeanAccuracy()-0.4) > 1e-15 {
-		t.Errorf("mean = %v", h.MeanAccuracy())
 	}
 	if len(h.Points) != 3 || h.Points[1].Iteration != 100 {
 		t.Error("points wrong")

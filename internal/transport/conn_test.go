@@ -584,11 +584,9 @@ func TestMisshapenReportEvicts(t *testing.T) {
 // openConns counts the connections the server still references: those
 // mid-handshake plus every worker's live and parked one.
 func openConns[T linalg.Float](s *ServerOf[T]) int {
-	s.mu.Lock()
-	n := len(s.handshaking)
-	s.mu.Unlock()
 	s.src.mu.Lock()
 	defer s.src.mu.Unlock()
+	n := len(s.src.handshaking)
 	for u := range s.src.workers {
 		if s.src.workers[u].conn != nil {
 			n++

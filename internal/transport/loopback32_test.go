@@ -123,9 +123,7 @@ func TestWorker32RejoinRenegotiation(t *testing.T) {
 			// loop, so round 4 starts only after the rejoin is parked for
 			// admission.
 			killWorker()
-			srv.src.mu.Lock()
-			token := srv.src.workers[victim].token
-			srv.src.mu.Unlock()
+			token := workerToken(srv, victim)
 			go func() {
 				_, err := RunWorker32(context.Background(), srv.Addr(), WorkerConfig32{
 					ID:          victim,

@@ -306,6 +306,63 @@ func workerRejoinBitIdentical[T linalg.Float](t *testing.T) {
 	}
 }
 
+// TestWorkerRejoinParkedAtLastRoundHearsShutdown breaks a worker's
+// connection after the final round, so its automatic reconnect is still
+// parked for round-boundary admission when the rounds run out. The
+// shutdown must promote the parked connection and send it the Shutdown:
+// the worker returns the server's final accuracy with no error, and the
+// broken connection is the run's one eviction.
+func TestWorkerRejoinParkedAtLastRoundHearsShutdown(t *testing.T) {
+	const victim = 2
+	spec := testSpec(4)
+	asn, err := spec.BuildAssignment()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var srv *Server
+	srv, err = NewServer("127.0.0.1:0", ServerConfig{
+		Spec:         spec,
+		RoundTimeout: 30 * time.Second,
+		OnRound: func(rs cluster.RoundStats) {
+			if rs.Iteration != spec.Rounds-1 {
+				return
+			}
+			// OnRound blocks the serve loop: the shutdown starts only
+			// after the reconnect is parked.
+			srv.src.liveConn(victim).Close()
+			waitRejoinPending(t, srv, victim)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	accs := make([]float64, asn.K)
+	errs := make([]error, asn.K)
+	var wg sync.WaitGroup
+	for u := 0; u < asn.K; u++ {
+		wg.Add(1)
+		go func(u int) {
+			defer wg.Done()
+			accs[u], errs[u] = RunWorker(context.Background(), srv.Addr(), WorkerConfig{ID: u})
+		}(u)
+	}
+	final, err := srv.Serve(context.Background())
+	if err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	wg.Wait()
+	for u := range accs {
+		if errs[u] != nil || accs[u] != final {
+			t.Errorf("worker %d returned (%v, %v), want the final accuracy %v", u, accs[u], errs[u], final)
+		}
+	}
+	if c := srv.Counters(); c.Evictions != 1 {
+		t.Errorf("counters %+v, want exactly one eviction", c)
+	}
+}
+
 // TestEvictedWorkerRejoinsAfterMissedRounds: a worker whose connection
 // breaks mid-round is evicted and its rounds degrade; restarting it
 // with the session token re-admits it at the next round boundary and

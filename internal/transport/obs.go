@@ -26,7 +26,7 @@ func (s *ServerOf[T]) registerInstruments(r *obs.Registry) {
 		func() float64 { return float64(cap(src.inbox)) })
 	r.GaugeFunc("byzshield_current_round", "", "iteration currently being collected (-1 before the first round)",
 		func() float64 { return float64(src.curRound.Load()) })
-	fleet := s.fleet
+	fleet := s.src.fleet
 	r.GaugeFunc("byzshield_live_workers", "", "workers with a live pumping connection",
 		func() float64 {
 			live := 0

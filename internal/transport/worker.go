@@ -40,8 +40,9 @@ const DefaultReconnectAttempts = 5
 // (doubled per consecutive failure).
 const defaultReconnectDelay = 100 * time.Millisecond
 
-// WorkerConfig configures a worker process, at either value width
-// (RunWorker, RunWorker32).
+// WorkerConfig configures a worker process at either value width:
+// RunWorkerOf[T] runs it over width-T frames. Nothing in it names a
+// width.
 type WorkerConfig struct {
 	ID int
 	// Attack makes this worker Byzantine: instead of its files' gradients
