@@ -23,7 +23,9 @@ bench:
 # whatever the package declares; fewer than the 18 that exist means a
 # target was deleted or renamed, which fails the run instead of
 # shrinking it. The chunked median/trimmed-mean kernels' bit-identity
-# target runs after them for the same time.
+# target runs after them for the same time: it repeats each input's
+# bytes until the range holds a full 64-lane tile and checks both tile
+# bodies (AVX-512 where the CPU has it, and the portable Go one).
 fuzz: build
 	@targets=$$($(GO) test -list '^Fuzz' ./internal/wire | grep '^Fuzz') || exit 1; \
 	n=$$(echo "$$targets" | wc -l); \

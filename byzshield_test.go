@@ -3,6 +3,7 @@ package byzshield
 import (
 	"context"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -135,6 +136,46 @@ func TestTrainEndToEnd(t *testing.T) {
 	}
 	if h.FinalAccuracy() < 0.5 {
 		t.Errorf("accuracy %.3f under ALIE q=3", h.FinalAccuracy())
+	}
+}
+
+// TestOpenNamesCanonicalByzantines: Open's worst-case search on
+// Ramanujan2(5,5) at Q = 5, where several sets reach c_max, names the
+// same set on every open — the lexicographically first maximizer that
+// internal/distort's TestMaxDistortedCanonical pins.
+func TestOpenNamesCanonicalByzantines(t *testing.T) {
+	ram2, err := NewRamanujan2(5, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	train, test, err := SyntheticDataset(300, 100, 8, 10, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewSoftmaxModel(8, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []int{0, 1, 5, 6, 18}
+	for open := 0; open < 2; open++ {
+		s, err := Open(context.Background(), TrainConfig{
+			Assignment: ram2,
+			Model:      m,
+			Train:      train,
+			Test:       test,
+			BatchSize:  100,
+			Q:          5,
+			Iterations: 1,
+			Seed:       1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := s.Byzantines()
+		s.Close()
+		if !slices.Equal(got, want) {
+			t.Fatalf("open %d: Byzantines %v, want %v", open, got, want)
+		}
 	}
 }
 

@@ -86,10 +86,10 @@ func chunkTestRows[T linalg.Float](rng *rand.Rand, f, d int) [][]T {
 
 // TestChunkKernelsMatchSelect drives Median and TrimmedMean's chunk
 // kernels directly over ranges that start off tile boundaries and end
-// inside, on and past them, at both widths.
+// inside, on and past them, at both widths, on either tile body.
 func TestChunkKernelsMatchSelect(t *testing.T) {
-	t.Run("f64", func(t *testing.T) { testChunkKernels[float64](t) })
-	t.Run("f32", func(t *testing.T) { testChunkKernels[float32](t) })
+	t.Run("f64", func(t *testing.T) { eachTileBody(t, testChunkKernels[float64]) })
+	t.Run("f32", func(t *testing.T) { eachTileBody(t, testChunkKernels[float32]) })
 }
 
 func testChunkKernels[T linalg.Float](t *testing.T) {
@@ -114,7 +114,9 @@ func testChunkKernels[T linalg.Float](t *testing.T) {
 
 // FuzzMedianChunk decodes arbitrary bytes into f rows of float bits at
 // both widths and compares the median and trimmed-mean chunk kernels
-// against the per-column reference over a range inside the rows.
+// against the per-column reference over a range inside the rows, once
+// on each tile body. The bytes repeat cyclically until the range holds
+// a full tile, so the assembly body sees every input.
 func FuzzMedianChunk(f *testing.F) {
 	f.Add(uint8(25), uint8(0), uint8(3), []byte("\x00\x00\x00\x00\x00\x00\x00\x80\x00\x00\x00\x00\x00\x00\xf8\x7f"))
 	f.Add(uint8(4), uint8(1), uint8(0), make([]byte, 8*4*70))
@@ -126,26 +128,30 @@ func FuzzMedianChunk(f *testing.F) {
 }
 
 func fuzzChunk[T linalg.Float](t *testing.T, n, trim, off int, data []byte) {
-	w := linalg.Width[T]()
-	d := len(data) / (w * n)
-	if d == 0 {
+	if len(data) == 0 {
 		return
 	}
+	w := linalg.Width[T]()
+	d := max(len(data)/(w*n), linalg.Lanes+off)
 	grads := make([][]T, n)
 	for j := range grads {
 		grads[j] = make([]T, d)
 		for i := range grads[j] {
 			var bits uint64
-			for k, c := range data[(j*d+i)*w : (j*d+i+1)*w] {
-				bits |= uint64(c) << (8 * k)
+			for k := 0; k < w; k++ {
+				bits |= uint64(data[((j*d+i)*w+k)%len(data)]) << (8 * k)
 			}
 			grads[j][i] = linalg.FromBits[T](bits)
 		}
 	}
-	lo := off % d
-	checkChunkBits(t, Median{}, grads, lo, d, func(i int) T { return linalg.MedianSelect(column(grads, i)) })
 	trim %= (n + 1) / 2
-	checkChunkBits(t, TrimmedMean{Trim: trim}, grads, lo, d, func(i int) T { return linalg.TrimmedMeanSelect(column(grads, i), trim) })
+	for _, simd := range []bool{true, false} {
+		func() {
+			defer linalg.SetSIMDTile(linalg.SetSIMDTile(simd))
+			checkChunkBits(t, Median{}, grads, off, d, func(i int) T { return linalg.MedianSelect(column(grads, i)) })
+			checkChunkBits(t, TrimmedMean{Trim: trim}, grads, off, d, func(i int) T { return linalg.TrimmedMeanSelect(column(grads, i), trim) })
+		}()
+	}
 }
 
 // BenchmarkMedianChunk times the Median and TrimmedMean chunk kernels
@@ -153,8 +159,10 @@ func fuzzChunk[T linalg.Float](t *testing.T, n, trim, off int, data []byte) {
 // vote winner's gradient looks like, no duplicate values for
 // quickselect's equal run to exit early on — at the median workloads'
 // winner counts, trims from none to one short of the median, and both
-// widths. BenchmarkMedianChunkSelectBaseline is the per-column
-// quickselect kernel (MedianSelect, TrimmedMeanSelect) on the same rows.
+// widths. Each runs twice: /simd on the assembly tile body and
+// /generic on the portable Go body (eachTileBody).
+// BenchmarkMedianChunkSelectBaseline is the per-column quickselect
+// kernel (MedianSelect, TrimmedMeanSelect) on the same rows.
 func BenchmarkMedianChunk(b *testing.B) { benchChunkRules(b, false) }
 
 func BenchmarkMedianChunkSelectBaseline(b *testing.B) { benchChunkRules(b, true) }
@@ -170,8 +178,13 @@ func benchChunkRules(b *testing.B, perColumn bool) {
 			if trim >= 0 {
 				name = fmt.Sprintf("trim%d/f%d", trim, f)
 			}
-			b.Run(name+"-f64", func(b *testing.B) { benchChunk[float64](b, f, trim, perColumn) })
-			b.Run(name+"-f32", func(b *testing.B) { benchChunk[float32](b, f, trim, perColumn) })
+			if perColumn {
+				b.Run(name+"-f64", func(b *testing.B) { benchChunk[float64](b, f, trim, true) })
+				b.Run(name+"-f32", func(b *testing.B) { benchChunk[float32](b, f, trim, true) })
+				continue
+			}
+			b.Run(name+"-f64", func(b *testing.B) { eachTileBody(b, func(b *testing.B) { benchChunk[float64](b, f, trim, false) }) })
+			b.Run(name+"-f32", func(b *testing.B) { eachTileBody(b, func(b *testing.B) { benchChunk[float32](b, f, trim, false) }) })
 		}
 	}
 }
@@ -210,4 +223,25 @@ func benchChunk[T linalg.Float](b *testing.B, f, trim int, perColumn bool) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchChunkDim), "ns/coord")
+}
+
+// eachTileBody runs fn twice: on the network kernels' assembly tile
+// body (/simd) and on their portable Go body (/generic). Where the CPU
+// has no assembly body the /simd leg says so and runs the portable one.
+func eachTileBody[B interface {
+	testing.TB
+	Run(string, func(B)) bool
+}](b B, fn func(B)) {
+	for _, leg := range []struct {
+		name string
+		simd bool
+	}{{"simd", true}, {"generic", false}} {
+		b.Run(leg.name, func(b B) {
+			defer linalg.SetSIMDTile(linalg.SetSIMDTile(leg.simd))
+			if leg.simd && !linalg.SIMDTile() {
+				b.Log("no AVX-512F on this CPU: the simd leg runs the portable body")
+			}
+			fn(b)
+		})
+	}
 }

@@ -73,17 +73,6 @@ func (m *Matrix) Clone() *Matrix {
 	return out
 }
 
-// Transpose returns mᵀ as a new matrix.
-func (m *Matrix) Transpose() *Matrix {
-	out := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			out.Data[j*out.Cols+i] = m.Data[i*m.Cols+j]
-		}
-	}
-	return out
-}
-
 // Mul returns m * b as a new matrix.
 func (m *Matrix) Mul(b *Matrix) *Matrix {
 	if m.Cols != b.Rows {

@@ -128,3 +128,88 @@ func testSortKeyOrderOf[T Float, K key](t *testing.T, ordered []T) {
 		t.Errorf("keys of -0 and +0 are %d and %d, want -1 and 0", neg, pos)
 	}
 }
+
+// TestSIMDTileMatchesPortable holds the assembly tile body to the
+// portable one: full tiles of random bit patterns, Gaussian values with
+// ±0, and special values — NaN payloads of both signs, ±0, ±Inf,
+// subnormals and the floats whose keys are the integer extremes — at
+// both widths, through median, trimmed and full-sort networks. The
+// tiles after the network and the nan/negZero flags must agree bit for
+// bit. On a CPU without AVX-512F both legs run the portable body and
+// the test says so.
+func TestSIMDTileMatchesPortable(t *testing.T) {
+	if simdTileSupported() {
+		t.Log("tile dispatch: AVX-512F assembly body")
+	} else {
+		t.Log("tile dispatch: portable Go body (no AVX-512F): the SIMD leg did not run")
+	}
+	t.Run("f64", func(t *testing.T) { testSIMDTile[float64, int64](t) })
+	t.Run("f32", func(t *testing.T) { testSIMDTile[float32, int32](t) })
+}
+
+func testSIMDTile[T Float, K key](t *testing.T) {
+	defer SetSIMDTile(SetSIMDTile(true))
+	rng := rand.New(rand.NewSource(39))
+	kbits := 8 * Width[T]()
+	minKey := K(-1) << (kbits - 1)
+	specials := []T{
+		T(math.NaN()), T(math.Copysign(math.NaN(), -1)),
+		keyValue[T](minKey), keyValue[T](minKey + 1), keyValue[T](^minKey), keyValue[T](^minKey - 1),
+		keyValue[T](K(-1)), keyValue[T](K(0)), // -0, +0
+		T(math.Inf(1)), T(math.Inf(-1)),
+		FromBits[T](1), FromBits[T](1 | 1<<(kbits-1)), // ± smallest subnormal
+		FromBits[T](1<<(kbits-12) - 1), // a large subnormal
+		1, -1,
+	}
+	draw := []func() T{
+		func() T { return FromBits[T](rng.Uint64()) },
+		func() T {
+			if rng.Intn(8) == 0 {
+				return T(math.Copysign(0, float64(rng.Intn(2)-1)))
+			}
+			return T(rng.NormFloat64())
+		},
+		func() T { return specials[rng.Intn(len(specials))] },
+		func() T {
+			if rng.Intn(64) == 0 {
+				return specials[rng.Intn(len(specials))]
+			}
+			return T(rng.NormFloat64())
+		},
+	}
+	const d = 3*Lanes + 5
+	seen := map[[2]bool]bool{} // the (nan, negZero) flag pairs met
+	for _, n := range []int{1, 2, 3, 4, 20, 25, 49} {
+		for kind, value := range draw {
+			vs := make([][]T, n)
+			for j := range vs {
+				vs[j] = make([]T, d)
+				for i := range vs[j] {
+					vs[j][i] = value()
+				}
+			}
+			for _, r := range [][2]int{{(n - 1) / 2, n/2 + 1}, {0, n}, {n / 4, n - n/4}} {
+				net := rankNetwork(n, r[0], r[1])
+				for _, b0 := range []int{0, Lanes + 3, d - Lanes} {
+					simd, generic := make([]K, n*Lanes), make([]K, n*Lanes)
+					SetSIMDTile(true)
+					sNaN, sNeg := sortLanes(net, simd, vs, b0, Lanes)
+					SetSIMDTile(false)
+					gNaN, gNeg := sortLanes(net, generic, vs, b0, Lanes)
+					if sNaN != gNaN || sNeg != gNeg {
+						t.Fatalf("n=%d kind %d net %v b0=%d: flags nan=%v negZero=%v, portable %v %v", n, kind, r, b0, sNaN, sNeg, gNaN, gNeg)
+					}
+					for p := range simd {
+						if simd[p] != generic[p] {
+							t.Fatalf("n=%d kind %d net %v b0=%d: row %d lane %d holds key %#x, portable %#x", n, kind, r, b0, p/Lanes, p%Lanes, simd[p], generic[p])
+						}
+					}
+					seen[[2]bool{gNaN, gNeg}] = true
+				}
+			}
+		}
+	}
+	if len(seen) != 4 {
+		t.Errorf("tiles met only the (nan, negZero) flag pairs %v", seen)
+	}
+}
