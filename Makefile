@@ -25,7 +25,10 @@ bench:
 # shrinking it. The chunked median/trimmed-mean kernels' bit-identity
 # target runs after them for the same time: it repeats each input's
 # bytes until the range holds a full 64-lane tile and checks both tile
-# bodies (AVX-512 where the CPU has it, and the portable Go one).
+# bodies (AVX-512 where the CPU has it, and the portable Go one). The
+# MLP gradient's target runs last: it decodes a network, its parameters
+# and a file of samples, special values included, and checks both dense
+# kernel dispatches against the one-sample reference loops.
 fuzz: build
 	@targets=$$($(GO) test -list '^Fuzz' ./internal/wire | grep '^Fuzz') || exit 1; \
 	n=$$(echo "$$targets" | wc -l); \
@@ -36,6 +39,7 @@ fuzz: build
 		$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime $(FUZZTIME) ./internal/wire || exit 1; \
 	done
 	$(GO) test -run '^$$' -fuzz '^FuzzMedianChunk$$' -fuzztime $(FUZZTIME) ./internal/aggregate
+	$(GO) test -run '^$$' -fuzz '^FuzzMLPGradient$$' -fuzztime $(FUZZTIME) ./internal/model
 
 # bench/ is its own module (replace byzshield => ../) importing the
 # per-width names from internal/; the root ./... never compiles it.

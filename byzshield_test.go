@@ -2,6 +2,8 @@ package byzshield
 
 import (
 	"context"
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"slices"
 	"strings"
@@ -175,6 +177,64 @@ func TestOpenNamesCanonicalByzantines(t *testing.T) {
 		s.Close()
 		if !slices.Equal(got, want) {
 			t.Fatalf("open %d: Byzantines %v, want %v", open, got, want)
+		}
+	}
+}
+
+// TestPaperShapeTrajectoryPins pins 20 rounds of the sim-paper-k25
+// shape: MLP 64-128-10 on Ramanujan2(5,5), Q = 5 on the canonical
+// worst-case set, batch 750 (30-sample files) and the median. The
+// hashes were taken from the one-sample-at-a-time MLP kernels, before
+// the AVX-512 dense kernels existed, so this holds both dispatches to
+// them (CI runs the suite on whichever the runner's CPU picks).
+func TestPaperShapeTrajectoryPins(t *testing.T) {
+	ram2, err := NewRamanujan2(5, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mlp, err := NewMLPModel(64, 128, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	train, test, err := NewSyntheticDataset(DatasetConfig{
+		Train: 1500, Test: 100, Dim: 64, Classes: 10, ClassSep: 0.4, Seed: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gaussian, err := Registry.Attack("random-gaussian")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		attack Attack
+		want   uint64
+	}{
+		{"alie", ALIE(), 0x96a27cec1fa698fa},
+		{"random-gaussian", gaussian, 0x45359586249d5161},
+	} {
+		s, err := Open(context.Background(), TrainConfig{
+			Assignment: ram2, Model: mlp, Train: train, Test: test,
+			BatchSize: 750, Q: 5, Attack: tc.attack, Aggregator: Median(),
+			Seed: 7, Iterations: 20, EvalEvery: 20,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Run(context.Background(), 0); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := s.Byzantines(), []int{0, 1, 5, 6, 18}; !slices.Equal(got, want) {
+			t.Errorf("%s: Byzantines %v, want %v", tc.name, got, want)
+		}
+		h := fnv.New64a()
+		for _, v := range s.Params() {
+			binary.Write(h, binary.LittleEndian, math.Float64bits(v))
+		}
+		s.Close()
+		if got := h.Sum64(); got != tc.want {
+			t.Errorf("%s: params hash after 20 rounds %#016x, want %#016x", tc.name, got, tc.want)
 		}
 	}
 }

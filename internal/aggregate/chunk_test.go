@@ -147,7 +147,7 @@ func fuzzChunk[T linalg.Float](t *testing.T, n, trim, off int, data []byte) {
 	trim %= (n + 1) / 2
 	for _, simd := range []bool{true, false} {
 		func() {
-			defer linalg.SetSIMDTile(linalg.SetSIMDTile(simd))
+			defer linalg.SetSIMD(linalg.SetSIMD(simd))
 			checkChunkBits(t, Median{}, grads, off, d, func(i int) T { return linalg.MedianSelect(column(grads, i)) })
 			checkChunkBits(t, TrimmedMean{Trim: trim}, grads, off, d, func(i int) T { return linalg.TrimmedMeanSelect(column(grads, i), trim) })
 		}()
@@ -237,8 +237,8 @@ func eachTileBody[B interface {
 		simd bool
 	}{{"simd", true}, {"generic", false}} {
 		b.Run(leg.name, func(b B) {
-			defer linalg.SetSIMDTile(linalg.SetSIMDTile(leg.simd))
-			if leg.simd && !linalg.SIMDTile() {
+			defer linalg.SetSIMD(linalg.SetSIMD(leg.simd))
+			if leg.simd && !linalg.SIMD() {
 				b.Log("no AVX-512F on this CPU: the simd leg runs the portable body")
 			}
 			fn(b)

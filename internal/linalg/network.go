@@ -140,29 +140,11 @@ func keyValue[T Float, K key](k K) T {
 // of a uint64: it orders |v| with NaNs above Inf.
 func magnitude[K key](k K) uint64 { return uint64(k) << (65 - 8*unsafe.Sizeof(k)) }
 
-// simdTile selects the assembly body for full tiles (sortTileSIMD,
-// network_amd64.go). It is set once at init from the CPU; partial tiles,
-// other architectures and CPUs without AVX-512F run sortLanes' portable
-// Go body, which is also what tests hold the assembly to.
-var simdTile = simdTileSupported()
-
-// SIMDTile reports whether full tiles run the assembly body.
-func SIMDTile() bool { return simdTile }
-
-// SetSIMDTile switches full tiles to the assembly body (on, where the
-// CPU runs it) or to the portable body, and returns the previous
-// setting. It is for tests that run both bodies over the same inputs,
-// and must not race with a running kernel.
-func SetSIMDTile(on bool) (was bool) {
-	was, simdTile = simdTile, on && simdTileSupported()
-	return was
-}
-
 // sortLanes loads coordinates [b0, b0+w) of every row into tile as
 // sort keys (row j at tile[j*Lanes:]) and runs net across the tile.
 // It reports whether any loaded value is NaN, and whether any is -0.
 func sortLanes[T Float, K key](net []comparator, tile []K, vs [][]T, b0, w int) (nan, negZero bool) {
-	if w == Lanes && simdTile {
+	if w == Lanes && simd {
 		return sortTileSIMD(net, tile, vs, b0)
 	}
 	var mag uint64

@@ -2,10 +2,10 @@ package linalg
 
 import "unsafe"
 
-// simdTileSupported reports whether the CPU and OS run AVX-512F: CPUID
+// simdSupported reports whether the CPU and OS run AVX-512F: CPUID
 // leaf 7 EBX bit 16, and the OS saving the opmask and all 32 zmm
 // registers on a context switch (OSXSAVE, then XCR0 bits 1, 2 and 5–7).
-func simdTileSupported() bool {
+func simdSupported() bool {
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	if maxLeaf < 7 {
 		return false

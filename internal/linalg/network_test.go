@@ -138,7 +138,7 @@ func testSortKeyOrderOf[T Float, K key](t *testing.T, ordered []T) {
 // bit. On a CPU without AVX-512F both legs run the portable body and
 // the test says so.
 func TestSIMDTileMatchesPortable(t *testing.T) {
-	if simdTileSupported() {
+	if simdSupported() {
 		t.Log("tile dispatch: AVX-512F assembly body")
 	} else {
 		t.Log("tile dispatch: portable Go body (no AVX-512F): the SIMD leg did not run")
@@ -148,7 +148,7 @@ func TestSIMDTileMatchesPortable(t *testing.T) {
 }
 
 func testSIMDTile[T Float, K key](t *testing.T) {
-	defer SetSIMDTile(SetSIMDTile(true))
+	defer SetSIMD(SetSIMD(true))
 	rng := rand.New(rand.NewSource(39))
 	kbits := 8 * Width[T]()
 	minKey := K(-1) << (kbits - 1)
@@ -191,17 +191,17 @@ func testSIMDTile[T Float, K key](t *testing.T) {
 			for _, r := range [][2]int{{(n - 1) / 2, n/2 + 1}, {0, n}, {n / 4, n - n/4}} {
 				net := rankNetwork(n, r[0], r[1])
 				for _, b0 := range []int{0, Lanes + 3, d - Lanes} {
-					simd, generic := make([]K, n*Lanes), make([]K, n*Lanes)
-					SetSIMDTile(true)
-					sNaN, sNeg := sortLanes(net, simd, vs, b0, Lanes)
-					SetSIMDTile(false)
+					asm, generic := make([]K, n*Lanes), make([]K, n*Lanes)
+					SetSIMD(true)
+					sNaN, sNeg := sortLanes(net, asm, vs, b0, Lanes)
+					SetSIMD(false)
 					gNaN, gNeg := sortLanes(net, generic, vs, b0, Lanes)
 					if sNaN != gNaN || sNeg != gNeg {
 						t.Fatalf("n=%d kind %d net %v b0=%d: flags nan=%v negZero=%v, portable %v %v", n, kind, r, b0, sNaN, sNeg, gNaN, gNeg)
 					}
-					for p := range simd {
-						if simd[p] != generic[p] {
-							t.Fatalf("n=%d kind %d net %v b0=%d: row %d lane %d holds key %#x, portable %#x", n, kind, r, b0, p/Lanes, p%Lanes, simd[p], generic[p])
+					for p := range asm {
+						if asm[p] != generic[p] {
+							t.Fatalf("n=%d kind %d net %v b0=%d: row %d lane %d holds key %#x, portable %#x", n, kind, r, b0, p/Lanes, p%Lanes, asm[p], generic[p])
 						}
 					}
 					seen[[2]bool{gNaN, gNeg}] = true

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"byzshield/internal/data"
+	"byzshield/internal/linalg"
 )
 
 // MLP is a fully connected network with ReLU hidden layers and a softmax
@@ -19,37 +20,46 @@ type MLP struct {
 	scratch sync.Pool
 }
 
-// mlpScratch is one call's forward/backward working set: per-layer
-// activation and pre-activation buffers plus two delta buffers of the
-// maximum layer width.
+// mlpScratch is one call's forward/backward working set: the per-layer
+// activations of up to DenseLanes samples (acts[k][0] aliases sample k's
+// input), two delta buffers of the maximum layer width, and the lane
+// forward's input and output tiles.
 type mlpScratch struct {
-	acts    [][]float64 // acts[0] aliases the input sample
-	preacts [][]float64
+	acts    [linalg.DenseLanes][][]float64
 	delta   []float64
 	delta2  []float64
+	tileIn  []float64
+	tileOut []float64
 }
 
-// getScratch returns a pooled working set sized for the network.
+// getScratch returns a pooled working set sized for the network. Its
+// buffers are carved from one slab of floats and one of slice headers,
+// so refilling the pool costs three allocations.
 func (m *MLP) getScratch() *mlpScratch {
 	if s, _ := m.scratch.Get().(*mlpScratch); s != nil {
 		return s
 	}
-	nLayers := len(m.dims) - 1
-	maxW := 0
-	for _, d := range m.dims[1:] {
-		if d > maxW {
-			maxW = d
+	const lanes = linalg.DenseLanes
+	maxW, width := 0, 0
+	for l, d := range m.dims {
+		maxW = max(maxW, d)
+		if l > 0 {
+			width += d
 		}
 	}
-	s := &mlpScratch{
-		acts:    make([][]float64, nLayers+1),
-		preacts: make([][]float64, nLayers),
-		delta:   make([]float64, maxW),
-		delta2:  make([]float64, maxW),
+	f := make([]float64, lanes*width+2*maxW+2*lanes*maxW)
+	take := func(n int) []float64 {
+		v := f[:n:n]
+		f = f[n:]
+		return v
 	}
-	for l := 0; l < nLayers; l++ {
-		s.acts[l+1] = make([]float64, m.dims[l+1])
-		s.preacts[l] = make([]float64, m.dims[l+1])
+	s := &mlpScratch{delta: take(maxW), delta2: take(maxW), tileIn: take(lanes * maxW), tileOut: take(lanes * maxW)}
+	hdr := make([][]float64, lanes*len(m.dims))
+	for k := range s.acts {
+		s.acts[k], hdr = hdr[:len(m.dims):len(m.dims)], hdr[len(m.dims):]
+		for l, d := range m.dims[1:] {
+			s.acts[k][l+1] = take(d)
+		}
 	}
 	return s
 }
@@ -99,34 +109,86 @@ func (m *MLP) layerOffset(layer int) int {
 	return off
 }
 
-// forward computes all layer activations into the scratch buffers.
-// s.acts[0] is the input; s.acts[i] for i >= 1 is the post-ReLU
-// activation of layer i (softmax probabilities for the final layer).
-// s.preacts[i] holds layer i+1's pre-activation values (needed for the
-// ReLU mask on backprop).
-func (m *MLP) forward(params, x []float64, s *mlpScratch) {
+// layer returns layer's weight matrix (out × in, row-major) and biases
+// within v, a vector with the flat parameter layout.
+func (m *MLP) layer(v []float64, layer int) (w, b []float64) {
+	off, in, out := m.layerOffset(layer), m.dims[layer], m.dims[layer+1]
+	return v[off : off+in*out], v[off+in*out : off+in*out+out]
+}
+
+// forward computes one sample's layer activations into acts: acts[0]
+// is the input, acts[i] for i >= 1 the post-ReLU activation of layer i
+// (softmax probabilities for the final layer).
+func (m *MLP) forward(params, x []float64, acts [][]float64) {
 	nLayers := len(m.dims) - 1
-	s.acts[0] = x
+	acts[0] = x
 	for layer := 0; layer < nLayers; layer++ {
-		in := s.acts[layer]
-		inDim := m.dims[layer]
-		outDim := m.dims[layer+1]
-		off := m.layerOffset(layer)
-		w := params[off : off+inDim*outDim]
-		b := params[off+inDim*outDim : off+inDim*outDim+outDim]
-		pre := s.preacts[layer]
-		affine(w, b, in, pre)
-		act := s.acts[layer+1]
-		copy(act, pre)
+		w, b := m.layer(params, layer)
+		act := acts[layer+1]
+		affine(w, b, acts[layer], act)
 		if layer == nLayers-1 {
 			softmaxT(act)
-		} else {
-			for i, v := range act {
-				if v < 0 {
-					act[i] = 0
-				}
+			continue
+		}
+		for i, v := range act {
+			if v < 0 {
+				act[i] = 0
 			}
 		}
+	}
+}
+
+// forwardLanes is forward for the samples of group (at most
+// DenseLanes), one per lane of linalg.AffineLanes: their inputs are
+// transposed into a tile, each layer maps its input tile to the next
+// (ReLU included), and every sample's activations are handed back to
+// s.acts[k] bit for bit as forward leaves them. Lanes past the group
+// compute on zeros and are never read.
+func (m *MLP) forwardLanes(params []float64, ds *data.Dataset, group []int, s *mlpScratch) {
+	const lanes = linalg.DenseLanes
+	in, out := s.tileIn[:m.dims[0]*lanes], s.tileOut
+	for k := 0; k < lanes; k++ {
+		if k >= len(group) {
+			for j := k; j < len(in); j += lanes {
+				in[j] = 0
+			}
+			continue
+		}
+		x := ds.X[group[k]]
+		s.acts[k][0] = x
+		for j, v := range x[:m.dims[0]] {
+			in[j*lanes+k] = v
+		}
+	}
+	nLayers := len(m.dims) - 1
+	for layer := 0; layer < nLayers; layer++ {
+		w, b := m.layer(params, layer)
+		output := layer == nLayers-1
+		out = out[:len(b)*lanes]
+		linalg.AffineLanes(w, b, in, out, !output)
+		for k := range group {
+			act := s.acts[k][layer+1]
+			for o := range act {
+				act[o] = out[o*lanes+k]
+			}
+			if output {
+				softmaxT(act)
+			}
+		}
+		in, out = out, in[:cap(in)]
+	}
+}
+
+// forwardFile runs the forward pass of group's samples into s.acts: at
+// once through the AVX-512 lanes where linalg runs them, one at a time
+// through affine otherwise.
+func (m *MLP) forwardFile(params []float64, ds *data.Dataset, group []int, s *mlpScratch) {
+	if linalg.SIMD() {
+		m.forwardLanes(params, ds, group, s)
+		return
+	}
+	for k, i := range group {
+		m.forward(params, ds.X[i], s.acts[k])
 	}
 }
 
@@ -138,75 +200,56 @@ func (m *MLP) Loss(params []float64, ds *data.Dataset, idx []int) float64 {
 	}
 	s := m.getScratch()
 	defer m.scratch.Put(s)
+	nLayers := len(m.dims) - 1
 	var total float64
-	for _, i := range idx {
-		m.forward(params, ds.X[i], s)
-		total += nllClamp(s.acts[len(s.acts)-1][ds.Y[i]])
+	for g := 0; g < len(idx); g += linalg.DenseLanes {
+		group := idx[g:min(g+linalg.DenseLanes, len(idx))]
+		m.forwardFile(params, ds, group, s)
+		for k, i := range group {
+			total += nllClamp(s.acts[k][nLayers][ds.Y[i]])
+		}
 	}
 	return total / float64(len(idx))
 }
 
-// SumGradient implements Model via backpropagation.
+// SumGradient implements Model via backpropagation. Samples go through
+// the forward pass DenseLanes at a time and then back one at a time in
+// idx order, so every gradient coordinate still receives the samples'
+// terms in that order.
 func (m *MLP) SumGradient(params []float64, ds *data.Dataset, idx []int, out []float64) {
 	checkShapes(m, params, ds)
 	checkGradLen(m, len(out))
-	nLayers := len(m.dims) - 1
 	s := m.getScratch()
 	defer m.scratch.Put(s)
-	for _, i := range idx {
-		x := ds.X[i]
-		m.forward(params, x, s)
-		// delta at output: p − onehot(y). bufA holds the current delta,
-		// bufB the next layer down's; they swap as backprop descends.
-		outDim := m.dims[nLayers]
-		bufA, bufB := s.delta, s.delta2
-		delta := bufA[:outDim]
-		copy(delta, s.acts[nLayers])
-		delta[ds.Y[i]] -= 1
-		for layer := nLayers - 1; layer >= 0; layer-- {
-			inDim := m.dims[layer]
-			oDim := m.dims[layer+1]
-			off := m.layerOffset(layer)
-			wGrad := out[off : off+inDim*oDim]
-			bGrad := out[off+inDim*oDim : off+inDim*oDim+oDim]
-			in := s.acts[layer]
-			for o := 0; o < oDim; o++ {
-				dv := delta[o]
-				if dv == 0 {
-					continue
-				}
-				row := wGrad[o*inDim : (o+1)*inDim]
-				row = row[:len(in)]
-				for j, xv := range in {
-					row[j] += dv * xv
-				}
-				bGrad[o] += dv
-			}
-			if layer > 0 {
-				// Propagate delta through W and the ReLU mask.
-				w := params[off : off+inDim*oDim]
-				newDelta := bufB[:inDim]
-				clear(newDelta)
-				for o := 0; o < oDim; o++ {
-					dv := delta[o]
-					if dv == 0 {
-						continue
-					}
-					row := w[o*inDim : (o+1)*inDim]
-					row = row[:len(newDelta)]
-					for j := range newDelta {
-						newDelta[j] += dv * row[j]
-					}
-				}
-				pre := s.preacts[layer-1][:len(newDelta)]
-				for j := range newDelta {
-					if pre[j] <= 0 {
-						newDelta[j] = 0
-					}
-				}
-				delta = newDelta
-				bufA, bufB = bufB, bufA
-			}
+	for g := 0; g < len(idx); g += linalg.DenseLanes {
+		group := idx[g:min(g+linalg.DenseLanes, len(idx))]
+		m.forwardFile(params, ds, group, s)
+		for k, i := range group {
+			m.backward(params, s.acts[k], ds.Y[i], out, s)
+		}
+	}
+}
+
+// backward adds the gradient of one sample — its activations in acts,
+// its label y — into out.
+func (m *MLP) backward(params []float64, acts [][]float64, y int, out []float64, s *mlpScratch) {
+	nLayers := len(m.dims) - 1
+	// delta at output: p − onehot(y). bufA holds the current delta, bufB
+	// the next layer down's; they swap as backprop descends.
+	bufA, bufB := s.delta, s.delta2
+	delta := bufA[:m.dims[nLayers]]
+	copy(delta, acts[nLayers])
+	delta[y] -= 1
+	for layer := nLayers - 1; layer >= 0; layer-- {
+		wGrad, bGrad := m.layer(out, layer)
+		linalg.AddOuter(wGrad, bGrad, delta, acts[layer])
+		if layer > 0 {
+			// Propagate delta through W and the ReLU mask.
+			w, _ := m.layer(params, layer)
+			newDelta := bufB[:m.dims[layer]]
+			linalg.BackpropReLU(newDelta, delta, w, acts[layer])
+			delta = newDelta
+			bufA, bufB = bufB, bufA
 		}
 	}
 }
@@ -216,6 +259,6 @@ func (m *MLP) Predict(params []float64, x []float64) int {
 	checkInputLen(m, len(x))
 	s := m.getScratch()
 	defer m.scratch.Put(s)
-	m.forward(params, x, s)
-	return argmaxT(s.acts[len(s.acts)-1])
+	m.forward(params, x, s.acts[0])
+	return argmaxT(s.acts[0][len(m.dims)-1])
 }

@@ -13,10 +13,11 @@
 // every logit and hidden unit sums its products j = 0…n−1 from zero
 // and then adds its bias, and every gradient coordinate receives the
 // file's samples' terms one at a time in caller-given order. The kernels
-// may compute several rows and samples per pass (kernels.go), but no
-// value's operations change, so two honest workers computing the same
-// file produce bit-identical gradients — the property the exact
-// majority vote relies on.
+// may compute several rows and samples per pass (kernels.go), or eight
+// samples or coordinates per AVX-512 instruction (the MLP's dense
+// kernels in linalg), but no value's operations change, so two honest
+// workers computing the same file produce bit-identical gradients — the
+// property the exact majority vote relies on.
 package model
 
 import (

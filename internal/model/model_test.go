@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"byzshield/internal/data"
@@ -337,8 +338,25 @@ func softmaxLossRef[T linalg.Float](dim, classes int, params []T, x [][]T, y, id
 	return total / float64(len(idx))
 }
 
+// mlpRefScratch is the reference loops' own working set; unlike the
+// MLP's, it keeps the pre-activations the reference ReLU mask reads.
+type mlpRefScratch struct {
+	acts, preacts [][]float64
+	delta, delta2 []float64
+}
+
+func newMLPRefScratch(m *MLP) *mlpRefScratch {
+	s := &mlpRefScratch{acts: make([][]float64, len(m.dims)), preacts: make([][]float64, len(m.dims)-1)}
+	for l, d := range m.dims[1:] {
+		s.acts[l+1], s.preacts[l] = make([]float64, d), make([]float64, d)
+	}
+	maxW := slices.Max(m.dims)
+	s.delta, s.delta2 = make([]float64, maxW), make([]float64, maxW)
+	return s
+}
+
 // mlpForwardRef is MLP.forward with one accumulator per hidden unit.
-func mlpForwardRef(m *MLP, params, x []float64, s *mlpScratch) {
+func mlpForwardRef(m *MLP, params, x []float64, s *mlpRefScratch) {
 	nLayers := len(m.dims) - 1
 	s.acts[0] = x
 	for layer := 0; layer < nLayers; layer++ {
@@ -371,11 +389,11 @@ func mlpForwardRef(m *MLP, params, x []float64, s *mlpScratch) {
 	}
 }
 
-// mlpSumGradientRef is MLP.SumGradient over mlpForwardRef.
+// mlpSumGradientRef is MLP.SumGradient over mlpForwardRef, one sample
+// at a time with the original inline loops.
 func mlpSumGradientRef(m *MLP, params []float64, ds *data.Dataset, idx []int, out []float64) {
 	nLayers := len(m.dims) - 1
-	s := m.getScratch()
-	defer m.scratch.Put(s)
+	s := newMLPRefScratch(m)
 	for _, i := range idx {
 		mlpForwardRef(m, params, ds.X[i], s)
 		outDim := m.dims[nLayers]
@@ -434,8 +452,7 @@ func mlpLossRef(m *MLP, params []float64, ds *data.Dataset, idx []int) float64 {
 	if len(idx) == 0 {
 		return 0
 	}
-	s := m.getScratch()
-	defer m.scratch.Put(s)
+	s := newMLPRefScratch(m)
 	var total float64
 	for _, i := range idx {
 		mlpForwardRef(m, params, ds.X[i], s)
@@ -445,17 +462,21 @@ func mlpLossRef(m *MLP, params []float64, ds *data.Dataset, idx []int) float64 {
 }
 
 // kernelFiles returns the files the bit-identity tests run: every size
-// 0–9 and 30, drawn with repeats from n samples, plus one file that
-// holds a single sample twice in a row.
-func kernelFiles(rng *rand.Rand, n int) [][]int {
+// 0…maxSize and 30, drawn with repeats from n samples, plus one file
+// that holds a single sample twice in a row.
+func kernelFiles(rng *rand.Rand, n, maxSize int) [][]int {
 	var files [][]int
-	for _, size := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 30} {
+	draw := func(size int) {
 		f := make([]int, size)
 		for k := range f {
 			f[k] = rng.Intn(n)
 		}
 		files = append(files, f)
 	}
+	for size := 0; size <= maxSize; size++ {
+		draw(size)
+	}
+	draw(30)
 	return append(files, []int{n - 1, n - 1, 0})
 }
 
@@ -543,7 +564,7 @@ func TestSoftmaxKernelsMatchReference(t *testing.T) {
 					p32[i] = float32(v)
 				}
 				ds32 := ds.To32()
-				files := kernelFiles(rng, ds.Len())
+				files := kernelFiles(rng, ds.Len(), 9)
 				checkSoftmaxWidth(t, name+"/f64", sm, p64, ds.X, ds.Y, files, rng,
 					func(p []float64, idx []int, out []float64) { sm.SumGradient(p, ds, idx, out) },
 					func(p []float64, idx []int) float64 { return sm.Loss(p, ds, idx) }, sm.Predict)
@@ -568,47 +589,71 @@ func TestSoftmaxKernelsSubnormalFile(t *testing.T) {
 	params := InitParams32(sm, 3)
 	params[classes*dim+classes-1] = -95
 	rng := rand.New(rand.NewSource(4))
-	checkSoftmaxWidth(t, "subnormal", sm, params, ds32.X, ds32.Y, kernelFiles(rng, ds32.Len()), rng,
+	checkSoftmaxWidth(t, "subnormal", sm, params, ds32.X, ds32.Y, kernelFiles(rng, ds32.Len(), 9), rng,
 		func(p []float32, idx []int, out []float32) { sm.SumGradient32(p, ds32, idx, out) },
 		func(p []float32, idx []int) float64 { return sm.Loss32(p, ds32, idx) }, sm.Predict32)
 }
 
-// TestMLPKernelsMatchReference pins the blocked MLP forward to the
-// one-accumulator loops: gradients, losses and predictions, over shapes
-// whose layers end on and off a four-row boundary, with dead ReLU units
-// whose deltas are exactly zero.
-func TestMLPKernelsMatchReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(36))
-	for _, dims := range [][]int{{1, 4, 3}, {3, 5, 2}, {4, 6, 5, 2}, {64, 128, 10}, {257, 17, 5}, {64, 9, 8, 17}} {
-		m, err := NewMLP(dims...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ds := smallDataset(t, 24, dims[0], dims[len(dims)-1])
-		params := InitParams(m, int64(len(dims)*100+dims[1]))
-		// Kill every third unit of the first hidden layer.
-		b := params[dims[0]*dims[1] : dims[0]*dims[1]+dims[1]]
-		for o := 0; o < len(b); o += 3 {
-			b[o] = -1e3
-		}
-		for _, idx := range kernelFiles(rng, ds.Len()) {
-			got := startGrad[float64](rng, m.NumParams())
-			want := append([]float64(nil), got...)
-			m.SumGradient(params, ds, idx, got)
-			mlpSumGradientRef(m, params, ds, idx, want)
-			checkBits(t, fmt.Sprintf("%s gradient over %v", m.Name(), idx), got, want)
-			if l, r := m.Loss(params, ds, idx), mlpLossRef(m, params, ds, idx); math.Float64bits(l) != math.Float64bits(r) {
-				t.Fatalf("%s loss over %v = %v, reference %v", m.Name(), idx, l, r)
-			}
-		}
-		s := m.getScratch()
-		for i, x := range ds.X {
-			mlpForwardRef(m, params, x, s)
-			if got, want := m.Predict(params, x), argmaxT(s.acts[len(s.acts)-1]); got != want {
-				t.Fatalf("%s: Predict(sample %d) = %d, reference %d", m.Name(), i, got, want)
-			}
-		}
+// simdLegs runs f once per kernel dispatch: "simd" on linalg's AVX-512
+// bodies and "generic" on the portable ones. On a CPU without AVX-512F
+// both legs run the portable bodies, and the test says so.
+func simdLegs(t *testing.T, f func(t *testing.T)) {
+	defer linalg.SetSIMD(linalg.SetSIMD(true))
+	if !linalg.SIMD() {
+		t.Log("no AVX-512F: the SIMD leg did not run (both legs run the portable kernels)")
 	}
+	for _, simd := range []bool{true, false} {
+		name := "generic"
+		if simd {
+			name = "simd"
+		}
+		linalg.SetSIMD(simd)
+		t.Run(name, f)
+	}
+}
+
+// TestMLPKernelsMatchReference pins the MLP's kernels — the lane-wise
+// forward and the dense backward kernels at the SIMD dispatch, affine
+// and the scalar loops at the generic one — to the one-accumulator,
+// one-sample-at-a-time loops: gradients, losses and predictions, over
+// file sizes 0–17 and 30 (every lane tail), shapes whose layers end on
+// and off a row-block and vector boundary (the examples' 16-16-10 and
+// 24-24-10 among them), with dead ReLU units whose deltas are exactly
+// zero.
+func TestMLPKernelsMatchReference(t *testing.T) {
+	simdLegs(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(36))
+		for _, dims := range [][]int{{1, 4, 3}, {3, 5, 2}, {4, 6, 5, 2}, {16, 16, 10}, {24, 24, 10}, {64, 128, 10}, {257, 17, 5}, {64, 9, 8, 17}} {
+			m, err := NewMLP(dims...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ds := smallDataset(t, 24, dims[0], dims[len(dims)-1])
+			params := InitParams(m, int64(len(dims)*100+dims[1]))
+			// Kill every third unit of the first hidden layer.
+			b := params[dims[0]*dims[1] : dims[0]*dims[1]+dims[1]]
+			for o := 0; o < len(b); o += 3 {
+				b[o] = -1e3
+			}
+			for _, idx := range kernelFiles(rng, ds.Len(), 17) {
+				got := startGrad[float64](rng, m.NumParams())
+				want := append([]float64(nil), got...)
+				m.SumGradient(params, ds, idx, got)
+				mlpSumGradientRef(m, params, ds, idx, want)
+				checkBits(t, fmt.Sprintf("%s gradient over %v", m.Name(), idx), got, want)
+				if l, r := m.Loss(params, ds, idx), mlpLossRef(m, params, ds, idx); math.Float64bits(l) != math.Float64bits(r) {
+					t.Fatalf("%s loss over %v = %v, reference %v", m.Name(), idx, l, r)
+				}
+			}
+			s := newMLPRefScratch(m)
+			for i, x := range ds.X {
+				mlpForwardRef(m, params, x, s)
+				if got, want := m.Predict(params, x), argmaxT(s.acts[len(s.acts)-1]); got != want {
+					t.Fatalf("%s: Predict(sample %d) = %d, reference %d", m.Name(), i, got, want)
+				}
+			}
+		}
+	})
 }
 
 // TestAccuracyChecksShapes pins that scoring a dataset of the wrong
@@ -639,7 +684,8 @@ func TestAccuracyChecksShapes(t *testing.T) {
 
 // BenchmarkModelGradient times SumGradient at the shapes the benchmark
 // workloads run, one file a call, beside the reference kernels ("ref"):
-// the MLP of sim-paper-k25, the softmax of sim-wide-f64/f32 (2 samples a
+// the MLP of sim-paper-k25 at both dense-kernel dispatches ("simd", the
+// AVX-512 bodies where the CPU has them, and "generic"), the softmax of sim-wide-f64/f32 (2 samples a
 // file), fleet-k60-int8 and fleet-k15-f32 (softmax 2000×8) and
 // fleet-k240-raw (softmax 256×8, 1 sample a file). ns/sample is the
 // figure to compare.
@@ -664,7 +710,16 @@ func BenchmarkModelGradient(b *testing.B) {
 		m, _ := NewMLP(64, 128, 10)
 		params, idx := InitParams(m, 1), file(30)
 		out := make([]float64, m.NumParams())
-		b.Run("mlp-64-128-10/n30", func(b *testing.B) { run(b, len(idx), func() { m.SumGradient(params, ds, idx, out) }) })
+		for _, simd := range []bool{true, false} {
+			name := "mlp-64-128-10/n30/generic"
+			if simd {
+				name = "mlp-64-128-10/n30/simd"
+			}
+			b.Run(name, func(b *testing.B) {
+				defer linalg.SetSIMD(linalg.SetSIMD(simd))
+				run(b, len(idx), func() { m.SumGradient(params, ds, idx, out) })
+			})
+		}
 		b.Run("mlp-64-128-10/n30/ref", func(b *testing.B) {
 			run(b, len(idx), func() { mlpSumGradientRef(m, params, ds, idx, out) })
 		})
