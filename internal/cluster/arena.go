@@ -17,25 +17,20 @@ type roundArena[T linalg.Float] struct {
 	dim int
 	// workerFiles[u] caches assignment.WorkerFiles(u).
 	workerFiles [][]int
-	// grads[u][j] is worker u's compute buffer for its j-th assigned
-	// file (views into one flat backing array).
-	grads [][][]T
-	// cur[u][j] is the gradient the PS sees for (u, j) this round:
-	// worker u's own compute buffer for honest workers in process, the
-	// crafted payload for Byzantine workers, or whatever a network
+	// cur[u][j] is the gradient the PS sees for (u, j) this round: in
+	// process, the file's one buffer for honest workers and the crafted
+	// payload for Byzantine workers; over the network, whatever the
 	// source delivered.
 	cur [][][]T
 	// fileReplicas[v] lists the (worker, slot) pairs holding file v, in
 	// assignment FileWorkers order.
 	fileReplicas [][]slotRef
-	// trueGrads[v] points at the true (honest) gradient of file v this
-	// round — the attack oracle's view.
+	// trueGrads[v] is file v's one gradient buffer in process (views
+	// into one f × dim backing array): computed once per round, read by
+	// every honest replica of the file, and the attack oracle's and the
+	// distorted-vote count's view of the true gradient. Nil for a
+	// network source.
 	trueGrads [][]T
-	// oracle[v] is a compute buffer for the files all of whose replicas
-	// are Byzantine (nil elsewhere); static per run because the
-	// Byzantine set is. Under a lossy tier, a row that is its file's
-	// true gradient passes the quantizer once per round, after crafting.
-	oracle [][]T
 	// winners[v] is file v's vote winner this round (nil when the file
 	// was dropped for lack of quorum).
 	winners [][]T
@@ -68,37 +63,28 @@ type roundArena[T linalg.Float] struct {
 }
 
 // newRoundArena preallocates every per-round buffer for the given
-// assignment, model dimension, Byzantine set, and pool width.
-// fullOracle forces a true-gradient buffer for every file: required
-// when worker faults are injected, because any file's live honest
-// replicas can then vanish mid-run, leaving the attack oracle (and the
-// distorted-vote count) without a borrowed honest buffer to point at.
-func newRoundArena[T linalg.Float](a *assign.Assignment, dim int, byzSet map[int]bool, fullOracle bool, poolWidth int) *roundArena[T] {
+// assignment, model dimension, and pool width. In process (inProcess),
+// every replica of file v reads trueGrads[v], set once here; the
+// in-process source repoints a live Byzantine's slots at its crafted
+// payloads every round, and a network source's Deliver points cur at
+// its own receive buffers.
+func newRoundArena[T linalg.Float](a *assign.Assignment, dim int, inProcess bool, poolWidth int) *roundArena[T] {
 	ar := &roundArena[T]{dim: dim}
 	ar.workerFiles = make([][]int, a.K)
-	totalSlots := 0
-	for u := 0; u < a.K; u++ {
-		ar.workerFiles[u] = a.WorkerFiles(u)
-		totalSlots += len(ar.workerFiles[u])
-	}
-	backing := make([]T, totalSlots*dim)
-	carve := func() []T {
-		b := backing[:dim:dim]
-		backing = backing[dim:]
-		return b
-	}
-	ar.grads = make([][][]T, a.K)
 	ar.cur = make([][][]T, a.K)
 	for u := 0; u < a.K; u++ {
-		n := len(ar.workerFiles[u])
-		ar.grads[u] = make([][]T, n)
-		ar.cur[u] = make([][]T, n)
-		for j := 0; j < n; j++ {
-			ar.grads[u][j] = carve()
-			if !byzSet[u] {
-				// In process, honest workers always report their own
-				// buffer; only a network source's Deliver repoints it.
-				ar.cur[u][j] = ar.grads[u][j]
+		ar.workerFiles[u] = a.WorkerFiles(u)
+		ar.cur[u] = make([][]T, len(ar.workerFiles[u]))
+	}
+	if inProcess {
+		backing := make([]T, a.F*dim)
+		ar.trueGrads = make([][]T, a.F)
+		for v := range ar.trueGrads {
+			ar.trueGrads[v] = backing[v*dim : (v+1)*dim : (v+1)*dim]
+		}
+		for u := 0; u < a.K; u++ {
+			for j, v := range ar.workerFiles[u] {
+				ar.cur[u][j] = ar.trueGrads[v]
 			}
 		}
 	}
@@ -124,27 +110,6 @@ func newRoundArena[T linalg.Float](a *assign.Assignment, dim int, byzSet map[int
 		}
 	}
 
-	ar.oracle = make([][]T, a.F)
-	needsOracle := func(v int) bool {
-		return fullOracle || allByz(ar.fileReplicas[v], byzSet)
-	}
-	needOracle := 0
-	for v := 0; v < a.F; v++ {
-		if needsOracle(v) {
-			needOracle++
-		}
-	}
-	if needOracle > 0 {
-		oracleBacking := make([]T, needOracle*dim)
-		for v := 0; v < a.F; v++ {
-			if needsOracle(v) {
-				ar.oracle[v] = oracleBacking[:dim:dim]
-				oracleBacking = oracleBacking[dim:]
-			}
-		}
-	}
-
-	ar.trueGrads = make([][]T, a.F)
 	ar.winners = make([][]T, a.F)
 	ar.live = make([][]T, 0, a.F)
 	ar.missing = make([]bool, a.K)
@@ -160,14 +125,4 @@ func newRoundArena[T linalg.Float](a *assign.Assignment, dim int, byzSet map[int
 	ar.dropped = make([]int, poolWidth)
 	ar.voteErrs = make([]error, poolWidth)
 	return ar
-}
-
-// allByz reports whether every replica holder of the file is Byzantine.
-func allByz(refs []slotRef, byzSet map[int]bool) bool {
-	for _, ref := range refs {
-		if !byzSet[ref.worker] {
-			return false
-		}
-	}
-	return true
 }

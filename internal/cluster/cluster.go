@@ -16,10 +16,13 @@
 // rounds, so the hot path performs no gradient-sized allocation (see
 // DESIGN.md "Performance architecture"). The serial engine
 // (Parallelism = 1) and the pooled engine produce bit-identical
-// parameter trajectories for a fixed seed. The redundant computation
-// cost of replication is real, not simulated. Nothing is sent in
-// process, so the in-process source reports no communication time:
-// Figure 12's split is taken on loopback fleets (internal/experiments).
+// parameter trajectories for a fixed seed. In process the honest
+// replicas of a file are bit-identical, so the engine computes each
+// file once, into one arena buffer every honest holder reports; the
+// r-fold cost of replication is measured where replicas really move, on
+// the wire. Nothing is sent in process, so the in-process source reports
+// no communication time: Figure 12's split is taken on loopback fleets
+// (internal/experiments).
 //
 // Rounds tolerate partial participation: a fault model (internal/fault)
 // or a network source may remove workers mid-run; files whose surviving
@@ -163,6 +166,8 @@ type ConfigOf[T linalg.Float] struct {
 // exact number of serialized worker→PS bytes (deterministic, unlike the
 // wall-clock figures).
 type PhaseTimes struct {
+	// Compute is the source's compute span: in process, one gradient
+	// per file (f of them), since honest replicas are bit-identical.
 	Compute       time.Duration
 	Communication time.Duration
 	Aggregation   time.Duration
@@ -256,8 +261,6 @@ type EngineOf[T linalg.Float] struct {
 	params      []T
 	opt         *trainer.SGDOf[T]
 	stream      *data.FileStream
-	byzSet      map[int]bool
-	honest      []int // sorted non-Byzantine worker ids
 	corruptible []int // files with ≥ r' Byzantine replicas (static per run)
 	quorum      int   // minimum surviving replicas for a file vote
 	iter        int
@@ -325,12 +328,6 @@ func NewOf[T linalg.Float](cfg ConfigOf[T]) (*EngineOf[T], error) {
 	if cfg.Attack == nil {
 		cfg.Attack = attack.Benign{}
 	}
-	if _, ok := cfg.Fault.(fault.None); ok {
-		// The explicit no-fault model is the same as no fault model at
-		// all; normalizing here keeps the full-oracle arena allocation
-		// reserved for runs that can actually lose replicas.
-		cfg.Fault = nil
-	}
 	if cfg.BatchSize < cfg.Assignment.F {
 		return nil, fmt.Errorf("cluster: batch size %d smaller than file count %d", cfg.BatchSize, cfg.Assignment.F)
 	}
@@ -353,16 +350,12 @@ func NewOf[T linalg.Float](cfg ConfigOf[T]) (*EngineOf[T], error) {
 	dim := cfg.Model.NumParams()
 	var adv *attack.AdversaryOf[T]
 	var corruptible []int
-	byzSet := make(map[int]bool, len(cfg.Byzantines))
 	if len(cfg.Byzantines) > 0 {
 		var err error
 		if adv, err = attack.NewAdversaryOf[T](cfg.Attack, cfg.Assignment, cfg.Byzantines, dim, cfg.Seed, cfg.BatchSize); err != nil {
 			return nil, fmt.Errorf("cluster: %w", err)
 		}
 		corruptible = adv.Corruptible
-		for _, u := range adv.Coalition {
-			byzSet[u] = true
-		}
 	}
 	train, err := model.BindOf[T](cfg.Model, cfg.Train)
 	if err != nil {
@@ -401,26 +394,17 @@ func NewOf[T linalg.Float](cfg ConfigOf[T]) (*EngineOf[T], error) {
 		params:      model.InitParamsOf[T](cfg.Model, cfg.Seed),
 		opt:         opt,
 		stream:      stream,
-		byzSet:      byzSet,
 		corruptible: corruptible,
 		adv:         adv,
 		quorum:      quorum,
 		width:       width,
 	}
 	_, e.signStep = cfg.Aggregator.(aggregate.SignSGD)
-	for u := 0; u < cfg.Assignment.K; u++ {
-		if !byzSet[u] {
-			e.honest = append(e.honest, u)
-		}
-	}
 	if !detect.IsNone(cfg.Detector) {
 		e.det = cfg.Detector
 		e.detSt = detect.NewState(cfg.Assignment.K, dim, cfg.Detection)
 	}
-	// A fault model or a live detector can both remove workers mid-run
-	// (faults by plan, detection by blacklist), so either forces the
-	// full-oracle arena: any file's live honest replicas may vanish.
-	e.arena = newRoundArena[T](cfg.Assignment, dim, byzSet, cfg.Fault != nil || e.det != nil, width)
+	e.arena = newRoundArena[T](cfg.Assignment, dim, cfg.Source == nil, width)
 	e.aggErrs = make([]error, width)
 	e.rd = RoundOf[T]{eng: e}
 	// Probe indices are initialized eagerly so snapshot evaluation
@@ -847,9 +831,10 @@ func (e *EngineOf[T]) voteFile(w, v int) {
 	ar.winners[v] = res.Winner
 	// A winner that differs from the file's true gradient is a vote the
 	// Byzantines won. Under a lossy tier both sides went through the
-	// same quantizer (honest rows in place, the oracle row once after
-	// crafting), so the count holds at every tier.
-	if ar.trueGrads[v] != nil && !linalg.EqualBits(res.Winner, ar.trueGrads[v]) {
+	// same quantizer (the file's one buffer is the honest replicas'
+	// report), so the count holds at every tier. A network source has
+	// no true gradient to compare with.
+	if ar.trueGrads != nil && !linalg.EqualBits(res.Winner, ar.trueGrads[v]) {
 		ar.distorted[w]++
 	}
 }
@@ -996,7 +981,7 @@ func (e *EngineOf[T]) bindPhases() {
 			}
 		}
 	}
-	e.phase.compute = e.computeWorker
+	e.phase.compute = e.computeFile
 }
 
 // Run executes iterations rounds under ctx, evaluating test accuracy

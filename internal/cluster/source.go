@@ -43,23 +43,23 @@ type CollectStats struct {
 // pool (the default source) or received over the network by the TCP
 // parameter server (internal/transport).
 //
-// Collect must, for every worker u, either fill all of u's slot buffers
-// for this round (Round.Deliver for each assigned file slot, typically
-// of a report decoded into Engine.GradBuffer) or declare the worker
-// absent with Round.MarkMissing. Partially delivered workers would vote
-// stale buffers from an earlier round. Collect owns the round's compute
-// and communication phases; the engine times everything after it (vote
-// + aggregation) itself.
+// Collect must, for every worker u, either deliver a gradient for each
+// of u's assigned file slots this round (Round.Deliver, typically of a
+// report decoded into the source's own per-slot receive buffer) or
+// declare the worker absent with Round.MarkMissing. Partially delivered
+// workers would vote stale buffers from an earlier round. Collect owns
+// the round's compute and communication phases; the engine times
+// everything after it (vote + aggregation) itself.
 type GradientSourceOf[T linalg.Float] interface {
 	Collect(ctx context.Context, rd *RoundOf[T]) (CollectStats, error)
 }
 
 // RoundOf is the engine's view of one in-flight protocol round, handed to
 // the GradientSourceOf: the iteration number, the current parameters, and
-// the preallocated arena buffers gradients land in. The round's
-// file→samples table is not part of it: a network source's workers each
-// derive their own (data.FileStream). Methods that address per-worker
-// state (Buffer, Deliver, MarkMissing) are safe to call concurrently for
+// the per-slot delivery and absence marks. The round's file→samples
+// table is not part of it: a network source's workers each derive their
+// own (data.FileStream). Methods that address per-worker state
+// (Deliver, MarkMissing) are safe to call concurrently for
 // distinct workers, which is how network sources collect from all workers
 // in parallel.
 type RoundOf[T linalg.Float] struct {
@@ -72,13 +72,6 @@ func (rd *RoundOf[T]) Iteration() int { return rd.eng.iter }
 // Params returns the current model parameters. The slice is the
 // engine's live parameter vector: read (or serialize) it, never write.
 func (rd *RoundOf[T]) Params() []T { return rd.eng.params }
-
-// GradBuffer returns the engine-owned gradient buffer for worker u's
-// slot-th assigned file. The buffers are stable for the engine's
-// lifetime, so a network source's long-lived reader goroutines may cache
-// and decode into them between Collect calls — only the worker's
-// current-round deliverer may write a buffer the round might read.
-func (e *EngineOf[T]) GradBuffer(u, slot int) []T { return e.arena.grads[u][slot] }
 
 // Deliver points the engine at g as worker u's gradient for its slot-th
 // assigned file this round. g must have the model dimension and stay
@@ -99,10 +92,12 @@ func (rd *RoundOf[T]) Deliver(u, slot int, g []T) error {
 func (rd *RoundOf[T]) MarkMissing(u int) { rd.eng.arena.missing[u] = true }
 
 // localSource is the default GradientSourceOf: the in-process cluster of
-// Algorithm 1. Honest workers compute their file gradient sums across
-// the engine's persistent pool, Byzantine workers substitute crafted
-// payloads from the attack oracle, and the optional fault model removes
-// workers from the round.
+// Algorithm 1. Honest replicas of a file are bit-identical in process,
+// so each file's gradient sum is computed once, across the engine's
+// persistent pool, into the file's one arena buffer, which every honest
+// holder reports. Byzantine workers substitute crafted payloads from the
+// attack oracle, and the optional fault model removes workers from the
+// round.
 type localSource[T linalg.Float] struct {
 	e *EngineOf[T]
 }
@@ -112,11 +107,10 @@ func (s localSource[T]) Collect(context.Context, *RoundOf[T]) (CollectStats, err
 	e := s.e
 	a := e.cfg.Assignment
 	ar := e.arena
-	files := e.files
 
-	// Fault plan: remove skipped and crashed workers before any compute
-	// happens. Pure delays are a wire-transport phenomenon; in process
-	// they are full participation.
+	// Fault plan: remove skipped and crashed workers from the round.
+	// Pure delays are a wire-transport phenomenon; in process they are
+	// full participation.
 	if e.cfg.Fault != nil {
 		for u := 0; u < a.K; u++ {
 			d := e.cfg.Fault.Plan(e.iter, u)
@@ -126,33 +120,12 @@ func (s localSource[T]) Collect(context.Context, *RoundOf[T]) (CollectStats, err
 		}
 	}
 
-	// --- Compute phase: surviving honest workers compute file gradient
-	// sums across the persistent pool. Redundancy is physically
-	// executed: every worker computes every file it is assigned, into
-	// its arena buffers.
+	// --- Compute phase: every file's gradient sum, once, across the
+	// persistent pool. It is also the file's true gradient, the attack
+	// oracle's view, whichever of its holders are live or honest.
 	computeStart := time.Now()
-	e.runPhase(len(e.honest), e.phase.compute)
+	e.runPhase(a.F, e.phase.compute)
 	computeTime := time.Since(computeStart)
-
-	// --- Attack oracle: true gradients for every file (reusing live
-	// honest workers' results; computing any file whose live replicas
-	// are all Byzantine or missing).
-	for v := 0; v < a.F; v++ {
-		ar.trueGrads[v] = nil
-		for _, ref := range ar.fileReplicas[v] {
-			if e.byzSet[ref.worker] || ar.missing[ref.worker] {
-				continue
-			}
-			ar.trueGrads[v] = ar.grads[ref.worker][ref.slot]
-			break
-		}
-		if ar.trueGrads[v] == nil {
-			g := ar.oracle[v]
-			clear(g)
-			e.train.SumGradient(e.params, files[v], g)
-			ar.trueGrads[v] = g
-		}
-	}
 
 	// Byzantine payloads: the coalition crafts one vector per file it
 	// holds, every round and whichever of its members a fault removed,
@@ -173,27 +146,22 @@ func (s localSource[T]) Collect(context.Context, *RoundOf[T]) (CollectStats, err
 	}
 
 	// Lossy uplink tier, in place: apply the wire codec's exact
-	// quantize→dequantize float operations to every surviving message
-	// before any vote reads it, so the in-process trajectory is
-	// bit-identical to a TCP run on the same tier. Quantization is NOT
-	// idempotent in floating point (re-encoding a quantized row lands on
-	// different bits), so every distinct buffer passes exactly once:
-	// honest buffers are per-(worker, slot), but coordinated attacks may
-	// share one payload buffer across files, hence the seen-pointer
-	// dedupe. Sharing stays consistent with the wire because replicas
-	// quantizing identical input bits produce identical output bits.
-	// The attack crafted from unquantized true gradients, as a wire
-	// Byzantine does; only then do the engine's own oracle rows pass the
-	// quantizer, so every file's true gradient is what an honest replica
-	// sends and the distorted-file count holds at every tier.
+	// quantize→dequantize float operations to every message before any
+	// vote reads it, so the in-process trajectory is bit-identical to a
+	// TCP run on the same tier. Quantization is NOT idempotent in
+	// floating point (re-encoding a quantized row lands on different
+	// bits), so every distinct buffer passes exactly once: each file
+	// buffer once, and the crafted payloads through a seen-pointer
+	// dedupe, because coordinated attacks may share one payload buffer
+	// across files. Sharing stays consistent with the wire because
+	// replicas quantizing identical input bits produce identical output
+	// bits. The attack crafted from unquantized true gradients, as a wire
+	// Byzantine does; the file buffers pass the quantizer only after, so
+	// every file's true gradient is what an honest replica sends and the
+	// distorted-file count holds at every tier.
 	if e.cfg.UplinkTier.Lossy() {
-		for _, u := range e.honest {
-			if ar.missing[u] {
-				continue
-			}
-			for _, g := range ar.grads[u] {
-				e.quantizeUplink(g)
-			}
+		for _, g := range ar.trueGrads {
+			e.quantizeUplink(g)
 		}
 		seen := ar.quantSeen[:0]
 		for _, v := range byzFiles {
@@ -205,29 +173,16 @@ func (s localSource[T]) Collect(context.Context, *RoundOf[T]) (CollectStats, err
 			e.quantizeUplink(g)
 		}
 		ar.quantSeen = seen
-		for v, g := range ar.trueGrads {
-			if o := ar.oracle[v]; o != nil && &g[0] == &o[0] {
-				e.quantizeUplink(g)
-			}
-		}
 	}
 
 	// Nothing crosses a wire in process: no communication, no bytes.
 	return CollectStats{Compute: computeTime}, nil
 }
 
-// computeWorker is the compute phase's pool task: honest worker
-// e.honest[t] computes the gradient sum of every file it is assigned
-// into its own arena buffers.
-func (e *EngineOf[T]) computeWorker(_, t int) {
-	ar := e.arena
-	u := e.honest[t]
-	if ar.missing[u] {
-		return
-	}
-	for j, v := range ar.workerFiles[u] {
-		g := ar.grads[u][j]
-		clear(g)
-		e.train.SumGradient(e.params, e.files[v], g)
-	}
+// computeFile is the compute phase's pool task: the gradient sum of file
+// v at the round's parameters, into the file's one arena buffer.
+func (e *EngineOf[T]) computeFile(_, v int) {
+	g := e.arena.trueGrads[v]
+	clear(g)
+	e.train.SumGradient(e.params, e.files[v], g)
 }

@@ -179,8 +179,8 @@ func (p *pump[T]) decode(frameBytes []byte) error {
 	return nil
 }
 
-// arenaBufs points the decode at the engine's stable slot buffers for
-// this worker — delivering a report frame is decoding it in place.
+// arenaBufs points the decode at the source's stable receive buffers
+// for this worker — delivering a report frame is decoding it in place.
 func (p *pump[T]) arenaBufs() [][]T {
 	ws := p.ws
 	wf := ws.files[p.u]
@@ -191,9 +191,9 @@ func (p *pump[T]) arenaBufs() [][]T {
 	for j := range wf {
 		// The full slice expression caps the target at the row's end: a
 		// hostile frame declaring a wider dimension makes the decoder
-		// allocate instead of scribbling past the row into the arena's
+		// allocate instead of scribbling past the row into the slab's
 		// next buffer, and the width check above then evicts.
-		bufs[j] = ws.eng.GradBuffer(p.u, j)[:ws.dim:ws.dim]
+		bufs[j] = ws.grads[p.u][j][:ws.dim:ws.dim]
 	}
 	return bufs
 }
@@ -273,7 +273,7 @@ func (ws *wireSource[T]) Collect(ctx context.Context, rd *cluster.RoundOf[T]) (c
 			reportBytes += int64(item.wireBytes)
 			rawBytes += int64(item.rawBytes)
 			for j := range ws.files[u] {
-				if err := rd.Deliver(u, j, ws.eng.GradBuffer(u, j)); err != nil {
+				if err := rd.Deliver(u, j, ws.grads[u][j]); err != nil {
 					ws.evict(u, item.conn, err)
 					rd.MarkMissing(u)
 					ws.done[u] = true

@@ -527,8 +527,8 @@ func TestMisshapenReportEvicts(t *testing.T) {
 	for i, width := range []int{ws.dim - 1, ws.dim + 1} {
 		for u := range ws.files {
 			for j := range ws.files[u] {
-				for c := range ws.eng.GradBuffer(u, j) {
-					ws.eng.GradBuffer(u, j)[c] = sentinel
+				for c := range ws.grads[u][j] {
+					ws.grads[u][j][c] = sentinel
 				}
 			}
 		}
@@ -567,7 +567,7 @@ func TestMisshapenReportEvicts(t *testing.T) {
 		logMu.Unlock()
 		for u := range ws.files {
 			for j := range ws.files[u] {
-				for c, x := range ws.eng.GradBuffer(u, j) {
+				for c, x := range ws.grads[u][j] {
 					want := sentinel
 					if u == victim && width < ws.dim && c < width {
 						want = 1 // the narrow frame's own coordinates

@@ -653,8 +653,16 @@ func TestServeJoinsAllSenders(t *testing.T) {
 					t.Errorf("counters %+v, want %d evictions and %d rejoins", c, rejoins, rejoins)
 				}
 			}
-			if n := countSenders(); n != 0 {
-				t.Errorf("%d broadcast senders outlive Serve", n)
+			// A sender's deferred senders.Done runs before its goroutine
+			// leaves the stack, so Serve may return while the last one is
+			// still unwinding: poll under waitGoroutines' deadline.
+			deadline := time.Now().Add(10 * time.Second)
+			for n := countSenders(); n != 0; n = countSenders() {
+				if time.Now().After(deadline) {
+					buf := make([]byte, 1<<16)
+					t.Fatalf("%d broadcast senders outlive Serve; stacks:\n%s", n, buf[:runtime.Stack(buf, true)])
+				}
+				time.Sleep(5 * time.Millisecond)
 			}
 			waitGoroutines(t, base)
 		})

@@ -197,7 +197,7 @@ func NewServerOf[T linalg.Float](addr string, cfg ServerConfig) (*ServerOf[T], e
 	if !cfg.Uplink.Valid() {
 		return nil, fmt.Errorf("transport: unknown uplink tier %d", cfg.Uplink)
 	}
-	src := newWireSource[T](asn, &cfg)
+	src := newWireSource[T](asn, mdl.NumParams(), &cfg)
 	// Workers inject their own faults; the PS only sees who is missing.
 	engCfg.Fault = nil
 	engCfg.Source, engCfg.Metrics, engCfg.Tracer = src, cfg.Metrics, cfg.Tracer
@@ -205,9 +205,6 @@ func NewServerOf[T linalg.Float](addr string, cfg ServerConfig) (*ServerOf[T], e
 	if err != nil {
 		return nil, err
 	}
-	// Bind the engine's stable gradient buffers to the source: the
-	// reader pumps decode current-round reports straight into them.
-	src.eng, src.dim = eng, mdl.NumParams()
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		eng.Close()

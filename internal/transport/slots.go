@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"byzshield/internal/assign"
-	"byzshield/internal/cluster"
 	"byzshield/internal/linalg"
 	"byzshield/internal/obs"
 	"byzshield/internal/wire"
@@ -43,20 +42,24 @@ type workerEntry struct {
 // connected workers through one sender goroutine per worker slot, then
 // collects their gradient reports from the reader pumps' inbox under a
 // single round deadline. Reports are already parsed and decoded into the
-// engine's arena buffers when they reach the collection loop; absent or
+// source's per-slot receive buffers when they reach the collection loop; absent or
 // misbehaving workers are marked missing so the round core's quorum rule
 // decides the fate of their files.
 type wireSource[T linalg.Float] struct {
 	// Fixed by NewServerOf before any goroutine starts, read-only after.
 	// files[u] is worker u's assigned file list in slot order; uplink is
-	// the run's codec tier, named in every Welcome.
+	// the run's codec tier, named in every Welcome. grads[u][j] is the
+	// receive buffer for worker u's j-th file (rows of one flat K·l × dim
+	// slab, each capped at dim): the reader pumps decode reports into it
+	// in place, and Collect delivers it to the engine. Its slice headers
+	// never change; its contents are written only under arenaMu[u].
 	timeout   time.Duration
 	fullEvery int
 	logf      func(format string, args ...any)
-	eng       *cluster.EngineOf[T]
 	dim       int
 	uplink    wire.UplinkTier
 	files     [][]int
+	grads     [][][]T
 	// fleet is the per-worker status table (never nil). Its rows are
 	// single atomic stores: handshakes, admission, eviction and
 	// blacklisting flip the states, Collect stamps report arrivals.
@@ -148,14 +151,17 @@ type wireSource[T linalg.Float] struct {
 	bcastBytes            atomic.Int64
 }
 
-// newWireSource prepares the per-worker state tables.
-func newWireSource[T linalg.Float](asn *assign.Assignment, cfg *ServerConfig) *wireSource[T] {
+// newWireSource prepares the per-worker state tables and the receive
+// buffers of a dim-coordinate model.
+func newWireSource[T linalg.Float](asn *assign.Assignment, dim int, cfg *ServerConfig) *wireSource[T] {
 	ws := &wireSource[T]{
 		timeout:     cfg.RoundTimeout,
 		fullEvery:   cfg.FullBroadcastEvery,
 		logf:        cfg.Logf,
+		dim:         dim,
 		uplink:      cfg.Uplink,
 		files:       make([][]int, asn.K),
+		grads:       make([][][]T, asn.K),
 		fleet:       obs.NewFleetTable(asn.K),
 		workers:     make([]workerEntry, asn.K),
 		handshaking: make(map[*Conn]struct{}),
@@ -170,9 +176,19 @@ func newWireSource[T linalg.Float](asn *assign.Assignment, cfg *ServerConfig) *w
 	}
 	ws.curRound.Store(-1)
 	ws.retireBelow.Store(-1)
+	slots := 0
 	for u := 0; u < asn.K; u++ {
 		ws.files[u] = asn.WorkerFiles(u)
 		ws.acks[u] = -1
+		slots += len(ws.files[u])
+	}
+	backing := make([]T, slots*dim)
+	for u := range ws.grads {
+		ws.grads[u] = make([][]T, len(ws.files[u]))
+		for j := range ws.grads[u] {
+			ws.grads[u][j] = backing[:dim:dim]
+			backing = backing[dim:]
+		}
 	}
 	return ws
 }
