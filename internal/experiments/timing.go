@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
+	"sync"
 	"time"
 
 	"byzshield/internal/attack"
@@ -97,7 +99,7 @@ func timeFleet(ctx context.Context, name string, spec transport.Spec, uplink wir
 	row := TimingRow{Scheme: name}
 	var times cluster.PhaseTimes
 	regs := make([]*obs.Registry, spec.K)
-	_, err = runFleet[float64](ctx, transport.ServerConfig{
+	err = runFleet(ctx, transport.ServerConfig{
 		Spec:         spec,
 		EvalEvery:    spec.Rounds + 1,
 		RoundTimeout: 5 * time.Minute,
@@ -136,6 +138,70 @@ func timeFleet(ctx context.Context, name string, spec transport.Spec, uplink wir
 	row.ReportRawBytes = times.ReportRawBytes / int64(n)
 	row.BroadcastBytes = times.BroadcastBytes / int64(n)
 	return row, nil
+}
+
+// runFleet serves srvCfg.Spec to a loopback fleet — one server on
+// 127.0.0.1 and the Spec's K workers (srvCfg.Spec.K must be set) as
+// goroutines sharing one SharedWorkerState — and returns once Serve has
+// returned and every worker has exited. worker, when non-nil, configures
+// worker u; its ID and shared state are filled in. A worker the detector
+// blacklisted ends with ErrBlacklisted: that is the server's verdict, not
+// a fleet failure. So that it does end that way, and not in a reconnect
+// loop against a closed listener, the serve loop waits after every
+// blacklisting round until the server has refused each blacklisted
+// worker's rejoin.
+func runFleet(ctx context.Context, srvCfg transport.ServerConfig, worker func(u int) transport.WorkerConfig) error {
+	k := srvCfg.Spec.K
+	var srv *transport.Server
+	onRound, blacklisted := srvCfg.OnRound, int64(0)
+	srvCfg.OnRound = func(rs cluster.RoundStats) {
+		if onRound != nil {
+			onRound(rs)
+		}
+		blacklisted += int64(len(rs.BlacklistedWorkers))
+		for deadline := time.Now().Add(10 * time.Second); srv.Counters().BlacklistRejections < blacklisted && time.Now().Before(deadline); {
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
+	srv, err := transport.NewServer("127.0.0.1:0", srvCfg)
+	if err != nil {
+		return err
+	}
+	defer srv.Close()
+	shared, err := transport.NewSharedWorkerState(srvCfg.Spec)
+	if err != nil {
+		return err
+	}
+	// Workers reconnect without limit; on a failed run, cancelling their
+	// context is what ends those left dialling a closed listener.
+	workerCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var wg sync.WaitGroup
+	errs := make([]error, k)
+	for u := 0; u < k; u++ {
+		var wcfg transport.WorkerConfig
+		if worker != nil {
+			wcfg = worker(u)
+		}
+		wcfg.ID, wcfg.Shared, wcfg.ReconnectAttempts = u, shared, -1
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[wcfg.ID] = transport.RunWorker(workerCtx, srv.Addr(), wcfg)
+		}()
+	}
+	if _, err := srv.Serve(ctx); err != nil {
+		cancel()
+		wg.Wait()
+		return err
+	}
+	wg.Wait()
+	for u, err := range errs {
+		if err != nil && !errors.Is(err, transport.ErrBlacklisted) {
+			return fmt.Errorf("worker %d: %w", u, err)
+		}
+	}
+	return nil
 }
 
 // meanComputeSpan reads a worker's mean byzworker_compute_seconds

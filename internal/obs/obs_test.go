@@ -86,7 +86,6 @@ func TestTracerJSONL(t *testing.T) {
 	var b strings.Builder
 	tr := NewTracer(8)
 	tr.SetSink(&b)
-	tr.SetLabel("unit")
 	rt := RoundTrace{
 		Round:       5,
 		ReportBytes: 100, BroadcastBytes: 200,
@@ -103,7 +102,6 @@ func TestTracerJSONL(t *testing.T) {
 	}
 	var round struct {
 		Event   string           `json:"event"`
-		Label   string           `json:"label"`
 		Round   int              `json:"round"`
 		Phases  map[string]int64 `json:"phases_ns"`
 		Missing []int            `json:"missing"`
@@ -112,7 +110,7 @@ func TestTracerJSONL(t *testing.T) {
 	if err := json.Unmarshal([]byte(lines[0]), &round); err != nil {
 		t.Fatalf("round line not JSON: %v\n%s", err, lines[0])
 	}
-	if round.Event != "round" || round.Label != "unit" || round.Round != 5 {
+	if round.Event != "round" || round.Round != 5 {
 		t.Errorf("round line = %+v", round)
 	}
 	if strings.Contains(lines[0], `"shards"`) {

@@ -75,7 +75,6 @@ type Tracer struct {
 	mu    sync.Mutex
 	ring  []RoundTrace
 	total int // rounds ever recorded
-	label string
 	sink  io.Writer
 	buf   []byte // JSONL encode scratch
 }
@@ -94,14 +93,6 @@ func NewTracer(capacity int) *Tracer {
 func (t *Tracer) SetSink(w io.Writer) {
 	t.mu.Lock()
 	t.sink = w
-	t.mu.Unlock()
-}
-
-// SetLabel tags subsequent JSONL records with a run label — byzfleet
-// uses it to distinguish the points of a sweep in one trace file.
-func (t *Tracer) SetLabel(label string) {
-	t.mu.Lock()
-	t.label = label
 	t.mu.Unlock()
 }
 
@@ -136,10 +127,6 @@ func (t *Tracer) AttachEval(round int, d time.Duration, loss, acc float64) {
 	if t.sink != nil {
 		b := t.buf[:0]
 		b = append(b, `{"event":"eval"`...)
-		if t.label != "" {
-			b = append(b, `,"label":`...)
-			b = strconv.AppendQuote(b, t.label)
-		}
 		b = append(b, `,"round":`...)
 		b = strconv.AppendInt(b, int64(round), 10)
 		b = append(b, `,"eval_ns":`...)
@@ -198,10 +185,6 @@ func (t *Tracer) Snapshot(dst []RoundTrace) []RoundTrace {
 func (t *Tracer) writeRoundLocked(rt *RoundTrace) {
 	b := t.buf[:0]
 	b = append(b, `{"event":"round"`...)
-	if t.label != "" {
-		b = append(b, `,"label":`...)
-		b = strconv.AppendQuote(b, t.label)
-	}
 	b = append(b, `,"round":`...)
 	b = strconv.AppendInt(b, int64(rt.Round), 10)
 	b = append(b, `,"phases_ns":{`...)

@@ -33,20 +33,24 @@ func newToken() (uint64, error) {
 }
 
 // acceptLoop accepts connections for the whole run, handshaking each on
-// its own goroutine: initial joins before round 1, rejoins any time
-// after. It exits when the listener closes (teardown or end of Serve).
-func (s *ServerOf[T]) acceptLoop(ctx context.Context, done chan<- error) {
+// its own goroutine (counted in src.handshakes): initial joins before
+// round 1, rejoins any time after. It returns when the listener closes
+// (teardown or end of Serve).
+func (s *ServerOf[T]) acceptLoop(ctx context.Context) error {
 	for {
 		raw, err := s.listener.Accept()
 		if err != nil {
-			done <- ctxErr(ctx, err)
-			return
+			return ctxErr(ctx, err)
 		}
 		conn := newHandshakeConn(raw)
 		s.src.mu.Lock()
 		s.src.handshaking[conn] = struct{}{}
 		s.src.mu.Unlock()
-		go s.handshake(ctx, conn)
+		s.src.handshakes.Add(1)
+		go func() {
+			defer s.src.handshakes.Done()
+			s.handshake(ctx, conn)
+		}()
 	}
 }
 

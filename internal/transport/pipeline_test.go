@@ -12,6 +12,7 @@ import (
 	"net"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -572,14 +573,14 @@ func TestServeJoinsAllPumpGoroutines(t *testing.T) {
 	}
 }
 
-// countSenders counts the broadcast sender goroutines alive in the
-// process, by their stacks.
-func countSenders() int {
+// countFrames counts the goroutines alive in the process whose stacks
+// hold a call of the named method, e.g. ").sender(".
+func countFrames(call string) int {
 	buf := make([]byte, 1<<20)
 	for {
 		n := runtime.Stack(buf, true)
 		if n < len(buf) {
-			return bytes.Count(buf[:n], []byte(").sender("))
+			return bytes.Count(buf[:n], []byte(call))
 		}
 		buf = make([]byte, 2*len(buf))
 	}
@@ -605,7 +606,7 @@ func TestServeJoinsAllSenders(t *testing.T) {
 			defer cancel()
 			var srv *Server
 			srv, err := NewServer("127.0.0.1:0", ServerConfig{Spec: spec, OnRound: func(rs cluster.RoundStats) {
-				if n := countSenders(); n != asn.K {
+				if n := countFrames(").sender("); n != asn.K {
 					t.Errorf("round %d: %d broadcast senders, want K = %d", rs.Iteration, n, asn.K)
 				}
 				switch {
@@ -657,7 +658,7 @@ func TestServeJoinsAllSenders(t *testing.T) {
 			// leaves the stack, so Serve may return while the last one is
 			// still unwinding: poll under waitGoroutines' deadline.
 			deadline := time.Now().Add(10 * time.Second)
-			for n := countSenders(); n != 0; n = countSenders() {
+			for n := countFrames(").sender("); n != 0; n = countFrames(").sender(") {
 				if time.Now().After(deadline) {
 					buf := make([]byte, 1<<16)
 					t.Fatalf("%d broadcast senders outlive Serve; stacks:\n%s", n, buf[:runtime.Stack(buf, true)])
@@ -666,6 +667,90 @@ func TestServeJoinsAllSenders(t *testing.T) {
 			}
 			waitGoroutines(t, base)
 		})
+	}
+}
+
+// TestServeJoinsAcceptLoopAndHandshakes: Serve joins its accept loop and
+// every handshake goroutine before it returns, on the normal exit path
+// too. Raw dials that never send a Hello are held open through the end
+// of the run — a few accepted before the last round, and more landing
+// while Serve winds down — so handshakes are waiting on Hellos when the
+// run ends. Right after Serve returns, with no polling, no goroutine may
+// be left in acceptLoop or handshake.
+func TestServeJoinsAcceptLoopAndHandshakes(t *testing.T) {
+	const idle, maxDials = 3, 64
+	spec := testSpec(3)
+	asn, err := spec.BuildAssignment()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu      sync.Mutex
+		dials   []net.Conn
+		served  atomic.Bool
+		dialing sync.WaitGroup
+	)
+	defer func() {
+		served.Store(true)
+		dialing.Wait()
+		for _, c := range dials {
+			c.Close()
+		}
+	}()
+	dial := func(addr string) bool {
+		c, err := net.Dial("tcp", addr)
+		if err != nil {
+			return false
+		}
+		mu.Lock()
+		dials = append(dials, c)
+		mu.Unlock()
+		return true
+	}
+	var srv *Server
+	srv, err = NewServer("127.0.0.1:0", ServerConfig{Spec: spec, OnRound: func(rs cluster.RoundStats) {
+		if rs.Iteration != spec.Rounds-1 {
+			return
+		}
+		for i := 0; i < idle; i++ {
+			dial(srv.Addr())
+		}
+		// Hold the last round until the server is handshaking those
+		// dials, then keep dialing while Serve winds down.
+		deadline := time.Now().Add(10 * time.Second)
+		for countFrames(").handshake(") < idle && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		dialing.Add(1)
+		go func() {
+			defer dialing.Done()
+			for i := idle; i < maxDials && !served.Load() && dial(srv.Addr()); i++ {
+			}
+		}()
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	var wg sync.WaitGroup
+	for u := 0; u < asn.K; u++ {
+		wg.Add(1)
+		go func(u int) {
+			defer wg.Done()
+			if _, err := RunWorker(context.Background(), srv.Addr(), WorkerConfig{ID: u}); err != nil {
+				t.Errorf("worker %d: %v", u, err)
+			}
+		}(u)
+	}
+	_, err = srv.Serve(context.Background())
+	loops, handshakes := countFrames(").acceptLoop("), countFrames(").handshake(")
+	served.Store(true)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loops != 0 || handshakes != 0 {
+		t.Errorf("right after Serve returned: %d accept loops and %d handshakes alive, want none", loops, handshakes)
 	}
 }
 

@@ -292,8 +292,9 @@ type evalJob[T linalg.Float] struct {
 // aborts the accept loop and any in-flight round promptly (by closing
 // the listener and worker connections) and returns ctx.Err(); the
 // evaluation history recorded up to that point remains available via
-// History. On every exit path the reader pumps are joined before Serve
-// returns — no goroutine outlives the call.
+// History. On every exit path the accept loop, the handshakes and the
+// reader pumps are joined before Serve returns — no goroutine outlives
+// the call.
 func (s *ServerOf[T]) Serve(ctx context.Context) (float64, error) {
 	s.mu.Lock()
 	s.serving = true
@@ -311,13 +312,22 @@ func (s *ServerOf[T]) Serve(ctx context.Context) (float64, error) {
 	stop := context.AfterFunc(ctx, s.teardown)
 	defer stop()
 
+	// acceptDone carries the accept loop's error, then closes.
 	acceptDone := make(chan error, 1)
-	go s.acceptLoop(ctx, acceptDone)
-	defer s.listener.Close() // stop accepting once Serve unwinds
+	go func() {
+		acceptDone <- s.acceptLoop(ctx)
+		close(acceptDone)
+	}()
 
-	// Deterministic teardown: whatever path Serve exits on, close every
-	// worker connection and join every reader pump before returning.
-	defer s.src.shutdown()
+	// Deterministic teardown, whatever path Serve exits on: close the
+	// listener and join the accept loop, so no handshake can start after;
+	// then close every connection and join every reader pump and
+	// handshake.
+	defer func() {
+		s.listener.Close()
+		<-acceptDone
+		s.src.shutdown()
+	}()
 
 	// Join barrier: the handshake that completes the K-th first join
 	// closes allJoined.

@@ -76,13 +76,16 @@ type wireSource[T linalg.Float] struct {
 	// promoteLocked or evict closes it. joinedCount counts published
 	// first joins; the handshake that brings it to K closes allJoined.
 	// closing marks shutdown (set once): no new pumps start, and pump
-	// exits stop counting as evictions.
+	// exits stop counting as evictions. handshakes joins the handshake
+	// goroutines; its one Add is in acceptLoop, which Serve joins before
+	// shutdown waits, so the Wait cannot race a late Add.
 	mu          sync.Mutex
 	workers     []workerEntry
 	handshaking map[*Conn]struct{}
 	joinedCount int
 	allJoined   chan struct{}
 	closing     bool
+	handshakes  sync.WaitGroup
 
 	// The reader pumps (collect.go), one per live connection, from
 	// startPump until the connection dies; pumps joins them. inbox is
@@ -297,12 +300,14 @@ func (ws *wireSource[T]) markClosingLocked() {
 	}
 }
 
-// shutdown closes every connection and joins every reader pump. It runs
-// on every Serve exit path, making teardown deterministic: no pump
+// shutdown closes every connection and joins every reader pump and
+// handshake. It runs on every Serve exit path, after the accept loop
+// has returned, making teardown deterministic: no pump or handshake
 // goroutine outlives Serve.
 func (ws *wireSource[T]) shutdown() {
 	ws.closeConns()
 	ws.pumps.Wait()
+	ws.handshakes.Wait()
 }
 
 // closeConns marks the source closing and closes every connection it

@@ -14,6 +14,7 @@ import (
 
 	"byzshield/internal/cluster"
 	"byzshield/internal/linalg"
+	"byzshield/internal/model"
 	"byzshield/internal/wire"
 )
 
@@ -28,26 +29,40 @@ func engineParamsTier(t *testing.T, spec Spec, tier wire.UplinkTier) []float64 {
 var sameBits = linalg.EqualBits[float64]
 
 // TestUplinkTierLoopbackMatchesEngine pins every tier's wire trajectory
-// to the in-process engine: the lossless tiers against the plain engine
-// (codec choice cannot move a bit), the lossy tiers against an engine
-// running the same tier (the engine applies the codec's exact
-// quantize→dequantize operations to every row). The lossy runs must also
-// move fewer uplink bytes than their raw equivalent and land off the
-// lossless bits.
+// to the in-process engine of the same width, at both widths: the
+// lossless tiers against the plain engine (codec choice cannot move a
+// bit), the lossy tiers against an engine running the same tier (the
+// engine applies the codec's exact quantize→dequantize operations to
+// every row). The lossy runs must also move fewer uplink bytes than
+// their raw equivalent and land off the lossless bits, and the lossless
+// reference must leave its initial parameters: identity between vectors
+// that never moved checks nothing.
 func TestUplinkTierLoopbackMatchesEngine(t *testing.T) {
+	t.Run("f64", uplinkTierLoopbackMatchesEngine[float64])
+	t.Run("f32", uplinkTierLoopbackMatchesEngine[float32])
+}
+
+func uplinkTierLoopbackMatchesEngine[T linalg.Float](t *testing.T) {
 	spec := testSpec(6)
-	lossless := engineParamsTier(t, spec, wire.TierRaw)
+	cfg, err := EngineConfigOf[T](&spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lossless := engineParamsOf[T](t, spec, enginePlane{tier: wire.TierRaw})
+	if linalg.EqualBits(lossless, model.InitParamsOf[T](cfg.Model, cfg.Seed)) {
+		t.Fatal("the lossless reference never left its initial parameters")
+	}
 	for _, tier := range []wire.UplinkTier{wire.TierRaw, wire.TierSign, wire.TierInt8} {
-		_, params, stats := runLoopback(t, spec, ServerConfig{Uplink: tier})
+		f := runFleetOf[T](t, spec, ServerConfig{Uplink: tier}, nil, nil).healthy(t)
 		ref := lossless
 		if tier.Lossy() {
-			ref = engineParamsTier(t, spec, tier)
+			ref = engineParamsOf[T](t, spec, enginePlane{tier: tier})
 		}
-		if !sameBits(params, ref) {
+		if !linalg.EqualBits(f.params, ref) {
 			t.Errorf("tier %s: wire trajectory diverged from the engine", tier)
 		}
 		var up, raw int64
-		for _, rs := range stats {
+		for _, rs := range f.stats {
 			up += rs.Times.ReportBytes
 			raw += rs.Times.ReportRawBytes
 		}
@@ -55,11 +70,16 @@ func TestUplinkTierLoopbackMatchesEngine(t *testing.T) {
 			// The ≥4x acceptance gate is benchmarked on the quickstart
 			// config, whose rows are wide; this spec's 18–36-value rows
 			// pay proportionally more per-row scale/header overhead, so
-			// the structural check here is 3x.
-			if up*3 > raw {
-				t.Errorf("tier %s: moved %d uplink bytes, raw equivalent %d — want ≥3x reduction", tier, up, raw)
+			// the structural check here is 3x — and 2x at float32, whose
+			// raw rows are half as wide against the same overhead.
+			minRatio := int64(3)
+			if linalg.Width[T]() == 4 {
+				minRatio = 2
 			}
-			if sameBits(params, lossless) {
+			if up*minRatio > raw {
+				t.Errorf("tier %s: moved %d uplink bytes, raw equivalent %d — want ≥%dx reduction", tier, up, raw, minRatio)
+			}
+			if linalg.EqualBits(f.params, lossless) {
 				t.Errorf("tier %s: landed on the lossless bits — quantization never ran", tier)
 			}
 		}
