@@ -71,12 +71,6 @@ type Fault = fault.Fault
 // internal/detect.
 type Detector = detect.Detector
 
-// DetectionPolicy is the reputation policy shared by every detector:
-// feature-window length, minimum observed rounds before blacklisting,
-// reputation EMA decay, detector threshold, and the blacklist floor.
-// Zero values take the defaults documented in internal/detect.
-type DetectionPolicy = detect.Params
-
 // History is the recorded metric series of a training run.
 type History = trainer.History
 
@@ -215,14 +209,13 @@ func NoDetector() Detector { return detect.None{} }
 
 // ZScoreDetector flags workers whose window-mean robust z-score (of
 // report norm and cosine-to-median, median/MAD standardized across the
-// live fleet) exceeds threshold (0 selects 3.0).
-func ZScoreDetector(threshold float64) Detector { return detect.ZScore{Threshold: threshold} }
+// live fleet) exceeds 3.
+func ZScoreDetector() Detector { return detect.ZScore{} }
 
 // ClusterDetector partitions workers' history features with a
-// deterministic 2-means and flags a clearly separated, anomalous
-// minority cluster; threshold is the minimum center separation
-// (0 selects 2.0).
-func ClusterDetector(threshold float64) Detector { return detect.KMeans{Threshold: threshold} }
+// deterministic 2-means and flags a clearly separated (center distance
+// above 2), anomalous minority cluster.
+func ClusterDetector() Detector { return detect.KMeans{} }
 
 // ConstantAttack sends a constant matrix scaled to gradient-sum
 // magnitude.
@@ -372,10 +365,10 @@ type TrainConfig struct {
 	// reputation, persistent offenders are blacklisted and excluded from
 	// every later round, and RoundResult reports the per-round
 	// reputation state. Detection composes with any Attack/Aggregator.
+	// Every detector runs under one fixed policy (internal/detect): an
+	// 8-round feature window, reputation decay 0.9, and a blacklist once
+	// a worker observed at least 10 times sinks below reputation 0.5.
 	Detector Detector
-	// Detection is the reputation policy the detector runs under; zero
-	// fields take the defaults documented in internal/detect.
-	Detection DetectionPolicy
 	// Distribution partitions the training set into per-file sample
 	// pools for non-IID runs (nil keeps IID batch reshuffling): each
 	// round, file v's samples are drawn from pool v, so the per-file

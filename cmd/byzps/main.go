@@ -24,8 +24,12 @@
 // blacklisted workers are evicted, their rejoin tokens refused with a
 // typed rejection, and their replicas excluded from every later vote):
 //
-//	byzps ... -detector zscore -detector-threshold 3
-//	byzps ... -detector cluster -detector-min-rounds 10
+//	byzps ... -detector zscore
+//	byzps ... -detector cluster
+//
+// Both detectors run under one fixed reputation policy (internal/detect):
+// an 8-round feature window, reputation decay 0.9, and a blacklist once a
+// worker observed at least 10 times sinks below reputation 0.5.
 //
 // Parameter broadcasts ship as bit-exact deltas between periodic full
 // refreshes; -full-every controls the cadence (1 = full every round).
@@ -120,13 +124,7 @@ func main() {
 			`worker faults to inject: "name@ids[:k=v,...]" clauses joined by ";" (e.g. "flaky@2:p=0.3;straggler@9:delay=2s"; knobs p, round, delay, seed) over `+strings.Join(byzshield.Registry.Faults(), ", "))
 		detector = flag.String("detector", "",
 			"PS-side Byzantine detector: "+strings.Join(byzshield.Registry.Detectors(), ", ")+" (empty = none)")
-		detThreshold = flag.Float64("detector-threshold", 0,
-			"detector outlier threshold (0 = detector default)")
-		detWindow    = flag.Int("detector-window", 0, "detector feature-window length (0 = default)")
-		detMinRounds = flag.Int("detector-min-rounds", 0, "rounds observed before blacklisting (0 = default)")
-		detDecay     = flag.Float64("detector-decay", 0, "reputation EMA decay (0 = default)")
-		detBlacklist = flag.Float64("detector-blacklist-below", 0, "reputation blacklist floor (0 = default)")
-		metricsAddr  = flag.String("metrics-addr", "",
+		metricsAddr = flag.String("metrics-addr", "",
 			"diagnostics listen address serving /metrics, /statusz, /healthz and /debug/pprof (empty = disabled)")
 		traceOut = flag.String("trace-out", "",
 			"stream per-round traces as JSONL to this file (empty = disabled)")
@@ -157,10 +155,6 @@ func main() {
 		Quorum:   *quorum,
 		Faults:   faults,
 		Detector: *detector,
-		DetectorParams: byzshield.DetectorParams{
-			Window: *detWindow, MinRounds: *detMinRounds,
-			Decay: *detDecay, Threshold: *detThreshold, BlacklistBelow: *detBlacklist,
-		},
 	}
 	prec, err := wire.ParsePrecision(*precision)
 	if err != nil {

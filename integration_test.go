@@ -38,15 +38,24 @@ func TestAttackDefenseGrid(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	attacks := []attack.Attack{
-		attack.Benign{},
-		attack.ALIE{},
-		attack.ALIE{ZOverride: 1},
-		attack.Constant{ScaleByFileSize: true},
-		attack.Reversed{C: 1},
-		attack.Reversed{C: 10},
-		attack.RandomGaussian{Scale: 5},
-		attack.SignFlip{},
+	// The registry's "sign-flip" alias resolves to the reversed gradient;
+	// its cells run it as a user naming it gets it.
+	signFlip, err := byzshield.Registry.Attack("sign-flip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	attacks := []struct {
+		name string
+		atk  attack.Attack
+	}{
+		{"benign", attack.Benign{}},
+		{"alie", attack.ALIE{}},
+		{"alie", attack.ALIE{ZOverride: 1}},
+		{"constant", attack.Constant{ScaleByFileSize: true}},
+		{"reversed-gradient", attack.Reversed{C: 1}},
+		{"reversed-gradient", attack.Reversed{C: 10}},
+		{"random-gaussian", attack.RandomGaussian{Scale: 5}},
+		{"sign-flip", signFlip},
 	}
 	defenses := []aggregate.Aggregator{
 		aggregate.Median{},
@@ -57,9 +66,10 @@ func TestAttackDefenseGrid(t *testing.T) {
 		aggregate.GeometricMedian{},
 		aggregate.Auror{Threshold: 1},
 	}
-	for _, atk := range attacks {
+	for _, a := range attacks {
+		atk := a.atk
 		for _, def := range defenses {
-			name := fmt.Sprintf("%s/%s", atk.Name(), def.Name())
+			name := fmt.Sprintf("%s/%s", a.name, def.Name())
 			t.Run(name, func(t *testing.T) {
 				mdl, err := model.NewSoftmax(10, 5)
 				if err != nil {

@@ -1,10 +1,11 @@
 // Package attack implements the Byzantine attack models evaluated in
 // Sec. 6.1 of the paper — ALIE (Baruch et al. 2019), Constant, and
-// Reversed gradient — plus auxiliary attacks (random Gaussian, sign
-// flip) used for ablations. The omniscient worst-case *placement* of the
-// Byzantines (which q workers to corrupt) is computed by
-// internal/distort; this package decides what the corrupted workers
-// send.
+// Reversed gradient — plus a random-Gaussian attack used for
+// ablations. (The registry's "sign-flip" is Reversed at C = 1: negating
+// every coordinate's sign is negating the gradient.) The omniscient
+// worst-case *placement* of the Byzantines (which q workers to corrupt)
+// is computed by internal/distort; this package decides what the
+// corrupted workers send.
 //
 // All colluding Byzantines return bit-identical crafted vectors for a
 // given file, which is optimal under majority voting: on files where
@@ -281,15 +282,3 @@ func (g RandomGaussian) BeginRound(ctx *Context) Crafter {
 	}
 	return s.sharedPayload()
 }
-
-// SignFlip negates each coordinate's sign while preserving magnitude
-// ordering: crafted = −|g| per coordinate... i.e. it returns −g like
-// Reversed but clamps magnitude to the honest vector's norm; kept as a
-// distinct named attack for the signSGD experiments.
-type SignFlip struct{}
-
-// Name implements Attack.
-func (SignFlip) Name() string { return "sign-flip" }
-
-// BeginRound implements Attack.
-func (SignFlip) BeginRound(ctx *Context) Crafter { return ctx.scratch().scaledHonest(-1) }

@@ -156,8 +156,10 @@ func TestRandomGaussianRequiresRng(t *testing.T) {
 	RandomGaussian{}.BeginRound(ctx)
 }
 
+// TestSignFlip: the registry's "sign-flip" is Reversed at C = 1 —
+// every coordinate's sign flips, its magnitude kept.
 func TestSignFlip(t *testing.T) {
-	craft := SignFlip{}.BeginRound(testContext())
+	craft := Reversed{}.BeginRound(testContext())
 	out := craft(0, []float64{2, -3, 0})
 	if out[0] != -2 || out[1] != 3 || out[2] != 0 {
 		t.Errorf("sign flip = %v", out)
@@ -168,7 +170,6 @@ func TestAttackNamesStable(t *testing.T) {
 	names := map[string]Attack{
 		"benign": Benign{}, "alie": ALIE{}, "constant": Constant{},
 		"reversed-gradient": Reversed{}, "random-gaussian": RandomGaussian{},
-		"sign-flip": SignFlip{},
 	}
 	for want, a := range names {
 		if a.Name() != want {
@@ -197,7 +198,7 @@ func TestPayloadsPinned(t *testing.T) {
 		{"benign", Benign{}, 0, 1, []float64{3, 1}},
 		{"reversed", Reversed{C: 2}, 0, 1, []float64{-6, -2}},
 		{"reversed default C", Reversed{}, 0, 2, []float64{-6, -4}},
-		{"sign-flip", SignFlip{}, 0, 2, []float64{-6, -4}},
+		{"sign-flip", Reversed{C: 1}, 0, 2, []float64{-6, -4}},
 		{"constant", Constant{Value: 2}, 30, 0, []float64{2, 2}},
 		{"constant default", Constant{}, 30, 0, []float64{-1, -1}},
 		{"constant scaled by file size", Constant{Value: 2, ScaleByFileSize: true}, 30, 0, []float64{60, 60}},
@@ -229,7 +230,7 @@ func TestPayloadsPinned(t *testing.T) {
 // start and the crafting of every file allocate nothing once the first
 // round has sized the buffers — for every attack.
 func TestScratchAllocationFree(t *testing.T) {
-	for _, a := range []Attack{Benign{}, Reversed{C: 2}, Constant{}, ALIE{}, RandomGaussian{}, SignFlip{}} {
+	for _, a := range []Attack{Benign{}, Reversed{C: 2}, Constant{}, ALIE{}, RandomGaussian{}} {
 		ctx := testContext()
 		ctx.Scratch = new(Scratch)
 		round := func() {

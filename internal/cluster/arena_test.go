@@ -42,7 +42,7 @@ func oneBufferPerFile[T linalg.Float](t *testing.T) {
 		}},
 		{name: "detect", blacklists: true, setup: func(cfg *ConfigOf[T]) {
 			cfg.Byzantines, cfg.Attack = owners, attack.Constant{Value: 50}
-			cfg.Detector, cfg.Detection = detect.ZScore{}, detect.Params{MinRounds: 2}
+			cfg.Detector = detect.ZScore{}
 		}},
 		{name: "alie-all-byzantine-file", setup: func(cfg *ConfigOf[T]) {
 			cfg.Byzantines, cfg.Attack = owners, attack.ALIE{}
@@ -71,7 +71,9 @@ func oneBufferPerFile[T linalg.Float](t *testing.T) {
 			}
 			fresh := make([]T, ar.dim)
 			blacklisted := 0
-			for round := 0; round < 8; round++ {
+			// 12 rounds: the detect cell's owners need the fixed
+			// policy's 10 observations before a blacklist.
+			for round := 0; round < 12; round++ {
 				params := e.Params()
 				stats, err := e.RunRound()
 				if err != nil {

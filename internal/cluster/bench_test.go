@@ -62,8 +62,9 @@ func quickstartConfigOf[T linalg.Float](tb testing.TB) ConfigOf[T] {
 	}
 }
 
-// benchRounds drives b.N rounds through one engine.
-func benchRounds(b *testing.B, cfg Config) {
+// benchRounds drives b.N rounds through one engine and returns the
+// last round's stats.
+func benchRounds(b *testing.B, cfg Config) RoundStats {
 	b.Helper()
 	e, err := New(cfg)
 	if err != nil {
@@ -72,11 +73,13 @@ func benchRounds(b *testing.B, cfg Config) {
 	defer e.Close()
 	b.ReportAllocs()
 	b.ResetTimer()
+	var stats RoundStats
 	for i := 0; i < b.N; i++ {
-		if _, err := e.RunRound(); err != nil {
+		if stats, err = e.RunRound(); err != nil {
 			b.Fatal(err)
 		}
 	}
+	return stats
 }
 
 // BenchmarkRound measures one protocol round: the parallel engine
@@ -99,16 +102,28 @@ func BenchmarkRound(b *testing.B) {
 	})
 	// PS-side detection on the hot path: per-worker feature extraction
 	// (report norm, cosine to the fleet median, robust z-scores into the
-	// ring buffers) plus the detector verdict every round. MinRounds is
-	// pushed past any b.N so no worker is ever blacklisted — a shrinking
-	// fleet computes fewer gradients and would flatter the number — so
+	// ring buffers) plus the detector verdict every round. The fleet is
+	// honest and its classes overlap (ClassSep 0.5, the detection sweep's
+	// operating point), where 8000 rounds blacklist nobody; on the
+	// quickstart's well-separated classes the fixed policy blacklists
+	// honest workers within 70 rounds, and a shrinking fleet would
+	// flatter the number. The features cost the same on any data, so
 	// the delta against serial is the detection layer's whole cost.
 	b.Run("detect-zscore", func(b *testing.B) {
 		cfg := quickstartConfig(b)
 		cfg.Parallelism = 1
+		cfg.Attack, cfg.Byzantines = attack.Benign{}, nil
+		var err error
+		cfg.Train, cfg.Test, err = data.Synthetic(data.SyntheticConfig{
+			Train: 3000, Test: 1000, Dim: 32, Classes: 10, Seed: 7, ClassSep: 0.5,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
 		cfg.Detector = detect.ZScore{}
-		cfg.Detection = detect.Params{MinRounds: 1 << 30}
-		benchRounds(b, cfg)
+		if stats := benchRounds(b, cfg); stats.Blacklisted != 0 {
+			b.Fatalf("%d honest workers blacklisted: the fleet shrank under the measurement", stats.Blacklisted)
+		}
 	})
 }
 

@@ -103,7 +103,6 @@ func TestRestoreRefusesLiveDetector(t *testing.T) {
 	build := func(det detect.Detector) *Engine {
 		cfg := testSetup(t, []int{1, 6}, attack.Reversed{C: 3}, aggregate.Median{})
 		cfg.Detector = det
-		cfg.Detection = detect.Params{MinRounds: 3}
 		e, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)

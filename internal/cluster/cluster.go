@@ -135,9 +135,6 @@ type ConfigOf[T linalg.Float] struct {
 	// attack knobs, detection is a PS-side behavior and composes with
 	// Source.
 	Detector detect.Detector
-	// Detection tunes the reputation policy (window, decay, blacklist
-	// floor); zero fields select the documented detect defaults.
-	Detection detect.Params
 	// Source overrides how gradients enter the round: nil selects the
 	// in-process compute source (Algorithm 1's simulated cluster); the
 	// TCP parameter server installs its network collector here. When
@@ -402,7 +399,7 @@ func NewOf[T linalg.Float](cfg ConfigOf[T]) (*EngineOf[T], error) {
 	_, e.signStep = cfg.Aggregator.(aggregate.SignSGD)
 	if !detect.IsNone(cfg.Detector) {
 		e.det = cfg.Detector
-		e.detSt = detect.NewState(cfg.Assignment.K, dim, cfg.Detection)
+		e.detSt = detect.NewState(cfg.Assignment.K, dim)
 	}
 	e.arena = newRoundArena[T](cfg.Assignment, dim, cfg.Source == nil, width)
 	e.aggErrs = make([]error, width)

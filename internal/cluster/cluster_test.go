@@ -270,11 +270,11 @@ func TestByzShieldBeatsUndefendedMeanUnderAttack(t *testing.T) {
 }
 
 // TestSignMessagesPipeline trains the signSGD pipeline under a sign-flip
-// coalition. Its name predates the deletion of the engine's sign-message
-// mode: signSGD is now the aggregation rule alone, voting raw replicas
-// and counting their signs.
+// (reversed-gradient) coalition. Its name predates the deletion of the
+// engine's sign-message mode: signSGD is now the aggregation rule alone,
+// voting raw replicas and counting their signs.
 func TestSignMessagesPipeline(t *testing.T) {
-	cfg := testSetup(t, []int{0, 5}, attack.SignFlip{}, aggregate.SignSGD{})
+	cfg := testSetup(t, []int{0, 5}, attack.Reversed{}, aggregate.SignSGD{})
 	cfg.Schedule = trainer.Schedule{Base: 0.005, Decay: 0.9, Every: 20}
 	e, err := New(cfg)
 	if err != nil {

@@ -1,9 +1,9 @@
 // Package detect implements the parameter server's Byzantine detection
 // and reputation layer: a subsystem that runs between gradient
-// collection and aggregation, accumulates per-worker gradient-history
-// features (report norm, cosine to the coordinate-wise median report,
-// and robust per-round z-scores of both) in fixed ring buffers, and
-// feeds them to a pluggable Detector. Flagged workers lose reputation
+// collection and aggregation, derives two per-worker features each
+// round (report norm and cosine to the coordinate-wise median report),
+// keeps their robust per-round z-scores in fixed ring buffers, and
+// feeds those to a pluggable Detector. Flagged workers lose reputation
 // through an exponential moving average; a worker whose reputation
 // stays below the blacklist floor after enough observed rounds is
 // blacklisted permanently — the engine then excludes it from every
@@ -25,48 +25,30 @@ import (
 	"sort"
 )
 
-// Default policy knobs, applied by Params.withDefaults for zero values.
+// The detection policy. It is fixed: a worker's history ring holds its
+// last window rounds; its reputation is an EMA with the given decay
+// toward 0 on a flagged round and toward 1 otherwise; it is blacklisted
+// once it has been observed minRounds times with a reputation below
+// blacklistBelow. A worker flagged on every round from its first
+// observation drops below the floor on its 7th (0.9^7 ≈ 0.48) and is
+// blacklisted on its 10th, when the minRounds gate opens. The zscore
+// detector flags a window score above zscoreCutoff, the cluster
+// detector a minority whose 2-means center lies more than
+// kmeansSeparation from the majority's.
 const (
-	DefaultWindow         = 8
-	DefaultMinRounds      = 10
-	DefaultDecay          = 0.9
-	DefaultBlacklistBelow = 0.5
+	window           = 8
+	minRounds        = 10
+	decay            = 0.9
+	blacklistBelow   = 0.5
+	zscoreCutoff     = 3.0
+	kmeansSeparation = 2.0
 )
 
-// Params is the reputation policy shared by every detector: feature
-// window length, the observation count before blacklisting may trigger,
-// the reputation EMA decay, a detector-specific outlier threshold, and
-// the reputation floor below which a worker is blacklisted.
-type Params struct {
-	Window         int     // history ring length (default 8)
-	MinRounds      int     // rounds observed before blacklisting (default 10)
-	Decay          float64 // reputation EMA decay (default 0.9)
-	Threshold      float64 // detector outlier threshold (0 = detector default)
-	BlacklistBelow float64 // reputation blacklist floor (default 0.5)
-}
-
-// withDefaults fills zero values with the documented defaults.
-func (p Params) withDefaults() Params {
-	if p.Window <= 0 {
-		p.Window = DefaultWindow
-	}
-	if p.MinRounds <= 0 {
-		p.MinRounds = DefaultMinRounds
-	}
-	if p.Decay <= 0 || p.Decay >= 1 {
-		p.Decay = DefaultDecay
-	}
-	if p.BlacklistBelow <= 0 || p.BlacklistBelow >= 1 {
-		p.BlacklistBelow = DefaultBlacklistBelow
-	}
-	return p
-}
-
-// Sample is one round's feature vector for one worker: the summed
-// report's norm, its cosine to the live fleet's coordinate-wise median
-// report, and the robust z-scores of both across the live fleet.
+// Sample is one round's feature z-scores for one worker: the robust
+// z-scores, across the live fleet, of its summed report's norm and of
+// that report's cosine to the live fleet's coordinate-wise median
+// report.
 type Sample struct {
-	Norm, Cos   float64
 	NormZ, CosZ float64
 }
 
@@ -105,7 +87,6 @@ func IsNone(d Detector) bool {
 // and the accessors allocate nothing.
 type State struct {
 	k, dim int
-	p      Params
 
 	reports [][]float64 // k × dim summed reports, views into one backing
 	present []bool      // worker reported this round
@@ -113,7 +94,7 @@ type State struct {
 	median []float64 // coordinate-wise median report of the live fleet
 	col    []float64 // per-coordinate scratch column (≤ k values)
 
-	hist    []Sample // k × Window flat ring buffers
+	hist    []Sample // k × window flat ring buffers
 	histLen []int
 	histPos []int
 	rounds  []int // observations per worker
@@ -142,15 +123,14 @@ type State struct {
 }
 
 // NewState allocates the reputation layer for k workers and gradient
-// dimension dim, applying the documented defaults to zero Params.
-func NewState(k, dim int, p Params) *State {
-	p = p.withDefaults()
+// dimension dim.
+func NewState(k, dim int) *State {
 	s := &State{
-		k: k, dim: dim, p: p,
+		k: k, dim: dim,
 		present:     make([]bool, k),
 		median:      make([]float64, dim),
 		col:         make([]float64, 0, k),
-		hist:        make([]Sample, k*p.Window),
+		hist:        make([]Sample, k*window),
 		histLen:     make([]int, k),
 		histPos:     make([]int, k),
 		rounds:      make([]int, k),
@@ -180,9 +160,6 @@ func NewState(k, dim int, p Params) *State {
 
 // K returns the cluster size the state was allocated for.
 func (s *State) K() int { return s.k }
-
-// Policy returns the normalized reputation policy.
-func (s *State) Policy() Params { return s.p }
 
 // BeginRound resets the per-round presence marks. Call once before the
 // workers' reports are summed in.
@@ -249,10 +226,7 @@ func (s *State) Observe(det Detector) {
 	s.robustZ(s.featCos[:len(live)], s.featCZ)
 
 	for i, u := range live {
-		s.push(u, Sample{
-			Norm: s.featNorm[i], Cos: s.featCos[i],
-			NormZ: s.featNZ[i], CosZ: s.featCZ[i],
-		})
+		s.push(u, Sample{NormZ: s.featNZ[i], CosZ: s.featCZ[i]})
 		s.rounds[u]++
 	}
 
@@ -264,8 +238,8 @@ func (s *State) Observe(det Detector) {
 			target = 0
 			s.flaggedList = append(s.flaggedList, u)
 		}
-		s.rep[u] = s.p.Decay*s.rep[u] + (1-s.p.Decay)*target
-		if !s.black[u] && s.rounds[u] >= s.p.MinRounds && s.rep[u] < s.p.BlacklistBelow {
+		s.rep[u] = decay*s.rep[u] + (1-decay)*target
+		if !s.black[u] && s.rounds[u] >= minRounds && s.rep[u] < blacklistBelow {
 			s.black[u] = true
 			s.newBlack = append(s.newBlack, u)
 			s.blackList = append(s.blackList, u)
@@ -276,10 +250,9 @@ func (s *State) Observe(det Detector) {
 
 // push appends a sample to worker u's ring.
 func (s *State) push(u int, smp Sample) {
-	w := s.p.Window
-	s.hist[u*w+s.histPos[u]] = smp
-	s.histPos[u] = (s.histPos[u] + 1) % w
-	if s.histLen[u] < w {
+	s.hist[u*window+s.histPos[u]] = smp
+	s.histPos[u] = (s.histPos[u] + 1) % window
+	if s.histLen[u] < window {
 		s.histLen[u]++
 	}
 }
@@ -295,10 +268,9 @@ func (s *State) WindowScore(u int) float64 {
 	if n == 0 {
 		return 0
 	}
-	w := s.p.Window
 	sum := 0.0
 	for i := 0; i < n; i++ {
-		smp := s.hist[u*w+i]
+		smp := s.hist[u*window+i]
 		v := math.Abs(smp.NormZ)
 		if c := math.Abs(smp.CosZ); c > v {
 			v = c
@@ -315,9 +287,8 @@ func (s *State) WindowMeans(u int) (nz, cz float64) {
 	if n == 0 {
 		return 0, 0
 	}
-	w := s.p.Window
 	for i := 0; i < n; i++ {
-		smp := s.hist[u*w+i]
+		smp := s.hist[u*window+i]
 		nz += math.Abs(smp.NormZ)
 		cz += math.Abs(smp.CosZ)
 	}
@@ -359,12 +330,12 @@ func (s *State) BlacklistCount() int { return len(s.blackList) }
 // tight — right after a blacklist shrinks the fleet, the MAD collapses
 // and an honest worker's ordinary deviation can score in the hundreds —
 // and one such spike would otherwise dominate its window mean for
-// Window rounds: enough consecutive flags to decay an honest
+// window rounds: enough consecutive flags to decay an honest
 // reputation below the blacklist floor. Capped at ZCap, a single spike
-// contributes at most ZCap/Window ≈ 1.25 to a full window's mean, under
-// both default detector thresholds, while a persistent attacker still
-// scores ZCap ≫ threshold every round and is flagged on the same
-// rounds as before. Thresholds above ZCap are unreachable.
+// contributes at most ZCap/window = 1.25 to a full window's mean, under
+// both detectors' cutoffs, while a persistent attacker still scores
+// ZCap ≫ cutoff every round and is flagged on the same rounds as
+// before.
 const ZCap = 10
 
 // robustZ writes median/MAD z-scores of vals into out[:len(vals)]: the

@@ -30,16 +30,22 @@ func fill(s *State, u, dim, round int, scale float64) {
 	}
 }
 
-// TestDefaultsApplied: zero Params normalize to the documented defaults.
+// TestDefaultsApplied: the fixed policy is the one every run has
+// always used by default — an 8-round window, at least 10 observations
+// before a blacklist, decay 0.9, floor 0.5, zscore cutoff 3 and 2-means
+// separation 2 — and NewState sizes the rings for it.
 func TestDefaultsApplied(t *testing.T) {
-	s := NewState(4, 2, Params{})
-	p := s.Policy()
-	if p.Window != DefaultWindow || p.MinRounds != DefaultMinRounds ||
-		p.Decay != DefaultDecay || p.BlacklistBelow != DefaultBlacklistBelow {
-		t.Fatalf("defaults not applied: %+v", p)
+	if window != 8 || minRounds != 10 || decay != 0.9 || blacklistBelow != 0.5 ||
+		zscoreCutoff != 3.0 || kmeansSeparation != 2.0 {
+		t.Fatalf("policy (window %d, minRounds %d, decay %v, floor %v, cutoff %v, separation %v) moved",
+			window, minRounds, decay, blacklistBelow, zscoreCutoff, kmeansSeparation)
 	}
+	s := NewState(4, 2)
 	if s.K() != 4 {
 		t.Fatalf("K() = %d, want 4", s.K())
+	}
+	if len(s.hist) != 4*window {
+		t.Fatalf("%d ring slots, want %d", len(s.hist), 4*window)
 	}
 }
 
@@ -61,7 +67,7 @@ func TestIsNone(t *testing.T) {
 func TestUnanimousFleetNeverFlags(t *testing.T) {
 	const k, dim = 8, 4
 	for _, det := range []Detector{ZScore{}, KMeans{}} {
-		s := NewState(k, dim, Params{})
+		s := NewState(k, dim)
 		for round := 0; round < 12; round++ {
 			s.BeginRound()
 			for u := 0; u < k; u++ {
@@ -88,7 +94,7 @@ func TestUnanimousFleetNeverFlags(t *testing.T) {
 // divergent worker.
 func TestNoneNeverFlags(t *testing.T) {
 	const k, dim = 6, 3
-	s := NewState(k, dim, Params{})
+	s := NewState(k, dim)
 	for round := 0; round < 15; round++ {
 		s.BeginRound()
 		for u := 0; u < k; u++ {
@@ -116,7 +122,7 @@ func TestNoneNeverFlags(t *testing.T) {
 // 10th observation. No honest worker loses any reputation.
 func TestZScoreBlacklistsPersistentOutlier(t *testing.T) {
 	const k, dim, byz = 8, 4, 3
-	s := NewState(k, dim, Params{})
+	s := NewState(k, dim)
 	blackAt := -1
 	for round := 0; round < 12; round++ {
 		s.BeginRound()
@@ -179,16 +185,16 @@ func (f flagWorkers) Flag(st *State, live []int, flags []bool) {
 // re-flagged, and never blacklisted twice.
 func TestBlacklistedWorkerLeavesTheFleet(t *testing.T) {
 	const k, dim, byz = 8, 4, 1
-	// Decay 0.5 sinks a flagged reputation below the 0.5 floor in two
-	// observations; MinRounds 3 gates the eviction to observation 3.
-	s := NewState(k, dim, Params{MinRounds: 3, Decay: 0.5})
-	for round := 0; round < 10; round++ {
+	// Flagged every round, the reputation sinks below the floor at the
+	// 7th observation; the minRounds gate holds the eviction to the 10th.
+	s := NewState(k, dim)
+	for round := 0; round < 14; round++ {
 		s.BeginRound()
 		for u := 0; u < k; u++ {
 			fill(s, u, dim, round, 1.0)
 		}
 		s.Observe(flagWorkers{byz})
-		if want := round >= 2; s.Blacklisted(byz) != want {
+		if want := round >= minRounds-1; s.Blacklisted(byz) != want {
 			t.Errorf("round %d: Blacklisted(%d) = %v, want %v", round, byz, s.Blacklisted(byz), want)
 		}
 	}
@@ -216,7 +222,7 @@ func TestBlacklistedWorkerLeavesTheFleet(t *testing.T) {
 func TestKMeansFlagsPlantedMinority(t *testing.T) {
 	const k, dim = 10, 4
 	byz := map[int]bool{2: true, 5: true}
-	s := NewState(k, dim, Params{})
+	s := NewState(k, dim)
 	for round := 0; round < 8; round++ {
 		s.BeginRound()
 		for u := 0; u < k; u++ {
@@ -239,7 +245,7 @@ func TestKMeansFlagsPlantedMinority(t *testing.T) {
 	}
 
 	// Too few live points: abstain.
-	small := NewState(3, dim, Params{})
+	small := NewState(3, dim)
 	small.BeginRound()
 	for u := 0; u < 3; u++ {
 		scale := 1.0
@@ -259,7 +265,7 @@ func TestKMeansFlagsPlantedMinority(t *testing.T) {
 // live set.
 func TestReportReturnsZeroedRow(t *testing.T) {
 	const k, dim = 4, 3
-	s := NewState(k, dim, Params{})
+	s := NewState(k, dim)
 	s.BeginRound()
 	for u := 0; u < k; u++ {
 		fill(s, u, dim, 0, 2.0)
@@ -291,7 +297,7 @@ func TestReportReturnsZeroedRow(t *testing.T) {
 // max(|NormZ|, |CosZ|) over the ring and is zero before any
 // observation.
 func TestWindowScoreTracksRing(t *testing.T) {
-	s := NewState(2, 2, Params{Window: 4})
+	s := NewState(2, 2)
 	if s.WindowScore(0) != 0 {
 		t.Fatal("window score nonzero before any observation")
 	}

@@ -3,22 +3,19 @@ package detect
 import "math"
 
 // ZScore flags workers whose window-mean outlier score — the mean of
-// max(|NormZ|, |CosZ|) over their history ring — exceeds Threshold.
+// max(|NormZ|, |CosZ|) over their history ring — exceeds zscoreCutoff.
 // Because the per-round z-scores are median/MAD based, a minority of
 // colluding Byzantines cannot recenter the statistics around
 // themselves; persistent payload crafting (reversed gradients, ALIE's
 // µ − z·σ shift, constant matrices) shows up as a sustained score well
 // above the honest fleet's.
-type ZScore struct {
-	// Threshold is the window-score cutoff; 0 means 3.0.
-	Threshold float64
-}
+type ZScore struct{}
 
 // Name implements Detector.
 func (ZScore) Name() string { return "zscore" }
 
 // RelGate scales the zscore detector's adaptive cutoff: a worker is
-// flagged only when its window score exceeds both Threshold and
+// flagged only when its window score exceeds both zscoreCutoff and
 // RelGate × the live fleet's median window score. Near convergence
 // every report is sampling noise around a near-zero gradient, the
 // whole fleet's scores drift up together, and a fixed cutoff would
@@ -28,16 +25,12 @@ func (ZScore) Name() string { return "zscore" }
 const RelGate = 2.0
 
 // Flag implements Detector.
-func (z ZScore) Flag(st *State, live []int, flags []bool) {
-	thr := z.Threshold
-	if thr == 0 {
-		thr = 3.0
-	}
+func (ZScore) Flag(st *State, live []int, flags []bool) {
 	sc := st.featScratch[:0]
 	for _, u := range live {
 		sc = append(sc, st.WindowScore(u))
 	}
-	gate := math.Max(thr, RelGate*medianInPlace(sc))
+	gate := math.Max(zscoreCutoff, RelGate*medianInPlace(sc))
 	st.featScratch = sc[:0]
 	for _, u := range live {
 		if st.WindowScore(u) > gate {
@@ -50,13 +43,10 @@ func (z ZScore) Flag(st *State, live []int, flags []bool) {
 // the 2-D point (window-mean |NormZ|, window-mean |CosZ|), a
 // deterministic 2-means partition splits the fleet, and the minority
 // cluster is flagged when it is both clearly separated (center distance
-// above Threshold) and farther from the origin than the majority —
+// above kmeansSeparation) and farther from the origin than the majority —
 // i.e. a small, persistently anomalous group, not a random split of an
 // honest fleet.
-type KMeans struct {
-	// Threshold is the minimum center separation; 0 means 2.0.
-	Threshold float64
-}
+type KMeans struct{}
 
 // Name implements Detector.
 func (KMeans) Name() string { return "cluster" }
@@ -66,11 +56,7 @@ func (KMeans) Name() string { return "cluster" }
 const kmeansIters = 8
 
 // Flag implements Detector.
-func (k KMeans) Flag(st *State, live []int, flags []bool) {
-	thr := k.Threshold
-	if thr == 0 {
-		thr = 2.0
-	}
+func (KMeans) Flag(st *State, live []int, flags []bool) {
 	if len(live) < 4 {
 		return // too few points for a meaningful 2-way split
 	}
@@ -137,7 +123,7 @@ func (k KMeans) Flag(st *State, live []int, flags []bool) {
 	if 2*minN >= len(pts) {
 		return
 	}
-	if math.Sqrt(dist2(minC, majC)) <= thr {
+	if math.Sqrt(dist2(minC, majC)) <= kmeansSeparation {
 		return
 	}
 	if minC[0]+minC[1] <= majC[0]+majC[1] {

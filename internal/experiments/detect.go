@@ -33,12 +33,12 @@ type DetectRow struct {
 }
 
 // DetectSweep trains the attack × detector matrix in process on the
-// MOLS(5,3) cluster with the worst-case q = 3 Byzantine placement:
-// every registry attack the coalition can mount against every detector,
-// including the detection-free control column. Every cell is
+// MOLS(5,3) cluster with the worst-case q = 3 Byzantine placement: the
+// benign control, the reversed gradient and ALIE against every
+// detector, including the detection-free control column. Every cell is
 // deterministic given opts.
 func DetectSweep(ctx context.Context, opts TrainOpts) ([]DetectRow, error) {
-	attacks := []string{"benign", "reversed", "sign-flip", "alie"}
+	attacks := []string{"benign", "reversed", "alie"}
 	detectors := []string{"none", "zscore", "cluster"}
 	var rows []DetectRow
 	for _, atk := range attacks {

@@ -64,8 +64,19 @@ func rowHash(row any) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
+// detectOpts is byzsim -detect's scale: the default options at 100
+// rounds.
+func detectOpts(dist string, alpha float64) TrainOpts {
+	o := DefaultTrainOpts()
+	o.Spec.Rounds = 100
+	o.Spec.Distribution, o.Spec.DistParam = dist, alpha
+	return o
+}
+
 // TestSweepRowsPinned pins fault-sweep cells under IID and Dirichlet
-// data and one detection cell.
+// data and detection cells of both detectors, among them the clean
+// Dirichlet α = 0.1 runs where each detector blacklists 2 honest
+// workers.
 func TestSweepRowsPinned(t *testing.T) {
 	ctx := context.Background()
 	rows, err := FaultSweep(ctx, faultSweepOpts())
@@ -96,6 +107,9 @@ func TestSweepRowsPinned(t *testing.T) {
 		{"iid mols/flaky-3", find(rows, "mols(5,3)", "flaky-3"), "a4a11717b5647ae1"},
 		{"dirichlet mols/crash-2", find(drows, "mols(5,3)", "crash-2"), "10e70be59f5d9b44"},
 		{"alie/zscore", runDetectCell(ctx, "alie", "zscore", faultSweepOpts()), "7eba16b525f1b59e"},
+		{"reversed/cluster", runDetectCell(ctx, "reversed", "cluster", faultSweepOpts()), "9d94527add832a4d"},
+		{"dirichlet-0.1 benign/zscore", runDetectCell(ctx, "benign", "zscore", detectOpts("dirichlet", 0.1)), "7424fedd2288b0c4"},
+		{"dirichlet-0.1 benign/cluster", runDetectCell(ctx, "benign", "cluster", detectOpts("dirichlet", 0.1)), "d5c2dcb23436925a"},
 	}
 	for _, tc := range cases {
 		if got := rowHash(tc.row); got != tc.want {

@@ -72,7 +72,8 @@ type AggregatorParams struct {
 // irrelevant to an attack are ignored:
 //
 //	constant         Value (0 → −1), scaled by file size
-//	reversed         C (0 → 1)
+//	reversed         C (0 → 1); "sign-flip" is its alias: at C = 1
+//	                 negating every coordinate is the reversed gradient
 //	alie             Z (0 → closed-form z_max)
 //	random-gaussian  Scale (0 → 1)
 type AttackParams struct {
@@ -97,21 +98,6 @@ type FaultParams struct {
 	Seed    int64
 }
 
-// DetectorParams carries the knobs of the PS-side Byzantine detectors
-// and the reputation policy they share. Zero values take the defaults
-// documented in internal/detect:
-//
-//	zscore   Threshold (window-score cutoff, 0 → 3.0)
-//	cluster  Threshold (2-means center separation, 0 → 2.0)
-//	(all)    Window, MinRounds, Decay, BlacklistBelow (policy knobs)
-type DetectorParams struct {
-	Window         int
-	MinRounds      int
-	Decay          float64
-	Threshold      float64
-	BlacklistBelow float64
-}
-
 // DistributionParams carries the knobs of the data-distribution
 // components. Fields irrelevant to a distribution are ignored:
 //
@@ -122,14 +108,6 @@ type DistributionParams struct {
 	Alpha  float64
 	Shards int
 	Seed   int64
-}
-
-// Policy converts the wire/CLI params to the detect-layer policy.
-func (p DetectorParams) Policy() detect.Params {
-	return detect.Params{
-		Window: p.Window, MinRounds: p.MinRounds,
-		Decay: p.Decay, Threshold: p.Threshold, BlacklistBelow: p.BlacklistBelow,
-	}
 }
 
 // SchemeCtor builds an assignment from params.
@@ -144,8 +122,9 @@ type AttackCtor func(AttackParams) (attack.Attack, error)
 // FaultCtor builds a fault model from params.
 type FaultCtor func(FaultParams) (fault.Fault, error)
 
-// DetectorCtor builds a Byzantine detector from params.
-type DetectorCtor func(DetectorParams) (detect.Detector, error)
+// DetectorCtor builds a Byzantine detector. Detectors take no
+// parameters: every one runs under the fixed policy of internal/detect.
+type DetectorCtor func() (detect.Detector, error)
 
 // DistributionCtor builds a data distribution from params.
 type DistributionCtor func(DistributionParams) (data.Distributor, error)
@@ -310,14 +289,14 @@ func (r *Registry) RegisterDistribution(ctor DistributionCtor, canonical string,
 }
 
 // Detector builds the named Byzantine detector.
-func (r *Registry) Detector(name string, params ...DetectorParams) (detect.Detector, error) {
+func (r *Registry) Detector(name string) (detect.Detector, error) {
 	r.mu.RLock()
 	ctor, err := lookup(r.detectors, "detector", name)
 	r.mu.RUnlock()
 	if err != nil {
 		return nil, err
 	}
-	return ctor(first(params))
+	return ctor()
 }
 
 // Distribution builds the named data distribution.
@@ -478,13 +457,10 @@ func mustRegisterBuiltins(r *Registry) {
 	}, "constant"))
 	must(r.RegisterAttack(func(p AttackParams) (attack.Attack, error) {
 		return attack.Reversed{C: p.C}, nil
-	}, "reversed", "reversed-gradient", "revgrad"))
+	}, "reversed", "reversed-gradient", "revgrad", "sign-flip"))
 	must(r.RegisterAttack(func(p AttackParams) (attack.Attack, error) {
 		return attack.RandomGaussian{Scale: p.Scale}, nil
 	}, "random-gaussian"))
-	must(r.RegisterAttack(func(AttackParams) (attack.Attack, error) {
-		return attack.SignFlip{}, nil
-	}, "sign-flip"))
 
 	// Fault models.
 	must(r.RegisterFault(func(FaultParams) (fault.Fault, error) {
@@ -530,13 +506,13 @@ func mustRegisterBuiltins(r *Registry) {
 	}, "label-skew", "labelskew", "shard"))
 
 	// Byzantine detectors.
-	must(r.RegisterDetector(func(DetectorParams) (detect.Detector, error) {
+	must(r.RegisterDetector(func() (detect.Detector, error) {
 		return detect.None{}, nil
 	}, "none", "no-detector"))
-	must(r.RegisterDetector(func(p DetectorParams) (detect.Detector, error) {
-		return detect.ZScore{Threshold: p.Threshold}, nil
+	must(r.RegisterDetector(func() (detect.Detector, error) {
+		return detect.ZScore{}, nil
 	}, "zscore", "z-score"))
-	must(r.RegisterDetector(func(p DetectorParams) (detect.Detector, error) {
-		return detect.KMeans{Threshold: p.Threshold}, nil
+	must(r.RegisterDetector(func() (detect.Detector, error) {
+		return detect.KMeans{}, nil
 	}, "cluster", "kmeans"))
 }

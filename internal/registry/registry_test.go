@@ -3,6 +3,7 @@ package registry_test
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -195,6 +196,12 @@ func TestAliasesResolve(t *testing.T) {
 	}
 	if atk, err := r.Attack("revgrad"); err != nil || atk != (attack.Reversed{}) {
 		t.Errorf("revgrad alias: %v %#v", err, atk)
+	}
+	if atk, err := r.Attack("sign-flip"); err != nil || atk != (attack.Reversed{}) {
+		t.Errorf("sign-flip alias: %v %#v", err, atk)
+	}
+	if slices.Contains(r.Attacks(), "sign-flip") {
+		t.Error("sign-flip listed as a canonical attack; it is an alias of reversed")
 	}
 	if atk, err := r.Attack("none"); err != nil || atk != (attack.Benign{}) {
 		t.Errorf("none alias: %v %#v", err, atk)

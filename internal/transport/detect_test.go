@@ -78,7 +78,9 @@ func wireAdversaryMatchesEngine[T linalg.Float](t *testing.T) {
 		}},
 	}
 	clean := engineParamsOf[T](t, spec, enginePlane{})
-	for _, name := range byzregistry.Default.Attacks() {
+	// "sign-flip" is an alias of reversed, not a canonical name; old
+	// command lines still name it, so it keeps its own cells.
+	for _, name := range append(byzregistry.Default.Attacks(), "sign-flip") {
 		atk, err := byzregistry.Default.Attack(name)
 		if err != nil {
 			t.Fatal(err)
@@ -129,9 +131,8 @@ func wireAdversaryMatchesEngine[T linalg.Float](t *testing.T) {
 	// the rest — and the other member, observed half as often because it
 	// skips rounds, keeps attacking alone, exactly as the engine's does.
 	t.Run("alie/lowest-id-blacklisted", func(t *testing.T) {
-		spec := testSpec(16)
+		spec := testSpec(28)
 		spec.Detector = "zscore"
-		spec.DetectorParams = byzregistry.DetectorParams{MinRounds: 4}
 		spec.Faults = []FaultSpec{
 			{Name: "flaky", Params: byzregistry.FaultParams{Workers: coalition[1:], P: 0.5, Seed: 5}},
 		}
@@ -237,7 +238,7 @@ func TestBlacklistedWorkerRejoinRejected(t *testing.T) {
 	for u := 0; u < asn.K; u++ {
 		cfg := WorkerConfig{ID: u}
 		if u == victim {
-			cfg.Attack = attack.SignFlip{}
+			cfg.Attack = attack.Reversed{}
 		}
 		wg.Add(1)
 		go func(cfg WorkerConfig) {

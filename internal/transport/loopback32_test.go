@@ -223,7 +223,7 @@ func TestLoopback32Planes(t *testing.T) {
 		{
 			name: "zscore-blacklist", rounds: 14, blacklists: 6,
 			spec:      func(s *Spec) { s.Detector = "zscore" },
-			engine:    enginePlane{attack: attack.SignFlip{}, byz: []int{6}},
+			engine:    enginePlane{attack: attack.Reversed{}, byz: []int{6}},
 			workerErr: map[int]error{6: ErrBlacklisted},
 			want:      Counters{Joins: 15, BlacklistRejections: 1},
 		},

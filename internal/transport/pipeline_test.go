@@ -757,9 +757,9 @@ func TestServeJoinsAcceptLoopAndHandshakes(t *testing.T) {
 // TestV2PeerRejected: an old-version peer is refused with a typed
 // Reject{RejectVersion} at both negotiation layers — a Hello declaring
 // an old version inside a valid frame, and any frame whose header is
-// stamped with an old version (how a real v5, v7, v9 or v10 peer looks on
-// the wire: its very first frame header fails the version check, before
-// any payload parses).
+// stamped with an old version (how a real v5, v7, v9, v10 or v11 peer
+// looks on the wire: its very first frame header fails the version
+// check, before any payload parses).
 func TestV2PeerRejected(t *testing.T) {
 	spec := testSpec(3)
 	srv, err := NewServer("127.0.0.1:0", ServerConfig{Spec: spec})
@@ -800,13 +800,14 @@ func TestV2PeerRejected(t *testing.T) {
 
 	// A frame stamped with an old version in its header, as a real old
 	// peer would send — a v5, a v7, a v8, a v9 (the last protocol with
-	// shard fields) and a v10 one (the last whose Spec names no data
-	// distribution or quorum): rejected before the
+	// shard fields), a v10 one (the last whose Spec names no data
+	// distribution or quorum) and a v11 one (the last whose Spec ships
+	// the detection policy): rejected before the
 	// payload is even interpreted. The peer cannot parse the Reject frame
 	// it gets back, but the bytes on its socket are deterministic — a
 	// framed Reject carrying RejectVersion, then EOF — so the refusal is
 	// diagnosable.
-	for _, old := range []byte{5, 7, 8, 9, 10} {
+	for _, old := range []byte{5, 7, 8, 9, 10, 11} {
 		raw, err = net.Dial("tcp", srv.Addr())
 		if err != nil {
 			t.Fatal(err)

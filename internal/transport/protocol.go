@@ -1,6 +1,6 @@
 // Package transport implements a real network transport for the
 // training protocol: a TCP parameter server and worker clients speaking
-// the framed v11 control protocol over net.Conn. This is the repository's
+// the framed v12 control protocol over net.Conn. This is the repository's
 // substitute for the paper's MPICH deployment — cmd/byzps and
 // cmd/byzworker run the same synchronous rounds as the in-process engine
 // across OS processes (or machines). The server executes every round
@@ -9,7 +9,7 @@
 // aggregates, and steps exactly like the in-process engine and
 // reproduces its parameter trajectory bit-for-bit for the same Spec.
 //
-// Wire protocol v11 (every message one self-delimiting frame, see
+// Wire protocol v12 (every message one self-delimiting frame, see
 // internal/wire: magic, version, type, length header + canonical
 // little-endian binary payload):
 //
@@ -19,6 +19,11 @@
 //	PS → worker:  RoundStart{Iteration, BaseIteration, ParamsFrame}
 //	worker → PS:  GradientReport{WorkerID, Iteration, Frame}
 //	PS → worker:  Shutdown{FinalAccuracy}
+//
+// v12 dropped the detection policy from the Spec: the window, minimum
+// observed rounds, reputation decay, detector threshold and blacklist
+// floor are constants of internal/detect, so the Spec names only the
+// detector and its payload is 32 bytes shorter.
 //
 // v11 made the Spec the one run description (spec.go): it names the
 // data distribution every process samples under and the vote quorum,
@@ -155,11 +160,6 @@ func appendSpec(dst []byte, s *Spec) ([]byte, error) {
 		}
 	}
 	dst = wire.AppendString(dst, s.Detector)
-	dst = wire.AppendU32(dst, uint32(s.DetectorParams.Window))
-	dst = wire.AppendU32(dst, uint32(s.DetectorParams.MinRounds))
-	dst = wire.AppendF64(dst, s.DetectorParams.Decay)
-	dst = wire.AppendF64(dst, s.DetectorParams.Threshold)
-	dst = wire.AppendF64(dst, s.DetectorParams.BlacklistBelow)
 	return dst, nil
 }
 
@@ -222,11 +222,6 @@ func decodeSpec(d *wire.Dec, s *Spec) {
 		}
 	}
 	s.Detector = d.String()
-	s.DetectorParams.Window = d.Int()
-	s.DetectorParams.MinRounds = d.Int()
-	s.DetectorParams.Decay = d.F64()
-	s.DetectorParams.Threshold = d.F64()
-	s.DetectorParams.BlacklistBelow = d.F64()
 }
 
 // --- Messages -------------------------------------------------------

@@ -72,12 +72,10 @@ type Spec struct {
 	// injected schedule without coordination.
 	Faults []FaultSpec
 	// Detector names the registry detector the PS runs between
-	// collection and aggregation ("" or "none" = detection off);
-	// DetectorParams carries the reputation policy knobs. Part of the
-	// Spec so every observer of the run agrees on the detection
-	// configuration.
-	Detector       string
-	DetectorParams registry.DetectorParams
+	// collection and aggregation ("" or "none" = detection off), under
+	// the fixed policy of internal/detect. Part of the Spec so every
+	// observer of the run agrees on the detection configuration.
+	Detector string
 }
 
 // components is the shared catalog every Spec resolves names through;
@@ -149,7 +147,7 @@ func EngineConfigOf[T linalg.Float](s *Spec) (cluster.ConfigOf[T], error) {
 		Assignment: b.Assignment, Model: b.Model, Train: b.Train, Test: b.Test,
 		BatchSize: s.BatchSize, Distribution: b.Distribution,
 		Aggregator: agg, Schedule: s.Schedule, Momentum: s.Momentum, Seed: s.Seed,
-		Quorum: s.Quorum, Detector: det, Detection: s.DetectorParams.Policy(),
+		Quorum: s.Quorum, Detector: det,
 		Fault: b.Fault,
 	}, nil
 }
@@ -196,7 +194,7 @@ func (s *Spec) BuildDetector() (detect.Detector, error) {
 	if name == "" {
 		name = "none"
 	}
-	return components.Detector(name, s.DetectorParams)
+	return components.Detector(name)
 }
 
 // BuildFault constructs the worker fault model named by the spec:

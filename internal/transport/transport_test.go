@@ -286,7 +286,6 @@ func TestSpecWireRoundTrip(t *testing.T) {
 		{Name: "straggler", Params: byzregistry.FaultParams{Workers: []int{9}, Delay: 2 * time.Second}},
 	}
 	spec.Detector = "zscore"
-	spec.DetectorParams = byzregistry.DetectorParams{Window: 6, MinRounds: 3, Decay: 0.8, Threshold: 2.5, BlacklistBelow: 0.4}
 	enc, err := appendSpec(nil, &spec)
 	if err != nil {
 		t.Fatal(err)

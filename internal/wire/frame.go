@@ -45,6 +45,9 @@ const (
 	// ProtocolVersion is the current control-plane protocol version.
 	// Hello/Welcome carry it explicitly for negotiation; every frame
 	// header repeats it so a version skew fails fast on any message.
+	// v12 dropped the detection policy from the Spec payload (two u32
+	// and three f64 fields, 32 bytes): the policy is fixed in
+	// internal/detect and the Spec names only the detector.
 	// v11 made the Spec the one run description: its payload carries
 	// the data distribution (name and knob), so workers draw the
 	// non-IID stream the engine draws, and the vote quorum.
@@ -79,7 +82,7 @@ const (
 	// the compressed uplink gradient codec (uplink.go) and the Welcome's
 	// uplink-delta flag. Older peers are rejected at the first frame
 	// (and at Hello/Welcome negotiation) with a typed version Reject.
-	ProtocolVersion = 11
+	ProtocolVersion = 12
 	// FrameHeaderSize is the fixed byte size of the frame header.
 	FrameHeaderSize = 8
 	// MaxFramePayload bounds the declared payload length a receiver will

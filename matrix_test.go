@@ -31,7 +31,9 @@ func TestAttackAggregatorMatrix(t *testing.T) {
 		"bulyan":       {C: 1},
 		"trimmed-mean": {Trim: 1},
 	}
-	attacks := byzshield.Registry.Attacks()
+	// "sign-flip" is an alias of reversed, not a canonical name; old
+	// command lines still name it, so it keeps its own cells.
+	attacks := append(byzshield.Registry.Attacks(), "sign-flip")
 	aggregators := byzshield.Registry.Aggregators()
 	if len(attacks) < 5 || len(aggregators) < 10 {
 		t.Fatalf("registry unexpectedly small: %d attacks, %d aggregators", len(attacks), len(aggregators))
@@ -108,7 +110,7 @@ func TestAttackDetectorMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	attacks := byzshield.Registry.Attacks()
+	attacks := append(byzshield.Registry.Attacks(), "sign-flip") // as above
 	detectors := byzshield.Registry.Detectors()
 	if len(attacks) < 5 || len(detectors) < 3 {
 		t.Fatalf("registry unexpectedly small: %d attacks, %d detectors", len(attacks), len(detectors))
@@ -221,7 +223,7 @@ func TestHonestFleetNeverBlacklisted(t *testing.T) {
 				Test:       test,
 				BatchSize:  500,
 				Aggregator: agg,
-				Detector:   byzshield.ClusterDetector(0),
+				Detector:   byzshield.ClusterDetector(),
 				Iterations: rounds,
 				EvalEvery:  rounds,
 				Seed:       11,

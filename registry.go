@@ -25,11 +25,6 @@ type AttackParams = registry.AttackParams
 // Delay, Seed).
 type FaultParams = registry.FaultParams
 
-// DetectorParams parameterizes the PS-side Byzantine detectors
-// (Threshold) and their shared reputation policy (Window, MinRounds,
-// Decay, BlacklistBelow).
-type DetectorParams = registry.DetectorParams
-
 // DistributionParams parameterizes the data-distribution components
 // (Alpha for "dirichlet", Shards for "label-skew", Seed).
 type DistributionParams = registry.DistributionParams
@@ -39,8 +34,8 @@ type DistributionParams = registry.DistributionParams
 // "random"), aggregator ("median", "mean", "trimmed-mean",
 // "median-of-means", "krum", "multikrum", "bulyan", "signsgd",
 // "geometric-median", "mean-around-median", "auror"), attack
-// ("benign", "alie", "constant", "reversed", "random-gaussian",
-// "sign-flip"), fault model ("none", "crash", "straggler", "delay",
+// ("benign", "alie", "constant", "reversed" — alias "sign-flip" —,
+// "random-gaussian"), fault model ("none", "crash", "straggler", "delay",
 // "flaky"), Byzantine detector ("none", "zscore", "cluster"), and data
 // distribution ("iid", "dirichlet", "label-skew") implemented in the
 // repository:
@@ -49,6 +44,10 @@ type DistributionParams = registry.DistributionParams
 //	agg, err := byzshield.Registry.Aggregator("median")
 //	atk, err := byzshield.Registry.Attack("alie")
 //	flt, err := byzshield.Registry.Fault("crash", byzshield.FaultParams{Workers: []int{2}, Round: 50})
+//	det, err := byzshield.Registry.Detector("zscore")
+//
+// A detector takes no parameters: every detector runs under the one
+// fixed reputation policy of internal/detect.
 //
 // Registry-built components are identical values to the ones returned
 // by the direct constructors (NewMOLS, Median, ALIE, ...), so the two

@@ -133,7 +133,6 @@ func Open(ctx context.Context, cfg TrainConfig) (*Session, error) {
 		Fault:        norm.Fault,
 		Quorum:       norm.Quorum,
 		Detector:     norm.Detector,
-		Detection:    norm.Detection,
 		Distribution: norm.Distribution,
 	})
 	if err != nil {
