@@ -22,7 +22,10 @@ bench:
 # because several f32 names extend an f64 name by suffix). The list is
 # whatever the package declares; fewer than the 18 that exist means a
 # target was deleted or renamed, which fails the run instead of
-# shrinking it. The chunked median/trimmed-mean kernels' bit-identity
+# shrinking it. FuzzParamsDeltaMatchesPortable and
+# FuzzInt8QuantizeMatchesReference check every input on both codec
+# dispatches (the AVX-512 bodies, where the CPU has them, and the
+# portable Go ones). The chunked median/trimmed-mean kernels' bit-identity
 # target runs after them for the same time: it repeats each input's
 # bytes until the range holds a full 64-lane tile and checks both tile
 # bodies (AVX-512 where the CPU has it, and the portable Go one). The

@@ -20,6 +20,19 @@ func simdSupported() bool {
 	return ebx&(1<<16) != 0
 }
 
+// vbmiSupported reports whether the CPU runs the byte-permute kernels'
+// extensions besides AVX-512F: CPUID leaf 7 EBX bits 8 (BMI2) and 30
+// (AVX512BW), and ECX bit 1 (AVX512_VBMI). The OS state is
+// simdSupported's.
+func vbmiSupported() bool {
+	maxLeaf, _, _, _ := cpuid(0, 0)
+	if maxLeaf < 7 {
+		return false
+	}
+	_, ebx, ecx, _ := cpuid(7, 0)
+	return ebx&(1<<8) != 0 && ebx&(1<<30) != 0 && ecx&(1<<1) != 0
+}
+
 // sortTileSIMD is sortLanes for a full tile (w = Lanes) in AVX-512F:
 // the same keys, the same comparators in the same order, and the same
 // two flags, so the tile and the flags are bit for bit the portable

@@ -7,6 +7,8 @@ package linalg
 
 func simdSupported() bool { return false }
 
+func vbmiSupported() bool { return false }
+
 func sortTileSIMD[T Float, K key](net []comparator, tile []K, vs [][]T, b0 int) (nan, negZero bool) {
 	panic("linalg: no SIMD tile body on this architecture")
 }

@@ -75,3 +75,23 @@ func uplinkSteadyStateAllocs[T linalg.Float](t *testing.T) {
 
 func TestUplinkSteadyStateAllocFree(t *testing.T)   { uplinkSteadyStateAllocs[float64](t) }
 func TestUplink32SteadyStateAllocFree(t *testing.T) { uplinkSteadyStateAllocs[float32](t) }
+
+// TestQuantizeInPlaceAllocFree pins the in-place quantizers, which the
+// engine runs on every lossy-tier report, at zero allocations on both
+// int8 dispatches at both widths.
+func TestQuantizeInPlaceAllocFree(t *testing.T) {
+	a64, _ := allocReports[float64]()
+	a32, _ := allocReports[float32]()
+	eachDispatch(t, linalg.SIMD, func(t *testing.T) {
+		for name, run := range map[string]func(){
+			"int8/f64": func() { Int8QuantizeInPlaceOf(a64[0]) },
+			"int8/f32": func() { Int8QuantizeInPlaceOf(a32[0]) },
+			"sign/f64": func() { SignQuantizeInPlaceOf(a64[1]) },
+			"sign/f32": func() { SignQuantizeInPlaceOf(a32[1]) },
+		} {
+			if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+				t.Errorf("%s: %v allocations per call, want 0", name, allocs)
+			}
+		}
+	})
+}

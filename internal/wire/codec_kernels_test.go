@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -96,6 +97,25 @@ func decodeParamsPortable[T linalg.Float](src []byte, params []T) (mode, consume
 	}
 }
 
+// int8ParamsReference is the one strict-compare scan int8Params ran
+// before it had a SIMD body: a NaN never replaces min or max, and of
+// equal values the first in index order stays.
+func int8ParamsReference[T linalg.Float](g []T) (min, scale T) {
+	if len(g) == 0 {
+		return 0, 0
+	}
+	min, max := g[0], g[0]
+	for _, v := range g[1:] {
+		if v < min {
+			min = v
+		}
+		if v > max {
+			max = v
+		}
+	}
+	return min, (max - min) / 255
+}
+
 // int8QuantizeReference is int8Quantize with math.Round.
 func int8QuantizeReference[T linalg.Float](v, min, scale T) uint8 {
 	if scale == 0 {
@@ -111,26 +131,83 @@ func int8QuantizeReference[T linalg.Float](v, min, scale T) uint8 {
 	return uint8(t)
 }
 
-// appendUplinkInt8Reference is the two-scan int8 encoder: int8Params
-// once for the (min, scale) table and again per value row, and the
-// math.Round quantizer.
+// appendUplinkInt8Reference is the two-scan int8 encoder: the
+// strict-compare scan once for the (min, scale) table and again per
+// value row, and the math.Round quantizer.
 func appendUplinkInt8Reference[T linalg.Float](dst []byte, worker int, files []int, grads [][]T, d int) ([]byte, error) {
 	dst, err := appendReportHeader(append(dst, UplinkInt8), worker, files, d)
 	if err != nil {
 		return nil, err
 	}
 	for _, g := range grads {
-		min, scale := int8Params(g)
+		min, scale := int8ParamsReference(g)
 		dst = appendFloat(dst, min)
 		dst = appendFloat(dst, scale)
 	}
 	for _, g := range grads {
-		min, scale := int8Params(g)
+		min, scale := int8ParamsReference(g)
 		for _, v := range g {
 			dst = append(dst, int8QuantizeReference(v, min, scale))
 		}
 	}
 	return dst, nil
+}
+
+// decodeUplinkInt8Reference is the scalar int8 decode loop the SIMD
+// body replaced: each row's (min, scale) read from the table, then
+// min + scale·q one value at a time. The frame must be well formed.
+func decodeUplinkInt8Reference[T linalg.Float](src []byte, f *GradFrameOf[T]) int {
+	w := linalg.Width[T]()
+	n := int(binary.LittleEndian.Uint32(src[5:]))
+	d := int(binary.LittleEndian.Uint32(src[9:]))
+	f.Worker = int(binary.LittleEndian.Uint32(src[1:]))
+	f.setFiles(src[quantHeader:], n)
+	f.growGrads(n, d)
+	body := src[quantHeader+n*4:]
+	vals := body[n*2*w:]
+	for i := 0; i < n; i++ {
+		min := linalg.FromBits[T](getBits[T](body[i*2*w:]))
+		scale := linalg.FromBits[T](getBits[T](body[i*2*w+w:]))
+		q := vals[i*d:]
+		g := f.Grads[i]
+		for j := 0; j < d; j++ {
+			g[j] = min + scale*T(q[j])
+		}
+	}
+	return quantHeader + n*4 + n*2*w + n*d
+}
+
+// sameFloat reports whether a and b have the same bits, or are both
+// NaN: a NaN result's payload depends on the operand order the
+// compiler picks (DESIGN §9.7), so a NaN is compared only as a NaN.
+func sameFloat[T linalg.Float](a, b T) bool {
+	return linalg.Bits(a) == linalg.Bits(b) || (a != a && b != b)
+}
+
+// eachDispatch runs check on the codecs' SIMD bodies (/simd, skipped
+// only on a CPU without what has() reports) and on their portable Go
+// bodies (/generic).
+func eachDispatch(t *testing.T, has func() bool, check func(t *testing.T)) {
+	t.Run("simd", func(t *testing.T) {
+		defer linalg.SetSIMD(linalg.SetSIMD(true))
+		if !has() {
+			t.Skip("this CPU lacks the SIMD codec bodies' features")
+		}
+		check(t)
+	})
+	t.Run("generic", func(t *testing.T) {
+		defer linalg.SetSIMD(linalg.SetSIMD(false))
+		check(t)
+	})
+}
+
+// bothDispatches runs check on the SIMD codec bodies, where the CPU
+// has them, and then on the portable ones.
+func bothDispatches(check func()) {
+	defer linalg.SetSIMD(linalg.SetSIMD(true))
+	check()
+	linalg.SetSIMD(false)
+	check()
 }
 
 // sgdStep returns base moved by an SGD-step-sized amount on most
@@ -240,51 +317,102 @@ func mutateFrame(rng *rand.Rand, frame []byte, d int) []byte {
 	return b
 }
 
+// laneMutations returns copies of a well-formed delta frame of d
+// coordinates broken at every lane position of one whole SIMD group
+// (64/sizeof(T) coordinates): the first, a middle or the last group as
+// d mod 3 is 0, 1 or 2. Each coordinate gets its length set above
+// sizeof(T), its top byte zeroed, and the frame cut inside its value.
+func laneMutations[T linalg.Float](frame []byte, d int) [][]byte {
+	w := linalg.Width[T]()
+	lanes := 64 / w
+	groups := d / lanes
+	if groups == 0 {
+		return nil
+	}
+	nb := (d + 1) / 2
+	nibbles := frame[paramsHeader : paramsHeader+nb]
+	payload := paramsHeader + nb
+	end := make([]int, d) // payload offset past each coordinate
+	for i, off := 0, 0; i < d; i++ {
+		off += nibbleLen(nibbles, i)
+		end[i] = off
+	}
+	var out [][]byte
+	g := []int{0, groups / 2, groups - 1}[d%3]
+	for k := 0; k < lanes; k++ {
+		i := g*lanes + k
+		b := slices.Clone(frame)
+		bad := byte(w + 1 + k%(15-w)) // every length from w+1 to 15
+		if at := paramsHeader + i/2; i%2 == 0 {
+			b[at] = b[at]&0xf0 | bad
+		} else {
+			b[at] = b[at]&0x0f | bad<<4
+		}
+		out = append(out, b)
+		if nibbleLen(nibbles, i) > 0 {
+			top := payload + end[i] - 1
+			b = slices.Clone(frame)
+			b[top] = 0
+			out = append(out, b, frame[:top])
+		}
+	}
+	return out
+}
+
 func checkParamsDeltaMatchesPortable[T linalg.Float](t *testing.T) {
 	rng := rand.New(rand.NewSource(int64(40 + linalg.Width[T]())))
-	for _, d := range []int{0, 1, 2, 3, 4, 7, 8, 15, 16, 17, 31, 32, 33, 100, 1001} {
+	dims := []int{1001}
+	for d := 257; d >= 0; d-- {
+		dims = append(dims, d)
+	}
+	for _, d := range dims {
 		for _, kind := range inputKinds {
-			for rep := 0; rep < 8; rep++ {
-				what := fmt.Sprintf("d=%d %s rep %d", d, kind, rep)
-				base, cur := deltaPair[T](rng, kind, d)
-				prefix := []byte{0xEE, 0xDD, 0xCC}[:1+rep%3]
-				frame, err := AppendParamsDeltaOf(slices.Clone(prefix), base, cur)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ref := appendParamsDeltaPortable(slices.Clone(prefix), base, cur)
-				if !bytes.Equal(frame, ref) {
-					t.Fatalf("%s: frame differs from the reference:\n got %x\nwant %x", what, frame, ref)
-				}
-				frame = frame[len(prefix):]
-				checkParamsDecodeAgrees(t, frame, base, what)
-				// Every truncation near the end: the last 16 bytes
-				// straddle the fast path's cut-off at each of them.
-				for cut := 0; cut <= 20 && cut <= len(frame); cut++ {
-					checkParamsDecodeAgrees(t, frame[:len(frame)-cut], base, fmt.Sprintf("%s cut %d", what, cut))
-				}
-				for m := 0; m < 40; m++ {
-					checkParamsDecodeAgrees(t, mutateFrame(rng, frame, d), base, fmt.Sprintf("%s mutation %d", what, m))
-				}
+			what := fmt.Sprintf("d=%d %s", d, kind)
+			base, cur := deltaPair[T](rng, kind, d)
+			prefix := []byte{0xEE, 0xDD, 0xCC}[:1+d%3]
+			frame, err := AppendParamsDeltaOf(slices.Clone(prefix), base, cur)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := appendParamsDeltaPortable(slices.Clone(prefix), base, cur)
+			if !bytes.Equal(frame, ref) {
+				t.Fatalf("%s: frame differs from the reference:\n got %x\nwant %x", what, frame, ref)
+			}
+			frame = frame[len(prefix):]
+			checkParamsDecodeAgrees(t, frame, base, what)
+			// Every truncation near the end: the last 64 bytes
+			// straddle both fast paths' cut-offs at each of them.
+			for cut := 0; cut <= 68 && cut <= len(frame); cut++ {
+				checkParamsDecodeAgrees(t, frame[:len(frame)-cut], base, fmt.Sprintf("%s cut %d", what, cut))
+			}
+			for m, bad := range laneMutations[T](frame, d) {
+				checkParamsDecodeAgrees(t, bad, base, fmt.Sprintf("%s lane mutation %d", what, m))
+			}
+			for m := 0; m < 12; m++ {
+				checkParamsDecodeAgrees(t, mutateFrame(rng, frame, d), base, fmt.Sprintf("%s mutation %d", what, m))
 			}
 		}
 	}
 }
 
-// TestParamsDeltaMatchesPortable holds the word-at-a-time delta codec
-// to the per-byte reference at both widths: byte-identical frames and
-// bit-identical decodes on random, special-value and SGD-step inputs,
-// and the same accept/reject, error and consumed count on truncated and
-// randomly mutated frames.
+// TestParamsDeltaMatchesPortable holds the delta codec to the per-byte
+// reference at both widths and on both decoder dispatches (the SIMD
+// group body where the CPU runs it, and the portable word-at-a-time
+// loop): byte-identical frames and bit-identical decodes on random,
+// special-value and SGD-step inputs at d = 0…257 and 1001, and the
+// same accept/reject, error and consumed count on truncated frames,
+// on frames broken at every lane position of a group, and on randomly
+// mutated frames.
 func TestParamsDeltaMatchesPortable(t *testing.T) {
-	t.Run("f64", checkParamsDeltaMatchesPortable[float64])
-	t.Run("f32", checkParamsDeltaMatchesPortable[float32])
+	t.Run("f64", func(t *testing.T) { eachDispatch(t, linalg.SIMDVBMI, checkParamsDeltaMatchesPortable[float64]) })
+	t.Run("f32", func(t *testing.T) { eachDispatch(t, linalg.SIMDVBMI, checkParamsDeltaMatchesPortable[float32]) })
 }
 
 // checkInt8Frame encodes the rows through the int8 front door and the
 // reference encoder and fails unless the frames are byte-identical,
-// the frame decodes to the in-place quantization, and that equals the
-// reference quantizer's grid values.
+// the frame decodes (and the in-place quantizer rounds) to the
+// reference quantizer's grid values, and the scalar reference decoder
+// reads the same frame to the same values.
 func checkInt8Frame[T linalg.Float](t testing.TB, grads [][]T, what string) {
 	t.Helper()
 	files := make([]int, len(grads))
@@ -308,56 +436,142 @@ func checkInt8Frame[T linalg.Float](t testing.TB, grads [][]T, what string) {
 		t.Fatalf("%s: int8 frame differs from the reference:\n got %x\nwant %x", what, frame, ref)
 	}
 	dec := UplinkDecoderOf[T]{Tier: TierInt8}
-	var f GradFrameOf[T]
-	if _, _, err := dec.Decode(frame[1:], &f); err != nil {
+	var f, rf GradFrameOf[T]
+	_, consumed, err := dec.Decode(frame[1:], &f)
+	if err != nil {
 		t.Fatalf("%s: decode: %v", what, err)
+	}
+	if rc := decodeUplinkInt8Reference(frame[1:], &rf); consumed != rc {
+		t.Fatalf("%s: decode consumed %d, reference %d", what, consumed, rc)
 	}
 	for i, g := range grads {
 		inPlace := slices.Clone(g)
 		Int8QuantizeInPlaceOf(inPlace)
-		min, scale := int8Params(g)
+		min, scale := int8ParamsReference(g)
 		for j, v := range g {
 			want := min + scale*T(int8QuantizeReference(v, min, scale))
-			if linalg.Bits(inPlace[j]) != linalg.Bits(want) || linalg.Bits(f.Grads[i][j]) != linalg.Bits(want) {
-				t.Fatalf("%s: row %d value %d: in place %#x, wire %#x, reference %#x", what, i, j,
-					linalg.Bits(inPlace[j]), linalg.Bits(f.Grads[i][j]), linalg.Bits(want))
+			if !sameFloat(inPlace[j], want) || !sameFloat(f.Grads[i][j], want) || !sameFloat(rf.Grads[i][j], want) {
+				t.Fatalf("%s: row %d value %d: in place %#x, wire %#x, reference decode %#x, reference %#x", what, i, j,
+					linalg.Bits(inPlace[j]), linalg.Bits(f.Grads[i][j]), linalg.Bits(rf.Grads[i][j]), linalg.Bits(want))
 			}
 		}
 	}
+}
+
+// nanBits returns a NaN at T's width with the given sign and payload
+// (low mantissa bits; a payload without the quiet bit is signaling).
+func nanBits[T linalg.Float](neg bool, payload uint64) T {
+	bits := linalg.Bits(T(math.Inf(1))) | payload
+	if neg {
+		bits |= 1 << (8*linalg.Width[T]() - 1)
+	}
+	return linalg.FromBits[T](bits)
+}
+
+// int8Rows returns d-wide rows that stress the int8 scan and quantizer
+// besides the random, special-value and SGD-step kinds: NaNs of both
+// signs with distinct payloads at index 0 and later, ±0 extremes at the
+// first, middle and last index, ±Inf, subnormals, constant rows, a
+// range whose scale underflows to 0, and rows whose v − min overflows
+// T.
+func int8Rows[T linalg.Float](rng *rand.Rand, d int) [][]T {
+	var rows [][]T
+	for _, kind := range inputKinds {
+		base, cur := deltaPair[T](rng, kind, d)
+		if kind == "sgd" {
+			// An SGD step's difference: a gradient's scale.
+			for j := range cur {
+				cur[j] -= base[j]
+			}
+		}
+		rows = append(rows, cur)
+	}
+	if d == 0 {
+		return rows
+	}
+	at := func(lo int) int { return lo + rng.Intn(d-lo) }
+	signed := func(v T) T {
+		if rng.Intn(2) == 0 {
+			return -v
+		}
+		return v
+	}
+	g := gaussian[T](rng, d)
+	g[0] = nanBits[T](false, 0x11)
+	g[at(0)] = nanBits[T](true, 0x22|1<<20)
+	rows = append(rows, g)
+	if d > 1 {
+		g = gaussian[T](rng, d)
+		g[at(1)] = nanBits[T](true, 0x33)
+		g[at(1)] = nanBits[T](false, 0x44|1<<21)
+		rows = append(rows, g)
+	}
+	// Zero extremes: a non-negative row has min ±0 and a non-positive
+	// one max ±0. The zeros sit at one or all of the first, middle and
+	// last index, or at two later ones; the first takes a random sign
+	// and the others the opposite one.
+	for _, neg := range []bool{false, true} {
+		for _, zeros := range [][]int{{0}, {d / 2}, {d - 1}, {0, d / 2, d - 1}, {1, 2}, {1, d/2 + 1}, {d / 2, d - 1}} {
+			g = gaussian[T](rng, d)
+			for j, v := range g {
+				if v = T(math.Abs(float64(v))) + 1; neg {
+					v = -v
+				}
+				g[j] = v
+			}
+			z := signed(0)
+			for _, j := range zeros {
+				g[min(j, d-1)] = z
+				z = -z
+			}
+			rows = append(rows, g)
+		}
+	}
+	g = gaussian[T](rng, d)
+	g[at(0)] = T(math.Inf(1))
+	g[at(0)] = T(math.Inf(-1))
+	rows = append(rows, g)
+	g = make([]T, d)
+	for j := range g {
+		g[j] = signed(linalg.FromBits[T](rng.Uint64() % (1 << 20)))
+	}
+	rows = append(rows, g)
+	// Constant rows, and a range of two subnormal steps: its scale
+	// underflows to 0, so the row quantizes like a constant one.
+	c, z, u := make([]T, d), make([]T, d), make([]T, d)
+	for j := range c {
+		c[j], z[j], u[j] = 1.5, signed(0), linalg.FromBits[T](uint64(rng.Intn(3)))
+	}
+	rows = append(rows, c, z, u)
+	big := maxFinite[T]()
+	g = make([]T, d)
+	for j := range g {
+		g[j] = signed(big * T(0.5+rng.Float64()/2))
+	}
+	return append(rows, g)
 }
 
 func checkInt8MatchesReference[T linalg.Float](t *testing.T) {
 	rng := rand.New(rand.NewSource(int64(60 + linalg.Width[T]())))
-	for _, d := range []int{0, 1, 2, 17, 1001} {
-		for _, n := range []int{1, 3} {
-			for _, kind := range inputKinds {
-				for rep := 0; rep < 6; rep++ {
-					grads := make([][]T, n)
-					for i := range grads {
-						base, cur := deltaPair[T](rng, kind, d)
-						if kind == "sgd" {
-							// An SGD step's difference: a gradient's scale.
-							for j := range cur {
-								cur[j] -= base[j]
-							}
-						}
-						grads[i] = cur
-					}
-					checkInt8Frame(t, grads, fmt.Sprintf("d=%d n=%d %s rep %d", d, n, kind, rep))
-				}
-			}
-		}
+	for d := 0; d <= 257; d++ {
+		rows := int8Rows[T](rng, d)
+		checkInt8Frame(t, rows, fmt.Sprintf("d=%d", d))
+		checkInt8Frame(t, rows[d%3:d%3+1], fmt.Sprintf("d=%d single row", d))
+	}
+	for _, d := range []int{1001, 16_008} {
+		checkInt8Frame(t, int8Rows[T](rng, d), fmt.Sprintf("d=%d", d))
 	}
 }
 
-// TestInt8QuantizeMatchesReference holds the one-scan int8 encoder and
-// its truncate-and-compare rounding to the two-scan math.Round
-// reference at both widths: byte-identical frames, and decoded and
-// in-place values bit-identical to the reference grid, on random,
-// special-value and SGD-step rows.
+// TestInt8QuantizeMatchesReference holds the int8 encoder, decoder and
+// in-place quantizer to the two-scan math.Round reference at both widths
+// and on both dispatches (the SIMD bodies where the CPU runs them, and
+// the portable loops): byte-identical frames, and decoded and in-place
+// values equal to the reference grid (a NaN as a NaN), on the int8Rows
+// kinds at d = 0…257, 1001 and 16 008.
 func TestInt8QuantizeMatchesReference(t *testing.T) {
-	t.Run("f64", checkInt8MatchesReference[float64])
-	t.Run("f32", checkInt8MatchesReference[float32])
+	t.Run("f64", func(t *testing.T) { eachDispatch(t, linalg.SIMD, checkInt8MatchesReference[float64]) })
+	t.Run("f32", func(t *testing.T) { eachDispatch(t, linalg.SIMD, checkInt8MatchesReference[float32]) })
 }
 
 // int8BoundaryCases returns (v, min, scale) triples at T's width on
@@ -413,12 +627,45 @@ func maxFinite[T linalg.Float]() T {
 	return linalg.FromBits[T](math.Float64bits(math.MaxFloat64))
 }
 
+// checkInt8QuantizeRow quantizes vs on one (min, scale) grid through
+// int8QuantizeRow, the dispatching row loop, and fails on any byte the
+// math.Round reference rounds differently.
+func checkInt8QuantizeRow[T linalg.Float](t testing.TB, vs []T, min, scale T) {
+	t.Helper()
+	q := make([]byte, len(vs))
+	int8QuantizeRow(q, vs, min, scale)
+	for j, v := range vs {
+		if want := int8QuantizeReference(v, min, scale); q[j] != want {
+			t.Fatalf("int8QuantizeRow at %d: (%v, %v, %v) → %d, math.Round reference %d", j, v, min, scale, q[j], want)
+		}
+	}
+}
+
 func checkInt8RoundingBoundary[T linalg.Float](t *testing.T) {
-	for _, c := range int8BoundaryCases[T]() {
+	cases := int8BoundaryCases[T]()
+	for _, c := range cases {
 		v, min, scale := c[0], c[1], c[2]
 		if got, want := int8Quantize(v, min, scale), int8QuantizeReference(v, min, scale); got != want {
 			t.Errorf("int8Quantize(%v, %v, %v) = %d, math.Round reference %d", v, min, scale, got, want)
 		}
+	}
+	// The same triples through the row loop, one row per (min, scale),
+	// repeated past two whole SIMD blocks and a ragged tail.
+	grids := map[[2]uint64][]T{}
+	var order [][2]uint64
+	for _, c := range cases {
+		k := [2]uint64{linalg.Bits(c[1]), linalg.Bits(c[2])}
+		if _, ok := grids[k]; !ok {
+			order = append(order, k)
+		}
+		grids[k] = append(grids[k], c[0])
+	}
+	for _, k := range order {
+		vs := grids[k]
+		for len(vs) < 2*codecBlock+3 {
+			vs = append(vs, vs...)
+		}
+		checkInt8QuantizeRow(t, vs, linalg.FromBits[T](k[0]), linalg.FromBits[T](k[1]))
 	}
 	// Whole rows through the frame: subnormal and overflowing ranges
 	// reach the quantizer by way of int8Params.
@@ -443,12 +690,13 @@ func checkInt8RoundingBoundary[T linalg.Float](t *testing.T) {
 }
 
 // TestInt8RoundingBoundary checks the truncate-and-compare rounding
-// against math.Round at both widths on every half-step of the grid, the
-// values beside them, the classic floor(t+½) trap, signed zeros, NaN,
+// against math.Round at both widths and on both dispatches, alone and
+// through the row loop, on every half-step of the grid, the values
+// beside them, the classic floor(t+½) trap, signed zeros, NaN,
 // infinities, subnormal and infinite scales, and overflowing offsets.
 func TestInt8RoundingBoundary(t *testing.T) {
-	t.Run("f64", checkInt8RoundingBoundary[float64])
-	t.Run("f32", checkInt8RoundingBoundary[float32])
+	t.Run("f64", func(t *testing.T) { eachDispatch(t, linalg.SIMD, checkInt8RoundingBoundary[float64]) })
+	t.Run("f32", func(t *testing.T) { eachDispatch(t, linalg.SIMD, checkInt8RoundingBoundary[float32]) })
 }
 
 // fuzzFloats reads up to limit values of T's width from raw.
@@ -463,16 +711,19 @@ func fuzzFloats[T linalg.Float](raw []byte, limit int) []T {
 }
 
 // FuzzParamsDeltaMatchesPortable builds (base, cur) from fuzzed bits at
-// both widths and holds the delta codec to the per-byte reference:
-// identical frames, identical decodes, and identical accept/reject and
-// consumed on the frame overwritten at fuzzed positions, truncated at
-// a fuzzed length, and on the raw fuzz bytes read as a frame.
+// both widths and holds the delta codec, on both decoder dispatches, to
+// the per-byte reference: identical frames, identical decodes, and
+// identical accept/reject and consumed on the frame overwritten at
+// fuzzed positions, truncated at a fuzzed length, and on the raw fuzz
+// bytes read as a frame.
 func FuzzParamsDeltaMatchesPortable(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, []byte{1, 2, 3, 4, 5, 6, 7, 8, 0, 0, 0, 0, 0, 0, 0, 1}, []byte{5, 0x91}, uint16(3))
 	f.Add([]byte{}, []byte{}, []byte{}, uint16(0))
 	f.Fuzz(func(t *testing.T, rawBase, rawCur, edits []byte, cut uint16) {
-		fuzzParamsDelta[float64](t, rawBase, rawCur, edits, cut)
-		fuzzParamsDelta[float32](t, rawBase, rawCur, edits, cut)
+		bothDispatches(func() {
+			fuzzParamsDelta[float64](t, rawBase, rawCur, edits, cut)
+			fuzzParamsDelta[float32](t, rawBase, rawCur, edits, cut)
+		})
 	})
 }
 
@@ -502,16 +753,20 @@ func fuzzParamsDelta[T linalg.Float](t *testing.T, rawBase, rawCur, edits []byte
 	checkParamsDecodeAgrees(t, edits, base, "raw bytes")
 }
 
-// FuzzInt8QuantizeMatchesReference holds the int8 rounding and the
-// one-scan encoder to the math.Round reference at both widths: on
-// arbitrary (v, min, scale) triples, and on a fuzzed row whose frame
-// must be byte-identical and decode bit-identically.
+// FuzzInt8QuantizeMatchesReference holds the int8 rounding, the row
+// quantizer and the encoder, on both dispatches, to the math.Round
+// reference at both widths: on arbitrary (v, min, scale) triples, on
+// the fuzzed row quantized onto the grid of its first two values, and
+// on the fuzzed row's frame, which must be byte-identical and decode
+// to the reference grid.
 func FuzzInt8QuantizeMatchesReference(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0xe0, 0x3f, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f})
 	f.Add([]byte{0x00, 0x00, 0x00, 0x3f, 0, 0, 0, 0, 0x00, 0x00, 0x80, 0x3f})
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		fuzzInt8[float64](t, raw)
-		fuzzInt8[float32](t, raw)
+		bothDispatches(func() {
+			fuzzInt8[float64](t, raw)
+			fuzzInt8[float32](t, raw)
+		})
 	})
 }
 
@@ -523,15 +778,20 @@ func fuzzInt8[T linalg.Float](t *testing.T, raw []byte) {
 			t.Fatalf("int8Quantize(%v, %v, %v) = %d, reference %d", v, min, scale, got, want)
 		}
 	}
+	if len(vals) > 1 {
+		checkInt8QuantizeRow(t, vals, vals[0], vals[1])
+	}
 	if len(vals) > 0 {
 		checkInt8Frame(t, [][]T{vals}, "fuzzed row")
 	}
 }
 
 // Micro-benchmarks at fleet-k60-int8's shape: one row of d = 16 008
-// (softmax 2000×8), an SGD-step delta for the params codec. Each runs
-// beside its reference twin and reports MB/s of the vector's d·sizeof(T)
-// bytes, as bench/'s wire.*_gbps rows count them.
+// (softmax 2000×8), an SGD-step delta for the params codec. Each codec
+// the SIMD bodies serve runs on them (/simd, where the CPU has them),
+// on the portable bodies (/generic) and as its reference twin (/ref);
+// the delta encoder has no SIMD body. Rates are MB/s of the vector's
+// d·sizeof(T) bytes, as bench/'s wire.*_gbps rows count them.
 const codecBenchDim = 16_008
 
 var benchFrameSink []byte
@@ -544,12 +804,28 @@ func benchCodec[T linalg.Float](b *testing.B, name string, run func(b *testing.B
 	})
 }
 
+// benchDispatches runs run as prefix/simd (skipped on a CPU without
+// what has() reports) and prefix/generic.
+func benchDispatches[T linalg.Float](b *testing.B, prefix string, has func() bool, run func(b *testing.B)) {
+	benchCodec[T](b, prefix+"/simd", func(b *testing.B) {
+		defer linalg.SetSIMD(linalg.SetSIMD(true))
+		if !has() {
+			b.Skip("this CPU lacks the SIMD codec bodies' features")
+		}
+		run(b)
+	})
+	benchCodec[T](b, prefix+"/generic", func(b *testing.B) {
+		defer linalg.SetSIMD(linalg.SetSIMD(false))
+		run(b)
+	})
+}
+
 func benchUplinkInt8Encode[T linalg.Float](b *testing.B, prefix string) {
 	rng := rand.New(rand.NewSource(1))
 	grads := [][]T{gaussian[T](rng, codecBenchDim)}
 	files := []int{7}
 	var buf []byte
-	benchCodec[T](b, prefix, func(b *testing.B) {
+	benchDispatches[T](b, prefix, linalg.SIMD, func(b *testing.B) {
 		enc := UplinkEncoderOf[T]{Tier: TierInt8}
 		for i := 0; i < b.N; i++ {
 			buf, _, _, _ = enc.Encode(buf[:0], 1, files, grads)
@@ -570,6 +846,36 @@ func BenchmarkUplinkInt8Encode(b *testing.B) {
 	benchUplinkInt8Encode[float32](b, "f32")
 }
 
+func benchUplinkInt8Decode[T linalg.Float](b *testing.B, prefix string) {
+	rng := rand.New(rand.NewSource(3))
+	enc := UplinkEncoderOf[T]{Tier: TierInt8}
+	frame, _, _, err := enc.Encode(nil, 1, []int{7}, [][]T{gaussian[T](rng, codecBenchDim)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var f GradFrameOf[T]
+	benchDispatches[T](b, prefix, linalg.SIMD, func(b *testing.B) {
+		dec := UplinkDecoderOf[T]{Tier: TierInt8}
+		for i := 0; i < b.N; i++ {
+			if _, _, err := dec.Decode(frame, &f); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	benchCodec[T](b, prefix+"/ref", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			decodeUplinkInt8Reference(frame, &f)
+		}
+	})
+}
+
+// BenchmarkUplinkInt8Decode times the int8 uplink decoder, which the PS
+// runs once per report, against the scalar reference loop.
+func BenchmarkUplinkInt8Decode(b *testing.B) {
+	benchUplinkInt8Decode[float64](b, "f64")
+	benchUplinkInt8Decode[float32](b, "f32")
+}
+
 func benchParamsDelta[T linalg.Float](b *testing.B, prefix string, decode bool) {
 	rng := rand.New(rand.NewSource(2))
 	base := gaussian[T](rng, codecBenchDim)
@@ -579,7 +885,7 @@ func benchParamsDelta[T linalg.Float](b *testing.B, prefix string, decode bool) 
 	if decode {
 		// Decoding the same delta twice restores base, so the loop
 		// toggles between the two vectors without a reset.
-		benchCodec[T](b, prefix, func(b *testing.B) {
+		benchDispatches[T](b, prefix, linalg.SIMDVBMI, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, _, err := DecodeParamsOf(frame, params); err != nil {
 					b.Fatal(err)
@@ -616,8 +922,8 @@ func BenchmarkParamsDeltaEncode(b *testing.B) {
 	benchParamsDelta[float32](b, "f32", false)
 }
 
-// BenchmarkParamsDeltaDecode times the word-at-a-time delta decoder
-// against the per-byte reference.
+// BenchmarkParamsDeltaDecode times the delta decoder, on the SIMD group
+// body and on the word-at-a-time loop, against the per-byte reference.
 func BenchmarkParamsDeltaDecode(b *testing.B) {
 	benchParamsDelta[float64](b, "f64", true)
 	benchParamsDelta[float32](b, "f32", true)

@@ -37,9 +37,13 @@
 // and the decoder loads each as one word masked to its length, two
 // coordinates per nibble byte, leaving the frame's last coordinates and
 // any pair it cannot settle to a per-byte loop that owns every error.
-// At fleet-k60-int8's shape (d = 16 008, an SGD-step delta) that is
-// ≥ 3× the per-byte encoder and ≥ 2× the per-byte decoder kept in the
-// tests.
+// Where linalg.SIMDVBMI() holds, the decoder first takes 64/sizeof(T)
+// coordinates a step from one 64-byte payload window (VPERMB on
+// prefix-summed lengths, codec_amd64.s), stopping before any group the
+// word loop would stop in. At fleet-k60-int8's shape (d = 16 008, an
+// SGD-step delta) the encoder is ≥ 3× the per-byte one kept in the
+// tests, the word-at-a-time decoder ≥ 2× it, and the SIMD decoder ≥ 3×
+// the word-at-a-time one.
 package wire
 
 import (
@@ -160,7 +164,8 @@ func xorFromBytes(payload []byte, n int) uint64 {
 	return x
 }
 
-// applyDeltaPairs is DecodeParamsOf's fast path. It applies the
+// applyDeltaPairs is DecodeParamsOf's word-at-a-time fast path, which
+// goes on where applyDeltaGroups' SIMD groups stop. It applies the
 // delta's coordinates two per nibble byte while 16 payload bytes remain
 // (so once both lengths are at most sizeof(T), both loads stay in
 // bounds), each XOR value one 8-byte load masked to its length. A
@@ -227,7 +232,12 @@ func DecodeParamsOf[T linalg.Float](src []byte, params []T) (mode, consumed int,
 			return 0, 0, fmt.Errorf("wire: delta frame needs %d length bytes, have %d", nb, len(body))
 		}
 		nibbles, payload := body[:nb], body[nb:]
-		i, off := applyDeltaPairs(params, nibbles, payload)
+		i, off := 0, 0
+		if linalg.SIMDVBMI() {
+			i, off = applyDeltaGroups(params, nibbles, payload)
+		}
+		j, o := applyDeltaPairs(params[i:], nibbles[i/2:], payload[off:])
+		i, off = i+j, off+o
 		for ; i < d; i++ {
 			n := nibbleLen(nibbles, i)
 			if n > w {
