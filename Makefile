@@ -29,9 +29,12 @@ bench:
 # target runs after them for the same time: it repeats each input's
 # bytes until the range holds a full 64-lane tile and checks both tile
 # bodies (AVX-512 where the CPU has it, and the portable Go one). The
-# MLP gradient's target runs last: it decodes a network, its parameters
+# MLP gradient's target runs next: it decodes a network, its parameters
 # and a file of samples, special values included, and checks both dense
-# kernel dispatches against the one-sample reference loops.
+# kernel dispatches against the one-sample reference loops. The moments'
+# target runs last: it builds rows from the input's bits and checks
+# MomentsInto and MeanRange on both dispatches against the
+# one-coordinate reference.
 fuzz: build
 	@targets=$$($(GO) test -list '^Fuzz' ./internal/wire | grep '^Fuzz') || exit 1; \
 	n=$$(echo "$$targets" | wc -l); \
@@ -43,6 +46,7 @@ fuzz: build
 	done
 	$(GO) test -run '^$$' -fuzz '^FuzzMedianChunk$$' -fuzztime $(FUZZTIME) ./internal/aggregate
 	$(GO) test -run '^$$' -fuzz '^FuzzMLPGradient$$' -fuzztime $(FUZZTIME) ./internal/model
+	$(GO) test -run '^$$' -fuzz '^FuzzMoments$$' -fuzztime $(FUZZTIME) ./internal/linalg
 
 # bench/ is its own module (replace byzshield => ../) importing the
 # per-width names from internal/; the root ./... never compiles it.

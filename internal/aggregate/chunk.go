@@ -154,17 +154,6 @@ func newOut(ca ChunkAggregator, grads [][]float64) ([]float64, error) {
 // order-statistic rules gather each column and run quickselect
 // (linalg.SelectKth and friends) or a sort.
 
-func meanChunk[T linalg.Float](grads [][]T, out []T, lo, hi int) {
-	inv := 1 / T(len(grads))
-	for i := lo; i < hi; i++ {
-		var s T
-		for _, g := range grads {
-			s += g[i]
-		}
-		out[i] = s * inv
-	}
-}
-
 func medianChunk[T linalg.Float](grads [][]T, out []T, lo, hi int) {
 	s := getScratch[T](len(grads))
 	defer putScratch(s)
@@ -282,13 +271,13 @@ func aurorChunk[T linalg.Float](grads [][]T, out []T, lo, hi int, threshold floa
 	}
 }
 
-// AggregateChunk implements ChunkAggregator: the coordinate mean, summed
-// in input order exactly as linalg.MeanVec does.
+// AggregateChunk implements ChunkAggregator: the coordinate mean,
+// linalg.MeanRange, summed in input order exactly as linalg.MeanVec does.
 func (Mean) AggregateChunk(grads [][]float64, out []float64, lo, hi int) error {
 	if err := checkChunk(grads, out, lo, hi); err != nil {
 		return err
 	}
-	meanChunk(grads, out, lo, hi)
+	linalg.MeanRange(out, grads, lo, hi)
 	return nil
 }
 
@@ -297,7 +286,7 @@ func (Mean) AggregateChunk32(grads [][]float32, out []float32, lo, hi int) error
 	if err := checkChunk(grads, out, lo, hi); err != nil {
 		return err
 	}
-	meanChunk(grads, out, lo, hi)
+	linalg.MeanRange(out, grads, lo, hi)
 	return nil
 }
 

@@ -30,7 +30,6 @@ type AdversaryOf[T linalg.Float] struct {
 
 	attack Attack
 	seed   int64
-	rng    *rand.Rand
 	ctx    Context
 	scr    Scratch
 	// Attacks read and write float64 at either width: wide is the
@@ -51,7 +50,6 @@ func NewAdversaryOf[T linalg.Float](atk Attack, asn *assign.Assignment, coalitio
 		Coalition: slices.Clone(coalition),
 		attack:    atk,
 		seed:      seed,
-		rng:       rand.New(rand.NewSource(seed)),
 		narrowed:  make([][]T, asn.F),
 		crafted:   make([][]T, asn.F),
 	}
@@ -88,7 +86,7 @@ func NewAdversaryOf[T linalg.Float](atk Attack, asn *assign.Assignment, coalitio
 		Participants:      asn.K,
 		ExpectedCorrupted: len(a.Coalition),
 		FileSize:          float64(batchSize) / float64(asn.F),
-		Rng:               a.rng,
+		Rng:               rand.New(rand.NewSource(seed)),
 		Scratch:           &a.scr,
 	}
 	return a, nil
@@ -104,8 +102,10 @@ func NewAdversaryOf[T linalg.Float](atk Attack, asn *assign.Assignment, coalitio
 // result is valid until the next Craft and allocates nothing once warm.
 func (a *AdversaryOf[T]) Craft(iter int, trueGrads [][]T) [][]T {
 	// Reseeding resets the source and the normal-draw cache: the stream
-	// is that of a generator freshly built for the round.
-	a.rng.Seed(a.seed + int64(iter)*7919)
+	// is that of a generator freshly built for the round. It is left to
+	// the round's first draw (Context.Rand), so an attack that never
+	// draws never pays for it.
+	a.ctx.seed, a.ctx.seedPending = a.seed+int64(iter)*7919, true
 	a.ctx.Round = iter
 	a.ctx.FileGradients = linalg.WidenRows(a.wide, trueGrads)
 	craft := a.attack.BeginRound(&a.ctx)

@@ -1,6 +1,7 @@
 package attack
 
 import (
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -65,5 +66,45 @@ func TestAdversaryCoalitionView(t *testing.T) {
 		if _, err := NewAdversaryOf[float64](Benign{}, asn, bad, 3, 1, 50); err == nil {
 			t.Errorf("coalition %v accepted", bad)
 		}
+	}
+}
+
+// TestAdversaryRoundStream: round t's draws are those of a generator
+// freshly seeded with seed + 7919·t, whatever rounds ran before it and
+// however many of them drew. The seeding waits for the round's first
+// draw, so a round of an attack that draws nothing leaves the stream of
+// the next drawing round unchanged.
+func TestAdversaryRoundStream(t *testing.T) {
+	asn, err := assign.MOLS(5, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const seed, dim = 11, 3
+	rows := adversaryRows[float64](asn.F)
+	gauss, err := NewAdversaryOf[float64](RandomGaussian{Scale: 2}, asn, []int{0, 4}, dim, seed, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := func(round int) []float64 {
+		rng := rand.New(rand.NewSource(seed + int64(round)*7919))
+		out := make([]float64, dim)
+		for i := range out {
+			out[i] = rng.NormFloat64() * 2
+		}
+		return out
+	}
+	v := gauss.Files[0]
+	for _, round := range []int{5, 2, 5, 0} {
+		if got := gauss.Craft(round, rows)[v]; !linalg.EqualBits(got, want(round)) {
+			t.Errorf("round %d: crafted %v, want %v", round, got, want(round))
+		}
+	}
+	// A round that never draws leaves the seed pending; the next
+	// drawing round replaces it with its own.
+	gauss.attack = ALIE{}
+	gauss.Craft(3, rows)
+	gauss.attack = RandomGaussian{Scale: 2}
+	if got := gauss.Craft(6, rows)[v]; !linalg.EqualBits(got, want(6)) {
+		t.Errorf("round 6 after a non-drawing round: crafted %v, want %v", got, want(6))
 	}
 }

@@ -41,12 +41,31 @@ type Context struct {
 	// FileSize is the average number of samples per file, used to scale
 	// constant payloads to gradient-sum magnitude.
 	FileSize float64
-	// Rng provides per-round deterministic randomness.
+	// Rng provides per-round deterministic randomness. Attacks draw
+	// from it through Rand, which seeds it first when the round's owner
+	// deferred the seeding (AdversaryOf does).
 	Rng *rand.Rand
 	// Scratch is where the round's crafted vectors are built. A caller
 	// that keeps one across rounds pays no allocation per round; nil makes
 	// BeginRound start a fresh one.
 	Scratch *Scratch
+
+	// seed, when seedPending, is the seed Rng takes before the round's
+	// first draw.
+	seed        int64
+	seedPending bool
+}
+
+// Rand returns the round's random source, seeding it first if the
+// round's seed is still pending. Only attacks that draw pay for the
+// seeding; the stream is that of a generator freshly built for the
+// round either way.
+func (ctx *Context) Rand() *rand.Rand {
+	if ctx.seedPending {
+		ctx.seedPending = false
+		ctx.Rng.Seed(ctx.seed)
+	}
+	return ctx.Rng
 }
 
 // scratch returns ctx.Scratch, starting one if the caller brought none.
@@ -243,8 +262,8 @@ func ZMax(n, m int) float64 {
 // file gradients, then µ − z·σ into the shared payload.
 func (a ALIE) BeginRound(ctx *Context) Crafter {
 	s := ctx.scratch()
-	mu := linalg.MeanVecInto(grow(&s.mu, ctx.Dim), ctx.FileGradients)
-	sigma := linalg.StdVecInto(grow(&s.sigma, ctx.Dim), mu, ctx.FileGradients)
+	mu, sigma := grow(&s.mu, ctx.Dim), grow(&s.sigma, ctx.Dim)
+	linalg.MomentsInto(mu, sigma, ctx.FileGradients)
 	z := a.ZOverride
 	if z == 0 {
 		z = ZMax(ctx.Participants, ctx.ExpectedCorrupted)
@@ -275,10 +294,10 @@ func (g RandomGaussian) BeginRound(ctx *Context) Crafter {
 	if ctx.Rng == nil {
 		panic("attack: RandomGaussian requires Context.Rng")
 	}
-	s := ctx.scratch()
+	rng, s := ctx.Rand(), ctx.scratch()
 	payload := grow(&s.payload, ctx.Dim)
 	for i := range payload {
-		payload[i] = ctx.Rng.NormFloat64() * scale
+		payload[i] = rng.NormFloat64() * scale
 	}
 	return s.sharedPayload()
 }

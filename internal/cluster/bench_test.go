@@ -151,21 +151,26 @@ func BenchmarkRoundMLP(b *testing.B) {
 // atomic store into preallocated state, so observability must be free
 // of allocation too. The -f32 rows hold the float32 engine — the same
 // round core, with the attack oracle behind its widened view — to the
-// same budget.
+// same budget. The pooled row runs two pool goroutines and pins the
+// round at zero: the pool reuses one job for every phase, so handing
+// the compute, vote and aggregate phases out allocates nothing.
 func TestSteadyStateAllocsPerRound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; alloc budget is pinned in the non-race run")
 	}
-	t.Run("bare", steadyStateAllocs[float64](false))
-	t.Run("instrumented", steadyStateAllocs[float64](true))
-	t.Run("bare-f32", steadyStateAllocs[float32](false))
-	t.Run("instrumented-f32", steadyStateAllocs[float32](true))
+	t.Run("bare", steadyStateAllocs[float64](false, 1, 4))
+	t.Run("instrumented", steadyStateAllocs[float64](true, 1, 4))
+	t.Run("bare-f32", steadyStateAllocs[float32](false, 1, 4))
+	t.Run("instrumented-f32", steadyStateAllocs[float32](true, 1, 4))
+	t.Run("pooled", steadyStateAllocs[float64](false, 2, 0))
 }
 
-func steadyStateAllocs[T linalg.Float](instrumented bool) func(*testing.T) {
+// steadyStateAllocs measures a warm round at the given pool width and
+// fails above want allocations.
+func steadyStateAllocs[T linalg.Float](instrumented bool, parallelism int, want float64) func(*testing.T) {
 	return func(t *testing.T) {
 		cfgT := quickstartConfigOf[T](t)
-		cfgT.Parallelism = 1
+		cfgT.Parallelism = parallelism
 		if instrumented {
 			cfgT.Metrics = obs.NewRegistry()
 			cfgT.Tracer = obs.NewTracer(64)
@@ -188,8 +193,8 @@ func steadyStateAllocs[T linalg.Float](instrumented bool) func(*testing.T) {
 		if allocs >= 24 {
 			t.Fatalf("steady-state round allocates %.1f times, budget < 24", allocs)
 		}
-		if allocs > 4 {
-			t.Errorf("steady-state round allocates %.1f times, want ≤ 4 (attacker scratch + sampler prealloc regressed)", allocs)
+		if allocs > want {
+			t.Errorf("steady-state round allocates %.2f times, want ≤ %v (attacker scratch, sampler prealloc or the pool's job regressed)", allocs, want)
 		}
 	}
 }

@@ -17,9 +17,16 @@ import (
 // synchronization. Tasks are claimed from a shared atomic counter, which
 // keeps the pool balanced when task costs are uneven (e.g. Byzantine
 // workers drop out of the compute phase).
+//
+// The pool owns the one job every phase reuses, so a phase allocates
+// nothing: run is called only from the round goroutine and returns after
+// every pool goroutine has finished with the job, and the channel send
+// that hands the job out orders the next phase's writes before any
+// goroutine reads them.
 type pool struct {
 	size int
 	jobs chan *poolJob
+	job  poolJob
 	wg   sync.WaitGroup
 }
 
@@ -64,7 +71,9 @@ func (p *pool) run(n int, fn func(worker, task int)) {
 	if n <= 0 {
 		return
 	}
-	j := &poolJob{n: n, fn: fn}
+	j := &p.job
+	j.n, j.fn = n, fn
+	j.next.Store(0)
 	j.done.Add(p.size)
 	for i := 0; i < p.size; i++ {
 		p.jobs <- j

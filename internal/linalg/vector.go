@@ -156,26 +156,10 @@ func MeanVec[T Float](vs [][]T) []T {
 }
 
 // MeanVecInto computes the coordinate-wise mean into out (which must
-// have the vectors' dimension) and returns it. The accumulation order
-// matches MeanVec exactly, so the two are bit-identical.
+// have the vectors' dimension) and returns it: MeanRange over every
+// coordinate, so it is bit-identical to MeanVec.
 func MeanVecInto[T Float](out []T, vs [][]T) []T {
-	d := checkSameLen(vs)
-	clear(out)
-	for _, v := range vs {
-		v = v[:d]
-		i := 0
-		for ; i+4 <= d; i += 4 {
-			out[i] += v[i]
-			out[i+1] += v[i+1]
-			out[i+2] += v[i+2]
-			out[i+3] += v[i+3]
-		}
-		for ; i < d; i++ {
-			out[i] += v[i]
-		}
-	}
-	inv := 1 / T(len(vs))
-	ScaleInPlace(out[:d], inv)
+	MeanRange(out, vs, 0, checkSameLen(vs))
 	return out
 }
 
@@ -187,34 +171,10 @@ func StdVec[T Float](vs [][]T) []T {
 
 // StdVecInto computes the coordinate-wise population standard
 // deviation around mean into out and returns it; bit-identical to
-// StdVec when mean is the vectors' MeanVec. The square root runs in
-// float64 for both widths (Go has no float32 sqrt intrinsic in the
-// math package); the float32 instantiation rounds the result once.
+// StdVec when mean is the vectors' MeanVec.
 func StdVecInto[T Float](out, mean []T, vs [][]T) []T {
 	d := checkSameLen(vs)
-	clear(out)
-	for _, v := range vs {
-		v = v[:d]
-		i := 0
-		for ; i+4 <= d; i += 4 {
-			d0 := v[i] - mean[i]
-			d1 := v[i+1] - mean[i+1]
-			d2 := v[i+2] - mean[i+2]
-			d3 := v[i+3] - mean[i+3]
-			out[i] += d0 * d0
-			out[i+1] += d1 * d1
-			out[i+2] += d2 * d2
-			out[i+3] += d3 * d3
-		}
-		for ; i < d; i++ {
-			diff := v[i] - mean[i]
-			out[i] += diff * diff
-		}
-	}
-	inv := 1 / T(len(vs))
-	for i := range out {
-		out[i] = T(math.Sqrt(float64(out[i] * inv)))
-	}
+	stdRange(out, mean, vs, 0, d, 1/T(len(vs)))
 	return out
 }
 
